@@ -76,7 +76,6 @@ class AgentConfig:
     epsilon_decay: float = 0.99
     epsilon_floor: float = 0.05
     learning_rate: float = 0.05
-    batch_size: int = 32
     target_sync_period: int = 20    # counted in agent-training steps
     hidden_sizes: list[int] = field(default_factory=lambda: [6, 6])
 
@@ -89,8 +88,6 @@ class AgentConfig:
             raise ConfigurationError("epsilon_floor must lie in [0, 1]")
         if not (0.0 <= self.epsilon_init <= 1.0):
             raise ConfigurationError("epsilon_init must lie in [0, 1]")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigurationError("learning_rate must be > 0")
         if self.target_sync_period < 1:

@@ -106,9 +106,11 @@ def cmd_gen(args) -> int:
     layout = TransitionLayout(num_actions=cfg.env.num_actions,
                               ambient_temp=cfg.env.ambient_temp)
     data = load_batch_csv(args.memory)
-    if data.shape[0] == 0:
-        raise InsufficientDataError(f"memory dump {args.memory} is empty")
-    memory = ReplayMemory(capacity=max(1, data.shape[0]))
+    if data.shape[0] < cfg.schedule.fm_train_start:
+        raise InsufficientDataError(
+            f"flow training needs >= {cfg.schedule.fm_train_start} transitions "
+            f"(schedule.fm_train_start), {args.memory} holds {data.shape[0]}")
+    memory = ReplayMemory(capacity=data.shape[0])
     for row in data:
         memory.push(unflatten_transition(row, layout, source="real"))
 

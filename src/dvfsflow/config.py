@@ -1,8 +1,12 @@
 """Experiment configuration: one JSON file drives every module.
 
 Empty sections fall back to the tuned defaults (the bold grid-search values
-where the hyperparameter has one).  Unknown keys are rejected so typos fail
-loudly, and every constraint violation names the offending field.
+where the hyperparameter has one).  Unknown keys are rejected so typos and
+retired keys fail loudly, and every constraint violation names the offending
+field.  Each concept has exactly one knob: ``schedule.batch_size`` is the DQN
+batch size beta, ``schedule.fm_train_start`` the number of real transitions
+every generator (flow or planner) waits for, and ``flow.batch_size`` only the
+flow's own training minibatch.
 """
 
 from __future__ import annotations
@@ -43,8 +47,7 @@ class ExperimentConfig:
         self.agent.validate()
         self.schedule.validate()
         self.flow.validate()
-        if self.forest.n_trees < 1 or self.forest.min_leaf < 1:
-            raise ConfigurationError("forest n_trees/min_leaf must be >= 1")
+        self.forest.validate()
         if not self.methods:
             raise ConfigurationError("methods must be non-empty")
         for m in self.methods:

@@ -7,20 +7,25 @@ B bootstrap replicates of the latent pool (each re-paired with a shuffled
 copy of the data batch) and weights the per-dimension squared error by the
 normalized feature weights.  Sampling integrates dx/dt = v(x, t) with explicit
 Euler from t=0 (noise) to t=1 (data) and decodes back to transitions.
+
+A trained flow is one type, :class:`FlowModel`: the vector-field net, its
+per-dimension normalizer, the feature weights, the config and the loss
+history, with no knowledge of the transition layout, so the same training and
+sampling code serves any (n, d) data.  Only the codec (:class:`TransitionLayout`,
+flatten/unflatten) knows the 11 columns.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import nets
 from .agent import ReplayMemory, Transition
 from .errors import ConfigurationError, DomainError, NumericError, StateError
-from .nets import AdamState, MlpParams
+from .nets import MlpParams
 from .simenv import ProcessorState
 
 TRANSITION_LABELS = [
@@ -110,7 +115,6 @@ class FMConfig:
     epochs: int = 400
     batch_size: int = 32
     learning_rate: float = 1e-3
-    train_start: int = 32         # minimum real transitions before training
 
     def validate(self) -> None:
         if not (0.0 <= self.sigma_min < 1.0):
@@ -125,34 +129,35 @@ class FMConfig:
             raise ConfigurationError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigurationError("learning_rate must be > 0")
-        if self.train_start < 1:
-            raise ConfigurationError("train_start must be >= 1")
 
 
 @dataclass
 class FlowModel:
+    """A flow over d-dim rows: the vector-field net, the per-dimension
+    normalizer, the feature weights and config it trains with, and its
+    per-epoch loss history.  An empty loss curve means untrained."""
+
     params: MlpParams             # input concat(x, t) -> velocity over x
     normalizer: Normalizer
     weights: np.ndarray           # lambda, sums to 1
-    layout: TransitionLayout
     config: FMConfig
     loss_curve: list[float] = field(default_factory=list)
-    trained: bool = False
 
 
-def init_flow_model(layout: TransitionLayout, config: FMConfig, lam: np.ndarray,
-                    seed: int = 0) -> FlowModel:
+def init_flow_model(config: FMConfig, lam: np.ndarray, seed=0) -> FlowModel:
+    """Untrained flow over len(lam) dims: fresh net, identity normalizer."""
     config.validate()
     lam = np.asarray(lam, dtype=np.float64)
-    if lam.shape != (layout.dim,) or np.any(lam < 0):
-        raise ConfigurationError("feature weights must be a non-negative vector of the layout dim")
+    if lam.ndim != 1 or np.any(lam < 0):
+        raise ConfigurationError("feature weights must be a non-negative vector")
     if abs(lam.sum() - 1.0) > 1e-9:
         raise ConfigurationError("feature weights must sum to 1")
-    sizes = [layout.dim + 1] + list(config.hidden_sizes) + [layout.dim]
-    params = nets.init_mlp(sizes, activation="tanh", seed=seed)
-    normalizer = Normalizer(mean=np.zeros(layout.dim), std=np.ones(layout.dim))
-    return FlowModel(params=params, normalizer=normalizer, weights=lam,
-                     layout=layout, config=config)
+    d = lam.shape[0]
+    params = nets.init_mlp([d + 1] + list(config.hidden_sizes) + [d],
+                           activation="tanh", seed=seed)
+    return FlowModel(params=params,
+                     normalizer=Normalizer(mean=np.zeros(d), std=np.ones(d)),
+                     weights=lam, config=config)
 
 
 def bootstrap_latents(pool: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -191,12 +196,13 @@ def cfm_loss(model: FlowModel, batch: np.ndarray, rng: np.random.Generator,
              ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Bootstrapped, feature-weighted conditional flow matching loss.
 
-    ``batch`` holds normalized transition rows.  Returns the loss and its
-    analytic gradients with respect to the vector-field parameters.
+    ``batch`` holds normalized rows.  Returns the loss and its analytic
+    gradients with respect to the vector-field parameters.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[0] < 1 or batch.shape[1] != model.layout.dim:
-        raise DomainError(f"batch must be (n, {model.layout.dim})")
+    d = model.params.out_dim
+    if batch.ndim != 2 or batch.shape[0] < 1 or batch.shape[1] != d:
+        raise DomainError(f"batch must be (n, {d})")
     if not np.all(np.isfinite(batch)):
         raise NumericError("NaN/inf in training batch")
     cfg = model.config
@@ -205,142 +211,101 @@ def cfm_loss(model: FlowModel, batch: np.ndarray, rng: np.random.Generator,
     return nets.loss_and_grads(model.params, inputs, target, lam)
 
 
-@dataclass
-class VectorField:
-    """Dimension-generic trained flow: net, per-dim normalizer, loss history."""
-
-    params: MlpParams
-    normalizer: Normalizer
-    loss_curve: list[float]
-
-
 def train_vector_field(data: np.ndarray, lam: np.ndarray, config: FMConfig,
-                       seed=0) -> VectorField:
+                       seed=0) -> FlowModel:
     """Mini-batch Adam on the bootstrapped CFM loss over raw (n, d) samples."""
-    config.validate()
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 1:
         raise DomainError("training data must be a non-empty (n, d) matrix")
     if not np.all(np.isfinite(data)):
         raise NumericError("NaN/inf in training data")
-    d = data.shape[1]
-    lam = np.asarray(lam, dtype=np.float64)
-    if lam.shape != (d,):
+    if np.shape(lam) != (data.shape[1],):
         raise DomainError("feature weights must match the data dimension")
-    params = nets.init_mlp([d + 1] + list(config.hidden_sizes) + [d],
-                           activation="tanh", seed=seed)
-    normalizer = Normalizer.fit(data)
-    normalized = normalizer.normalize(data)
+    model = init_flow_model(config, lam, seed=seed)
+    model.normalizer = Normalizer.fit(data)
+    normalized = model.normalizer.normalize(data)
 
     rng = np.random.default_rng(seed)
-    adam = nets.adam_init(params, config.learning_rate)
-    n = normalized.shape[0]
-    loss_curve = []
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, config.batch_size):
-            rows = normalized[order[start:start + config.batch_size]]
-            inputs, target, w = _cfm_batch(rows, lam, config.sigma_min,
-                                           config.bootstrap_count, rng)
-            params, adam, loss = nets.train_step(params, adam, inputs, target, w)
-            epoch_losses.append(loss)
-        loss_curve.append(float(np.mean(epoch_losses)))
-    return VectorField(params=params, normalizer=normalizer, loss_curve=loss_curve)
+
+    def make_batch(rows):
+        return _cfm_batch(normalized[rows], model.weights, config.sigma_min,
+                          config.bootstrap_count, rng)
+
+    model.params, model.loss_curve = nets.fit(
+        model.params, nets.adam_init(model.params, config.learning_rate),
+        normalized.shape[0], config.epochs, config.batch_size, rng, make_batch)
+    return model
 
 
-def sample_vector_field(field: VectorField, n: int, rng: np.random.Generator,
+def sample_vector_field(model: FlowModel, n: int, rng: np.random.Generator,
                         ode_steps: int = 100) -> np.ndarray:
     """Integrate dx/dt = v(x, t) with explicit Euler from noise to data space."""
-    d = field.params.out_dim
+    d = model.params.out_dim
     if n == 0:
         return np.empty((0, d))
     x = rng.standard_normal((n, d))
     dt = 1.0 / ode_steps
     for step in range(ode_steps):
         t_col = np.full((n, 1), step * dt)
-        x = x + nets.forward_batch(field.params, np.concatenate([x, t_col], axis=1)) * dt
-    return field.normalizer.denormalize(x)
+        x = x + nets.forward_batch(model.params, np.concatenate([x, t_col], axis=1)) * dt
+    return model.normalizer.denormalize(x)
 
 
 def train_flow_model(memory: ReplayMemory, lam: np.ndarray, config: FMConfig,
                      layout: TransitionLayout, seed=0) -> FlowModel:
-    """Train the transition generator on every stored real transition."""
-    config.validate()
-    if len(memory) < config.train_start:
-        raise StateError(
-            f"flow training needs >= {config.train_start} transitions, "
-            f"memory holds {len(memory)}")
-    model = init_flow_model(layout, config, lam, seed=seed)
-    field = train_vector_field(flatten_memory(memory.items, layout),
-                               model.weights, config, seed=seed)
-    model.params = field.params
-    model.normalizer = field.normalizer
-    model.loss_curve = field.loss_curve
-    model.trained = True
-    return model
+    """Train the transition generator on every stored real transition.
 
-
-def velocity(model: FlowModel, x: np.ndarray, t: float) -> np.ndarray:
-    """v(x, t) for a batch of normalized points."""
-    t_col = np.full((x.shape[0], 1), t)
-    return nets.forward_batch(model.params, np.concatenate([x, t_col], axis=1))
+    The schedule decides when there are enough transitions to train on
+    (``ScheduleConfig.fm_train_start``); this only refuses an empty memory.
+    """
+    if len(memory) == 0:
+        raise StateError(f"flow training needs transitions, {memory.name} is empty")
+    return train_vector_field(flatten_memory(memory.items, layout), lam, config,
+                              seed=seed)
 
 
 def generate_raw(model: FlowModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n denormalized 11-column samples from K-step Euler integration of the flow."""
-    if not model.trained:
+    """n denormalized samples from K-step Euler integration of the flow."""
+    if not model.loss_curve:
         raise StateError("flow model is untrained; call train_flow_model first")
-    field = VectorField(params=model.params, normalizer=model.normalizer,
-                        loss_curve=model.loss_curve)
-    return sample_vector_field(field, n, rng, ode_steps=model.config.ode_steps)
+    return sample_vector_field(model, n, rng, ode_steps=model.config.ode_steps)
 
 
-def generate_transitions(model: FlowModel, n: int,
-                         rng: np.random.Generator) -> list[Transition]:
+def generate_transitions(model: FlowModel, n: int, rng: np.random.Generator,
+                         layout: TransitionLayout) -> list[Transition]:
     """Sample and decode n synthetic transitions (states clamped to physical ranges)."""
     raw = generate_raw(model, n, rng)
-    return [unflatten_transition(row, model.layout) for row in raw]
+    return [unflatten_transition(row, layout) for row in raw]
+
+
+FLOW_CHECKPOINT_VERSION = 2
 
 
 def flow_model_to_dict(model: FlowModel) -> dict:
     return {
-        "version": nets.CHECKPOINT_VERSION,
+        "version": FLOW_CHECKPOINT_VERSION,
         "net": nets.params_to_dict(model.params),
         "normalizer": {"mean": model.normalizer.mean.tolist(),
                        "std": model.normalizer.std.tolist()},
         "weights": model.weights.tolist(),
-        "layout": {"num_actions": model.layout.num_actions,
-                   "ambient_temp": model.layout.ambient_temp},
-        "config": {
-            "sigma_min": model.config.sigma_min,
-            "bootstrap_count": model.config.bootstrap_count,
-            "ode_steps": model.config.ode_steps,
-            "hidden_sizes": list(model.config.hidden_sizes),
-            "epochs": model.config.epochs,
-            "batch_size": model.config.batch_size,
-            "learning_rate": model.config.learning_rate,
-            "train_start": model.config.train_start,
-        },
+        "config": asdict(model.config),
         "loss_curve": list(model.loss_curve),
-        "trained": model.trained,
     }
 
 
 def flow_model_from_dict(payload: dict) -> FlowModel:
-    layout = TransitionLayout(**payload["layout"])
-    config = FMConfig(**payload["config"])
-    model = FlowModel(
+    if payload.get("version") != FLOW_CHECKPOINT_VERSION:
+        raise ConfigurationError(
+            f"unsupported flow checkpoint version {payload.get('version')!r}, "
+            f"expected {FLOW_CHECKPOINT_VERSION}")
+    return FlowModel(
         params=nets.params_from_dict(payload["net"]),
         normalizer=Normalizer(mean=np.array(payload["normalizer"]["mean"]),
                               std=np.array(payload["normalizer"]["std"])),
         weights=np.array(payload["weights"]),
-        layout=layout,
-        config=config,
-        loss_curve=list(payload.get("loss_curve", [])),
-        trained=bool(payload.get("trained", False)),
+        config=FMConfig(**payload["config"]),
+        loss_curve=list(payload["loss_curve"]),
     )
-    return model
 
 
 def save_batch_csv(matrix: np.ndarray, path: str) -> None:

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .agent import ReplayMemory
-from .errors import DomainError, InsufficientDataError, NumericError
+from .errors import ConfigurationError, DomainError, InsufficientDataError, NumericError
 
 
 @dataclass
@@ -56,6 +56,15 @@ class ForestConfig:
     min_leaf: int = 5
     min_samples: int = 50               # floor for transition_feature_weights
 
+    def validate(self) -> None:
+        for name in ("n_trees", "max_depth", "min_leaf"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
+        if self.min_samples < 2 * self.min_leaf:
+            raise ConfigurationError(
+                f"min_samples must be >= 2 * min_leaf = {2 * self.min_leaf}, "
+                f"got {self.min_samples}")
+
 
 def _best_split(x_col: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[float, float]:
     """Best (gain, threshold) for one feature, or (-inf, 0) if nothing valid.
@@ -93,7 +102,7 @@ def _best_split(x_col: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[float,
 
 
 def _grow(x: np.ndarray, y: np.ndarray, depth: int, max_depth: int, min_leaf: int,
-          n_total: int, n_sub: int, rng: np.random.Generator) -> TreeNode:
+          n_sub: int, rng: np.random.Generator) -> TreeNode:
     n = y.size
     mean = float(y.mean())
     var = float(y.var())
@@ -112,8 +121,8 @@ def _grow(x: np.ndarray, y: np.ndarray, depth: int, max_depth: int, min_leaf: in
     node.feature = best_feat
     node.threshold = best_thr
     node.gain = best_gain
-    node.left = _grow(x[mask], y[mask], depth + 1, max_depth, min_leaf, n_total, n_sub, rng)
-    node.right = _grow(x[~mask], y[~mask], depth + 1, max_depth, min_leaf, n_total, n_sub, rng)
+    node.left = _grow(x[mask], y[mask], depth + 1, max_depth, min_leaf, n_sub, rng)
+    node.right = _grow(x[~mask], y[~mask], depth + 1, max_depth, min_leaf, n_sub, rng)
     return node
 
 
@@ -151,7 +160,7 @@ def fit_forest(x: np.ndarray, y: np.ndarray, n_trees: int = 50, max_depth: int =
     importances = np.zeros(d)
     for t, child in enumerate(rng.spawn(n_trees)):
         boot = child.integers(0, n, size=n)
-        root = _grow(x[boot], y[boot], 0, max_depth, min_leaf, n, n_sub, child)
+        root = _grow(x[boot], y[boot], 0, max_depth, min_leaf, n_sub, child)
         tree = RegressionTree(root=root, n_features=d, seed=t)
         trees.append(tree)
         importances += _tree_importances(tree, n)

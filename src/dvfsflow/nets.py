@@ -12,7 +12,7 @@ action's output).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -211,6 +211,28 @@ def train_step(params: MlpParams, adam: AdamState, x: np.ndarray, y: np.ndarray,
     loss, gw, gb = loss_and_grads(params, x, y, weights)
     new_params, new_adam = adam_step(params, gw, gb, adam)
     return new_params, new_adam, loss
+
+
+def fit(params: MlpParams, adam: AdamState, n: int, epochs: int, batch_size: int,
+        rng: np.random.Generator,
+        make_batch: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
+        ) -> tuple[MlpParams, list[float]]:
+    """Minibatch Adam over n rows: each epoch draws ``rng.permutation(n)`` and
+    takes one :func:`train_step` per consecutive ``batch_size`` slice of it,
+    on the (inputs, targets, weights) that ``make_batch(rows)`` builds.
+
+    Returns the trained params and the mean minibatch loss of every epoch.
+    """
+    loss_curve = []
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        losses = []
+        for start in range(0, n, batch_size):
+            params, adam, loss = train_step(params, adam,
+                                            *make_batch(order[start:start + batch_size]))
+            losses.append(loss)
+        loss_curve.append(float(np.mean(losses)))
+    return params, loss_curve
 
 
 def grad_check(params: MlpParams, x: np.ndarray, y: np.ndarray, weights: np.ndarray,

@@ -136,22 +136,13 @@ class _ModelBasedPlanner:
         self.in_norm = Normalizer.fit(x)
         self.out_norm = Normalizer.fit(y)
         xn, yn = self.in_norm.normalize(x), self.out_norm.normalize(y)
-        rng = np.random.default_rng(seed)
-        adam = nets.adam_init(self.params, self.fm_config.learning_rate)
+        cfg = self.fm_config
         weights = np.ones(6)
-        last = float("nan")
-        n = xn.shape[0]
-        bs = self.fm_config.batch_size
-        for _ in range(self.fm_config.epochs):
-            order = rng.permutation(n)
-            losses = []
-            for start in range(0, n, bs):
-                rows = order[start:start + bs]
-                self.params, adam, loss = nets.train_step(
-                    self.params, adam, xn[rows], yn[rows], weights)
-                losses.append(loss)
-            last = float(np.mean(losses))
-        return last
+        self.params, loss_curve = nets.fit(
+            self.params, nets.adam_init(self.params, cfg.learning_rate), xn.shape[0],
+            cfg.epochs, cfg.batch_size, np.random.default_rng(seed),
+            lambda rows: (xn[rows], yn[rows], weights))
+        return loss_curve[-1]
 
     def plan(self, memory: ReplayMemory, n: int,
              rng: np.random.Generator) -> tuple[list[Transition], np.ndarray]:
@@ -190,6 +181,7 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
     agent_config.validate()
     schedule.validate()
     fm_config.validate()
+    forest_config.validate()
 
     log = RunLog(method=method, seed=seed,
                  config=_config_snapshot(method, seed, env_config, agent_config,

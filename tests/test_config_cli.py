@@ -41,7 +41,7 @@ def test_empty_config_gives_table_defaults(tmp_path):
     assert cfg.agent.learning_rate == 0.05
     assert cfg.agent.discount == 0.99
     assert cfg.agent.epsilon_decay == 0.99
-    assert cfg.agent.batch_size == 32
+    assert cfg.schedule.batch_size == 32
     assert cfg.flow.epochs == 400
     assert cfg.env.reward_scale == 2.0
     assert cfg.schedule.planning_breadth == 1000
@@ -59,6 +59,50 @@ def test_unknown_keys_rejected():
         config_from_dict({"envv": {}})
     with pytest.raises(ConfigurationError, match="unknown"):
         config_from_dict({"agent": {"learning_rat": 0.1}})
+
+
+@pytest.mark.parametrize("section,key", [("flow", "train_start"),
+                                         ("agent", "batch_size")])
+def test_removed_keys_rejected(section, key):
+    with pytest.raises(ConfigurationError,
+                       match=rf"\['{key}'\] in section '{section}'"):
+        config_from_dict({section: {key: 32}})
+
+
+@pytest.mark.parametrize("forest,field", [
+    ({"n_trees": 0}, "n_trees"),
+    ({"min_leaf": 0}, "min_leaf"),
+    ({"max_depth": -3}, "max_depth"),
+    ({"min_samples": 8, "min_leaf": 5}, "min_samples"),
+])
+def test_forest_constraint_names_field(forest, field):
+    with pytest.raises(ConfigurationError, match=field):
+        config_from_dict({"forest": forest})
+
+
+def test_forest_floor_below_two_leaves_rejected_before_running(tmp_path, capsys):
+    # min_samples 8 < 2 * min_leaf: dfm used to fail mid-run in fit_forest
+    path = _write_config(tmp_path, {
+        "forest": {"min_samples": 8, "min_leaf": 5},
+        "flow": {"epochs": 5},
+        "schedule": {"batch_size": 4, "fm_train_start": 8, "fm_retrain_period": 8,
+                     "horizon": 40},
+        "output_dir": str(tmp_path / "out")})
+    assert main(["run", "--config", path, "--methods", "dfm"]) == 1
+    assert "configuration error: min_samples" in capsys.readouterr().err
+
+
+def test_fm_train_start_is_the_only_training_floor(tmp_path, capsys):
+    # fm_train_start 10 < 32: every method trains from 20 transitions on
+    path = _write_config(tmp_path, {
+        "schedule": {"batch_size": 8, "fm_train_start": 10, "fm_retrain_period": 20,
+                     "horizon": 60},
+        "flow": {"epochs": 2},
+        "output_dir": str(tmp_path / "out")})
+    assert main(["run", "--config", path,
+                 "--methods", "dfm,pure_fm,model_based,model_free"]) == 0
+    with open(tmp_path / "out" / "summary_dfm_seed0.json") as fh:
+        assert json.load(fh)["fm_train_steps"] == [20, 40, 60]
 
 
 def test_parse_error_reports_line(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from dvfsflow import nets
 from dvfsflow.agent import ReplayMemory, Transition
-from dvfsflow.errors import DomainError, StateError
+from dvfsflow.errors import ConfigurationError, DomainError, StateError
 from dvfsflow.flow import (FMConfig, TransitionLayout, bootstrap_latents,
                            cfm_loss, flatten_memory, flatten_transition,
                            flow_model_from_dict, flow_model_to_dict,
@@ -112,7 +112,7 @@ def _single_pair_model(sigma_min, bootstrap_count=1, seed=0):
     cfg = FMConfig(sigma_min=sigma_min, bootstrap_count=bootstrap_count,
                    hidden_sizes=[8], epochs=1)
     lam = np.full(LAYOUT.dim, 1.0 / LAYOUT.dim)
-    return init_flow_model(LAYOUT, cfg, lam, seed=seed)
+    return init_flow_model(cfg, lam, seed=seed)
 
 
 def test_cfm_loss_zero_for_exact_constant_field():
@@ -190,7 +190,7 @@ def test_cfm_loss_b1_uniform_reduces_to_plain_cfm():
 def test_cfm_loss_gradient_finite_difference():
     cfg = FMConfig(hidden_sizes=[6], bootstrap_count=2, epochs=1)
     lam = np.full(LAYOUT.dim, 1.0 / LAYOUT.dim)
-    model = init_flow_model(LAYOUT, cfg, lam, seed=2)
+    model = init_flow_model(cfg, lam, seed=2)
     batch = np.random.default_rng(11).normal(size=(5, LAYOUT.dim))
 
     # freeze the stochastic draws so the loss is a deterministic function
@@ -206,7 +206,7 @@ def test_cfm_loss_gradient_finite_difference():
 
 def test_train_flow_model_deterministic():
     mem = _sim_memory(40)
-    cfg = FMConfig(hidden_sizes=[8, 8], epochs=5, bootstrap_count=2, train_start=32)
+    cfg = FMConfig(hidden_sizes=[8, 8], epochs=5, bootstrap_count=2)
     lam = np.full(LAYOUT.dim, 1.0 / LAYOUT.dim)
     a = train_flow_model(mem, lam, cfg, LAYOUT, seed=7)
     b = train_flow_model(mem, lam, cfg, LAYOUT, seed=7)
@@ -216,10 +216,10 @@ def test_train_flow_model_deterministic():
 
 
 def test_train_flow_model_requires_enough_data():
-    mem = _sim_memory(10)
+    mem = ReplayMemory(capacity=10)
     lam = np.full(LAYOUT.dim, 1.0 / LAYOUT.dim)
     with pytest.raises(StateError):
-        train_flow_model(mem, lam, FMConfig(train_start=32), LAYOUT, seed=0)
+        train_flow_model(mem, lam, FMConfig(), LAYOUT, seed=0)
 
 
 def test_training_loss_trends_down_on_simulator_data():
@@ -270,7 +270,7 @@ def test_generate_outputs_valid_transitions():
     cfg = FMConfig(hidden_sizes=[16, 16], epochs=30, bootstrap_count=2)
     lam = np.full(LAYOUT.dim, 1.0 / LAYOUT.dim)
     model = train_flow_model(mem, lam, cfg, LAYOUT, seed=2)
-    out = generate_transitions(model, 200, np.random.default_rng(0))
+    out = generate_transitions(model, 200, np.random.default_rng(0), LAYOUT)
     assert len(out) == 200
     for t in out:
         for s in (t.s, t.s_next):
@@ -278,12 +278,12 @@ def test_generate_outputs_valid_transitions():
             assert s.temp >= LAYOUT.ambient_temp and 0.0 <= s.freq <= 1.0
         assert 0 <= t.a < LAYOUT.num_actions
         assert t.source == "synth"
-    assert generate_transitions(model, 0, np.random.default_rng(0)) == []
+    assert generate_transitions(model, 0, np.random.default_rng(0), LAYOUT) == []
 
 
 def test_generate_requires_trained_model():
     lam = np.full(LAYOUT.dim, 1.0 / LAYOUT.dim)
-    model = init_flow_model(LAYOUT, FMConfig(), lam, seed=0)
+    model = init_flow_model(FMConfig(), lam, seed=0)
     with pytest.raises(StateError):
         generate_raw(model, 5, np.random.default_rng(0))
 
@@ -299,6 +299,19 @@ def test_flow_checkpoint_round_trip():
     a = generate_raw(model, 20, np.random.default_rng(6))
     b = generate_raw(clone, 20, np.random.default_rng(6))
     assert np.allclose(a, b)
+
+
+def test_flow_checkpoint_rejects_other_version():
+    mem = _sim_memory(40, seed=2)
+    cfg = FMConfig(hidden_sizes=[8], epochs=1, bootstrap_count=2)
+    lam = np.full(LAYOUT.dim, 1.0 / LAYOUT.dim)
+    payload = flow_model_to_dict(train_flow_model(mem, lam, cfg, LAYOUT, seed=4))
+    # the version-1 layout: a transition layout, a trained flag, flow.train_start
+    payload.update(version=1, trained=True,
+                   layout={"num_actions": 12, "ambient_temp": 25.0})
+    payload["config"]["train_start"] = 32
+    with pytest.raises(ConfigurationError, match="version 1"):
+        flow_model_from_dict(payload)
 
 
 def test_batch_csv_round_trip(tmp_path):

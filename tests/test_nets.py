@@ -112,6 +112,42 @@ def test_adam_zero_lr_keeps_params():
         assert np.array_equal(wa, wb)
 
 
+def test_fit_matches_hand_written_minibatch_loop():
+    # one permutation per epoch, then make_batch per slice (which may draw from
+    # the same rng), with a short last slice: bitwise equal to the plain loop
+    data = np.random.default_rng(5).normal(size=(10, 3))
+    n, epochs, batch_size = 10, 2, 4
+
+    def make_batch_for(rng):
+        def make_batch(rows):
+            x = data[rows, :2] + rng.normal(scale=0.1, size=(rows.size, 2))
+            return x, data[rows, 2:], np.ones(1)
+        return make_batch
+
+    p0 = nets.init_mlp([2, 5, 1], seed=2)
+    rng = np.random.default_rng(8)
+    params, curve = nets.fit(p0, nets.adam_init(p0, 0.01), n, epochs, batch_size,
+                             rng, make_batch_for(rng))
+
+    ref, adam = p0, nets.adam_init(p0, 0.01)
+    ref_rng = np.random.default_rng(8)
+    make_batch = make_batch_for(ref_rng)
+    ref_curve = []
+    for _ in range(epochs):
+        order = ref_rng.permutation(n)
+        losses = []
+        for start in range(0, n, batch_size):
+            ref, adam, loss = nets.train_step(ref, adam,
+                                              *make_batch(order[start:start + batch_size]))
+            losses.append(loss)
+        ref_curve.append(float(np.mean(losses)))
+
+    assert len(curve) == epochs
+    assert curve == ref_curve
+    for a, b in zip(params.weights + params.biases, ref.weights + ref.biases):
+        assert np.array_equal(a, b)
+
+
 def test_train_step_rejects_nan():
     p = nets.init_mlp([2, 1], seed=0)
     adam = nets.adam_init(p, lr=0.1)

@@ -118,6 +118,12 @@ def test_unknown_method_rejected():
         _run("zTT")
 
 
+def test_run_experiment_validates_forest_config():
+    with pytest.raises(ConfigurationError, match="max_depth"):
+        run_experiment("model_free", EnvConfig(), AgentConfig(), _schedule(), 0,
+                       forest_config=ForestConfig(max_depth=0))
+
+
 def test_schedule_validation():
     with pytest.raises(ConfigurationError, match="planning_breadth"):
         _schedule(planning_breadth=5000, synth_capacity=100).validate()
