@@ -35,11 +35,16 @@ from .simenv import EnvConfig
 
 
 def _parse_seeds(text: str) -> list[int]:
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",") if s.strip()]
+    """``lo..hi`` (inclusive) or a comma-separated list of integers."""
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigurationError(
+            f"--seeds must be lo..hi or a comma-separated list of integers, "
+            f"got {text!r}") from None
 
 
 def _write_json(payload: dict, path: str) -> None:
@@ -102,6 +107,8 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------- gen
 
 def cmd_gen(args) -> int:
+    if args.n < 1:
+        raise DomainError(f"--n must be >= 1, got {args.n}")
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     layout = TransitionLayout(num_actions=cfg.env.num_actions,
                               ambient_temp=cfg.env.ambient_temp)

@@ -180,15 +180,17 @@ def _cfm_batch(batch: np.ndarray, lam: np.ndarray, sigma_min: float, count: int,
     bootstrap indices, one data permutation per replicate, then the times.
     """
     m, d = batch.shape
+    rows = count * m
     pool = rng.standard_normal((m, d))
-    x0 = bootstrap_latents(pool, count, rng)                  # (B, m, d)
-    x1 = np.stack([batch[rng.permutation(m)] for _ in range(count)])
-    x0 = x0.reshape(count * m, d)
-    x1 = x1.reshape(count * m, d)
-    t = rng.uniform(0.0, 1.0, size=(count * m, 1))
-    xt = (1.0 - (1.0 - sigma_min) * t) * x0 + t * x1
+    x0 = bootstrap_latents(pool, count, rng).reshape(rows, d)
+    x1 = batch[np.concatenate([rng.permutation(m) for _ in range(count)])]
+    t = rng.uniform(0.0, 1.0, size=(rows, 1))
+    inputs = np.empty((rows, d + 1))
+    xt = inputs[:, :d]                  # (1 - (1 - sigma_min) t) x0 + t x1
+    np.multiply(1.0 - (1.0 - sigma_min) * t, x0, out=xt)
+    xt += t * x1
+    inputs[:, d:] = t
     target = x1 - (1.0 - sigma_min) * x0
-    inputs = np.concatenate([xt, t], axis=1)
     return inputs, target, lam
 
 

@@ -66,64 +66,92 @@ class ForestConfig:
                 f"got {self.min_samples}")
 
 
-def _best_split(x_col: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[float, float]:
-    """Best (gain, threshold) for one feature, or (-inf, 0) if nothing valid.
+def _best_splits(block: np.ndarray, y: np.ndarray,
+                 min_leaf: int) -> list[tuple[float, float]]:
+    """Best (gain, threshold) for each column of the (n, k) candidate block, or
+    (-inf, 0) for a column with no valid split.
 
     Gain is the variance reduction var(parent) - (nL/n) var(L) - (nR/n) var(R),
-    evaluated at midpoints between consecutive distinct sorted values.
+    evaluated at midpoints between consecutive distinct sorted values.  Every
+    column gets the float64 arithmetic a one-column scan would do.
     """
-    n = y.size
-    order = np.argsort(x_col, kind="stable")
-    xs = x_col[order]
-    ys = y[order]
-    csum = np.cumsum(ys)
-    csum2 = np.cumsum(ys * ys)
-    total_var = csum2[-1] / n - (csum[-1] / n) ** 2
-
-    best_gain, best_thr = -np.inf, 0.0
+    n, k = block.shape
     lo, hi = min_leaf, n - min_leaf
     if hi < lo:
-        return best_gain, best_thr
-    sizes_l = np.arange(lo, hi + 1, dtype=np.float64)
+        return [(-np.inf, 0.0)] * k
+    cols = np.arange(k)
+    order = block.argsort(axis=0, kind="stable")
+    xs = block[order, cols]
+    ys = y[order]
+    csum = ys.cumsum(axis=0)
+    ys *= ys
+    csum2 = ys.cumsum(axis=0)
+    # Scalar arithmetic per column, on purpose: NumPy's scalar ``x ** 2`` goes
+    # through libm pow, which differs in the last bit from the array square
+    # for about 80 in 100,000 values.  As one array expression, total_var
+    # moves some split choices and with them the forest weights and run outputs.
+    total_var = np.array([csum2[-1, j] / n - (csum[-1, j] / n) ** 2 for j in range(k)])
+
+    sizes_l = np.arange(lo, hi + 1, dtype=np.float64)[:, None]
     sum_l = csum[lo - 1:hi]
     sum2_l = csum2[lo - 1:hi]
     var_l = sum2_l / sizes_l - (sum_l / sizes_l) ** 2
     sizes_r = n - sizes_l
     var_r = (csum2[-1] - sum2_l) / sizes_r - ((csum[-1] - sum_l) / sizes_r) ** 2
     gains = total_var - (sizes_l * var_l + sizes_r * var_r) / n
-    valid = xs[lo:hi + 1] > xs[lo - 1:hi]      # split only between distinct values
-    gains = np.where(valid, gains, -np.inf)
-    if gains.size:
-        i = int(np.argmax(gains))
-        if np.isfinite(gains[i]) and gains[i] > 0:
-            best_gain = float(gains[i])
-            best_thr = float(0.5 * (xs[lo - 1 + i] + xs[lo + i]))
-    return best_gain, best_thr
+    gains[xs[lo:hi + 1] <= xs[lo - 1:hi]] = -np.inf   # split only between distinct values
+    at = gains.argmax(axis=0)
+    best = gains[at, cols]
+    thresholds = 0.5 * (xs[lo - 1 + at, cols] + xs[lo + at, cols])
+    found = np.isfinite(best) & (best > 0)
+    return [(g, t) if ok else (-np.inf, 0.0)
+            for g, t, ok in zip(best.tolist(), thresholds.tolist(), found.tolist())]
 
 
-def _grow(x: np.ndarray, y: np.ndarray, depth: int, max_depth: int, min_leaf: int,
-          n_sub: int, rng: np.random.Generator) -> TreeNode:
-    n = y.size
-    mean = float(y.mean())
-    var = float(y.var())
-    node = TreeNode(n_samples=n, impurity=var, value=mean)
-    if depth >= max_depth or n < 2 * min_leaf or var <= 1e-15:
-        return node
-    features = rng.choice(x.shape[1], size=n_sub, replace=False)
-    best_gain, best_feat, best_thr = 0.0, -1, 0.0
-    for f in features:
-        gain, thr = _best_split(x[:, f], y, min_leaf)
-        if gain > best_gain:
-            best_gain, best_feat, best_thr = gain, int(f), thr
-    if best_feat < 0:
-        return node
-    mask = x[:, best_feat] <= best_thr
-    node.feature = best_feat
-    node.threshold = best_thr
-    node.gain = best_gain
-    node.left = _grow(x[mask], y[mask], depth + 1, max_depth, min_leaf, n_sub, rng)
-    node.right = _grow(x[~mask], y[~mask], depth + 1, max_depth, min_leaf, n_sub, rng)
-    return node
+def _node(ys: np.ndarray) -> TreeNode:
+    """A leaf holding the targets' mean and variance, reduced exactly as
+    ``np.mean`` and ``np.var`` reduce them."""
+    n = ys.size
+    mean = np.add.reduce(ys) / n
+    dev = ys - mean
+    dev *= dev
+    return TreeNode(n_samples=n, impurity=float(np.add.reduce(dev) / n), value=float(mean))
+
+
+def _grow(x: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int, n_sub: int,
+          rng: np.random.Generator) -> TreeNode:
+    """Grow one tree over index arrays into (x, y).
+
+    Nodes are split in preorder, left subtree first, so every node's feature
+    draw comes from ``rng`` in the order a recursive build would make it.
+    """
+    root = _node(y)
+    stack = [(root, np.arange(y.size), y, 0)]
+    while stack:
+        node, rows, ys, depth = stack.pop()
+        if depth >= max_depth or node.n_samples < 2 * min_leaf or node.impurity <= 1e-15:
+            continue
+        features = rng.choice(x.shape[1], size=n_sub, replace=False)
+        block = x[rows[:, None], features]
+        best_gain, best_col, best_thr = 0.0, -1, 0.0
+        for j, (gain, thr) in enumerate(_best_splits(block, ys, min_leaf)):
+            if gain > best_gain:
+                best_gain, best_col, best_thr = gain, j, thr
+        if best_col < 0:
+            continue
+        best_feat = int(features[best_col])
+        mask = block[:, best_col] <= best_thr
+        node.feature = best_feat
+        node.threshold = best_thr
+        node.gain = best_gain
+        children = []
+        for side in (mask, ~mask):
+            child_ys = ys[side]
+            children.append((_node(child_ys), rows[side], child_ys, depth + 1))
+        node.left, node.right = children[0][0], children[1][0]
+        stack.append(children[1])
+        stack.append(children[0])
+    return root
 
 
 def _tree_importances(tree: RegressionTree, n_root: int) -> np.ndarray:
@@ -160,7 +188,7 @@ def fit_forest(x: np.ndarray, y: np.ndarray, n_trees: int = 50, max_depth: int =
     importances = np.zeros(d)
     for t, child in enumerate(rng.spawn(n_trees)):
         boot = child.integers(0, n, size=n)
-        root = _grow(x[boot], y[boot], 0, max_depth, min_leaf, n_sub, child)
+        root = _grow(x[boot], y[boot], max_depth, min_leaf, n_sub, child)
         tree = RegressionTree(root=root, n_features=d, seed=t)
         trees.append(tree)
         importances += _tree_importances(tree, n)

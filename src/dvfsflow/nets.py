@@ -1,17 +1,28 @@
 """Dense feedforward nets with manual backprop and Adam.
 
 Shared by the Q-network, the flow-matching vector field and the model-based
-transition predictor.  Everything runs in float64: the nets are tiny, and
-exact gradient checks matter more than speed.  The training loss is a
+transition predictor.  Everything runs in float64.  The training loss is a
 feature-weighted squared error: ``mean over batch of sum_i w_i (pred_i - y_i)^2``
 where the weights may be a single per-dimension vector or one row per sample
 (the Q-update uses one-hot rows so gradients flow only through the taken
 action's output).
+
+A net's parameters live in one contiguous vector, :attr:`MlpParams.flat`:
+every weight matrix (row-major, in layer order), then every bias vector.
+``weights[l]`` and ``biases[l]`` are views into it, so an in-place write
+(``p.weights[0][:] = 0.0``) changes the vector, and Adam updates the whole
+vector with a handful of elementwise operations.  Rebinding an entry
+(``p.weights[0] = w``) detaches it from the vector: forward passes and
+gradients read the new array, but :func:`adam_step` and
+:meth:`MlpParams.copy` still work on the vector.  The training hot path runs
+the same float64 operations, in the same order, as a per-layer
+implementation would, with fewer calls and temporaries, so results are
+bitwise reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -21,20 +32,37 @@ from .errors import ConfigurationError, DomainError, NumericError
 _ACTIVATIONS = ("tanh", "relu")
 
 
+def _layer_views(flat: np.ndarray, sizes: Sequence[int],
+                 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer (weights, biases) views of a vector laid out like ``MlpParams.flat``."""
+    weights, biases = [], []
+    at = 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[at:at + fan_out * fan_in].reshape(fan_out, fan_in))
+        at += fan_out * fan_in
+    for fan_out in sizes[1:]:
+        biases.append(flat[at:at + fan_out])
+        at += fan_out
+    if at != flat.size:
+        raise DomainError(f"parameter vector has {flat.size} entries, "
+                          f"layer sizes {list(sizes)} need {at}")
+    return weights, biases
+
+
 @dataclass
 class MlpParams:
     layer_sizes: list[int]
     activation: str
-    weights: list[np.ndarray]   # weights[l] has shape (out, in)
-    biases: list[np.ndarray]
+    flat: np.ndarray            # all weights (row-major, by layer), then all biases
+    weights: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    biases: list[np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # weights[l] has shape (out, in); both lists hold views of flat
+        self.weights, self.biases = _layer_views(self.flat, self.layer_sizes)
 
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            layer_sizes=list(self.layer_sizes),
-            activation=self.activation,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return MlpParams(list(self.layer_sizes), self.activation, self.flat.copy())
 
     @property
     def in_dim(self) -> int:
@@ -45,20 +73,35 @@ class MlpParams:
         return self.layer_sizes[-1]
 
     def num_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.flat.size
 
 
 @dataclass
 class AdamState:
     lr: float
     step: int
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    m: np.ndarray               # first moments, laid out like MlpParams.flat
+    v: np.ndarray               # second moments, same layout
+    layer_sizes: list[int]
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+    @property
+    def m_w(self) -> list[np.ndarray]:
+        return _layer_views(self.m, self.layer_sizes)[0]
+
+    @property
+    def v_w(self) -> list[np.ndarray]:
+        return _layer_views(self.v, self.layer_sizes)[0]
+
+    @property
+    def m_b(self) -> list[np.ndarray]:
+        return _layer_views(self.m, self.layer_sizes)[1]
+
+    @property
+    def v_b(self) -> list[np.ndarray]:
+        return _layer_views(self.v, self.layer_sizes)[1]
 
 
 def init_mlp(layer_sizes: Sequence[int], activation: str = "tanh",
@@ -70,35 +113,37 @@ def init_mlp(layer_sizes: Sequence[int], activation: str = "tanh",
     if activation not in _ACTIVATIONS:
         raise ConfigurationError(f"activation must be one of {_ACTIVATIONS}")
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
+    weights = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(layer_sizes=sizes, activation=activation,
-                     weights=weights, biases=biases)
+        weights.append(rng.uniform(-bound, bound, size=fan_out * fan_in))
+    flat = np.concatenate(weights + [np.zeros(sum(sizes[1:]))])
+    return MlpParams(layer_sizes=sizes, activation=activation, flat=flat)
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.tanh(z) if kind == "tanh" else np.maximum(z, 0.0)
-
-
-def _act_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    return 1.0 - a * a if kind == "tanh" else (z > 0).astype(np.float64)
+def _activations(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
+    """Outputs of every layer for input rows x: [x, hidden..., prediction].
+    Hidden layers use the configured activation, the output layer is linear."""
+    acts = [x]
+    last = len(params.weights) - 1
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        a = acts[-1] @ w.T
+        a += b
+        if l < last:
+            if params.activation == "tanh":
+                np.tanh(a, out=a)
+            else:
+                np.maximum(a, 0.0, out=a)
+        acts.append(a)
+    return acts
 
 
 def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Evaluate the net on a batch; rows are samples.  Hidden layers use the
-    configured activation, the output layer is linear."""
+    """Evaluate the net on a batch; rows are samples."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise DomainError(f"expected input of shape (n, {params.in_dim}), got {x.shape}")
-    a = x
-    last = len(params.weights) - 1
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w.T + b
-        a = z if l == last else _act(z, params.activation)
-    return a
+    return _activations(params, x)[-1]
 
 
 def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -110,10 +155,9 @@ def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 
 def _check_weight_shape(weights: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Loss weights as given: shape (d,) (broadcast over rows) or (n, d)."""
     w = np.asarray(weights, dtype=np.float64)
-    if w.ndim == 1 and w.shape[0] == d:
-        w = np.broadcast_to(w, (n, d))
-    elif w.shape != (n, d):
+    if not (w.shape == (d,) or w.shape == (n, d)):
         raise DomainError(f"loss weights must have shape ({d},) or ({n}, {d})")
     if np.any(w < 0):
         raise DomainError("loss weights must be >= 0")
@@ -137,71 +181,69 @@ def loss_and_grads(params: MlpParams, x: np.ndarray, y: np.ndarray,
     n, d = y.shape
     w = _check_weight_shape(weights, n, d)
 
-    # Forward with caches.
-    acts = [x]
-    zs = []
-    a = x
-    last = len(params.weights) - 1
-    for l, (wl, bl) in enumerate(zip(params.weights, params.biases)):
-        z = a @ wl.T + bl
-        zs.append(z)
-        a = z if l == last else _act(z, params.activation)
-        acts.append(a)
-    pred = acts[-1]
-    err = pred - y
-    loss = float(np.mean(np.sum(w * err * err, axis=1)))
+    acts = _activations(params, x)
+    err = acts[-1] - y
+    werr2 = w * err
+    werr2 *= err
+    loss = float(np.mean(np.sum(werr2, axis=1)))
 
-    # Backward.
-    delta = 2.0 * w * err / n
-    grads_w = [np.empty(0)] * len(params.weights)
-    grads_b = [np.empty(0)] * len(params.biases)
+    # Backward.  Each hidden activation is consumed once, so the activation
+    # gradient overwrites it: 1 - a*a for tanh, a > 0 for relu.
+    delta = 2.0 * w * err
+    delta /= n
+    last = len(params.weights) - 1
+    grads_w = [np.empty(0)] * (last + 1)
+    grads_b = [np.empty(0)] * (last + 1)
     for l in range(last, -1, -1):
         grads_w[l] = delta.T @ acts[l]
         grads_b[l] = delta.sum(axis=0)
         if l > 0:
-            delta = (delta @ params.weights[l]) * _act_grad(zs[l - 1], acts[l], params.activation)
+            a = acts[l]
+            delta = delta @ params.weights[l]
+            if params.activation == "tanh":
+                np.multiply(a, a, out=a)
+                np.subtract(1.0, a, out=a)
+                delta *= a
+            else:
+                delta *= a > 0
     return loss, grads_w, grads_b
 
 
 def adam_init(params: MlpParams, lr: float) -> AdamState:
-    return AdamState(
-        lr=float(lr), step=0,
-        m_w=[np.zeros_like(w) for w in params.weights],
-        v_w=[np.zeros_like(w) for w in params.weights],
-        m_b=[np.zeros_like(b) for b in params.biases],
-        v_b=[np.zeros_like(b) for b in params.biases],
-    )
+    return AdamState(lr=float(lr), step=0, m=np.zeros_like(params.flat),
+                     v=np.zeros_like(params.flat), layer_sizes=list(params.layer_sizes))
 
 
 def adam_reset(adam: AdamState, lr: Optional[float] = None) -> AdamState:
     """Fresh moments and step counter; optionally restore a given learning rate."""
-    return AdamState(
-        lr=adam.lr if lr is None else float(lr), step=0,
-        m_w=[np.zeros_like(m) for m in adam.m_w],
-        v_w=[np.zeros_like(v) for v in adam.v_w],
-        m_b=[np.zeros_like(m) for m in adam.m_b],
-        v_b=[np.zeros_like(v) for v in adam.v_b],
-    )
+    return AdamState(lr=adam.lr if lr is None else float(lr), step=0,
+                     m=np.zeros_like(adam.m), v=np.zeros_like(adam.v),
+                     layer_sizes=list(adam.layer_sizes),
+                     beta1=adam.beta1, beta2=adam.beta2, eps=adam.eps)
 
 
 def adam_step(params: MlpParams, grads_w: list[np.ndarray], grads_b: list[np.ndarray],
               adam: AdamState) -> tuple[MlpParams, AdamState]:
-    """One bias-corrected Adam update; returns fresh params and optimizer state."""
+    """One bias-corrected Adam update of the whole parameter vector; returns
+    fresh params and optimizer state and leaves the inputs untouched."""
     t = adam.step + 1
     b1, b2 = adam.beta1, adam.beta2
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
-    new = params.copy()
-    m_w, v_w, m_b, v_b = [], [], [], []
-    for l in range(len(params.weights)):
-        mw = b1 * adam.m_w[l] + (1 - b1) * grads_w[l]
-        vw = b2 * adam.v_w[l] + (1 - b2) * grads_w[l] ** 2
-        mb = b1 * adam.m_b[l] + (1 - b1) * grads_b[l]
-        vb = b2 * adam.v_b[l] + (1 - b2) * grads_b[l] ** 2
-        new.weights[l] = params.weights[l] - adam.lr * (mw / c1) / (np.sqrt(vw / c2) + adam.eps)
-        new.biases[l] = params.biases[l] - adam.lr * (mb / c1) / (np.sqrt(vb / c2) + adam.eps)
-        m_w.append(mw); v_w.append(vw); m_b.append(mb); v_b.append(vb)
-    return new, AdamState(lr=adam.lr, step=t, m_w=m_w, v_w=v_w, m_b=m_b, v_b=v_b,
+    g = np.concatenate([np.ravel(gr) for gr in (*grads_w, *grads_b)])
+    v = g * g
+    v *= 1 - b2
+    v += b2 * adam.v                    # b2 v + (1 - b2) g^2
+    m = g
+    m *= 1 - b1
+    m += b1 * adam.m                    # b1 m + (1 - b1) g
+    update = m / (1.0 - b1 ** t)
+    update *= adam.lr
+    denom = v / (1.0 - b2 ** t)
+    np.sqrt(denom, out=denom)
+    denom += adam.eps
+    update /= denom
+    new = MlpParams(list(params.layer_sizes), params.activation, params.flat - update)
+    return new, AdamState(lr=adam.lr, step=t, m=m, v=v,
+                          layer_sizes=list(adam.layer_sizes),
                           beta1=b1, beta2=b2, eps=adam.eps)
 
 
@@ -250,21 +292,14 @@ def grad_check(params: MlpParams, x: np.ndarray, y: np.ndarray, weights: np.ndar
     n_check = total if total <= min_sample else min_sample
     idx = rng.choice(total, size=n_check, replace=False)
 
-    arrays = params.weights + params.biases
-    offsets = np.cumsum([0] + [a.size for a in arrays])
-
-    def poke(flat_index: int, delta: float) -> None:
-        k = int(np.searchsorted(offsets, flat_index, side="right") - 1)
-        arrays[k].ravel()[flat_index - offsets[k]] += delta
-
     max_rel = 0.0
     for i in idx:
         i = int(i)
-        poke(i, +h)
+        params.flat[i] += h             # same order as the analytic vector
         lp, _, _ = loss_and_grads(params, x, y, weights)
-        poke(i, -2 * h)
+        params.flat[i] -= 2 * h
         lm, _, _ = loss_and_grads(params, x, y, weights)
-        poke(i, +h)
+        params.flat[i] += h
         numeric = (lp - lm) / (2 * h)
         denom = max(abs(flat_analytic[i]) + abs(numeric), 1e-8)
         max_rel = max(max_rel, abs(flat_analytic[i] - numeric) / denom)
@@ -294,11 +329,11 @@ def params_from_dict(payload: dict) -> MlpParams:
         raise ConfigurationError(f"unknown activation tag {activation!r}")
     weights, biases = [], []
     for l, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        w = np.array(payload["weights"][l], dtype=np.float64).reshape(fan_out, fan_in)
+        w = np.array(payload["weights"][l], dtype=np.float64)
         b = np.array(payload["biases"][l], dtype=np.float64)
-        if b.shape != (fan_out,):
-            raise ConfigurationError("checkpoint bias shape mismatch")
+        if w.shape != (fan_out * fan_in,) or b.shape != (fan_out,):
+            raise ConfigurationError("checkpoint weight or bias shape mismatch")
         weights.append(w)
         biases.append(b)
     return MlpParams(layer_sizes=sizes, activation=activation,
-                     weights=weights, biases=biases)
+                     flat=np.concatenate(weights + biases))

@@ -219,3 +219,29 @@ def test_bad_config_value_exit_code(tmp_path, capsys):
 
 def test_missing_file_exit_code(capsys):
     assert main(["run", "--config", "/nonexistent/cfg.json"]) == 1
+
+
+@pytest.mark.parametrize("seeds", ["a", "1..x", "0,b"])
+def test_bad_seeds_is_a_configuration_error(seeds, capsys):
+    assert main(["run", "--seeds", seeds, "--print-config"]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "--seeds" in err and repr(seeds) in err
+
+
+def test_gen_rejects_non_positive_n_before_training(tmp_path, capsys, monkeypatch):
+    from dvfsflow import cli
+    from dvfsflow.flow import save_batch_csv
+
+    memory = str(tmp_path / "memory.csv")
+    save_batch_csv(np.random.default_rng(0).uniform(0.1, 1.0, size=(60, 11)), memory)
+    trained = []
+    monkeypatch.setattr(cli, "train_flow_model", lambda *a, **k: trained.append(a))
+    for n in ("-5", "0"):
+        code = main(["gen", "--memory", memory, "--out", str(tmp_path / "synth.csv"),
+                     "--n", n, "--uniform-lambda"])
+        assert code != 0
+        err = capsys.readouterr().err
+        assert "input error" in err and "--n" in err
+    assert trained == []
+    assert not (tmp_path / "synth.csv").exists()

@@ -46,3 +46,20 @@ def test_golden_digests(method, tmp_path):
     else:
         save_batch_csv(log.synth_raw, str(tmp_path / "synth.csv"))
         assert _sha256(tmp_path / "synth.csv") == synth_digest
+
+
+# dfm's last forest feature weights (lambda) on the golden config, as
+# float.hex, so that a forest change fails here and not only via the digest.
+GOLDEN_DFM_LAMBDA = [
+    "0x1.72ee4921e9d36p-6", "0x1.a26d7579c5d53p-8", "0x1.6e0854587e215p-5",
+    "0x1.43adb72def3edp-3", "0x1.aeb6bea6df439p-2", "0x1.72ee4921e9d36p-6",
+    "0x1.a26d7579c5d53p-8", "0x1.6e0854587e215p-5", "0x1.43adb72def3edp-3",
+    "0x1.daa101141a303p-5", "0x1.daa101141a303p-5",
+]
+
+
+def test_golden_dfm_lambda_weights():
+    cfg = config_from_dict(GOLDEN_CONFIG)
+    log = run_experiment("dfm", cfg.env, cfg.agent, cfg.schedule, 0,
+                         fm_config=cfg.flow, forest_config=cfg.forest)
+    assert [float(v).hex() for v in log.lambda_weights] == GOLDEN_DFM_LAMBDA

@@ -1,0 +1,302 @@
+"""The flow and forest hot paths against plain loop versions of the same arithmetic.
+
+The references below are straightforward per-layer, per-column and recursive
+implementations.  The production code batches them into fewer numpy calls
+but must do the same float64 operations in the same order, so every
+comparison here is bitwise, never approximate.
+"""
+
+import numpy as np
+import pytest
+
+from dvfsflow import nets
+from dvfsflow.flow import _cfm_batch, bootstrap_latents
+from dvfsflow.forest import TreeNode, _best_splits, _grow, fit_forest
+
+
+# ---------------------------------------------------------------- references
+
+def _ref_loss_and_grads(params, x, y, weights):
+    n, d = y.shape
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim == 1:
+        w = np.broadcast_to(w, (n, d))
+    acts, zs = [x], []
+    a = x
+    last = len(params.weights) - 1
+    for l, (wl, bl) in enumerate(zip(params.weights, params.biases)):
+        z = a @ wl.T + bl
+        zs.append(z)
+        if l == last:
+            a = z
+        else:
+            a = np.tanh(z) if params.activation == "tanh" else np.maximum(z, 0.0)
+        acts.append(a)
+    err = acts[-1] - y
+    loss = float(np.mean(np.sum(w * err * err, axis=1)))
+    delta = 2.0 * w * err / n
+    grads_w = [None] * len(params.weights)
+    grads_b = [None] * len(params.biases)
+    for l in range(last, -1, -1):
+        grads_w[l] = delta.T @ acts[l]
+        grads_b[l] = delta.sum(axis=0)
+        if l > 0:
+            if params.activation == "tanh":
+                act_grad = 1.0 - acts[l] * acts[l]
+            else:
+                act_grad = (zs[l - 1] > 0).astype(np.float64)
+            delta = (delta @ params.weights[l]) * act_grad
+    return loss, grads_w, grads_b
+
+
+def _ref_adam_step(weights, biases, grads_w, grads_b, adam, m_w, v_w, m_b, v_b):
+    """Per-layer Adam; returns new (weights, biases, m_w, v_w, m_b, v_b) lists."""
+    t = adam.step + 1
+    b1, b2 = adam.beta1, adam.beta2
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    out = ([], [], [], [], [], [])
+    for l in range(len(weights)):
+        mw = b1 * m_w[l] + (1 - b1) * grads_w[l]
+        vw = b2 * v_w[l] + (1 - b2) * grads_w[l] ** 2
+        mb = b1 * m_b[l] + (1 - b1) * grads_b[l]
+        vb = b2 * v_b[l] + (1 - b2) * grads_b[l] ** 2
+        out[0].append(weights[l] - adam.lr * (mw / c1) / (np.sqrt(vw / c2) + adam.eps))
+        out[1].append(biases[l] - adam.lr * (mb / c1) / (np.sqrt(vb / c2) + adam.eps))
+        for k, arr in enumerate((mw, vw, mb, vb)):
+            out[2 + k].append(arr)
+    return out
+
+
+def _ref_best_split(x_col, y, min_leaf):
+    n = y.size
+    order = np.argsort(x_col, kind="stable")
+    xs = x_col[order]
+    ys = y[order]
+    csum = np.cumsum(ys)
+    csum2 = np.cumsum(ys * ys)
+    total_var = csum2[-1] / n - (csum[-1] / n) ** 2
+    best_gain, best_thr = -np.inf, 0.0
+    lo, hi = min_leaf, n - min_leaf
+    if hi < lo:
+        return best_gain, best_thr
+    sizes_l = np.arange(lo, hi + 1, dtype=np.float64)
+    sum_l = csum[lo - 1:hi]
+    sum2_l = csum2[lo - 1:hi]
+    var_l = sum2_l / sizes_l - (sum_l / sizes_l) ** 2
+    sizes_r = n - sizes_l
+    var_r = (csum2[-1] - sum2_l) / sizes_r - ((csum[-1] - sum_l) / sizes_r) ** 2
+    gains = total_var - (sizes_l * var_l + sizes_r * var_r) / n
+    valid = xs[lo:hi + 1] > xs[lo - 1:hi]
+    gains = np.where(valid, gains, -np.inf)
+    if gains.size:
+        i = int(np.argmax(gains))
+        if np.isfinite(gains[i]) and gains[i] > 0:
+            best_gain = float(gains[i])
+            best_thr = float(0.5 * (xs[lo - 1 + i] + xs[lo + i]))
+    return best_gain, best_thr
+
+
+def _ref_grow(x, y, depth, max_depth, min_leaf, n_sub, rng):
+    n = y.size
+    node = TreeNode(n_samples=n, impurity=float(y.var()), value=float(y.mean()))
+    if depth >= max_depth or n < 2 * min_leaf or node.impurity <= 1e-15:
+        return node
+    features = rng.choice(x.shape[1], size=n_sub, replace=False)
+    best_gain, best_feat, best_thr = 0.0, -1, 0.0
+    for f in features:
+        gain, thr = _ref_best_split(x[:, f], y, min_leaf)
+        if gain > best_gain:
+            best_gain, best_feat, best_thr = gain, int(f), thr
+    if best_feat < 0:
+        return node
+    mask = x[:, best_feat] <= best_thr
+    node.feature, node.threshold, node.gain = best_feat, best_thr, best_gain
+    node.left = _ref_grow(x[mask], y[mask], depth + 1, max_depth, min_leaf, n_sub, rng)
+    node.right = _ref_grow(x[~mask], y[~mask], depth + 1, max_depth, min_leaf, n_sub, rng)
+    return node
+
+
+def _ref_cfm_batch(batch, lam, sigma_min, count, rng):
+    m, d = batch.shape
+    pool = rng.standard_normal((m, d))
+    x0 = bootstrap_latents(pool, count, rng)
+    x1 = np.stack([batch[rng.permutation(m)] for _ in range(count)])
+    x0 = x0.reshape(count * m, d)
+    x1 = x1.reshape(count * m, d)
+    t = rng.uniform(0.0, 1.0, size=(count * m, 1))
+    xt = (1.0 - (1.0 - sigma_min) * t) * x0 + t * x1
+    target = x1 - (1.0 - sigma_min) * x0
+    return np.concatenate([xt, t], axis=1), target, lam
+
+
+# ---------------------------------------------------------------- nets
+
+def _one_hot_rows(rng, n, d):
+    w = np.zeros((n, d))
+    w[np.arange(n), rng.integers(0, d, size=n)] = 1.0
+    return w
+
+
+NET_CASES = [
+    ([12, 64, 64, 11], "tanh", "lambda", 256),     # flow vector field
+    ([12, 64, 64, 11], "tanh", "lambda", 72),      # short last CFM batch
+    ([4, 16, 16, 12], "tanh", "one_hot", 32),      # Q-network update
+    ([5, 32, 32, 6], "tanh", "lambda", 7),         # planner, short last batch
+    ([3, 8, 5, 2], "relu", "lambda", 9),
+    ([3, 8, 5, 2], "relu", "one_hot", 1),
+]
+
+
+def _net_case(sizes, activation, weighting, n, seed):
+    rng = np.random.default_rng(seed)
+    params = nets.init_mlp(sizes, activation=activation, seed=seed)
+    params.flat[:] = rng.normal(scale=0.7, size=params.flat.size)   # non-zero biases too
+    x = rng.normal(size=(n, sizes[0]))
+    y = rng.normal(size=(n, sizes[-1]))
+    if weighting == "lambda":
+        lam = rng.uniform(0.0, 1.0, size=sizes[-1])
+        w = lam / lam.sum()
+    else:
+        w = _one_hot_rows(rng, n, sizes[-1])
+    return params, x, y, w
+
+
+@pytest.mark.parametrize("sizes,activation,weighting,n", NET_CASES)
+def test_loss_and_grads_bitwise_equal_reference(sizes, activation, weighting, n):
+    params, x, y, w = _net_case(sizes, activation, weighting, n, seed=n)
+    x_before = x.copy()
+    loss, gw, gb = nets.loss_and_grads(params, x, y, w)
+    ref_loss, ref_gw, ref_gb = _ref_loss_and_grads(params, x, y, w)
+    assert loss == ref_loss
+    for a, b in zip(gw + gb, ref_gw + ref_gb):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+    assert np.array_equal(x, x_before)             # the caller's inputs stay untouched
+
+
+@pytest.mark.parametrize("sizes,activation,weighting,n", NET_CASES)
+def test_adam_steps_bitwise_equal_reference(sizes, activation, weighting, n):
+    params, x, y, w = _net_case(sizes, activation, weighting, n, seed=n + 1)
+    adam = nets.adam_init(params, lr=0.01)
+    ref_w = [a.copy() for a in params.weights]
+    ref_b = [a.copy() for a in params.biases]
+    ref_m = [[np.zeros_like(a) for a in ref_w], [np.zeros_like(a) for a in ref_w],
+             [np.zeros_like(a) for a in ref_b], [np.zeros_like(a) for a in ref_b]]
+    for _ in range(4):
+        flat_before, m_before, v_before = params.flat.copy(), adam.m.copy(), adam.v.copy()
+        _, gw, gb = nets.loss_and_grads(params, x, y, w)
+        new, new_adam = nets.adam_step(params, gw, gb, adam)
+        # adam_step is pure: the old params and state are left as they were
+        assert np.array_equal(params.flat, flat_before)
+        assert np.array_equal(adam.m, m_before) and np.array_equal(adam.v, v_before)
+
+        ref_w, ref_b, *ref_m = _ref_adam_step(ref_w, ref_b, gw, gb, adam, *ref_m)
+        for a, b in zip(new.weights + new.biases, ref_w + ref_b):
+            assert np.array_equal(a, b)
+        for got, want in zip((new_adam.m_w, new_adam.v_w, new_adam.m_b, new_adam.v_b), ref_m):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert new_adam.step == adam.step + 1
+        params, adam = new, new_adam
+
+
+def test_train_step_matches_reference_loss_then_adam():
+    params, x, y, w = _net_case([12, 64, 64, 11], "tanh", "lambda", 256, seed=3)
+    adam = nets.adam_init(params, lr=1e-3)
+    new, new_adam, loss = nets.train_step(params, adam, x, y, w)
+    ref_loss, gw, gb = _ref_loss_and_grads(params, x, y, w)
+    zeros_w = [np.zeros_like(a) for a in params.weights]
+    zeros_b = [np.zeros_like(a) for a in params.biases]
+    ref_w, ref_b, *_ = _ref_adam_step(params.weights, params.biases, gw, gb, adam,
+                                      zeros_w, zeros_w, zeros_b, zeros_b)
+    assert loss == ref_loss
+    for a, b in zip(new.weights + new.biases, ref_w + ref_b):
+        assert np.array_equal(a, b)
+
+
+def test_layer_views_share_the_flat_vector():
+    p = nets.init_mlp([3, 4, 2], seed=0)
+    assert p.flat.size == p.num_params() == 3 * 4 + 4 * 2 + 4 + 2
+    p.weights[1][:] = 7.0                          # in-place write reaches the vector
+    assert np.all(p.flat[12:20] == 7.0)
+    p.flat[-2:] = [1.0, 2.0]
+    assert p.biases[1].tolist() == [1.0, 2.0]
+    q = p.copy()
+    q.flat[:] = 0.0
+    assert np.all(p.weights[1] == 7.0)             # copies do not share storage
+
+
+# ---------------------------------------------------------------- flow
+
+@pytest.mark.parametrize("m,count", [(32, 8), (5, 8), (1, 1), (17, 3)])
+def test_cfm_batch_bitwise_equal_reference(m, count):
+    batch = np.random.default_rng(m).normal(size=(m, 11))
+    lam = np.full(11, 1.0 / 11)
+    got = _cfm_batch(batch, lam, 0.01, count, np.random.default_rng(4))
+    want = _ref_cfm_batch(batch, lam, 0.01, count, np.random.default_rng(4))
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------- forest
+
+def _split_data(seed, n, k):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, k))
+    x[:, 0] = np.round(x[:, 0], 1)                 # ties: splits only between distinct values
+    if k > 1:
+        x[:, 1] = rng.integers(0, 12, size=n) / 11  # action-like column
+    # a large mean offset: total_var is a small difference of large numbers
+    y = 2.0 * x[:, -1] + 4.0 + 0.3 * rng.normal(size=n)
+    return x, y
+
+
+@pytest.mark.parametrize("seed,n,min_leaf", [(0, 200, 5), (1, 50, 5), (2, 11, 5),
+                                             (3, 10, 5), (4, 9, 5), (5, 37, 1)])
+def test_best_splits_bitwise_equal_reference(seed, n, min_leaf):
+    x, y = _split_data(seed, n, 3)
+    got = _best_splits(x, y, min_leaf)
+    want = [_ref_best_split(x[:, j], y, min_leaf) for j in range(3)]
+    assert got == want
+
+
+def test_best_splits_many_offset_targets():
+    # many draws with a large mean offset, where a vectorised total variance
+    # would round differently from the scalar one
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(10, 120))
+        x = rng.normal(size=(n, 3))
+        y = 2.0 * x[:, int(rng.integers(3))] + 4.0 + rng.normal(size=n)
+        assert _best_splits(x, y, 5) == [_ref_best_split(x[:, j], y, 5) for j in range(3)]
+
+
+def _assert_same_tree(a, b):
+    stack = [(a, b)]
+    while stack:
+        u, v = stack.pop()
+        assert (u.n_samples, u.impurity, u.value, u.feature, u.threshold, u.gain) == \
+            (v.n_samples, v.impurity, v.value, v.feature, v.threshold, v.gain)
+        assert u.is_leaf == v.is_leaf
+        if not u.is_leaf:
+            stack.append((u.left, v.left))
+            stack.append((u.right, v.right))
+
+
+@pytest.mark.parametrize("seed,n,max_depth,min_leaf", [(0, 200, 6, 5), (1, 60, 3, 2),
+                                                      (2, 120, 12, 1)])
+def test_grow_builds_the_reference_tree(seed, n, max_depth, min_leaf):
+    x, y = _split_data(seed, n, 5)
+    for t in range(5):
+        got = _grow(x, y, max_depth, min_leaf, 3, np.random.default_rng([seed, t]))
+        want = _ref_grow(x, y, 0, max_depth, min_leaf, 3, np.random.default_rng([seed, t]))
+        _assert_same_tree(got, want)
+
+
+def test_fit_forest_importances_match_reference_trees():
+    x, y = _split_data(9, 150, 5)
+    forest = fit_forest(x, y, n_trees=8, rng=np.random.default_rng(2))
+    for tree, child in zip(forest.trees, np.random.default_rng(2).spawn(8)):
+        boot = child.integers(0, 150, size=150)
+        _assert_same_tree(tree.root, _ref_grow(x[boot], y[boot], 0, 6, 5, 3, child))
