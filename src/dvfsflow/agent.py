@@ -15,7 +15,7 @@ import numpy as np
 from . import nets
 from .errors import ConfigurationError, DomainError, InsufficientDataError, NumericError
 from .nets import AdamState, MlpParams
-from .simenv import EnvConfig, ProcessorState, normalize_state
+from .simenv import EnvConfig, ProcessorState, normalize_state, state_scales
 
 
 @dataclass(frozen=True)
@@ -105,14 +105,14 @@ def q_values(qnet: MlpParams, state: ProcessorState, env_config: EnvConfig) -> n
     return nets.forward(qnet, normalize_state(state, env_config))
 
 
-def select_action(qnet: MlpParams, state: ProcessorState, epsilon: float,
-                  env_config: EnvConfig, rng: np.random.Generator) -> int:
-    """Epsilon-greedy: random with prob epsilon, else argmax Q (ties -> lowest index)."""
+def select_action(q: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
+    """Epsilon-greedy over the Q-vector q = Q(s, .): random with prob epsilon,
+    else argmax q (ties -> lowest index)."""
     if not (0.0 <= epsilon <= 1.0):
         raise ConfigurationError("epsilon must lie in [0, 1]")
     if epsilon > 0 and rng.random() < epsilon:
-        return int(rng.integers(env_config.num_actions))
-    return int(np.argmax(q_values(qnet, state, env_config)))
+        return int(rng.integers(len(q)))
+    return int(np.argmax(q))
 
 
 def decay_epsilon(epsilon: float, config: AgentConfig) -> float:
@@ -130,24 +130,29 @@ def train_q_step(qnet: MlpParams, target_net: MlpParams, batch: list[Transition]
     """One Adam step on the squared Bellman error of the taken actions.
 
     Target y = r for terminal transitions, else r + gamma * max_a' Q(s', a'; W-).
-    Gradients flow only through the taken action's output (one-hot loss weights).
+    Gradients flow only through the taken action's output (one-hot loss weights),
+    so the other target entries are left at 0.  States are normalized exactly as
+    :func:`normalize_state` does, one batch at a time.  A non-finite online net
+    gives a non-finite loss, which :func:`nets.train_step` rejects before updating.
     """
     if not batch:
         raise InsufficientDataError("empty training batch")
     n = len(batch)
-    k = env_config.num_actions
-    x = np.stack([normalize_state(t.s, env_config) for t in batch])
-    x_next = np.stack([normalize_state(t.s_next, env_config) for t in batch])
+    # One row per transition: s (4), s' (4), r, not-done, a.
+    data = np.array([(t.s.fps, t.s.freq, t.s.power, t.s.temp,
+                      t.s_next.fps, t.s_next.freq, t.s_next.power, t.s_next.temp,
+                      t.r, 0.0 if t.done else 1.0, t.a) for t in batch], dtype=np.float64)
+    x, x_next = np.divide(data[:, :8].reshape(n, 2, 4).transpose(1, 0, 2),
+                          state_scales(env_config), out=np.empty((2, n, 4)))
     q_next = nets.forward_batch(target_net, x_next)
-    rewards = np.array([t.r for t in batch])
-    not_done = np.array([0.0 if t.done else 1.0 for t in batch])
+    rewards, not_done = data[:, 8], data[:, 9]
     y_taken = rewards + agent_config.discount * not_done * q_next.max(axis=1)
     if not np.all(np.isfinite(y_taken)):
         raise NumericError("NaN/inf in Q targets")
 
-    actions = np.array([t.a for t in batch], dtype=int)
-    targets = nets.forward_batch(qnet, x)          # untouched dims carry zero weight
-    targets[np.arange(n), actions] = y_taken
-    weights = np.zeros((n, k))
-    weights[np.arange(n), actions] = 1.0
+    rows, actions = np.arange(n), data[:, 10].astype(int)
+    targets = np.zeros((n, env_config.num_actions))    # untaken dims carry zero weight
+    targets[rows, actions] = y_taken
+    weights = np.zeros((n, env_config.num_actions))
+    weights[rows, actions] = 1.0
     return nets.train_step(qnet, adam, x, targets, weights)

@@ -2,10 +2,11 @@
 
 Empty sections fall back to the tuned defaults (the bold grid-search values
 where the hyperparameter has one).  Unknown keys are rejected so typos and
-retired keys fail loudly, and every constraint violation names the offending
-field.  Each concept has exactly one knob: ``schedule.batch_size`` is the DQN
-batch size beta, ``schedule.fm_train_start`` the number of real transitions
-every generator (flow or planner) waits for, and ``flow.batch_size`` only the
+retired keys fail loudly, every value is checked against its field's type,
+and every type or constraint violation names the offending field.  Each
+concept has exactly one knob: ``schedule.batch_size`` is the DQN batch size
+beta, ``schedule.fm_train_start`` the number of real transitions every
+generator (flow or planner) waits for, and ``flow.batch_size`` only the
 flow's own training minibatch.
 """
 
@@ -13,6 +14,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
+import sys
+import typing
 from dataclasses import dataclass, field
 
 from .agent import AgentConfig
@@ -57,6 +61,27 @@ class ExperimentConfig:
             raise ConfigurationError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError("seeds must be distinct")
+        if min(self.seeds) < 0:
+            raise ConfigurationError("seeds must be >= 0")
+
+
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real}   # float fields take ints too
+
+
+def _typed(name: str, value, annotation):
+    """``value`` checked against a field annotation (int, float, str or
+    list[...]) and converted to it; bools pass for no field, NaN and inf for
+    no float field."""
+    if typing.get_origin(annotation) is list:
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{name} must be a list, got {value!r}")
+        (item,) = typing.get_args(annotation)
+        return [_typed(f"{name}[{i}]", v, item) for i, v in enumerate(value)]
+    if isinstance(value, bool) or not isinstance(value, _ACCEPTS.get(annotation, annotation)):
+        raise ConfigurationError(f"{name} must be {annotation.__name__}, got {value!r}")
+    if annotation is float and not abs(value) <= sys.float_info.max:
+        raise ConfigurationError(f"{name} must be a finite float, got {value!r}")
+    return annotation(value)
 
 
 def _build_section(cls, payload: dict, section: str):
@@ -65,7 +90,8 @@ def _build_section(cls, payload: dict, section: str):
     if unknown:
         raise ConfigurationError(
             f"unknown key(s) {sorted(unknown)} in section {section!r}")
-    return cls(**payload)
+    hints = typing.get_type_hints(cls)
+    return cls(**{k: _typed(f"{section}.{k}", v, hints[k]) for k, v in payload.items()})
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:
@@ -81,13 +107,11 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigurationError(f"section {section!r} must be an object")
         kwargs[section] = _build_section(cls, raw, section)
+    hints = typing.get_type_hints(ExperimentConfig)
+    for key in ("methods", "seeds", "output_dir"):
+        if key in payload:
+            kwargs[key] = _typed(key, payload[key], hints[key])
     cfg = ExperimentConfig(**kwargs)
-    if "methods" in payload:
-        cfg.methods = list(payload["methods"])
-    if "seeds" in payload:
-        cfg.seeds = [int(s) for s in payload["seeds"]]
-    if "output_dir" in payload:
-        cfg.output_dir = str(payload["output_dir"])
     cfg.validate()
     return cfg
 

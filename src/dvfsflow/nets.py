@@ -22,6 +22,7 @@ bitwise reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -249,8 +250,11 @@ def adam_step(params: MlpParams, grads_w: list[np.ndarray], grads_b: list[np.nda
 
 def train_step(params: MlpParams, adam: AdamState, x: np.ndarray, y: np.ndarray,
                weights: np.ndarray) -> tuple[MlpParams, AdamState, float]:
-    """One weighted-MSE Adam step; raises NumericError on NaN input before updating."""
+    """One weighted-MSE Adam step; raises NumericError on NaN input or a
+    non-finite loss (a NaN/inf prediction) before updating."""
     loss, gw, gb = loss_and_grads(params, x, y, weights)
+    if not math.isfinite(loss):
+        raise NumericError(f"non-finite training loss {loss!r}")
     new_params, new_adam = adam_step(params, gw, gb, adam)
     return new_params, new_adam, loss
 

@@ -212,8 +212,9 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
 
     for i in range(1, schedule.horizon + 1):
         state = env.state
-        action = agent_mod.select_action(qnet, state, epsilon, env_config, action_rng)
-        max_q_val = float(np.max(agent_mod.q_values(qnet, state, env_config)))
+        q = agent_mod.q_values(qnet, state, env_config)
+        action = agent_mod.select_action(q, epsilon, action_rng)
+        max_q_val = float(np.max(q))
         nxt, reward, done = env.step(action)
         memory.push(Transition(state, action, reward, nxt, done, source="real"))
 

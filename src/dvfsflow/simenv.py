@@ -10,6 +10,7 @@ is bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
@@ -88,9 +89,15 @@ class EnvConfig:
         return replace(self, noise_std_fps=0.0, noise_std_temp=0.0)
 
 
+@functools.lru_cache(maxsize=64)
+def _level_table(min_freq: float, num_actions: int) -> tuple[float, ...]:
+    # Keyed on the values, not the (mutable) config, so it cannot go stale.
+    return tuple(np.linspace(min_freq, 1.0, num_actions).tolist())
+
+
 def frequency_levels(config: EnvConfig) -> np.ndarray:
     """The k discrete normalized frequencies, uniformly spaced in [min_freq, 1]."""
-    return np.linspace(config.min_freq, 1.0, config.num_actions)
+    return np.array(_level_table(config.min_freq, config.num_actions))
 
 
 def throttle_factor(temp: float, config: EnvConfig) -> float:
@@ -121,7 +128,7 @@ def dynamics(state: ProcessorState, action: int, config: EnvConfig,
     """
     if not (0 <= int(action) < config.num_actions) or int(action) != action:
         raise DomainError(f"action {action!r} outside 0..{config.num_actions - 1}")
-    f_next = float(frequency_levels(config)[int(action)])
+    f_next = _level_table(config.min_freq, config.num_actions)[int(action)]
     p_dyn = config.dyn_coeff * f_next ** config.eta
     p_static = config.static_coeff * state.temp
     power = p_dyn + p_static
@@ -163,7 +170,7 @@ def reward_components(state: ProcessorState, config: EnvConfig) -> RewardCompone
 def initial_state(config: EnvConfig) -> ProcessorState:
     """Deterministic start: mid frequency level at ambient temperature."""
     mid = config.num_actions // 2
-    f = float(frequency_levels(config)[mid])
+    f = _level_table(config.min_freq, config.num_actions)[mid]
     power = config.dyn_coeff * f ** config.eta + config.static_coeff * config.ambient_temp
     fps = min(config.fps_cap, config.fps_slope * f) * throttle_factor(config.ambient_temp, config)
     return ProcessorState(fps=fps, freq=f, power=power, temp=config.ambient_temp)

@@ -84,7 +84,7 @@ def test_select_action_uniform_when_epsilon_one():
     n = 10_000
     counts = np.zeros(ENV.num_actions)
     for _ in range(n):
-        counts[ag.select_action(qnet, _state(), 1.0, ENV, rng)] += 1
+        counts[ag.select_action(ag.q_values(qnet, _state(), ENV), 1.0, rng)] += 1
     expected = n / ENV.num_actions
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     assert chi2 < CHI2_CRIT_DF11
@@ -97,9 +97,9 @@ def test_select_action_greedy_argmax_and_tiebreak():
     qnet.biases[0][1] = 3.0
     qnet.biases[0][2] = 1.0
     rng = np.random.default_rng(0)
-    assert ag.select_action(qnet, _state(), 0.0, ENV, rng) == 1
+    assert ag.select_action(ag.q_values(qnet, _state(), ENV), 0.0, rng) == 1
     qnet.biases[0][:] = 0.0    # all equal -> lowest index
-    assert ag.select_action(qnet, _state(), 0.0, ENV, rng) == 0
+    assert ag.select_action(ag.q_values(qnet, _state(), ENV), 0.0, rng) == 0
 
 
 def test_decay_epsilon():

@@ -245,3 +245,36 @@ def test_gen_rejects_non_positive_n_before_training(tmp_path, capsys, monkeypatc
         assert "input error" in err and "--n" in err
     assert trained == []
     assert not (tmp_path / "synth.csv").exists()
+
+
+@pytest.mark.parametrize("payload,field", [
+    ({"seeds": ["a"]}, "seeds[0]"),                         # was a raw ValueError
+    ({"schedule": {"horizon": "x"}}, "schedule.horizon"),   # was a raw TypeError
+    ({"schedule": {"horizon": 2.5}}, "schedule.horizon"),   # used to crash mid-run
+    ({"schedule": {"horizon": True}}, "schedule.horizon"),  # used to run as 1
+    ({"flow": {"hidden_sizes": "64"}}, "flow.hidden_sizes"),  # used to build [12, 6, 4, 11]
+    ({"agent": {"learning_rate": float("nan")}}, "agent.learning_rate"),  # failed mid-run
+    ({"agent": {"learning_rate": 10 ** 400}}, "agent.learning_rate"),
+    ({"seeds": [-1]}, "seeds"),                             # was a raw ValueError mid-run
+])
+def test_config_value_types_checked(payload, field, tmp_path, capsys):
+    with pytest.raises(ConfigurationError, match=field.replace("[", r"\[")):
+        config_from_dict(payload)
+    path = str(tmp_path / "cfg.json")
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    assert main(["run", "--config", path, "--print-config"]) == 1
+    err = capsys.readouterr().err
+    assert f"configuration error: {field}" in err
+
+
+def test_config_list_items_and_float_fields_typed():
+    with pytest.raises(ConfigurationError, match=r"agent\.hidden_sizes\[1\]"):
+        config_from_dict({"agent": {"hidden_sizes": [6, 6.0]}})
+    with pytest.raises(ConfigurationError, match=r"methods\[0\]"):
+        config_from_dict({"methods": [1]})
+    with pytest.raises(ConfigurationError, match=r"agent\.learning_rate"):
+        config_from_dict({"agent": {"learning_rate": "0.1"}})
+    cfg = config_from_dict({"agent": {"learning_rate": 1}, "env": {"eta": 4}})
+    assert cfg.agent.learning_rate == 1.0 and isinstance(cfg.agent.learning_rate, float)
+    assert isinstance(cfg.env.eta, float)

@@ -63,3 +63,18 @@ def test_golden_dfm_lambda_weights():
     log = run_experiment("dfm", cfg.env, cfg.agent, cfg.schedule, 0,
                          fm_config=cfg.flow, forest_config=cfg.forest)
     assert [float(v).hex() for v in log.lambda_weights] == GOLDEN_DFM_LAMBDA
+
+
+# model_free with a horizon four times the real memory, so FIFO eviction runs
+# on every step after the 100th and the Q-step samples from a moving window.
+EVICTION_CONFIG = {"schedule": {"horizon": 400, "real_capacity": 100}}
+GOLDEN_EVICTION_RUNLOG = "9bf69031c5a5988ba9a88340cebd6927ff473a248d395e07425172a98772736f"
+
+
+def test_golden_digest_with_fifo_eviction(tmp_path):
+    cfg = config_from_dict(EVICTION_CONFIG)
+    log = run_experiment("model_free", cfg.env, cfg.agent, cfg.schedule, 0,
+                         fm_config=cfg.flow, forest_config=cfg.forest)
+    assert log.phi_real[-1] > cfg.schedule.real_capacity
+    runlog_to_csv(log, str(tmp_path / "runlog.csv"))
+    assert _sha256(tmp_path / "runlog.csv") == GOLDEN_EVICTION_RUNLOG

@@ -1,4 +1,4 @@
-"""The flow and forest hot paths against plain loop versions of the same arithmetic.
+"""The flow, forest and Q-step hot paths against plain loop versions of the same arithmetic.
 
 The references below are straightforward per-layer, per-column and recursive
 implementations.  The production code batches them into fewer numpy calls
@@ -9,9 +9,12 @@ comparison here is bitwise, never approximate.
 import numpy as np
 import pytest
 
-from dvfsflow import nets
-from dvfsflow.flow import _cfm_batch, bootstrap_latents
+from dvfsflow import agent, nets
+from dvfsflow.agent import AgentConfig, Transition
+from dvfsflow.errors import NumericError
+from dvfsflow.flow import TransitionLayout, _cfm_batch, bootstrap_latents, unflatten_transition
 from dvfsflow.forest import TreeNode, _best_splits, _grow, fit_forest
+from dvfsflow.simenv import EnvConfig, ProcessorState, normalize_state
 
 
 # ---------------------------------------------------------------- references
@@ -128,6 +131,25 @@ def _ref_cfm_batch(batch, lam, sigma_min, count, rng):
     xt = (1.0 - (1.0 - sigma_min) * t) * x0 + t * x1
     target = x1 - (1.0 - sigma_min) * x0
     return np.concatenate([xt, t], axis=1), target, lam
+
+
+def _ref_train_q_step(qnet, target_net, batch, agent_config, env_config, adam):
+    """Per-transition Q-step: every state normalized on its own, and the online
+    net's own predictions as targets for the actions not taken."""
+    n = len(batch)
+    k = env_config.num_actions
+    x = np.stack([normalize_state(t.s, env_config) for t in batch])
+    x_next = np.stack([normalize_state(t.s_next, env_config) for t in batch])
+    q_next = nets.forward_batch(target_net, x_next)
+    rewards = np.array([t.r for t in batch])
+    not_done = np.array([0.0 if t.done else 1.0 for t in batch])
+    y_taken = rewards + agent_config.discount * not_done * q_next.max(axis=1)
+    actions = np.array([t.a for t in batch], dtype=int)
+    targets = nets.forward_batch(qnet, x)
+    targets[np.arange(n), actions] = y_taken
+    weights = np.zeros((n, k))
+    weights[np.arange(n), actions] = 1.0
+    return nets.train_step(qnet, adam, x, targets, weights)
 
 
 # ---------------------------------------------------------------- nets
@@ -300,3 +322,66 @@ def test_fit_forest_importances_match_reference_trees():
     for tree, child in zip(forest.trees, np.random.default_rng(2).spawn(8)):
         boot = child.integers(0, 150, size=150)
         _assert_same_tree(tree.root, _ref_grow(x[boot], y[boot], 0, 6, 5, 3, child))
+
+
+# ---------------------------------------------------------------- Q-step
+
+Q_ENV = EnvConfig()
+
+
+def _random_state(rng):
+    return ProcessorState(fps=float(rng.uniform(0.0, 120.0)), freq=float(rng.uniform(0.2, 1.0)),
+                          power=float(rng.uniform(1.0, 20.0)), temp=float(rng.uniform(25.0, 80.0)))
+
+
+def _q_batch(kind, rng):
+    k = Q_ENV.num_actions
+    if kind == "decoded":
+        # unflatten_transition leaves numpy float64 scalars in the state fields
+        rows = rng.uniform(0.0, 1.0, size=(32, 11)) * [120, 1, 20, 80, 1, 120, 1, 20, 80, 2, 1]
+        layout = TransitionLayout(num_actions=k, ambient_temp=Q_ENV.ambient_temp)
+        batch = [unflatten_transition(row, layout) for row in rows]
+        assert isinstance(batch[0].s.fps, np.float64)
+        return batch
+    n = 1 if kind == "single" else 32
+    batch = [Transition(_random_state(rng), int(rng.integers(k)), float(rng.normal()),
+                        _random_state(rng), bool(rng.random() < 0.3),
+                        source="synth" if kind == "mixed" and i % 2 else "real")
+             for i in range(n)]
+    if kind == "done_and_live":
+        assert {t.done for t in batch} == {True, False}
+    return batch
+
+
+@pytest.mark.parametrize("kind", ["done_and_live", "single", "mixed", "decoded"])
+def test_train_q_step_bitwise_equal_reference(kind):
+    rng = np.random.default_rng(7)
+    cfg = AgentConfig()
+    qnet = agent.init_qnet(Q_ENV, cfg, seed=1)
+    target = agent.init_qnet(Q_ENV, cfg, seed=2)
+    adam = nets.adam_init(qnet, cfg.learning_rate)
+    ref_qnet, ref_adam = qnet, adam
+    for _ in range(5):
+        batch = _q_batch(kind, rng)
+        qnet, adam, loss = agent.train_q_step(qnet, target, batch, cfg, Q_ENV, adam)
+        ref_qnet, ref_adam, ref_loss = _ref_train_q_step(ref_qnet, target, batch, cfg,
+                                                         Q_ENV, ref_adam)
+        assert loss == ref_loss
+        assert qnet.flat.tobytes() == ref_qnet.flat.tobytes()
+        assert adam.m.tobytes() == ref_adam.m.tobytes()
+        assert adam.v.tobytes() == ref_adam.v.tobytes()
+        assert adam.step == ref_adam.step
+
+
+def test_train_q_step_rejects_nan_online_net_before_updating():
+    rng = np.random.default_rng(3)
+    cfg = AgentConfig()
+    qnet = agent.init_qnet(Q_ENV, cfg, seed=1)
+    target = agent.sync_target(qnet)            # finite targets: only the online net is bad
+    qnet.weights[1][2, 3] = np.nan
+    adam = nets.adam_init(qnet, cfg.learning_rate)
+    flat_before = qnet.flat.tobytes()
+    with pytest.raises(NumericError):
+        agent.train_q_step(qnet, target, _q_batch("done_and_live", rng), cfg, Q_ENV, adam)
+    assert qnet.flat.tobytes() == flat_before
+    assert adam.step == 0 and not adam.m.any() and not adam.v.any()

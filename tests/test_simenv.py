@@ -209,3 +209,22 @@ def test_normalize_state_is_order_unity():
     v = normalize_state(initial_state(cfg), cfg)
     assert v.shape == (4,)
     assert np.all(np.abs(v) <= 2.0)
+
+
+def test_frequency_table_follows_config_changes():
+    # The level table is cached; EnvConfig is mutable, so a changed config must
+    # still get np.linspace's levels for its current values, bit for bit.
+    cfg = EnvConfig()
+    s = initial_state(cfg)
+    levels = frequency_levels(cfg)
+    assert levels.tobytes() == np.linspace(0.2, 1.0, 12).tobytes()
+    levels[0] = 0.9                            # a caller's copy, not the cache
+    assert dynamics(s, 0, cfg).freq == 0.2
+    cfg.min_freq, cfg.num_actions = 0.3, 5
+    want = np.linspace(0.3, 1.0, 5)
+    assert frequency_levels(cfg).tobytes() == want.tobytes()
+    assert [dynamics(s, a, cfg).freq for a in range(5)] == want.tolist()
+    assert initial_state(cfg).freq == want[2]
+    quiet = cfg.noiseless()
+    quiet.min_freq = 0.5
+    assert dynamics(s, 0, quiet).freq == 0.5 and dynamics(s, 0, cfg).freq == 0.3
