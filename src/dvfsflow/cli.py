@@ -15,20 +15,18 @@ from typing import Optional
 
 import numpy as np
 
-from . import flow as flow_mod
 from . import nets, report
-from .agent import ReplayMemory
 from .config import ExperimentConfig, config_to_dict, dump_config, load_config
 from .errors import (ConfigurationError, DomainError, InsufficientDataError,
                      NumericError, StateError)
 from .evalkit import (corr_gap, corr_gap_excluded_count, early_fps_gain,
                       empirical_regret, pearson_matrix, qvalue_stability,
                       wasserstein1)
-from .flow import (FMConfig, TRANSITION_LABELS, TransitionLayout,
-                   bootstrap_latents, flow_model_to_dict, generate_raw,
-                   load_batch_csv, save_batch_csv, train_flow_model,
-                   unflatten_transition)
-from .forest import ForestConfig, transition_feature_weights
+from .flow import (TRANSITION_LABELS, TransitionLayout, bootstrap_latents,
+                   flatten_memory, flow_model_to_dict, generate_raw, load_batch_csv,
+                   save_batch_csv, train_flow_model, unflatten_rows)
+from .flow import unflatten_transition  # noqa: F401  (perfbench's tracer wraps it here)
+from .forest import transition_feature_weights
 from .orchestrate import (regret_oracle, run_experiment, runlog_from_csv,
                           runlog_summary, runlog_to_csv)
 from .simenv import EnvConfig
@@ -117,21 +115,20 @@ def cmd_gen(args) -> int:
         raise InsufficientDataError(
             f"flow training needs >= {cfg.schedule.fm_train_start} transitions "
             f"(schedule.fm_train_start), {args.memory} holds {data.shape[0]}")
-    memory = ReplayMemory(capacity=data.shape[0])
-    for row in data:
-        memory.push(unflatten_transition(row, layout, source="real"))
+    # Decode and re-encode: clamps states and snaps actions to their levels.
+    real = flatten_memory(unflatten_rows(data, layout, source="real"), layout)
 
-    if args.uniform_lambda or len(memory) < cfg.forest.min_samples:
+    if args.uniform_lambda or len(real) < cfg.forest.min_samples:
         lam = np.full(layout.dim, 1.0 / layout.dim)
     else:
-        lam = transition_feature_weights(memory, cfg.forest,
+        lam = transition_feature_weights(real, cfg.forest,
                                          rng=np.random.default_rng([args.seed, 30]))
-    model = train_flow_model(memory, lam, cfg.flow, layout, seed=[args.seed, 40])
+    model = train_flow_model(real, lam, cfg.flow, seed=[args.seed, 40])
     raw = generate_raw(model, args.n, np.random.default_rng([args.seed, 50]))
     save_batch_csv(raw, args.out)
     if args.checkpoint:
         _write_json(flow_model_to_dict(model), args.checkpoint)
-    print(f"trained on {len(memory)} transitions "
+    print(f"trained on {len(real)} transitions "
           f"(final loss {model.loss_curve[-1]:.4f}), wrote {args.n} samples to {args.out}")
     return 0
 

@@ -6,13 +6,15 @@ straight-path target field between Gaussian latents and data.  Training draws
 B bootstrap replicates of the latent pool (each re-paired with a shuffled
 copy of the data batch) and weights the per-dimension squared error by the
 normalized feature weights.  Sampling integrates dx/dt = v(x, t) with explicit
-Euler from t=0 (noise) to t=1 (data) and decodes back to transitions.
+Euler from t=0 (noise) to t=1 (data); the codec decodes the rows back.
 
 A trained flow is one type, :class:`FlowModel`: the vector-field net, its
 per-dimension normalizer, the feature weights, the config and the loss
 history, with no knowledge of the transition layout, so the same training and
-sampling code serves any (n, d) data.  Only the codec (:class:`TransitionLayout`,
-flatten/unflatten) knows the 11 columns.
+sampling code serves any (n, d) data.  Only the codec knows the 11 columns:
+:func:`flatten_memory` encodes a list of transitions into an (n, 11) array and
+:func:`unflatten_rows` decodes such an array back, a whole batch at a time.
+Every other module that exchanges transitions exchanges that array.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import nets
-from .agent import ReplayMemory, Transition
+from .agent import Transition
 from .errors import ConfigurationError, DomainError, NumericError, StateError
 from .nets import MlpParams
 from .simenv import ProcessorState
@@ -47,46 +49,50 @@ class TransitionLayout:
         return TRANSITION_DIM
 
 
-def flatten_transition(t: Transition, layout: TransitionLayout) -> np.ndarray:
-    a_enc = t.a / (layout.num_actions - 1)
-    return np.array([
-        t.s.fps, t.s.freq, t.s.power, t.s.temp, a_enc,
-        t.s_next.fps, t.s_next.freq, t.s_next.power, t.s_next.temp,
-        t.r, 1.0 if t.done else 0.0,
-    ], dtype=np.float64)
+def flatten_memory(transitions: list[Transition], layout: TransitionLayout) -> np.ndarray:
+    """Encode transitions as (n, 11) rows in ``TRANSITION_LABELS`` order: the
+    action as a / (num_actions - 1), done as 1.0 or 0.0."""
+    k1 = layout.num_actions - 1
+    return np.array([(t.s.fps, t.s.freq, t.s.power, t.s.temp, t.a / k1,
+                      t.s_next.fps, t.s_next.freq, t.s_next.power, t.s_next.temp,
+                      t.r, 1.0 if t.done else 0.0) for t in transitions],
+                    dtype=np.float64).reshape(-1, TRANSITION_DIM)
 
 
-def _decode_state(fps: float, freq: float, power: float, temp: float,
-                  layout: TransitionLayout) -> ProcessorState:
-    return ProcessorState(
-        fps=max(fps, 0.0),
-        freq=min(max(freq, 0.0), 1.0),
-        power=max(power, 1e-6),
-        temp=max(temp, layout.ambient_temp),
-    )
+def unflatten_rows(raw: np.ndarray, layout: TransitionLayout,
+                   source: str = "synth") -> list[Transition]:
+    """Inverse of :func:`flatten_memory` for a whole (n, 11) batch.
+
+    Clamps states to their physical ranges (fps >= 0, freq in [0, 1], power
+    >= 1e-6, temp >= ambient) as Python's ``max`` would, so -0.0 stays -0.0;
+    rounds the action to the nearest level; done is ``> 0.5``.
+    Non-finite cells raise :class:`NumericError` naming their columns.
+    """
+    v = np.asarray(raw, dtype=np.float64)
+    if v.ndim != 2 or v.shape[1] != layout.dim:
+        raise DomainError(f"expected an (n, {layout.dim}) batch, got shape {v.shape}")
+    finite = np.isfinite(v).all(axis=0)
+    if not finite.all():
+        bad = [lab for lab, ok in zip(TRANSITION_LABELS, finite) if not ok]
+        raise NumericError(f"NaN/inf in transition column(s) {', '.join(bad)}")
+    lo = np.array([0.0, 0.0, 1e-6, layout.ambient_temp] * 2)
+    hi = np.array([np.inf, 1.0, np.inf, np.inf] * 2)
+    states = v[:, [0, 1, 2, 3, 5, 6, 7, 8]]
+    cols = np.minimum(np.where(states < lo, lo, states), hi).T.tolist()
+    k1 = layout.num_actions - 1
+    actions = np.rint(np.clip(v[:, 4], 0.0, 1.0) * k1).astype(int).tolist()
+    return [Transition(s, a, r, s_next, d, source)
+            for s, a, r, s_next, d in zip(map(ProcessorState, *cols[:4]), actions,
+                                          v[:, 9].tolist(), map(ProcessorState, *cols[4:]),
+                                          (v[:, 10] > 0.5).tolist())]
 
 
 def unflatten_transition(vec: np.ndarray, layout: TransitionLayout,
                          source: str = "synth") -> Transition:
-    """Inverse of :func:`flatten_transition`; clamps state fields to their
-    physical ranges and decodes action by rounding, done by threshold 0.5."""
-    v = np.asarray(vec, dtype=np.float64)
-    if v.shape != (layout.dim,):
-        raise DomainError(f"expected a vector of dim {layout.dim}, got shape {v.shape}")
-    k = layout.num_actions
-    action = int(np.clip(np.rint(v[4] * (k - 1)), 0, k - 1))
-    return Transition(
-        s=_decode_state(v[0], v[1], v[2], v[3], layout),
-        a=action,
-        r=float(v[9]),
-        s_next=_decode_state(v[5], v[6], v[7], v[8], layout),
-        done=bool(v[10] > 0.5),
-        source=source,
-    )
-
-
-def flatten_memory(transitions: list[Transition], layout: TransitionLayout) -> np.ndarray:
-    return np.stack([flatten_transition(t, layout) for t in transitions])
+    """Decode one 11-vector: :func:`unflatten_rows` on a one-row batch."""
+    if np.shape(vec) != (layout.dim,):
+        raise DomainError(f"expected a vector of dim {layout.dim}, got shape {np.shape(vec)}")
+    return unflatten_rows(np.reshape(vec, (1, -1)), layout, source)[0]
 
 
 @dataclass
@@ -213,12 +219,19 @@ def cfm_loss(model: FlowModel, batch: np.ndarray, rng: np.random.Generator,
     return nets.loss_and_grads(model.params, inputs, target, lam)
 
 
-def train_vector_field(data: np.ndarray, lam: np.ndarray, config: FMConfig,
-                       seed=0) -> FlowModel:
-    """Mini-batch Adam on the bootstrapped CFM loss over raw (n, d) samples."""
+def train_flow_model(data: np.ndarray, lam: np.ndarray, config: FMConfig,
+                     seed=0) -> FlowModel:
+    """Mini-batch Adam on the bootstrapped CFM loss over raw (n, d) rows, such
+    as a flattened memory.
+
+    The schedule decides when there are enough rows to train on
+    (``ScheduleConfig.fm_train_start``); this only refuses an empty array.
+    """
     data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] < 1:
-        raise DomainError("training data must be a non-empty (n, d) matrix")
+    if data.ndim != 2:
+        raise DomainError("training data must be an (n, d) matrix")
+    if data.shape[0] == 0:
+        raise StateError("flow training needs transitions, got none")
     if not np.all(np.isfinite(data)):
         raise NumericError("NaN/inf in training data")
     if np.shape(lam) != (data.shape[1],):
@@ -253,31 +266,11 @@ def sample_vector_field(model: FlowModel, n: int, rng: np.random.Generator,
     return model.normalizer.denormalize(x)
 
 
-def train_flow_model(memory: ReplayMemory, lam: np.ndarray, config: FMConfig,
-                     layout: TransitionLayout, seed=0) -> FlowModel:
-    """Train the transition generator on every stored real transition.
-
-    The schedule decides when there are enough transitions to train on
-    (``ScheduleConfig.fm_train_start``); this only refuses an empty memory.
-    """
-    if len(memory) == 0:
-        raise StateError(f"flow training needs transitions, {memory.name} is empty")
-    return train_vector_field(flatten_memory(memory.items, layout), lam, config,
-                              seed=seed)
-
-
 def generate_raw(model: FlowModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """n denormalized samples from K-step Euler integration of the flow."""
     if not model.loss_curve:
         raise StateError("flow model is untrained; call train_flow_model first")
     return sample_vector_field(model, n, rng, ode_steps=model.config.ode_steps)
-
-
-def generate_transitions(model: FlowModel, n: int, rng: np.random.Generator,
-                         layout: TransitionLayout) -> list[Transition]:
-    """Sample and decode n synthetic transitions (states clamped to physical ranges)."""
-    raw = generate_raw(model, n, rng)
-    return [unflatten_transition(row, layout) for row in raw]
 
 
 FLOW_CHECKPOINT_VERSION = 2
@@ -323,13 +316,23 @@ def save_batch_csv(matrix: np.ndarray, path: str) -> None:
 
 
 def load_batch_csv(path: str) -> np.ndarray:
-    """Read a batch written by :func:`save_batch_csv` (header checked)."""
+    """Read a batch written by :func:`save_batch_csv`.  A wrong header, a row
+    without 11 cells or a cell that is not a number raises
+    :class:`DomainError` naming the path and line."""
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != TRANSITION_LABELS:
             raise DomainError(f"unexpected column header in {path}")
-        rows = [[float(v) for v in row] for row in reader]
+        for row in reader:
+            if len(row) != TRANSITION_DIM:
+                raise DomainError(f"{path} line {reader.line_num}: expected "
+                                  f"{TRANSITION_DIM} cells, got {len(row)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise DomainError(f"{path} line {reader.line_num}: {exc}") from None
     if not rows:
         return np.empty((0, TRANSITION_DIM))
     return np.array(rows, dtype=np.float64)

@@ -4,8 +4,8 @@ Trees split on variance reduction with sqrt(d) features considered per split
 and are fit on bootstrap resamples.  Importances are impurity-based: each
 split contributes (node_samples / total_samples) * variance_reduction to its
 feature, raw importances are averaged over trees, then normalized to sum 1.
-The transition-prediction weighting fits one forest per next-state field and
-mirrors the resulting input weights onto the full flattened transition vector.
+The transition weighting fits one forest per next-state column of the (n, 11)
+transition array and mirrors the input weights onto all 11 columns.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from .agent import ReplayMemory
 from .errors import ConfigurationError, DomainError, InsufficientDataError, NumericError
 
 
@@ -219,27 +218,29 @@ def normalized_importances(forest: Forest) -> np.ndarray:
     return forest.importances / total
 
 
-def transition_feature_weights(memory: ReplayMemory,
+def transition_feature_weights(data: np.ndarray,
                                config: Optional[ForestConfig] = None,
                                rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Per-dimension loss weights for the flattened transition vector.
+    """Per-dimension loss weights for the flattened (n, 11) transition array.
 
-    Fits one forest per next-state field on inputs (state 4 dims, action 1 dim),
-    averages the normalized input importances across the four forests (so each
-    prediction target counts equally regardless of its variance scale), then
-    mirrors the state weights onto the next-state dims; reward and done receive
-    the mean state weight.  The full 11-vector is renormalized to sum 1.
+    Fits one forest per next-state field (columns 5-8) on the state and the
+    encoded action (columns 0-4), averages the normalized input importances
+    across the four forests (so each prediction target counts equally
+    regardless of its variance scale), then mirrors the state weights onto the
+    next-state dims; reward and done receive the mean state weight.  The full
+    11-vector is renormalized to sum 1.  Splits depend only on the order of a
+    feature's values, which a / (num_actions - 1) keeps, so the encoded action
+    gives the same weights as the raw action index.
     """
     config = config or ForestConfig()
-    if len(memory) < config.min_samples:
+    if data.ndim != 2 or data.shape[1] != 11:
+        raise DomainError(f"transitions must be an (n, 11) array, got shape {data.shape}")
+    if data.shape[0] < config.min_samples:
         raise InsufficientDataError(
             f"feature weighting needs >= {config.min_samples} transitions, "
-            f"memory holds {len(memory)}")
+            f"got {data.shape[0]}")
     rng = np.random.default_rng(0) if rng is None else rng
-    x = np.array([[t.s.fps, t.s.freq, t.s.power, t.s.temp, float(t.a)]
-                  for t in memory.items])
-    targets = np.array([[t.s_next.fps, t.s_next.freq, t.s_next.power, t.s_next.temp]
-                        for t in memory.items])
+    x, targets = data[:, :5], data[:, 5:9]
 
     acc = np.zeros(5)
     for j, child in enumerate(rng.spawn(4)):

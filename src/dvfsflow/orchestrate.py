@@ -123,15 +123,14 @@ def regret_oracle(env_config: EnvConfig) -> Callable[[ProcessorState], float]:
 class _ModelBasedPlanner:
     """Dense-net transition predictor: (s, a) -> (s', r, done) in normalized space."""
 
-    def __init__(self, layout: TransitionLayout, fm_config: FMConfig, seed):
-        self.layout = layout
+    def __init__(self, fm_config: FMConfig, seed):
         self.fm_config = fm_config
         self.params = nets.init_mlp([5, 32, 32, 6], activation="tanh", seed=seed)
         self.in_norm: Optional[Normalizer] = None
         self.out_norm: Optional[Normalizer] = None
 
-    def train(self, memory: ReplayMemory, seed) -> float:
-        data = flow_mod.flatten_memory(memory.items, self.layout)
+    def train(self, data: np.ndarray, seed) -> float:
+        """Fit on the flattened (n, 11) real memory; returns the last epoch's loss."""
         x, y = data[:, :5], data[:, 5:]
         self.in_norm = Normalizer.fit(x)
         self.out_norm = Normalizer.fit(y)
@@ -144,13 +143,12 @@ class _ModelBasedPlanner:
             lambda rows: (xn[rows], yn[rows], weights))
         return loss_curve[-1]
 
-    def plan(self, memory: ReplayMemory, n: int,
-             rng: np.random.Generator) -> tuple[list[Transition], np.ndarray]:
-        """Predict from n real (s, a) seeds drawn without replacement per pass
-        (full reshuffled passes over M as often as needed)."""
+    def plan(self, data: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Predict n rows from real (s, a) seeds of the flattened memory, drawn
+        without replacement per pass (full reshuffled passes over the rows as
+        often as needed)."""
         if self.in_norm is None:
             raise InsufficientDataError("planner is untrained")
-        data = flow_mod.flatten_memory(memory.items, self.layout)
         m = data.shape[0]
         idx = []
         while len(idx) < n:
@@ -158,10 +156,7 @@ class _ModelBasedPlanner:
         seeds = data[np.array(idx[:n])][:, :5]
         pred = self.out_norm.denormalize(
             nets.forward_batch(self.params, self.in_norm.normalize(seeds)))
-        raw = np.concatenate([seeds, pred], axis=1)
-        transitions = [flow_mod.unflatten_transition(row, self.layout, source="model")
-                       for row in raw]
-        return transitions, raw
+        return np.concatenate([seeds, pred], axis=1)
 
 
 def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig,
@@ -203,7 +198,7 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
     flow_model: Optional[flow_mod.FlowModel] = None
     planner: Optional[_ModelBasedPlanner] = None
     if method == "model_based":
-        planner = _ModelBasedPlanner(layout, fm_config, seed=[seed, 5])
+        planner = _ModelBasedPlanner(fm_config, seed=[seed, 5])
 
     epsilon = agent_config.epsilon_init
     train_count = 0
@@ -225,16 +220,15 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
                 and memory.phi > schedule.batch_size
                 and len(memory) >= schedule.fm_train_start):
             retrain_count += 1
+            real = flow_mod.flatten_memory(memory.items, layout)
             if method == "model_based":
-                fm_loss_val = planner.train(memory, seed=[seed, 20, retrain_count])
-                plans, raw = planner.plan(memory, schedule.planning_breadth, sample_rng)
-                for tr in plans:
-                    synth_memory.push(tr)
-                log.synth_raw = raw
+                fm_loss_val = planner.train(real, seed=[seed, 20, retrain_count])
+                raw = planner.plan(real, schedule.planning_breadth, sample_rng)
+                source = "model"
             else:
-                if method == "dfm" and len(memory) >= forest_config.min_samples:
+                if method == "dfm" and len(real) >= forest_config.min_samples:
                     lam = transition_feature_weights(
-                        memory, forest_config,
+                        real, forest_config,
                         rng=np.random.default_rng([seed, 30, retrain_count]))
                 else:
                     # pure_fm always; dfm before the forest has enough data
@@ -243,15 +237,19 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
                 if method == "pure_fm":
                     run_fm = FMConfig(**{**asdict(fm_config), "bootstrap_count": 1})
                 flow_model = flow_mod.train_flow_model(
-                    memory, lam, run_fm, layout, seed=[seed, 40, retrain_count])
+                    real, lam, run_fm, seed=[seed, 40, retrain_count])
                 fm_loss_val = flow_model.loss_curve[-1]
                 log.fm_loss_curves.append(list(flow_model.loss_curve))
                 log.lambda_weights = lam.tolist()
                 gen_rng = np.random.default_rng([seed, 50, retrain_count])
                 raw = flow_mod.generate_raw(flow_model, schedule.planning_breadth, gen_rng)
-                for row in raw:
-                    synth_memory.push(flow_mod.unflatten_transition(row, layout))
-                log.synth_raw = raw
+                source = "synth"
+            # Decode in slices, so that a full M' evicts as the new batch
+            # arrives rather than holding both batches at once.
+            for start in range(0, len(raw), 256):
+                for tr in flow_mod.unflatten_rows(raw[start:start + 256], layout, source):
+                    synth_memory.push(tr)
+            log.synth_raw = raw
             log.fm_train_steps.append(i)
 
         agent_loss_val: Optional[float] = None

@@ -10,6 +10,7 @@ from dvfsflow.cli import main
 from dvfsflow.config import (ExperimentConfig, config_from_dict, config_to_dict,
                              dump_config, load_config)
 from dvfsflow.errors import ConfigurationError
+from dvfsflow.flow import TRANSITION_LABELS
 
 FAST_SECTIONS = {
     "schedule": {"horizon": 60, "fm_retrain_period": 50, "planning_breadth": 40,
@@ -278,3 +279,33 @@ def test_config_list_items_and_float_fields_typed():
     cfg = config_from_dict({"agent": {"learning_rate": 1}, "env": {"eta": 4}})
     assert cfg.agent.learning_rate == 1.0 and isinstance(cfg.agent.learning_rate, float)
     assert isinstance(cfg.env.eta, float)
+
+
+def test_gen_non_finite_cell_is_a_numeric_error(tmp_path, capsys):
+    from dvfsflow.flow import save_batch_csv
+
+    rows = np.random.default_rng(0).uniform(0.1, 1.0, size=(60, 11))
+    rows[7, 4] = np.nan                     # used to end in a raw ValueError traceback
+    memory = str(tmp_path / "memory.csv")
+    save_batch_csv(rows, memory)
+    out = tmp_path / "synth.csv"
+    assert main(["gen", "--memory", memory, "--out", str(out), "--uniform-lambda"]) == 1
+    err = capsys.readouterr().err
+    assert "numeric error" in err and "action" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line,want", [
+    ("1,2,3,4,5,6,7,8,9,10", "line 3: expected 11 cells, got 10"),   # was numpy's shape error
+    ("1,2,3,4,abc,6,7,8,9,10,11", "line 3: could not convert string to float: 'abc'"),
+])
+def test_malformed_batch_csv_is_an_input_error(line, want, tmp_path, capsys):
+    good = str(tmp_path / "good.csv")
+    with open(good, "w") as fh:
+        fh.write(",".join(TRANSITION_LABELS) + "\n" + ",".join(["0.5"] * 11) + "\n")
+    bad = str(tmp_path / "bad.csv")
+    with open(good) as src, open(bad, "w") as fh:
+        fh.write(src.read() + line + "\n")
+    assert main(["eval", "--real", bad, "--synth", good]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and f"{bad} {want}" in err

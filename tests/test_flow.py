@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from dvfsflow import nets
-from dvfsflow.agent import ReplayMemory, Transition
-from dvfsflow.errors import ConfigurationError, DomainError, StateError
+from dvfsflow.agent import Transition
+from dvfsflow.errors import ConfigurationError, DomainError, NumericError, StateError
 from dvfsflow.flow import (FMConfig, TransitionLayout, bootstrap_latents,
-                           cfm_loss, flatten_memory, flatten_transition,
-                           flow_model_from_dict, flow_model_to_dict,
-                           generate_raw, generate_transitions, init_flow_model,
-                           load_batch_csv, sample_vector_field, save_batch_csv,
-                           train_flow_model, train_vector_field,
+                           cfm_loss, flatten_memory, flow_model_from_dict,
+                           flow_model_to_dict, generate_raw,
+                           init_flow_model, load_batch_csv, sample_vector_field,
+                           save_batch_csv, train_flow_model, unflatten_rows,
                            unflatten_transition)
 from dvfsflow.simenv import DvfsEnv, EnvConfig, ProcessorState
 
@@ -24,40 +23,57 @@ def _transition(a=3, done=False):
     return Transition(s, a, 1.23, s2, done)
 
 
-def _sim_memory(n, seed=0):
+def _sim_data(n, seed=0):
+    """n simulator transitions, flattened."""
     cfg = EnvConfig()
     env = DvfsEnv(cfg, seed=seed)
     rng = np.random.default_rng(seed)
-    mem = ReplayMemory(capacity=n)
+    transitions = []
     for i in range(n):
         s = env.state
         a = int(rng.integers(cfg.num_actions))
         nxt, r, done = env.step(a)
-        mem.push(Transition(s, a, r, nxt, done))
+        transitions.append(Transition(s, a, r, nxt, done))
         if done:
             env.reset(seed=seed + 1000 + i)
-    return mem
+    return flatten_memory(transitions, LAYOUT)
 
 
 # ---------------------------------------------------------------- encoding
 
 def test_flatten_round_trip():
-    for a, done in [(0, False), (3, False), (11, True)]:
-        t = _transition(a=a, done=done)
-        back = unflatten_transition(flatten_transition(t, LAYOUT), LAYOUT, source=t.source)
-        assert back == t
+    ts = [_transition(a=a, done=done) for a, done in [(0, False), (3, False), (11, True)]]
+    assert unflatten_rows(flatten_memory(ts, LAYOUT), LAYOUT, source="real") == ts
+    assert unflatten_transition(flatten_memory(ts[1:2], LAYOUT)[0], LAYOUT, "real") == ts[1]
 
 
 def test_flatten_encodings():
-    v = flatten_transition(_transition(a=11, done=False), LAYOUT)
-    assert v[4] == 1.0        # top action level encodes to 1.0
-    assert v[10] == 0.0       # done=False encodes to 0.0
-    assert flatten_transition(_transition(done=True), LAYOUT)[10] == 1.0
+    v = flatten_memory([_transition(a=11, done=False), _transition(done=True)], LAYOUT)
+    assert v.shape == (2, 11)
+    assert v[0, 4] == 1.0     # top action level encodes to 1.0
+    assert v[0, 10] == 0.0    # done=False encodes to 0.0
+    assert v[1, 10] == 1.0
+    assert flatten_memory([], LAYOUT).shape == (0, 11)
+    assert unflatten_rows(np.empty((0, 11)), LAYOUT) == []
 
 
 def test_unflatten_rejects_wrong_dimension():
     with pytest.raises(DomainError):
         unflatten_transition(np.zeros(10), LAYOUT)
+    with pytest.raises(DomainError):
+        unflatten_rows(np.zeros((3, 10)), LAYOUT)
+    with pytest.raises(DomainError):
+        unflatten_rows(np.zeros(11), LAYOUT)
+
+
+def test_unflatten_rejects_non_finite_naming_columns():
+    rows = np.full((3, 11), 0.5)
+    rows[1, 4] = np.nan
+    rows[2, 8] = -np.inf
+    with pytest.raises(NumericError, match="action, next_temp"):
+        unflatten_rows(rows, LAYOUT)
+    with pytest.raises(NumericError, match="action"):
+        unflatten_transition(rows[1], LAYOUT)
 
 
 def test_unflatten_clamps_physical_ranges():
@@ -205,28 +221,27 @@ def test_cfm_loss_gradient_finite_difference():
 # ---------------------------------------------------------------- training
 
 def test_train_flow_model_deterministic():
-    mem = _sim_memory(40)
+    data = _sim_data(40)
     cfg = FMConfig(hidden_sizes=[8, 8], epochs=5, bootstrap_count=2)
     lam = np.full(LAYOUT.dim, 1.0 / LAYOUT.dim)
-    a = train_flow_model(mem, lam, cfg, LAYOUT, seed=7)
-    b = train_flow_model(mem, lam, cfg, LAYOUT, seed=7)
+    a = train_flow_model(data, lam, cfg, seed=7)
+    b = train_flow_model(data, lam, cfg, seed=7)
     assert a.loss_curve == b.loss_curve
     for wa, wb in zip(a.params.weights, b.params.weights):
         assert np.array_equal(wa, wb)
 
 
 def test_train_flow_model_requires_enough_data():
-    mem = ReplayMemory(capacity=10)
     lam = np.full(LAYOUT.dim, 1.0 / LAYOUT.dim)
     with pytest.raises(StateError):
-        train_flow_model(mem, lam, FMConfig(), LAYOUT, seed=0)
+        train_flow_model(np.empty((0, LAYOUT.dim)), lam, FMConfig(), seed=0)
 
 
 def test_training_loss_trends_down_on_simulator_data():
-    mem = _sim_memory(120, seed=5)
+    data = _sim_data(120, seed=5)
     cfg = FMConfig(hidden_sizes=[32, 32], epochs=120, bootstrap_count=4)
     lam = np.full(LAYOUT.dim, 1.0 / LAYOUT.dim)
-    model = train_flow_model(mem, lam, cfg, LAYOUT, seed=3)
+    model = train_flow_model(data, lam, cfg, seed=3)
     curve = np.array(model.loss_curve)
     assert np.all(np.isfinite(curve))
     ma = np.convolve(curve, np.ones(20) / 20, mode="valid")
@@ -245,7 +260,7 @@ def toy_field():
     data = rng.normal(loc=[3.0, -1.0], scale=0.5, size=(500, 2))
     cfg = FMConfig(hidden_sizes=[64, 64], epochs=200, batch_size=64,
                    bootstrap_count=4, learning_rate=2e-3)
-    return train_vector_field(data, np.array([0.5, 0.5]), cfg, seed=1)
+    return train_flow_model(data, np.array([0.5, 0.5]), cfg, seed=1)
 
 
 def test_toy_moments_match_target(toy_field):
@@ -266,11 +281,11 @@ def test_ode_step_count_stability(toy_field):
 
 
 def test_generate_outputs_valid_transitions():
-    mem = _sim_memory(60, seed=8)
+    data = _sim_data(60, seed=8)
     cfg = FMConfig(hidden_sizes=[16, 16], epochs=30, bootstrap_count=2)
     lam = np.full(LAYOUT.dim, 1.0 / LAYOUT.dim)
-    model = train_flow_model(mem, lam, cfg, LAYOUT, seed=2)
-    out = generate_transitions(model, 200, np.random.default_rng(0), LAYOUT)
+    model = train_flow_model(data, lam, cfg, seed=2)
+    out = unflatten_rows(generate_raw(model, 200, np.random.default_rng(0)), LAYOUT)
     assert len(out) == 200
     for t in out:
         for s in (t.s, t.s_next):
@@ -278,7 +293,7 @@ def test_generate_outputs_valid_transitions():
             assert s.temp >= LAYOUT.ambient_temp and 0.0 <= s.freq <= 1.0
         assert 0 <= t.a < LAYOUT.num_actions
         assert t.source == "synth"
-    assert generate_transitions(model, 0, np.random.default_rng(0), LAYOUT) == []
+    assert unflatten_rows(generate_raw(model, 0, np.random.default_rng(0)), LAYOUT) == []
 
 
 def test_generate_requires_trained_model():
@@ -291,10 +306,10 @@ def test_generate_requires_trained_model():
 # ---------------------------------------------------------------- io
 
 def test_flow_checkpoint_round_trip():
-    mem = _sim_memory(40, seed=2)
+    data = _sim_data(40, seed=2)
     cfg = FMConfig(hidden_sizes=[8], epochs=3, bootstrap_count=2)
     lam = np.full(LAYOUT.dim, 1.0 / LAYOUT.dim)
-    model = train_flow_model(mem, lam, cfg, LAYOUT, seed=4)
+    model = train_flow_model(data, lam, cfg, seed=4)
     clone = flow_model_from_dict(flow_model_to_dict(model))
     a = generate_raw(model, 20, np.random.default_rng(6))
     b = generate_raw(clone, 20, np.random.default_rng(6))
@@ -302,10 +317,10 @@ def test_flow_checkpoint_round_trip():
 
 
 def test_flow_checkpoint_rejects_other_version():
-    mem = _sim_memory(40, seed=2)
+    data = _sim_data(40, seed=2)
     cfg = FMConfig(hidden_sizes=[8], epochs=1, bootstrap_count=2)
     lam = np.full(LAYOUT.dim, 1.0 / LAYOUT.dim)
-    payload = flow_model_to_dict(train_flow_model(mem, lam, cfg, LAYOUT, seed=4))
+    payload = flow_model_to_dict(train_flow_model(data, lam, cfg, seed=4))
     # the version-1 layout: a transition layout, a trained flag, flow.train_start
     payload.update(version=1, trained=True,
                    layout={"num_actions": 12, "ambient_temp": 25.0})
@@ -315,8 +330,7 @@ def test_flow_checkpoint_rejects_other_version():
 
 
 def test_batch_csv_round_trip(tmp_path):
-    mem = _sim_memory(25, seed=1)
-    mat = flatten_memory(mem.items, LAYOUT)
+    mat = _sim_data(25, seed=1)
     path = str(tmp_path / "batch.csv")
     save_batch_csv(mat, path)
     back = load_batch_csv(path)

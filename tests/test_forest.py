@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from dvfsflow.agent import ReplayMemory, Transition
+from dvfsflow.agent import Transition
 from dvfsflow.errors import DomainError, InsufficientDataError
+from dvfsflow.flow import TransitionLayout, flatten_memory
 from dvfsflow.forest import (Forest, ForestConfig, fit_forest, forest_predict,
                              normalized_importances, transition_feature_weights)
 from dvfsflow.simenv import DvfsEnv, EnvConfig
@@ -126,18 +127,19 @@ def test_duplicated_top_feature_does_not_gain_importance():
 
 
 def _fill_memory(n, seed=0):
+    """n noise-free simulator transitions, flattened."""
     cfg = EnvConfig().noiseless()
     env = DvfsEnv(cfg, seed=seed)
     rng = np.random.default_rng(seed)
-    mem = ReplayMemory(capacity=n)
+    transitions = []
     for i in range(n):
         s = env.state
         a = int(rng.integers(cfg.num_actions))
         nxt, r, done = env.step(a)
-        mem.push(Transition(s, a, r, nxt, done))
+        transitions.append(Transition(s, a, r, nxt, done))
         if done:
             env.reset(seed=seed + i + 1)
-    return mem
+    return flatten_memory(transitions, TransitionLayout(num_actions=cfg.num_actions))
 
 
 def test_transition_weights_shape_and_normalization():
@@ -164,3 +166,8 @@ def test_transition_weights_frequency_command_dominates_inputs():
 def test_transition_weights_insufficient_data():
     with pytest.raises(InsufficientDataError):
         transition_feature_weights(_fill_memory(10), ForestConfig())
+
+
+def test_transition_weights_reject_other_shapes():
+    with pytest.raises(DomainError, match=r"\(n, 11\)"):
+        transition_feature_weights(_fill_memory(60)[:, :9], ForestConfig())

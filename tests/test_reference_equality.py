@@ -1,4 +1,4 @@
-"""The flow, forest and Q-step hot paths against plain loop versions of the same arithmetic.
+"""The flow, forest, codec and Q-step hot paths against plain loop versions of the same arithmetic.
 
 The references below are straightforward per-layer, per-column and recursive
 implementations.  The production code batches them into fewer numpy calls
@@ -12,9 +12,11 @@ import pytest
 from dvfsflow import agent, nets
 from dvfsflow.agent import AgentConfig, Transition
 from dvfsflow.errors import NumericError
-from dvfsflow.flow import TransitionLayout, _cfm_batch, bootstrap_latents, unflatten_transition
-from dvfsflow.forest import TreeNode, _best_splits, _grow, fit_forest
-from dvfsflow.simenv import EnvConfig, ProcessorState, normalize_state
+from dvfsflow.flow import (TransitionLayout, _cfm_batch, bootstrap_latents, flatten_memory,
+                           unflatten_rows, unflatten_transition)
+from dvfsflow.forest import (ForestConfig, TreeNode, _best_splits, _grow, fit_forest,
+                             normalized_importances, transition_feature_weights)
+from dvfsflow.simenv import DvfsEnv, EnvConfig, ProcessorState, normalize_state
 
 
 # ---------------------------------------------------------------- references
@@ -152,6 +154,49 @@ def _ref_train_q_step(qnet, target_net, batch, agent_config, env_config, adam):
     return nets.train_step(qnet, adam, x, targets, weights)
 
 
+def _ref_decode_state(fps, freq, power, temp, layout):
+    return ProcessorState(fps=max(fps, 0.0), freq=min(max(freq, 0.0), 1.0),
+                          power=max(power, 1e-6), temp=max(temp, layout.ambient_temp))
+
+
+def _ref_unflatten_transition(vec, layout, source="synth"):
+    """Per-row decoder on numpy scalars."""
+    v = np.asarray(vec, dtype=np.float64)
+    k = layout.num_actions
+    action = int(np.clip(np.rint(v[4] * (k - 1)), 0, k - 1))
+    return Transition(s=_ref_decode_state(v[0], v[1], v[2], v[3], layout), a=action,
+                      r=float(v[9]), s_next=_ref_decode_state(v[5], v[6], v[7], v[8], layout),
+                      done=bool(v[10] > 0.5), source=source)
+
+
+def _ref_flatten_transition(t, layout):
+    a_enc = t.a / (layout.num_actions - 1)
+    return np.array([t.s.fps, t.s.freq, t.s.power, t.s.temp, a_enc,
+                     t.s_next.fps, t.s_next.freq, t.s_next.power, t.s_next.temp,
+                     t.r, 1.0 if t.done else 0.0], dtype=np.float64)
+
+
+def _ref_flatten_memory(transitions, layout):
+    return np.stack([_ref_flatten_transition(t, layout) for t in transitions])
+
+
+def _ref_transition_feature_weights(transitions, config, rng):
+    """Forest weights from transition objects, with the raw action index as input."""
+    x = np.array([[t.s.fps, t.s.freq, t.s.power, t.s.temp, float(t.a)] for t in transitions])
+    targets = np.array([[t.s_next.fps, t.s_next.freq, t.s_next.power, t.s_next.temp]
+                        for t in transitions])
+    acc = np.zeros(5)
+    for j, child in enumerate(rng.spawn(4)):
+        f = fit_forest(x, targets[:, j], n_trees=config.n_trees,
+                       max_depth=config.max_depth, min_leaf=config.min_leaf, rng=child)
+        acc += normalized_importances(f)
+    total = acc.sum()
+    w_in = np.full(5, 1.0 / 5) if total <= 0 else acc / total
+    state_mean = float(w_in[:4].mean())
+    full = np.concatenate([w_in[:4], w_in[4:5], w_in[:4], [state_mean, state_mean]])
+    return full / full.sum()
+
+
 # ---------------------------------------------------------------- nets
 
 def _one_hot_rows(rng, n, d):
@@ -261,6 +306,104 @@ def test_cfm_batch_bitwise_equal_reference(m, count):
         assert np.array_equal(a, b)
 
 
+# ---------------------------------------------------------------- codec
+
+LAYOUT = TransitionLayout(num_actions=12, ambient_temp=25.0)
+_TIES = [(j + 0.5) / 11 for j in range(-1, 12)]       # rint ties below, inside and above [0, 1]
+_EDGE_VALUES = [
+    [0.0, -0.0, -1e-300, -5.0, 5e-324, 61.5],                                 # fps
+    [0.0, -0.0, -0.1, 1.0, np.nextafter(1.0, 2.0), 1.5, np.nextafter(1.0, 0.0)],  # freq
+    [1e-6, np.nextafter(1e-6, 0.0), 0.0, -0.0, -2.0, 7.25],                   # power
+    [25.0, np.nextafter(25.0, 0.0), 0.0, -0.0, -40.0, 300.0, 37.5],           # temp
+    _TIES + [0.0, -0.0, 1.0, -1.0, 1.5, 1e300, -1e300, 3 / 11],               # action
+    [0.0, -0.0, -3.0, 120.0],                                                 # next_fps
+    [-0.0, 0.0, 1.0, 1.25, -2.0, 0.4],                                        # next_freq
+    [-0.0, 1e-6, 5e-7, 16.0],                                                 # next_power
+    [-0.0, 25.0, 24.999999, 80.0, -1.0],                                      # next_temp
+    [-0.0, 0.0, -2.5, 1.75],                                                  # reward
+    [0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0), -0.0, 0.0, 1.0, 2.0, -1.0],  # done
+]
+
+
+def _edge_rows():
+    """Every edge value of every column at least once, cycled against the others."""
+    n = max(len(v) for v in _EDGE_VALUES)
+    rows = np.array([[vals[i % len(vals)] for vals in _EDGE_VALUES] for i in range(3 * n)])
+    rng = np.random.default_rng(5)
+    noise = rng.uniform(-0.2, 1.2, size=(40, 11)) * [120, 1, 20, 80, 1, 120, 1, 20, 80, 2, 1]
+    return np.concatenate([rows, noise])
+
+
+def _fields(t):
+    return ([float(v).hex() for s in (t.s, t.s_next) for v in (s.fps, s.freq, s.power, s.temp)]
+            + [type(t.a), t.a, float(t.r).hex(), type(t.done), t.done, t.source])
+
+
+@pytest.mark.parametrize("num_actions,ambient", [(12, 25.0), (2, 0.0), (5, -10.0)])
+def test_unflatten_rows_field_equal_reference(num_actions, ambient):
+    layout = TransitionLayout(num_actions=num_actions, ambient_temp=ambient)
+    rows = _edge_rows()
+    got = unflatten_rows(rows, layout, source="model")
+    assert len(got) == len(rows)
+    for row, t in zip(rows, got):
+        want = _fields(_ref_unflatten_transition(row, layout, source="model"))
+        assert _fields(t) == want
+        assert _fields(unflatten_transition(row, layout, source="model")) == want
+
+
+def _edge_transitions():
+    decoded_np = [_ref_unflatten_transition(row, LAYOUT) for row in _edge_rows()]
+    decoded_py = unflatten_rows(_edge_rows(), LAYOUT)
+    rng = np.random.default_rng(2)
+    plain = [Transition(_random_state(rng), a, float(rng.normal()), _random_state(rng),
+                        bool(a % 2)) for a in range(12)]
+    neg = ProcessorState(fps=-0.0, freq=-0.0, power=-0.0, temp=-0.0)
+    plain.append(Transition(neg, 0, -0.0, neg, False))
+    return decoded_np + decoded_py + plain
+
+
+def test_flatten_memory_bytes_equal_reference():
+    ts = _edge_transitions()
+    assert flatten_memory(ts, LAYOUT).tobytes() == _ref_flatten_memory(ts, LAYOUT).tobytes()
+    for k in (2, 5):
+        layout = TransitionLayout(num_actions=k)
+        small = [t for t in ts if t.a < k]
+        assert (flatten_memory(small, layout).tobytes()
+                == _ref_flatten_memory(small, layout).tobytes())
+
+
+def _sim_transitions(env_config, n, seed):
+    env = DvfsEnv(env_config, seed=seed)
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        s = env.state
+        a = int(rng.integers(env_config.num_actions))
+        nxt, r, done = env.step(a)
+        out.append(Transition(s, a, r, nxt, done))
+        if done:
+            env.reset(seed=seed + 100 + i)
+    return out
+
+
+@pytest.mark.parametrize("num_actions,noiseless,seed", [(12, False, 0), (12, True, 1),
+                                                         (3, False, 2), (7, True, 3)])
+def test_transition_feature_weights_hex_equal_reference(num_actions, noiseless, seed):
+    env = EnvConfig(num_actions=num_actions, episode_horizon=60)
+    env = env.noiseless() if noiseless else env
+    layout = TransitionLayout(num_actions=num_actions, ambient_temp=env.ambient_temp)
+    ts = _sim_transitions(env, 150, seed)
+    # decoded synthetic rows too: clamped states, snapped actions
+    raw = np.random.default_rng(seed).uniform(-0.1, 1.1, size=(60, 11)) \
+        * [120, 1, 20, 80, 1, 120, 1, 20, 80, 2, 1]
+    ts += unflatten_rows(raw, layout)
+    cfg = ForestConfig(n_trees=6, max_depth=5)
+    got = transition_feature_weights(flatten_memory(ts, layout), cfg,
+                                     rng=np.random.default_rng([seed, 30]))
+    want = _ref_transition_feature_weights(ts, cfg, np.random.default_rng([seed, 30]))
+    assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
 # ---------------------------------------------------------------- forest
 
 def _split_data(seed, n, k):
@@ -337,11 +480,11 @@ def _random_state(rng):
 def _q_batch(kind, rng):
     k = Q_ENV.num_actions
     if kind == "decoded":
-        # unflatten_transition leaves numpy float64 scalars in the state fields
+        # the batch decoder leaves Python floats in the state fields
         rows = rng.uniform(0.0, 1.0, size=(32, 11)) * [120, 1, 20, 80, 1, 120, 1, 20, 80, 2, 1]
         layout = TransitionLayout(num_actions=k, ambient_temp=Q_ENV.ambient_temp)
-        batch = [unflatten_transition(row, layout) for row in rows]
-        assert isinstance(batch[0].s.fps, np.float64)
+        batch = unflatten_rows(rows, layout)
+        assert type(batch[0].s.fps) is float and type(batch[0].s_next.temp) is float
         return batch
     n = 1 if kind == "single" else 32
     batch = [Transition(_random_state(rng), int(rng.integers(k)), float(rng.normal()),
