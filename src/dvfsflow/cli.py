@@ -8,6 +8,7 @@ rerun from the same config and seeds reproduces every CSV byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ from .errors import (ConfigurationError, DomainError, InsufficientDataError,
 from .evalkit import (corr_gap, corr_gap_excluded_count, early_fps_gain,
                       empirical_regret, pearson_matrix, qvalue_stability,
                       wasserstein1)
-from .flow import (TRANSITION_LABELS, TransitionLayout, bootstrap_latents,
+from .flow import (TRANSITION_LABELS, TransitionLayout, bootstrap_latents, check_finite,
                    flatten_memory, flow_model_to_dict, generate_raw, load_batch_csv,
                    save_batch_csv, train_flow_model, unflatten_rows)
 from .flow import unflatten_transition  # noqa: F401  (perfbench's tracer wraps it here)
@@ -157,9 +158,16 @@ def _eval_batches(real: np.ndarray, synth: np.ndarray) -> dict:
     }
 
 
+def _load_finite_batch(path: str) -> np.ndarray:
+    """A batch CSV; a NaN/inf cell raises NumericError naming file and column(s)."""
+    batch = load_batch_csv(path)
+    check_finite(batch, path)
+    return batch
+
+
 def cmd_eval(args) -> int:
-    real = load_batch_csv(args.real)
-    synth = load_batch_csv(args.synth)
+    real = _load_finite_batch(args.real)
+    synth = _load_finite_batch(args.synth)
     result = _eval_batches(real, synth)
     text = json.dumps(result, indent=2, sort_keys=True)
     if args.out:
@@ -180,14 +188,16 @@ def cmd_report(args) -> int:
 
     env = EnvConfig(**manifest["config"]["env"])
     oracle = regret_oracle(env)
+    # each CSV is read and checked once; the figures reuse the batches
+    batch = functools.cache(lambda name: _load_finite_batch(os.path.join(run_dir, name)))
     per_run = []
     logs = {}
     for entry in manifest["runs"]:
         method, seed = entry["method"], entry["seed"]
         files = entry["files"]
         log = runlog_from_csv(os.path.join(run_dir, files["runlog"]), method, seed)
-        logs[(method, seed)] = (log, files)
         regret = empirical_regret(log, oracle)
+        logs[(method, seed)] = (log, files, regret)
         row = {
             "method": method, "seed": seed,
             "mean_fps": float(np.mean([s.fps for s in log.states])),
@@ -196,9 +206,7 @@ def cmd_report(args) -> int:
             "final_regret": float(regret[-1]),
         }
         if files.get("synth"):
-            real = load_batch_csv(os.path.join(run_dir, files["real"]))
-            synth = load_batch_csv(os.path.join(run_dir, files["synth"]))
-            row["eval"] = _eval_batches(real, synth)
+            row["eval"] = _eval_batches(batch(files["real"]), batch(files["synth"]))
         per_run.append(row)
 
     methods = sorted({r["method"] for r in per_run})
@@ -243,19 +251,16 @@ def cmd_report(args) -> int:
     for method in methods:
         if (method, first_seed) not in logs:
             continue
-        log, files = logs[(method, first_seed)]
+        log, files, regret = logs[(method, first_seed)]
         fps_series[method] = [s.fps for s in log.states]
         maxq_series[method] = log.max_q
-        regret_series[method] = empirical_regret(log, oracle).tolist()
+        regret_series[method] = regret.tolist()
         if files.get("synth"):
-            synth = load_batch_csv(os.path.join(run_dir, files["synth"]))
-            m = pearson_matrix(synth)
+            m = pearson_matrix(batch(files["synth"]))
             report.svg_heatmap(m.values, m.labels,
                                os.path.join(report_dir, f"corr_{method}.svg"),
                                title=f"synthetic correlations: {method}")
-    real0 = load_batch_csv(os.path.join(run_dir,
-                                        manifest["runs"][0]["files"]["real"]))
-    m_real = pearson_matrix(real0)
+    m_real = pearson_matrix(batch(manifest["runs"][0]["files"]["real"]))
     report.svg_heatmap(m_real.values, m_real.labels,
                        os.path.join(report_dir, "corr_real.svg"),
                        title="real-data correlations")
@@ -301,11 +306,11 @@ def _selftest_checks():
         frac = np.mean([len(np.unique(r[:, 0])) / 2000 for r in reps])
         return abs(frac - (1 - 1 / np.e)) < 0.02, f"distinct fraction {frac:.4f}"
 
-    def check_wasserstein():
-        a = rng.uniform(0, 1, size=10_000)
-        b = rng.uniform(0, 2, size=10_000)
+    def check_wasserstein(n_a, n_b):
+        a = rng.uniform(0, 1, size=n_a)
+        b = rng.uniform(0, 2, size=n_b)
         w = wasserstein1(a, b)
-        return abs(w - 0.5) < 0.03, f"W1(U[0,1], U[0,2]) = {w:.4f}"
+        return abs(w - 0.5) < 0.03, f"W1(U[0,1] x {n_a}, U[0,2] x {n_b}) = {w:.4f}"
 
     def check_adam():
         p = nets.init_mlp([1, 1], seed=0)
@@ -317,7 +322,8 @@ def _selftest_checks():
 
     return [("gradient_check", check_grads), ("pearson_oracle", check_pearson),
             ("bootstrap_fraction", check_bootstrap),
-            ("wasserstein_oracle", check_wasserstein),
+            ("wasserstein_oracle", lambda: check_wasserstein(10_000, 10_000)),
+            ("wasserstein_unequal_oracle", lambda: check_wasserstein(2_000, 10_000)),
             ("adam_first_step", check_adam)]
 
 

@@ -203,7 +203,7 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert out.count("PASS") == 5
+    assert out.count("PASS") == 6
 
 
 def test_unknown_subcommand_exits_2():
@@ -309,3 +309,38 @@ def test_malformed_batch_csv_is_an_input_error(line, want, tmp_path, capsys):
     assert main(["eval", "--real", bad, "--synth", good]) == 1
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and f"{bad} {want}" in err
+
+
+def test_eval_non_finite_cell_is_a_numeric_error(tmp_path, capsys):
+    from dvfsflow.flow import save_batch_csv
+
+    rng = np.random.default_rng(0)
+    real, synth = str(tmp_path / "real.csv"), str(tmp_path / "synth.csv")
+    save_batch_csv(rng.uniform(0.1, 1.0, size=(30, 11)), real)
+    rows = rng.uniform(0.1, 1.0, size=(40, 11))
+    rows[3, 2] = np.nan                     # used to print "power": NaN and exit 0
+    rows[5, 9] = np.inf
+    save_batch_csv(rows, synth)
+    assert main(["eval", "--real", real, "--synth", synth]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"numeric error: {synth}: ")
+    assert "column(s) power, reward" in captured.err
+
+
+def test_report_non_finite_cell_is_a_numeric_error(tmp_path, capsys):
+    from dvfsflow.flow import load_batch_csv, save_batch_csv
+
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path, {"methods": ["pure_fm", "model_free"],
+                                        "seeds": [0, 1], "output_dir": str(out)})
+    assert main(["run", "--config", cfg_path]) == 0
+    synth = str(out / "synth_pure_fm_seed1.csv")
+    rows = load_batch_csv(synth)
+    rows[0, 0] = np.nan
+    save_batch_csv(rows, synth)
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric error: {synth}: ") and "column(s) fps\n" in err
+    assert not (out / "report" / "report.json").exists()

@@ -1,4 +1,5 @@
-"""The flow, forest, codec and Q-step hot paths against plain loop versions of the same arithmetic.
+"""The flow, forest, codec, Q-step, ODE sampler and W1 hot paths against plain
+loop versions of the same arithmetic.
 
 The references below are straightforward per-layer, per-column and recursive
 implementations.  The production code batches them into fewer numpy calls
@@ -12,8 +13,10 @@ import pytest
 from dvfsflow import agent, nets
 from dvfsflow.agent import AgentConfig, Transition
 from dvfsflow.errors import NumericError
-from dvfsflow.flow import (TransitionLayout, _cfm_batch, bootstrap_latents, flatten_memory,
-                           unflatten_rows, unflatten_transition)
+from dvfsflow.evalkit import _sorted_quantile, wasserstein1
+from dvfsflow.flow import (FMConfig, Normalizer, TransitionLayout, _cfm_batch,
+                           bootstrap_latents, flatten_memory, init_flow_model,
+                           sample_vector_field, unflatten_rows, unflatten_transition)
 from dvfsflow.forest import (ForestConfig, TreeNode, _best_splits, _grow, fit_forest,
                              normalized_importances, transition_feature_weights)
 from dvfsflow.simenv import DvfsEnv, EnvConfig, ProcessorState, normalize_state
@@ -133,6 +136,29 @@ def _ref_cfm_batch(batch, lam, sigma_min, count, rng):
     xt = (1.0 - (1.0 - sigma_min) * t) * x0 + t * x1
     target = x1 - (1.0 - sigma_min) * x0
     return np.concatenate([xt, t], axis=1), target, lam
+
+
+def _ref_sample_vector_field(model, n, rng, ode_steps=100):
+    """All n rows through each Euler step at once."""
+    d = model.params.out_dim
+    if n == 0:
+        return np.empty((0, d))
+    x = rng.standard_normal((n, d))
+    dt = 1.0 / ode_steps
+    for step in range(ode_steps):
+        t_col = np.full((n, 1), step * dt)
+        x = x + nets.forward_batch(model.params, np.concatenate([x, t_col], axis=1)) * dt
+    return model.normalizer.denormalize(x)
+
+
+def _ref_wasserstein1(a, b):
+    a = np.sort(np.asarray(a, dtype=np.float64).ravel())
+    b = np.sort(np.asarray(b, dtype=np.float64).ravel())
+    if a.size == b.size:
+        return float(np.mean(np.abs(a - b)))
+    m = max(a.size, b.size)
+    q = (np.arange(m) + 0.5) / m
+    return float(np.mean(np.abs(np.quantile(a, q) - np.quantile(b, q))))
 
 
 def _ref_train_q_step(qnet, target_net, batch, agent_config, env_config, adam):
@@ -528,3 +554,88 @@ def test_train_q_step_rejects_nan_online_net_before_updating():
         agent.train_q_step(qnet, target, _q_batch("done_and_live", rng), cfg, Q_ENV, adam)
     assert qnet.flat.tobytes() == flat_before
     assert adam.step == 0 and not adam.m.any() and not adam.v.any()
+
+
+# ---------------------------------------------------------------- ODE sampler
+
+@pytest.fixture(scope="module")
+def random_flow():
+    rng = np.random.default_rng(11)
+    model = init_flow_model(FMConfig(), np.full(11, 1.0 / 11), seed=4)
+    model.params.flat[:] = rng.normal(scale=0.5, size=model.params.flat.size)
+    model.normalizer = Normalizer(mean=rng.normal(size=11), std=rng.uniform(0.5, 2.0, size=11))
+    return model
+
+
+# Cut into 512-row slices, 1026 and 1133 would end in a 2- and a 109-row slice,
+# whose rows differ in the last bits (small dgemm calls use other kernels).
+@pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 1000, 1026, 1133, 5000])
+@pytest.mark.parametrize("ode_steps", [1, 7, 100])
+def test_sample_vector_field_bytes_equal_reference(random_flow, n, ode_steps):
+    got = sample_vector_field(random_flow, n, np.random.default_rng(n), ode_steps)
+    want = _ref_sample_vector_field(random_flow, n, np.random.default_rng(n), ode_steps)
+    assert got.shape == want.shape == (n, 11)
+    assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------- W1 quantiles
+
+def _hex(values):
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
+QS = np.array([0.0, 1e-12, 0.25, 0.5, 0.5 + 1e-12, 0.75, np.nextafter(1.0, 0.0),
+               1.0 - 1e-9, 1.0])
+
+
+def _quantile_sample(kind, n, rng):
+    if kind == "normal":
+        return rng.normal(size=n)
+    if kind == "ties":
+        return rng.integers(-3, 4, size=n).astype(np.float64)
+    if kind == "negative_zero":                 # -0.0 but no +0.0 among the ties
+        return rng.choice([-0.0, -1.5, 2.0, 1e300], size=n)
+    return rng.normal(size=n) * 1e-310          # subnormal
+
+
+@pytest.mark.parametrize("n", [1, 2, 200, 5000])
+@pytest.mark.parametrize("kind", ["normal", "ties", "negative_zero", "tiny"])
+def test_sorted_quantile_hex_equal_numpy(n, kind):
+    rng = np.random.default_rng(n)
+    s = np.sort(_quantile_sample(kind, n, rng))
+    for q in (QS, (np.arange(n) + 0.5) / n, (np.arange(3 * n + 1) + 0.5) / (3 * n + 1)):
+        assert _hex(_sorted_quantile(s, q)) == _hex(np.quantile(s, q))
+
+
+def test_sorted_quantile_mixed_signed_zeros():
+    # np.quantile partitions first and may swap tied -0.0 and +0.0, so only
+    # the values compare equal; W1 takes |qa - qb|, where the sign is lost.
+    rng = np.random.default_rng(5)
+    for n in (2, 200, 5000):
+        s = np.sort(rng.choice([-0.0, 0.0, 1.0, -1.0], size=n))
+        q = (np.arange(2 * n) + 0.5) / (2 * n)
+        assert np.array_equal(_sorted_quantile(s, q), np.quantile(s, q))
+        other = rng.normal(size=n + 7)
+        assert wasserstein1(s, other).hex() == _ref_wasserstein1(s, other).hex()
+
+
+@pytest.mark.parametrize("na,nb", [(200, 5000), (5000, 200), (1, 3), (2, 1), (37, 37),
+                                   (199, 200)])
+def test_wasserstein1_hex_equal_reference(na, nb):
+    rng = np.random.default_rng(na * 7919 + nb)
+    for kind in ("normal", "ties", "negative_zero", "tiny"):
+        a = _quantile_sample(kind, na, rng)
+        b = _quantile_sample("normal", nb, rng) * 3.0 + 1.0
+        assert wasserstein1(a, b).hex() == _ref_wasserstein1(a, b).hex()
+        assert wasserstein1(b, a).hex() == _ref_wasserstein1(b, a).hex()
+
+
+@pytest.mark.parametrize("na,nb", [(200, 5000), (50, 50), (1, 4)])
+def test_wasserstein1_nan_in_either_sample_is_nan(na, nb):
+    rng = np.random.default_rng(2)
+    a, b = rng.normal(size=na), rng.normal(size=nb)
+    a_nan = a.copy()
+    a_nan[0] = np.nan
+    assert np.isnan(wasserstein1(a_nan, b))
+    assert np.isnan(wasserstein1(b, a_nan))
+    assert np.isnan(_sorted_quantile(np.sort(a_nan), np.array([0.0, 0.5]))).all()
