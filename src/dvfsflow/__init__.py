@@ -12,7 +12,7 @@ from .agent import AgentConfig, ReplayMemory, Transition
 from .errors import (ConfigurationError, DomainError, InsufficientDataError,
                      NumericError, StateError)
 from .flow import FMConfig, FlowModel, TransitionLayout
-from .forest import Forest, ForestConfig
+from .forest import ForestConfig
 from .nets import AdamState, MlpParams
 from .orchestrate import RunLog, ScheduleConfig, run_experiment
 from .simenv import DvfsEnv, EnvConfig, ProcessorState
@@ -22,7 +22,7 @@ __all__ = [
     "ConfigurationError", "DomainError", "InsufficientDataError",
     "NumericError", "StateError",
     "FMConfig", "FlowModel", "TransitionLayout",
-    "Forest", "ForestConfig",
+    "ForestConfig",
     "AdamState", "MlpParams",
     "RunLog", "ScheduleConfig", "run_experiment",
     "DvfsEnv", "EnvConfig", "ProcessorState",

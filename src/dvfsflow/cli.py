@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from . import nets, report
-from .config import ExperimentConfig, config_to_dict, dump_config, load_config
+from .config import (ExperimentConfig, config_from_dict, config_to_dict, dump_config,
+                     load_config)
 from .errors import (ConfigurationError, DomainError, InsufficientDataError,
                      NumericError, StateError)
 from .evalkit import (corr_gap, corr_gap_excluded_count, early_fps_gain,
@@ -27,10 +28,9 @@ from .flow import (TRANSITION_LABELS, TransitionLayout, bootstrap_latents, check
                    flatten_memory, flow_model_to_dict, generate_raw, load_batch_csv,
                    save_batch_csv, train_flow_model, unflatten_rows)
 from .flow import unflatten_transition  # noqa: F401  (perfbench's tracer wraps it here)
-from .forest import transition_feature_weights
+from .forest import fit_forest, normalized_importances, transition_feature_weights
 from .orchestrate import (regret_oracle, run_experiment, runlog_from_csv,
                           runlog_summary, runlog_to_csv)
-from .simenv import EnvConfig
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -186,7 +186,7 @@ def cmd_report(args) -> int:
     report_dir = os.path.join(run_dir, "report")
     os.makedirs(report_dir, exist_ok=True)
 
-    env = EnvConfig(**manifest["config"]["env"])
+    env = config_from_dict(manifest["config"]).env
     oracle = regret_oracle(env)
     # each CSV is read and checked once; the figures reuse the batches
     batch = functools.cache(lambda name: _load_finite_batch(os.path.join(run_dir, name)))
@@ -320,11 +320,16 @@ def _selftest_checks():
         return abs(new.weights[0][0, 0] + 0.05) < 1e-6, \
             f"first step {new.weights[0][0, 0]:+.6f}"
 
+    def check_importance():
+        x = rng.uniform(0, 1, size=(300, 2))
+        lam = normalized_importances(fit_forest(x, 3.0 * x[:, 0], n_trees=30, rng=rng))
+        return lam[0] > 0.8, f"feature 0 weight {lam[0]:.4f} for y = 3 x0"
+
     return [("gradient_check", check_grads), ("pearson_oracle", check_pearson),
             ("bootstrap_fraction", check_bootstrap),
             ("wasserstein_oracle", lambda: check_wasserstein(10_000, 10_000)),
             ("wasserstein_unequal_oracle", lambda: check_wasserstein(2_000, 10_000)),
-            ("adam_first_step", check_adam)]
+            ("adam_first_step", check_adam), ("importance_oracle", check_importance)]
 
 
 def cmd_selftest(args) -> int:

@@ -117,16 +117,7 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "env": dataclasses.asdict(cfg.env),
-        "agent": dataclasses.asdict(cfg.agent),
-        "schedule": dataclasses.asdict(cfg.schedule),
-        "flow": dataclasses.asdict(cfg.flow),
-        "forest": dataclasses.asdict(cfg.forest),
-        "methods": list(cfg.methods),
-        "seeds": list(cfg.seeds),
-        "output_dir": cfg.output_dir,
-    }
+    return dataclasses.asdict(cfg)
 
 
 def load_config(path: str) -> ExperimentConfig:

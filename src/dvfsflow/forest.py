@@ -1,10 +1,12 @@
-"""Random-forest regression and the normalized feature weights it supplies.
+"""Random-forest feature importances and the normalized weights they supply.
 
-Trees split on variance reduction with sqrt(d) features considered per split
-and are fit on bootstrap resamples.  Importances are impurity-based: each
-split contributes (node_samples / total_samples) * variance_reduction to its
-feature, raw importances are averaged over trees, then normalized to sum 1.
-The transition weighting fits one forest per next-state column of the (n, 11)
+The forest exists only for its importances: trees are grown on bootstrap
+resamples, split on variance reduction with sqrt(d) features considered per
+split, and keep no thresholds or leaf values.  Each split contributes
+(node_samples / total_samples) * variance_reduction to its feature; a tree
+sums its splits in a fixed order (preorder, right subtree first), raw
+importances are averaged over trees, then normalized to sum 1.  The
+transition weighting fits one forest per next-state column of the (n, 11)
 transition array and mirrors the input weights onto all 11 columns.
 """
 
@@ -16,36 +18,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, InsufficientDataError, NumericError
-
-
-@dataclass
-class TreeNode:
-    n_samples: int
-    impurity: float                     # variance of targets at this node
-    value: float                        # mean target (prediction if leaf)
-    feature: int = -1                   # -1 marks a leaf
-    threshold: float = 0.0
-    gain: float = 0.0                   # variance reduction of the split
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
-
-
-@dataclass
-class RegressionTree:
-    root: TreeNode
-    n_features: int
-    seed: int
-
-
-@dataclass
-class Forest:
-    trees: list[RegressionTree]
-    n_features: int
-    importances: np.ndarray             # raw (unnormalized), averaged over trees
 
 
 @dataclass
@@ -107,28 +79,29 @@ def _best_splits(block: np.ndarray, y: np.ndarray,
             for g, t, ok in zip(best.tolist(), thresholds.tolist(), found.tolist())]
 
 
-def _node(ys: np.ndarray) -> TreeNode:
-    """A leaf holding the targets' mean and variance, reduced exactly as
-    ``np.mean`` and ``np.var`` reduce them."""
+def _impurity(ys: np.ndarray) -> float:
+    """The targets' variance, reduced exactly as ``np.var`` reduces it."""
     n = ys.size
-    mean = np.add.reduce(ys) / n
-    dev = ys - mean
+    dev = ys - np.add.reduce(ys) / n
     dev *= dev
-    return TreeNode(n_samples=n, impurity=float(np.add.reduce(dev) / n), value=float(mean))
+    return float(np.add.reduce(dev) / n)
 
 
 def _grow(x: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int, n_sub: int,
-          rng: np.random.Generator) -> TreeNode:
-    """Grow one tree over index arrays into (x, y).
+          rng: np.random.Generator) -> np.ndarray:
+    """Grow one tree on (x, y) and return its raw importance per feature.
 
     Nodes are split in preorder, left subtree first, so every node's feature
-    draw comes from ``rng`` in the order a recursive build would make it.
+    draw comes from ``rng`` in the order a recursive build would make it.  A
+    node is known by its path from the root (1 = left, 0 = right), and each
+    split is recorded as (path, feature, node share * variance reduction).
     """
-    root = _node(y)
-    stack = [(root, np.arange(y.size), y, 0)]
+    n_root = y.size
+    splits = []
+    stack = [((), np.arange(n_root), y)]
     while stack:
-        node, rows, ys, depth = stack.pop()
-        if depth >= max_depth or node.n_samples < 2 * min_leaf or node.impurity <= 1e-15:
+        path, rows, ys = stack.pop()
+        if len(path) >= max_depth or ys.size < 2 * min_leaf or _impurity(ys) <= 1e-15:
             continue
         features = rng.choice(x.shape[1], size=n_sub, replace=False)
         block = x[rows[:, None], features]
@@ -138,37 +111,22 @@ def _grow(x: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int, n_sub: in
                 best_gain, best_col, best_thr = gain, j, thr
         if best_col < 0:
             continue
-        best_feat = int(features[best_col])
-        mask = block[:, best_col] <= best_thr
-        node.feature = best_feat
-        node.threshold = best_thr
-        node.gain = best_gain
-        children = []
-        for side in (mask, ~mask):
-            child_ys = ys[side]
-            children.append((_node(child_ys), rows[side], child_ys, depth + 1))
-        node.left, node.right = children[0][0], children[1][0]
-        stack.append(children[1])
-        stack.append(children[0])
-    return root
-
-
-def _tree_importances(tree: RegressionTree, n_root: int) -> np.ndarray:
-    imp = np.zeros(tree.n_features)
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            continue
-        imp[node.feature] += (node.n_samples / n_root) * node.gain
-        stack.append(node.left)
-        stack.append(node.right)
+        splits.append((path, int(features[best_col]), ys.size / n_root * best_gain))
+        left = block[:, best_col] <= best_thr
+        right = ~left
+        stack.append((path + (0,), rows[right], ys[right]))
+        stack.append((path + (1,), rows[left], ys[left]))
+    imp = np.zeros(x.shape[1])
+    # Preorder, right subtree first: the pinned λ depends on this order to the last bit.
+    for _, feature, value in sorted(splits):
+        imp[feature] += value
     return imp
 
 
 def fit_forest(x: np.ndarray, y: np.ndarray, n_trees: int = 50, max_depth: int = 6,
-               min_leaf: int = 5, rng: Optional[np.random.Generator] = None) -> Forest:
-    """Fit a variance-reduction forest on bootstrap resamples; deterministic per seed."""
+               min_leaf: int = 5, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    """Raw importances of a variance-reduction forest fit on bootstrap
+    resamples, averaged over trees; deterministic per seed."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.size:
@@ -183,39 +141,20 @@ def fit_forest(x: np.ndarray, y: np.ndarray, n_trees: int = 50, max_depth: int =
     rng = np.random.default_rng(0) if rng is None else rng
     n_sub = max(1, int(np.ceil(np.sqrt(d))))
 
-    trees = []
     importances = np.zeros(d)
-    for t, child in enumerate(rng.spawn(n_trees)):
+    for child in rng.spawn(n_trees):
         boot = child.integers(0, n, size=n)
-        root = _grow(x[boot], y[boot], max_depth, min_leaf, n_sub, child)
-        tree = RegressionTree(root=root, n_features=d, seed=t)
-        trees.append(tree)
-        importances += _tree_importances(tree, n)
+        importances += _grow(x[boot], y[boot], max_depth, min_leaf, n_sub, child)
     importances /= n_trees
-    return Forest(trees=trees, n_features=d, importances=importances)
+    return importances
 
 
-def _predict_one(root: TreeNode, row: np.ndarray) -> float:
-    node = root
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node.value
-
-
-def forest_predict(forest: Forest, x: np.ndarray) -> float:
-    """Mean of per-tree leaf values for a single input row."""
-    row = np.asarray(x, dtype=np.float64)
-    if row.shape != (forest.n_features,):
-        raise DomainError(f"expected input of dim {forest.n_features}, got {row.shape}")
-    return float(np.mean([_predict_one(t.root, row) for t in forest.trees]))
-
-
-def normalized_importances(forest: Forest) -> np.ndarray:
+def normalized_importances(importances: np.ndarray) -> np.ndarray:
     """Importances scaled to sum 1; uniform fallback when every importance is zero."""
-    total = forest.importances.sum()
+    total = importances.sum()
     if total <= 0:
-        return np.full(forest.n_features, 1.0 / forest.n_features)
-    return forest.importances / total
+        return np.full(importances.size, 1.0 / importances.size)
+    return importances / total
 
 
 def transition_feature_weights(data: np.ndarray,

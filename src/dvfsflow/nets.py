@@ -83,26 +83,9 @@ class AdamState:
     step: int
     m: np.ndarray               # first moments, laid out like MlpParams.flat
     v: np.ndarray               # second moments, same layout
-    layer_sizes: list[int]
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-
-    @property
-    def m_w(self) -> list[np.ndarray]:
-        return _layer_views(self.m, self.layer_sizes)[0]
-
-    @property
-    def v_w(self) -> list[np.ndarray]:
-        return _layer_views(self.v, self.layer_sizes)[0]
-
-    @property
-    def m_b(self) -> list[np.ndarray]:
-        return _layer_views(self.m, self.layer_sizes)[1]
-
-    @property
-    def v_b(self) -> list[np.ndarray]:
-        return _layer_views(self.v, self.layer_sizes)[1]
 
 
 def init_mlp(layer_sizes: Sequence[int], activation: str = "tanh",
@@ -212,14 +195,13 @@ def loss_and_grads(params: MlpParams, x: np.ndarray, y: np.ndarray,
 
 def adam_init(params: MlpParams, lr: float) -> AdamState:
     return AdamState(lr=float(lr), step=0, m=np.zeros_like(params.flat),
-                     v=np.zeros_like(params.flat), layer_sizes=list(params.layer_sizes))
+                     v=np.zeros_like(params.flat))
 
 
 def adam_reset(adam: AdamState, lr: Optional[float] = None) -> AdamState:
     """Fresh moments and step counter; optionally restore a given learning rate."""
     return AdamState(lr=adam.lr if lr is None else float(lr), step=0,
                      m=np.zeros_like(adam.m), v=np.zeros_like(adam.v),
-                     layer_sizes=list(adam.layer_sizes),
                      beta1=adam.beta1, beta2=adam.beta2, eps=adam.eps)
 
 
@@ -243,9 +225,7 @@ def adam_step(params: MlpParams, grads_w: list[np.ndarray], grads_b: list[np.nda
     denom += adam.eps
     update /= denom
     new = MlpParams(list(params.layer_sizes), params.activation, params.flat - update)
-    return new, AdamState(lr=adam.lr, step=t, m=m, v=v,
-                          layer_sizes=list(adam.layer_sizes),
-                          beta1=b1, beta2=b2, eps=adam.eps)
+    return new, AdamState(lr=adam.lr, step=t, m=m, v=v, beta1=b1, beta2=b2, eps=adam.eps)
 
 
 def train_step(params: MlpParams, adam: AdamState, x: np.ndarray, y: np.ndarray,

@@ -24,7 +24,7 @@ from . import agent as agent_mod
 from . import flow as flow_mod
 from . import nets
 from .agent import AgentConfig, ReplayMemory, Transition
-from .errors import ConfigurationError, DomainError, InsufficientDataError
+from .errors import ConfigurationError, DomainError, InsufficientDataError, NumericError
 from .flow import FMConfig, Normalizer, TransitionLayout
 from .forest import ForestConfig, transition_feature_weights
 from .nets import AdamState
@@ -34,6 +34,7 @@ METHODS = ("dfm", "pure_fm", "model_based", "model_free")
 
 RUNLOG_COLUMNS = ["t", "fps", "freq", "power", "temp", "action", "reward",
                   "epsilon", "max_q", "agent_loss", "fm_loss"]
+_LOSS_COLUMNS = ("agent_loss", "fm_loss")               # empty before the first update
 
 
 @dataclass
@@ -312,23 +313,37 @@ def runlog_to_csv(log: RunLog, path: str) -> None:
 
 def runlog_from_csv(path: str, method: str = "", seed: int = -1,
                     config: Optional[dict] = None) -> RunLog:
-    """Rebuild the per-step record from a CSV written by :func:`runlog_to_csv`."""
+    """Rebuild the per-step record from a CSV written by :func:`runlog_to_csv`.
+
+    A missing or non-numeric cell raises :class:`DomainError` and a NaN/inf
+    cell :class:`NumericError`, each naming the path and line; empty loss
+    cells read as None.
+    """
     log = RunLog(method=method, seed=seed, config=config or {})
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != RUNLOG_COLUMNS:
             raise DomainError(f"unexpected run-log header in {path}")
         for row in reader:
-            log.t.append(int(row["t"]))
-            log.states.append(ProcessorState(
-                fps=float(row["fps"]), freq=float(row["freq"]),
-                power=float(row["power"]), temp=float(row["temp"])))
-            log.actions.append(int(row["action"]))
-            log.rewards.append(float(row["reward"]))
-            log.epsilons.append(float(row["epsilon"]))
-            log.max_q.append(float(row["max_q"]))
-            log.agent_loss.append(float(row["agent_loss"]) if row["agent_loss"] else None)
-            log.fm_loss.append(float(row["fm_loss"]) if row["fm_loss"] else None)
+            where = f"{path} line {reader.line_num}"
+            try:
+                t, action = int(row["t"]), int(row["action"])
+                v = {k: float(row[k]) if row[k] or k not in _LOSS_COLUMNS else None
+                     for k in RUNLOG_COLUMNS}
+            except (TypeError, ValueError) as exc:   # TypeError: a short row
+                raise DomainError(f"{where}: {exc}") from None
+            bad = [k for k, x in v.items() if x is not None and not np.isfinite(x)]
+            if bad:
+                raise NumericError(f"{where}: NaN/inf in run-log column(s) {', '.join(bad)}")
+            log.t.append(t)
+            log.states.append(ProcessorState(fps=v["fps"], freq=v["freq"],
+                                             power=v["power"], temp=v["temp"]))
+            log.actions.append(action)
+            log.rewards.append(v["reward"])
+            log.epsilons.append(v["epsilon"])
+            log.max_q.append(v["max_q"])
+            log.agent_loss.append(v["agent_loss"])
+            log.fm_loss.append(v["fm_loss"])
     return log
 
 

@@ -51,7 +51,6 @@ class EnvConfig:
     noise_std_temp: float = 0.5     # 1% of the temperature scale
     min_freq: float = 0.2
     episode_horizon: int = 200
-    seed: int = 0
 
     def validate(self) -> None:
         if self.num_actions < 2:
@@ -190,10 +189,10 @@ class DvfsEnv:
     finished episode raises :class:`StateError`; call :meth:`reset` first.
     """
 
-    def __init__(self, config: EnvConfig, seed=None):
+    def __init__(self, config: EnvConfig, seed=0):
         config.validate()
         self.config = config
-        self._seed = config.seed if seed is None else seed
+        self._seed = seed
         self.state = initial_state(config)
         self.steps = 0
         self.rng = np.random.default_rng(self._seed)

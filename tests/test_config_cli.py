@@ -63,7 +63,8 @@ def test_unknown_keys_rejected():
 
 
 @pytest.mark.parametrize("section,key", [("flow", "train_start"),
-                                         ("agent", "batch_size")])
+                                         ("agent", "batch_size"),
+                                         ("env", "seed")])
 def test_removed_keys_rejected(section, key):
     with pytest.raises(ConfigurationError,
                        match=rf"\['{key}'\] in section '{section}'"):
@@ -203,7 +204,7 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert out.count("PASS") == 6
+    assert out.count("PASS") == 7
 
 
 def test_unknown_subcommand_exits_2():
@@ -344,3 +345,58 @@ def test_report_non_finite_cell_is_a_numeric_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"numeric error: {synth}: ") and "column(s) fps\n" in err
     assert not (out / "report" / "report.json").exists()
+
+
+def _pure_fm_model_free_run(tmp_path):
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path, {"methods": ["pure_fm", "model_free"],
+                                        "seeds": [0], "output_dir": str(out)})
+    assert main(["run", "--config", cfg_path]) == 0
+    return out
+
+
+@pytest.mark.parametrize("cell,want", [
+    ("nan", "numeric error: {path} line 6: NaN/inf in run-log column(s) reward\n"),
+    ("abc", "input error: {path} line 6: could not convert string to float: 'abc'\n"),
+])
+def test_report_bad_runlog_cell_names_path_and_line(tmp_path, capsys, cell, want):
+    # a nan reward used to give exit 0 and "mean_reward": NaN, abc a traceback
+    out = _pure_fm_model_free_run(tmp_path)
+    runlog = out / "runlog_model_free_seed0.csv"
+    lines = runlog.read_text().splitlines(keepends=True)
+    cells = lines[5].split(",")                      # step 5, line 6 of the file
+    cells[6] = cell                                  # the reward column
+    lines[5] = ",".join(cells)
+    runlog.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(out)]) == 1
+    assert capsys.readouterr().err == want.format(path=runlog)
+    assert not (out / "report" / "report.json").exists()
+
+
+def test_runlog_empty_loss_cells_read_as_none(tmp_path):
+    from dvfsflow.orchestrate import runlog_from_csv
+
+    out = _pure_fm_model_free_run(tmp_path)
+    log = runlog_from_csv(str(out / "runlog_pure_fm_seed0.csv"))
+    with open(out / "summary_pure_fm_seed0.json") as fh:
+        retrains = json.load(fh)["fm_train_steps"]
+    assert retrains and all(v is None for v in log.agent_loss)   # no agent update yet
+    assert [t for t, v in zip(log.t, log.fm_loss) if v is not None] == retrains
+    assert all(type(log.fm_loss[t - 1]) is float for t in retrains)
+
+
+def test_report_stale_env_key_is_a_configuration_error(tmp_path, capsys):
+    # the manifest's env section goes through config validation: a retired
+    # key used to be a TypeError traceback from EnvConfig(**env)
+    out = _pure_fm_model_free_run(tmp_path)
+    with open(out / "manifest.json") as fh:
+        manifest = json.load(fh)
+    assert "seed" not in manifest["config"]["env"]
+    manifest["config"]["env"]["seed"] = 0
+    with open(out / "manifest.json", "w") as fh:
+        json.dump(manifest, fh)
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "['seed'] in section 'env'" in err

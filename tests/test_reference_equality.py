@@ -7,6 +7,9 @@ but must do the same float64 operations in the same order, so every
 comparison here is bitwise, never approximate.
 """
 
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ from dvfsflow.evalkit import _sorted_quantile, wasserstein1
 from dvfsflow.flow import (FMConfig, Normalizer, TransitionLayout, _cfm_batch,
                            bootstrap_latents, flatten_memory, init_flow_model,
                            sample_vector_field, unflatten_rows, unflatten_transition)
-from dvfsflow.forest import (ForestConfig, TreeNode, _best_splits, _grow, fit_forest,
+from dvfsflow.forest import (ForestConfig, _best_splits, _grow, fit_forest,
                              normalized_importances, transition_feature_weights)
 from dvfsflow.simenv import DvfsEnv, EnvConfig, ProcessorState, normalize_state
 
@@ -105,9 +108,19 @@ def _ref_best_split(x_col, y, min_leaf):
     return best_gain, best_thr
 
 
+@dataclass
+class _RefNode:
+    n_samples: int
+    impurity: float
+    feature: int = -1                   # -1 marks a leaf
+    gain: float = 0.0
+    left: Optional["_RefNode"] = None
+    right: Optional["_RefNode"] = None
+
+
 def _ref_grow(x, y, depth, max_depth, min_leaf, n_sub, rng):
     n = y.size
-    node = TreeNode(n_samples=n, impurity=float(y.var()), value=float(y.mean()))
+    node = _RefNode(n_samples=n, impurity=float(y.var()))
     if depth >= max_depth or n < 2 * min_leaf or node.impurity <= 1e-15:
         return node
     features = rng.choice(x.shape[1], size=n_sub, replace=False)
@@ -119,10 +132,36 @@ def _ref_grow(x, y, depth, max_depth, min_leaf, n_sub, rng):
     if best_feat < 0:
         return node
     mask = x[:, best_feat] <= best_thr
-    node.feature, node.threshold, node.gain = best_feat, best_thr, best_gain
+    node.feature, node.gain = best_feat, best_gain
     node.left = _ref_grow(x[mask], y[mask], depth + 1, max_depth, min_leaf, n_sub, rng)
     node.right = _ref_grow(x[~mask], y[~mask], depth + 1, max_depth, min_leaf, n_sub, rng)
     return node
+
+
+def _ref_importances(root, n_features):
+    """Walk the node graph and add each split's share * gain to its feature."""
+    imp = np.zeros(n_features)
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.feature < 0:
+            continue
+        imp[node.feature] += (node.n_samples / root.n_samples) * node.gain
+        stack.append(node.left)
+        stack.append(node.right)
+    return imp
+
+
+def _ref_fit_forest(x, y, n_trees, max_depth, min_leaf, rng):
+    n, d = x.shape
+    n_sub = max(1, int(np.ceil(np.sqrt(d))))
+    imp = np.zeros(d)
+    for child in rng.spawn(n_trees):
+        boot = child.integers(0, n, size=n)
+        imp += _ref_importances(
+            _ref_grow(x[boot], y[boot], 0, max_depth, min_leaf, n_sub, child), d)
+    imp /= n_trees
+    return imp
 
 
 def _ref_cfm_batch(batch, lam, sigma_min, count, rng):
@@ -223,6 +262,10 @@ def _ref_transition_feature_weights(transitions, config, rng):
     return full / full.sum()
 
 
+def _hex(values):
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
 # ---------------------------------------------------------------- nets
 
 def _one_hot_rows(rng, n, d):
@@ -287,7 +330,9 @@ def test_adam_steps_bitwise_equal_reference(sizes, activation, weighting, n):
         ref_w, ref_b, *ref_m = _ref_adam_step(ref_w, ref_b, gw, gb, adam, *ref_m)
         for a, b in zip(new.weights + new.biases, ref_w + ref_b):
             assert np.array_equal(a, b)
-        for got, want in zip((new_adam.m_w, new_adam.v_w, new_adam.m_b, new_adam.v_b), ref_m):
+        m_w, m_b = nets._layer_views(new_adam.m, params.layer_sizes)
+        v_w, v_b = nets._layer_views(new_adam.v, params.layer_sizes)
+        for got, want in zip((m_w, v_w, m_b, v_b), ref_m):
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert new_adam.step == adam.step + 1
         params, adam = new, new_adam
@@ -463,34 +508,55 @@ def test_best_splits_many_offset_targets():
         assert _best_splits(x, y, 5) == [_ref_best_split(x[:, j], y, 5) for j in range(3)]
 
 
-def _assert_same_tree(a, b):
-    stack = [(a, b)]
-    while stack:
-        u, v = stack.pop()
-        assert (u.n_samples, u.impurity, u.value, u.feature, u.threshold, u.gain) == \
-            (v.n_samples, v.impurity, v.value, v.feature, v.threshold, v.gain)
-        assert u.is_leaf == v.is_leaf
-        if not u.is_leaf:
-            stack.append((u.left, v.left))
-            stack.append((u.right, v.right))
-
-
 @pytest.mark.parametrize("seed,n,max_depth,min_leaf", [(0, 200, 6, 5), (1, 60, 3, 2),
                                                       (2, 120, 12, 1)])
 def test_grow_builds_the_reference_tree(seed, n, max_depth, min_leaf):
+    # the split records sum to the importances of the reference node graph
     x, y = _split_data(seed, n, 5)
     for t in range(5):
         got = _grow(x, y, max_depth, min_leaf, 3, np.random.default_rng([seed, t]))
         want = _ref_grow(x, y, 0, max_depth, min_leaf, 3, np.random.default_rng([seed, t]))
-        _assert_same_tree(got, want)
+        assert _hex(got) == _hex(_ref_importances(want, 5))
+
+
+def _tied_case(rng):
+    """Random (x, y) with tied x and y values and random tree settings."""
+    n = int(rng.integers(10, 160))
+    d = int(rng.integers(1, 8))
+    x = rng.normal(size=(n, d))
+    rounded = rng.random(d) < 0.5
+    x[:, rounded] = np.round(x[:, rounded], 1)
+    x[:, 0] = rng.integers(0, int(rng.integers(2, 12)), size=n)
+    y = x @ rng.normal(size=d) + rng.normal(scale=float(rng.uniform(0.0, 2.0)), size=n)
+    if rng.random() < 0.5:
+        y = np.round(y, 1)
+    min_leaf = int(rng.integers(1, max(2, min(8, n // 2 + 1))))
+    return x, y, int(rng.integers(1, 12)), min_leaf
+
+
+def test_grow_hex_equal_reference_on_random_tied_cases():
+    rng = np.random.default_rng(17)
+    for case in range(240):
+        x, y, max_depth, min_leaf = _tied_case(rng)
+        n_sub = max(1, int(np.ceil(np.sqrt(x.shape[1]))))
+        got = _grow(x, y, max_depth, min_leaf, n_sub, np.random.default_rng([case, 1]))
+        want = _ref_grow(x, y, 0, max_depth, min_leaf, n_sub, np.random.default_rng([case, 1]))
+        assert _hex(got) == _hex(_ref_importances(want, x.shape[1])), case
 
 
 def test_fit_forest_importances_match_reference_trees():
     x, y = _split_data(9, 150, 5)
-    forest = fit_forest(x, y, n_trees=8, rng=np.random.default_rng(2))
-    for tree, child in zip(forest.trees, np.random.default_rng(2).spawn(8)):
-        boot = child.integers(0, 150, size=150)
-        _assert_same_tree(tree.root, _ref_grow(x[boot], y[boot], 0, 6, 5, 3, child))
+    got = fit_forest(x, y, n_trees=8, rng=np.random.default_rng(2))
+    assert _hex(got) == _hex(_ref_fit_forest(x, y, 8, 6, 5, np.random.default_rng(2)))
+    rng = np.random.default_rng(23)
+    for case in range(30):
+        x, y, max_depth, min_leaf = _tied_case(rng)
+        n_trees = int(rng.integers(1, 6))
+        got = fit_forest(x, y, n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf,
+                         rng=np.random.default_rng(case))
+        want = _ref_fit_forest(x, y, n_trees, max_depth, min_leaf,
+                               np.random.default_rng(case))
+        assert _hex(got) == _hex(want), case
 
 
 # ---------------------------------------------------------------- Q-step
@@ -579,10 +645,6 @@ def test_sample_vector_field_bytes_equal_reference(random_flow, n, ode_steps):
 
 
 # ---------------------------------------------------------------- W1 quantiles
-
-def _hex(values):
-    return [float(v).hex() for v in np.atleast_1d(values)]
-
 
 QS = np.array([0.0, 1e-12, 0.25, 0.5, 0.5 + 1e-12, 0.75, np.nextafter(1.0, 0.0),
                1.0 - 1e-9, 1.0])
