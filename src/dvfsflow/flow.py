@@ -139,6 +139,8 @@ class FMConfig:
             raise ConfigurationError("bootstrap_count must be >= 1")
         if self.ode_steps < 1:
             raise ConfigurationError("ode_steps must be >= 1")
+        if any(h < 1 for h in self.hidden_sizes):
+            raise ConfigurationError(f"hidden_sizes entries must be >= 1, got {self.hidden_sizes}")
         if self.epochs < 1:
             raise ConfigurationError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -199,7 +201,7 @@ def _cfm_batch(batch: np.ndarray, lam: np.ndarray, sigma_min: float, count: int,
     rows = count * m
     pool = rng.standard_normal((m, d))
     x0 = bootstrap_latents(pool, count, rng).reshape(rows, d)
-    x1 = batch[np.concatenate([rng.permutation(m) for _ in range(count)])]
+    x1 = batch[rng.permuted(np.tile(np.arange(m), (count, 1)), axis=1).ravel()]
     t = rng.uniform(0.0, 1.0, size=(rows, 1))
     inputs = np.empty((rows, d + 1))
     xt = inputs[:, :d]                  # (1 - (1 - sigma_min) t) x0 + t x1

@@ -18,6 +18,14 @@ gradients read the new array, but :func:`adam_step` and
 the same float64 operations, in the same order, as a per-layer
 implementation would, with fewer calls and temporaries, so results are
 bitwise reproducible.
+
+:func:`fit` owns its buffers: it copies the params and Adam moments once and
+then updates them in place, with one flat gradient vector whose per-layer
+views take the gradient products directly, and one set of layer arrays per
+batch size.  The public step functions (:func:`loss_and_grads`,
+:func:`adam_step`, :func:`train_step`) stay pure, returning fresh arrays;
+they run the same forward/backward and Adam code, so a :func:`fit` is
+bytes-equal to a loop of :func:`train_step` calls.
 """
 
 from __future__ import annotations
@@ -105,13 +113,27 @@ def init_mlp(layer_sizes: Sequence[int], activation: str = "tanh",
     return MlpParams(layer_sizes=sizes, activation=activation, flat=flat)
 
 
-def _activations(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
-    """Outputs of every layer for input rows x: [x, hidden..., prediction].
+class _Workspace:
+    """Arrays one training step writes for a batch of ``rows``: every layer's
+    output, the deltas back-propagated into the hidden layers, and the
+    output error with its weighted copy."""
+
+    def __init__(self, sizes: Sequence[int], rows: int):
+        self.acts = [np.empty((rows, s)) for s in sizes[1:]]
+        self.deltas = [np.empty((rows, s)) for s in sizes[1:-1]]
+        self.err = np.empty((rows, sizes[-1]))
+        self.werr = np.empty((rows, sizes[-1]))
+
+
+def _activations(params: MlpParams, x: np.ndarray,
+                 out: Optional[list] = None) -> list[np.ndarray]:
+    """Outputs of every layer for input rows x: [x, hidden..., prediction],
+    written into the arrays of ``out`` (one per layer, None to allocate).
     Hidden layers use the configured activation, the output layer is linear."""
     acts = [x]
     last = len(params.weights) - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = acts[-1] @ w.T
+        a = np.matmul(acts[-1], w.T, out=None if out is None else out[l])
         a += b
         if l < last:
             if params.activation == "tanh":
@@ -138,14 +160,62 @@ def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return forward_batch(params, x[None, :])[0]
 
 
-def _check_weight_shape(weights: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Loss weights as given: shape (d,) (broadcast over rows) or (n, d)."""
+def _check_batch(params: MlpParams, x: np.ndarray, y: np.ndarray, weights: np.ndarray,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, weights) as float64 arrays, after the checks every training step
+    makes: 2-d inputs and targets with matching rows, finite values, and loss
+    weights of shape (d,) (broadcast over rows) or (n, d), all >= 0."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise DomainError("inputs and targets must be 2-d with matching batch size")
+    if y.shape[1] != params.out_dim:
+        raise DomainError(f"targets must have {params.out_dim} columns")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NumericError("NaN/inf in inputs or targets")
+    n, d = y.shape
     w = np.asarray(weights, dtype=np.float64)
     if not (w.shape == (d,) or w.shape == (n, d)):
         raise DomainError(f"loss weights must have shape ({d},) or ({n}, {d})")
-    if np.any(w < 0):
+    if (w < 0).any():
         raise DomainError("loss weights must be >= 0")
-    return w
+    return x, y, w
+
+
+def _forward_backward(params: MlpParams, x: np.ndarray, y: np.ndarray, w: np.ndarray,
+                      work: Optional[_Workspace], grads_w: list, grads_b: list) -> float:
+    """Weighted squared-error loss of a checked batch.  Its gradients go into
+    the per-layer lists ``grads_w`` and ``grads_b``: into the arrays they
+    hold, or as new arrays where they hold None.  Intermediate arrays live in
+    ``work``, or are allocated when it is None."""
+    n = y.shape[0]
+    if work is None:
+        outs, deltas, err_out, werr_out = None, [None] * (len(params.weights) - 1), None, None
+    else:
+        outs, deltas, err_out, werr_out = work.acts, work.deltas, work.err, work.werr
+    acts = _activations(params, x, outs)
+    err = np.subtract(acts[-1], y, out=err_out)
+    werr2 = np.multiply(w, err, out=werr_out)
+    werr2 *= err
+    loss = float(werr2.sum(axis=1).sum() / n)   # np.mean's sum and division, minus its overhead
+
+    # Backward.  Each hidden activation is consumed once, so the activation
+    # gradient overwrites it: 1 - a*a for tanh, a > 0 for relu.
+    delta = np.multiply(2.0 * w, err, out=werr_out)
+    delta /= n
+    for l in range(len(params.weights) - 1, -1, -1):
+        grads_w[l] = np.matmul(delta.T, acts[l], out=grads_w[l])
+        grads_b[l] = delta.sum(axis=0, out=grads_b[l])
+        if l > 0:
+            a = acts[l]
+            delta = np.matmul(delta, params.weights[l], out=deltas[l - 1])
+            if params.activation == "tanh":
+                np.multiply(a, a, out=a)
+                np.subtract(1.0, a, out=a)
+                delta *= a
+            else:
+                delta *= a > 0
+    return loss
 
 
 def loss_and_grads(params: MlpParams, x: np.ndarray, y: np.ndarray,
@@ -154,42 +224,9 @@ def loss_and_grads(params: MlpParams, x: np.ndarray, y: np.ndarray,
 
     Returns (loss, dL/dW per layer, dL/db per layer).
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise DomainError("inputs and targets must be 2-d with matching batch size")
-    if y.shape[1] != params.out_dim:
-        raise DomainError(f"targets must have {params.out_dim} columns")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise NumericError("NaN/inf in inputs or targets")
-    n, d = y.shape
-    w = _check_weight_shape(weights, n, d)
-
-    acts = _activations(params, x)
-    err = acts[-1] - y
-    werr2 = w * err
-    werr2 *= err
-    loss = float(np.mean(np.sum(werr2, axis=1)))
-
-    # Backward.  Each hidden activation is consumed once, so the activation
-    # gradient overwrites it: 1 - a*a for tanh, a > 0 for relu.
-    delta = 2.0 * w * err
-    delta /= n
-    last = len(params.weights) - 1
-    grads_w = [np.empty(0)] * (last + 1)
-    grads_b = [np.empty(0)] * (last + 1)
-    for l in range(last, -1, -1):
-        grads_w[l] = delta.T @ acts[l]
-        grads_b[l] = delta.sum(axis=0)
-        if l > 0:
-            a = acts[l]
-            delta = delta @ params.weights[l]
-            if params.activation == "tanh":
-                np.multiply(a, a, out=a)
-                np.subtract(1.0, a, out=a)
-                delta *= a
-            else:
-                delta *= a > 0
+    x, y, w = _check_batch(params, x, y, weights)
+    grads_w, grads_b = [None] * len(params.weights), [None] * len(params.weights)
+    loss = _forward_backward(params, x, y, w, None, grads_w, grads_b)
     return loss, grads_w, grads_b
 
 
@@ -205,27 +242,46 @@ def adam_reset(adam: AdamState, lr: Optional[float] = None) -> AdamState:
                      beta1=adam.beta1, beta2=adam.beta2, eps=adam.eps)
 
 
+def _adam_update(adam: AdamState, t: int, g: np.ndarray, m: np.ndarray, v: np.ndarray,
+                 out: Optional[np.ndarray] = None,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step t of Adam for the flat gradient g (which is overwritten) from the
+    moments m and v.  Returns (update, new m, new v), the update being what
+    the parameter vector loses.  With ``out`` the new moments overwrite m
+    and v and the update is written into ``out``; without, all are new arrays."""
+    b1, b2 = adam.beta1, adam.beta2
+    in_place = out is not None
+    sq = np.multiply(g, g, out=out)
+    sq *= 1 - b2
+    v = np.multiply(v, b2, out=v if in_place else None)
+    v += sq                             # b2 v + (1 - b2) g^2
+    g *= 1 - b1
+    m = np.multiply(m, b1, out=m if in_place else None)
+    m += g                              # b1 m + (1 - b1) g
+    update = np.divide(m, 1.0 - b1 ** t, out=out)
+    update *= adam.lr
+    denom = np.divide(v, 1.0 - b2 ** t, out=g)
+    np.sqrt(denom, out=denom)
+    denom += adam.eps
+    update /= denom
+    return update, m, v
+
+
 def adam_step(params: MlpParams, grads_w: list[np.ndarray], grads_b: list[np.ndarray],
               adam: AdamState) -> tuple[MlpParams, AdamState]:
     """One bias-corrected Adam update of the whole parameter vector; returns
     fresh params and optimizer state and leaves the inputs untouched."""
     t = adam.step + 1
-    b1, b2 = adam.beta1, adam.beta2
     g = np.concatenate([np.ravel(gr) for gr in (*grads_w, *grads_b)])
-    v = g * g
-    v *= 1 - b2
-    v += b2 * adam.v                    # b2 v + (1 - b2) g^2
-    m = g
-    m *= 1 - b1
-    m += b1 * adam.m                    # b1 m + (1 - b1) g
-    update = m / (1.0 - b1 ** t)
-    update *= adam.lr
-    denom = v / (1.0 - b2 ** t)
-    np.sqrt(denom, out=denom)
-    denom += adam.eps
-    update /= denom
+    update, m, v = _adam_update(adam, t, g, adam.m, adam.v)
     new = MlpParams(list(params.layer_sizes), params.activation, params.flat - update)
-    return new, AdamState(lr=adam.lr, step=t, m=m, v=v, beta1=b1, beta2=b2, eps=adam.eps)
+    return new, AdamState(lr=adam.lr, step=t, m=m, v=v, beta1=adam.beta1,
+                          beta2=adam.beta2, eps=adam.eps)
+
+
+def _check_loss(loss: float) -> None:
+    if not math.isfinite(loss):
+        raise NumericError(f"non-finite training loss {loss!r}")
 
 
 def train_step(params: MlpParams, adam: AdamState, x: np.ndarray, y: np.ndarray,
@@ -233,8 +289,7 @@ def train_step(params: MlpParams, adam: AdamState, x: np.ndarray, y: np.ndarray,
     """One weighted-MSE Adam step; raises NumericError on NaN input or a
     non-finite loss (a NaN/inf prediction) before updating."""
     loss, gw, gb = loss_and_grads(params, x, y, weights)
-    if not math.isfinite(loss):
-        raise NumericError(f"non-finite training loss {loss!r}")
+    _check_loss(loss)
     new_params, new_adam = adam_step(params, gw, gb, adam)
     return new_params, new_adam, loss
 
@@ -244,18 +299,33 @@ def fit(params: MlpParams, adam: AdamState, n: int, epochs: int, batch_size: int
         make_batch: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
         ) -> tuple[MlpParams, list[float]]:
     """Minibatch Adam over n rows: each epoch draws ``rng.permutation(n)`` and
-    takes one :func:`train_step` per consecutive ``batch_size`` slice of it,
-    on the (inputs, targets, weights) that ``make_batch(rows)`` builds.
+    takes one step per consecutive ``batch_size`` slice of it, on the
+    (inputs, targets, weights) that ``make_batch(rows)`` builds.
 
-    Returns the trained params and the mean minibatch loss of every epoch.
+    The steps are those of a :func:`train_step` loop, checks included, but
+    run in place on one copy of ``params`` and of ``adam``'s moments (the
+    arguments stay untouched), with one gradient vector and one set of layer
+    arrays per batch size.  Returns the trained params and the mean
+    minibatch loss of every epoch.
     """
+    params = params.copy()
+    m, v, step = adam.m.copy(), adam.v.copy(), adam.step
+    grad, update = np.empty_like(params.flat), np.empty_like(params.flat)
+    grads_w, grads_b = _layer_views(grad, params.layer_sizes)
+    work: dict[int, _Workspace] = {}
     loss_curve = []
     for _ in range(epochs):
         order = rng.permutation(n)
         losses = []
         for start in range(0, n, batch_size):
-            params, adam, loss = train_step(params, adam,
-                                            *make_batch(order[start:start + batch_size]))
+            x, y, w = _check_batch(params, *make_batch(order[start:start + batch_size]))
+            rows = x.shape[0]
+            if rows not in work:
+                work[rows] = _Workspace(params.layer_sizes, rows)
+            loss = _forward_backward(params, x, y, w, work[rows], grads_w, grads_b)
+            _check_loss(loss)
+            step += 1
+            params.flat -= _adam_update(adam, step, grad, m, v, update)[0]
             losses.append(loss)
         loss_curve.append(float(np.mean(losses)))
     return params, loss_curve

@@ -282,6 +282,23 @@ def test_config_list_items_and_float_fields_typed():
     assert isinstance(cfg.env.eta, float)
 
 
+@pytest.mark.parametrize("sizes", [[0], [-3], [64, 0]])
+def test_flow_hidden_sizes_below_one_rejected(sizes):
+    with pytest.raises(ConfigurationError, match="hidden_sizes"):
+        config_from_dict({"flow": {"hidden_sizes": sizes}})
+
+
+def test_run_with_zero_width_flow_layer_fails_before_writing(tmp_path, capsys):
+    # used to write effective_config.json, then fail at the first retrain
+    # with an error that named no field
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, {"flow": {"hidden_sizes": [0]}, "methods": ["dfm"],
+                                    "output_dir": str(out)})
+    assert main(["run", "--config", path]) == 1
+    assert "configuration error: hidden_sizes" in capsys.readouterr().err
+    assert not (out / "effective_config.json").exists()
+
+
 def test_gen_non_finite_cell_is_a_numeric_error(tmp_path, capsys):
     from dvfsflow.flow import save_batch_csv
 

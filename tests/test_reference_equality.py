@@ -13,14 +13,14 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from dvfsflow import agent, nets
+from dvfsflow import agent, forest, nets
 from dvfsflow.agent import AgentConfig, Transition
 from dvfsflow.errors import NumericError
 from dvfsflow.evalkit import _sorted_quantile, wasserstein1
 from dvfsflow.flow import (FMConfig, Normalizer, TransitionLayout, _cfm_batch,
                            bootstrap_latents, flatten_memory, init_flow_model,
                            sample_vector_field, unflatten_rows, unflatten_transition)
-from dvfsflow.forest import (ForestConfig, _best_splits, _grow, fit_forest,
+from dvfsflow.forest import (ForestConfig, _best_splits, _grow_trees, fit_forest,
                              normalized_importances, transition_feature_weights)
 from dvfsflow.simenv import DvfsEnv, EnvConfig, ProcessorState, normalize_state
 
@@ -77,6 +77,20 @@ def _ref_adam_step(weights, biases, grads_w, grads_b, adam, m_w, v_w, m_b, v_b):
         for k, arr in enumerate((mw, vw, mb, vb)):
             out[2 + k].append(arr)
     return out
+
+
+def _ref_fit(params, adam, n, epochs, batch_size, rng, make_batch):
+    """Minibatch Adam as a loop of pure train_step calls."""
+    loss_curve = []
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        losses = []
+        for start in range(0, n, batch_size):
+            params, adam, loss = nets.train_step(params, adam,
+                                                 *make_batch(order[start:start + batch_size]))
+            losses.append(loss)
+        loss_curve.append(float(np.mean(losses)))
+    return params, loss_curve
 
 
 def _ref_best_split(x_col, y, min_leaf):
@@ -352,6 +366,64 @@ def test_train_step_matches_reference_loss_then_adam():
         assert np.array_equal(a, b)
 
 
+def _fit_case(sizes, activation, weighting, n, seed):
+    """A net, a part-used Adam state and a make_batch over n fixed rows."""
+    params, x, y, w = _net_case(sizes, activation, weighting, n, seed)
+    rng = np.random.default_rng(seed + 100)
+    adam = nets.adam_init(params, lr=0.01)
+    adam.step = 3
+    adam.m[:] = rng.normal(scale=0.1, size=adam.m.size)
+    adam.v[:] = rng.uniform(0.0, 0.1, size=adam.v.size)
+    if weighting == "lambda":
+        return params, adam, lambda rows: (x[rows], y[rows], w)
+    return params, adam, lambda rows: (x[rows], y[rows], w[rows])
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("weighting", ["lambda", "one_hot"])   # per-dim and per-row weights
+@pytest.mark.parametrize("n,batch_size", [(75, 16), (40, 40), (9, 32)])
+def test_fit_bytes_equal_train_step_loop(activation, weighting, n, batch_size):
+    # 75 rows in batches of 16 end in an 11-row batch; 9 rows fit in one short batch
+    params, adam, make_batch = _fit_case([5, 16, 8, 4], activation, weighting, n, seed=n)
+    got, got_curve = nets.fit(params, adam, n, 6, batch_size, np.random.default_rng(1),
+                              make_batch)
+    want, want_curve = _ref_fit(params, adam, n, 6, batch_size, np.random.default_rng(1),
+                                make_batch)
+    assert got.flat.tobytes() == want.flat.tobytes()
+    assert _hex(got_curve) == _hex(want_curve)
+    assert (got.layer_sizes, got.activation) == (want.layer_sizes, want.activation)
+
+
+def test_fit_leaves_its_arguments_untouched():
+    params, adam, make_batch = _fit_case([5, 16, 8, 4], "tanh", "lambda", 50, seed=2)
+    before = (params.flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.step, adam.lr)
+    trained, _ = nets.fit(params, adam, 50, 3, 16, np.random.default_rng(0), make_batch)
+    assert (params.flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.step,
+            adam.lr) == before
+    assert not np.shares_memory(trained.flat, params.flat)
+    assert trained.flat.tobytes() != params.flat.tobytes()
+
+
+@pytest.mark.parametrize("column", ["x", "y"])
+def test_fit_nan_batch_mid_run_raises(column):
+    params, adam, make_batch = _fit_case([5, 16, 8, 4], "tanh", "lambda", 50, seed=3)
+    calls = []
+
+    def poisoned(rows):
+        calls.append(len(rows))
+        x, y, w = make_batch(rows)
+        if len(calls) == 6:                     # second epoch, third batch
+            x, y = x.copy(), y.copy()
+            (x if column == "x" else y)[1, 2] = np.nan
+        return x, y, w
+
+    flat_before = params.flat.tobytes()
+    with pytest.raises(NumericError):
+        nets.fit(params, adam, 50, 3, 16, np.random.default_rng(0), poisoned)
+    assert len(calls) == 6
+    assert params.flat.tobytes() == flat_before
+
+
 def test_layer_views_share_the_flat_vector():
     p = nets.init_mlp([3, 4, 2], seed=0)
     assert p.flat.size == p.num_params() == 3 * 4 + 4 * 2 + 4 + 2
@@ -375,6 +447,22 @@ def test_cfm_batch_bitwise_equal_reference(m, count):
     for a, b in zip(got, want):
         assert a.shape == b.shape
         assert np.array_equal(a, b)
+
+
+def test_cfm_batch_one_permuted_call_equals_per_replicate_permutations():
+    # Generator.permuted shuffles each row of the tiled index block as
+    # Generator.permutation would shuffle it on its own, in the same order;
+    # a numpy release that changed this must fail here.
+    lam = np.full(3, 1.0 / 3)
+    for m in list(range(1, 40)) + [100, 256, 1000]:
+        batch = np.arange(3.0 * m).reshape(m, 3)
+        for count in (1, 2, 8, 13):
+            for seed in range(2):
+                rng, ref_rng = np.random.default_rng([seed, m]), np.random.default_rng([seed, m])
+                got = _cfm_batch(batch, lam, 0.01, count, rng)
+                want = _ref_cfm_batch(batch, lam, 0.01, count, ref_rng)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), (m, count)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------- codec
@@ -492,9 +580,9 @@ def _split_data(seed, n, k):
                                              (3, 10, 5), (4, 9, 5), (5, 37, 1)])
 def test_best_splits_bitwise_equal_reference(seed, n, min_leaf):
     x, y = _split_data(seed, n, 3)
-    got = _best_splits(x, y, min_leaf)
+    got = _best_splits(x, y, [(np.arange(n), np.arange(3))], min_leaf)   # one node: no padding
     want = [_ref_best_split(x[:, j], y, min_leaf) for j in range(3)]
-    assert got == want
+    assert got == [want]
 
 
 def test_best_splits_many_offset_targets():
@@ -505,7 +593,8 @@ def test_best_splits_many_offset_targets():
         n = int(rng.integers(10, 120))
         x = rng.normal(size=(n, 3))
         y = 2.0 * x[:, int(rng.integers(3))] + 4.0 + rng.normal(size=n)
-        assert _best_splits(x, y, 5) == [_ref_best_split(x[:, j], y, 5) for j in range(3)]
+        assert (_best_splits(x, y, [(np.arange(n), np.arange(3))], 5)
+                == [[_ref_best_split(x[:, j], y, 5) for j in range(3)]])
 
 
 @pytest.mark.parametrize("seed,n,max_depth,min_leaf", [(0, 200, 6, 5), (1, 60, 3, 2),
@@ -514,7 +603,8 @@ def test_grow_builds_the_reference_tree(seed, n, max_depth, min_leaf):
     # the split records sum to the importances of the reference node graph
     x, y = _split_data(seed, n, 5)
     for t in range(5):
-        got = _grow(x, y, max_depth, min_leaf, 3, np.random.default_rng([seed, t]))
+        (got,) = _grow_trees(x, y, [np.arange(n)], max_depth, min_leaf, 3,
+                             [np.random.default_rng([seed, t])])
         want = _ref_grow(x, y, 0, max_depth, min_leaf, 3, np.random.default_rng([seed, t]))
         assert _hex(got) == _hex(_ref_importances(want, 5))
 
@@ -539,7 +629,8 @@ def test_grow_hex_equal_reference_on_random_tied_cases():
     for case in range(240):
         x, y, max_depth, min_leaf = _tied_case(rng)
         n_sub = max(1, int(np.ceil(np.sqrt(x.shape[1]))))
-        got = _grow(x, y, max_depth, min_leaf, n_sub, np.random.default_rng([case, 1]))
+        (got,) = _grow_trees(x, y, [np.arange(y.size)], max_depth, min_leaf, n_sub,
+                             [np.random.default_rng([case, 1])])
         want = _ref_grow(x, y, 0, max_depth, min_leaf, n_sub, np.random.default_rng([case, 1]))
         assert _hex(got) == _hex(_ref_importances(want, x.shape[1])), case
 
@@ -549,7 +640,7 @@ def test_fit_forest_importances_match_reference_trees():
     got = fit_forest(x, y, n_trees=8, rng=np.random.default_rng(2))
     assert _hex(got) == _hex(_ref_fit_forest(x, y, 8, 6, 5, np.random.default_rng(2)))
     rng = np.random.default_rng(23)
-    for case in range(30):
+    for case in range(200):
         x, y, max_depth, min_leaf = _tied_case(rng)
         n_trees = int(rng.integers(1, 6))
         got = fit_forest(x, y, n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf,
@@ -557,6 +648,51 @@ def test_fit_forest_importances_match_reference_trees():
         want = _ref_fit_forest(x, y, n_trees, max_depth, min_leaf,
                                np.random.default_rng(case))
         assert _hex(got) == _hex(want), case
+
+
+def test_best_splits_pads_mixed_size_blocks_like_single_scans():
+    # more nodes than one padded block holds, of every size from a single row
+    # up, some too small to split, with tied x and y values
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(300, 6))
+    x[:, :3] = np.round(x[:, :3], 1)
+    y = np.round(3.0 * x[:, 0] + 4.0 + rng.normal(size=300), 1)
+    for min_leaf in (1, 3, 5):
+        nodes = []
+        for _ in range(71):
+            # rows repeat, as in a bootstrap sample
+            rows = rng.integers(0, 300, size=int(rng.integers(1, 180)))
+            nodes.append((rows, rng.choice(6, size=int(rng.integers(1, 4)), replace=False)))
+        assert sum(rows.size * features.size for rows, features in nodes) > 2 * forest._BLOCK_CELLS
+        got = _best_splits(x, y, nodes, min_leaf)
+        want = [[_ref_best_split(x[rows, f], y[rows], min_leaf) for f in features]
+                for rows, features in nodes]
+        assert got == want
+
+
+def test_fit_forest_lockstep_rounds_mix_node_sizes(monkeypatch):
+    # enough deep trees that rounds hold more nodes than one padded block and
+    # nodes of many sizes (a tree's root next to another tree's small node)
+    rounds = []
+
+    def spy(x, y, nodes, min_leaf):
+        rounds.append([rows.size for rows, _ in nodes])
+        return _best_splits(x, y, nodes, min_leaf)
+
+    monkeypatch.setattr(forest, "_best_splits", spy)
+    rng = np.random.default_rng(31)
+    for case in range(4):
+        x, y, _, _ = _tied_case(rng)
+        x = np.concatenate([x, x + 0.5])[:200]
+        y = np.concatenate([y, y[::-1]])[:200]
+        n_trees = 45
+        got = fit_forest(x, y, n_trees=n_trees, max_depth=9, min_leaf=1 + case % 3,
+                         rng=np.random.default_rng([case, 5]))
+        want = _ref_fit_forest(x, y, n_trees, 9, 1 + case % 3,
+                               np.random.default_rng([case, 5]))
+        assert _hex(got) == _hex(want), case
+    assert any(len(sizes) * min(sizes) > forest._BLOCK_CELLS for sizes in rounds)
+    assert any(len(sizes) > 1 and max(sizes) > 4 * min(sizes) for sizes in rounds)
 
 
 # ---------------------------------------------------------------- Q-step
