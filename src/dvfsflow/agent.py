@@ -14,7 +14,7 @@ import numpy as np
 
 from . import nets
 from .errors import ConfigurationError, DomainError, InsufficientDataError, NumericError
-from .nets import AdamState, MlpParams
+from .nets import MlpParams
 from .simenv import EnvConfig, ProcessorState, normalize_state, state_scales
 
 
@@ -124,16 +124,16 @@ def sync_target(qnet: MlpParams) -> MlpParams:
     return qnet.copy()
 
 
-def train_q_step(qnet: MlpParams, target_net: MlpParams, batch: list[Transition],
-                 agent_config: AgentConfig, env_config: EnvConfig,
-                 adam: AdamState) -> tuple[MlpParams, AdamState, float]:
-    """One Adam step on the squared Bellman error of the taken actions.
+def train_q_step(trainer: nets.Trainer, target_net: MlpParams, batch: list[Transition],
+                 agent_config: AgentConfig, env_config: EnvConfig) -> float:
+    """One Adam step of ``trainer`` (the online Q-net) on the squared Bellman
+    error of the taken actions; returns the loss.
 
     Target y = r for terminal transitions, else r + gamma * max_a' Q(s', a'; W-).
     Gradients flow only through the taken action's output (one-hot loss weights),
     so the other target entries are left at 0.  States are normalized exactly as
     :func:`normalize_state` does, one batch at a time.  A non-finite online net
-    gives a non-finite loss, which :func:`nets.train_step` rejects before updating.
+    gives a non-finite loss, which :meth:`nets.Trainer.step` rejects before updating.
     """
     if not batch:
         raise InsufficientDataError("empty training batch")
@@ -155,4 +155,4 @@ def train_q_step(qnet: MlpParams, target_net: MlpParams, batch: list[Transition]
     targets[rows, actions] = y_taken
     weights = np.zeros((n, env_config.num_actions))
     weights[rows, actions] = 1.0
-    return nets.train_step(qnet, adam, x, targets, weights)
+    return trainer.step(x, targets, weights)

@@ -108,6 +108,8 @@ def cmd_run(args) -> int:
 def cmd_gen(args) -> int:
     if args.n < 1:
         raise DomainError(f"--n must be >= 1, got {args.n}")
+    if args.seed < 0:
+        raise DomainError(f"--seed must be >= 0, got {args.seed}")
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     layout = TransitionLayout(num_actions=cfg.env.num_actions,
                               ambient_temp=cfg.env.ambient_temp)
@@ -313,12 +315,15 @@ def _selftest_checks():
         return abs(w - 0.5) < 0.03, f"W1(U[0,1] x {n_a}, U[0,2] x {n_b}) = {w:.4f}"
 
     def check_adam():
+        # w = b = 0, x = 1, y = -1.5: both gradients are 3.0, so Adam's first
+        # step moves each parameter by -lr
         p = nets.init_mlp([1, 1], seed=0)
-        p.weights[0][:] = 0.0
-        adam = nets.adam_init(p, lr=0.05)
-        new, _ = nets.adam_step(p, [np.array([[3.0]])], [np.array([0.0])], adam)
-        return abs(new.weights[0][0, 0] + 0.05) < 1e-6, \
-            f"first step {new.weights[0][0, 0]:+.6f}"
+        p.flat[:] = 0.0
+        trainer = nets.Trainer(p, nets.adam_init(p, lr=0.05))
+        trainer.step(np.array([[1.0]]), np.array([[-1.5]]), np.ones(1))
+        w, b = trainer.params.flat
+        return abs(w + 0.05) < 1e-6 and abs(b + 0.05) < 1e-6, \
+            f"first step w {w:+.6f}, b {b:+.6f}"
 
     def check_importance():
         x = rng.uniform(0, 1, size=(300, 2))

@@ -57,6 +57,8 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigurationError(f"methods contains unknown method {m!r}")
+        if len(set(self.methods)) != len(self.methods):
+            raise ConfigurationError("methods must be distinct")
         if not self.seeds:
             raise ConfigurationError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):

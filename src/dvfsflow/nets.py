@@ -13,25 +13,28 @@ every weight matrix (row-major, in layer order), then every bias vector.
 (``p.weights[0][:] = 0.0``) changes the vector, and Adam updates the whole
 vector with a handful of elementwise operations.  Rebinding an entry
 (``p.weights[0] = w``) detaches it from the vector: forward passes and
-gradients read the new array, but :func:`adam_step` and
+gradients read the new array, but Adam updates and
 :meth:`MlpParams.copy` still work on the vector.  The training hot path runs
 the same float64 operations, in the same order, as a per-layer
 implementation would, with fewer calls and temporaries, so results are
 bitwise reproducible.
 
-:func:`fit` owns its buffers: it copies the params and Adam moments once and
-then updates them in place, with one flat gradient vector whose per-layer
-views take the gradient products directly, and one set of layer arrays per
-batch size.  The public step functions (:func:`loss_and_grads`,
-:func:`adam_step`, :func:`train_step`) stay pure, returning fresh arrays;
-they run the same forward/backward and Adam code, so a :func:`fit` is
-bytes-equal to a loop of :func:`train_step` calls.
+:class:`Trainer` is the one training loop.  It copies a net's params and Adam
+state once and then updates them in place, with one flat gradient vector
+whose per-layer views take the gradient products directly, and one set of
+layer arrays per batch size.  :func:`fit` (flow and model-based planner) is
+an epoch loop around :meth:`Trainer.step`, and the run loop keeps one trainer
+for the Q-network from its first update to its last.  The pure step
+functions (:func:`loss_and_grads`, :func:`adam_step`, :func:`train_step`)
+return fresh arrays and serve as references: they run the same
+forward/backward and Adam code, so trainer steps are bytes-equal to a chain
+of :func:`train_step` calls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -235,13 +238,6 @@ def adam_init(params: MlpParams, lr: float) -> AdamState:
                      v=np.zeros_like(params.flat))
 
 
-def adam_reset(adam: AdamState, lr: Optional[float] = None) -> AdamState:
-    """Fresh moments and step counter; optionally restore a given learning rate."""
-    return AdamState(lr=adam.lr if lr is None else float(lr), step=0,
-                     m=np.zeros_like(adam.m), v=np.zeros_like(adam.v),
-                     beta1=adam.beta1, beta2=adam.beta2, eps=adam.eps)
-
-
 def _adam_update(adam: AdamState, t: int, g: np.ndarray, m: np.ndarray, v: np.ndarray,
                  out: Optional[np.ndarray] = None,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -294,41 +290,65 @@ def train_step(params: MlpParams, adam: AdamState, x: np.ndarray, y: np.ndarray,
     return new_params, new_adam, loss
 
 
+class Trainer:
+    """In-place minibatch Adam on one net, the one training loop of the package.
+
+    It owns a copy of the params it is built from and of the Adam state
+    (moments and step counter; the arguments stay untouched), one flat
+    gradient vector whose per-layer views take the gradient products
+    directly, one update vector and one set of layer arrays per batch size.
+    ``params`` is live: read it between steps, copy it to keep a snapshot.
+    """
+
+    def __init__(self, params: MlpParams, adam: AdamState):
+        self.params = params.copy()
+        self.adam = replace(adam, m=adam.m.copy(), v=adam.v.copy())
+        self._grad = np.empty_like(self.params.flat)
+        self._update = np.empty_like(self.params.flat)
+        self._grads_w, self._grads_b = _layer_views(self._grad, self.params.layer_sizes)
+        self._work: dict[int, _Workspace] = {}
+
+    def step(self, x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> float:
+        """One weighted-MSE Adam step, bytes-equal to :func:`train_step`; raises
+        NumericError on NaN input or a non-finite loss before updating."""
+        params, adam = self.params, self.adam
+        x, y, w = _check_batch(params, x, y, weights)
+        rows = x.shape[0]
+        if rows not in self._work:
+            self._work[rows] = _Workspace(params.layer_sizes, rows)
+        loss = _forward_backward(params, x, y, w, self._work[rows],
+                                 self._grads_w, self._grads_b)
+        _check_loss(loss)
+        adam.step += 1
+        params.flat -= _adam_update(adam, adam.step, self._grad, adam.m, adam.v,
+                                    self._update)[0]
+        return loss
+
+    def reset_adam(self, lr: float) -> None:
+        """Zero the moments and the step counter and set the learning rate."""
+        self.adam.lr, self.adam.step = float(lr), 0
+        self.adam.m[:] = 0.0
+        self.adam.v[:] = 0.0
+
+
 def fit(params: MlpParams, adam: AdamState, n: int, epochs: int, batch_size: int,
         rng: np.random.Generator,
         make_batch: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
         ) -> tuple[MlpParams, list[float]]:
     """Minibatch Adam over n rows: each epoch draws ``rng.permutation(n)`` and
-    takes one step per consecutive ``batch_size`` slice of it, on the
-    (inputs, targets, weights) that ``make_batch(rows)`` builds.
-
-    The steps are those of a :func:`train_step` loop, checks included, but
-    run in place on one copy of ``params`` and of ``adam``'s moments (the
-    arguments stay untouched), with one gradient vector and one set of layer
-    arrays per batch size.  Returns the trained params and the mean
+    takes one :meth:`Trainer.step` per consecutive ``batch_size`` slice of it,
+    on the (inputs, targets, weights) that ``make_batch(rows)`` builds.  The
+    arguments stay untouched.  Returns the trained params and the mean
     minibatch loss of every epoch.
     """
-    params = params.copy()
-    m, v, step = adam.m.copy(), adam.v.copy(), adam.step
-    grad, update = np.empty_like(params.flat), np.empty_like(params.flat)
-    grads_w, grads_b = _layer_views(grad, params.layer_sizes)
-    work: dict[int, _Workspace] = {}
+    trainer = Trainer(params, adam)
     loss_curve = []
     for _ in range(epochs):
         order = rng.permutation(n)
-        losses = []
-        for start in range(0, n, batch_size):
-            x, y, w = _check_batch(params, *make_batch(order[start:start + batch_size]))
-            rows = x.shape[0]
-            if rows not in work:
-                work[rows] = _Workspace(params.layer_sizes, rows)
-            loss = _forward_backward(params, x, y, w, work[rows], grads_w, grads_b)
-            _check_loss(loss)
-            step += 1
-            params.flat -= _adam_update(adam, step, grad, m, v, update)[0]
-            losses.append(loss)
+        losses = [trainer.step(*make_batch(order[start:start + batch_size]))
+                  for start in range(0, n, batch_size)]
         loss_curve.append(float(np.mean(losses)))
-    return params, loss_curve
+    return trainer.params, loss_curve
 
 
 def grad_check(params: MlpParams, x: np.ndarray, y: np.ndarray, weights: np.ndarray,

@@ -27,7 +27,6 @@ from .agent import AgentConfig, ReplayMemory, Transition
 from .errors import ConfigurationError, DomainError, InsufficientDataError, NumericError
 from .flow import FMConfig, Normalizer, TransitionLayout
 from .forest import ForestConfig, transition_feature_weights
-from .nets import AdamState
 from .simenv import DvfsEnv, EnvConfig, ProcessorState, dynamics, reward_components
 
 METHODS = ("dfm", "pure_fm", "model_based", "model_free")
@@ -94,17 +93,6 @@ def _config_snapshot(method: str, seed: int, env: EnvConfig, ag: AgentConfig,
         "env": asdict(env), "agent": asdict(ag), "schedule": asdict(sched),
         "flow": asdict(fm), "forest": asdict(forest),
     }
-
-
-def learning_rate_reset(train_step: int, adam: AdamState, initial_lr: float,
-                        period: int = 100) -> AdamState:
-    """Reinitialize Adam moments and restore the initial learning rate every
-    ``period`` agent-training steps; otherwise return the state unchanged."""
-    if period < 1:
-        raise ConfigurationError("reset period must be >= 1")
-    if train_step > 0 and train_step % period == 0:
-        return nets.adam_reset(adam, lr=initial_lr)
-    return adam
 
 
 def regret_oracle(env_config: EnvConfig) -> Callable[[ProcessorState], float]:
@@ -190,7 +178,7 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
 
     qnet = agent_mod.init_qnet(env_config, agent_config, seed=[seed, 4])
     target = agent_mod.sync_target(qnet)
-    adam = nets.adam_init(qnet, agent_config.learning_rate)
+    trainer = nets.Trainer(qnet, nets.adam_init(qnet, agent_config.learning_rate))
 
     memory = ReplayMemory(schedule.real_capacity, "M", allowed_sources=("real",))
     synth_memory = ReplayMemory(schedule.synth_capacity, "M'",
@@ -208,7 +196,7 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
 
     for i in range(1, schedule.horizon + 1):
         state = env.state
-        q = agent_mod.q_values(qnet, state, env_config)
+        q = agent_mod.q_values(trainer.params, state, env_config)
         action = agent_mod.select_action(q, epsilon, action_rng)
         max_q_val = float(np.max(q))
         nxt, reward, done = env.step(action)
@@ -262,15 +250,14 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
             if len(memory) >= n_real and len(synth_memory) >= n_synth:
                 batch = memory.sample_batch(n_real, sample_rng)
                 batch += synth_memory.sample_batch(n_synth, sample_rng)
-                qnet, adam, agent_loss_val = agent_mod.train_q_step(
-                    qnet, target, batch, agent_config, env_config, adam)
+                agent_loss_val = agent_mod.train_q_step(
+                    trainer, target, batch, agent_config, env_config)
                 train_count += 1
                 log.agent_train_steps.append(i)
-                adam = learning_rate_reset(train_count, adam,
-                                           agent_config.learning_rate,
-                                           schedule.lr_reset_period)
+                if train_count % schedule.lr_reset_period == 0:
+                    trainer.reset_adam(agent_config.learning_rate)
                 if train_count % agent_config.target_sync_period == 0:
-                    target = agent_mod.sync_target(qnet)
+                    target = agent_mod.sync_target(trainer.params)
 
         epsilon_used = epsilon
         epsilon = agent_mod.decay_epsilon(epsilon, agent_config)

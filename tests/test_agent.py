@@ -126,16 +126,16 @@ def test_q_targets_terminal_and_zero_discount():
     cfg = AgentConfig(discount=0.99)
     qnet = ag.init_qnet(ENV, cfg, seed=2)
     target = ag.sync_target(qnet)
-    adam = nets.adam_init(qnet, 0.0)   # lr 0 keeps params; inspect loss only
+    trainer = nets.Trainer(qnet, nets.adam_init(qnet, 0.0))   # lr 0: inspect the loss only
     done_batch = [_transition(3, done=True, r=1.5)]
-    _, _, loss = ag.train_q_step(qnet, target, done_batch, cfg, ENV, adam)
+    loss = ag.train_q_step(trainer, target, done_batch, cfg, ENV)
     q_sa = ag.q_values(qnet, done_batch[0].s, ENV)[done_batch[0].a]
     assert loss == pytest.approx((q_sa - 1.5) ** 2)
 
     # gamma = 0 makes y = r even for non-terminal transitions
     zero = AgentConfig(discount=0.0)
     live_batch = [_transition(3, done=False, r=1.5)]
-    _, _, loss0 = ag.train_q_step(qnet, target, live_batch, zero, ENV, adam)
+    loss0 = ag.train_q_step(trainer, target, live_batch, zero, ENV)
     assert loss0 == pytest.approx((q_sa - 1.5) ** 2)
 
 
@@ -144,12 +144,12 @@ def test_single_transition_regression_to_fixed_target():
     cfg = AgentConfig(discount=0.9, learning_rate=0.01, hidden_sizes=[16, 16])
     qnet = ag.init_qnet(ENV, cfg, seed=3)
     target = ag.sync_target(qnet)
-    adam = nets.adam_init(qnet, cfg.learning_rate)
+    trainer = nets.Trainer(qnet, nets.adam_init(qnet, cfg.learning_rate))
     tr = _transition(5, r=2.0)
     y = tr.r + cfg.discount * float(np.max(ag.q_values(target, tr.s_next, ENV)))
     for _ in range(800):
-        qnet, adam, _ = ag.train_q_step(qnet, target, [tr], cfg, ENV, adam)
-    assert ag.q_values(qnet, tr.s, ENV)[tr.a] == pytest.approx(y, abs=1e-3)
+        ag.train_q_step(trainer, target, [tr], cfg, ENV)
+    assert ag.q_values(trainer.params, tr.s, ENV)[tr.a] == pytest.approx(y, abs=1e-3)
 
 
 def test_dqn_converges_to_value_iteration_on_two_state_mdp():
@@ -182,10 +182,10 @@ def test_dqn_converges_to_value_iteration_on_two_state_mdp():
                       target_sync_period=25)
     qnet = ag.init_qnet(k2, cfg, seed=4)
     target = ag.sync_target(qnet)
-    adam = nets.adam_init(qnet, cfg.learning_rate)
+    trainer = nets.Trainer(qnet, nets.adam_init(qnet, cfg.learning_rate))
     for step in range(1, 5_001):
-        qnet, adam, _ = ag.train_q_step(qnet, target, transitions, cfg, k2, adam)
+        ag.train_q_step(trainer, target, transitions, cfg, k2)
         if step % cfg.target_sync_period == 0:
-            target = ag.sync_target(qnet)
-    learned = np.array([ag.q_values(qnet, s, k2) for s in states])
+            target = ag.sync_target(trainer.params)
+    learned = np.array([ag.q_values(trainer.params, s, k2) for s in states])
     assert np.max(np.abs(learned - q_star)) < 0.05

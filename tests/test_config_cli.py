@@ -249,6 +249,36 @@ def test_gen_rejects_non_positive_n_before_training(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "synth.csv").exists()
 
 
+def test_gen_rejects_negative_seed_before_reading(tmp_path, capsys, monkeypatch):
+    # used to end in numpy's "expected non-negative integer" traceback
+    from dvfsflow import cli
+    from dvfsflow.flow import save_batch_csv
+
+    memory = str(tmp_path / "memory.csv")
+    save_batch_csv(np.random.default_rng(0).uniform(0.1, 1.0, size=(60, 11)), memory)
+    read = []
+    monkeypatch.setattr(cli, "load_batch_csv", lambda path: read.append(path))
+    out = tmp_path / "synth.csv"
+    assert main(["gen", "--memory", memory, "--out", str(out), "--seed", "-1",
+                 "--uniform-lambda"]) == 1
+    err = capsys.readouterr().err
+    assert "input error: --seed must be >= 0, got -1" in err
+    assert read == [] and not out.exists()
+
+
+def test_duplicate_methods_rejected(tmp_path, capsys):
+    # a repeated method used to run twice, overwrite its CSVs and be listed
+    # twice in the manifest and in the report's medians
+    with pytest.raises(ConfigurationError, match="methods must be distinct"):
+        config_from_dict({"methods": ["model_free", "dfm", "model_free"]})
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, {"output_dir": str(out)})
+    assert main(["run", "--config", path, "--methods", "model_free,model_free",
+                 "--seeds", "0"]) == 1
+    assert "configuration error: methods must be distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("payload,field", [
     ({"seeds": ["a"]}, "seeds[0]"),                         # was a raw ValueError
     ({"schedule": {"horizon": "x"}}, "schedule.horizon"),   # was a raw TypeError

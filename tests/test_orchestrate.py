@@ -8,8 +8,7 @@ from dvfsflow.agent import AgentConfig
 from dvfsflow.errors import ConfigurationError
 from dvfsflow.flow import FMConfig
 from dvfsflow.forest import ForestConfig
-from dvfsflow.orchestrate import (RUNLOG_COLUMNS, RunLog, ScheduleConfig,
-                                  learning_rate_reset, regret_oracle,
+from dvfsflow.orchestrate import (RUNLOG_COLUMNS, RunLog, ScheduleConfig, regret_oracle,
                                   run_experiment, runlog_summary, runlog_to_csv)
 from dvfsflow.simenv import EnvConfig, dynamics, initial_state, reward_components
 
@@ -129,23 +128,23 @@ def test_schedule_validation():
         _schedule(planning_breadth=5000, synth_capacity=100).validate()
 
 
-def test_learning_rate_reset_schedule():
-    p = nets.init_mlp([2, 2], seed=0)
-    adam = nets.adam_init(p, lr=0.05)
-    g = [np.ones_like(w) for w in p.weights]
-    gb = [np.ones_like(b) for b in p.biases]
-    _, adam = nets.adam_step(p, g, gb, adam)
-    assert adam.step == 1
-    kept = learning_rate_reset(1, adam, 0.05, period=100)
-    assert kept.step == 1                      # between resets state evolves normally
-    reset = learning_rate_reset(100, adam, 0.05, period=100)
-    assert reset.step == 0
-    assert adam.m.any() and adam.v.any()
-    assert not reset.m.any() and not reset.v.any()
-    assert reset.lr == 0.05
+def test_learning_rate_reset_schedule(monkeypatch):
+    # every lr_reset_period-th Q-update is followed by fresh Adam moments, step
+    # counter 0 and the initial learning rate; between resets the state evolves
+    seen = []
+    reset_adam = nets.Trainer.reset_adam
+
+    def spy(trainer, lr):
+        seen.append((trainer.adam.step, trainer.adam.m.any(), lr))
+        reset_adam(trainer, lr)
+        assert trainer.adam.step == 0 and trainer.adam.lr == lr
+        assert not trainer.adam.m.any() and not trainer.adam.v.any()
+
+    monkeypatch.setattr(nets.Trainer, "reset_adam", spy)
+    log = _run("model_free", sched=_schedule(horizon=450, exploit_threshold=1))
     # reset count over a run = floor(train_steps / period)
-    resets = sum(1 for s in range(1, 451) if s % 100 == 0)
-    assert resets == 4
+    assert len(log.agent_train_steps) == 419
+    assert seen == [(100, True, AgentConfig().learning_rate)] * 4
 
 
 def test_regret_oracle_properties():

@@ -731,17 +731,87 @@ def test_train_q_step_bitwise_equal_reference(kind):
     qnet = agent.init_qnet(Q_ENV, cfg, seed=1)
     target = agent.init_qnet(Q_ENV, cfg, seed=2)
     adam = nets.adam_init(qnet, cfg.learning_rate)
+    trainer = nets.Trainer(qnet, adam)
     ref_qnet, ref_adam = qnet, adam
     for _ in range(5):
         batch = _q_batch(kind, rng)
-        qnet, adam, loss = agent.train_q_step(qnet, target, batch, cfg, Q_ENV, adam)
+        loss = agent.train_q_step(trainer, target, batch, cfg, Q_ENV)
         ref_qnet, ref_adam, ref_loss = _ref_train_q_step(ref_qnet, target, batch, cfg,
                                                          Q_ENV, ref_adam)
         assert loss == ref_loss
-        assert qnet.flat.tobytes() == ref_qnet.flat.tobytes()
-        assert adam.m.tobytes() == ref_adam.m.tobytes()
-        assert adam.v.tobytes() == ref_adam.v.tobytes()
-        assert adam.step == ref_adam.step
+        assert trainer.params.flat.tobytes() == ref_qnet.flat.tobytes()
+        assert trainer.adam.m.tobytes() == ref_adam.m.tobytes()
+        assert trainer.adam.v.tobytes() == ref_adam.v.tobytes()
+        assert trainer.adam.step == ref_adam.step
+
+
+def _transitions(n, source, rng):
+    return [Transition(_random_state(rng), int(rng.integers(Q_ENV.num_actions)),
+                       float(rng.normal()), _random_state(rng), bool(rng.random() < 0.3),
+                       source=source) for _ in range(n)]
+
+
+def test_trainer_q_chain_bytes_equal_pure_train_step_chain():
+    # The run loop's schedule, shortened: Adam resets after every 10th update,
+    # target syncs after every 4th, and 32 real rows alternate with 16 real
+    # plus 16 synthetic ones and with lone 16-row batches.
+    rng = np.random.default_rng(19)
+    cfg = AgentConfig(target_sync_period=4)
+    reset_period = 10
+    qnet = agent.init_qnet(Q_ENV, cfg, seed=5)
+    trainer = nets.Trainer(qnet, nets.adam_init(qnet, cfg.learning_rate))
+    target = ref_target = agent.sync_target(qnet)
+    ref_qnet, ref_adam = qnet, nets.adam_init(qnet, cfg.learning_rate)
+    resets = syncs = 0
+    sizes = set()
+    for step in range(1, 36):
+        if step % 3 == 0:
+            batch = _transitions(32, "real", rng)
+        elif step % 3 == 1:
+            batch = _transitions(16, "real", rng) + _transitions(16, "synth", rng)
+        else:
+            batch = _transitions(16, "real", rng)
+        sizes.add(len(batch))
+        loss = agent.train_q_step(trainer, target, batch, cfg, Q_ENV)
+        ref_qnet, ref_adam, ref_loss = _ref_train_q_step(ref_qnet, ref_target, batch, cfg,
+                                                         Q_ENV, ref_adam)
+        assert _hex(loss) == _hex(ref_loss), step
+        assert trainer.params.flat.tobytes() == ref_qnet.flat.tobytes(), step
+        assert trainer.adam.m.tobytes() == ref_adam.m.tobytes(), step
+        assert trainer.adam.v.tobytes() == ref_adam.v.tobytes(), step
+        assert trainer.adam.step == ref_adam.step, step
+        if step % reset_period == 0:
+            trainer.reset_adam(cfg.learning_rate)
+            ref_adam = nets.adam_init(ref_qnet, cfg.learning_rate)
+            resets += 1
+        if step % cfg.target_sync_period == 0:
+            target = agent.sync_target(trainer.params)
+            ref_target = agent.sync_target(ref_qnet)
+            syncs += 1
+    assert resets == 3 and syncs == 8 and sizes == {16, 32}
+
+
+def test_trainer_leaves_the_params_and_adam_state_it_was_built_from_untouched():
+    rng = np.random.default_rng(23)
+    cfg = AgentConfig()
+    qnet = agent.init_qnet(Q_ENV, cfg, seed=6)
+    target = agent.init_qnet(Q_ENV, cfg, seed=7)
+    adam = nets.adam_init(qnet, cfg.learning_rate)
+    adam.step = 4
+    adam.m[:] = rng.normal(scale=0.1, size=adam.m.size)
+    adam.v[:] = rng.uniform(0.0, 0.1, size=adam.v.size)
+    before = (qnet.flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.step, adam.lr)
+    trainer = nets.Trainer(qnet, adam)
+    for _ in range(3):
+        agent.train_q_step(trainer, target, _transitions(32, "real", rng), cfg, Q_ENV)
+    trainer.reset_adam(0.5)
+    agent.train_q_step(trainer, target, _transitions(16, "real", rng), cfg, Q_ENV)
+    assert (qnet.flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.step,
+            adam.lr) == before
+    for mine, theirs in ((trainer.params.flat, qnet.flat), (trainer.adam.m, adam.m),
+                         (trainer.adam.v, adam.v)):
+        assert not np.shares_memory(mine, theirs)
+    assert (trainer.adam.step, trainer.adam.lr) == (1, 0.5)
 
 
 def test_train_q_step_rejects_nan_online_net_before_updating():
@@ -750,11 +820,12 @@ def test_train_q_step_rejects_nan_online_net_before_updating():
     qnet = agent.init_qnet(Q_ENV, cfg, seed=1)
     target = agent.sync_target(qnet)            # finite targets: only the online net is bad
     qnet.weights[1][2, 3] = np.nan
-    adam = nets.adam_init(qnet, cfg.learning_rate)
-    flat_before = qnet.flat.tobytes()
+    trainer = nets.Trainer(qnet, nets.adam_init(qnet, cfg.learning_rate))
+    flat_before = trainer.params.flat.tobytes()
     with pytest.raises(NumericError):
-        agent.train_q_step(qnet, target, _q_batch("done_and_live", rng), cfg, Q_ENV, adam)
-    assert qnet.flat.tobytes() == flat_before
+        agent.train_q_step(trainer, target, _q_batch("done_and_live", rng), cfg, Q_ENV)
+    assert trainer.params.flat.tobytes() == flat_before
+    adam = trainer.adam
     assert adam.step == 0 and not adam.m.any() and not adam.v.any()
 
 
