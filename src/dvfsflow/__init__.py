@@ -8,20 +8,20 @@ evaluation metrics (evalkit).  The `dvfsflow` CLI wraps runs, generation,
 evaluation and reporting.
 """
 
-from .agent import AgentConfig, ReplayMemory, Transition
+from .agent import AgentConfig, ReplayMemory
 from .errors import (ConfigurationError, DomainError, InsufficientDataError,
                      NumericError, StateError)
-from .flow import FMConfig, FlowModel, TransitionLayout
+from .flow import FMConfig, FlowModel, Transition, TransitionLayout
 from .forest import ForestConfig
 from .nets import AdamState, MlpParams
 from .orchestrate import RunLog, ScheduleConfig, run_experiment
 from .simenv import DvfsEnv, EnvConfig, ProcessorState
 
 __all__ = [
-    "AgentConfig", "ReplayMemory", "Transition",
+    "AgentConfig", "ReplayMemory",
     "ConfigurationError", "DomainError", "InsufficientDataError",
     "NumericError", "StateError",
-    "FMConfig", "FlowModel", "TransitionLayout",
+    "FMConfig", "FlowModel", "Transition", "TransitionLayout",
     "ForestConfig",
     "AdamState", "MlpParams",
     "RunLog", "ScheduleConfig", "run_experiment",

@@ -1,72 +1,71 @@
 """DQN agent: epsilon-greedy action selection and the two replay memories.
 
-The real memory M and the synthetic memory M' are plain bounded FIFO buffers;
-each keeps an insertion counter phi (total ever pushed) that the planning
-schedule gates on.  Q-targets use a periodically synced target network.
+The real memory M and the synthetic memory M' are FIFO ring buffers of codec
+rows (``flow.TRANSITION_LABELS``), each with an insertion counter phi that the
+planning schedule gates on.  The Q-step reads sampled rows directly; its
+targets come from a periodically synced target network.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from . import nets
-from .errors import ConfigurationError, DomainError, InsufficientDataError, NumericError
+from .errors import ConfigurationError, InsufficientDataError, NumericError
+from .flow import TRANSITION_DIM
 from .nets import MlpParams
 from .simenv import EnvConfig, ProcessorState, normalize_state, state_scales
 
 
-@dataclass(frozen=True)
-class Transition:
-    s: ProcessorState
-    a: int
-    r: float
-    s_next: ProcessorState
-    done: bool
-    source: str = "real"    # provenance tag: "real" or "synth"
-
-
 class ReplayMemory:
-    """Bounded FIFO transition store with a monotone insertion counter.
+    """Bounded FIFO ring buffer of transition rows with a monotone insertion
+    counter phi.  Storage grows with the rows held, up to ``capacity``."""
 
-    ``allowed_sources`` optionally pins the provenance of stored transitions
-    (the real memory only accepts "real", the synthetic one only generated data).
-    """
-
-    def __init__(self, capacity: int, name: str = "M",
-                 allowed_sources: Optional[tuple[str, ...]] = None):
+    def __init__(self, capacity: int, name: str = "M"):
         if capacity < 1:
             raise ConfigurationError("memory capacity must be >= 1")
         self.capacity = int(capacity)
         self.name = name
-        self.allowed_sources = allowed_sources
-        self.items: list[Transition] = []
         self.phi = 0
+        self._buf = np.empty((0, TRANSITION_DIM))
+        self._head = 0          # next slot to write
+        self._size = 0
 
     def __len__(self) -> int:
-        return len(self.items)
+        return self._size
 
-    def push(self, transition: Transition) -> None:
-        if self.allowed_sources is not None and transition.source not in self.allowed_sources:
-            raise DomainError(
-                f"{self.name} only accepts sources {self.allowed_sources}, "
-                f"got {transition.source!r}")
-        self.items.append(transition)
-        if len(self.items) > self.capacity:
-            del self.items[0]
-        self.phi += 1
+    def push(self, rows: np.ndarray) -> None:
+        """Append one row or an (n, 11) block.  Beyond capacity the oldest
+        rows go; phi counts every row pushed."""
+        rows = np.asarray(rows, dtype=np.float64).reshape(-1, TRANSITION_DIM)
+        self.phi += len(rows)
+        rows, cap = rows[max(len(rows) - self.capacity, 0):], self.capacity
+        size = min(self._size + len(rows), cap)
+        if size > len(self._buf):       # still filling: the rows sit at [:_size], in order
+            grown = min(max(size, 2 * len(self._buf)), cap)
+            self._buf = np.resize(self._buf, (grown, TRANSITION_DIM))
+        first = min(len(rows), cap - self._head)
+        self._buf[self._head:self._head + first] = rows[:first]
+        self._buf[:len(rows) - first] = rows[first:]
+        self._head = (self._head + len(rows)) % cap
+        self._size = size
 
-    def sample_batch(self, n: int, rng: np.random.Generator) -> list[Transition]:
-        """Uniform draw without replacement within one call."""
-        if n > len(self.items):
+    def rows(self) -> np.ndarray:
+        """A copy of the stored rows, oldest first."""
+        return np.roll(self._buf[:self._size], self._size - self._head, axis=0)
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Uniform draw of n rows without replacement within one call, by
+        position in oldest-first order; n == 0 draws nothing."""
+        if n > self._size:
             raise InsufficientDataError(
-                f"asked for {n} transitions, {self.name} holds {len(self.items)}")
+                f"asked for {n} transitions, {self.name} holds {self._size}")
         if n == 0:
-            return []
-        idx = rng.choice(len(self.items), size=n, replace=False)
-        return [self.items[i] for i in idx]
+            return np.empty((0, TRANSITION_DIM))
+        idx = rng.choice(self._size, size=n, replace=False)
+        return self._buf[(idx + self._head - self._size) % self.capacity]
 
 
 @dataclass
@@ -124,35 +123,32 @@ def sync_target(qnet: MlpParams) -> MlpParams:
     return qnet.copy()
 
 
-def train_q_step(trainer: nets.Trainer, target_net: MlpParams, batch: list[Transition],
+def train_q_step(trainer: nets.Trainer, target_net: MlpParams, batch: np.ndarray,
                  agent_config: AgentConfig, env_config: EnvConfig) -> float:
     """One Adam step of ``trainer`` (the online Q-net) on the squared Bellman
-    error of the taken actions; returns the loss.
+    error of the taken actions in a batch of transition rows; returns the loss.
 
-    Target y = r for terminal transitions, else r + gamma * max_a' Q(s', a'; W-).
+    Target y = r for terminal (done > 0.5) rows, else r + gamma * max_a' Q(s', a'; W-).
     Gradients flow only through the taken action's output (one-hot loss weights),
     so the other target entries are left at 0.  States are normalized exactly as
     :func:`normalize_state` does, one batch at a time.  A non-finite online net
     gives a non-finite loss, which :meth:`nets.Trainer.step` rejects before updating.
     """
-    if not batch:
-        raise InsufficientDataError("empty training batch")
     n = len(batch)
-    # One row per transition: s (4), s' (4), r, not-done, a.
-    data = np.array([(t.s.fps, t.s.freq, t.s.power, t.s.temp,
-                      t.s_next.fps, t.s_next.freq, t.s_next.power, t.s_next.temp,
-                      t.r, 0.0 if t.done else 1.0, t.a) for t in batch], dtype=np.float64)
-    x, x_next = np.divide(data[:, :8].reshape(n, 2, 4).transpose(1, 0, 2),
-                          state_scales(env_config), out=np.empty((2, n, 4)))
+    if n == 0:
+        raise InsufficientDataError("empty training batch")
+    states = batch[:, [0, 1, 2, 3, 5, 6, 7, 8]].reshape(n, 2, 4).transpose(1, 0, 2)
+    x, x_next = np.divide(states, state_scales(env_config), out=np.empty((2, n, 4)))
     q_next = nets.forward_batch(target_net, x_next)
-    rewards, not_done = data[:, 8], data[:, 9]
-    y_taken = rewards + agent_config.discount * not_done * q_next.max(axis=1)
+    not_done = batch[:, 10] <= 0.5
+    y_taken = batch[:, 9] + agent_config.discount * not_done * q_next.max(axis=1)
     if not np.all(np.isfinite(y_taken)):
         raise NumericError("NaN/inf in Q targets")
 
-    rows, actions = np.arange(n), data[:, 10].astype(int)
-    targets = np.zeros((n, env_config.num_actions))    # untaken dims carry zero weight
+    k = env_config.num_actions
+    rows, actions = np.arange(n), np.rint(batch[:, 4] * (k - 1)).astype(int)
+    targets = np.zeros((n, k))    # untaken dims carry zero weight
     targets[rows, actions] = y_taken
-    weights = np.zeros((n, env_config.num_actions))
+    weights = np.zeros((n, k))
     weights[rows, actions] = 1.0
     return trainer.step(x, targets, weights)

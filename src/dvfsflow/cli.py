@@ -24,10 +24,9 @@ from .errors import (ConfigurationError, DomainError, InsufficientDataError,
 from .evalkit import (corr_gap, corr_gap_excluded_count, early_fps_gain,
                       empirical_regret, pearson_matrix, qvalue_stability,
                       wasserstein1)
-from .flow import (TRANSITION_LABELS, TransitionLayout, bootstrap_latents, check_finite,
-                   flatten_memory, flow_model_to_dict, generate_raw, load_batch_csv,
-                   save_batch_csv, train_flow_model, unflatten_rows)
-from .flow import unflatten_transition  # noqa: F401  (perfbench's tracer wraps it here)
+from .flow import (TRANSITION_LABELS, TransitionLayout, bootstrap_latents, canonical_rows,
+                   check_finite, flow_model_to_dict, generate_raw, load_batch_csv,
+                   save_batch_csv, train_flow_model)
 from .forest import fit_forest, normalized_importances, transition_feature_weights
 from .orchestrate import (regret_oracle, run_experiment, runlog_from_csv,
                           runlog_summary, runlog_to_csv)
@@ -118,8 +117,7 @@ def cmd_gen(args) -> int:
         raise InsufficientDataError(
             f"flow training needs >= {cfg.schedule.fm_train_start} transitions "
             f"(schedule.fm_train_start), {args.memory} holds {data.shape[0]}")
-    # Decode and re-encode: clamps states and snaps actions to their levels.
-    real = flatten_memory(unflatten_rows(data, layout, source="real"), layout)
+    real = canonical_rows(data, layout)     # clamped states, snapped actions
 
     if args.uniform_lambda or len(real) < cfg.forest.min_samples:
         lam = np.full(layout.dim, 1.0 / layout.dim)
@@ -200,11 +198,15 @@ def cmd_report(args) -> int:
         log = runlog_from_csv(os.path.join(run_dir, files["runlog"]), method, seed)
         regret = empirical_regret(log, oracle)
         logs[(method, seed)] = (log, files, regret)
+        try:
+            stability = qvalue_stability(log)
+        except InsufficientDataError:       # a run too short to estimate it
+            stability = None
         row = {
             "method": method, "seed": seed,
             "mean_fps": float(np.mean([s.fps for s in log.states])),
             "mean_reward": float(np.mean(log.rewards)),
-            "qvalue_stability": qvalue_stability(log),
+            "qvalue_stability": stability,
             "final_regret": float(regret[-1]),
         }
         if files.get("synth"):
@@ -215,12 +217,10 @@ def cmd_report(args) -> int:
     medians: dict[str, dict] = {}
     for method in methods:
         rows = [r for r in per_run if r["method"] == method]
-        medians[method] = {
-            "mean_fps": float(np.median([r["mean_fps"] for r in rows])),
-            "mean_reward": float(np.median([r["mean_reward"] for r in rows])),
-            "qvalue_stability": float(np.median([r["qvalue_stability"] for r in rows])),
-            "final_regret": float(np.median([r["final_regret"] for r in rows])),
-        }
+        medians[method] = {}
+        for key in ("mean_fps", "mean_reward", "qvalue_stability", "final_regret"):
+            present = [r[key] for r in rows if r[key] is not None]
+            medians[method][key] = float(np.median(present)) if present else None
         gaps = [r["eval"]["corr_gap"] for r in rows if "eval" in r]
         if gaps:
             medians[method]["corr_gap"] = float(np.median(gaps))
@@ -244,8 +244,9 @@ def cmd_report(args) -> int:
         fh.write("method,seed,mean_fps,mean_reward,qvalue_stability,final_regret,corr_gap\n")
         for r in per_run:
             gap = r.get("eval", {}).get("corr_gap", "")
+            stab = "" if r["qvalue_stability"] is None else r["qvalue_stability"]
             fh.write(f"{r['method']},{r['seed']},{r['mean_fps']},{r['mean_reward']},"
-                     f"{r['qvalue_stability']},{r['final_regret']},{gap}\n")
+                     f"{stab},{r['final_regret']},{gap}\n")
 
     # figures from the first seed of each method
     first_seed = manifest["runs"][0]["seed"]
@@ -404,6 +405,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"numeric error: {exc}", file=sys.stderr)
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
+    except OSError as exc:                  # a directory for a file, or the reverse
+        print(f"file error: {exc}", file=sys.stderr)
     return 1
 
 

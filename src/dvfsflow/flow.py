@@ -1,6 +1,6 @@
-"""Distribution-aware conditional flow matching over flattened transitions.
+"""Distribution-aware conditional flow matching over transition rows.
 
-A transition (s, a, r, s', done) is flattened to an 11-dim vector, normalized
+A transition (s, a, r, s', done) is one 11-column float64 row, normalized
 per dimension, and a time-conditioned vector field is regressed onto the
 straight-path target field between Gaussian latents and data.  Training draws
 B bootstrap replicates of the latent pool (each re-paired with a shuffled
@@ -9,15 +9,16 @@ normalized feature weights.  Sampling integrates dx/dt = v(x, t) with explicit
 Euler from t=0 (noise) to t=1 (data), one block of rows through all K steps
 before the next.  That is bit-identical to stepping all n rows at once: the
 update is elementwise, and a dgemm call of >= 512 rows computes each row the
-same way.  The codec decodes the rows back.
+same way.
 
 A trained flow is one type, :class:`FlowModel`: the vector-field net, its
 per-dimension normalizer, the feature weights, the config and the loss
 history, with no knowledge of the transition layout, so the same training and
 sampling code serves any (n, d) data.  Only the codec knows the 11 columns:
-:func:`flatten_memory` encodes a list of transitions into an (n, 11) array and
-:func:`unflatten_rows` decodes such an array back, a whole batch at a time.
-Every other module that exchanges transitions exchanges that array.
+:func:`encode_transition` builds the row of one env step, :func:`canonical_rows`
+projects raw rows, such as generated ones, onto valid transitions, and
+:func:`unflatten_transition` reads one row back as a :class:`Transition`.  The
+replay memories, the forest, the Q-step and the batch CSVs exchange the rows.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import nets
-from .agent import Transition
 from .errors import ConfigurationError, DomainError, NumericError, StateError
 from .nets import MlpParams
 from .simenv import ProcessorState
@@ -52,14 +52,22 @@ class TransitionLayout:
         return TRANSITION_DIM
 
 
-def flatten_memory(transitions: list[Transition], layout: TransitionLayout) -> np.ndarray:
-    """Encode transitions as (n, 11) rows in ``TRANSITION_LABELS`` order: the
-    action as a / (num_actions - 1), done as 1.0 or 0.0."""
-    k1 = layout.num_actions - 1
-    return np.array([(t.s.fps, t.s.freq, t.s.power, t.s.temp, t.a / k1,
-                      t.s_next.fps, t.s_next.freq, t.s_next.power, t.s_next.temp,
-                      t.r, 1.0 if t.done else 0.0) for t in transitions],
-                    dtype=np.float64).reshape(-1, TRANSITION_DIM)
+@dataclass(frozen=True)
+class Transition:
+    s: ProcessorState
+    a: int
+    r: float
+    s_next: ProcessorState
+    done: bool
+
+
+def encode_transition(s: ProcessorState, a: int, r: float, s_next: ProcessorState,
+                      done: bool, layout: TransitionLayout) -> np.ndarray:
+    """One transition as an 11-row in ``TRANSITION_LABELS`` order: the action
+    as a / (num_actions - 1), done as 1.0 or 0.0."""
+    return np.array([s.fps, s.freq, s.power, s.temp, a / (layout.num_actions - 1),
+                     s_next.fps, s_next.freq, s_next.power, s_next.temp,
+                     r, 1.0 if done else 0.0], dtype=np.float64)
 
 
 def check_finite(batch: np.ndarray, where: str = "") -> None:
@@ -72,37 +80,34 @@ def check_finite(batch: np.ndarray, where: str = "") -> None:
         raise NumericError(f"{prefix}NaN/inf in transition column(s) {', '.join(bad)}")
 
 
-def unflatten_rows(raw: np.ndarray, layout: TransitionLayout,
-                   source: str = "synth") -> list[Transition]:
-    """Inverse of :func:`flatten_memory` for a whole (n, 11) batch.
+def canonical_rows(raw: np.ndarray, layout: TransitionLayout) -> np.ndarray:
+    """Project raw (n, 11) rows, such as generated ones, onto valid transitions.
 
     Clamps states to their physical ranges (fps >= 0, freq in [0, 1], power
     >= 1e-6, temp >= ambient) as Python's ``max`` would, so -0.0 stays -0.0;
-    rounds the action to the nearest level; done is ``> 0.5``.
+    snaps the action to its nearest level; done becomes 1.0 if ``> 0.5``, else 0.0.
     Non-finite cells raise :class:`NumericError` naming their columns.
     """
     v = np.asarray(raw, dtype=np.float64)
     if v.ndim != 2 or v.shape[1] != layout.dim:
         raise DomainError(f"expected an (n, {layout.dim}) batch, got shape {v.shape}")
     check_finite(v)
-    lo = np.array([0.0, 0.0, 1e-6, layout.ambient_temp] * 2)
-    hi = np.array([np.inf, 1.0, np.inf, np.inf] * 2)
-    states = v[:, [0, 1, 2, 3, 5, 6, 7, 8]]
-    cols = np.minimum(np.where(states < lo, lo, states), hi).T.tolist()
+    lo = np.array([0.0, 0.0, 1e-6, layout.ambient_temp, -np.inf] * 2 + [-np.inf])
+    hi = np.array([np.inf, 1.0, np.inf, np.inf, np.inf] * 2 + [np.inf])
+    out = np.minimum(np.where(v < lo, lo, v), hi)      # the reward passes unchanged
     k1 = layout.num_actions - 1
-    actions = np.rint(np.clip(v[:, 4], 0.0, 1.0) * k1).astype(int).tolist()
-    return [Transition(s, a, r, s_next, d, source)
-            for s, a, r, s_next, d in zip(map(ProcessorState, *cols[:4]), actions,
-                                          v[:, 9].tolist(), map(ProcessorState, *cols[4:]),
-                                          (v[:, 10] > 0.5).tolist())]
+    out[:, 4] = np.rint(np.clip(v[:, 4], 0.0, 1.0) * k1).astype(int) / k1
+    out[:, 10] = v[:, 10] > 0.5
+    return out
 
 
-def unflatten_transition(vec: np.ndarray, layout: TransitionLayout,
-                         source: str = "synth") -> Transition:
-    """Decode one 11-vector: :func:`unflatten_rows` on a one-row batch."""
+def unflatten_transition(vec: np.ndarray, layout: TransitionLayout) -> Transition:
+    """Decode one 11-vector: :func:`canonical_rows` on it, as fields."""
     if np.shape(vec) != (layout.dim,):
         raise DomainError(f"expected a vector of dim {layout.dim}, got shape {np.shape(vec)}")
-    return unflatten_rows(np.reshape(vec, (1, -1)), layout, source)[0]
+    v = canonical_rows(np.reshape(vec, (1, -1)), layout)[0].tolist()
+    return Transition(ProcessorState(*v[0:4]), round(v[4] * (layout.num_actions - 1)),
+                      v[9], ProcessorState(*v[5:9]), v[10] == 1.0)
 
 
 @dataclass

@@ -23,7 +23,7 @@ import numpy as np
 from . import agent as agent_mod
 from . import flow as flow_mod
 from . import nets
-from .agent import AgentConfig, ReplayMemory, Transition
+from .agent import AgentConfig, ReplayMemory
 from .errors import ConfigurationError, DomainError, InsufficientDataError, NumericError
 from .flow import FMConfig, Normalizer, TransitionLayout
 from .forest import ForestConfig, transition_feature_weights
@@ -180,9 +180,8 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
     target = agent_mod.sync_target(qnet)
     trainer = nets.Trainer(qnet, nets.adam_init(qnet, agent_config.learning_rate))
 
-    memory = ReplayMemory(schedule.real_capacity, "M", allowed_sources=("real",))
-    synth_memory = ReplayMemory(schedule.synth_capacity, "M'",
-                                allowed_sources=("synth", "model"))
+    memory = ReplayMemory(schedule.real_capacity, "M")
+    synth_memory = ReplayMemory(schedule.synth_capacity, "M'")
 
     flow_model: Optional[flow_mod.FlowModel] = None
     planner: Optional[_ModelBasedPlanner] = None
@@ -200,7 +199,7 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
         action = agent_mod.select_action(q, epsilon, action_rng)
         max_q_val = float(np.max(q))
         nxt, reward, done = env.step(action)
-        memory.push(Transition(state, action, reward, nxt, done, source="real"))
+        memory.push(flow_mod.encode_transition(state, action, reward, nxt, done, layout))
 
         fm_loss_val: Optional[float] = None
         # Gate from the planning loop: i mod zeta_d = 0 and phi_M > beta, plus
@@ -209,11 +208,10 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
                 and memory.phi > schedule.batch_size
                 and len(memory) >= schedule.fm_train_start):
             retrain_count += 1
-            real = flow_mod.flatten_memory(memory.items, layout)
+            real = memory.rows()
             if method == "model_based":
                 fm_loss_val = planner.train(real, seed=[seed, 20, retrain_count])
                 raw = planner.plan(real, schedule.planning_breadth, sample_rng)
-                source = "model"
             else:
                 if method == "dfm" and len(real) >= forest_config.min_samples:
                     lam = transition_feature_weights(
@@ -232,12 +230,7 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
                 log.lambda_weights = lam.tolist()
                 gen_rng = np.random.default_rng([seed, 50, retrain_count])
                 raw = flow_mod.generate_raw(flow_model, schedule.planning_breadth, gen_rng)
-                source = "synth"
-            # Decode in slices, so that a full M' evicts as the new batch
-            # arrives rather than holding both batches at once.
-            for start in range(0, len(raw), 256):
-                for tr in flow_mod.unflatten_rows(raw[start:start + 256], layout, source):
-                    synth_memory.push(tr)
+            synth_memory.push(flow_mod.canonical_rows(raw, layout))
             log.synth_raw = raw
             log.fm_train_steps.append(i)
 
@@ -248,8 +241,8 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
                 n_synth = int(round(schedule.batch_size * schedule.synth_fraction))
             n_real = schedule.batch_size - n_synth
             if len(memory) >= n_real and len(synth_memory) >= n_synth:
-                batch = memory.sample_batch(n_real, sample_rng)
-                batch += synth_memory.sample_batch(n_synth, sample_rng)
+                batch = np.concatenate([memory.sample(n_real, sample_rng),
+                                        synth_memory.sample(n_synth, sample_rng)])
                 agent_loss_val = agent_mod.train_q_step(
                     trainer, target, batch, agent_config, env_config)
                 train_count += 1
@@ -277,7 +270,7 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
             episode += 1
             env.reset(seed=[seed, 1, episode])
 
-    log.real_flat = flow_mod.flatten_memory(memory.items, layout)
+    log.real_flat = memory.rows()
     return log
 
 

@@ -1,81 +1,105 @@
-"""Replay memory FIFO semantics, epsilon-greedy selection, and the Q update."""
+"""Replay memory ring-buffer FIFO semantics, epsilon-greedy selection, and the Q update."""
 
 import numpy as np
 import pytest
 
 from dvfsflow import agent as ag
 from dvfsflow import nets
-from dvfsflow.agent import AgentConfig, ReplayMemory, Transition
-from dvfsflow.errors import DomainError, InsufficientDataError
+from dvfsflow.agent import AgentConfig, ReplayMemory
+from dvfsflow.errors import ConfigurationError, InsufficientDataError
+from dvfsflow.flow import TransitionLayout, encode_transition
 from dvfsflow.simenv import EnvConfig, ProcessorState
 
 # chi-squared upper 0.1% quantile at 11 degrees of freedom
 CHI2_CRIT_DF11 = 31.264
 
 ENV = EnvConfig()
+LAYOUT = TransitionLayout(num_actions=ENV.num_actions, ambient_temp=ENV.ambient_temp)
 
 
 def _state(x=50.0):
     return ProcessorState(fps=x, freq=0.5, power=5.0, temp=40.0)
 
 
-def _transition(i, done=False, r=1.0, source="real"):
-    return Transition(_state(float(i)), i % ENV.num_actions, r, _state(float(i + 1)),
-                      done, source=source)
+def _row(i, done=False, r=1.0, layout=LAYOUT):
+    """Transition i: fps i -> i + 1 under action i mod k, as a codec row."""
+    return encode_transition(_state(float(i)), i % layout.num_actions, r,
+                             _state(float(i + 1)), done, layout)
 
 
 def test_push_fifo_and_counter():
     mem = ReplayMemory(capacity=2)
     assert mem.phi == 0 and len(mem) == 0
     for i in range(3):
-        mem.push(_transition(i))
+        mem.push(_row(i))
     assert mem.phi == 3
     assert len(mem) == 2
-    assert [t.s.fps for t in mem.items] == [1.0, 2.0]   # oldest evicted first
+    assert mem.rows()[:, 0].tolist() == [1.0, 2.0]   # oldest evicted first
+
+
+def test_push_block_counts_every_row_and_keeps_the_newest():
+    mem = ReplayMemory(capacity=3)
+    mem.push(np.stack([_row(i) for i in range(2)]))
+    mem.push(np.stack([_row(i) for i in range(2, 7)]))   # longer than the capacity
+    assert mem.phi == 7 and len(mem) == 3
+    assert mem.rows()[:, 0].tolist() == [4.0, 5.0, 6.0]
+    mem.push(np.empty((0, 11)))
+    assert mem.phi == 7 and mem.rows()[:, 0].tolist() == [4.0, 5.0, 6.0]
 
 
 def test_push_then_sample_single_element():
     mem = ReplayMemory(capacity=4)
-    t = _transition(9)
-    mem.push(t)
-    got = mem.sample_batch(1, np.random.default_rng(0))
-    assert got == [t]
+    row = _row(9)
+    mem.push(row)
+    got = mem.sample(1, np.random.default_rng(0))
+    assert got.shape == (1, 11) and got[0].tobytes() == row.tobytes()
 
 
 def test_sample_full_size_is_permutation():
     mem = ReplayMemory(capacity=8)
     for i in range(6):
-        mem.push(_transition(i))
-    out = mem.sample_batch(6, np.random.default_rng(1))
-    assert sorted(t.s.fps for t in out) == [float(i) for i in range(6)]
+        mem.push(_row(i))
+    out = mem.sample(6, np.random.default_rng(1))
+    assert sorted(out[:, 0]) == [float(i) for i in range(6)]
 
 
 def test_sample_zero_and_insufficient():
     mem = ReplayMemory(capacity=4)
-    mem.push(_transition(0))
-    assert mem.sample_batch(0, np.random.default_rng(0)) == []
+    mem.push(_row(0))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert mem.sample(0, rng).shape == (0, 11)
+    assert rng.bit_generator.state == state          # n == 0 draws nothing
     with pytest.raises(InsufficientDataError):
-        mem.sample_batch(2, np.random.default_rng(0))
+        mem.sample(2, rng)
 
 
 def test_sample_uniformity_counting_oracle():
     mem = ReplayMemory(capacity=4)
-    for i in range(4):
-        mem.push(_transition(i))
+    for i in range(6):                                # wraps: holds fps 2..5
+        mem.push(_row(i))
     rng = np.random.default_rng(42)
     counts = np.zeros(4)
     n = 10_000
     for _ in range(n):
-        t = mem.sample_batch(1, rng)[0]
-        counts[int(t.s.fps)] += 1
+        counts[int(mem.sample(1, rng)[0, 0]) - 2] += 1
     assert np.all(np.abs(counts / n - 0.25) < 0.02)
 
 
-def test_memory_provenance_enforced():
-    mem = ReplayMemory(capacity=4, allowed_sources=("real",))
-    mem.push(_transition(0, source="real"))
-    with pytest.raises(DomainError):
-        mem.push(_transition(1, source="synth"))
+def test_memory_storage_follows_the_rows_held_not_the_capacity():
+    # a capacity that no array could be allocated for still runs: the ring
+    # grows with its rows, so "keep everything" configs work
+    mem = ReplayMemory(capacity=10**12)
+    for i in range(5):
+        mem.push(_row(i))
+    mem.push(np.stack([_row(i) for i in range(5, 40)]))
+    assert len(mem) == 40 and mem.phi == 40
+    assert mem.rows()[:, 0].tolist() == [float(i) for i in range(40)]
+
+
+def test_memory_capacity_must_be_positive():
+    with pytest.raises(ConfigurationError):
+        ReplayMemory(capacity=0)
 
 
 def test_select_action_uniform_when_epsilon_one():
@@ -127,14 +151,14 @@ def test_q_targets_terminal_and_zero_discount():
     qnet = ag.init_qnet(ENV, cfg, seed=2)
     target = ag.sync_target(qnet)
     trainer = nets.Trainer(qnet, nets.adam_init(qnet, 0.0))   # lr 0: inspect the loss only
-    done_batch = [_transition(3, done=True, r=1.5)]
+    done_batch = _row(3, done=True, r=1.5)[None, :]
     loss = ag.train_q_step(trainer, target, done_batch, cfg, ENV)
-    q_sa = ag.q_values(qnet, done_batch[0].s, ENV)[done_batch[0].a]
+    q_sa = ag.q_values(qnet, _state(3.0), ENV)[3]
     assert loss == pytest.approx((q_sa - 1.5) ** 2)
 
     # gamma = 0 makes y = r even for non-terminal transitions
     zero = AgentConfig(discount=0.0)
-    live_batch = [_transition(3, done=False, r=1.5)]
+    live_batch = _row(3, done=False, r=1.5)[None, :]
     loss0 = ag.train_q_step(trainer, target, live_batch, zero, ENV)
     assert loss0 == pytest.approx((q_sa - 1.5) ** 2)
 
@@ -145,11 +169,11 @@ def test_single_transition_regression_to_fixed_target():
     qnet = ag.init_qnet(ENV, cfg, seed=3)
     target = ag.sync_target(qnet)
     trainer = nets.Trainer(qnet, nets.adam_init(qnet, cfg.learning_rate))
-    tr = _transition(5, r=2.0)
-    y = tr.r + cfg.discount * float(np.max(ag.q_values(target, tr.s_next, ENV)))
+    batch = _row(5, r=2.0)[None, :]
+    y = 2.0 + cfg.discount * float(np.max(ag.q_values(target, _state(6.0), ENV)))
     for _ in range(800):
-        ag.train_q_step(trainer, target, [tr], cfg, ENV)
-    assert ag.q_values(trainer.params, tr.s, ENV)[tr.a] == pytest.approx(y, abs=1e-3)
+        ag.train_q_step(trainer, target, batch, cfg, ENV)
+    assert ag.q_values(trainer.params, _state(5.0), ENV)[5] == pytest.approx(y, abs=1e-3)
 
 
 def test_dqn_converges_to_value_iteration_on_two_state_mdp():
@@ -176,8 +200,9 @@ def test_dqn_converges_to_value_iteration_on_two_state_mdp():
                            for a in range(2)] for s in range(2)])
         q_star = q_new
 
-    transitions = [Transition(states[s], a, r, states[nx], False)
-                   for (s, a), (r, nx) in table.items()]
+    layout = TransitionLayout(num_actions=2, ambient_temp=k2.ambient_temp)
+    transitions = np.stack([encode_transition(states[s], a, r, states[nx], False, layout)
+                            for (s, a), (r, nx) in table.items()])
     cfg = AgentConfig(discount=gamma, learning_rate=0.02, hidden_sizes=[32, 32],
                       target_sync_period=25)
     qnet = ag.init_qnet(k2, cfg, seed=4)

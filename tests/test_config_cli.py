@@ -447,3 +447,70 @@ def test_report_stale_env_key_is_a_configuration_error(tmp_path, capsys):
     assert main(["report", "--run-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and "['seed'] in section 'env'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "{dir}"],
+    ["eval", "--real", "{dir}", "--synth", "{dir}"],
+])
+def test_directory_given_as_a_file_is_a_one_line_error(tmp_path, capsys, argv):
+    # used to end in an IsADirectoryError traceback
+    assert main([a.format(dir=tmp_path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and str(tmp_path) in err
+    assert err.count("\n") == 1
+
+
+def test_run_output_that_is_a_file_is_a_one_line_error(tmp_path, capsys):
+    # os.makedirs used to end in a FileExistsError traceback
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    cfg_path = _write_config(tmp_path, {"methods": ["model_free"], "seeds": [0]})
+    assert main(["run", "--config", cfg_path, "--output", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and str(taken) in err
+    assert err.count("\n") == 1
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_missing_file_names_the_path(capsys):
+    assert main(["run", "--config", "/nonexistent/cfg.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("missing file: ") and "/nonexistent/cfg.json" in err
+
+
+def test_report_on_a_run_too_short_for_stability(tmp_path, capsys):
+    # a 5-step run has no q-value stability estimate (it needs 8 steps);
+    # report used to exit 1 with "run log too short for a stability estimate"
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path, {"methods": ["pure_fm", "model_free"],
+                                        "seeds": [0], "output_dir": str(out),
+                                        "schedule": {"horizon": 5}})
+    assert main(["run", "--config", cfg_path]) == 0
+    assert main(["report", "--run-dir", str(out)]) == 0
+    with open(out / "report" / "report.json") as fh:
+        payload = json.load(fh)
+    assert [r["qvalue_stability"] for r in payload["per_run"]] == [None, None]
+    assert payload["medians"]["model_free"]["qvalue_stability"] is None
+    assert payload["medians"]["model_free"]["final_regret"] >= 0
+    lines = (out / "report" / "metrics.csv").read_text().splitlines()
+    assert len(lines) == 3
+    for line in lines[1:]:
+        assert line.split(",")[4] == ""
+
+
+def test_report_medians_skip_runs_too_short_for_stability(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path, {"methods": ["model_free"], "seeds": [0, 1, 2],
+                                        "output_dir": str(out),
+                                        "schedule": {"horizon": 20}})
+    assert main(["run", "--config", cfg_path]) == 0
+    short = out / "runlog_model_free_seed1.csv"        # cut seed 1 to 5 steps
+    short.write_text("".join(short.read_text().splitlines(keepends=True)[:6]))
+    assert main(["report", "--run-dir", str(out)]) == 0
+    with open(out / "report" / "report.json") as fh:
+        payload = json.load(fh)
+    stab = [r["qvalue_stability"] for r in payload["per_run"]]
+    assert stab[1] is None and None not in (stab[0], stab[2])
+    want = float(np.median([stab[0], stab[2]]))
+    assert payload["medians"]["model_free"]["qvalue_stability"] == want

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from dvfsflow import nets
-from dvfsflow.agent import Transition
 from dvfsflow.errors import ConfigurationError, DomainError, NumericError, StateError
-from dvfsflow.flow import (FMConfig, TransitionLayout, bootstrap_latents,
-                           cfm_loss, flatten_memory, flow_model_from_dict,
-                           flow_model_to_dict, generate_raw,
+from dvfsflow.flow import (FMConfig, Transition, TransitionLayout, bootstrap_latents,
+                           canonical_rows, cfm_loss, encode_transition,
+                           flow_model_from_dict, flow_model_to_dict, generate_raw,
                            init_flow_model, load_batch_csv, sample_vector_field,
-                           save_batch_csv, train_flow_model, unflatten_rows,
-                           unflatten_transition)
+                           save_batch_csv, train_flow_model, unflatten_transition)
 from dvfsflow.simenv import DvfsEnv, EnvConfig, ProcessorState
 
 LAYOUT = TransitionLayout(num_actions=12, ambient_temp=25.0)
@@ -23,47 +21,52 @@ def _transition(a=3, done=False):
     return Transition(s, a, 1.23, s2, done)
 
 
+def _encode(t, layout=LAYOUT):
+    return encode_transition(t.s, t.a, t.r, t.s_next, t.done, layout)
+
+
 def _sim_data(n, seed=0):
     """n simulator transitions, flattened."""
     cfg = EnvConfig()
     env = DvfsEnv(cfg, seed=seed)
     rng = np.random.default_rng(seed)
-    transitions = []
+    rows = []
     for i in range(n):
         s = env.state
         a = int(rng.integers(cfg.num_actions))
         nxt, r, done = env.step(a)
-        transitions.append(Transition(s, a, r, nxt, done))
+        rows.append(encode_transition(s, a, r, nxt, done, LAYOUT))
         if done:
             env.reset(seed=seed + 1000 + i)
-    return flatten_memory(transitions, LAYOUT)
+    return np.stack(rows)
 
 
 # ---------------------------------------------------------------- encoding
 
 def test_flatten_round_trip():
     ts = [_transition(a=a, done=done) for a, done in [(0, False), (3, False), (11, True)]]
-    assert unflatten_rows(flatten_memory(ts, LAYOUT), LAYOUT, source="real") == ts
-    assert unflatten_transition(flatten_memory(ts[1:2], LAYOUT)[0], LAYOUT, "real") == ts[1]
+    rows = np.stack([_encode(t) for t in ts])
+    assert [unflatten_transition(row, LAYOUT) for row in rows] == ts
+    assert canonical_rows(rows, LAYOUT).tobytes() == rows.tobytes()   # already valid
 
 
 def test_flatten_encodings():
-    v = flatten_memory([_transition(a=11, done=False), _transition(done=True)], LAYOUT)
-    assert v.shape == (2, 11)
+    v = np.stack([_encode(_transition(a=11, done=False)), _encode(_transition(done=True))])
+    assert v.shape == (2, 11) and v.dtype == np.float64
     assert v[0, 4] == 1.0     # top action level encodes to 1.0
+    assert v[1, 4] == 3 / 11
     assert v[0, 10] == 0.0    # done=False encodes to 0.0
     assert v[1, 10] == 1.0
-    assert flatten_memory([], LAYOUT).shape == (0, 11)
-    assert unflatten_rows(np.empty((0, 11)), LAYOUT) == []
+    assert canonical_rows(np.empty((0, 11)), LAYOUT).shape == (0, 11)
 
 
 def test_unflatten_rejects_wrong_dimension():
     with pytest.raises(DomainError):
         unflatten_transition(np.zeros(10), LAYOUT)
     with pytest.raises(DomainError):
-        unflatten_rows(np.zeros((3, 10)), LAYOUT)
+        canonical_rows(np.zeros((3, 10)), LAYOUT)
     with pytest.raises(DomainError):
-        unflatten_rows(np.zeros(11), LAYOUT)
+        canonical_rows(np.zeros(11), LAYOUT)
 
 
 def test_unflatten_rejects_non_finite_naming_columns():
@@ -71,7 +74,7 @@ def test_unflatten_rejects_non_finite_naming_columns():
     rows[1, 4] = np.nan
     rows[2, 8] = -np.inf
     with pytest.raises(NumericError, match="action, next_temp"):
-        unflatten_rows(rows, LAYOUT)
+        canonical_rows(rows, LAYOUT)
     with pytest.raises(NumericError, match="action"):
         unflatten_transition(rows[1], LAYOUT)
 
@@ -285,15 +288,18 @@ def test_generate_outputs_valid_transitions():
     cfg = FMConfig(hidden_sizes=[16, 16], epochs=30, bootstrap_count=2)
     lam = np.full(LAYOUT.dim, 1.0 / LAYOUT.dim)
     model = train_flow_model(data, lam, cfg, seed=2)
-    out = unflatten_rows(generate_raw(model, 200, np.random.default_rng(0)), LAYOUT)
-    assert len(out) == 200
-    for t in out:
-        for s in (t.s, t.s_next):
-            assert s.fps >= 0 and s.power > 0
-            assert s.temp >= LAYOUT.ambient_temp and 0.0 <= s.freq <= 1.0
-        assert 0 <= t.a < LAYOUT.num_actions
-        assert t.source == "synth"
-    assert unflatten_rows(generate_raw(model, 0, np.random.default_rng(0)), LAYOUT) == []
+    out = canonical_rows(generate_raw(model, 200, np.random.default_rng(0)), LAYOUT)
+    assert out.shape == (200, 11)
+    for s in (out[:, 0:4], out[:, 5:9]):
+        assert np.all(s[:, 0] >= 0) and np.all(s[:, 2] > 0)
+        assert np.all(s[:, 3] >= LAYOUT.ambient_temp)
+        assert np.all((s[:, 1] >= 0.0) & (s[:, 1] <= 1.0))
+    levels = out[:, 4] * (LAYOUT.num_actions - 1)
+    assert np.array_equal(levels, np.rint(levels))
+    assert np.all((levels >= 0) & (levels < LAYOUT.num_actions))
+    assert set(out[:, 10].tolist()) <= {0.0, 1.0}
+    assert canonical_rows(generate_raw(model, 0, np.random.default_rng(0)),
+                          LAYOUT).shape == (0, 11)
 
 
 def test_generate_requires_trained_model():

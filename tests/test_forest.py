@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from dvfsflow.agent import Transition
 from dvfsflow.errors import DomainError, InsufficientDataError
-from dvfsflow.flow import TransitionLayout, flatten_memory
+from dvfsflow.flow import TransitionLayout, encode_transition
 from dvfsflow.forest import (ForestConfig, fit_forest, normalized_importances,
                              transition_feature_weights)
 from dvfsflow.simenv import DvfsEnv, EnvConfig
@@ -107,15 +106,16 @@ def _fill_memory(n, seed=0):
     cfg = EnvConfig().noiseless()
     env = DvfsEnv(cfg, seed=seed)
     rng = np.random.default_rng(seed)
-    transitions = []
+    layout = TransitionLayout(num_actions=cfg.num_actions)
+    rows = []
     for i in range(n):
         s = env.state
         a = int(rng.integers(cfg.num_actions))
         nxt, r, done = env.step(a)
-        transitions.append(Transition(s, a, r, nxt, done))
+        rows.append(encode_transition(s, a, r, nxt, done, layout))
         if done:
             env.reset(seed=seed + i + 1)
-    return flatten_memory(transitions, TransitionLayout(num_actions=cfg.num_actions))
+    return np.stack(rows)
 
 
 def test_transition_weights_shape_and_normalization():

@@ -78,3 +78,46 @@ def test_golden_digest_with_fifo_eviction(tmp_path):
     assert log.phi_real[-1] > cfg.schedule.real_capacity
     runlog_to_csv(log, str(tmp_path / "runlog.csv"))
     assert _sha256(tmp_path / "runlog.csv") == GOLDEN_EVICTION_RUNLOG
+
+
+# Both memories evict (|M| = 150 of 400 steps, |M'| = 500 of up to 3,000
+# synthetic rows), and the Q-net takes 300-361 updates: 15-18 target syncs and
+# three Adam resets.  This pins the replay memories' eviction order and the
+# Q-net's update schedule on their own.
+EVICTION_SYNC_CONFIG = {"schedule": {"horizon": 400, "fm_retrain_period": 40,
+                                     "planning_breadth": 300, "synth_capacity": 500,
+                                     "real_capacity": 150},
+                        "flow": {"epochs": 20}}
+GOLDEN_EVICTION_SYNC = {
+    "pure_fm": ("e51ea8d40d20ec0a531797b6ec30b2486e99db3d66937ffde3c161874aa06569",
+                "77c0b0073e2d544f6823d39141116976d19dc9627fc0ba718dc47df994764541",
+                "d84c747c4f82528a883352e215417eccf867666b78dc1c49ce9f9d4a6b2f7a7d", 361),
+    "model_based": ("3c65f16064534327585164b3212e234a6ae6374528a5b724ff81f121a7dcc9c2",
+                    "1047e7d04e0b647ed2211bf6c467dfa33a404ec6bf5246ea5b8578187aa07ac1",
+                    "916cf73b0b48998ae314854c318d2a205899053b03af4295ba6028b426afecf6", 361),
+    "model_free": ("1930aa37508c81b78c57f4f64ecca68848115b96396ee029700f2b51703d8b42",
+                   None, "266e0b04ba84abd5cb5e31e919e4bc03e3087882d21c4df87504053e81ebae67", 300),
+}
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN_EVICTION_SYNC))
+def test_golden_digest_with_eviction_syncs_and_resets(method, tmp_path):
+    cfg = config_from_dict(EVICTION_SYNC_CONFIG)
+    sched = cfg.schedule
+    log = run_experiment(method, cfg.env, cfg.agent, sched, 0,
+                         fm_config=cfg.flow, forest_config=cfg.forest)
+    runlog_digest, synth_digest, real_digest, updates = GOLDEN_EVICTION_SYNC[method]
+    assert log.phi_real[-1] > sched.real_capacity
+    assert len(log.agent_train_steps) == updates
+    assert updates // cfg.agent.target_sync_period >= 15
+    assert updates // sched.lr_reset_period == 3
+    runlog_to_csv(log, str(tmp_path / "runlog.csv"))
+    assert _sha256(tmp_path / "runlog.csv") == runlog_digest
+    save_batch_csv(log.real_flat, str(tmp_path / "real.csv"))     # M, oldest first
+    assert _sha256(tmp_path / "real.csv") == real_digest
+    if synth_digest is None:
+        assert log.synth_raw is None and log.phi_synth[-1] == 0
+    else:
+        assert log.phi_synth[-1] > sched.synth_capacity
+        save_batch_csv(log.synth_raw, str(tmp_path / "synth.csv"))
+        assert _sha256(tmp_path / "synth.csv") == synth_digest

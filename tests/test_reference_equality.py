@@ -1,5 +1,5 @@
-"""The flow, forest, codec, Q-step, ODE sampler and W1 hot paths against plain
-loop versions of the same arithmetic.
+"""The flow, forest, codec, replay memory, Q-step, ODE sampler and W1 hot
+paths against plain loop versions of the same arithmetic.
 
 The references below are straightforward per-layer, per-column and recursive
 implementations.  The production code batches them into fewer numpy calls
@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 from dvfsflow import agent, forest, nets
-from dvfsflow.agent import AgentConfig, Transition
-from dvfsflow.errors import NumericError
+from dvfsflow.agent import AgentConfig, ReplayMemory
+from dvfsflow.errors import InsufficientDataError, NumericError
 from dvfsflow.evalkit import _sorted_quantile, wasserstein1
 from dvfsflow.flow import (FMConfig, Normalizer, TransitionLayout, _cfm_batch,
-                           bootstrap_latents, flatten_memory, init_flow_model,
-                           sample_vector_field, unflatten_rows, unflatten_transition)
+                           bootstrap_latents, canonical_rows, check_finite,
+                           encode_transition, init_flow_model, sample_vector_field,
+                           unflatten_transition)
 from dvfsflow.forest import (ForestConfig, _best_splits, _grow_trees, fit_forest,
                              normalized_importances, transition_feature_weights)
 from dvfsflow.simenv import DvfsEnv, EnvConfig, ProcessorState, normalize_state
@@ -233,6 +234,40 @@ def _ref_train_q_step(qnet, target_net, batch, agent_config, env_config, adam):
     return nets.train_step(qnet, adam, x, targets, weights)
 
 
+@dataclass(frozen=True)
+class _RefTransition:
+    """A transition as an object, with the provenance tag memories once checked."""
+    s: ProcessorState
+    a: int
+    r: float
+    s_next: ProcessorState
+    done: bool
+    source: str = "real"
+
+
+class _RefReplayMemory:
+    """List FIFO: one transition object per push, the oldest deleted beyond capacity."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.items = []
+        self.phi = 0
+
+    def push(self, transition):
+        self.items.append(transition)
+        if len(self.items) > self.capacity:
+            del self.items[0]
+        self.phi += 1
+
+    def sample_batch(self, n, rng):
+        if n > len(self.items):
+            raise InsufficientDataError(f"asked for {n}, holds {len(self.items)}")
+        if n == 0:
+            return []
+        idx = rng.choice(len(self.items), size=n, replace=False)
+        return [self.items[i] for i in idx]
+
+
 def _ref_decode_state(fps, freq, power, temp, layout):
     return ProcessorState(fps=max(fps, 0.0), freq=min(max(freq, 0.0), 1.0),
                           power=max(power, 1e-6), temp=max(temp, layout.ambient_temp))
@@ -243,9 +278,26 @@ def _ref_unflatten_transition(vec, layout, source="synth"):
     v = np.asarray(vec, dtype=np.float64)
     k = layout.num_actions
     action = int(np.clip(np.rint(v[4] * (k - 1)), 0, k - 1))
-    return Transition(s=_ref_decode_state(v[0], v[1], v[2], v[3], layout), a=action,
-                      r=float(v[9]), s_next=_ref_decode_state(v[5], v[6], v[7], v[8], layout),
-                      done=bool(v[10] > 0.5), source=source)
+    return _RefTransition(s=_ref_decode_state(v[0], v[1], v[2], v[3], layout), a=action,
+                          r=float(v[9]),
+                          s_next=_ref_decode_state(v[5], v[6], v[7], v[8], layout),
+                          done=bool(v[10] > 0.5), source=source)
+
+
+def _ref_unflatten_rows(raw, layout, source="synth"):
+    """Batch decoder to objects: clamps on the whole array, Python floats out."""
+    v = np.asarray(raw, dtype=np.float64)
+    check_finite(v)
+    lo = np.array([0.0, 0.0, 1e-6, layout.ambient_temp] * 2)
+    hi = np.array([np.inf, 1.0, np.inf, np.inf] * 2)
+    states = v[:, [0, 1, 2, 3, 5, 6, 7, 8]]
+    cols = np.minimum(np.where(states < lo, lo, states), hi).T.tolist()
+    k1 = layout.num_actions - 1
+    actions = np.rint(np.clip(v[:, 4], 0.0, 1.0) * k1).astype(int).tolist()
+    return [_RefTransition(s, a, r, s_next, d, source)
+            for s, a, r, s_next, d in zip(map(ProcessorState, *cols[:4]), actions,
+                                          v[:, 9].tolist(), map(ProcessorState, *cols[4:]),
+                                          (v[:, 10] > 0.5).tolist())]
 
 
 def _ref_flatten_transition(t, layout):
@@ -256,7 +308,8 @@ def _ref_flatten_transition(t, layout):
 
 
 def _ref_flatten_memory(transitions, layout):
-    return np.stack([_ref_flatten_transition(t, layout) for t in transitions])
+    return np.array([_ref_flatten_transition(t, layout) for t in transitions],
+                    dtype=np.float64).reshape(-1, 11)
 
 
 def _ref_transition_feature_weights(transitions, config, rng):
@@ -495,39 +548,59 @@ def _edge_rows():
 
 def _fields(t):
     return ([float(v).hex() for s in (t.s, t.s_next) for v in (s.fps, s.freq, s.power, s.temp)]
-            + [type(t.a), t.a, float(t.r).hex(), type(t.done), t.done, t.source])
+            + [type(t.a), t.a, float(t.r).hex(), type(t.done), t.done])
 
 
-@pytest.mark.parametrize("num_actions,ambient", [(12, 25.0), (2, 0.0), (5, -10.0)])
+LAYOUTS = [(12, 25.0), (2, 0.0), (5, -10.0)]
+
+
+@pytest.mark.parametrize("num_actions,ambient", LAYOUTS)
 def test_unflatten_rows_field_equal_reference(num_actions, ambient):
+    # the batch decoder and unflatten_transition (canonical_rows on one row)
+    # against the per-row decoder on numpy scalars
     layout = TransitionLayout(num_actions=num_actions, ambient_temp=ambient)
     rows = _edge_rows()
-    got = unflatten_rows(rows, layout, source="model")
+    got = _ref_unflatten_rows(rows, layout, source="model")
     assert len(got) == len(rows)
     for row, t in zip(rows, got):
         want = _fields(_ref_unflatten_transition(row, layout, source="model"))
-        assert _fields(t) == want
-        assert _fields(unflatten_transition(row, layout, source="model")) == want
+        assert _fields(t) == want and t.source == "model"
+        assert _fields(unflatten_transition(row, layout)) == want
+
+
+@pytest.mark.parametrize("num_actions,ambient", LAYOUTS)
+def test_canonical_rows_bytes_equal_decode_then_encode(num_actions, ambient):
+    layout = TransitionLayout(num_actions=num_actions, ambient_temp=ambient)
+    rows = _edge_rows()
+    want = _ref_flatten_memory(_ref_unflatten_rows(rows, layout), layout)
+    assert canonical_rows(rows, layout).tobytes() == want.tobytes()
+    assert canonical_rows(rows[:0], layout).shape == (0, 11)
 
 
 def _edge_transitions():
     decoded_np = [_ref_unflatten_transition(row, LAYOUT) for row in _edge_rows()]
-    decoded_py = unflatten_rows(_edge_rows(), LAYOUT)
+    decoded_py = _ref_unflatten_rows(_edge_rows(), LAYOUT)
     rng = np.random.default_rng(2)
-    plain = [Transition(_random_state(rng), a, float(rng.normal()), _random_state(rng),
-                        bool(a % 2)) for a in range(12)]
+    plain = [_RefTransition(_random_state(rng), a, float(rng.normal()), _random_state(rng),
+                            bool(a % 2)) for a in range(12)]
     neg = ProcessorState(fps=-0.0, freq=-0.0, power=-0.0, temp=-0.0)
-    plain.append(Transition(neg, 0, -0.0, neg, False))
+    plain.append(_RefTransition(neg, 0, -0.0, neg, False))
     return decoded_np + decoded_py + plain
+
+
+def _encode_all(transitions, layout):
+    """Rows as the run loop builds M: encode_transition once per transition."""
+    return np.array([encode_transition(t.s, t.a, t.r, t.s_next, t.done, layout)
+                     for t in transitions]).reshape(-1, 11)
 
 
 def test_flatten_memory_bytes_equal_reference():
     ts = _edge_transitions()
-    assert flatten_memory(ts, LAYOUT).tobytes() == _ref_flatten_memory(ts, LAYOUT).tobytes()
+    assert _encode_all(ts, LAYOUT).tobytes() == _ref_flatten_memory(ts, LAYOUT).tobytes()
     for k in (2, 5):
         layout = TransitionLayout(num_actions=k)
         small = [t for t in ts if t.a < k]
-        assert (flatten_memory(small, layout).tobytes()
+        assert (_encode_all(small, layout).tobytes()
                 == _ref_flatten_memory(small, layout).tobytes())
 
 
@@ -539,7 +612,7 @@ def _sim_transitions(env_config, n, seed):
         s = env.state
         a = int(rng.integers(env_config.num_actions))
         nxt, r, done = env.step(a)
-        out.append(Transition(s, a, r, nxt, done))
+        out.append(_RefTransition(s, a, r, nxt, done))
         if done:
             env.reset(seed=seed + 100 + i)
     return out
@@ -552,13 +625,13 @@ def test_transition_feature_weights_hex_equal_reference(num_actions, noiseless, 
     env = env.noiseless() if noiseless else env
     layout = TransitionLayout(num_actions=num_actions, ambient_temp=env.ambient_temp)
     ts = _sim_transitions(env, 150, seed)
-    # decoded synthetic rows too: clamped states, snapped actions
+    # canonical synthetic rows too: clamped states, snapped actions
     raw = np.random.default_rng(seed).uniform(-0.1, 1.1, size=(60, 11)) \
         * [120, 1, 20, 80, 1, 120, 1, 20, 80, 2, 1]
-    ts += unflatten_rows(raw, layout)
+    rows = np.concatenate([_encode_all(ts, layout), canonical_rows(raw, layout)])
+    ts += _ref_unflatten_rows(raw, layout)
     cfg = ForestConfig(n_trees=6, max_depth=5)
-    got = transition_feature_weights(flatten_memory(ts, layout), cfg,
-                                     rng=np.random.default_rng([seed, 30]))
+    got = transition_feature_weights(rows, cfg, rng=np.random.default_rng([seed, 30]))
     want = _ref_transition_feature_weights(ts, cfg, np.random.default_rng([seed, 30]))
     assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
@@ -695,9 +768,53 @@ def test_fit_forest_lockstep_rounds_mix_node_sizes(monkeypatch):
     assert any(len(sizes) > 1 and max(sizes) > 4 * min(sizes) for sizes in rounds)
 
 
+# ---------------------------------------------------------------- replay memory
+
+@pytest.mark.parametrize("capacity", [1, 3, 7, 64])
+def test_ring_memory_bytes_equal_list_fifo(capacity):
+    # single rows, empty blocks, blocks that straddle the end of the ring and
+    # blocks longer than the capacity; every state sampled at n = 0, 1, half
+    # and all, with the generators compared after each draw
+    rng = np.random.default_rng(capacity)
+    ring, ref = ReplayMemory(capacity), _RefReplayMemory(capacity)
+    draw, ref_draw = np.random.default_rng(11), np.random.default_rng(11)
+    pos, straddled, longer = 0, False, False
+    for k in [1, 1, capacity - 1, 2, capacity + 3, 0, 1, 2 * capacity + 1, capacity,
+              capacity // 2 + 1, 5]:
+        rows, ts = _synthetic(k, rng)
+        ring.push(rows[0] if k == 1 else rows)
+        for t in ts:
+            ref.push(t)
+        kept = min(k, capacity)
+        straddled |= 0 < kept < capacity and pos + kept > capacity
+        longer |= k > capacity
+        pos = (pos + kept) % capacity
+        assert ring.phi == ref.phi and len(ring) == len(ref.items)
+        assert ring.rows().tobytes() == _ref_flatten_memory(ref.items, Q_LAYOUT).tobytes()
+        for n in sorted({0, 1, len(ring) // 2, len(ring)}):
+            got = ring.sample(n, draw)
+            want = _ref_flatten_memory(ref.sample_batch(n, ref_draw), Q_LAYOUT)
+            assert got.tobytes() == want.tobytes()
+            assert draw.bit_generator.state == ref_draw.bit_generator.state
+    assert longer and (straddled or capacity == 1)
+    with pytest.raises(InsufficientDataError):
+        ring.sample(len(ring) + 1, draw)
+
+
+def test_ring_memory_rows_is_a_copy():
+    ring = ReplayMemory(3)
+    ring.push(_synthetic(3, np.random.default_rng(0))[0])
+    before = ring.rows()
+    ring.push(_synthetic(2, np.random.default_rng(1))[0])
+    assert not np.shares_memory(before, ring.rows())
+    assert before.tobytes() != ring.rows().tobytes()
+    assert before[2].tobytes() == ring.rows()[0].tobytes()
+
+
 # ---------------------------------------------------------------- Q-step
 
 Q_ENV = EnvConfig()
+Q_LAYOUT = TransitionLayout(num_actions=Q_ENV.num_actions, ambient_temp=Q_ENV.ambient_temp)
 
 
 def _random_state(rng):
@@ -705,23 +822,30 @@ def _random_state(rng):
                           power=float(rng.uniform(1.0, 20.0)), temp=float(rng.uniform(25.0, 80.0)))
 
 
+def _transitions(n, rng, source="real"):
+    return [_RefTransition(_random_state(rng), int(rng.integers(Q_ENV.num_actions)),
+                           float(rng.normal()), _random_state(rng), bool(rng.random() < 0.3),
+                           source) for _ in range(n)]
+
+
+def _synthetic(n, rng):
+    """Raw generator-like rows: the canonical rows and the decoded objects."""
+    raw = rng.uniform(0.0, 1.0, size=(n, 11)) * [120, 1, 20, 80, 1, 120, 1, 20, 80, 2, 1]
+    return canonical_rows(raw, Q_LAYOUT), _ref_unflatten_rows(raw, Q_LAYOUT)
+
+
 def _q_batch(kind, rng):
-    k = Q_ENV.num_actions
+    """(rows, the same batch as transition objects) of one Q-step."""
     if kind == "decoded":
-        # the batch decoder leaves Python floats in the state fields
-        rows = rng.uniform(0.0, 1.0, size=(32, 11)) * [120, 1, 20, 80, 1, 120, 1, 20, 80, 2, 1]
-        layout = TransitionLayout(num_actions=k, ambient_temp=Q_ENV.ambient_temp)
-        batch = unflatten_rows(rows, layout)
-        assert type(batch[0].s.fps) is float and type(batch[0].s_next.temp) is float
-        return batch
-    n = 1 if kind == "single" else 32
-    batch = [Transition(_random_state(rng), int(rng.integers(k)), float(rng.normal()),
-                        _random_state(rng), bool(rng.random() < 0.3),
-                        source="synth" if kind == "mixed" and i % 2 else "real")
-             for i in range(n)]
+        return _synthetic(32, rng)
+    if kind == "mixed":                      # 16 real rows, then 16 synthetic ones
+        real = _transitions(16, rng)
+        synth_rows, synth = _synthetic(16, rng)
+        return np.concatenate([_encode_all(real, Q_LAYOUT), synth_rows]), real + synth
+    batch = _transitions(1 if kind == "single" else 32, rng)
     if kind == "done_and_live":
         assert {t.done for t in batch} == {True, False}
-    return batch
+    return _encode_all(batch, Q_LAYOUT), batch
 
 
 @pytest.mark.parametrize("kind", ["done_and_live", "single", "mixed", "decoded"])
@@ -734,8 +858,8 @@ def test_train_q_step_bitwise_equal_reference(kind):
     trainer = nets.Trainer(qnet, adam)
     ref_qnet, ref_adam = qnet, adam
     for _ in range(5):
-        batch = _q_batch(kind, rng)
-        loss = agent.train_q_step(trainer, target, batch, cfg, Q_ENV)
+        rows, batch = _q_batch(kind, rng)
+        loss = agent.train_q_step(trainer, target, rows, cfg, Q_ENV)
         ref_qnet, ref_adam, ref_loss = _ref_train_q_step(ref_qnet, target, batch, cfg,
                                                          Q_ENV, ref_adam)
         assert loss == ref_loss
@@ -745,10 +869,25 @@ def test_train_q_step_bitwise_equal_reference(kind):
         assert trainer.adam.step == ref_adam.step
 
 
-def _transitions(n, source, rng):
-    return [Transition(_random_state(rng), int(rng.integers(Q_ENV.num_actions)),
-                       float(rng.normal()), _random_state(rng), bool(rng.random() < 0.3),
-                       source=source) for _ in range(n)]
+def test_train_q_step_reads_every_action_level_back():
+    # a / (k - 1) * (k - 1) falls one ulp short of a for some levels (k = 23,
+    # a = 15), so the Q-step must round the encoded action, not truncate it
+    env = EnvConfig(num_actions=23)
+    layout = TransitionLayout(num_actions=23, ambient_temp=env.ambient_temp)
+    assert 15 / 22 * 22 < 15
+    rng = np.random.default_rng(29)
+    batch = [_RefTransition(_random_state(rng), a, float(rng.normal()), _random_state(rng),
+                            a % 3 == 0) for a in range(23)]
+    cfg = AgentConfig()
+    qnet = agent.init_qnet(env, cfg, seed=8)
+    target = agent.init_qnet(env, cfg, seed=9)
+    trainer = nets.Trainer(qnet, nets.adam_init(qnet, cfg.learning_rate))
+    loss = agent.train_q_step(trainer, target, _encode_all(batch, layout), cfg, env)
+    ref_qnet, ref_adam, ref_loss = _ref_train_q_step(
+        qnet, target, batch, cfg, env, nets.adam_init(qnet, cfg.learning_rate))
+    assert loss == ref_loss
+    assert trainer.params.flat.tobytes() == ref_qnet.flat.tobytes()
+    assert trainer.adam.v.tobytes() == ref_adam.v.tobytes()
 
 
 def test_trainer_q_chain_bytes_equal_pure_train_step_chain():
@@ -766,13 +905,14 @@ def test_trainer_q_chain_bytes_equal_pure_train_step_chain():
     sizes = set()
     for step in range(1, 36):
         if step % 3 == 0:
-            batch = _transitions(32, "real", rng)
+            rows, batch = _q_batch("done_and_live", rng)
         elif step % 3 == 1:
-            batch = _transitions(16, "real", rng) + _transitions(16, "synth", rng)
+            rows, batch = _q_batch("mixed", rng)
         else:
-            batch = _transitions(16, "real", rng)
+            batch = _transitions(16, rng)
+            rows = _encode_all(batch, Q_LAYOUT)
         sizes.add(len(batch))
-        loss = agent.train_q_step(trainer, target, batch, cfg, Q_ENV)
+        loss = agent.train_q_step(trainer, target, rows, cfg, Q_ENV)
         ref_qnet, ref_adam, ref_loss = _ref_train_q_step(ref_qnet, ref_target, batch, cfg,
                                                          Q_ENV, ref_adam)
         assert _hex(loss) == _hex(ref_loss), step
@@ -803,9 +943,9 @@ def test_trainer_leaves_the_params_and_adam_state_it_was_built_from_untouched():
     before = (qnet.flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.step, adam.lr)
     trainer = nets.Trainer(qnet, adam)
     for _ in range(3):
-        agent.train_q_step(trainer, target, _transitions(32, "real", rng), cfg, Q_ENV)
+        agent.train_q_step(trainer, target, _q_batch("done_and_live", rng)[0], cfg, Q_ENV)
     trainer.reset_adam(0.5)
-    agent.train_q_step(trainer, target, _transitions(16, "real", rng), cfg, Q_ENV)
+    agent.train_q_step(trainer, target, _q_batch("mixed", rng)[0][:16], cfg, Q_ENV)
     assert (qnet.flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.step,
             adam.lr) == before
     for mine, theirs in ((trainer.params.flat, qnet.flat), (trainer.adam.m, adam.m),
@@ -823,7 +963,7 @@ def test_train_q_step_rejects_nan_online_net_before_updating():
     trainer = nets.Trainer(qnet, nets.adam_init(qnet, cfg.learning_rate))
     flat_before = trainer.params.flat.tobytes()
     with pytest.raises(NumericError):
-        agent.train_q_step(trainer, target, _q_batch("done_and_live", rng), cfg, Q_ENV)
+        agent.train_q_step(trainer, target, _q_batch("done_and_live", rng)[0], cfg, Q_ENV)
     assert trainer.params.flat.tobytes() == flat_before
     adam = trainer.adam
     assert adam.step == 0 and not adam.m.any() and not adam.v.any()
