@@ -137,19 +137,24 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------- eval
 
 def _eval_batches(real: np.ndarray, synth: np.ndarray) -> dict:
-    m_real = pearson_matrix(real)
-    m_synth = pearson_matrix(synth)
+    """Correlation gap, per-feature W1 and spread ratios of a synthetic batch
+    against real rows.  A batch of fewer than 2 rows has no correlations, so
+    ``corr_gap`` and ``corr_excluded_entries`` are None then."""
+    m_real = pearson_matrix(real) if len(real) >= 2 else None
+    m_synth = pearson_matrix(synth) if len(synth) >= 2 else None
+    paired = m_real is not None and m_synth is not None
     per_feature_w1 = {lab: wasserstein1(real[:, i], synth[:, i])
                       for i, lab in enumerate(TRANSITION_LABELS)}
     real_std = real.std(axis=0)
     synth_std = synth.std(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(real_std > 0, synth_std / real_std, np.nan)
+    # one row has no spread in any column
+    zero_variance = m_real.zero_variance if m_real is not None else [True] * real.shape[1]
     return {
-        "corr_gap": corr_gap(m_real, m_synth),
-        "corr_excluded_entries": corr_gap_excluded_count(m_real, m_synth),
-        "zero_variance_real": [lab for lab, z in zip(TRANSITION_LABELS,
-                                                     m_real.zero_variance) if z],
+        "corr_gap": corr_gap(m_real, m_synth) if paired else None,
+        "corr_excluded_entries": corr_gap_excluded_count(m_real, m_synth) if paired else None,
+        "zero_variance_real": [lab for lab, z in zip(TRANSITION_LABELS, zero_variance) if z],
         "per_feature_w1": per_feature_w1,
         "std_ratio": {lab: (None if not np.isfinite(r) else float(r))
                       for lab, r in zip(TRANSITION_LABELS, ratio)},
@@ -221,9 +226,10 @@ def cmd_report(args) -> int:
         for key in ("mean_fps", "mean_reward", "qvalue_stability", "final_regret"):
             present = [r[key] for r in rows if r[key] is not None]
             medians[method][key] = float(np.median(present)) if present else None
-        gaps = [r["eval"]["corr_gap"] for r in rows if "eval" in r]
-        if gaps:
-            medians[method]["corr_gap"] = float(np.median(gaps))
+        evals = [r["eval"] for r in rows if "eval" in r]
+        if evals:
+            gaps = [e["corr_gap"] for e in evals if e["corr_gap"] is not None]
+            medians[method]["corr_gap"] = float(np.median(gaps)) if gaps else None
 
     gains = {}
     if "dfm" in methods and "model_free" in methods:
@@ -237,20 +243,11 @@ def cmd_report(args) -> int:
             gains = {"window": window, "per_seed": vals,
                      "median": float(np.median(vals))}
 
-    payload = {"per_run": per_run, "medians": medians, "early_fps_gain": gains}
-    _write_json(payload, os.path.join(report_dir, "report.json"))
-
-    with open(os.path.join(report_dir, "metrics.csv"), "w", encoding="utf-8") as fh:
-        fh.write("method,seed,mean_fps,mean_reward,qvalue_stability,final_regret,corr_gap\n")
-        for r in per_run:
-            gap = r.get("eval", {}).get("corr_gap", "")
-            stab = "" if r["qvalue_stability"] is None else r["qvalue_stability"]
-            fh.write(f"{r['method']},{r['seed']},{r['mean_fps']},{r['mean_reward']},"
-                     f"{stab},{r['final_regret']},{gap}\n")
-
-    # figures from the first seed of each method
+    # figures from the first seed of each method; a batch of one row has no
+    # correlations, so its heatmap is skipped and listed in report.json
     first_seed = manifest["runs"][0]["seed"]
     fps_series, maxq_series, regret_series = {}, {}, {}
+    heatmaps = []
     for method in methods:
         if (method, first_seed) not in logs:
             continue
@@ -259,20 +256,38 @@ def cmd_report(args) -> int:
         maxq_series[method] = log.max_q
         regret_series[method] = regret.tolist()
         if files.get("synth"):
-            m = pearson_matrix(batch(files["synth"]))
-            report.svg_heatmap(m.values, m.labels,
-                               os.path.join(report_dir, f"corr_{method}.svg"),
-                               title=f"synthetic correlations: {method}")
-    m_real = pearson_matrix(batch(manifest["runs"][0]["files"]["real"]))
-    report.svg_heatmap(m_real.values, m_real.labels,
-                       os.path.join(report_dir, "corr_real.svg"),
-                       title="real-data correlations")
+            heatmaps.append((files["synth"], f"corr_{method}.svg",
+                             f"synthetic correlations: {method}"))
+    heatmaps.append((manifest["runs"][0]["files"]["real"], "corr_real.svg",
+                     "real-data correlations"))
+    skipped = []
+    for name, figure, title in heatmaps:
+        rows = batch(name)
+        if len(rows) < 2:
+            skipped.append({"figure": figure, "reason": f"{name} holds {len(rows)} row(s); "
+                                                        "correlations need at least 2"})
+            continue
+        m = pearson_matrix(rows)
+        report.svg_heatmap(m.values, m.labels, os.path.join(report_dir, figure), title=title)
     report.svg_lines(fps_series, os.path.join(report_dir, "fps.svg"),
                      title="frame rate per step", ylabel="fps")
     report.svg_lines(maxq_series, os.path.join(report_dir, "max_q.svg"),
                      title="max Q at visited state", ylabel="max Q")
     report.svg_lines(regret_series, os.path.join(report_dir, "regret.svg"),
                      title="cumulative empirical regret", ylabel="regret")
+
+    payload = {"per_run": per_run, "medians": medians, "early_fps_gain": gains}
+    if skipped:
+        payload["skipped_figures"] = skipped
+    _write_json(payload, os.path.join(report_dir, "report.json"))
+
+    with open(os.path.join(report_dir, "metrics.csv"), "w", encoding="utf-8") as fh:
+        fh.write("method,seed,mean_fps,mean_reward,qvalue_stability,final_regret,corr_gap\n")
+        for r in per_run:
+            gap = r.get("eval", {}).get("corr_gap")
+            stab = "" if r["qvalue_stability"] is None else r["qvalue_stability"]
+            fh.write(f"{r['method']},{r['seed']},{r['mean_fps']},{r['mean_reward']},"
+                     f"{stab},{r['final_regret']},{'' if gap is None else gap}\n")
     print(f"report written under {report_dir}")
     return 0
 

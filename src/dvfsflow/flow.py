@@ -11,6 +11,12 @@ before the next.  That is bit-identical to stepping all n rows at once: the
 update is elementwise, and a dgemm call of >= 512 rows computes each row the
 same way.
 
+Both loops write into arrays they keep rather than allocate per step.  One
+:class:`CfmBatches` builds every training batch of a flow, and the training
+loss of :func:`cfm_loss` too, into one set of arrays per batch size; what it
+returns lives until its next call.  The sampler allocates one block's
+inputs and layer outputs per call and Euler-steps each block in place.
+
 A trained flow is one type, :class:`FlowModel`: the vector-field net, its
 per-dimension normalizer, the feature weights, the config and the loss
 history, with no knowledge of the transition layout, so the same training and
@@ -195,26 +201,65 @@ def bootstrap_latents(pool: np.ndarray, count: int, rng: np.random.Generator) ->
     return pool[idx]
 
 
-def _cfm_batch(batch: np.ndarray, lam: np.ndarray, sigma_min: float, count: int,
-               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Build (inputs, targets, weights) for one bootstrapped CFM step.
+class _CfmBuffers:
+    """Arrays of one CFM step over m data rows and ``count`` replicates."""
 
-    Draw order is part of the contract (tests reproduce it): latent pool,
-    bootstrap indices, one data permutation per replicate, then the times.
+    def __init__(self, m: int, d: int, count: int):
+        rows = count * m
+        self.pool = np.empty((m, d))            # latent pool, bootstrapped into x0
+        self.x0 = np.empty((rows, d))
+        self.tiled = np.tile(np.arange(m), (count, 1))
+        self.perm = np.empty_like(self.tiled)   # one data permutation per replicate
+        self.data_rows = np.empty(rows, dtype=self.tiled.dtype)
+        self.x1 = np.empty((rows, d))
+        self.t = np.empty((rows, 1))
+        self.scale = np.empty((rows, 1))
+        self.inputs = np.empty((rows, d + 1))
+        self.target = np.empty((rows, d))
+
+
+class CfmBatches:
+    """Builds the (inputs, targets, weights) of bootstrapped CFM steps on rows
+    of ``data``, drawing from ``rng``, into arrays it keeps per batch size.
+
+    ``batches(rows)`` takes the data rows of one step (indices in range) and
+    makes its draws in an order that is part of the contract (tests
+    reproduce it): latent pool, bootstrap indices, one data permutation per
+    replicate, then the times.  The arrays it returns are overwritten by its
+    next call, so use them before that; :func:`nets.fit` does.
     """
-    m, d = batch.shape
-    rows = count * m
-    pool = rng.standard_normal((m, d))
-    x0 = bootstrap_latents(pool, count, rng).reshape(rows, d)
-    x1 = batch[rng.permuted(np.tile(np.arange(m), (count, 1)), axis=1).ravel()]
-    t = rng.uniform(0.0, 1.0, size=(rows, 1))
-    inputs = np.empty((rows, d + 1))
-    xt = inputs[:, :d]                  # (1 - (1 - sigma_min) t) x0 + t x1
-    np.multiply(1.0 - (1.0 - sigma_min) * t, x0, out=xt)
-    xt += t * x1
-    inputs[:, d:] = t
-    target = x1 - (1.0 - sigma_min) * x0
-    return inputs, target, lam
+
+    def __init__(self, data: np.ndarray, lam: np.ndarray, sigma_min: float, count: int,
+                 rng: np.random.Generator):
+        self.data, self.lam, self.sigma_min, self.count, self.rng = (
+            data, lam, sigma_min, count, rng)
+        self._buffers: dict[int, _CfmBuffers] = {}
+
+    def __call__(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        m, d = rows.shape[0], self.data.shape[1]
+        buf = self._buffers.get(m)
+        if buf is None:
+            buf = self._buffers[m] = _CfmBuffers(m, d, self.count)
+        rng, c = self.rng, 1.0 - self.sigma_min
+        # take() copies its whole output first in its default "raise" mode;
+        # every index here is in range, so "clip" gathers the same rows in place.
+        rng.standard_normal(out=buf.pool)
+        buf.pool.take(rng.integers(0, m, size=(self.count, m)).ravel(), axis=0,
+                      out=buf.x0, mode="clip")
+        np.copyto(buf.perm, buf.tiled)
+        rng.permuted(buf.perm, axis=1, out=buf.perm)
+        rows.take(buf.perm.ravel(), out=buf.data_rows, mode="clip")
+        self.data.take(buf.data_rows, axis=0, out=buf.x1, mode="clip")
+        t = rng.random(out=buf.t)               # the bits of uniform(0, 1)
+        xt = buf.inputs[:, :d]                  # (1 - (1 - sigma_min) t) x0 + t x1
+        np.multiply(t, c, out=buf.scale)
+        np.subtract(1.0, buf.scale, out=buf.scale)
+        np.multiply(buf.scale, buf.x0, out=xt)
+        xt += np.multiply(t, buf.x1, out=buf.target)
+        buf.inputs[:, d:] = t
+        np.multiply(buf.x0, c, out=buf.target)  # x1 - (1 - sigma_min) x0
+        np.subtract(buf.x1, buf.target, out=buf.target)
+        return buf.inputs, buf.target, self.lam
 
 
 def cfm_loss(model: FlowModel, batch: np.ndarray, rng: np.random.Generator,
@@ -231,9 +276,8 @@ def cfm_loss(model: FlowModel, batch: np.ndarray, rng: np.random.Generator,
     if not np.all(np.isfinite(batch)):
         raise NumericError("NaN/inf in training batch")
     cfg = model.config
-    inputs, target, lam = _cfm_batch(batch, model.weights, cfg.sigma_min,
-                                     cfg.bootstrap_count, rng)
-    return nets.loss_and_grads(model.params, inputs, target, lam)
+    batches = CfmBatches(batch, model.weights, cfg.sigma_min, cfg.bootstrap_count, rng)
+    return nets.loss_and_grads(model.params, *batches(np.arange(batch.shape[0])))
 
 
 def train_flow_model(data: np.ndarray, lam: np.ndarray, config: FMConfig,
@@ -258,14 +302,11 @@ def train_flow_model(data: np.ndarray, lam: np.ndarray, config: FMConfig,
     normalized = model.normalizer.normalize(data)
 
     rng = np.random.default_rng(seed)
-
-    def make_batch(rows):
-        return _cfm_batch(normalized[rows], model.weights, config.sigma_min,
-                          config.bootstrap_count, rng)
-
+    batches = CfmBatches(normalized, model.weights, config.sigma_min,
+                         config.bootstrap_count, rng)
     model.params, model.loss_curve = nets.fit(
         model.params, nets.adam_init(model.params, config.learning_rate),
-        normalized.shape[0], config.epochs, config.batch_size, rng, make_batch)
+        normalized.shape[0], config.epochs, config.batch_size, rng, batches)
     return model
 
 
@@ -284,12 +325,19 @@ def sample_vector_field(model: FlowModel, n: int, rng: np.random.Generator,
         return np.empty((0, d))
     x = rng.standard_normal((n, d))
     dt = 1.0 / ode_steps
-    for block in np.array_split(x, max(n // SAMPLE_BLOCK_ROWS, 1)):   # views of x
-        inputs = np.empty((block.shape[0], d + 1))
+    blocks = np.array_split(x, max(n // SAMPLE_BLOCK_ROWS, 1))   # views of x, largest first
+    size = blocks[0].shape[0]
+    inputs_buf = np.empty((size, d + 1))
+    layers_buf = [np.empty((size, s)) for s in model.params.layer_sizes[1:]]
+    for block in blocks:
+        rows = block.shape[0]
+        inputs, layers = inputs_buf[:rows], [a[:rows] for a in layers_buf]
         for step in range(ode_steps):
             inputs[:, :d] = block
             inputs[:, d] = step * dt
-            block += nets.forward_batch(model.params, inputs) * dt
+            v = nets.forward_batch(model.params, inputs, out=layers)
+            v *= dt
+            block += v
     return model.normalizer.denormalize(x)
 
 

@@ -147,12 +147,19 @@ def _activations(params: MlpParams, x: np.ndarray,
     return acts
 
 
-def forward_batch(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Evaluate the net on a batch; rows are samples."""
+def forward_batch(params: MlpParams, x: np.ndarray,
+                  out: Optional[list[np.ndarray]] = None) -> np.ndarray:
+    """Evaluate the net on a batch; rows are samples.
+
+    ``out`` holds one (n, fan_out) float64 array per layer, into which the
+    layer outputs are written; the prediction returned is its last entry and
+    lives until the next call given the same arrays.  Without it every call
+    allocates its own.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise DomainError(f"expected input of shape (n, {params.in_dim}), got {x.shape}")
-    return _activations(params, x)[-1]
+    return _activations(params, x, out)[-1]
 
 
 def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -337,9 +344,10 @@ def fit(params: MlpParams, adam: AdamState, n: int, epochs: int, batch_size: int
         ) -> tuple[MlpParams, list[float]]:
     """Minibatch Adam over n rows: each epoch draws ``rng.permutation(n)`` and
     takes one :meth:`Trainer.step` per consecutive ``batch_size`` slice of it,
-    on the (inputs, targets, weights) that ``make_batch(rows)`` builds.  The
-    arguments stay untouched.  Returns the trained params and the mean
-    minibatch loss of every epoch.
+    on the (inputs, targets, weights) that ``make_batch(rows)`` builds; each
+    step is done before the next call, so ``make_batch`` may rewrite the
+    arrays it returned last time.  The arguments stay untouched.  Returns the
+    trained params and the mean minibatch loss of every epoch.
     """
     trainer = Trainer(params, adam)
     loss_curve = []

@@ -514,3 +514,48 @@ def test_report_medians_skip_runs_too_short_for_stability(tmp_path, capsys):
     assert stab[1] is None and None not in (stab[0], stab[2])
     want = float(np.median([stab[0], stab[2]]))
     assert payload["medians"]["model_free"]["qvalue_stability"] == want
+
+
+# Each of these validated, ran, and then made report and eval exit 1 with
+# "pearson_matrix needs at least 2 rows": a one-row real or synthetic batch.
+ONE_ROW_SCHEDULES = [
+    pytest.param({"horizon": 1}, "corr_real.svg", id="horizon_1"),
+    pytest.param({"planning_breadth": 1, "horizon": 60}, "corr_pure_fm.svg", id="breadth_1"),
+    pytest.param({"real_capacity": 1, "horizon": 60}, "corr_real.svg", id="real_capacity_1"),
+]
+
+
+@pytest.mark.parametrize("schedule,skipped", ONE_ROW_SCHEDULES)
+def test_one_row_batch_reports_null_correlations(tmp_path, capsys, schedule, skipped):
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path, {"methods": ["pure_fm", "model_free"],
+                                        "seeds": [0, 1], "output_dir": str(out),
+                                        "schedule": schedule})
+    assert main(["run", "--config", cfg_path]) == 0
+    assert main(["report", "--run-dir", str(out)]) == 0
+    with open(out / "report" / "report.json") as fh:
+        payload = json.load(fh)
+    assert skipped in [s["figure"] for s in payload["skipped_figures"]]
+    assert not (out / "report" / skipped).exists()
+    for fig in ("fps.svg", "max_q.svg", "regret.svg"):
+        assert (out / "report" / fig).exists()
+    evals = [r["eval"] for r in payload["per_run"] if "eval" in r]
+    for e in evals:                         # every pure_fm batch of this config has 1 row
+        assert e["corr_gap"] is None and e["corr_excluded_entries"] is None
+    if evals:
+        assert payload["medians"]["pure_fm"]["corr_gap"] is None
+    for line in (out / "report" / "metrics.csv").read_text().splitlines()[1:]:
+        assert line.split(",")[6] == ""
+
+    real = out / "real_pure_fm_seed0.csv"
+    synth = out / "synth_pure_fm_seed0.csv"
+    result = tmp_path / "eval.json"
+    argv = ["eval", "--real", str(real), "--synth", str(synth if synth.exists() else real),
+            "--out", str(result)]
+    assert main(argv) == 0
+    with open(result) as fh:
+        got = json.load(fh)
+    assert got["corr_gap"] is None and got["corr_excluded_entries"] is None
+    assert min(got["n_real"], got["n_synth"]) == 1
+    if got["n_real"] == 1:
+        assert got["zero_variance_real"] == TRANSITION_LABELS

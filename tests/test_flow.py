@@ -5,7 +5,7 @@ import pytest
 
 from dvfsflow import nets
 from dvfsflow.errors import ConfigurationError, DomainError, NumericError, StateError
-from dvfsflow.flow import (FMConfig, Transition, TransitionLayout, bootstrap_latents,
+from dvfsflow.flow import (CfmBatches, FMConfig, Transition, TransitionLayout, bootstrap_latents,
                            canonical_rows, cfm_loss, encode_transition,
                            flow_model_from_dict, flow_model_to_dict, generate_raw,
                            init_flow_model, load_batch_csv, sample_vector_field,
@@ -213,9 +213,8 @@ def test_cfm_loss_gradient_finite_difference():
     batch = np.random.default_rng(11).normal(size=(5, LAYOUT.dim))
 
     # freeze the stochastic draws so the loss is a deterministic function
-    from dvfsflow.flow import _cfm_batch
-    inputs, target, w = _cfm_batch(batch, model.weights, cfg.sigma_min,
-                                   cfg.bootstrap_count, np.random.default_rng(12))
+    inputs, target, w = CfmBatches(batch, model.weights, cfg.sigma_min, cfg.bootstrap_count,
+                                   np.random.default_rng(12))(np.arange(5))
     err = nets.grad_check(model.params, inputs, target, w,
                           rng=np.random.default_rng(13))
     assert err < 1e-4

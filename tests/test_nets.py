@@ -62,6 +62,18 @@ def test_forward_dimension_mismatch():
         nets.forward(p, np.ones(4))
 
 
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_forward_batch_into_given_layer_arrays(activation):
+    p = nets.init_mlp([3, 7, 5, 2], activation=activation, seed=4)
+    x = np.random.default_rng(4).normal(size=(600, 3))
+    out = [np.empty((600, s)) for s in (7, 5, 2)]
+    y = nets.forward_batch(p, x, out=out)
+    assert y is out[-1]
+    assert y.tobytes() == nets.forward_batch(p, x).tobytes()
+    with pytest.raises(DomainError):        # the shape is checked with out= too
+        nets.forward_batch(p, x[:, :2], out=out)
+
+
 def test_loss_zero_when_predictions_match_targets():
     p = nets.init_mlp([2, 4, 3], seed=1)
     x = np.random.default_rng(1).normal(size=(5, 2))

@@ -17,7 +17,7 @@ from dvfsflow import agent, forest, nets
 from dvfsflow.agent import AgentConfig, ReplayMemory
 from dvfsflow.errors import InsufficientDataError, NumericError
 from dvfsflow.evalkit import _sorted_quantile, wasserstein1
-from dvfsflow.flow import (FMConfig, Normalizer, TransitionLayout, _cfm_batch,
+from dvfsflow.flow import (CfmBatches, FMConfig, Normalizer, TransitionLayout,
                            bootstrap_latents, canonical_rows, check_finite,
                            encode_transition, init_flow_model, sample_vector_field,
                            unflatten_transition)
@@ -491,11 +491,16 @@ def test_layer_views_share_the_flat_vector():
 
 # ---------------------------------------------------------------- flow
 
+def _one_cfm_batch(batch, lam, sigma_min, count, rng):
+    """A fresh builder over ``batch``, called once on all of its rows."""
+    return CfmBatches(batch, lam, sigma_min, count, rng)(np.arange(batch.shape[0]))
+
+
 @pytest.mark.parametrize("m,count", [(32, 8), (5, 8), (1, 1), (17, 3)])
 def test_cfm_batch_bitwise_equal_reference(m, count):
     batch = np.random.default_rng(m).normal(size=(m, 11))
     lam = np.full(11, 1.0 / 11)
-    got = _cfm_batch(batch, lam, 0.01, count, np.random.default_rng(4))
+    got = _one_cfm_batch(batch, lam, 0.01, count, np.random.default_rng(4))
     want = _ref_cfm_batch(batch, lam, 0.01, count, np.random.default_rng(4))
     for a, b in zip(got, want):
         assert a.shape == b.shape
@@ -512,10 +517,33 @@ def test_cfm_batch_one_permuted_call_equals_per_replicate_permutations():
         for count in (1, 2, 8, 13):
             for seed in range(2):
                 rng, ref_rng = np.random.default_rng([seed, m]), np.random.default_rng([seed, m])
-                got = _cfm_batch(batch, lam, 0.01, count, rng)
+                got = _one_cfm_batch(batch, lam, 0.01, count, rng)
                 want = _ref_cfm_batch(batch, lam, 0.01, count, ref_rng)
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), (m, count)
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("count", [8, 1])
+def test_cfm_batches_reused_buffers_bytes_equal_reference(count):
+    # One builder over a data matrix, as train_flow_model drives it: batch
+    # sizes come back after others, so the buffers of size 32 are written
+    # three times, and each call must still equal a fresh reference batch.
+    rng_data = np.random.default_rng(9)
+    data = rng_data.normal(size=(60, 11))
+    lam = rng_data.dirichlet(np.ones(11))
+    rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+    batches = CfmBatches(data, lam, 0.01, count, rng)
+    seen = {}
+    for m in (32, 18, 32, 4, 1, 32):
+        rows = rng_data.permutation(60)[:m]
+        got = batches(rows)
+        want = _ref_cfm_batch(data[rows], lam, 0.01, count, ref_rng)
+        assert [a.shape for a in got] == [b.shape for b in want]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), m
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if m in seen:                           # the same arrays, rewritten
+            assert all(a is b for a, b in zip(got[:2], seen[m]))
+        seen[m] = got[:2]
 
 
 # ---------------------------------------------------------------- codec
@@ -989,6 +1017,15 @@ def test_sample_vector_field_bytes_equal_reference(random_flow, n, ode_steps):
     want = _ref_sample_vector_field(random_flow, n, np.random.default_rng(n), ode_steps)
     assert got.shape == want.shape == (n, 11)
     assert got.tobytes() == want.tobytes()
+
+
+def test_sample_vector_field_repeat_calls_bytes_equal_reference(random_flow):
+    # 1, 2 and 9 blocks, then the same call again: nothing one call leaves
+    # behind may reach the next
+    for n in (300, 1100, 4700, 4700, 300):
+        got = sample_vector_field(random_flow, n, np.random.default_rng([n, 1]), 5)
+        want = _ref_sample_vector_field(random_flow, n, np.random.default_rng([n, 1]), 5)
+        assert got.tobytes() == want.tobytes(), n
 
 
 # ---------------------------------------------------------------- W1 quantiles
