@@ -25,11 +25,10 @@ from .evalkit import (corr_gap, corr_gap_excluded_count, early_fps_gain,
                       empirical_regret, pearson_matrix, qvalue_stability,
                       wasserstein1)
 from .flow import (TRANSITION_LABELS, TransitionLayout, bootstrap_latents, canonical_rows,
-                   check_finite, flow_model_to_dict, generate_raw, load_batch_csv,
-                   save_batch_csv, train_flow_model)
-from .forest import fit_forest, normalized_importances, transition_feature_weights
-from .orchestrate import (regret_oracle, run_experiment, runlog_from_csv,
-                          runlog_summary, runlog_to_csv)
+                   check_finite, flow_model_to_dict, load_batch_csv, save_batch_csv)
+from .forest import fit_forest, normalized_importances
+from .orchestrate import (fit_flow_generator, regret_oracle, run_experiment,
+                          runlog_from_csv, runlog_summary, runlog_to_csv)
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -118,14 +117,8 @@ def cmd_gen(args) -> int:
             f"flow training needs >= {cfg.schedule.fm_train_start} transitions "
             f"(schedule.fm_train_start), {args.memory} holds {data.shape[0]}")
     real = canonical_rows(data, layout)     # clamped states, snapped actions
-
-    if args.uniform_lambda or len(real) < cfg.forest.min_samples:
-        lam = np.full(layout.dim, 1.0 / layout.dim)
-    else:
-        lam = transition_feature_weights(real, cfg.forest,
-                                         rng=np.random.default_rng([args.seed, 30]))
-    model = train_flow_model(real, lam, cfg.flow, seed=[args.seed, 40])
-    raw = generate_raw(model, args.n, np.random.default_rng([args.seed, 50]))
+    model, raw = fit_flow_generator(real, args.n, not args.uniform_lambda, cfg.flow,
+                                    cfg.forest, args.seed)
     save_batch_csv(raw, args.out)
     if args.checkpoint:
         _write_json(flow_model_to_dict(model), args.checkpoint)
@@ -385,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--n", type=int, default=1000)
     pg.add_argument("--config", help="JSON experiment config for flow/forest settings")
     pg.add_argument("--uniform-lambda", action="store_true",
-                    help="skip forest weighting (plain conditional flow matching)")
+                    help="skip forest weighting; training keeps flow.bootstrap_count "
+                         "replicates (run's pure_fm trains on one)")
     pg.add_argument("--checkpoint", help="optional path for the model checkpoint JSON")
     pg.add_argument("--seed", type=int, default=0)
     pg.set_defaults(func=cmd_gen)

@@ -56,7 +56,8 @@ class ExperimentConfig:
             raise ConfigurationError("methods must be non-empty")
         for m in self.methods:
             if m not in METHODS:
-                raise ConfigurationError(f"methods contains unknown method {m!r}")
+                raise ConfigurationError(f"methods contains unknown method {m!r}; "
+                                         f"known methods: {', '.join(METHODS)}")
         if len(set(self.methods)) != len(self.methods):
             raise ConfigurationError("methods must be distinct")
         if not self.seeds:

@@ -24,11 +24,9 @@ state once and then updates them in place, with one flat gradient vector
 whose per-layer views take the gradient products directly, and one set of
 layer arrays per batch size.  :func:`fit` (flow and model-based planner) is
 an epoch loop around :meth:`Trainer.step`, and the run loop keeps one trainer
-for the Q-network from its first update to its last.  The pure step
-functions (:func:`loss_and_grads`, :func:`adam_step`, :func:`train_step`)
-return fresh arrays and serve as references: they run the same
-forward/backward and Adam code, so trainer steps are bytes-equal to a chain
-of :func:`train_step` calls.
+for the Q-network from its first update to its last.  :func:`loss_and_grads`
+runs the same forward/backward code into fresh arrays, for gradient checks
+and for evaluating a loss without training.
 """
 
 from __future__ import annotations
@@ -245,56 +243,30 @@ def adam_init(params: MlpParams, lr: float) -> AdamState:
                      v=np.zeros_like(params.flat))
 
 
-def _adam_update(adam: AdamState, t: int, g: np.ndarray, m: np.ndarray, v: np.ndarray,
-                 out: Optional[np.ndarray] = None,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Step t of Adam for the flat gradient g (which is overwritten) from the
-    moments m and v.  Returns (update, new m, new v), the update being what
-    the parameter vector loses.  With ``out`` the new moments overwrite m
-    and v and the update is written into ``out``; without, all are new arrays."""
-    b1, b2 = adam.beta1, adam.beta2
-    in_place = out is not None
+def _adam_update(adam: AdamState, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Step ``adam.step`` of Adam for the flat gradient g (which is
+    overwritten): the new moments overwrite ``adam.m`` and ``adam.v``, and
+    the update, what the parameter vector loses, is written into ``out``."""
+    t, b1, b2 = adam.step, adam.beta1, adam.beta2
     sq = np.multiply(g, g, out=out)
     sq *= 1 - b2
-    v = np.multiply(v, b2, out=v if in_place else None)
-    v += sq                             # b2 v + (1 - b2) g^2
+    adam.v *= b2
+    adam.v += sq                        # b2 v + (1 - b2) g^2
     g *= 1 - b1
-    m = np.multiply(m, b1, out=m if in_place else None)
-    m += g                              # b1 m + (1 - b1) g
-    update = np.divide(m, 1.0 - b1 ** t, out=out)
+    adam.m *= b1
+    adam.m += g                         # b1 m + (1 - b1) g
+    update = np.divide(adam.m, 1.0 - b1 ** t, out=out)
     update *= adam.lr
-    denom = np.divide(v, 1.0 - b2 ** t, out=g)
+    denom = np.divide(adam.v, 1.0 - b2 ** t, out=g)
     np.sqrt(denom, out=denom)
     denom += adam.eps
     update /= denom
-    return update, m, v
-
-
-def adam_step(params: MlpParams, grads_w: list[np.ndarray], grads_b: list[np.ndarray],
-              adam: AdamState) -> tuple[MlpParams, AdamState]:
-    """One bias-corrected Adam update of the whole parameter vector; returns
-    fresh params and optimizer state and leaves the inputs untouched."""
-    t = adam.step + 1
-    g = np.concatenate([np.ravel(gr) for gr in (*grads_w, *grads_b)])
-    update, m, v = _adam_update(adam, t, g, adam.m, adam.v)
-    new = MlpParams(list(params.layer_sizes), params.activation, params.flat - update)
-    return new, AdamState(lr=adam.lr, step=t, m=m, v=v, beta1=adam.beta1,
-                          beta2=adam.beta2, eps=adam.eps)
+    return update
 
 
 def _check_loss(loss: float) -> None:
     if not math.isfinite(loss):
         raise NumericError(f"non-finite training loss {loss!r}")
-
-
-def train_step(params: MlpParams, adam: AdamState, x: np.ndarray, y: np.ndarray,
-               weights: np.ndarray) -> tuple[MlpParams, AdamState, float]:
-    """One weighted-MSE Adam step; raises NumericError on NaN input or a
-    non-finite loss (a NaN/inf prediction) before updating."""
-    loss, gw, gb = loss_and_grads(params, x, y, weights)
-    _check_loss(loss)
-    new_params, new_adam = adam_step(params, gw, gb, adam)
-    return new_params, new_adam, loss
 
 
 class Trainer:
@@ -316,8 +288,8 @@ class Trainer:
         self._work: dict[int, _Workspace] = {}
 
     def step(self, x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> float:
-        """One weighted-MSE Adam step, bytes-equal to :func:`train_step`; raises
-        NumericError on NaN input or a non-finite loss before updating."""
+        """One weighted-MSE Adam step; raises NumericError on NaN input or a
+        non-finite loss before updating."""
         params, adam = self.params, self.adam
         x, y, w = _check_batch(params, x, y, weights)
         rows = x.shape[0]
@@ -327,8 +299,7 @@ class Trainer:
                                  self._grads_w, self._grads_b)
         _check_loss(loss)
         adam.step += 1
-        params.flat -= _adam_update(adam, adam.step, self._grad, adam.m, adam.v,
-                                    self._update)[0]
+        params.flat -= _adam_update(adam, self._grad, self._update)
         return loss
 
     def reset_adam(self, lr: float) -> None:

@@ -5,18 +5,18 @@ real transitions in M, periodically (re)train the generative model and fill
 the synthetic memory M', and train the DQN on mixed batches once the combined
 insertion counters exceed the exploit threshold.
 
-Methods:
-  dfm          bootstrapped flow matching with forest feature weights
-  pure_fm      plain conditional flow matching (uniform weights, one replicate)
-  model_based  dense transition predictor planned from resampled real (s, a) seeds
-  model_free   no synthetic data at all
+A method is a preset, one row of :data:`METHODS`: which generator fills M'
+(a flow, the model-based planner or none), whether the flow's loss is
+weighted by the forest's feature weights, and how many bootstrap replicates
+of the latent pool it trains on.  :func:`fit_flow_generator` is the one
+flow refit, shared by the run loop and ``dvfsflow gen``.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,7 +29,23 @@ from .flow import FMConfig, Normalizer, TransitionLayout
 from .forest import ForestConfig, transition_feature_weights
 from .simenv import DvfsEnv, EnvConfig, ProcessorState, dynamics, reward_components
 
-METHODS = ("dfm", "pure_fm", "model_based", "model_free")
+
+class Method(NamedTuple):
+    generator: Optional[str]                # "flow", "planner" or None (M' stays empty)
+    forest_lambda: bool = False             # forest feature weights, else uniform
+    bootstrap_count: Optional[int] = None   # replicates B; None keeps flow.bootstrap_count
+
+
+METHODS = {
+    # bootstrapped flow matching with forest feature weights (the paper's method)
+    "dfm": Method("flow", forest_lambda=True),
+    # plain conditional flow matching: uniform weights, one replicate
+    "pure_fm": Method("flow", bootstrap_count=1),
+    # dense transition predictor planned from resampled real (s, a) seeds
+    "model_based": Method("planner"),
+    # no synthetic data at all
+    "model_free": Method(None),
+}
 
 RUNLOG_COLUMNS = ["t", "fps", "freq", "power", "temp", "action", "reward",
                   "epsilon", "max_q", "agent_loss", "fm_loss"]
@@ -139,13 +155,31 @@ class _ModelBasedPlanner:
         if self.in_norm is None:
             raise InsufficientDataError("planner is untrained")
         m = data.shape[0]
-        idx = []
-        while len(idx) < n:
-            idx.extend(rng.permutation(m)[:min(m, n - len(idx))].tolist())
-        seeds = data[np.array(idx[:n])][:, :5]
+        idx = np.concatenate([rng.permutation(m) for _ in range(-(-n // m))])[:n]
+        seeds = data[idx][:, :5]
         pred = self.out_norm.denormalize(
             nets.forward_batch(self.params, self.in_norm.normalize(seeds)))
         return np.concatenate([seeds, pred], axis=1)
+
+
+def fit_flow_generator(real: np.ndarray, n: int, forest_lambda: bool, fm_config: FMConfig,
+                       forest_config: ForestConfig, seed: int, *tail: int,
+                       ) -> tuple[flow_mod.FlowModel, np.ndarray]:
+    """Train a flow on the (rows, 11) transitions ``real`` and draw ``n`` raw
+    rows from it; returns (flow, rows).
+
+    The loss weights are the forest's feature weights when ``forest_lambda``
+    and ``real`` holds at least ``forest_config.min_samples`` rows, uniform
+    otherwise.  The forest, the flow's init and training, and the sampler draw
+    on the streams ``[seed, 30 | 40 | 50, *tail]``.
+    """
+    if forest_lambda and len(real) >= forest_config.min_samples:
+        lam = transition_feature_weights(real, forest_config,
+                                         rng=np.random.default_rng([seed, 30, *tail]))
+    else:
+        lam = np.full(real.shape[1], 1.0 / real.shape[1])
+    model = flow_mod.train_flow_model(real, lam, fm_config, seed=[seed, 40, *tail])
+    return model, flow_mod.generate_raw(model, n, np.random.default_rng([seed, 50, *tail]))
 
 
 def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig,
@@ -158,7 +192,9 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
     is derived from ``seed`` plus a fixed stream tag.
     """
     if method not in METHODS:
-        raise ConfigurationError(f"method must be one of {METHODS}")
+        raise ConfigurationError(
+            f"method must be one of {', '.join(METHODS)}, got {method!r}")
+    preset = METHODS[method]
     fm_config = fm_config or FMConfig()
     forest_config = forest_config or ForestConfig()
     env_config.validate()
@@ -170,6 +206,8 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
     log = RunLog(method=method, seed=seed,
                  config=_config_snapshot(method, seed, env_config, agent_config,
                                          schedule, fm_config, forest_config))
+    if preset.bootstrap_count is not None:
+        fm_config = replace(fm_config, bootstrap_count=preset.bootstrap_count)
     layout = TransitionLayout(num_actions=env_config.num_actions,
                               ambient_temp=env_config.ambient_temp)
     env = DvfsEnv(env_config, seed=[seed, 1])
@@ -182,11 +220,8 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
 
     memory = ReplayMemory(schedule.real_capacity, "M")
     synth_memory = ReplayMemory(schedule.synth_capacity, "M'")
-
-    flow_model: Optional[flow_mod.FlowModel] = None
-    planner: Optional[_ModelBasedPlanner] = None
-    if method == "model_based":
-        planner = _ModelBasedPlanner(fm_config, seed=[seed, 5])
+    planner = (_ModelBasedPlanner(fm_config, seed=[seed, 5])
+               if preset.generator == "planner" else None)
 
     epsilon = agent_config.epsilon_init
     train_count = 0
@@ -204,41 +239,29 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
         fm_loss_val: Optional[float] = None
         # Gate from the planning loop: i mod zeta_d = 0 and phi_M > beta, plus
         # the model-train-start floor on the stored sample count.
-        if (method != "model_free" and i % schedule.fm_retrain_period == 0
+        if (preset.generator is not None and i % schedule.fm_retrain_period == 0
                 and memory.phi > schedule.batch_size
                 and len(memory) >= schedule.fm_train_start):
             retrain_count += 1
             real = memory.rows()
-            if method == "model_based":
+            if planner is not None:
                 fm_loss_val = planner.train(real, seed=[seed, 20, retrain_count])
                 raw = planner.plan(real, schedule.planning_breadth, sample_rng)
             else:
-                if method == "dfm" and len(real) >= forest_config.min_samples:
-                    lam = transition_feature_weights(
-                        real, forest_config,
-                        rng=np.random.default_rng([seed, 30, retrain_count]))
-                else:
-                    # pure_fm always; dfm before the forest has enough data
-                    lam = np.full(layout.dim, 1.0 / layout.dim)
-                run_fm = fm_config
-                if method == "pure_fm":
-                    run_fm = FMConfig(**{**asdict(fm_config), "bootstrap_count": 1})
-                flow_model = flow_mod.train_flow_model(
-                    real, lam, run_fm, seed=[seed, 40, retrain_count])
-                fm_loss_val = flow_model.loss_curve[-1]
-                log.fm_loss_curves.append(list(flow_model.loss_curve))
-                log.lambda_weights = lam.tolist()
-                gen_rng = np.random.default_rng([seed, 50, retrain_count])
-                raw = flow_mod.generate_raw(flow_model, schedule.planning_breadth, gen_rng)
+                model, raw = fit_flow_generator(real, schedule.planning_breadth,
+                                                preset.forest_lambda, fm_config,
+                                                forest_config, seed, retrain_count)
+                fm_loss_val = model.loss_curve[-1]
+                log.fm_loss_curves.append(list(model.loss_curve))
+                log.lambda_weights = model.weights.tolist()
             synth_memory.push(flow_mod.canonical_rows(raw, layout))
             log.synth_raw = raw
             log.fm_train_steps.append(i)
 
         agent_loss_val: Optional[float] = None
         if memory.phi + synth_memory.phi > schedule.exploit_threshold:
-            n_synth = 0
-            if method != "model_free" and len(synth_memory) > 0:
-                n_synth = int(round(schedule.batch_size * schedule.synth_fraction))
+            n_synth = (int(round(schedule.batch_size * schedule.synth_fraction))
+                       if len(synth_memory) else 0)
             n_real = schedule.batch_size - n_synth
             if len(memory) >= n_real and len(synth_memory) >= n_synth:
                 batch = np.concatenate([memory.sample(n_real, sample_rng),

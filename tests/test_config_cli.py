@@ -11,6 +11,7 @@ from dvfsflow.config import (ExperimentConfig, config_from_dict, config_to_dict,
                              dump_config, load_config)
 from dvfsflow.errors import ConfigurationError
 from dvfsflow.flow import TRANSITION_LABELS
+from dvfsflow.orchestrate import METHODS
 
 FAST_SECTIONS = {
     "schedule": {"horizon": 60, "fm_retrain_period": 50, "planning_breadth": 40,
@@ -101,8 +102,7 @@ def test_fm_train_start_is_the_only_training_floor(tmp_path, capsys):
                      "horizon": 60},
         "flow": {"epochs": 2},
         "output_dir": str(tmp_path / "out")})
-    assert main(["run", "--config", path,
-                 "--methods", "dfm,pure_fm,model_based,model_free"]) == 0
+    assert main(["run", "--config", path, "--methods", ",".join(METHODS)]) == 0
     with open(tmp_path / "out" / "summary_dfm_seed0.json") as fh:
         assert json.load(fh)["fm_train_steps"] == [20, 40, 60]
 
@@ -238,7 +238,7 @@ def test_gen_rejects_non_positive_n_before_training(tmp_path, capsys, monkeypatc
     memory = str(tmp_path / "memory.csv")
     save_batch_csv(np.random.default_rng(0).uniform(0.1, 1.0, size=(60, 11)), memory)
     trained = []
-    monkeypatch.setattr(cli, "train_flow_model", lambda *a, **k: trained.append(a))
+    monkeypatch.setattr(cli, "fit_flow_generator", lambda *a, **k: trained.append(a))
     for n in ("-5", "0"):
         code = main(["gen", "--memory", memory, "--out", str(tmp_path / "synth.csv"),
                      "--n", n, "--uniform-lambda"])
@@ -277,6 +277,13 @@ def test_duplicate_methods_rejected(tmp_path, capsys):
                  "--seeds", "0"]) == 1
     assert "configuration error: methods must be distinct" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_unknown_method_error_names_the_known_methods(capsys):
+    assert main(["run", "--methods", "dfm,zTT", "--print-config"]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: methods contains unknown method 'zTT'; "
+        f"known methods: {', '.join(METHODS)}\n")
 
 
 @pytest.mark.parametrize("payload,field", [

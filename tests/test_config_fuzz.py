@@ -2,7 +2,8 @@
 ``eval`` -> ``report`` to completion and writes only finite numbers.
 
 Every field of every config section is drawn from a small valid range, and
-all four methods run for two seeds, through ``cli.main`` as a user would.
+every method of ``orchestrate.METHODS`` runs for two seeds, through ``cli.main``
+as a user would.
 """
 
 import json
@@ -18,6 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 from dvfsflow.cli import main  # noqa: E402
 from dvfsflow.config import config_from_dict  # noqa: E402
 from dvfsflow.flow import load_batch_csv  # noqa: E402
+from dvfsflow.orchestrate import METHODS  # noqa: E402
 
 
 def _floats(lo, hi):
@@ -88,8 +90,8 @@ def _assert_finite_json(path):
         assert _finite_numbers(json.load(fh)), path
 
 
-# Each example runs 8 short experiments, about 0.1 s in all; 25 keep tier-1
-# fast, and derandomize draws the same examples on every run.
+# Each example runs two short experiments per method, about 0.1 s in all; 25
+# keep tier-1 fast, and derandomize draws the same examples on every run.
 @settings(max_examples=25, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(payload=configs(), seed=st.integers(0, 1000), n=st.integers(1, 20))
@@ -100,9 +102,8 @@ def test_every_valid_config_runs_gen_eval_and_report(tmp_path_factory, capsys, p
     cfg_path, out = str(work / "cfg.json"), str(work / "run")
     with open(cfg_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
-    assert main(["run", "--config", cfg_path, "--methods",
-                 "dfm,pure_fm,model_based,model_free", "--seeds", f"{seed},{seed + 1}",
-                 "--output", out]) == 0
+    assert main(["run", "--config", cfg_path, "--methods", ",".join(METHODS),
+                 "--seeds", f"{seed},{seed + 1}", "--output", out]) == 0
 
     real = os.path.join(out, f"real_dfm_seed{seed}.csv")
     synth = str(work / "gen.csv")

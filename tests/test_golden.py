@@ -1,14 +1,17 @@
 """Golden run digests: a refactor that keeps behaviour keeps these bytes.
 
 Each method runs once on a small fixed config at seed 0; the sha256 of its
-run-log CSV and of its last synthetic batch CSV are pinned.  A change that
-alters any digest must say why in CHANGES.md.
+run-log CSV and of its last synthetic batch CSV are pinned, and so are the
+batch and checkpoint that ``dvfsflow gen`` writes.  A change that alters any
+digest must say why in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from dvfsflow.cli import main
 from dvfsflow.config import config_from_dict
 from dvfsflow.flow import save_batch_csv
 from dvfsflow.orchestrate import run_experiment, runlog_to_csv
@@ -121,3 +124,36 @@ def test_golden_digest_with_eviction_syncs_and_resets(method, tmp_path):
         assert log.phi_synth[-1] > sched.synth_capacity
         save_batch_csv(log.synth_raw, str(tmp_path / "synth.csv"))
         assert _sha256(tmp_path / "synth.csv") == synth_digest
+
+
+# `dvfsflow gen` on model_free's real memory from the golden config: 120 rows,
+# enough for the forest's floor of 50, so one variant takes forest lambda and
+# the other the uniform lambda of --uniform-lambda.  Both keep the config's B.
+GEN_CONFIG = {"flow": {"epochs": 60}}
+GOLDEN_GEN = {
+    "forest": ("42bfa8344a804b3cf571592af129487604ef77e2606838e9c7dfa3ee2c27f14c",
+               "5451eb646875da2dc5e2c19dbfeac1c8add929fc8769855811e856dfb24cb53f"),
+    "uniform": ("b2ce9487db73244a2b1ef622c57fd79b8292c94ba7438f0286d455bed7b05abe",
+                "679fecae6a38b432de1f9647aed3e6768692a1bf562a6626917d64b005d66d95"),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_GEN))
+def test_golden_gen_digests(variant, tmp_path):
+    cfg = config_from_dict(GOLDEN_CONFIG)
+    log = run_experiment("model_free", cfg.env, cfg.agent, cfg.schedule, 0,
+                         fm_config=cfg.flow, forest_config=cfg.forest)
+    memory, config = str(tmp_path / "real.csv"), str(tmp_path / "gen.json")
+    save_batch_csv(log.real_flat, memory)
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump(GEN_CONFIG, fh)
+    argv = ["gen", "--memory", memory, "--out", str(tmp_path / "synth.csv"), "--n", "300",
+            "--config", config, "--seed", "3", "--checkpoint", str(tmp_path / "flow.json")]
+    assert main(argv + (["--uniform-lambda"] if variant == "uniform" else [])) == 0
+    with open(tmp_path / "flow.json", encoding="utf-8") as fh:
+        checkpoint = json.load(fh)
+    assert checkpoint["config"]["bootstrap_count"] == cfg.flow.bootstrap_count
+    assert (checkpoint["weights"] == [1.0 / 11] * 11) == (variant == "uniform")
+    synth_digest, checkpoint_digest = GOLDEN_GEN[variant]
+    assert _sha256(tmp_path / "synth.csv") == synth_digest
+    assert _sha256(tmp_path / "flow.json") == checkpoint_digest

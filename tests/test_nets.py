@@ -105,13 +105,13 @@ def test_uniform_weights_equal_unweighted_mse():
 
 
 def test_adam_first_step_moves_by_lr_sign():
-    # scalar param, constant gradient: bias-corrected first step ~ -lr * sign(g)
+    # scalar param: w = 0.5, b = 0, x = 1, y = -0.5 give both gradients 2.0, so
+    # the bias-corrected first step is ~ -lr * sign(g)
     p = nets.init_mlp([1, 1], seed=0)
     p.weights[0][:] = 0.5
-    adam = nets.adam_init(p, lr=0.05)
-    g = 2.0
-    new, _ = nets.adam_step(p, [np.array([[g]])], [np.array([0.0])], adam)
-    assert new.weights[0][0, 0] - 0.5 == pytest.approx(-0.05, abs=1e-6)
+    trainer = nets.Trainer(p, nets.adam_init(p, lr=0.05))
+    trainer.step(np.array([[1.0]]), np.array([[-0.5]]), np.ones(1))
+    assert trainer.params.weights[0][0, 0] - 0.5 == pytest.approx(-0.05, abs=1e-6)
 
 
 def test_adam_zero_lr_keeps_params():
@@ -119,9 +119,9 @@ def test_adam_zero_lr_keeps_params():
     adam = nets.adam_init(p, lr=0.0)
     rng = np.random.default_rng(3)
     x, y = rng.normal(size=(4, 2)), rng.normal(size=(4, 1))
-    new, _, _ = nets.train_step(p, adam, x, y, np.ones(1))
-    for wa, wb in zip(p.weights, new.weights):
-        assert np.array_equal(wa, wb)
+    trainer = nets.Trainer(p, adam)
+    trainer.step(x, y, np.ones(1))
+    assert trainer.params.flat.tobytes() == p.flat.tobytes()
 
 
 def test_fit_matches_hand_written_minibatch_loop():
@@ -141,31 +141,28 @@ def test_fit_matches_hand_written_minibatch_loop():
     params, curve = nets.fit(p0, nets.adam_init(p0, 0.01), n, epochs, batch_size,
                              rng, make_batch_for(rng))
 
-    ref, adam = p0, nets.adam_init(p0, 0.01)
+    ref = nets.Trainer(p0, nets.adam_init(p0, 0.01))
     ref_rng = np.random.default_rng(8)
     make_batch = make_batch_for(ref_rng)
     ref_curve = []
     for _ in range(epochs):
         order = ref_rng.permutation(n)
-        losses = []
-        for start in range(0, n, batch_size):
-            ref, adam, loss = nets.train_step(ref, adam,
-                                              *make_batch(order[start:start + batch_size]))
-            losses.append(loss)
+        losses = [ref.step(*make_batch(order[start:start + batch_size]))
+                  for start in range(0, n, batch_size)]
         ref_curve.append(float(np.mean(losses)))
 
     assert len(curve) == epochs
     assert curve == ref_curve
-    for a, b in zip(params.weights + params.biases, ref.weights + ref.biases):
-        assert np.array_equal(a, b)
+    assert params.flat.tobytes() == ref.params.flat.tobytes()
 
 
-def test_train_step_rejects_nan():
+def test_trainer_step_rejects_nan():
     p = nets.init_mlp([2, 1], seed=0)
-    adam = nets.adam_init(p, lr=0.1)
+    trainer = nets.Trainer(p, nets.adam_init(p, lr=0.1))
     x = np.array([[1.0, np.nan]])
     with pytest.raises(NumericError):
-        nets.train_step(p, adam, x, np.array([[0.0]]), np.ones(1))
+        trainer.step(x, np.array([[0.0]]), np.ones(1))
+    assert trainer.params.flat.tobytes() == p.flat.tobytes() and trainer.adam.step == 0
 
 
 def test_grad_check_small_nets():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dvfsflow import flow as flow_mod
 from dvfsflow import nets
 from dvfsflow.agent import AgentConfig
 from dvfsflow.errors import ConfigurationError
@@ -85,10 +86,23 @@ def test_runs_are_bit_identical_per_seed():
     assert a.actions != c.actions
 
 
-def test_pure_fm_uses_uniform_weights_single_replicate():
-    log = _run("pure_fm", sched=_schedule(horizon=60))
-    assert log.lambda_weights == pytest.approx([1.0 / 11] * 11)
-    assert log.fm_train_steps == [50]
+def test_pure_fm_uses_uniform_weights_single_replicate(monkeypatch):
+    train = flow_mod.train_flow_model
+    counts = []
+
+    def spy(data, lam, config, seed=0):
+        counts.append(config.bootstrap_count)
+        return train(data, lam, config, seed=seed)
+
+    monkeypatch.setattr(flow_mod, "train_flow_model", spy)
+    log = _run("pure_fm", sched=_schedule(horizon=110))
+    assert log.lambda_weights == [1.0 / 11] * 11
+    assert log.fm_train_steps == [50, 100]
+    assert counts == [1, 1]
+    # the summary keeps the user's flow section, and dfm trains with it
+    assert log.config["flow"]["bootstrap_count"] == FAST_FM.bootstrap_count == 2
+    _run("dfm", sched=_schedule(horizon=110))
+    assert counts[2:] == [2, 2]
 
 
 def test_dfm_records_forest_weights():
@@ -113,7 +127,8 @@ def test_model_based_fills_synthetic_memory_from_real_seeds():
 
 
 def test_unknown_method_rejected():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError,
+                       match="one of dfm, pure_fm, model_based, model_free, got 'zTT'"):
         _run("zTT")
 
 

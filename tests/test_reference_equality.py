@@ -7,7 +7,7 @@ but must do the same float64 operations in the same order, so every
 comparison here is bitwise, never approximate.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -80,14 +80,31 @@ def _ref_adam_step(weights, biases, grads_w, grads_b, adam, m_w, v_w, m_b, v_b):
     return out
 
 
+def _ref_train_step(params, adam, x, y, weights):
+    """One Adam step: the reference loss and gradients, then the reference
+    per-layer Adam.  Returns fresh (params, Adam state, loss), the moments
+    laid out like ``MlpParams.flat``."""
+    loss, gw, gb = _ref_loss_and_grads(params, x, y, weights)
+    m_w, m_b = nets._layer_views(adam.m, params.layer_sizes)
+    v_w, v_b = nets._layer_views(adam.v, params.layer_sizes)
+    new_w, new_b, m_w, v_w, m_b, v_b = _ref_adam_step(params.weights, params.biases, gw, gb,
+                                                      adam, m_w, v_w, m_b, v_b)
+
+    def flat(ws, bs):
+        return np.concatenate([a.ravel() for a in ws + bs])
+
+    new = nets.MlpParams(list(params.layer_sizes), params.activation, flat(new_w, new_b))
+    return new, replace(adam, step=adam.step + 1, m=flat(m_w, m_b), v=flat(v_w, v_b)), loss
+
+
 def _ref_fit(params, adam, n, epochs, batch_size, rng, make_batch):
-    """Minibatch Adam as a loop of pure train_step calls."""
+    """Minibatch Adam as a loop of pure reference train steps."""
     loss_curve = []
     for _ in range(epochs):
         order = rng.permutation(n)
         losses = []
         for start in range(0, n, batch_size):
-            params, adam, loss = nets.train_step(params, adam,
+            params, adam, loss = _ref_train_step(params, adam,
                                                  *make_batch(order[start:start + batch_size]))
             losses.append(loss)
         loss_curve.append(float(np.mean(losses)))
@@ -231,7 +248,7 @@ def _ref_train_q_step(qnet, target_net, batch, agent_config, env_config, adam):
     targets[np.arange(n), actions] = y_taken
     weights = np.zeros((n, k))
     weights[np.arange(n), actions] = 1.0
-    return nets.train_step(qnet, adam, x, targets, weights)
+    return _ref_train_step(qnet, adam, x, targets, weights)
 
 
 @dataclass(frozen=True)
@@ -381,41 +398,39 @@ def test_loss_and_grads_bitwise_equal_reference(sizes, activation, weighting, n)
 @pytest.mark.parametrize("sizes,activation,weighting,n", NET_CASES)
 def test_adam_steps_bitwise_equal_reference(sizes, activation, weighting, n):
     params, x, y, w = _net_case(sizes, activation, weighting, n, seed=n + 1)
-    adam = nets.adam_init(params, lr=0.01)
+    trainer = nets.Trainer(params, nets.adam_init(params, lr=0.01))
     ref_w = [a.copy() for a in params.weights]
     ref_b = [a.copy() for a in params.biases]
     ref_m = [[np.zeros_like(a) for a in ref_w], [np.zeros_like(a) for a in ref_w],
              [np.zeros_like(a) for a in ref_b], [np.zeros_like(a) for a in ref_b]]
-    for _ in range(4):
-        flat_before, m_before, v_before = params.flat.copy(), adam.m.copy(), adam.v.copy()
-        _, gw, gb = nets.loss_and_grads(params, x, y, w)
-        new, new_adam = nets.adam_step(params, gw, gb, adam)
-        # adam_step is pure: the old params and state are left as they were
-        assert np.array_equal(params.flat, flat_before)
-        assert np.array_equal(adam.m, m_before) and np.array_equal(adam.v, v_before)
+    for step in range(1, 5):
+        # the reference Adam on the gradients of the batch at the trainer's params
+        _, gw, gb = nets.loss_and_grads(trainer.params, x, y, w)
+        ref_w, ref_b, *ref_m = _ref_adam_step(ref_w, ref_b, gw, gb, trainer.adam, *ref_m)
+        trainer.step(x, y, w)
 
-        ref_w, ref_b, *ref_m = _ref_adam_step(ref_w, ref_b, gw, gb, adam, *ref_m)
-        for a, b in zip(new.weights + new.biases, ref_w + ref_b):
+        trained = trainer.params
+        for a, b in zip(trained.weights + trained.biases, ref_w + ref_b):
             assert np.array_equal(a, b)
-        m_w, m_b = nets._layer_views(new_adam.m, params.layer_sizes)
-        v_w, v_b = nets._layer_views(new_adam.v, params.layer_sizes)
+        m_w, m_b = nets._layer_views(trainer.adam.m, params.layer_sizes)
+        v_w, v_b = nets._layer_views(trainer.adam.v, params.layer_sizes)
         for got, want in zip((m_w, v_w, m_b, v_b), ref_m):
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        assert new_adam.step == adam.step + 1
-        params, adam = new, new_adam
+        assert trainer.adam.step == step
 
 
-def test_train_step_matches_reference_loss_then_adam():
+def test_trainer_step_matches_reference_loss_then_adam():
     params, x, y, w = _net_case([12, 64, 64, 11], "tanh", "lambda", 256, seed=3)
     adam = nets.adam_init(params, lr=1e-3)
-    new, new_adam, loss = nets.train_step(params, adam, x, y, w)
+    trainer = nets.Trainer(params, adam)
+    loss = trainer.step(x, y, w)
     ref_loss, gw, gb = _ref_loss_and_grads(params, x, y, w)
     zeros_w = [np.zeros_like(a) for a in params.weights]
     zeros_b = [np.zeros_like(a) for a in params.biases]
     ref_w, ref_b, *_ = _ref_adam_step(params.weights, params.biases, gw, gb, adam,
                                       zeros_w, zeros_w, zeros_b, zeros_b)
     assert loss == ref_loss
-    for a, b in zip(new.weights + new.biases, ref_w + ref_b):
+    for a, b in zip(trainer.params.weights + trainer.params.biases, ref_w + ref_b):
         assert np.array_equal(a, b)
 
 
