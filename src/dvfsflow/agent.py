@@ -2,8 +2,11 @@
 
 The real memory M and the synthetic memory M' are FIFO ring buffers of codec
 rows (``flow.TRANSITION_LABELS``), each with an insertion counter phi that the
-planning schedule gates on.  The Q-step reads sampled rows directly; its
-targets come from a periodically synced target network.
+planning schedule gates on.  The Q-network is a tanh MLP; the Q-values of one
+state are a one-row :func:`nets.forward_batch`.  The Q-step is one step of the
+run's :class:`nets.Trainer`, which owns the online net and its Adam state; it
+reads sampled rows directly, and its targets come from a periodically synced
+target network.
 """
 
 from __future__ import annotations
@@ -97,11 +100,11 @@ class AgentConfig:
 
 def init_qnet(env_config: EnvConfig, agent_config: AgentConfig, seed: int) -> MlpParams:
     sizes = [4] + list(agent_config.hidden_sizes) + [env_config.num_actions]
-    return nets.init_mlp(sizes, activation="tanh", seed=seed)
+    return nets.init_mlp(sizes, seed=seed)
 
 
 def q_values(qnet: MlpParams, state: ProcessorState, env_config: EnvConfig) -> np.ndarray:
-    return nets.forward(qnet, normalize_state(state, env_config))
+    return nets.forward_batch(qnet, normalize_state(state, env_config)[None])[0]
 
 
 def select_action(q: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:

@@ -24,7 +24,7 @@ from .errors import (ConfigurationError, DomainError, InsufficientDataError,
 from .evalkit import (corr_gap, corr_gap_excluded_count, early_fps_gain,
                       empirical_regret, pearson_matrix, qvalue_stability,
                       wasserstein1)
-from .flow import (TRANSITION_LABELS, TransitionLayout, bootstrap_latents, canonical_rows,
+from .flow import (TRANSITION_LABELS, CfmBatches, TransitionLayout, canonical_rows,
                    check_finite, flow_model_to_dict, load_batch_csv, save_batch_csv)
 from .forest import fit_forest, normalized_importances
 from .orchestrate import (fit_flow_generator, regret_oracle, run_experiment,
@@ -111,7 +111,7 @@ def cmd_gen(args) -> int:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     layout = TransitionLayout(num_actions=cfg.env.num_actions,
                               ambient_temp=cfg.env.ambient_temp)
-    data = load_batch_csv(args.memory)
+    data = _load_finite_batch(args.memory)
     if data.shape[0] < cfg.schedule.fm_train_start:
         raise InsufficientDataError(
             f"flow training needs >= {cfg.schedule.fm_train_start} transitions "
@@ -312,9 +312,10 @@ def _selftest_checks():
         return worst < 1e-12, f"max abs err {worst:.2e}"
 
     def check_bootstrap():
-        pool = np.arange(2000, dtype=np.float64)[:, None]
-        reps = bootstrap_latents(pool, 8, rng)
-        frac = np.mean([len(np.unique(r[:, 0])) / 2000 for r in reps])
+        # all-zero data, sigma_min 0: the targets are the negated latents, 8 x 2000 rows
+        batches = CfmBatches(np.zeros((2000, 1)), np.ones(1), 0.0, 8, rng)
+        reps = batches(np.arange(2000))[1].reshape(8, 2000)
+        frac = np.mean([len(np.unique(r)) / 2000 for r in reps])
         return abs(frac - (1 - 1 / np.e)) < 0.02, f"distinct fraction {frac:.4f}"
 
     def check_wasserstein(n_a, n_b):
@@ -328,7 +329,7 @@ def _selftest_checks():
         # step moves each parameter by -lr
         p = nets.init_mlp([1, 1], seed=0)
         p.flat[:] = 0.0
-        trainer = nets.Trainer(p, nets.adam_init(p, lr=0.05))
+        trainer = nets.Trainer(p, lr=0.05)
         trainer.step(np.array([[1.0]]), np.array([[-1.5]]), np.ones(1))
         w, b = trainer.params.flat
         return abs(w + 0.05) < 1e-6 and abs(b + 0.05) < 1e-6, \

@@ -12,10 +12,10 @@ update is elementwise, and a dgemm call of >= 512 rows computes each row the
 same way.
 
 Both loops write into arrays they keep rather than allocate per step.  One
-:class:`CfmBatches` builds every training batch of a flow, and the training
-loss of :func:`cfm_loss` too, into one set of arrays per batch size; what it
-returns lives until its next call.  The sampler allocates one block's
-inputs and layer outputs per call and Euler-steps each block in place.
+:class:`CfmBatches` makes the bootstrap draws of every training batch of a flow
+(and of :func:`cfm_loss`) and builds the batch into one set of arrays per batch
+size; what it returns lives until its next call.  The sampler allocates one
+block's inputs and layer outputs per call and Euler-steps each block in place.
 
 A trained flow is one type, :class:`FlowModel`: the vector-field net, its
 per-dimension normalizer, the feature weights, the config and the loss
@@ -182,23 +182,10 @@ def init_flow_model(config: FMConfig, lam: np.ndarray, seed=0) -> FlowModel:
     if abs(lam.sum() - 1.0) > 1e-9:
         raise ConfigurationError("feature weights must sum to 1")
     d = lam.shape[0]
-    params = nets.init_mlp([d + 1] + list(config.hidden_sizes) + [d],
-                           activation="tanh", seed=seed)
+    params = nets.init_mlp([d + 1] + list(config.hidden_sizes) + [d], seed=seed)
     return FlowModel(params=params,
                      normalizer=Normalizer(mean=np.zeros(d), std=np.ones(d)),
                      weights=lam, config=config)
-
-
-def bootstrap_latents(pool: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` replicates of the pool, each m rows drawn with replacement."""
-    pool = np.asarray(pool, dtype=np.float64)
-    if pool.ndim != 2 or pool.shape[0] < 1:
-        raise DomainError("latent pool must be a non-empty (m, d) matrix")
-    if count < 1:
-        raise DomainError("replicate count must be >= 1")
-    m = pool.shape[0]
-    idx = rng.integers(0, m, size=(count, m))
-    return pool[idx]
 
 
 class _CfmBuffers:
@@ -305,8 +292,8 @@ def train_flow_model(data: np.ndarray, lam: np.ndarray, config: FMConfig,
     batches = CfmBatches(normalized, model.weights, config.sigma_min,
                          config.bootstrap_count, rng)
     model.params, model.loss_curve = nets.fit(
-        model.params, nets.adam_init(model.params, config.learning_rate),
-        normalized.shape[0], config.epochs, config.batch_size, rng, batches)
+        model.params, config.learning_rate, normalized.shape[0], config.epochs,
+        config.batch_size, rng, batches)
     return model
 
 
@@ -386,8 +373,8 @@ def save_batch_csv(matrix: np.ndarray, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRANSITION_LABELS)
-        for row in matrix:
-            writer.writerow([repr(float(v)) for v in row])
+        # csv writes each float as its repr; one row at a time keeps no copy of the batch
+        writer.writerows(row.tolist() for row in matrix)
 
 
 def load_batch_csv(path: str) -> np.ndarray:

@@ -1,11 +1,11 @@
-"""Dense feedforward nets with manual backprop and Adam.
+"""Dense tanh feedforward nets with manual backprop and Adam.
 
 Shared by the Q-network, the flow-matching vector field and the model-based
-transition predictor.  Everything runs in float64.  The training loss is a
-feature-weighted squared error: ``mean over batch of sum_i w_i (pred_i - y_i)^2``
-where the weights may be a single per-dimension vector or one row per sample
-(the Q-update uses one-hot rows so gradients flow only through the taken
-action's output).
+transition predictor, all with tanh hidden layers and a linear output layer.
+Everything runs in float64.  The training loss is a feature-weighted squared
+error: ``mean over batch of sum_i w_i (pred_i - y_i)^2`` where the weights may
+be a single per-dimension vector or one row per sample (the Q-update uses
+one-hot rows so gradients flow only through the taken action's output).
 
 A net's parameters live in one contiguous vector, :attr:`MlpParams.flat`:
 every weight matrix (row-major, in layer order), then every bias vector.
@@ -19,27 +19,26 @@ the same float64 operations, in the same order, as a per-layer
 implementation would, with fewer calls and temporaries, so results are
 bitwise reproducible.
 
-:class:`Trainer` is the one training loop.  It copies a net's params and Adam
-state once and then updates them in place, with one flat gradient vector
-whose per-layer views take the gradient products directly, and one set of
-layer arrays per batch size.  :func:`fit` (flow and model-based planner) is
-an epoch loop around :meth:`Trainer.step`, and the run loop keeps one trainer
-for the Q-network from its first update to its last.  :func:`loss_and_grads`
-runs the same forward/backward code into fresh arrays, for gradient checks
-and for evaluating a loss without training.
+:class:`Trainer` is the one training loop.  It copies a net's params once,
+starts its own Adam state at zero and then updates both in place, with one
+flat gradient vector whose per-layer views take the gradient products
+directly, and one set of layer arrays per batch size.  :func:`fit` (flow and
+model-based planner) is an epoch loop around :meth:`Trainer.step`, and the
+run loop keeps one trainer for the Q-network from its first update to its
+last.  :func:`loss_and_grads` runs the same forward/backward code into a
+fresh set of those arrays, for gradient checks and for evaluating a loss
+without training.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericError
-
-_ACTIVATIONS = ("tanh", "relu")
 
 
 def _layer_views(flat: np.ndarray, sizes: Sequence[int],
@@ -62,7 +61,6 @@ def _layer_views(flat: np.ndarray, sizes: Sequence[int],
 @dataclass
 class MlpParams:
     layer_sizes: list[int]
-    activation: str
     flat: np.ndarray            # all weights (row-major, by layer), then all biases
     weights: list[np.ndarray] = field(init=False, repr=False, compare=False)
     biases: list[np.ndarray] = field(init=False, repr=False, compare=False)
@@ -72,7 +70,7 @@ class MlpParams:
         self.weights, self.biases = _layer_views(self.flat, self.layer_sizes)
 
     def copy(self) -> "MlpParams":
-        return MlpParams(list(self.layer_sizes), self.activation, self.flat.copy())
+        return MlpParams(list(self.layer_sizes), self.flat.copy())
 
     @property
     def in_dim(self) -> int:
@@ -81,9 +79,6 @@ class MlpParams:
     @property
     def out_dim(self) -> int:
         return self.layer_sizes[-1]
-
-    def num_params(self) -> int:
-        return self.flat.size
 
 
 @dataclass
@@ -97,25 +92,22 @@ class AdamState:
     eps: float = 1e-8
 
 
-def init_mlp(layer_sizes: Sequence[int], activation: str = "tanh",
-             seed: int = 0) -> MlpParams:
+def init_mlp(layer_sizes: Sequence[int], seed: int = 0) -> MlpParams:
     """Weights ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)), biases zero, deterministic per seed."""
     sizes = [int(s) for s in layer_sizes]
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ConfigurationError("layer_sizes needs >= 2 entries, all >= 1")
-    if activation not in _ACTIVATIONS:
-        raise ConfigurationError(f"activation must be one of {_ACTIVATIONS}")
     rng = np.random.default_rng(seed)
     weights = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=fan_out * fan_in))
     flat = np.concatenate(weights + [np.zeros(sum(sizes[1:]))])
-    return MlpParams(layer_sizes=sizes, activation=activation, flat=flat)
+    return MlpParams(layer_sizes=sizes, flat=flat)
 
 
 class _Workspace:
-    """Arrays one training step writes for a batch of ``rows``: every layer's
+    """Arrays one forward/backward pass writes for a batch of ``rows``: every layer's
     output, the deltas back-propagated into the hidden layers, and the
     output error with its weighted copy."""
 
@@ -130,17 +122,14 @@ def _activations(params: MlpParams, x: np.ndarray,
                  out: Optional[list] = None) -> list[np.ndarray]:
     """Outputs of every layer for input rows x: [x, hidden..., prediction],
     written into the arrays of ``out`` (one per layer, None to allocate).
-    Hidden layers use the configured activation, the output layer is linear."""
+    Hidden layers are tanh, the output layer is linear."""
     acts = [x]
     last = len(params.weights) - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         a = np.matmul(acts[-1], w.T, out=None if out is None else out[l])
         a += b
         if l < last:
-            if params.activation == "tanh":
-                np.tanh(a, out=a)
-            else:
-                np.maximum(a, 0.0, out=a)
+            np.tanh(a, out=a)
         acts.append(a)
     return acts
 
@@ -158,14 +147,6 @@ def forward_batch(params: MlpParams, x: np.ndarray,
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise DomainError(f"expected input of shape (n, {params.in_dim}), got {x.shape}")
     return _activations(params, x, out)[-1]
-
-
-def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Single-vector forward pass."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != params.in_dim:
-        raise DomainError(f"expected input of dim {params.in_dim}, got shape {x.shape}")
-    return forward_batch(params, x[None, :])[0]
 
 
 def _check_batch(params: MlpParams, x: np.ndarray, y: np.ndarray, weights: np.ndarray,
@@ -191,38 +172,30 @@ def _check_batch(params: MlpParams, x: np.ndarray, y: np.ndarray, weights: np.nd
 
 
 def _forward_backward(params: MlpParams, x: np.ndarray, y: np.ndarray, w: np.ndarray,
-                      work: Optional[_Workspace], grads_w: list, grads_b: list) -> float:
-    """Weighted squared-error loss of a checked batch.  Its gradients go into
-    the per-layer lists ``grads_w`` and ``grads_b``: into the arrays they
-    hold, or as new arrays where they hold None.  Intermediate arrays live in
-    ``work``, or are allocated when it is None."""
+                      work: _Workspace, grads_w: list, grads_b: list) -> float:
+    """Weighted squared-error loss of a checked batch.  Its gradients are
+    written into the per-layer arrays of ``grads_w`` and ``grads_b``, and the
+    intermediate arrays into ``work``."""
     n = y.shape[0]
-    if work is None:
-        outs, deltas, err_out, werr_out = None, [None] * (len(params.weights) - 1), None, None
-    else:
-        outs, deltas, err_out, werr_out = work.acts, work.deltas, work.err, work.werr
-    acts = _activations(params, x, outs)
-    err = np.subtract(acts[-1], y, out=err_out)
-    werr2 = np.multiply(w, err, out=werr_out)
+    acts = _activations(params, x, work.acts)
+    err = np.subtract(acts[-1], y, out=work.err)
+    werr2 = np.multiply(w, err, out=work.werr)
     werr2 *= err
     loss = float(werr2.sum(axis=1).sum() / n)   # np.mean's sum and division, minus its overhead
 
-    # Backward.  Each hidden activation is consumed once, so the activation
-    # gradient overwrites it: 1 - a*a for tanh, a > 0 for relu.
-    delta = np.multiply(2.0 * w, err, out=werr_out)
+    # Backward.  Each hidden activation is consumed once, so the tanh
+    # gradient 1 - a*a overwrites it.
+    delta = np.multiply(2.0 * w, err, out=work.werr)
     delta /= n
     for l in range(len(params.weights) - 1, -1, -1):
-        grads_w[l] = np.matmul(delta.T, acts[l], out=grads_w[l])
-        grads_b[l] = delta.sum(axis=0, out=grads_b[l])
+        np.matmul(delta.T, acts[l], out=grads_w[l])
+        delta.sum(axis=0, out=grads_b[l])
         if l > 0:
             a = acts[l]
-            delta = np.matmul(delta, params.weights[l], out=deltas[l - 1])
-            if params.activation == "tanh":
-                np.multiply(a, a, out=a)
-                np.subtract(1.0, a, out=a)
-                delta *= a
-            else:
-                delta *= a > 0
+            delta = np.matmul(delta, params.weights[l], out=work.deltas[l - 1])
+            np.multiply(a, a, out=a)
+            np.subtract(1.0, a, out=a)
+            delta *= a
     return loss
 
 
@@ -230,17 +203,14 @@ def loss_and_grads(params: MlpParams, x: np.ndarray, y: np.ndarray,
                    weights: np.ndarray) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Weighted squared-error loss and its analytic gradients.
 
-    Returns (loss, dL/dW per layer, dL/db per layer).
+    Returns (loss, dL/dW per layer, dL/db per layer); the gradients are views
+    of one fresh vector laid out like ``MlpParams.flat``.
     """
     x, y, w = _check_batch(params, x, y, weights)
-    grads_w, grads_b = [None] * len(params.weights), [None] * len(params.weights)
-    loss = _forward_backward(params, x, y, w, None, grads_w, grads_b)
+    grads_w, grads_b = _layer_views(np.empty_like(params.flat), params.layer_sizes)
+    loss = _forward_backward(params, x, y, w, _Workspace(params.layer_sizes, x.shape[0]),
+                             grads_w, grads_b)
     return loss, grads_w, grads_b
-
-
-def adam_init(params: MlpParams, lr: float) -> AdamState:
-    return AdamState(lr=float(lr), step=0, m=np.zeros_like(params.flat),
-                     v=np.zeros_like(params.flat))
 
 
 def _adam_update(adam: AdamState, g: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -272,16 +242,17 @@ def _check_loss(loss: float) -> None:
 class Trainer:
     """In-place minibatch Adam on one net, the one training loop of the package.
 
-    It owns a copy of the params it is built from and of the Adam state
-    (moments and step counter; the arguments stay untouched), one flat
-    gradient vector whose per-layer views take the gradient products
-    directly, one update vector and one set of layer arrays per batch size.
-    ``params`` is live: read it between steps, copy it to keep a snapshot.
+    It owns a copy of the params it is built from (which stay untouched), an
+    Adam state at learning rate ``lr`` that starts from zero moments, one flat
+    gradient vector whose per-layer views take the gradient products directly,
+    one update vector and one set of layer arrays per batch size.  ``params``
+    is live: read it between steps, copy it to keep a snapshot.
     """
 
-    def __init__(self, params: MlpParams, adam: AdamState):
+    def __init__(self, params: MlpParams, lr: float):
         self.params = params.copy()
-        self.adam = replace(adam, m=adam.m.copy(), v=adam.v.copy())
+        self.adam = AdamState(lr=float(lr), step=0, m=np.zeros_like(self.params.flat),
+                              v=np.zeros_like(self.params.flat))
         self._grad = np.empty_like(self.params.flat)
         self._update = np.empty_like(self.params.flat)
         self._grads_w, self._grads_b = _layer_views(self._grad, self.params.layer_sizes)
@@ -309,18 +280,19 @@ class Trainer:
         self.adam.v[:] = 0.0
 
 
-def fit(params: MlpParams, adam: AdamState, n: int, epochs: int, batch_size: int,
+def fit(params: MlpParams, lr: float, n: int, epochs: int, batch_size: int,
         rng: np.random.Generator,
         make_batch: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
         ) -> tuple[MlpParams, list[float]]:
-    """Minibatch Adam over n rows: each epoch draws ``rng.permutation(n)`` and
-    takes one :meth:`Trainer.step` per consecutive ``batch_size`` slice of it,
-    on the (inputs, targets, weights) that ``make_batch(rows)`` builds; each
-    step is done before the next call, so ``make_batch`` may rewrite the
-    arrays it returned last time.  The arguments stay untouched.  Returns the
-    trained params and the mean minibatch loss of every epoch.
+    """Minibatch Adam from a fresh state at learning rate ``lr`` over n rows:
+    each epoch draws ``rng.permutation(n)`` and takes one :meth:`Trainer.step`
+    per consecutive ``batch_size`` slice of it, on the (inputs, targets,
+    weights) that ``make_batch(rows)`` builds; each step is done before the
+    next call, so ``make_batch`` may rewrite the arrays it returned last time.
+    ``params`` stays untouched.  Returns the trained params and the mean
+    minibatch loss of every epoch.
     """
-    trainer = Trainer(params, adam)
+    trainer = Trainer(params, lr)
     loss_curve = []
     for _ in range(epochs):
         order = rng.permutation(n)
@@ -363,11 +335,12 @@ CHECKPOINT_VERSION = 1
 
 
 def params_to_dict(params: MlpParams) -> dict:
-    """JSON-ready checkpoint: layer sizes, activation tag, row-major weights, biases."""
+    """JSON-ready checkpoint: layer sizes, the activation tag (always tanh),
+    row-major weights, biases."""
     return {
         "version": CHECKPOINT_VERSION,
         "layer_sizes": list(params.layer_sizes),
-        "activation": params.activation,
+        "activation": "tanh",
         "weights": [w.ravel().tolist() for w in params.weights],
         "biases": [b.tolist() for b in params.biases],
     }
@@ -377,9 +350,8 @@ def params_from_dict(payload: dict) -> MlpParams:
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ConfigurationError(f"unsupported checkpoint version {payload.get('version')!r}")
     sizes = [int(s) for s in payload["layer_sizes"]]
-    activation = payload["activation"]
-    if activation not in _ACTIVATIONS:
-        raise ConfigurationError(f"unknown activation tag {activation!r}")
+    if payload["activation"] != "tanh":
+        raise ConfigurationError(f"unknown activation tag {payload['activation']!r}")
     weights, biases = [], []
     for l, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         w = np.array(payload["weights"][l], dtype=np.float64)
@@ -388,5 +360,4 @@ def params_from_dict(payload: dict) -> MlpParams:
             raise ConfigurationError("checkpoint weight or bias shape mismatch")
         weights.append(w)
         biases.append(b)
-    return MlpParams(layer_sizes=sizes, activation=activation,
-                     flat=np.concatenate(weights + biases))
+    return MlpParams(layer_sizes=sizes, flat=np.concatenate(weights + biases))

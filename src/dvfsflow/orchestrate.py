@@ -130,7 +130,7 @@ class _ModelBasedPlanner:
 
     def __init__(self, fm_config: FMConfig, seed):
         self.fm_config = fm_config
-        self.params = nets.init_mlp([5, 32, 32, 6], activation="tanh", seed=seed)
+        self.params = nets.init_mlp([5, 32, 32, 6], seed=seed)
         self.in_norm: Optional[Normalizer] = None
         self.out_norm: Optional[Normalizer] = None
 
@@ -143,9 +143,8 @@ class _ModelBasedPlanner:
         cfg = self.fm_config
         weights = np.ones(6)
         self.params, loss_curve = nets.fit(
-            self.params, nets.adam_init(self.params, cfg.learning_rate), xn.shape[0],
-            cfg.epochs, cfg.batch_size, np.random.default_rng(seed),
-            lambda rows: (xn[rows], yn[rows], weights))
+            self.params, cfg.learning_rate, xn.shape[0], cfg.epochs, cfg.batch_size,
+            np.random.default_rng(seed), lambda rows: (xn[rows], yn[rows], weights))
         return loss_curve[-1]
 
     def plan(self, data: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -216,7 +215,7 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
 
     qnet = agent_mod.init_qnet(env_config, agent_config, seed=[seed, 4])
     target = agent_mod.sync_target(qnet)
-    trainer = nets.Trainer(qnet, nets.adam_init(qnet, agent_config.learning_rate))
+    trainer = nets.Trainer(qnet, agent_config.learning_rate)
 
     memory = ReplayMemory(schedule.real_capacity, "M")
     synth_memory = ReplayMemory(schedule.synth_capacity, "M'")
@@ -298,20 +297,16 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
 
 
 def runlog_to_csv(log: RunLog, path: str) -> None:
-    """One row per step with the pinned column set; None cells stay empty."""
+    """One row per step with the pinned column set; ``csv`` writes each float
+    as its repr and each None (a loss before the first update) as an empty cell."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RUNLOG_COLUMNS)
-        for j in range(len(log.t)):
-            s = log.states[j]
-            writer.writerow([
-                log.t[j],
-                repr(s.fps), repr(s.freq), repr(s.power), repr(s.temp),
-                log.actions[j],
-                repr(log.rewards[j]), repr(log.epsilons[j]), repr(log.max_q[j]),
-                "" if log.agent_loss[j] is None else repr(log.agent_loss[j]),
-                "" if log.fm_loss[j] is None else repr(log.fm_loss[j]),
-            ])
+        writer.writerows(
+            (t, s.fps, s.freq, s.power, s.temp, a, r, eps, q, agent_loss, fm_loss)
+            for t, s, a, r, eps, q, agent_loss, fm_loss in zip(
+                log.t, log.states, log.actions, log.rewards, log.epsilons, log.max_q,
+                log.agent_loss, log.fm_loss))
 
 
 def runlog_from_csv(path: str, method: str = "", seed: int = -1,

@@ -68,6 +68,14 @@ class EnvConfig:
             raise ConfigurationError("noise_std_fps/noise_std_temp must be >= 0")
         if not (0.0 < self.min_freq < 1.0):
             raise ConfigurationError("min_freq must lie in (0, 1)")
+        # The lowest power a reachable state draws: the lowest level with the die
+        # at ambient, which temperatures never fall below.  The reward divides by it.
+        p_min = self.dyn_coeff * self.min_freq ** self.eta
+        if p_min + self.static_coeff * self.ambient_temp <= 0:
+            raise ConfigurationError(
+                f"ambient_temp must be > {-p_min / self.static_coeff:.6g}, so that the lowest "
+                f"power dyn_coeff * min_freq ** eta + static_coeff * ambient_temp stays > 0, "
+                f"got {self.ambient_temp!r}")
         if self.episode_horizon < 1:
             raise ConfigurationError("episode_horizon must be >= 1")
         # RC update must be a contraction or temperature diverges.

@@ -150,7 +150,7 @@ def test_q_targets_terminal_and_zero_discount():
     cfg = AgentConfig(discount=0.99)
     qnet = ag.init_qnet(ENV, cfg, seed=2)
     target = ag.sync_target(qnet)
-    trainer = nets.Trainer(qnet, nets.adam_init(qnet, 0.0))   # lr 0: inspect the loss only
+    trainer = nets.Trainer(qnet, 0.0)   # lr 0: inspect the loss only
     done_batch = _row(3, done=True, r=1.5)[None, :]
     loss = ag.train_q_step(trainer, target, done_batch, cfg, ENV)
     q_sa = ag.q_values(qnet, _state(3.0), ENV)[3]
@@ -168,7 +168,7 @@ def test_single_transition_regression_to_fixed_target():
     cfg = AgentConfig(discount=0.9, learning_rate=0.01, hidden_sizes=[16, 16])
     qnet = ag.init_qnet(ENV, cfg, seed=3)
     target = ag.sync_target(qnet)
-    trainer = nets.Trainer(qnet, nets.adam_init(qnet, cfg.learning_rate))
+    trainer = nets.Trainer(qnet, cfg.learning_rate)
     batch = _row(5, r=2.0)[None, :]
     y = 2.0 + cfg.discount * float(np.max(ag.q_values(target, _state(6.0), ENV)))
     for _ in range(800):
@@ -207,7 +207,7 @@ def test_dqn_converges_to_value_iteration_on_two_state_mdp():
                       target_sync_period=25)
     qnet = ag.init_qnet(k2, cfg, seed=4)
     target = ag.sync_target(qnet)
-    trainer = nets.Trainer(qnet, nets.adam_init(qnet, cfg.learning_rate))
+    trainer = nets.Trainer(qnet, cfg.learning_rate)
     for step in range(1, 5_001):
         ag.train_q_step(trainer, target, transitions, cfg, k2)
         if step % cfg.target_sync_period == 0:

@@ -346,7 +346,18 @@ def test_gen_non_finite_cell_is_a_numeric_error(tmp_path, capsys):
     out = tmp_path / "synth.csv"
     assert main(["gen", "--memory", memory, "--out", str(out), "--uniform-lambda"]) == 1
     err = capsys.readouterr().err
-    assert "numeric error" in err and "action" in err
+    assert err.startswith(f"numeric error: {memory}: ") and "column(s) action" in err
+    assert not out.exists()
+
+
+def test_ambient_temp_that_allows_non_positive_power_fails_validation(tmp_path, capsys):
+    # used to pass validation, then stop some seeds' runs with "input error:
+    # power must be > 0 to evaluate the reward", which named no field
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, {"env": {"ambient_temp": -2}, "methods": ["model_free"],
+                                    "seeds": [3], "output_dir": str(out)})
+    assert main(["run", "--config", path]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: ambient_temp must be > ")
     assert not out.exists()
 
 

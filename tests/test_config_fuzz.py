@@ -34,17 +34,23 @@ def _sizes(hi):
 def configs(draw):
     """A config payload inside every constraint of ``ExperimentConfig.validate``."""
     target_fps = draw(_floats(20.0, 80.0))
+    eta, dyn_coeff = draw(_floats(2.1, 4.0)), draw(_floats(2.0, 20.0))
+    static_coeff, min_freq = draw(_floats(0.01, 0.1)), draw(_floats(0.05, 0.9))
+    # the lowest power, dyn_coeff * min_freq ** eta + static_coeff * ambient_temp,
+    # stays > 0: ambient_temp runs from just above that floor
+    ambient_floor = -dyn_coeff * min_freq ** eta / static_coeff
     # contraction: static * resistance < capacitance and |1 - 1/(C R) + cs/C| < 1
     env = {
-        "num_actions": draw(st.integers(2, 6)), "eta": draw(_floats(2.1, 4.0)),
-        "dyn_coeff": draw(_floats(2.0, 20.0)), "static_coeff": draw(_floats(0.01, 0.1)),
+        "num_actions": draw(st.integers(2, 6)), "eta": eta,
+        "dyn_coeff": dyn_coeff, "static_coeff": static_coeff,
         "thermal_capacitance": draw(_floats(0.8, 2.0)),
         "thermal_resistance": draw(_floats(1.0, 4.0)),
-        "ambient_temp": draw(_floats(0.0, 40.0)), "fps_slope": draw(_floats(20.0, 150.0)),
+        "ambient_temp": draw(_floats(0.99 * ambient_floor, 40.0)),
+        "fps_slope": draw(_floats(20.0, 150.0)),
         "fps_cap": target_fps + draw(_floats(0.0, 60.0)), "target_fps": target_fps,
         "target_temp": draw(_floats(30.0, 80.0)), "reward_scale": draw(_floats(0.5, 4.0)),
         "noise_std_fps": draw(_floats(0.0, 2.0)), "noise_std_temp": draw(_floats(0.0, 1.0)),
-        "min_freq": draw(_floats(0.05, 0.9)), "episode_horizon": draw(st.integers(1, 30)),
+        "min_freq": min_freq, "episode_horizon": draw(st.integers(1, 30)),
     }
     agent = {
         "discount": draw(_floats(0.5, 0.99)), "epsilon_init": draw(_floats(0.0, 1.0)),

@@ -5,11 +5,11 @@ import pytest
 
 from dvfsflow import nets
 from dvfsflow.errors import ConfigurationError, DomainError, NumericError, StateError
-from dvfsflow.flow import (CfmBatches, FMConfig, Transition, TransitionLayout, bootstrap_latents,
-                           canonical_rows, cfm_loss, encode_transition,
-                           flow_model_from_dict, flow_model_to_dict, generate_raw,
-                           init_flow_model, load_batch_csv, sample_vector_field,
-                           save_batch_csv, train_flow_model, unflatten_transition)
+from dvfsflow.flow import (CfmBatches, FMConfig, Transition, TransitionLayout, canonical_rows,
+                           cfm_loss, encode_transition, flow_model_from_dict,
+                           flow_model_to_dict, generate_raw, init_flow_model, load_batch_csv,
+                           sample_vector_field, save_batch_csv, train_flow_model,
+                           unflatten_transition)
 from dvfsflow.simenv import DvfsEnv, EnvConfig, ProcessorState
 
 LAYOUT = TransitionLayout(num_actions=12, ambient_temp=25.0)
@@ -91,11 +91,18 @@ def test_unflatten_clamps_physical_ranges():
 
 # ---------------------------------------------------------------- bootstrap
 
+def _bootstrap_replicates(m, d, count, rng):
+    """The latents of one CFM batch on m rows, as (count, m, d) replicates: on
+    all-zero data with sigma_min 0 the targets are exactly the negated latents."""
+    lam = np.full(d, 1.0 / d)
+    _, target, _ = CfmBatches(np.zeros((m, d)), lam, 0.0, count, rng)(np.arange(m))
+    return -target.reshape(count, m, d)
+
+
 def test_bootstrap_rows_come_from_pool():
-    rng = np.random.default_rng(0)
-    pool = rng.normal(size=(7, 3))
-    reps = bootstrap_latents(pool, 4, rng)
+    reps = _bootstrap_replicates(7, 3, 4, np.random.default_rng(0))
     assert reps.shape == (4, 7, 3)
+    pool = np.random.default_rng(0).standard_normal((7, 3))   # the first draw of a step
     pool_rows = {tuple(r) for r in pool}
     for rep in reps:
         for row in rep:
@@ -103,26 +110,19 @@ def test_bootstrap_rows_come_from_pool():
 
 
 def test_bootstrap_deterministic_per_seed():
-    pool = np.random.default_rng(1).normal(size=(5, 2))
-    a = bootstrap_latents(pool, 1, np.random.default_rng(9))
-    b = bootstrap_latents(pool, 1, np.random.default_rng(9))
+    a = _bootstrap_replicates(5, 2, 1, np.random.default_rng(9))
+    b = _bootstrap_replicates(5, 2, 1, np.random.default_rng(9))
     assert np.array_equal(a, b)
+    assert not np.array_equal(a, _bootstrap_replicates(5, 2, 1, np.random.default_rng(10)))
 
 
 def test_bootstrap_distinct_fraction_oracle():
-    # expected distinct fraction of an n-out-of-n resample -> 1 - 1/e
-    rng = np.random.default_rng(17)
+    # expected distinct fraction of an n-out-of-n resample -> 1 - 1/e; the
+    # Gaussian latents of the pool are distinct, so distinct rows are distinct draws
     m = 2000
-    pool = np.arange(m, dtype=np.float64)[:, None]
-    fractions = []
-    for rep in bootstrap_latents(pool, 8, rng):
-        fractions.append(len(np.unique(rep[:, 0])) / m)
+    reps = _bootstrap_replicates(m, 1, 8, np.random.default_rng(17))
+    fractions = [len(np.unique(rep[:, 0])) / m for rep in reps]
     assert abs(np.mean(fractions) - (1 - 1 / np.e)) < 0.02
-
-
-def test_bootstrap_rejects_empty_pool():
-    with pytest.raises(DomainError):
-        bootstrap_latents(np.empty((0, 3)), 2, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- loss
@@ -181,7 +181,7 @@ def test_cfm_loss_matches_hand_evaluation():
     mirror.permutation(1)
     t = mirror.uniform(0.0, 1.0, size=(1, 1))
     xt = (1 - t) * x0 + t * x1
-    v = nets.forward(model.params, np.append(xt[0], t[0, 0]))
+    v = nets.forward_batch(model.params, np.append(xt, t, axis=1))
     by_hand = float(np.sum(model.weights * (v - (x1 - x0))[0] ** 2))
     assert loss == pytest.approx(by_hand, rel=1e-12)
 

@@ -29,42 +29,41 @@ def test_init_rejects_bad_layers():
         nets.init_mlp([4], seed=0)
     with pytest.raises(ConfigurationError):
         nets.init_mlp([4, 0, 2], seed=0)
-    with pytest.raises(ConfigurationError):
-        nets.init_mlp([4, 3], activation="sigmoid", seed=0)
 
 
 def test_forward_zero_params_gives_zero():
     p = nets.init_mlp([3, 5, 2], seed=0)
     for w in p.weights:
         w[:] = 0.0
-    assert np.array_equal(nets.forward(p, np.ones(3)), np.zeros(2))
+    assert np.array_equal(nets.forward_batch(p, np.ones((1, 3))), np.zeros((1, 2)))
 
 
 def test_forward_identity_linear_net():
     p = nets.init_mlp([4, 4], seed=0)
     p.weights[0] = np.eye(4)
     p.biases[0][:] = 0.0
-    x = np.array([0.3, -1.2, 4.0, 0.0])
-    assert np.allclose(nets.forward(p, x), x)
+    x = np.array([[0.3, -1.2, 4.0, 0.0]])
+    assert np.allclose(nets.forward_batch(p, x), x)
 
 
 def test_forward_tanh_output_bounded_by_weight_norms():
     p = nets.init_mlp([3, 8, 2], seed=5)
     bound = np.abs(p.weights[-1]).sum(axis=1) + np.abs(p.biases[-1])
-    for _ in range(20):
-        x = np.random.default_rng(0).normal(size=3) * 100
-        assert np.all(np.abs(nets.forward(p, x)) <= bound + 1e-12)
+    x = np.random.default_rng(0).normal(size=(20, 3)) * 100
+    assert np.all(np.abs(nets.forward_batch(p, x)) <= bound + 1e-12)
 
 
 def test_forward_dimension_mismatch():
     p = nets.init_mlp([3, 2], seed=0)
     with pytest.raises(DomainError):
-        nets.forward(p, np.ones(4))
+        nets.forward_batch(p, np.ones((1, 4)))
+    with pytest.raises(DomainError):        # one row is a (1, n) batch, not a vector
+        nets.forward_batch(p, np.ones(3))
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("activation", ["tanh"])   # the only hidden activation
 def test_forward_batch_into_given_layer_arrays(activation):
-    p = nets.init_mlp([3, 7, 5, 2], activation=activation, seed=4)
+    p = nets.init_mlp([3, 7, 5, 2], seed=4)
     x = np.random.default_rng(4).normal(size=(600, 3))
     out = [np.empty((600, s)) for s in (7, 5, 2)]
     y = nets.forward_batch(p, x, out=out)
@@ -109,17 +108,16 @@ def test_adam_first_step_moves_by_lr_sign():
     # the bias-corrected first step is ~ -lr * sign(g)
     p = nets.init_mlp([1, 1], seed=0)
     p.weights[0][:] = 0.5
-    trainer = nets.Trainer(p, nets.adam_init(p, lr=0.05))
+    trainer = nets.Trainer(p, lr=0.05)
     trainer.step(np.array([[1.0]]), np.array([[-0.5]]), np.ones(1))
     assert trainer.params.weights[0][0, 0] - 0.5 == pytest.approx(-0.05, abs=1e-6)
 
 
 def test_adam_zero_lr_keeps_params():
     p = nets.init_mlp([2, 3, 1], seed=3)
-    adam = nets.adam_init(p, lr=0.0)
     rng = np.random.default_rng(3)
     x, y = rng.normal(size=(4, 2)), rng.normal(size=(4, 1))
-    trainer = nets.Trainer(p, adam)
+    trainer = nets.Trainer(p, lr=0.0)
     trainer.step(x, y, np.ones(1))
     assert trainer.params.flat.tobytes() == p.flat.tobytes()
 
@@ -138,10 +136,9 @@ def test_fit_matches_hand_written_minibatch_loop():
 
     p0 = nets.init_mlp([2, 5, 1], seed=2)
     rng = np.random.default_rng(8)
-    params, curve = nets.fit(p0, nets.adam_init(p0, 0.01), n, epochs, batch_size,
-                             rng, make_batch_for(rng))
+    params, curve = nets.fit(p0, 0.01, n, epochs, batch_size, rng, make_batch_for(rng))
 
-    ref = nets.Trainer(p0, nets.adam_init(p0, 0.01))
+    ref = nets.Trainer(p0, 0.01)
     ref_rng = np.random.default_rng(8)
     make_batch = make_batch_for(ref_rng)
     ref_curve = []
@@ -158,7 +155,7 @@ def test_fit_matches_hand_written_minibatch_loop():
 
 def test_trainer_step_rejects_nan():
     p = nets.init_mlp([2, 1], seed=0)
-    trainer = nets.Trainer(p, nets.adam_init(p, lr=0.1))
+    trainer = nets.Trainer(p, lr=0.1)
     x = np.array([[1.0, np.nan]])
     with pytest.raises(NumericError):
         trainer.step(x, np.array([[0.0]]), np.ones(1))
@@ -167,9 +164,8 @@ def test_trainer_step_rejects_nan():
 
 def test_grad_check_small_nets():
     rng = np.random.default_rng(7)
-    for sizes, act in [([4, 6, 6, 12], "tanh"), ([12, 64, 64, 11], "tanh"),
-                       ([5, 32, 32, 6], "tanh"), ([3, 8, 2], "relu")]:
-        p = nets.init_mlp(sizes, activation=act, seed=11)
+    for sizes in ([4, 6, 6, 12], [12, 64, 64, 11], [5, 32, 32, 6], [3, 8, 2]):
+        p = nets.init_mlp(sizes, seed=11)
         x = rng.normal(size=(6, sizes[0]))
         y = rng.normal(size=(6, sizes[-1]))
         w = rng.uniform(0.1, 1.0, size=sizes[-1])
@@ -213,7 +209,7 @@ def test_checkpoint_round_trip():
     payload = nets.params_to_dict(p)
     q = nets.params_from_dict(payload)
     assert q.layer_sizes == p.layer_sizes
-    assert q.activation == p.activation
+    assert payload["activation"] == "tanh"
     for wa, wb in zip(p.weights, q.weights):
         assert np.array_equal(wa, wb)
     for ba, bb in zip(p.biases, q.biases):
@@ -225,4 +221,11 @@ def test_checkpoint_rejects_bad_version():
     payload = nets.params_to_dict(p)
     payload["version"] = 99
     with pytest.raises(ConfigurationError):
+        nets.params_from_dict(payload)
+
+
+def test_checkpoint_rejects_other_activation_tag():
+    payload = nets.params_to_dict(nets.init_mlp([2, 3, 2], seed=0))
+    payload["activation"] = "relu"
+    with pytest.raises(ConfigurationError, match="'relu'"):
         nets.params_from_dict(payload)

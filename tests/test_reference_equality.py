@@ -18,9 +18,8 @@ from dvfsflow.agent import AgentConfig, ReplayMemory
 from dvfsflow.errors import InsufficientDataError, NumericError
 from dvfsflow.evalkit import _sorted_quantile, wasserstein1
 from dvfsflow.flow import (CfmBatches, FMConfig, Normalizer, TransitionLayout,
-                           bootstrap_latents, canonical_rows, check_finite,
-                           encode_transition, init_flow_model, sample_vector_field,
-                           unflatten_transition)
+                           canonical_rows, check_finite, encode_transition,
+                           init_flow_model, sample_vector_field, unflatten_transition)
 from dvfsflow.forest import (ForestConfig, _best_splits, _grow_trees, fit_forest,
                              normalized_importances, transition_feature_weights)
 from dvfsflow.simenv import DvfsEnv, EnvConfig, ProcessorState, normalize_state
@@ -33,16 +32,12 @@ def _ref_loss_and_grads(params, x, y, weights):
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim == 1:
         w = np.broadcast_to(w, (n, d))
-    acts, zs = [x], []
+    acts = [x]
     a = x
     last = len(params.weights) - 1
     for l, (wl, bl) in enumerate(zip(params.weights, params.biases)):
         z = a @ wl.T + bl
-        zs.append(z)
-        if l == last:
-            a = z
-        else:
-            a = np.tanh(z) if params.activation == "tanh" else np.maximum(z, 0.0)
+        a = z if l == last else np.tanh(z)
         acts.append(a)
     err = acts[-1] - y
     loss = float(np.mean(np.sum(w * err * err, axis=1)))
@@ -53,12 +48,14 @@ def _ref_loss_and_grads(params, x, y, weights):
         grads_w[l] = delta.T @ acts[l]
         grads_b[l] = delta.sum(axis=0)
         if l > 0:
-            if params.activation == "tanh":
-                act_grad = 1.0 - acts[l] * acts[l]
-            else:
-                act_grad = (zs[l - 1] > 0).astype(np.float64)
-            delta = (delta @ params.weights[l]) * act_grad
+            delta = (delta @ params.weights[l]) * (1.0 - acts[l] * acts[l])
     return loss, grads_w, grads_b
+
+
+def _zero_adam(params, lr):
+    """The Adam state a fresh trainer starts from."""
+    return nets.AdamState(lr=float(lr), step=0, m=np.zeros_like(params.flat),
+                          v=np.zeros_like(params.flat))
 
 
 def _ref_adam_step(weights, biases, grads_w, grads_b, adam, m_w, v_w, m_b, v_b):
@@ -93,7 +90,7 @@ def _ref_train_step(params, adam, x, y, weights):
     def flat(ws, bs):
         return np.concatenate([a.ravel() for a in ws + bs])
 
-    new = nets.MlpParams(list(params.layer_sizes), params.activation, flat(new_w, new_b))
+    new = nets.MlpParams(list(params.layer_sizes), flat(new_w, new_b))
     return new, replace(adam, step=adam.step + 1, m=flat(m_w, m_b), v=flat(v_w, v_b)), loss
 
 
@@ -199,7 +196,7 @@ def _ref_fit_forest(x, y, n_trees, max_depth, min_leaf, rng):
 def _ref_cfm_batch(batch, lam, sigma_min, count, rng):
     m, d = batch.shape
     pool = rng.standard_normal((m, d))
-    x0 = bootstrap_latents(pool, count, rng)
+    x0 = pool[rng.integers(0, m, size=(count, m))]
     x1 = np.stack([batch[rng.permutation(m)] for _ in range(count)])
     x0 = x0.reshape(count * m, d)
     x1 = x1.reshape(count * m, d)
@@ -358,19 +355,18 @@ def _one_hot_rows(rng, n, d):
     return w
 
 
+# Every net is a tanh MLP; the "tanh" label names the hidden activation in the case ids.
 NET_CASES = [
     ([12, 64, 64, 11], "tanh", "lambda", 256),     # flow vector field
     ([12, 64, 64, 11], "tanh", "lambda", 72),      # short last CFM batch
     ([4, 16, 16, 12], "tanh", "one_hot", 32),      # Q-network update
     ([5, 32, 32, 6], "tanh", "lambda", 7),         # planner, short last batch
-    ([3, 8, 5, 2], "relu", "lambda", 9),
-    ([3, 8, 5, 2], "relu", "one_hot", 1),
 ]
 
 
-def _net_case(sizes, activation, weighting, n, seed):
+def _net_case(sizes, weighting, n, seed):
     rng = np.random.default_rng(seed)
-    params = nets.init_mlp(sizes, activation=activation, seed=seed)
+    params = nets.init_mlp(sizes, seed=seed)
     params.flat[:] = rng.normal(scale=0.7, size=params.flat.size)   # non-zero biases too
     x = rng.normal(size=(n, sizes[0]))
     y = rng.normal(size=(n, sizes[-1]))
@@ -384,7 +380,7 @@ def _net_case(sizes, activation, weighting, n, seed):
 
 @pytest.mark.parametrize("sizes,activation,weighting,n", NET_CASES)
 def test_loss_and_grads_bitwise_equal_reference(sizes, activation, weighting, n):
-    params, x, y, w = _net_case(sizes, activation, weighting, n, seed=n)
+    params, x, y, w = _net_case(sizes, weighting, n, seed=n)
     x_before = x.copy()
     loss, gw, gb = nets.loss_and_grads(params, x, y, w)
     ref_loss, ref_gw, ref_gb = _ref_loss_and_grads(params, x, y, w)
@@ -397,8 +393,8 @@ def test_loss_and_grads_bitwise_equal_reference(sizes, activation, weighting, n)
 
 @pytest.mark.parametrize("sizes,activation,weighting,n", NET_CASES)
 def test_adam_steps_bitwise_equal_reference(sizes, activation, weighting, n):
-    params, x, y, w = _net_case(sizes, activation, weighting, n, seed=n + 1)
-    trainer = nets.Trainer(params, nets.adam_init(params, lr=0.01))
+    params, x, y, w = _net_case(sizes, weighting, n, seed=n + 1)
+    trainer = nets.Trainer(params, lr=0.01)
     ref_w = [a.copy() for a in params.weights]
     ref_b = [a.copy() for a in params.biases]
     ref_m = [[np.zeros_like(a) for a in ref_w], [np.zeros_like(a) for a in ref_w],
@@ -420,61 +416,55 @@ def test_adam_steps_bitwise_equal_reference(sizes, activation, weighting, n):
 
 
 def test_trainer_step_matches_reference_loss_then_adam():
-    params, x, y, w = _net_case([12, 64, 64, 11], "tanh", "lambda", 256, seed=3)
-    adam = nets.adam_init(params, lr=1e-3)
-    trainer = nets.Trainer(params, adam)
+    params, x, y, w = _net_case([12, 64, 64, 11], "lambda", 256, seed=3)
+    trainer = nets.Trainer(params, lr=1e-3)
     loss = trainer.step(x, y, w)
     ref_loss, gw, gb = _ref_loss_and_grads(params, x, y, w)
     zeros_w = [np.zeros_like(a) for a in params.weights]
     zeros_b = [np.zeros_like(a) for a in params.biases]
-    ref_w, ref_b, *_ = _ref_adam_step(params.weights, params.biases, gw, gb, adam,
+    ref_w, ref_b, *_ = _ref_adam_step(params.weights, params.biases, gw, gb,
+                                      _zero_adam(params, 1e-3),
                                       zeros_w, zeros_w, zeros_b, zeros_b)
     assert loss == ref_loss
     for a, b in zip(trainer.params.weights + trainer.params.biases, ref_w + ref_b):
         assert np.array_equal(a, b)
 
 
-def _fit_case(sizes, activation, weighting, n, seed):
-    """A net, a part-used Adam state and a make_batch over n fixed rows."""
-    params, x, y, w = _net_case(sizes, activation, weighting, n, seed)
-    rng = np.random.default_rng(seed + 100)
-    adam = nets.adam_init(params, lr=0.01)
-    adam.step = 3
-    adam.m[:] = rng.normal(scale=0.1, size=adam.m.size)
-    adam.v[:] = rng.uniform(0.0, 0.1, size=adam.v.size)
+def _fit_case(sizes, weighting, n, seed):
+    """A net and a make_batch over n fixed rows."""
+    params, x, y, w = _net_case(sizes, weighting, n, seed)
     if weighting == "lambda":
-        return params, adam, lambda rows: (x[rows], y[rows], w)
-    return params, adam, lambda rows: (x[rows], y[rows], w[rows])
+        return params, lambda rows: (x[rows], y[rows], w)
+    return params, lambda rows: (x[rows], y[rows], w[rows])
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("activation", ["tanh"])               # the case-id label, as above
 @pytest.mark.parametrize("weighting", ["lambda", "one_hot"])   # per-dim and per-row weights
 @pytest.mark.parametrize("n,batch_size", [(75, 16), (40, 40), (9, 32)])
 def test_fit_bytes_equal_train_step_loop(activation, weighting, n, batch_size):
     # 75 rows in batches of 16 end in an 11-row batch; 9 rows fit in one short batch
-    params, adam, make_batch = _fit_case([5, 16, 8, 4], activation, weighting, n, seed=n)
-    got, got_curve = nets.fit(params, adam, n, 6, batch_size, np.random.default_rng(1),
+    params, make_batch = _fit_case([5, 16, 8, 4], weighting, n, seed=n)
+    got, got_curve = nets.fit(params, 0.01, n, 6, batch_size, np.random.default_rng(1),
                               make_batch)
-    want, want_curve = _ref_fit(params, adam, n, 6, batch_size, np.random.default_rng(1),
-                                make_batch)
+    want, want_curve = _ref_fit(params, _zero_adam(params, 0.01), n, 6, batch_size,
+                                np.random.default_rng(1), make_batch)
     assert got.flat.tobytes() == want.flat.tobytes()
     assert _hex(got_curve) == _hex(want_curve)
-    assert (got.layer_sizes, got.activation) == (want.layer_sizes, want.activation)
+    assert got.layer_sizes == want.layer_sizes
 
 
 def test_fit_leaves_its_arguments_untouched():
-    params, adam, make_batch = _fit_case([5, 16, 8, 4], "tanh", "lambda", 50, seed=2)
-    before = (params.flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.step, adam.lr)
-    trained, _ = nets.fit(params, adam, 50, 3, 16, np.random.default_rng(0), make_batch)
-    assert (params.flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.step,
-            adam.lr) == before
+    params, make_batch = _fit_case([5, 16, 8, 4], "lambda", 50, seed=2)
+    before = params.flat.tobytes()
+    trained, _ = nets.fit(params, 0.01, 50, 3, 16, np.random.default_rng(0), make_batch)
+    assert params.flat.tobytes() == before
     assert not np.shares_memory(trained.flat, params.flat)
     assert trained.flat.tobytes() != params.flat.tobytes()
 
 
 @pytest.mark.parametrize("column", ["x", "y"])
 def test_fit_nan_batch_mid_run_raises(column):
-    params, adam, make_batch = _fit_case([5, 16, 8, 4], "tanh", "lambda", 50, seed=3)
+    params, make_batch = _fit_case([5, 16, 8, 4], "lambda", 50, seed=3)
     calls = []
 
     def poisoned(rows):
@@ -487,14 +477,14 @@ def test_fit_nan_batch_mid_run_raises(column):
 
     flat_before = params.flat.tobytes()
     with pytest.raises(NumericError):
-        nets.fit(params, adam, 50, 3, 16, np.random.default_rng(0), poisoned)
+        nets.fit(params, 0.01, 50, 3, 16, np.random.default_rng(0), poisoned)
     assert len(calls) == 6
     assert params.flat.tobytes() == flat_before
 
 
 def test_layer_views_share_the_flat_vector():
     p = nets.init_mlp([3, 4, 2], seed=0)
-    assert p.flat.size == p.num_params() == 3 * 4 + 4 * 2 + 4 + 2
+    assert p.flat.size == 3 * 4 + 4 * 2 + 4 + 2
     p.weights[1][:] = 7.0                          # in-place write reaches the vector
     assert np.all(p.flat[12:20] == 7.0)
     p.flat[-2:] = [1.0, 2.0]
@@ -897,9 +887,8 @@ def test_train_q_step_bitwise_equal_reference(kind):
     cfg = AgentConfig()
     qnet = agent.init_qnet(Q_ENV, cfg, seed=1)
     target = agent.init_qnet(Q_ENV, cfg, seed=2)
-    adam = nets.adam_init(qnet, cfg.learning_rate)
-    trainer = nets.Trainer(qnet, adam)
-    ref_qnet, ref_adam = qnet, adam
+    trainer = nets.Trainer(qnet, cfg.learning_rate)
+    ref_qnet, ref_adam = qnet, _zero_adam(qnet, cfg.learning_rate)
     for _ in range(5):
         rows, batch = _q_batch(kind, rng)
         loss = agent.train_q_step(trainer, target, rows, cfg, Q_ENV)
@@ -924,10 +913,10 @@ def test_train_q_step_reads_every_action_level_back():
     cfg = AgentConfig()
     qnet = agent.init_qnet(env, cfg, seed=8)
     target = agent.init_qnet(env, cfg, seed=9)
-    trainer = nets.Trainer(qnet, nets.adam_init(qnet, cfg.learning_rate))
+    trainer = nets.Trainer(qnet, cfg.learning_rate)
     loss = agent.train_q_step(trainer, target, _encode_all(batch, layout), cfg, env)
     ref_qnet, ref_adam, ref_loss = _ref_train_q_step(
-        qnet, target, batch, cfg, env, nets.adam_init(qnet, cfg.learning_rate))
+        qnet, target, batch, cfg, env, _zero_adam(qnet, cfg.learning_rate))
     assert loss == ref_loss
     assert trainer.params.flat.tobytes() == ref_qnet.flat.tobytes()
     assert trainer.adam.v.tobytes() == ref_adam.v.tobytes()
@@ -941,9 +930,9 @@ def test_trainer_q_chain_bytes_equal_pure_train_step_chain():
     cfg = AgentConfig(target_sync_period=4)
     reset_period = 10
     qnet = agent.init_qnet(Q_ENV, cfg, seed=5)
-    trainer = nets.Trainer(qnet, nets.adam_init(qnet, cfg.learning_rate))
+    trainer = nets.Trainer(qnet, cfg.learning_rate)
     target = ref_target = agent.sync_target(qnet)
-    ref_qnet, ref_adam = qnet, nets.adam_init(qnet, cfg.learning_rate)
+    ref_qnet, ref_adam = qnet, _zero_adam(qnet, cfg.learning_rate)
     resets = syncs = 0
     sizes = set()
     for step in range(1, 36):
@@ -965,7 +954,7 @@ def test_trainer_q_chain_bytes_equal_pure_train_step_chain():
         assert trainer.adam.step == ref_adam.step, step
         if step % reset_period == 0:
             trainer.reset_adam(cfg.learning_rate)
-            ref_adam = nets.adam_init(ref_qnet, cfg.learning_rate)
+            ref_adam = _zero_adam(ref_qnet, cfg.learning_rate)
             resets += 1
         if step % cfg.target_sync_period == 0:
             target = agent.sync_target(trainer.params)
@@ -974,26 +963,19 @@ def test_trainer_q_chain_bytes_equal_pure_train_step_chain():
     assert resets == 3 and syncs == 8 and sizes == {16, 32}
 
 
-def test_trainer_leaves_the_params_and_adam_state_it_was_built_from_untouched():
+def test_trainer_leaves_the_params_it_was_built_from_untouched():
     rng = np.random.default_rng(23)
     cfg = AgentConfig()
     qnet = agent.init_qnet(Q_ENV, cfg, seed=6)
     target = agent.init_qnet(Q_ENV, cfg, seed=7)
-    adam = nets.adam_init(qnet, cfg.learning_rate)
-    adam.step = 4
-    adam.m[:] = rng.normal(scale=0.1, size=adam.m.size)
-    adam.v[:] = rng.uniform(0.0, 0.1, size=adam.v.size)
-    before = (qnet.flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.step, adam.lr)
-    trainer = nets.Trainer(qnet, adam)
+    before = qnet.flat.tobytes()
+    trainer = nets.Trainer(qnet, cfg.learning_rate)
     for _ in range(3):
         agent.train_q_step(trainer, target, _q_batch("done_and_live", rng)[0], cfg, Q_ENV)
     trainer.reset_adam(0.5)
     agent.train_q_step(trainer, target, _q_batch("mixed", rng)[0][:16], cfg, Q_ENV)
-    assert (qnet.flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.step,
-            adam.lr) == before
-    for mine, theirs in ((trainer.params.flat, qnet.flat), (trainer.adam.m, adam.m),
-                         (trainer.adam.v, adam.v)):
-        assert not np.shares_memory(mine, theirs)
+    assert qnet.flat.tobytes() == before
+    assert not np.shares_memory(trainer.params.flat, qnet.flat)
     assert (trainer.adam.step, trainer.adam.lr) == (1, 0.5)
 
 
@@ -1003,7 +985,7 @@ def test_train_q_step_rejects_nan_online_net_before_updating():
     qnet = agent.init_qnet(Q_ENV, cfg, seed=1)
     target = agent.sync_target(qnet)            # finite targets: only the online net is bad
     qnet.weights[1][2, 3] = np.nan
-    trainer = nets.Trainer(qnet, nets.adam_init(qnet, cfg.learning_rate))
+    trainer = nets.Trainer(qnet, cfg.learning_rate)
     flat_before = trainer.params.flat.tobytes()
     with pytest.raises(NumericError):
         agent.train_q_step(trainer, target, _q_batch("done_and_live", rng)[0], cfg, Q_ENV)

@@ -41,6 +41,21 @@ def test_invalid_config_names_field():
         EnvConfig(num_actions=1).validate()
 
 
+def test_ambient_temp_that_allows_non_positive_power_rejected():
+    # The lowest power a state draws is the lowest level with the die at
+    # ambient: 16 * 0.2**3 + 0.1 * ambient at the defaults, which is 0 at
+    # ambient -1.28.  Below that the reward cannot be evaluated.
+    with pytest.raises(ConfigurationError, match="ambient_temp"):
+        EnvConfig(ambient_temp=-2.0).validate()
+    with pytest.raises(ConfigurationError, match="ambient_temp"):
+        EnvConfig(ambient_temp=-1.3).validate()
+    cfg = EnvConfig(ambient_temp=-1.27)
+    env = DvfsEnv(cfg, seed=0)
+    for _ in range(cfg.episode_horizon):     # the lowest level throughout
+        state, reward, _ = env.step(0)
+        assert state.power > 0 and math.isfinite(reward)
+
+
 def test_dynamic_power_scales_as_f_cubed():
     # doubling f with eta=3 multiplies the dynamic term by 8; use a 5-level
     # grid so that 2*f_min sits exactly on a level
