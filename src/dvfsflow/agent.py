@@ -5,8 +5,8 @@ rows (``flow.TRANSITION_LABELS``), each with an insertion counter phi that the
 planning schedule gates on.  The Q-network is a tanh MLP; the Q-values of one
 state are a one-row :func:`nets.forward_batch`.  The Q-step is one step of the
 run's :class:`nets.Trainer`, which owns the online net and its Adam state; it
-reads sampled rows directly, and its targets come from a periodically synced
-target network.
+reads sampled rows directly, and its targets come from a target network, a
+periodic :meth:`nets.MlpParams.copy` of the online net.
 """
 
 from __future__ import annotations
@@ -119,11 +119,6 @@ def select_action(q: np.ndarray, epsilon: float, rng: np.random.Generator) -> in
 
 def decay_epsilon(epsilon: float, config: AgentConfig) -> float:
     return max(config.epsilon_floor, epsilon * config.epsilon_decay)
-
-
-def sync_target(qnet: MlpParams) -> MlpParams:
-    """Deep copy of the online network's parameters."""
-    return qnet.copy()
 
 
 def train_q_step(trainer: nets.Trainer, target_net: MlpParams, batch: np.ndarray,

@@ -8,6 +8,7 @@ rerun from the same config and seeds reproduces every CSV byte for byte.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import os
@@ -26,7 +27,7 @@ from .evalkit import (corr_gap, corr_gap_excluded_count, early_fps_gain,
                       wasserstein1)
 from .flow import (TRANSITION_LABELS, CfmBatches, TransitionLayout, canonical_rows,
                    check_finite, flow_model_to_dict, load_batch_csv, save_batch_csv)
-from .forest import fit_forest, normalized_importances
+from .forest import ForestConfig, fit_forest, normalized_importances
 from .orchestrate import (fit_flow_generator, regret_oracle, run_experiment,
                           runlog_from_csv, runlog_summary, runlog_to_csv)
 
@@ -52,11 +53,11 @@ def _write_json(payload: dict, path: str) -> None:
 
 def _load_experiment_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if getattr(args, "methods", None):
+    if args.methods is not None:        # an empty list fails validation, naming the field
         cfg.methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if getattr(args, "seeds", None):
+    if args.seeds is not None:
         cfg.seeds = _parse_seeds(args.seeds)
-    if getattr(args, "output", None):
+    if args.output:
         cfg.output_dir = args.output
     cfg.validate()
     return cfg
@@ -111,7 +112,7 @@ def cmd_gen(args) -> int:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     layout = TransitionLayout(num_actions=cfg.env.num_actions,
                               ambient_temp=cfg.env.ambient_temp)
-    data = _load_finite_batch(args.memory)
+    data = _load_finite_batch(args.memory, allow_empty=True)   # the floor below names the file
     if data.shape[0] < cfg.schedule.fm_train_start:
         raise InsufficientDataError(
             f"flow training needs >= {cfg.schedule.fm_train_start} transitions "
@@ -156,9 +157,12 @@ def _eval_batches(real: np.ndarray, synth: np.ndarray) -> dict:
     }
 
 
-def _load_finite_batch(path: str) -> np.ndarray:
-    """A batch CSV; a NaN/inf cell raises NumericError naming file and column(s)."""
+def _load_finite_batch(path: str, allow_empty: bool = False) -> np.ndarray:
+    """A batch CSV; a NaN/inf cell raises NumericError naming file and column(s),
+    and a file without rows DomainError naming the file, unless ``allow_empty``."""
     batch = load_batch_csv(path)
+    if not (len(batch) or allow_empty):
+        raise DomainError(f"{path}: the batch holds no transition rows")
     check_finite(batch, path)
     return batch
 
@@ -167,11 +171,9 @@ def cmd_eval(args) -> int:
     real = _load_finite_batch(args.real)
     synth = _load_finite_batch(args.synth)
     result = _eval_batches(real, synth)
-    text = json.dumps(result, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+        _write_json(result, args.out)
+    print(json.dumps(result, indent=2, sort_keys=True))
     return 0
 
 
@@ -274,13 +276,12 @@ def cmd_report(args) -> int:
         payload["skipped_figures"] = skipped
     _write_json(payload, os.path.join(report_dir, "report.json"))
 
-    with open(os.path.join(report_dir, "metrics.csv"), "w", encoding="utf-8") as fh:
-        fh.write("method,seed,mean_fps,mean_reward,qvalue_stability,final_regret,corr_gap\n")
-        for r in per_run:
-            gap = r.get("eval", {}).get("corr_gap")
-            stab = "" if r["qvalue_stability"] is None else r["qvalue_stability"]
-            fh.write(f"{r['method']},{r['seed']},{r['mean_fps']},{r['mean_reward']},"
-                     f"{stab},{r['final_regret']},{'' if gap is None else gap}\n")
+    columns = ["method", "seed", "mean_fps", "mean_reward", "qvalue_stability", "final_regret"]
+    with open(os.path.join(report_dir, "metrics.csv"), "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")      # None becomes an empty cell
+        writer.writerow(columns + ["corr_gap"])
+        writer.writerows([r[k] for k in columns] + [r.get("eval", {}).get("corr_gap")]
+                         for r in per_run)
     print(f"report written under {report_dir}")
     return 0
 
@@ -337,7 +338,7 @@ def _selftest_checks():
 
     def check_importance():
         x = rng.uniform(0, 1, size=(300, 2))
-        lam = normalized_importances(fit_forest(x, 3.0 * x[:, 0], n_trees=30, rng=rng))
+        lam = normalized_importances(fit_forest(x, 3.0 * x[:, 0], ForestConfig(n_trees=30), rng))
         return lam[0] > 0.8, f"feature 0 weight {lam[0]:.4f} for y = 3 x0"
 
     return [("gradient_check", check_grads), ("pearson_oracle", check_pearson),

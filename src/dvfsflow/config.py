@@ -8,6 +8,9 @@ concept has exactly one knob: ``schedule.batch_size`` is the DQN batch size
 beta, ``schedule.fm_train_start`` the number of real transitions every
 generator (flow or planner) waits for, and ``flow.batch_size`` only the
 flow's own training minibatch.
+
+:class:`ExperimentConfig`'s fields are the one list of what a config holds: a
+dataclass-typed field is a section, any other field a top-level key.
 """
 
 from __future__ import annotations
@@ -26,14 +29,6 @@ from .forest import ForestConfig
 from .orchestrate import METHODS, ScheduleConfig
 from .simenv import EnvConfig
 
-_SECTIONS = {
-    "env": EnvConfig,
-    "agent": AgentConfig,
-    "schedule": ScheduleConfig,
-    "flow": FMConfig,
-    "forest": ForestConfig,
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -47,11 +42,10 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def validate(self) -> None:
-        self.env.validate()
-        self.agent.validate()
-        self.schedule.validate()
-        self.flow.validate()
-        self.forest.validate()
+        for f in dataclasses.fields(self):
+            section = getattr(self, f.name)
+            if dataclasses.is_dataclass(section):
+                section.validate()
         if not self.methods:
             raise ConfigurationError("methods must be non-empty")
         for m in self.methods:
@@ -88,32 +82,30 @@ def _typed(name: str, value, annotation):
 
 
 def _build_section(cls, payload: dict, section: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - known
+    hints = typing.get_type_hints(cls)
+    unknown = set(payload) - set(hints)
     if unknown:
         raise ConfigurationError(
             f"unknown key(s) {sorted(unknown)} in section {section!r}")
-    hints = typing.get_type_hints(cls)
     return cls(**{k: _typed(f"{section}.{k}", v, hints[k]) for k, v in payload.items()})
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:
     if not isinstance(payload, dict):
         raise ConfigurationError("config root must be a JSON object")
-    known = set(_SECTIONS) | {"methods", "seeds", "output_dir"}
-    unknown = set(payload) - known
+    hints = typing.get_type_hints(ExperimentConfig)
+    unknown = set(payload) - set(hints)
     if unknown:
         raise ConfigurationError(f"unknown top-level key(s) {sorted(unknown)}")
     kwargs = {}
-    for section, cls in _SECTIONS.items():
-        raw = payload.get(section, {})
-        if not isinstance(raw, dict):
-            raise ConfigurationError(f"section {section!r} must be an object")
-        kwargs[section] = _build_section(cls, raw, section)
-    hints = typing.get_type_hints(ExperimentConfig)
-    for key in ("methods", "seeds", "output_dir"):
-        if key in payload:
-            kwargs[key] = _typed(key, payload[key], hints[key])
+    for key, annotation in hints.items():
+        if dataclasses.is_dataclass(annotation):
+            raw = payload.get(key, {})
+            if not isinstance(raw, dict):
+                raise ConfigurationError(f"section {key!r} must be an object")
+            kwargs[key] = _build_section(annotation, raw, key)
+        elif key in payload:
+            kwargs[key] = _typed(key, payload[key], annotation)
     cfg = ExperimentConfig(**kwargs)
     cfg.validate()
     return cfg

@@ -13,9 +13,10 @@ same way.
 
 Both loops write into arrays they keep rather than allocate per step.  One
 :class:`CfmBatches` makes the bootstrap draws of every training batch of a flow
-(and of :func:`cfm_loss`) and builds the batch into one set of arrays per batch
-size; what it returns lives until its next call.  The sampler allocates one
-block's inputs and layer outputs per call and Euler-steps each block in place.
+and builds the batch into one set of arrays per batch size; what it returns
+lives until its next call.  The one sampler, :func:`generate_raw`, takes K from
+``FMConfig.ode_steps``, allocates one block's inputs and layer outputs per call
+and Euler-steps each block in place.
 
 A trained flow is one type, :class:`FlowModel`: the vector-field net, its
 per-dimension normalizer, the feature weights, the config and the loss
@@ -48,14 +49,10 @@ TRANSITION_DIM = len(TRANSITION_LABELS)
 
 @dataclass(frozen=True)
 class TransitionLayout:
-    """Describes the flattened 11-column encoding of one transition."""
+    """The env settings the 11-column encoding of one transition depends on."""
 
-    num_actions: int = 12
-    ambient_temp: float = 25.0
-
-    @property
-    def dim(self) -> int:
-        return TRANSITION_DIM
+    num_actions: int
+    ambient_temp: float
 
 
 @dataclass(frozen=True)
@@ -95,8 +92,8 @@ def canonical_rows(raw: np.ndarray, layout: TransitionLayout) -> np.ndarray:
     Non-finite cells raise :class:`NumericError` naming their columns.
     """
     v = np.asarray(raw, dtype=np.float64)
-    if v.ndim != 2 or v.shape[1] != layout.dim:
-        raise DomainError(f"expected an (n, {layout.dim}) batch, got shape {v.shape}")
+    if v.ndim != 2 or v.shape[1] != TRANSITION_DIM:
+        raise DomainError(f"expected an (n, {TRANSITION_DIM}) batch, got shape {v.shape}")
     check_finite(v)
     lo = np.array([0.0, 0.0, 1e-6, layout.ambient_temp, -np.inf] * 2 + [-np.inf])
     hi = np.array([np.inf, 1.0, np.inf, np.inf, np.inf] * 2 + [np.inf])
@@ -109,8 +106,9 @@ def canonical_rows(raw: np.ndarray, layout: TransitionLayout) -> np.ndarray:
 
 def unflatten_transition(vec: np.ndarray, layout: TransitionLayout) -> Transition:
     """Decode one 11-vector: :func:`canonical_rows` on it, as fields."""
-    if np.shape(vec) != (layout.dim,):
-        raise DomainError(f"expected a vector of dim {layout.dim}, got shape {np.shape(vec)}")
+    if np.shape(vec) != (TRANSITION_DIM,):
+        raise DomainError(
+            f"expected a vector of dim {TRANSITION_DIM}, got shape {np.shape(vec)}")
     v = canonical_rows(np.reshape(vec, (1, -1)), layout)[0].tolist()
     return Transition(ProcessorState(*v[0:4]), round(v[4] * (layout.num_actions - 1)),
                       v[9], ProcessorState(*v[5:9]), v[10] == 1.0)
@@ -249,24 +247,6 @@ class CfmBatches:
         return buf.inputs, buf.target, self.lam
 
 
-def cfm_loss(model: FlowModel, batch: np.ndarray, rng: np.random.Generator,
-             ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Bootstrapped, feature-weighted conditional flow matching loss.
-
-    ``batch`` holds normalized rows.  Returns the loss and its analytic
-    gradients with respect to the vector-field parameters.
-    """
-    batch = np.asarray(batch, dtype=np.float64)
-    d = model.params.out_dim
-    if batch.ndim != 2 or batch.shape[0] < 1 or batch.shape[1] != d:
-        raise DomainError(f"batch must be (n, {d})")
-    if not np.all(np.isfinite(batch)):
-        raise NumericError("NaN/inf in training batch")
-    cfg = model.config
-    batches = CfmBatches(batch, model.weights, cfg.sigma_min, cfg.bootstrap_count, rng)
-    return nets.loss_and_grads(model.params, *batches(np.arange(batch.shape[0])))
-
-
 def train_flow_model(data: np.ndarray, lam: np.ndarray, config: FMConfig,
                      seed=0) -> FlowModel:
     """Mini-batch Adam on the bootstrapped CFM loss over raw (n, d) rows, such
@@ -297,17 +277,19 @@ def train_flow_model(data: np.ndarray, lam: np.ndarray, config: FMConfig,
     return model
 
 
-# Fewest rows that sample_vector_field takes through all K Euler steps together
+# Fewest rows that generate_raw takes through all K Euler steps together
 # (blocks hold 512-1023), so a layer's temporaries (about 256 KB) stay in cache.
 # OpenBLAS computes small dgemm calls (up to about 110 rows at 64 x 64) with
 # other kernels, and numpy sends 1-row calls to gemv: those rows would differ.
 SAMPLE_BLOCK_ROWS = 512
 
 
-def sample_vector_field(model: FlowModel, n: int, rng: np.random.Generator,
-                        ode_steps: int = 100) -> np.ndarray:
-    """Integrate dx/dt = v(x, t) with explicit Euler from noise to data space."""
-    d = model.params.out_dim
+def generate_raw(model: FlowModel, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n denormalized samples: dx/dt = v(x, t) integrated with K =
+    ``model.config.ode_steps`` explicit Euler steps from noise to data space."""
+    if not model.loss_curve:
+        raise StateError("flow model is untrained; call train_flow_model first")
+    d, ode_steps = model.params.out_dim, model.config.ode_steps
     if n == 0:
         return np.empty((0, d))
     x = rng.standard_normal((n, d))
@@ -326,13 +308,6 @@ def sample_vector_field(model: FlowModel, n: int, rng: np.random.Generator,
             v *= dt
             block += v
     return model.normalizer.denormalize(x)
-
-
-def generate_raw(model: FlowModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n denormalized samples from K-step Euler integration of the flow."""
-    if not model.loss_curve:
-        raise StateError("flow model is untrained; call train_flow_model first")
-    return sample_vector_field(model, n, rng, ode_steps=model.config.ode_steps)
 
 
 FLOW_CHECKPOINT_VERSION = 2

@@ -9,6 +9,10 @@ importances are averaged over trees, then normalized to sum 1.  The
 transition weighting fits one forest per next-state column of the (n, 11)
 transition array and mirrors the input weights onto all 11 columns.
 
+Every setting comes from :class:`ForestConfig` and every draw from the caller's
+generator: ``fit_forest(x, y, config, rng)`` and
+``transition_feature_weights(data, config, rng)`` have no defaults.
+
 A forest grows its trees in lockstep rounds.  Each tree keeps its own
 generator, node stack and split records; in a round every unfinished tree
 takes its next splittable node in its own preorder and draws that node's
@@ -22,7 +26,6 @@ each tree's records keeps λ bit-identical to a tree grown alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -204,30 +207,29 @@ def _grow_trees(x: np.ndarray, y: np.ndarray, boots: list[np.ndarray], max_depth
     return importances
 
 
-def fit_forest(x: np.ndarray, y: np.ndarray, n_trees: int = 50, max_depth: int = 6,
-               min_leaf: int = 5, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Raw importances of a variance-reduction forest fit on bootstrap
-    resamples, averaged over trees; deterministic per seed."""
+def fit_forest(x: np.ndarray, y: np.ndarray, config: ForestConfig,
+               rng: np.random.Generator) -> np.ndarray:
+    """Raw importances of a variance-reduction forest of ``config.n_trees``
+    trees fit on bootstrap resamples, averaged over trees; deterministic per
+    seed.  ``config.min_samples`` plays no part here."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.size:
         raise DomainError("x must be (n, d) and y (n,) with matching n")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise NumericError("NaN/inf in forest training data")
+    config.validate()
     n, d = x.shape
-    if n < 2 * min_leaf:
-        raise InsufficientDataError(f"need at least {2 * min_leaf} samples, got {n}")
-    if n_trees < 1:
-        raise DomainError("n_trees must be >= 1")
-    rng = np.random.default_rng(0) if rng is None else rng
+    if n < 2 * config.min_leaf:
+        raise InsufficientDataError(f"need at least {2 * config.min_leaf} samples, got {n}")
     n_sub = max(1, int(np.ceil(np.sqrt(d))))
 
-    children = rng.spawn(n_trees)
+    children = rng.spawn(config.n_trees)
     boots = [child.integers(0, n, size=n) for child in children]
     importances = np.zeros(d)
-    for imp in _grow_trees(x, y, boots, max_depth, min_leaf, n_sub, children):
+    for imp in _grow_trees(x, y, boots, config.max_depth, config.min_leaf, n_sub, children):
         importances += imp
-    importances /= n_trees
+    importances /= config.n_trees
     return importances
 
 
@@ -239,9 +241,8 @@ def normalized_importances(importances: np.ndarray) -> np.ndarray:
     return importances / total
 
 
-def transition_feature_weights(data: np.ndarray,
-                               config: Optional[ForestConfig] = None,
-                               rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def transition_feature_weights(data: np.ndarray, config: ForestConfig,
+                               rng: np.random.Generator) -> np.ndarray:
     """Per-dimension loss weights for the flattened (n, 11) transition array.
 
     Fits one forest per next-state field (columns 5-8) on the state and the
@@ -253,23 +254,18 @@ def transition_feature_weights(data: np.ndarray,
     feature's values, which a / (num_actions - 1) keeps, so the encoded action
     gives the same weights as the raw action index.
     """
-    config = config or ForestConfig()
     if data.ndim != 2 or data.shape[1] != 11:
         raise DomainError(f"transitions must be an (n, 11) array, got shape {data.shape}")
     if data.shape[0] < config.min_samples:
         raise InsufficientDataError(
             f"feature weighting needs >= {config.min_samples} transitions, "
             f"got {data.shape[0]}")
-    rng = np.random.default_rng(0) if rng is None else rng
     x, targets = data[:, :5], data[:, 5:9]
 
     acc = np.zeros(5)
     for j, child in enumerate(rng.spawn(4)):
-        f = fit_forest(x, targets[:, j], n_trees=config.n_trees,
-                       max_depth=config.max_depth, min_leaf=config.min_leaf, rng=child)
-        acc += normalized_importances(f)
-    total = acc.sum()
-    w_in = np.full(5, 1.0 / 5) if total <= 0 else acc / total
+        acc += normalized_importances(fit_forest(x, targets[:, j], config, child))
+    w_in = acc / acc.sum()          # each forest's weights sum to 1
 
     state_mean = float(w_in[:4].mean())
     full = np.concatenate([w_in[:4], w_in[4:5], w_in[:4], [state_mean, state_mean]])

@@ -22,12 +22,14 @@ bitwise reproducible.
 :class:`Trainer` is the one training loop.  It copies a net's params once,
 starts its own Adam state at zero and then updates both in place, with one
 flat gradient vector whose per-layer views take the gradient products
-directly, and one set of layer arrays per batch size.  :func:`fit` (flow and
-model-based planner) is an epoch loop around :meth:`Trainer.step`, and the
-run loop keeps one trainer for the Q-network from its first update to its
-last.  :func:`loss_and_grads` runs the same forward/backward code into a
-fresh set of those arrays, for gradient checks and for evaluating a loss
-without training.
+directly, and one set of layer arrays per batch size.  Every net trains with
+the Adam constants :data:`ADAM_B1`, :data:`ADAM_B2` and :data:`ADAM_EPS`; only
+the learning rate is the caller's.  :func:`fit` (flow and model-based planner)
+is an epoch loop around :meth:`Trainer.step`, and the run loop keeps one
+trainer for the Q-network from its first update to its last.
+:func:`loss_and_grads` runs the same forward/backward code into a fresh set
+of those arrays, for gradient checks and for evaluating a loss without
+training.
 """
 
 from __future__ import annotations
@@ -81,15 +83,15 @@ class MlpParams:
         return self.layer_sizes[-1]
 
 
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8     # moment decays and denominator floor
+
+
 @dataclass
 class AdamState:
     lr: float
     step: int
     m: np.ndarray               # first moments, laid out like MlpParams.flat
     v: np.ndarray               # second moments, same layout
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_mlp(layer_sizes: Sequence[int], seed: int = 0) -> MlpParams:
@@ -217,7 +219,7 @@ def _adam_update(adam: AdamState, g: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Step ``adam.step`` of Adam for the flat gradient g (which is
     overwritten): the new moments overwrite ``adam.m`` and ``adam.v``, and
     the update, what the parameter vector loses, is written into ``out``."""
-    t, b1, b2 = adam.step, adam.beta1, adam.beta2
+    t, b1, b2 = adam.step, ADAM_B1, ADAM_B2
     sq = np.multiply(g, g, out=out)
     sq *= 1 - b2
     adam.v *= b2
@@ -229,7 +231,7 @@ def _adam_update(adam: AdamState, g: np.ndarray, out: np.ndarray) -> np.ndarray:
     update *= adam.lr
     denom = np.divide(adam.v, 1.0 - b2 ** t, out=g)
     np.sqrt(denom, out=denom)
-    denom += adam.eps
+    denom += ADAM_EPS
     update /= denom
     return update
 

@@ -102,15 +102,6 @@ class RunLog:
     synth_raw: Optional[np.ndarray] = None      # last generated continuous batch
 
 
-def _config_snapshot(method: str, seed: int, env: EnvConfig, ag: AgentConfig,
-                     sched: ScheduleConfig, fm: FMConfig, forest: ForestConfig) -> dict:
-    return {
-        "method": method, "seed": seed,
-        "env": asdict(env), "agent": asdict(ag), "schedule": asdict(sched),
-        "flow": asdict(fm), "forest": asdict(forest),
-    }
-
-
 def regret_oracle(env_config: EnvConfig) -> Callable[[ProcessorState], float]:
     """Best noise-free one-step expected reward, brute-forced over all actions."""
     cfg = env_config.noiseless()
@@ -174,7 +165,7 @@ def fit_flow_generator(real: np.ndarray, n: int, forest_lambda: bool, fm_config:
     """
     if forest_lambda and len(real) >= forest_config.min_samples:
         lam = transition_feature_weights(real, forest_config,
-                                         rng=np.random.default_rng([seed, 30, *tail]))
+                                         np.random.default_rng([seed, 30, *tail]))
     else:
         lam = np.full(real.shape[1], 1.0 / real.shape[1])
     model = flow_mod.train_flow_model(real, lam, fm_config, seed=[seed, 40, *tail])
@@ -182,9 +173,8 @@ def fit_flow_generator(real: np.ndarray, n: int, forest_lambda: bool, fm_config:
 
 
 def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig,
-                   schedule: ScheduleConfig, seed: int,
-                   fm_config: Optional[FMConfig] = None,
-                   forest_config: Optional[ForestConfig] = None) -> RunLog:
+                   schedule: ScheduleConfig, seed: int, fm_config: FMConfig,
+                   forest_config: ForestConfig) -> RunLog:
     """Execute one experiment and return its RunLog.
 
     Replays of (method, seed, configs) are bit-identical: every random stream
@@ -194,17 +184,13 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
         raise ConfigurationError(
             f"method must be one of {', '.join(METHODS)}, got {method!r}")
     preset = METHODS[method]
-    fm_config = fm_config or FMConfig()
-    forest_config = forest_config or ForestConfig()
-    env_config.validate()
-    agent_config.validate()
-    schedule.validate()
-    fm_config.validate()
-    forest_config.validate()
+    sections = {"env": env_config, "agent": agent_config, "schedule": schedule,
+                "flow": fm_config, "forest": forest_config}
+    for section in sections.values():
+        section.validate()
 
-    log = RunLog(method=method, seed=seed,
-                 config=_config_snapshot(method, seed, env_config, agent_config,
-                                         schedule, fm_config, forest_config))
+    log = RunLog(method=method, seed=seed, config={
+        "method": method, "seed": seed, **{k: asdict(v) for k, v in sections.items()}})
     if preset.bootstrap_count is not None:
         fm_config = replace(fm_config, bootstrap_count=preset.bootstrap_count)
     layout = TransitionLayout(num_actions=env_config.num_actions,
@@ -214,7 +200,7 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
     sample_rng = np.random.default_rng([seed, 3])
 
     qnet = agent_mod.init_qnet(env_config, agent_config, seed=[seed, 4])
-    target = agent_mod.sync_target(qnet)
+    target = qnet.copy()
     trainer = nets.Trainer(qnet, agent_config.learning_rate)
 
     memory = ReplayMemory(schedule.real_capacity, "M")
@@ -272,7 +258,7 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
                 if train_count % schedule.lr_reset_period == 0:
                     trainer.reset_adam(agent_config.learning_rate)
                 if train_count % agent_config.target_sync_period == 0:
-                    target = agent_mod.sync_target(trainer.params)
+                    target = trainer.params.copy()
 
         epsilon_used = epsilon
         epsilon = agent_mod.decay_epsilon(epsilon, agent_config)
@@ -315,7 +301,8 @@ def runlog_from_csv(path: str, method: str = "", seed: int = -1,
 
     A missing or non-numeric cell raises :class:`DomainError` and a NaN/inf
     cell :class:`NumericError`, each naming the path and line; empty loss
-    cells read as None.
+    cells read as None.  A file with no rows raises :class:`DomainError`
+    naming the path.
     """
     log = RunLog(method=method, seed=seed, config=config or {})
     with open(path, "r", encoding="utf-8") as fh:
@@ -342,6 +329,8 @@ def runlog_from_csv(path: str, method: str = "", seed: int = -1,
             log.max_q.append(v["max_q"])
             log.agent_loss.append(v["agent_loss"])
             log.fm_loss.append(v["fm_loss"])
+    if not log.t:
+        raise DomainError(f"{path}: the run log holds no steps")
     return log
 
 

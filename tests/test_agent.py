@@ -138,8 +138,10 @@ def test_decay_epsilon():
 
 
 def test_sync_target_copy_semantics():
+    # the run loop syncs the target net with MlpParams.copy: a deep copy
     qnet = ag.init_qnet(ENV, AgentConfig(), seed=1)
-    target = ag.sync_target(qnet)
+    target = qnet.copy()
+    assert not np.shares_memory(target.flat, qnet.flat)
     s = _state()
     assert np.array_equal(ag.q_values(qnet, s, ENV), ag.q_values(target, s, ENV))
     qnet.weights[0][0, 0] += 1.0
@@ -149,7 +151,7 @@ def test_sync_target_copy_semantics():
 def test_q_targets_terminal_and_zero_discount():
     cfg = AgentConfig(discount=0.99)
     qnet = ag.init_qnet(ENV, cfg, seed=2)
-    target = ag.sync_target(qnet)
+    target = qnet.copy()
     trainer = nets.Trainer(qnet, 0.0)   # lr 0: inspect the loss only
     done_batch = _row(3, done=True, r=1.5)[None, :]
     loss = ag.train_q_step(trainer, target, done_batch, cfg, ENV)
@@ -167,7 +169,7 @@ def test_single_transition_regression_to_fixed_target():
     # train to convergence on one transition: Q(s, a) -> r + gamma * max Q(s', .)
     cfg = AgentConfig(discount=0.9, learning_rate=0.01, hidden_sizes=[16, 16])
     qnet = ag.init_qnet(ENV, cfg, seed=3)
-    target = ag.sync_target(qnet)
+    target = qnet.copy()
     trainer = nets.Trainer(qnet, cfg.learning_rate)
     batch = _row(5, r=2.0)[None, :]
     y = 2.0 + cfg.discount * float(np.max(ag.q_values(target, _state(6.0), ENV)))
@@ -206,11 +208,11 @@ def test_dqn_converges_to_value_iteration_on_two_state_mdp():
     cfg = AgentConfig(discount=gamma, learning_rate=0.02, hidden_sizes=[32, 32],
                       target_sync_period=25)
     qnet = ag.init_qnet(k2, cfg, seed=4)
-    target = ag.sync_target(qnet)
+    target = qnet.copy()
     trainer = nets.Trainer(qnet, cfg.learning_rate)
     for step in range(1, 5_001):
         ag.train_q_step(trainer, target, transitions, cfg, k2)
         if step % cfg.target_sync_period == 0:
-            target = ag.sync_target(trainer.params)
+            target = trainer.params.copy()
     learned = np.array([ag.q_values(trainer.params, s, k2) for s in states])
     assert np.max(np.abs(learned - q_star)) < 0.05

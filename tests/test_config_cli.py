@@ -439,6 +439,64 @@ def test_report_bad_runlog_cell_names_path_and_line(tmp_path, capsys, cell, want
     assert not (out / "report" / "report.json").exists()
 
 
+def test_report_on_a_run_log_without_steps_is_an_input_error(tmp_path, capsys):
+    # a header-only run log used to end in an IndexError traceback at final_regret
+    out = _pure_fm_model_free_run(tmp_path)
+    runlog = out / "runlog_model_free_seed0.csv"
+    runlog.write_text(runlog.read_text().splitlines(keepends=True)[0])
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"input error: {runlog}: the run log holds no steps\n"
+    assert not (out / "report" / "report.json").exists()
+
+
+def _header_only_batch(path):
+    with open(path, "w") as fh:
+        fh.write(",".join(TRANSITION_LABELS) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("empty", ["real", "synth"])
+def test_eval_on_a_batch_without_rows_names_the_file(empty, tmp_path, capsys):
+    # used to print "input error: wasserstein1 needs non-empty samples"
+    from dvfsflow.flow import save_batch_csv
+
+    paths = {"real": str(tmp_path / "real.csv"), "synth": str(tmp_path / "synth.csv")}
+    save_batch_csv(np.random.default_rng(0).uniform(0.1, 1.0, size=(30, 11)),
+                   paths["synth" if empty == "real" else "real"])
+    _header_only_batch(paths[empty])
+    assert main(["eval", "--real", paths["real"], "--synth", paths["synth"]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {paths[empty]}: the batch holds no transition rows\n"
+
+
+def test_report_on_a_batch_without_rows_names_the_file(tmp_path, capsys):
+    out = _pure_fm_model_free_run(tmp_path)
+    synth = _header_only_batch(out / "synth_pure_fm_seed0.csv")
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"input error: {synth}: the batch holds no transition rows\n"
+    assert not (out / "report" / "report.json").exists()
+
+
+def test_gen_on_a_batch_without_rows_names_the_file_and_the_floor(tmp_path, capsys):
+    memory = _header_only_batch(tmp_path / "memory.csv")
+    assert main(["gen", "--memory", memory, "--out", str(tmp_path / "synth.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "input error: flow training needs >= 32 transitions (schedule.fm_train_start), "
+        f"{memory} holds 0\n")
+
+
+@pytest.mark.parametrize("flag", ["methods", "seeds"])
+def test_empty_methods_or_seeds_override_fails_validation(flag, capsys):
+    # an empty override used to be ignored: the config's methods or seeds ran instead
+    assert main(["run", f"--{flag}", "", "--print-config"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {flag} must be non-empty\n"
+
+
 def test_runlog_empty_loss_cells_read_as_none(tmp_path):
     from dvfsflow.orchestrate import runlog_from_csv
 

@@ -1,15 +1,16 @@
 """Flow matching: encoding, bootstrapped loss, training, sampling, checkpoints."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dvfsflow import nets
 from dvfsflow.errors import ConfigurationError, DomainError, NumericError, StateError
-from dvfsflow.flow import (CfmBatches, FMConfig, Transition, TransitionLayout, canonical_rows,
-                           cfm_loss, encode_transition, flow_model_from_dict,
+from dvfsflow.flow import (TRANSITION_DIM, CfmBatches, FMConfig, Transition, TransitionLayout,
+                           canonical_rows, encode_transition, flow_model_from_dict,
                            flow_model_to_dict, generate_raw, init_flow_model, load_batch_csv,
-                           sample_vector_field, save_batch_csv, train_flow_model,
-                           unflatten_transition)
+                           save_batch_csv, train_flow_model, unflatten_transition)
 from dvfsflow.simenv import DvfsEnv, EnvConfig, ProcessorState
 
 LAYOUT = TransitionLayout(num_actions=12, ambient_temp=25.0)
@@ -127,10 +128,17 @@ def test_bootstrap_distinct_fraction_oracle():
 
 # ---------------------------------------------------------------- loss
 
+def _cfm_loss(model, batch, rng):
+    """The loss and gradients of one training step on all of ``batch``, as training draws it."""
+    cfg = model.config
+    batches = CfmBatches(batch, model.weights, cfg.sigma_min, cfg.bootstrap_count, rng)
+    return nets.loss_and_grads(model.params, *batches(np.arange(len(batch))))
+
+
 def _single_pair_model(sigma_min, bootstrap_count=1, seed=0):
     cfg = FMConfig(sigma_min=sigma_min, bootstrap_count=bootstrap_count,
                    hidden_sizes=[8], epochs=1)
-    lam = np.full(LAYOUT.dim, 1.0 / LAYOUT.dim)
+    lam = np.full(TRANSITION_DIM, 1.0 / TRANSITION_DIM)
     return init_flow_model(cfg, lam, seed=seed)
 
 
@@ -139,31 +147,31 @@ def test_cfm_loss_zero_for_exact_constant_field():
     # x1 - (1 - sigma_min) x0, which a bias-only net reproduces exactly
     model = _single_pair_model(sigma_min=0.01)
     rng_draw = np.random.default_rng(3)
-    x0 = rng_draw.standard_normal((1, LAYOUT.dim))
-    x1 = np.random.default_rng(4).normal(size=(1, LAYOUT.dim))
+    x0 = rng_draw.standard_normal((1, TRANSITION_DIM))
+    x1 = np.random.default_rng(4).normal(size=(1, TRANSITION_DIM))
     w = (x1 - (1 - 0.01) * x0)[0]
     for layer in model.params.weights:
         layer[:] = 0.0
     model.params.biases[-1][:] = w
-    loss, gw, _ = cfm_loss(model, x1, np.random.default_rng(3))
+    loss, gw, _ = _cfm_loss(model, x1, np.random.default_rng(3))
     assert loss == pytest.approx(0.0, abs=1e-24)
     assert all(np.allclose(g, 0) for g in gw)
 
 
 def test_cfm_loss_one_hot_weights_ignore_other_dims():
     model = _single_pair_model(sigma_min=0.01)
-    lam = np.zeros(LAYOUT.dim)
+    lam = np.zeros(TRANSITION_DIM)
     lam[2] = 1.0
     model.weights = lam
     rng_draw = np.random.default_rng(3)
-    x0 = rng_draw.standard_normal((1, LAYOUT.dim))
-    x1 = np.random.default_rng(4).normal(size=(1, LAYOUT.dim))
+    x0 = rng_draw.standard_normal((1, TRANSITION_DIM))
+    x1 = np.random.default_rng(4).normal(size=(1, TRANSITION_DIM))
     w = (x1 - (1 - 0.01) * x0)[0]
     for layer in model.params.weights:
         layer[:] = 0.0
     model.params.biases[-1][:] = w
     model.params.biases[-1][5] += 100.0    # wrong on an unweighted dim
-    loss, _, _ = cfm_loss(model, x1, np.random.default_rng(3))
+    loss, _, _ = _cfm_loss(model, x1, np.random.default_rng(3))
     assert loss == pytest.approx(0.0, abs=1e-24)
 
 
@@ -171,11 +179,11 @@ def test_cfm_loss_matches_hand_evaluation():
     # sigma_min=0, B=1, single pair: loss = sum_i lam_i (v_i - (x1 - x0)_i)^2,
     # reproduced by mirroring the documented draw order
     model = _single_pair_model(sigma_min=0.0, seed=5)
-    x1 = np.random.default_rng(8).normal(size=(1, LAYOUT.dim))
-    loss, _, _ = cfm_loss(model, x1, np.random.default_rng(21))
+    x1 = np.random.default_rng(8).normal(size=(1, TRANSITION_DIM))
+    loss, _, _ = _cfm_loss(model, x1, np.random.default_rng(21))
 
     mirror = np.random.default_rng(21)
-    x0 = mirror.standard_normal((1, LAYOUT.dim))
+    x0 = mirror.standard_normal((1, TRANSITION_DIM))
     idx = mirror.integers(0, 1, size=(1, 1))
     assert idx[0, 0] == 0
     mirror.permutation(1)
@@ -191,11 +199,11 @@ def test_cfm_loss_b1_uniform_reduces_to_plain_cfm():
     # conditional FM loss scaled by the 1/d weight normalization
     model = _single_pair_model(sigma_min=0.0, seed=6)
     rng = np.random.default_rng(10)
-    x1 = rng.normal(size=(4, LAYOUT.dim))
-    loss, _, _ = cfm_loss(model, x1, np.random.default_rng(33))
+    x1 = rng.normal(size=(4, TRANSITION_DIM))
+    loss, _, _ = _cfm_loss(model, x1, np.random.default_rng(33))
 
     mirror = np.random.default_rng(33)
-    x0 = mirror.standard_normal((4, LAYOUT.dim))
+    x0 = mirror.standard_normal((4, TRANSITION_DIM))
     idx = mirror.integers(0, 4, size=(1, 4))[0]
     perm = mirror.permutation(4)
     t = mirror.uniform(0.0, 1.0, size=(4, 1))
@@ -203,14 +211,14 @@ def test_cfm_loss_b1_uniform_reduces_to_plain_cfm():
     xt = (1 - t) * x0b + t * x1b
     v = nets.forward_batch(model.params, np.concatenate([xt, t], axis=1))
     plain = float(np.mean(np.sum((v - (x1b - x0b)) ** 2, axis=1)))
-    assert loss * LAYOUT.dim == pytest.approx(plain, rel=1e-12)
+    assert loss * TRANSITION_DIM == pytest.approx(plain, rel=1e-12)
 
 
 def test_cfm_loss_gradient_finite_difference():
     cfg = FMConfig(hidden_sizes=[6], bootstrap_count=2, epochs=1)
-    lam = np.full(LAYOUT.dim, 1.0 / LAYOUT.dim)
+    lam = np.full(TRANSITION_DIM, 1.0 / TRANSITION_DIM)
     model = init_flow_model(cfg, lam, seed=2)
-    batch = np.random.default_rng(11).normal(size=(5, LAYOUT.dim))
+    batch = np.random.default_rng(11).normal(size=(5, TRANSITION_DIM))
 
     # freeze the stochastic draws so the loss is a deterministic function
     inputs, target, w = CfmBatches(batch, model.weights, cfg.sigma_min, cfg.bootstrap_count,
@@ -225,7 +233,7 @@ def test_cfm_loss_gradient_finite_difference():
 def test_train_flow_model_deterministic():
     data = _sim_data(40)
     cfg = FMConfig(hidden_sizes=[8, 8], epochs=5, bootstrap_count=2)
-    lam = np.full(LAYOUT.dim, 1.0 / LAYOUT.dim)
+    lam = np.full(TRANSITION_DIM, 1.0 / TRANSITION_DIM)
     a = train_flow_model(data, lam, cfg, seed=7)
     b = train_flow_model(data, lam, cfg, seed=7)
     assert a.loss_curve == b.loss_curve
@@ -234,15 +242,15 @@ def test_train_flow_model_deterministic():
 
 
 def test_train_flow_model_requires_enough_data():
-    lam = np.full(LAYOUT.dim, 1.0 / LAYOUT.dim)
+    lam = np.full(TRANSITION_DIM, 1.0 / TRANSITION_DIM)
     with pytest.raises(StateError):
-        train_flow_model(np.empty((0, LAYOUT.dim)), lam, FMConfig(), seed=0)
+        train_flow_model(np.empty((0, TRANSITION_DIM)), lam, FMConfig(), seed=0)
 
 
 def test_training_loss_trends_down_on_simulator_data():
     data = _sim_data(120, seed=5)
     cfg = FMConfig(hidden_sizes=[32, 32], epochs=120, bootstrap_count=4)
-    lam = np.full(LAYOUT.dim, 1.0 / LAYOUT.dim)
+    lam = np.full(TRANSITION_DIM, 1.0 / TRANSITION_DIM)
     model = train_flow_model(data, lam, cfg, seed=3)
     curve = np.array(model.loss_curve)
     assert np.all(np.isfinite(curve))
@@ -266,8 +274,8 @@ def toy_field():
 
 
 def test_toy_moments_match_target(toy_field):
-    samples = sample_vector_field(toy_field, 1000, np.random.default_rng(55),
-                                  ode_steps=100)
+    assert toy_field.config.ode_steps == 100
+    samples = generate_raw(toy_field, 1000, np.random.default_rng(55))
     mean = samples.mean(axis=0)
     std = samples.std(axis=0)
     assert np.all(np.abs(mean - np.array([3.0, -1.0])) < 0.15)
@@ -276,8 +284,8 @@ def test_toy_moments_match_target(toy_field):
 
 def test_ode_step_count_stability(toy_field):
     # K=50 vs K=200 barely moves the first moments (in normalized units)
-    a = sample_vector_field(toy_field, 1000, np.random.default_rng(1), ode_steps=50)
-    b = sample_vector_field(toy_field, 1000, np.random.default_rng(1), ode_steps=200)
+    a, b = (generate_raw(replace(toy_field, config=replace(toy_field.config, ode_steps=k)),
+                         1000, np.random.default_rng(1)) for k in (50, 200))
     shift = np.abs(a.mean(axis=0) - b.mean(axis=0)) / toy_field.normalizer.std
     assert np.all(shift < 0.05)
 
@@ -285,7 +293,7 @@ def test_ode_step_count_stability(toy_field):
 def test_generate_outputs_valid_transitions():
     data = _sim_data(60, seed=8)
     cfg = FMConfig(hidden_sizes=[16, 16], epochs=30, bootstrap_count=2)
-    lam = np.full(LAYOUT.dim, 1.0 / LAYOUT.dim)
+    lam = np.full(TRANSITION_DIM, 1.0 / TRANSITION_DIM)
     model = train_flow_model(data, lam, cfg, seed=2)
     out = canonical_rows(generate_raw(model, 200, np.random.default_rng(0)), LAYOUT)
     assert out.shape == (200, 11)
@@ -302,7 +310,7 @@ def test_generate_outputs_valid_transitions():
 
 
 def test_generate_requires_trained_model():
-    lam = np.full(LAYOUT.dim, 1.0 / LAYOUT.dim)
+    lam = np.full(TRANSITION_DIM, 1.0 / TRANSITION_DIM)
     model = init_flow_model(FMConfig(), lam, seed=0)
     with pytest.raises(StateError):
         generate_raw(model, 5, np.random.default_rng(0))
@@ -313,7 +321,7 @@ def test_generate_requires_trained_model():
 def test_flow_checkpoint_round_trip():
     data = _sim_data(40, seed=2)
     cfg = FMConfig(hidden_sizes=[8], epochs=3, bootstrap_count=2)
-    lam = np.full(LAYOUT.dim, 1.0 / LAYOUT.dim)
+    lam = np.full(TRANSITION_DIM, 1.0 / TRANSITION_DIM)
     model = train_flow_model(data, lam, cfg, seed=4)
     clone = flow_model_from_dict(flow_model_to_dict(model))
     a = generate_raw(model, 20, np.random.default_rng(6))
@@ -324,7 +332,7 @@ def test_flow_checkpoint_round_trip():
 def test_flow_checkpoint_rejects_other_version():
     data = _sim_data(40, seed=2)
     cfg = FMConfig(hidden_sizes=[8], epochs=1, bootstrap_count=2)
-    lam = np.full(LAYOUT.dim, 1.0 / LAYOUT.dim)
+    lam = np.full(TRANSITION_DIM, 1.0 / TRANSITION_DIM)
     payload = flow_model_to_dict(train_flow_model(data, lam, cfg, seed=4))
     # the version-1 layout: a transition layout, a trained flag, flow.train_start
     payload.update(version=1, trained=True,

@@ -2,7 +2,8 @@
 
 Each method runs once on a small fixed config at seed 0; the sha256 of its
 run-log CSV and of its last synthetic batch CSV are pinned, and so are the
-batch and checkpoint that ``dvfsflow gen`` writes.  A change that alters any
+batch and checkpoint that ``dvfsflow gen`` writes and every file that
+``dvfsflow report`` and ``dvfsflow eval --out`` write.  A change that alters any
 digest must say why in CHANGES.md.
 """
 
@@ -157,3 +158,42 @@ def test_golden_gen_digests(variant, tmp_path):
     synth_digest, checkpoint_digest = GOLDEN_GEN[variant]
     assert _sha256(tmp_path / "synth.csv") == synth_digest
     assert _sha256(tmp_path / "flow.json") == checkpoint_digest
+
+
+# `dvfsflow run` → `report` → `eval --out` on dfm and model_free, seeds 0 and 1,
+# so the report covers early_fps_gain, both heatmaps and every metric column.
+# The digests pin the bytes of every file the report and eval writers produce.
+REPORT_CONFIG = {"schedule": {"horizon": 100}, "flow": {"epochs": 10}, "forest": {"n_trees": 10},
+                 "methods": ["dfm", "model_free"], "seeds": [0, 1]}
+GOLDEN_REPORT = {
+    "report.json":
+        "8c6a24b56f1400910a5ab91e0556cbb26aadfb1b8e6c8864e09cd7a6b8a7f87f",
+    "metrics.csv":
+        "02bd230206567160a6ad8ee270ebd8654a19193da938dd3fb2248fbbad53a7ee",
+    "corr_dfm.svg":
+        "577d87e280d52c84d81b06d63fff054faf266f70cefe62c960ab28a6294bbfa9",
+    "corr_real.svg":
+        "30e75e7a877c354c339f15f54cd460fd4ad64d5295045e4fb142e0acef8c47df",
+    "fps.svg":
+        "f149dc6f4866194117a6e5543d88ef778c7b3f1a1c280b0d5bb0bda0573d0648",
+    "max_q.svg":
+        "ba7248143c0b78f54b453304cb55bf1b0ab5be46de6cb24347c400ac13335a2a",
+    "regret.svg":
+        "37132e5983f2fd908615d547558077404d4ef6c953fb599c026d7677a666618c",
+    "eval.json":
+        "4ec22204329279522c70c62a9659f5c288700f4564ce2f770e9cae6487c38063",
+}
+
+
+def test_golden_report_and_eval_digests(tmp_path, capsys):
+    config, out = str(tmp_path / "cfg.json"), tmp_path / "run"
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump({**REPORT_CONFIG, "output_dir": str(out)}, fh)
+    assert main(["run", "--config", config]) == 0
+    assert main(["report", "--run-dir", str(out)]) == 0
+    assert main(["eval", "--real", str(out / "real_dfm_seed0.csv"),
+                 "--synth", str(out / "synth_dfm_seed0.csv"),
+                 "--out", str(out / "report" / "eval.json")]) == 0
+    got = {name: _sha256(out / "report" / name) for name in GOLDEN_REPORT}
+    assert sorted(p.name for p in (out / "report").iterdir()) == sorted(GOLDEN_REPORT)
+    assert got == GOLDEN_REPORT

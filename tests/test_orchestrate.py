@@ -135,7 +135,7 @@ def test_unknown_method_rejected():
 def test_run_experiment_validates_forest_config():
     with pytest.raises(ConfigurationError, match="max_depth"):
         run_experiment("model_free", EnvConfig(), AgentConfig(), _schedule(), 0,
-                       forest_config=ForestConfig(max_depth=0))
+                       fm_config=FAST_FM, forest_config=ForestConfig(max_depth=0))
 
 
 def test_schedule_validation():

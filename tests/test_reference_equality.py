@@ -19,7 +19,7 @@ from dvfsflow.errors import InsufficientDataError, NumericError
 from dvfsflow.evalkit import _sorted_quantile, wasserstein1
 from dvfsflow.flow import (CfmBatches, FMConfig, Normalizer, TransitionLayout,
                            canonical_rows, check_finite, encode_transition,
-                           init_flow_model, sample_vector_field, unflatten_transition)
+                           generate_raw, init_flow_model, unflatten_transition)
 from dvfsflow.forest import (ForestConfig, _best_splits, _grow_trees, fit_forest,
                              normalized_importances, transition_feature_weights)
 from dvfsflow.simenv import DvfsEnv, EnvConfig, ProcessorState, normalize_state
@@ -61,7 +61,7 @@ def _zero_adam(params, lr):
 def _ref_adam_step(weights, biases, grads_w, grads_b, adam, m_w, v_w, m_b, v_b):
     """Per-layer Adam; returns new (weights, biases, m_w, v_w, m_b, v_b) lists."""
     t = adam.step + 1
-    b1, b2 = adam.beta1, adam.beta2
+    b1, b2, eps = nets.ADAM_B1, nets.ADAM_B2, nets.ADAM_EPS
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     out = ([], [], [], [], [], [])
@@ -70,8 +70,8 @@ def _ref_adam_step(weights, biases, grads_w, grads_b, adam, m_w, v_w, m_b, v_b):
         vw = b2 * v_w[l] + (1 - b2) * grads_w[l] ** 2
         mb = b1 * m_b[l] + (1 - b1) * grads_b[l]
         vb = b2 * v_b[l] + (1 - b2) * grads_b[l] ** 2
-        out[0].append(weights[l] - adam.lr * (mw / c1) / (np.sqrt(vw / c2) + adam.eps))
-        out[1].append(biases[l] - adam.lr * (mb / c1) / (np.sqrt(vb / c2) + adam.eps))
+        out[0].append(weights[l] - adam.lr * (mw / c1) / (np.sqrt(vw / c2) + eps))
+        out[1].append(biases[l] - adam.lr * (mb / c1) / (np.sqrt(vb / c2) + eps))
         for k, arr in enumerate((mw, vw, mb, vb)):
             out[2 + k].append(arr)
     return out
@@ -333,9 +333,7 @@ def _ref_transition_feature_weights(transitions, config, rng):
                         for t in transitions])
     acc = np.zeros(5)
     for j, child in enumerate(rng.spawn(4)):
-        f = fit_forest(x, targets[:, j], n_trees=config.n_trees,
-                       max_depth=config.max_depth, min_leaf=config.min_leaf, rng=child)
-        acc += normalized_importances(f)
+        acc += normalized_importances(fit_forest(x, targets[:, j], config, child))
     total = acc.sum()
     w_in = np.full(5, 1.0 / 5) if total <= 0 else acc / total
     state_mean = float(w_in[:4].mean())
@@ -631,7 +629,7 @@ def test_flatten_memory_bytes_equal_reference():
     ts = _edge_transitions()
     assert _encode_all(ts, LAYOUT).tobytes() == _ref_flatten_memory(ts, LAYOUT).tobytes()
     for k in (2, 5):
-        layout = TransitionLayout(num_actions=k)
+        layout = TransitionLayout(num_actions=k, ambient_temp=LAYOUT.ambient_temp)
         small = [t for t in ts if t.a < k]
         assert (_encode_all(small, layout).tobytes()
                 == _ref_flatten_memory(small, layout).tobytes())
@@ -664,7 +662,7 @@ def test_transition_feature_weights_hex_equal_reference(num_actions, noiseless, 
     rows = np.concatenate([_encode_all(ts, layout), canonical_rows(raw, layout)])
     ts += _ref_unflatten_rows(raw, layout)
     cfg = ForestConfig(n_trees=6, max_depth=5)
-    got = transition_feature_weights(rows, cfg, rng=np.random.default_rng([seed, 30]))
+    got = transition_feature_weights(rows, cfg, np.random.default_rng([seed, 30]))
     want = _ref_transition_feature_weights(ts, cfg, np.random.default_rng([seed, 30]))
     assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
@@ -743,14 +741,14 @@ def test_grow_hex_equal_reference_on_random_tied_cases():
 
 def test_fit_forest_importances_match_reference_trees():
     x, y = _split_data(9, 150, 5)
-    got = fit_forest(x, y, n_trees=8, rng=np.random.default_rng(2))
+    got = fit_forest(x, y, ForestConfig(n_trees=8), np.random.default_rng(2))
     assert _hex(got) == _hex(_ref_fit_forest(x, y, 8, 6, 5, np.random.default_rng(2)))
     rng = np.random.default_rng(23)
     for case in range(200):
         x, y, max_depth, min_leaf = _tied_case(rng)
         n_trees = int(rng.integers(1, 6))
-        got = fit_forest(x, y, n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf,
-                         rng=np.random.default_rng(case))
+        got = fit_forest(x, y, ForestConfig(n_trees, max_depth, min_leaf),
+                         np.random.default_rng(case))
         want = _ref_fit_forest(x, y, n_trees, max_depth, min_leaf,
                                np.random.default_rng(case))
         assert _hex(got) == _hex(want), case
@@ -792,8 +790,8 @@ def test_fit_forest_lockstep_rounds_mix_node_sizes(monkeypatch):
         x = np.concatenate([x, x + 0.5])[:200]
         y = np.concatenate([y, y[::-1]])[:200]
         n_trees = 45
-        got = fit_forest(x, y, n_trees=n_trees, max_depth=9, min_leaf=1 + case % 3,
-                         rng=np.random.default_rng([case, 5]))
+        got = fit_forest(x, y, ForestConfig(n_trees, 9, 1 + case % 3),
+                         np.random.default_rng([case, 5]))
         want = _ref_fit_forest(x, y, n_trees, 9, 1 + case % 3,
                                np.random.default_rng([case, 5]))
         assert _hex(got) == _hex(want), case
@@ -931,7 +929,7 @@ def test_trainer_q_chain_bytes_equal_pure_train_step_chain():
     reset_period = 10
     qnet = agent.init_qnet(Q_ENV, cfg, seed=5)
     trainer = nets.Trainer(qnet, cfg.learning_rate)
-    target = ref_target = agent.sync_target(qnet)
+    target = ref_target = qnet.copy()
     ref_qnet, ref_adam = qnet, _zero_adam(qnet, cfg.learning_rate)
     resets = syncs = 0
     sizes = set()
@@ -957,8 +955,8 @@ def test_trainer_q_chain_bytes_equal_pure_train_step_chain():
             ref_adam = _zero_adam(ref_qnet, cfg.learning_rate)
             resets += 1
         if step % cfg.target_sync_period == 0:
-            target = agent.sync_target(trainer.params)
-            ref_target = agent.sync_target(ref_qnet)
+            target = trainer.params.copy()
+            ref_target = ref_qnet.copy()
             syncs += 1
     assert resets == 3 and syncs == 8 and sizes == {16, 32}
 
@@ -983,7 +981,7 @@ def test_train_q_step_rejects_nan_online_net_before_updating():
     rng = np.random.default_rng(3)
     cfg = AgentConfig()
     qnet = agent.init_qnet(Q_ENV, cfg, seed=1)
-    target = agent.sync_target(qnet)            # finite targets: only the online net is bad
+    target = qnet.copy()    # finite targets: only the online net is bad
     qnet.weights[1][2, 3] = np.nan
     trainer = nets.Trainer(qnet, cfg.learning_rate)
     flat_before = trainer.params.flat.tobytes()
@@ -1002,7 +1000,12 @@ def random_flow():
     model = init_flow_model(FMConfig(), np.full(11, 1.0 / 11), seed=4)
     model.params.flat[:] = rng.normal(scale=0.5, size=model.params.flat.size)
     model.normalizer = Normalizer(mean=rng.normal(size=11), std=rng.uniform(0.5, 2.0, size=11))
+    model.loss_curve = [0.0]        # marks it trained, so generate_raw samples it
     return model
+
+
+def _with_ode_steps(model, k):
+    return replace(model, config=replace(model.config, ode_steps=k))
 
 
 # Cut into 512-row slices, 1026 and 1133 would end in a 2- and a 109-row slice,
@@ -1010,7 +1013,7 @@ def random_flow():
 @pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 1000, 1026, 1133, 5000])
 @pytest.mark.parametrize("ode_steps", [1, 7, 100])
 def test_sample_vector_field_bytes_equal_reference(random_flow, n, ode_steps):
-    got = sample_vector_field(random_flow, n, np.random.default_rng(n), ode_steps)
+    got = generate_raw(_with_ode_steps(random_flow, ode_steps), n, np.random.default_rng(n))
     want = _ref_sample_vector_field(random_flow, n, np.random.default_rng(n), ode_steps)
     assert got.shape == want.shape == (n, 11)
     assert got.tobytes() == want.tobytes()
@@ -1020,7 +1023,7 @@ def test_sample_vector_field_repeat_calls_bytes_equal_reference(random_flow):
     # 1, 2 and 9 blocks, then the same call again: nothing one call leaves
     # behind may reach the next
     for n in (300, 1100, 4700, 4700, 300):
-        got = sample_vector_field(random_flow, n, np.random.default_rng([n, 1]), 5)
+        got = generate_raw(_with_ode_steps(random_flow, 5), n, np.random.default_rng([n, 1]))
         want = _ref_sample_vector_field(random_flow, n, np.random.default_rng([n, 1]), 5)
         assert got.tobytes() == want.tobytes(), n
 
