@@ -7,11 +7,20 @@ state are a one-row :func:`nets.forward_batch`.  The Q-step is one step of the
 run's :class:`nets.Trainer`, which owns the online net and its Adam state; it
 reads sampled rows directly, and its targets come from a target network, a
 periodic :meth:`nets.MlpParams.copy` of the online net.
+
+The greedy forward and the Q-step write into the arrays of a :class:`QScratch`,
+which a run builds once beside its trainer and keeps to its end.  The arrays
+live as long as the scratch object, and what they hold lives until the next
+call that writes them: the vector :func:`q_values` returns lives until its
+next call on the same scratch object, and a Q-step's gathered states,
+normalized states, target-net layer outputs, targets and loss weights until
+the next Q-step of the same batch size.  Copy a result to keep it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +28,7 @@ from . import nets
 from .errors import ConfigurationError, InsufficientDataError, NumericError
 from .flow import TRANSITION_DIM
 from .nets import MlpParams
-from .simenv import EnvConfig, ProcessorState, normalize_state, state_scales
+from .simenv import EnvConfig, ProcessorState, state_scales
 
 
 class ReplayMemory:
@@ -42,7 +51,16 @@ class ReplayMemory:
     def push(self, rows: np.ndarray) -> None:
         """Append one row or an (n, 11) block.  Beyond capacity the oldest
         rows go; phi counts every row pushed."""
-        rows = np.asarray(rows, dtype=np.float64).reshape(-1, TRANSITION_DIM)
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.shape == (TRANSITION_DIM,) and (self._size < len(self._buf)
+                                                or self._size == self.capacity):
+            # one row with room for it, the path of every env step: one slot written
+            self._buf[self._head] = rows
+            self._head = (self._head + 1) % self.capacity
+            self._size = min(self._size + 1, self.capacity)
+            self.phi += 1
+            return
+        rows = rows.reshape(-1, TRANSITION_DIM)
         self.phi += len(rows)
         rows, cap = rows[max(len(rows) - self.capacity, 0):], self.capacity
         size = min(self._size + len(rows), cap)
@@ -68,7 +86,9 @@ class ReplayMemory:
         if n == 0:
             return np.empty((0, TRANSITION_DIM))
         idx = rng.choice(self._size, size=n, replace=False)
-        return self._buf[(idx + self._head - self._size) % self.capacity]
+        idx += self._head - self._size
+        idx %= self.capacity
+        return self._buf.take(idx, axis=0)
 
 
 @dataclass
@@ -103,8 +123,53 @@ def init_qnet(env_config: EnvConfig, agent_config: AgentConfig, seed: int) -> Ml
     return nets.init_mlp(sizes, seed=seed)
 
 
-def q_values(qnet: MlpParams, state: ProcessorState, env_config: EnvConfig) -> np.ndarray:
-    return nets.forward_batch(qnet, normalize_state(state, env_config)[None])[0]
+class QScratch:
+    """The arrays one run's greedy forwards and Q-steps write, for a Q-net of
+    ``layer_sizes`` on ``env_config``'s states and actions: the state scales,
+    the normalized (1, 4) state and one output per layer of the greedy
+    forward, and one :class:`_QStepArrays` per batch size."""
+
+    def __init__(self, env_config: EnvConfig, layer_sizes: Sequence[int]):
+        self.scales = state_scales(env_config)
+        self.num_actions = env_config.num_actions
+        self.state = np.empty((1, 4))
+        self.greedy = [np.empty((1, s)) for s in layer_sizes[1:]]
+        self.layer_sizes = list(layer_sizes)
+        self._steps: dict[int, _QStepArrays] = {}
+
+    def step_arrays(self, n: int) -> "_QStepArrays":
+        if n not in self._steps:
+            self._steps[n] = _QStepArrays(n, self.layer_sizes, self.num_actions)
+        return self._steps[n]
+
+
+class _QStepArrays:
+    """What one Q-step on n rows writes: the gathered s and s' columns, both
+    states normalized, the target net's layer outputs, max_a' Q(s', a'),
+    not-done, y, the flat ``row * k + action`` indices of the taken actions,
+    and the (n, k) targets and one-hot loss weights."""
+
+    def __init__(self, n: int, layer_sizes: Sequence[int], k: int):
+        self.states = np.empty((n, 8))
+        self.x = np.empty((2, n, 4))
+        self.target_acts = [np.empty((n, s)) for s in layer_sizes[1:]]
+        self.q_max = np.empty(n)
+        self.not_done = np.empty(n, dtype=bool)
+        self.y = np.empty(n)
+        self.level = np.empty(n)
+        self.taken = np.empty(n, dtype=np.intp)
+        self.row_start = np.arange(n) * k
+        self.targets = np.empty((n, k))
+        self.weights = np.empty((n, k))
+
+
+def q_values(qnet: MlpParams, state: ProcessorState, scratch: QScratch) -> np.ndarray:
+    """Q(state, .) of ``qnet``, the state normalized by the run's scales.  The
+    vector is ``scratch``'s and lives until the next call on it."""
+    x = scratch.state
+    x[0] = state.fps, state.freq, state.power, state.temp
+    np.divide(x, scratch.scales, out=x)
+    return nets.forward_batch(qnet, x, out=scratch.greedy)[0]
 
 
 def select_action(q: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
@@ -114,39 +179,52 @@ def select_action(q: np.ndarray, epsilon: float, rng: np.random.Generator) -> in
         raise ConfigurationError("epsilon must lie in [0, 1]")
     if epsilon > 0 and rng.random() < epsilon:
         return int(rng.integers(len(q)))
-    return int(np.argmax(q))
+    return int(q.argmax())
 
 
 def decay_epsilon(epsilon: float, config: AgentConfig) -> float:
     return max(config.epsilon_floor, epsilon * config.epsilon_decay)
 
 
+# the s and s' columns of a codec row, in ProcessorState field order
+_STATE_COLUMNS = np.array([0, 1, 2, 3, 5, 6, 7, 8])
+
+
 def train_q_step(trainer: nets.Trainer, target_net: MlpParams, batch: np.ndarray,
-                 agent_config: AgentConfig, env_config: EnvConfig) -> float:
+                 agent_config: AgentConfig, scratch: QScratch) -> float:
     """One Adam step of ``trainer`` (the online Q-net) on the squared Bellman
     error of the taken actions in a batch of transition rows; returns the loss.
 
     Target y = r for terminal (done > 0.5) rows, else r + gamma * max_a' Q(s', a'; W-).
     Gradients flow only through the taken action's output (one-hot loss weights),
     so the other target entries are left at 0.  States are normalized exactly as
-    :func:`normalize_state` does, one batch at a time.  A non-finite online net
-    gives a non-finite loss, which :meth:`nets.Trainer.step` rejects before updating.
+    :func:`simenv.normalize_state` does, one batch at a time; the action column
+    holds codec levels a / (k - 1), as both memories store them.  Every
+    intermediate array is ``scratch``'s.  NaN/inf targets raise before any
+    update, and a non-finite online net gives a non-finite loss, which
+    :meth:`nets.Trainer.step` rejects before updating.
     """
     n = len(batch)
     if n == 0:
         raise InsufficientDataError("empty training batch")
-    states = batch[:, [0, 1, 2, 3, 5, 6, 7, 8]].reshape(n, 2, 4).transpose(1, 0, 2)
-    x, x_next = np.divide(states, state_scales(env_config), out=np.empty((2, n, 4)))
-    q_next = nets.forward_batch(target_net, x_next)
-    not_done = batch[:, 10] <= 0.5
-    y_taken = batch[:, 9] + agent_config.discount * not_done * q_next.max(axis=1)
-    if not np.all(np.isfinite(y_taken)):
+    a = scratch.step_arrays(n)
+    np.take(batch, _STATE_COLUMNS, axis=1, out=a.states)
+    x, x_next = np.divide(a.states.reshape(n, 2, 4).transpose(1, 0, 2), scratch.scales,
+                          out=a.x)
+    q_next = nets.forward_batch(target_net, x_next, out=a.target_acts)
+    np.maximum.reduce(q_next, axis=1, out=a.q_max)
+    np.less_equal(batch[:, 10], 0.5, out=a.not_done)
+    y = np.multiply(a.not_done, agent_config.discount, out=a.y)
+    y *= a.q_max
+    np.add(batch[:, 9], y, out=y)
+    if not np.isfinite(y).all():
         raise NumericError("NaN/inf in Q targets")
 
-    k = env_config.num_actions
-    rows, actions = np.arange(n), np.rint(batch[:, 4] * (k - 1)).astype(int)
-    targets = np.zeros((n, k))    # untaken dims carry zero weight
-    targets[rows, actions] = y_taken
-    weights = np.zeros((n, k))
-    weights[rows, actions] = 1.0
-    return trainer.step(x, targets, weights)
+    np.multiply(batch[:, 4], scratch.num_actions - 1, out=a.level)
+    np.rint(a.level, out=a.level)
+    np.add(a.row_start, a.level, out=a.taken, casting="unsafe")
+    a.targets.fill(0.0)                 # untaken dims carry zero weight
+    a.targets.put(a.taken, y)
+    a.weights.fill(0.0)
+    a.weights.put(a.taken, 1.0)
+    return trainer.step(x, a.targets, a.weights)

@@ -57,7 +57,7 @@ def _load_experiment_config(args) -> ExperimentConfig:
         cfg.methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if args.seeds is not None:
         cfg.seeds = _parse_seeds(args.seeds)
-    if args.output:
+    if args.output is not None:         # an empty directory fails validation too
         cfg.output_dir = args.output
     cfg.validate()
     return cfg

@@ -60,6 +60,8 @@ class ExperimentConfig:
             raise ConfigurationError("seeds must be distinct")
         if min(self.seeds) < 0:
             raise ConfigurationError("seeds must be >= 0")
+        if not self.output_dir:
+            raise ConfigurationError("output_dir must be non-empty")
 
 
 _ACCEPTS = {int: numbers.Integral, float: numbers.Real}   # float fields take ints too

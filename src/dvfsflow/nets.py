@@ -183,7 +183,7 @@ def _forward_backward(params: MlpParams, x: np.ndarray, y: np.ndarray, w: np.nda
     err = np.subtract(acts[-1], y, out=work.err)
     werr2 = np.multiply(w, err, out=work.werr)
     werr2 *= err
-    loss = float(werr2.sum(axis=1).sum() / n)   # np.mean's sum and division, minus its overhead
+    loss = float(np.add.reduce(np.add.reduce(werr2, axis=1)) / n)   # np.mean's sum and division
 
     # Backward.  Each hidden activation is consumed once, so the tanh
     # gradient 1 - a*a overwrites it.
@@ -191,7 +191,7 @@ def _forward_backward(params: MlpParams, x: np.ndarray, y: np.ndarray, w: np.nda
     delta /= n
     for l in range(len(params.weights) - 1, -1, -1):
         np.matmul(delta.T, acts[l], out=grads_w[l])
-        delta.sum(axis=0, out=grads_b[l])
+        np.add.reduce(delta, axis=0, out=grads_b[l])
         if l > 0:
             a = acts[l]
             delta = np.matmul(delta, params.weights[l], out=work.deltas[l - 1])

@@ -10,6 +10,14 @@ A method is a preset, one row of :data:`METHODS`: which generator fills M'
 weighted by the forest's feature weights, and how many bootstrap replicates
 of the latent pool it trains on.  :func:`fit_flow_generator` is the one
 flow refit, shared by the run loop and ``dvfsflow gen``.
+
+A run allocates the arrays of its per-step work once and keeps them to its
+end: the Q-net's :class:`nets.Trainer` (params, Adam moments, gradient and
+one workspace per batch size), the :class:`agent.QScratch` beside it, which
+every step's greedy forward and every Q-step write into, and the two rings
+of M and M', which grow to their capacity and are then overwritten one row
+per env step.  A step still allocates its env state, its encoded row, the
+sampled batch and its run-log entries.
 """
 
 from __future__ import annotations
@@ -202,6 +210,7 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
     qnet = agent_mod.init_qnet(env_config, agent_config, seed=[seed, 4])
     target = qnet.copy()
     trainer = nets.Trainer(qnet, agent_config.learning_rate)
+    scratch = agent_mod.QScratch(env_config, qnet.layer_sizes)
 
     memory = ReplayMemory(schedule.real_capacity, "M")
     synth_memory = ReplayMemory(schedule.synth_capacity, "M'")
@@ -215,9 +224,9 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
 
     for i in range(1, schedule.horizon + 1):
         state = env.state
-        q = agent_mod.q_values(trainer.params, state, env_config)
+        q = agent_mod.q_values(trainer.params, state, scratch)
         action = agent_mod.select_action(q, epsilon, action_rng)
-        max_q_val = float(np.max(q))
+        max_q_val = float(q.max())
         nxt, reward, done = env.step(action)
         memory.push(flow_mod.encode_transition(state, action, reward, nxt, done, layout))
 
@@ -249,10 +258,11 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
                        if len(synth_memory) else 0)
             n_real = schedule.batch_size - n_synth
             if len(memory) >= n_real and len(synth_memory) >= n_synth:
-                batch = np.concatenate([memory.sample(n_real, sample_rng),
-                                        synth_memory.sample(n_synth, sample_rng)])
+                batch = memory.sample(n_real, sample_rng)
+                if n_synth:
+                    batch = np.concatenate([batch, synth_memory.sample(n_synth, sample_rng)])
                 agent_loss_val = agent_mod.train_q_step(
-                    trainer, target, batch, agent_config, env_config)
+                    trainer, target, batch, agent_config, scratch)
                 train_count += 1
                 log.agent_train_steps.append(i)
                 if train_count % schedule.lr_reset_period == 0:

@@ -497,6 +497,25 @@ def test_empty_methods_or_seeds_override_fails_validation(flag, capsys):
     assert captured.err == f"configuration error: {flag} must be non-empty\n"
 
 
+def test_empty_output_override_fails_validation(capsys):
+    # an empty --output used to be ignored: the config's output_dir was echoed
+    assert main(["run", "--output", "", "--print-config"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: output_dir must be non-empty\n"
+
+
+def test_empty_output_dir_in_a_config_file_fails_before_running(tmp_path, capsys):
+    # it used to pass validation and end in a missing-file error at os.makedirs
+    path = _write_config(tmp_path, {"output_dir": ""})
+    with pytest.raises(ConfigurationError, match="output_dir"):
+        load_config(path)
+    assert main(["run", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: output_dir must be non-empty\n"
+
+
 def test_runlog_empty_loss_cells_read_as_none(tmp_path):
     from dvfsflow.orchestrate import runlog_from_csv
 

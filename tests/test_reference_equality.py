@@ -804,21 +804,26 @@ def test_fit_forest_lockstep_rounds_mix_node_sizes(monkeypatch):
 @pytest.mark.parametrize("capacity", [1, 3, 7, 64])
 def test_ring_memory_bytes_equal_list_fifo(capacity):
     # single rows, empty blocks, blocks that straddle the end of the ring and
-    # blocks longer than the capacity; every state sampled at n = 0, 1, half
-    # and all, with the generators compared after each draw
+    # blocks longer than the capacity, then the run loop's one-row pushes
+    # into the full ring, wrapping it at least three times; every state
+    # sampled at n = 0, 1, half and all, with the generators compared after
+    # each draw, and every drawn batch left as it was by the later pushes
     rng = np.random.default_rng(capacity)
     ring, ref = ReplayMemory(capacity), _RefReplayMemory(capacity)
     draw, ref_draw = np.random.default_rng(11), np.random.default_rng(11)
-    pos, straddled, longer = 0, False, False
+    pos, straddled, longer, wraps = 0, False, False, 0
+    drawn = []
     for k in [1, 1, capacity - 1, 2, capacity + 3, 0, 1, 2 * capacity + 1, capacity,
-              capacity // 2 + 1, 5]:
+              capacity // 2 + 1, 5] + [1] * (3 * capacity + 2):
         rows, ts = _synthetic(k, rng)
+        full = len(ring) == capacity
         ring.push(rows[0] if k == 1 else rows)
         for t in ts:
             ref.push(t)
         kept = min(k, capacity)
         straddled |= 0 < kept < capacity and pos + kept > capacity
         longer |= k > capacity
+        wraps += full and k == 1 and pos + 1 == capacity
         pos = (pos + kept) % capacity
         assert ring.phi == ref.phi and len(ring) == len(ref.items)
         assert ring.rows().tobytes() == _ref_flatten_memory(ref.items, Q_LAYOUT).tobytes()
@@ -827,7 +832,9 @@ def test_ring_memory_bytes_equal_list_fifo(capacity):
             want = _ref_flatten_memory(ref.sample_batch(n, ref_draw), Q_LAYOUT)
             assert got.tobytes() == want.tobytes()
             assert draw.bit_generator.state == ref_draw.bit_generator.state
-    assert longer and (straddled or capacity == 1)
+            drawn.append((got, want.tobytes()))
+    assert longer and (straddled or capacity == 1) and wraps >= 3
+    assert all(got.tobytes() == want for got, want in drawn)
     with pytest.raises(InsufficientDataError):
         ring.sample(len(ring) + 1, draw)
 
@@ -886,10 +893,11 @@ def test_train_q_step_bitwise_equal_reference(kind):
     qnet = agent.init_qnet(Q_ENV, cfg, seed=1)
     target = agent.init_qnet(Q_ENV, cfg, seed=2)
     trainer = nets.Trainer(qnet, cfg.learning_rate)
+    scratch = agent.QScratch(Q_ENV, qnet.layer_sizes)
     ref_qnet, ref_adam = qnet, _zero_adam(qnet, cfg.learning_rate)
     for _ in range(5):
         rows, batch = _q_batch(kind, rng)
-        loss = agent.train_q_step(trainer, target, rows, cfg, Q_ENV)
+        loss = agent.train_q_step(trainer, target, rows, cfg, scratch)
         ref_qnet, ref_adam, ref_loss = _ref_train_q_step(ref_qnet, target, batch, cfg,
                                                          Q_ENV, ref_adam)
         assert loss == ref_loss
@@ -912,7 +920,8 @@ def test_train_q_step_reads_every_action_level_back():
     qnet = agent.init_qnet(env, cfg, seed=8)
     target = agent.init_qnet(env, cfg, seed=9)
     trainer = nets.Trainer(qnet, cfg.learning_rate)
-    loss = agent.train_q_step(trainer, target, _encode_all(batch, layout), cfg, env)
+    loss = agent.train_q_step(trainer, target, _encode_all(batch, layout), cfg,
+                              agent.QScratch(env, qnet.layer_sizes))
     ref_qnet, ref_adam, ref_loss = _ref_train_q_step(
         qnet, target, batch, cfg, env, _zero_adam(qnet, cfg.learning_rate))
     assert loss == ref_loss
@@ -920,20 +929,37 @@ def test_train_q_step_reads_every_action_level_back():
     assert trainer.adam.v.tobytes() == ref_adam.v.tobytes()
 
 
+def _fresh_q_values(qnet, state):
+    """Q(state, .) through fresh arrays: the reference for the kept greedy forward."""
+    return nets.forward_batch(qnet, normalize_state(state, Q_ENV)[None])[0]
+
+
 def test_trainer_q_chain_bytes_equal_pure_train_step_chain():
     # The run loop's schedule, shortened: Adam resets after every 10th update,
     # target syncs after every 4th, and 32 real rows alternate with 16 real
-    # plus 16 synthetic ones and with lone 16-row batches.
+    # plus 16 synthetic ones and with lone 16-row batches, all through one
+    # scratch object.  A 16-row batch with a NaN reward fails in the middle
+    # of the chain; the next 16-row step must not see what it left behind.
     rng = np.random.default_rng(19)
     cfg = AgentConfig(target_sync_period=4)
-    reset_period = 10
+    reset_period, nan_step = 10, 17
     qnet = agent.init_qnet(Q_ENV, cfg, seed=5)
     trainer = nets.Trainer(qnet, cfg.learning_rate)
+    scratch = agent.QScratch(Q_ENV, qnet.layer_sizes)
     target = ref_target = qnet.copy()
     ref_qnet, ref_adam = qnet, _zero_adam(qnet, cfg.learning_rate)
     resets = syncs = 0
     sizes = set()
     for step in range(1, 36):
+        if step == nan_step:
+            rows = _encode_all(_transitions(16, rng), Q_LAYOUT)
+            rows[5, 9] = np.nan
+            before = (trainer.params.flat.tobytes(), trainer.adam.m.tobytes(),
+                      trainer.adam.v.tobytes(), trainer.adam.step)
+            with pytest.raises(NumericError, match="Q targets"):
+                agent.train_q_step(trainer, target, rows, cfg, scratch)
+            assert (trainer.params.flat.tobytes(), trainer.adam.m.tobytes(),
+                    trainer.adam.v.tobytes(), trainer.adam.step) == before
         if step % 3 == 0:
             rows, batch = _q_batch("done_and_live", rng)
         elif step % 3 == 1:
@@ -942,7 +968,7 @@ def test_trainer_q_chain_bytes_equal_pure_train_step_chain():
             batch = _transitions(16, rng)
             rows = _encode_all(batch, Q_LAYOUT)
         sizes.add(len(batch))
-        loss = agent.train_q_step(trainer, target, rows, cfg, Q_ENV)
+        loss = agent.train_q_step(trainer, target, rows, cfg, scratch)
         ref_qnet, ref_adam, ref_loss = _ref_train_q_step(ref_qnet, ref_target, batch, cfg,
                                                          Q_ENV, ref_adam)
         assert _hex(loss) == _hex(ref_loss), step
@@ -950,6 +976,11 @@ def test_trainer_q_chain_bytes_equal_pure_train_step_chain():
         assert trainer.adam.m.tobytes() == ref_adam.m.tobytes(), step
         assert trainer.adam.v.tobytes() == ref_adam.v.tobytes(), step
         assert trainer.adam.step == ref_adam.step, step
+        s, s_next = batch[0].s, batch[0].s_next
+        first = agent.q_values(trainer.params, s, scratch)
+        assert first.tobytes() == _fresh_q_values(ref_qnet, s).tobytes(), step
+        second = agent.q_values(trainer.params, s_next, scratch)
+        assert second.tobytes() == _fresh_q_values(ref_qnet, s_next).tobytes(), step
         if step % reset_period == 0:
             trainer.reset_adam(cfg.learning_rate)
             ref_adam = _zero_adam(ref_qnet, cfg.learning_rate)
@@ -959,6 +990,7 @@ def test_trainer_q_chain_bytes_equal_pure_train_step_chain():
             ref_target = ref_qnet.copy()
             syncs += 1
     assert resets == 3 and syncs == 8 and sizes == {16, 32}
+    assert nan_step % 3 == 2        # the failed batch's size is the next step's
 
 
 def test_trainer_leaves_the_params_it_was_built_from_untouched():
@@ -968,10 +1000,11 @@ def test_trainer_leaves_the_params_it_was_built_from_untouched():
     target = agent.init_qnet(Q_ENV, cfg, seed=7)
     before = qnet.flat.tobytes()
     trainer = nets.Trainer(qnet, cfg.learning_rate)
+    scratch = agent.QScratch(Q_ENV, qnet.layer_sizes)
     for _ in range(3):
-        agent.train_q_step(trainer, target, _q_batch("done_and_live", rng)[0], cfg, Q_ENV)
+        agent.train_q_step(trainer, target, _q_batch("done_and_live", rng)[0], cfg, scratch)
     trainer.reset_adam(0.5)
-    agent.train_q_step(trainer, target, _q_batch("mixed", rng)[0][:16], cfg, Q_ENV)
+    agent.train_q_step(trainer, target, _q_batch("mixed", rng)[0][:16], cfg, scratch)
     assert qnet.flat.tobytes() == before
     assert not np.shares_memory(trainer.params.flat, qnet.flat)
     assert (trainer.adam.step, trainer.adam.lr) == (1, 0.5)
@@ -986,7 +1019,8 @@ def test_train_q_step_rejects_nan_online_net_before_updating():
     trainer = nets.Trainer(qnet, cfg.learning_rate)
     flat_before = trainer.params.flat.tobytes()
     with pytest.raises(NumericError):
-        agent.train_q_step(trainer, target, _q_batch("done_and_live", rng)[0], cfg, Q_ENV)
+        agent.train_q_step(trainer, target, _q_batch("done_and_live", rng)[0], cfg,
+                           agent.QScratch(Q_ENV, qnet.layer_sizes))
     assert trainer.params.flat.tobytes() == flat_before
     adam = trainer.adam
     assert adam.step == 0 and not adam.m.any() and not adam.v.any()
