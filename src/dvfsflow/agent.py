@@ -9,12 +9,12 @@ reads sampled rows directly, and its targets come from a target network, a
 periodic :meth:`nets.MlpParams.copy` of the online net.
 
 The greedy forward and the Q-step write into the arrays of a :class:`QScratch`,
-which a run builds once beside its trainer and keeps to its end.  The arrays
+which a run builds once for its Q-batch size and keeps to its end.  The arrays
 live as long as the scratch object, and what they hold lives until the next
 call that writes them: the vector :func:`q_values` returns lives until its
 next call on the same scratch object, and a Q-step's gathered states,
 normalized states, target-net layer outputs, targets and loss weights until
-the next Q-step of the same batch size.  Copy a result to keep it.
+the next Q-step.  Copy a result to keep it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nets
-from .errors import ConfigurationError, InsufficientDataError, NumericError
+from .errors import ConfigurationError, DomainError, InsufficientDataError, NumericError
 from .flow import TRANSITION_DIM
 from .nets import MlpParams
 from .simenv import EnvConfig, ProcessorState, state_scales
@@ -51,26 +51,22 @@ class ReplayMemory:
     def push(self, rows: np.ndarray) -> None:
         """Append one row or an (n, 11) block.  Beyond capacity the oldest
         rows go; phi counts every row pushed."""
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.shape == (TRANSITION_DIM,) and (self._size < len(self._buf)
-                                                or self._size == self.capacity):
-            # one row with room for it, the path of every env step: one slot written
-            self._buf[self._head] = rows
-            self._head = (self._head + 1) % self.capacity
-            self._size = min(self._size + 1, self.capacity)
-            self.phi += 1
-            return
-        rows = rows.reshape(-1, TRANSITION_DIM)
+        rows = np.asarray(rows, dtype=np.float64).reshape(-1, TRANSITION_DIM)
         self.phi += len(rows)
-        rows, cap = rows[max(len(rows) - self.capacity, 0):], self.capacity
+        cap = self.capacity
+        if len(rows) > cap:
+            rows = rows[-cap:]
         size = min(self._size + len(rows), cap)
         if size > len(self._buf):       # still filling: the rows sit at [:_size], in order
             grown = min(max(size, 2 * len(self._buf)), cap)
             self._buf = np.resize(self._buf, (grown, TRANSITION_DIM))
-        first = min(len(rows), cap - self._head)
-        self._buf[self._head:self._head + first] = rows[:first]
-        self._buf[:len(rows) - first] = rows[first:]
-        self._head = (self._head + len(rows)) % cap
+        end = self._head + len(rows)
+        if end <= cap:
+            self._buf[self._head:end] = rows
+        else:                           # the write wraps: the ring is cap rows long
+            self._buf[self._head:] = rows[:cap - self._head]
+            self._buf[:end - cap] = rows[cap - self._head:]
+        self._head = end % cap
         self._size = size
 
     def rows(self) -> np.ndarray:
@@ -125,31 +121,20 @@ def init_qnet(env_config: EnvConfig, agent_config: AgentConfig, seed: int) -> Ml
 
 class QScratch:
     """The arrays one run's greedy forwards and Q-steps write, for a Q-net of
-    ``layer_sizes`` on ``env_config``'s states and actions: the state scales,
-    the normalized (1, 4) state and one output per layer of the greedy
-    forward, and one :class:`_QStepArrays` per batch size."""
+    ``layer_sizes`` on ``env_config``'s states and actions and Q-steps of
+    ``batch_size`` rows: the state scales, the greedy forward's normalized
+    (1, 4) state and layer outputs, and the Q-step's gathered s and s'
+    columns, both states normalized, the target net's layer outputs,
+    max_a' Q(s', a'), not-done, y, the flat ``row * k + action`` indices of
+    the taken actions, and the (batch_size, k) targets and loss weights."""
 
-    def __init__(self, env_config: EnvConfig, layer_sizes: Sequence[int]):
+    def __init__(self, env_config: EnvConfig, layer_sizes: Sequence[int], batch_size: int):
+        n, k = batch_size, env_config.num_actions
         self.scales = state_scales(env_config)
-        self.num_actions = env_config.num_actions
+        self.num_actions = k
+        self.batch_size = n
         self.state = np.empty((1, 4))
         self.greedy = [np.empty((1, s)) for s in layer_sizes[1:]]
-        self.layer_sizes = list(layer_sizes)
-        self._steps: dict[int, _QStepArrays] = {}
-
-    def step_arrays(self, n: int) -> "_QStepArrays":
-        if n not in self._steps:
-            self._steps[n] = _QStepArrays(n, self.layer_sizes, self.num_actions)
-        return self._steps[n]
-
-
-class _QStepArrays:
-    """What one Q-step on n rows writes: the gathered s and s' columns, both
-    states normalized, the target net's layer outputs, max_a' Q(s', a'),
-    not-done, y, the flat ``row * k + action`` indices of the taken actions,
-    and the (n, k) targets and one-hot loss weights."""
-
-    def __init__(self, n: int, layer_sizes: Sequence[int], k: int):
         self.states = np.empty((n, 8))
         self.x = np.empty((2, n, 4))
         self.target_acts = [np.empty((n, s)) for s in layer_sizes[1:]]
@@ -197,34 +182,36 @@ def train_q_step(trainer: nets.Trainer, target_net: MlpParams, batch: np.ndarray
 
     Target y = r for terminal (done > 0.5) rows, else r + gamma * max_a' Q(s', a'; W-).
     Gradients flow only through the taken action's output (one-hot loss weights),
-    so the other target entries are left at 0.  States are normalized exactly as
-    :func:`simenv.normalize_state` does, one batch at a time; the action column
-    holds codec levels a / (k - 1), as both memories store them.  Every
-    intermediate array is ``scratch``'s.  NaN/inf targets raise before any
-    update, and a non-finite online net gives a non-finite loss, which
-    :meth:`nets.Trainer.step` rejects before updating.
+    so the other target entries are left at 0.  Both states are divided by
+    ``scratch.scales``; the action column holds codec levels a / (k - 1), as
+    both memories store them.  Every intermediate array is ``scratch``'s, and
+    a batch of another size than its ``batch_size`` raises before any write,
+    NaN/inf targets before any update, and a non-finite online net gives a
+    non-finite loss, which :meth:`nets.Trainer.step` rejects before updating.
     """
     n = len(batch)
     if n == 0:
         raise InsufficientDataError("empty training batch")
-    a = scratch.step_arrays(n)
-    np.take(batch, _STATE_COLUMNS, axis=1, out=a.states)
-    x, x_next = np.divide(a.states.reshape(n, 2, 4).transpose(1, 0, 2), scratch.scales,
-                          out=a.x)
-    q_next = nets.forward_batch(target_net, x_next, out=a.target_acts)
-    np.maximum.reduce(q_next, axis=1, out=a.q_max)
-    np.less_equal(batch[:, 10], 0.5, out=a.not_done)
-    y = np.multiply(a.not_done, agent_config.discount, out=a.y)
-    y *= a.q_max
+    if n != scratch.batch_size:
+        raise DomainError(
+            f"Q-step batch has {n} rows, its scratch arrays hold {scratch.batch_size}")
+    np.take(batch, _STATE_COLUMNS, axis=1, out=scratch.states)
+    x, x_next = np.divide(scratch.states.reshape(n, 2, 4).transpose(1, 0, 2), scratch.scales,
+                          out=scratch.x)
+    q_next = nets.forward_batch(target_net, x_next, out=scratch.target_acts)
+    np.maximum.reduce(q_next, axis=1, out=scratch.q_max)
+    np.less_equal(batch[:, 10], 0.5, out=scratch.not_done)
+    y = np.multiply(scratch.not_done, agent_config.discount, out=scratch.y)
+    y *= scratch.q_max
     np.add(batch[:, 9], y, out=y)
     if not np.isfinite(y).all():
         raise NumericError("NaN/inf in Q targets")
 
-    np.multiply(batch[:, 4], scratch.num_actions - 1, out=a.level)
-    np.rint(a.level, out=a.level)
-    np.add(a.row_start, a.level, out=a.taken, casting="unsafe")
-    a.targets.fill(0.0)                 # untaken dims carry zero weight
-    a.targets.put(a.taken, y)
-    a.weights.fill(0.0)
-    a.weights.put(a.taken, 1.0)
-    return trainer.step(x, a.targets, a.weights)
+    np.multiply(batch[:, 4], scratch.num_actions - 1, out=scratch.level)
+    np.rint(scratch.level, out=scratch.level)
+    np.add(scratch.row_start, scratch.level, out=scratch.taken, casting="unsafe")
+    scratch.targets.fill(0.0)           # untaken dims carry zero weight
+    scratch.targets.put(scratch.taken, y)
+    scratch.weights.fill(0.0)
+    scratch.weights.put(scratch.taken, 1.0)
+    return trainer.step(x, scratch.targets, scratch.weights)

@@ -133,10 +133,10 @@ def early_fps_gain(runlog_a, runlog_b, window: int = 50) -> float:
     return float(fps_a.mean() / fps_b.mean())
 
 
-def qvalue_stability(runlog, last_fraction: float = 0.25) -> float:
-    """Population std of per-step max-Q over the final fraction of the run."""
+def qvalue_stability(runlog) -> float:
+    """Population std of per-step max-Q over the final quarter of the run."""
     n = len(runlog.max_q)
     if n < 8:
         raise InsufficientDataError("run log too short for a stability estimate")
-    tail = np.asarray(runlog.max_q[int(np.floor(n * (1.0 - last_fraction))):])
+    tail = np.asarray(runlog.max_q[int(np.floor(n * 0.75)):])
     return float(np.std(tail))

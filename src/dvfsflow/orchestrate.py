@@ -13,11 +13,12 @@ flow refit, shared by the run loop and ``dvfsflow gen``.
 
 A run allocates the arrays of its per-step work once and keeps them to its
 end: the Q-net's :class:`nets.Trainer` (params, Adam moments, gradient and
-one workspace per batch size), the :class:`agent.QScratch` beside it, which
-every step's greedy forward and every Q-step write into, and the two rings
-of M and M', which grow to their capacity and are then overwritten one row
-per env step.  A step still allocates its env state, its encoded row, the
-sampled batch and its run-log entries.
+layer arrays), the :class:`agent.QScratch` beside it, sized for the
+``batch_size`` rows of every Q-step, which every step's greedy forward and
+every Q-step write into, and the two rings of M and M', which grow to their
+capacity and are then overwritten one row per env step.  A step still
+allocates its env state, its encoded row, the sampled batch and its run-log
+entries.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
     qnet = agent_mod.init_qnet(env_config, agent_config, seed=[seed, 4])
     target = qnet.copy()
     trainer = nets.Trainer(qnet, agent_config.learning_rate)
-    scratch = agent_mod.QScratch(env_config, qnet.layer_sizes)
+    scratch = agent_mod.QScratch(env_config, qnet.layer_sizes, schedule.batch_size)
 
     memory = ReplayMemory(schedule.real_capacity, "M")
     synth_memory = ReplayMemory(schedule.synth_capacity, "M'")
@@ -305,8 +306,7 @@ def runlog_to_csv(log: RunLog, path: str) -> None:
                 log.agent_loss, log.fm_loss))
 
 
-def runlog_from_csv(path: str, method: str = "", seed: int = -1,
-                    config: Optional[dict] = None) -> RunLog:
+def runlog_from_csv(path: str, method: str = "", seed: int = -1) -> RunLog:
     """Rebuild the per-step record from a CSV written by :func:`runlog_to_csv`.
 
     A missing or non-numeric cell raises :class:`DomainError` and a NaN/inf
@@ -314,7 +314,7 @@ def runlog_from_csv(path: str, method: str = "", seed: int = -1,
     cells read as None.  A file with no rows raises :class:`DomainError`
     naming the path.
     """
-    log = RunLog(method=method, seed=seed, config=config or {})
+    log = RunLog(method=method, seed=seed, config={})
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != RUNLOG_COLUMNS:

@@ -63,9 +63,9 @@ _LINE_COLORS = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b"
 
 
 def svg_lines(series: dict[str, Sequence[float]], path: str, title: str = "",
-              ylabel: str = "", width: int = 640, height: int = 360) -> None:
-    """Write a multi-series line chart; None/NaN points break the line."""
-    left, right, top, bottom = 60, 150, 40, 40
+              ylabel: str = "") -> None:
+    """Write a 640 x 360 multi-series line chart; None/NaN points break the line."""
+    width, height, left, right, top, bottom = 640, 360, 60, 150, 40, 40
     plot_w, plot_h = width - left - right, height - top - bottom
     finite = [v for vals in series.values() for v in vals
               if v is not None and np.isfinite(v)]

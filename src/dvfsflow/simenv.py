@@ -29,9 +29,6 @@ class ProcessorState:
     power: float
     temp: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.fps, self.freq, self.power, self.temp], dtype=np.float64)
-
 
 @dataclass
 class EnvConfig:
@@ -118,10 +115,6 @@ def state_scales(config: EnvConfig) -> np.ndarray:
     """Nominal per-field ranges used to normalize states for function approximators."""
     power_scale = config.dyn_coeff + config.static_coeff * 100.0
     return np.array([config.fps_cap, 1.0, power_scale, 100.0], dtype=np.float64)
-
-
-def normalize_state(state: ProcessorState, config: EnvConfig) -> np.ndarray:
-    return state.as_array() / state_scales(config)
 
 
 def dynamics(state: ProcessorState, action: int, config: EnvConfig,

@@ -104,7 +104,7 @@ def test_memory_capacity_must_be_positive():
 
 def test_select_action_uniform_when_epsilon_one():
     qnet = ag.init_qnet(ENV, AgentConfig(), seed=0)
-    scratch = ag.QScratch(ENV, qnet.layer_sizes)
+    scratch = ag.QScratch(ENV, qnet.layer_sizes, 1)
     rng = np.random.default_rng(5)
     n = 10_000
     counts = np.zeros(ENV.num_actions)
@@ -121,7 +121,7 @@ def test_select_action_greedy_argmax_and_tiebreak():
     qnet.biases[0][:] = 0.0
     qnet.biases[0][1] = 3.0
     qnet.biases[0][2] = 1.0
-    scratch = ag.QScratch(ENV, qnet.layer_sizes)
+    scratch = ag.QScratch(ENV, qnet.layer_sizes, 1)
     rng = np.random.default_rng(0)
     assert ag.select_action(ag.q_values(qnet, _state(), scratch), 0.0, rng) == 1
     qnet.biases[0][:] = 0.0    # all equal -> lowest index
@@ -145,7 +145,7 @@ def test_sync_target_copy_semantics():
     target = qnet.copy()
     assert not np.shares_memory(target.flat, qnet.flat)
     s = _state()
-    scratch = ag.QScratch(ENV, qnet.layer_sizes)     # q_values' vector lives until its next call
+    scratch = ag.QScratch(ENV, qnet.layer_sizes, 1)     # q_values' vector lives until its next call
     assert np.array_equal(ag.q_values(qnet, s, scratch).copy(), ag.q_values(target, s, scratch))
     qnet.weights[0][0, 0] += 1.0
     assert not np.array_equal(ag.q_values(qnet, s, scratch).copy(),
@@ -157,7 +157,7 @@ def test_q_targets_terminal_and_zero_discount():
     qnet = ag.init_qnet(ENV, cfg, seed=2)
     target = qnet.copy()
     trainer = nets.Trainer(qnet, 0.0)   # lr 0: inspect the loss only
-    scratch = ag.QScratch(ENV, qnet.layer_sizes)
+    scratch = ag.QScratch(ENV, qnet.layer_sizes, 1)
     done_batch = _row(3, done=True, r=1.5)[None, :]
     loss = ag.train_q_step(trainer, target, done_batch, cfg, scratch)
     q_sa = ag.q_values(qnet, _state(3.0), scratch)[3]
@@ -176,7 +176,7 @@ def test_single_transition_regression_to_fixed_target():
     qnet = ag.init_qnet(ENV, cfg, seed=3)
     target = qnet.copy()
     trainer = nets.Trainer(qnet, cfg.learning_rate)
-    scratch = ag.QScratch(ENV, qnet.layer_sizes)
+    scratch = ag.QScratch(ENV, qnet.layer_sizes, 1)
     batch = _row(5, r=2.0)[None, :]
     y = 2.0 + cfg.discount * float(np.max(ag.q_values(target, _state(6.0), scratch)))
     for _ in range(800):
@@ -216,7 +216,7 @@ def test_dqn_converges_to_value_iteration_on_two_state_mdp():
     qnet = ag.init_qnet(k2, cfg, seed=4)
     target = qnet.copy()
     trainer = nets.Trainer(qnet, cfg.learning_rate)
-    scratch = ag.QScratch(k2, qnet.layer_sizes)
+    scratch = ag.QScratch(k2, qnet.layer_sizes, len(transitions))
     for step in range(1, 5_001):
         ag.train_q_step(trainer, target, transitions, cfg, scratch)
         if step % cfg.target_sync_period == 0:

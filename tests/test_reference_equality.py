@@ -15,14 +15,14 @@ import pytest
 
 from dvfsflow import agent, forest, nets
 from dvfsflow.agent import AgentConfig, ReplayMemory
-from dvfsflow.errors import InsufficientDataError, NumericError
+from dvfsflow.errors import DomainError, InsufficientDataError, NumericError
 from dvfsflow.evalkit import _sorted_quantile, wasserstein1
 from dvfsflow.flow import (CfmBatches, FMConfig, Normalizer, TransitionLayout,
                            canonical_rows, check_finite, encode_transition,
                            generate_raw, init_flow_model, unflatten_transition)
 from dvfsflow.forest import (ForestConfig, _best_splits, _grow_trees, fit_forest,
                              normalized_importances, transition_feature_weights)
-from dvfsflow.simenv import DvfsEnv, EnvConfig, ProcessorState, normalize_state
+from dvfsflow.simenv import DvfsEnv, EnvConfig, ProcessorState, state_scales
 
 
 # ---------------------------------------------------------------- references
@@ -229,13 +229,18 @@ def _ref_wasserstein1(a, b):
     return float(np.mean(np.abs(np.quantile(a, q) - np.quantile(b, q))))
 
 
+def _ref_normalize_state(state, env_config):
+    """One state as the Q-net's (4,) input, on its own."""
+    return np.array([state.fps, state.freq, state.power, state.temp]) / state_scales(env_config)
+
+
 def _ref_train_q_step(qnet, target_net, batch, agent_config, env_config, adam):
     """Per-transition Q-step: every state normalized on its own, and the online
     net's own predictions as targets for the actions not taken."""
     n = len(batch)
     k = env_config.num_actions
-    x = np.stack([normalize_state(t.s, env_config) for t in batch])
-    x_next = np.stack([normalize_state(t.s_next, env_config) for t in batch])
+    x = np.stack([_ref_normalize_state(t.s, env_config) for t in batch])
+    x_next = np.stack([_ref_normalize_state(t.s_next, env_config) for t in batch])
     q_next = nets.forward_batch(target_net, x_next)
     rewards = np.array([t.r for t in batch])
     not_done = np.array([0.0 if t.done else 1.0 for t in batch])
@@ -803,20 +808,25 @@ def test_fit_forest_lockstep_rounds_mix_node_sizes(monkeypatch):
 
 @pytest.mark.parametrize("capacity", [1, 3, 7, 64])
 def test_ring_memory_bytes_equal_list_fifo(capacity):
-    # single rows, empty blocks, blocks that straddle the end of the ring and
-    # blocks longer than the capacity, then the run loop's one-row pushes
-    # into the full ring, wrapping it at least three times; every state
-    # sampled at n = 0, 1, half and all, with the generators compared after
-    # each draw, and every drawn batch left as it was by the later pushes
+    # single rows, one of them growing the storage of a ring that holds rows,
+    # a block longer than the capacity into a partly full ring, empty blocks,
+    # blocks that straddle the end of the ring, a block that ends exactly at
+    # its last slot and blocks longer than the capacity, then the run loop's
+    # one-row pushes into the full ring, wrapping it at least three times;
+    # every state sampled at n = 0, 1, half and all, with the generators
+    # compared after each draw, and every drawn batch left as it was by the
+    # later pushes
     rng = np.random.default_rng(capacity)
     ring, ref = ReplayMemory(capacity), _RefReplayMemory(capacity)
     draw, ref_draw = np.random.default_rng(11), np.random.default_rng(11)
     pos, straddled, longer, wraps = 0, False, False, 0
+    grown_by_a_row = longer_into_partial = ends_at_last_slot = False
     drawn = []
-    for k in [1, 1, capacity - 1, 2, capacity + 3, 0, 1, 2 * capacity + 1, capacity,
-              capacity // 2 + 1, 5] + [1] * (3 * capacity + 2):
+    for k in [1, 1, capacity + 2, capacity - 1, capacity - 1, 2, capacity + 3, 0, 1,
+              2 * capacity + 1, capacity, capacity // 2 + 1, 5] + [1] * (3 * capacity + 2):
         rows, ts = _synthetic(k, rng)
-        full = len(ring) == capacity
+        held, storage = len(ring), len(ring._buf)
+        full = held == capacity
         ring.push(rows[0] if k == 1 else rows)
         for t in ts:
             ref.push(t)
@@ -824,6 +834,9 @@ def test_ring_memory_bytes_equal_list_fifo(capacity):
         straddled |= 0 < kept < capacity and pos + kept > capacity
         longer |= k > capacity
         wraps += full and k == 1 and pos + 1 == capacity
+        grown_by_a_row |= k == 1 and held > 0 and len(ring._buf) > storage
+        longer_into_partial |= k > capacity and 0 < held < capacity
+        ends_at_last_slot |= k > 1 and 0 < pos and pos + kept == capacity
         pos = (pos + kept) % capacity
         assert ring.phi == ref.phi and len(ring) == len(ref.items)
         assert ring.rows().tobytes() == _ref_flatten_memory(ref.items, Q_LAYOUT).tobytes()
@@ -834,6 +847,9 @@ def test_ring_memory_bytes_equal_list_fifo(capacity):
             assert draw.bit_generator.state == ref_draw.bit_generator.state
             drawn.append((got, want.tobytes()))
     assert longer and (straddled or capacity == 1) and wraps >= 3
+    # a one-slot ring is never partly full, never grows while it holds a row and
+    # always writes at slot 0
+    assert (grown_by_a_row and longer_into_partial and ends_at_last_slot) or capacity == 1
     assert all(got.tobytes() == want for got, want in drawn)
     with pytest.raises(InsufficientDataError):
         ring.sample(len(ring) + 1, draw)
@@ -893,7 +909,7 @@ def test_train_q_step_bitwise_equal_reference(kind):
     qnet = agent.init_qnet(Q_ENV, cfg, seed=1)
     target = agent.init_qnet(Q_ENV, cfg, seed=2)
     trainer = nets.Trainer(qnet, cfg.learning_rate)
-    scratch = agent.QScratch(Q_ENV, qnet.layer_sizes)
+    scratch = agent.QScratch(Q_ENV, qnet.layer_sizes, 1 if kind == "single" else 32)
     ref_qnet, ref_adam = qnet, _zero_adam(qnet, cfg.learning_rate)
     for _ in range(5):
         rows, batch = _q_batch(kind, rng)
@@ -921,7 +937,7 @@ def test_train_q_step_reads_every_action_level_back():
     target = agent.init_qnet(env, cfg, seed=9)
     trainer = nets.Trainer(qnet, cfg.learning_rate)
     loss = agent.train_q_step(trainer, target, _encode_all(batch, layout), cfg,
-                              agent.QScratch(env, qnet.layer_sizes))
+                              agent.QScratch(env, qnet.layer_sizes, len(batch)))
     ref_qnet, ref_adam, ref_loss = _ref_train_q_step(
         qnet, target, batch, cfg, env, _zero_adam(qnet, cfg.learning_rate))
     assert loss == ref_loss
@@ -931,21 +947,22 @@ def test_train_q_step_reads_every_action_level_back():
 
 def _fresh_q_values(qnet, state):
     """Q(state, .) through fresh arrays: the reference for the kept greedy forward."""
-    return nets.forward_batch(qnet, normalize_state(state, Q_ENV)[None])[0]
+    return nets.forward_batch(qnet, _ref_normalize_state(state, Q_ENV)[None])[0]
 
 
 def test_trainer_q_chain_bytes_equal_pure_train_step_chain():
     # The run loop's schedule, shortened: Adam resets after every 10th update,
     # target syncs after every 4th, and 32 real rows alternate with 16 real
-    # plus 16 synthetic ones and with lone 16-row batches, all through one
-    # scratch object.  A 16-row batch with a NaN reward fails in the middle
-    # of the chain; the next 16-row step must not see what it left behind.
+    # plus 16 synthetic ones and with lone 16-row batches, each through the
+    # scratch object of its size.  A 16-row batch with a NaN reward fails in
+    # the middle of the chain; the next 16-row step must not see what it
+    # left behind.
     rng = np.random.default_rng(19)
     cfg = AgentConfig(target_sync_period=4)
     reset_period, nan_step = 10, 17
     qnet = agent.init_qnet(Q_ENV, cfg, seed=5)
     trainer = nets.Trainer(qnet, cfg.learning_rate)
-    scratch = agent.QScratch(Q_ENV, qnet.layer_sizes)
+    scratches = {n: agent.QScratch(Q_ENV, qnet.layer_sizes, n) for n in (16, 32)}
     target = ref_target = qnet.copy()
     ref_qnet, ref_adam = qnet, _zero_adam(qnet, cfg.learning_rate)
     resets = syncs = 0
@@ -957,7 +974,7 @@ def test_trainer_q_chain_bytes_equal_pure_train_step_chain():
             before = (trainer.params.flat.tobytes(), trainer.adam.m.tobytes(),
                       trainer.adam.v.tobytes(), trainer.adam.step)
             with pytest.raises(NumericError, match="Q targets"):
-                agent.train_q_step(trainer, target, rows, cfg, scratch)
+                agent.train_q_step(trainer, target, rows, cfg, scratches[16])
             assert (trainer.params.flat.tobytes(), trainer.adam.m.tobytes(),
                     trainer.adam.v.tobytes(), trainer.adam.step) == before
         if step % 3 == 0:
@@ -968,6 +985,7 @@ def test_trainer_q_chain_bytes_equal_pure_train_step_chain():
             batch = _transitions(16, rng)
             rows = _encode_all(batch, Q_LAYOUT)
         sizes.add(len(batch))
+        scratch = scratches[len(batch)]
         loss = agent.train_q_step(trainer, target, rows, cfg, scratch)
         ref_qnet, ref_adam, ref_loss = _ref_train_q_step(ref_qnet, ref_target, batch, cfg,
                                                          Q_ENV, ref_adam)
@@ -1000,11 +1018,12 @@ def test_trainer_leaves_the_params_it_was_built_from_untouched():
     target = agent.init_qnet(Q_ENV, cfg, seed=7)
     before = qnet.flat.tobytes()
     trainer = nets.Trainer(qnet, cfg.learning_rate)
-    scratch = agent.QScratch(Q_ENV, qnet.layer_sizes)
+    scratch = agent.QScratch(Q_ENV, qnet.layer_sizes, 32)
     for _ in range(3):
         agent.train_q_step(trainer, target, _q_batch("done_and_live", rng)[0], cfg, scratch)
     trainer.reset_adam(0.5)
-    agent.train_q_step(trainer, target, _q_batch("mixed", rng)[0][:16], cfg, scratch)
+    agent.train_q_step(trainer, target, _q_batch("mixed", rng)[0][:16], cfg,
+                       agent.QScratch(Q_ENV, qnet.layer_sizes, 16))
     assert qnet.flat.tobytes() == before
     assert not np.shares_memory(trainer.params.flat, qnet.flat)
     assert (trainer.adam.step, trainer.adam.lr) == (1, 0.5)
@@ -1020,10 +1039,31 @@ def test_train_q_step_rejects_nan_online_net_before_updating():
     flat_before = trainer.params.flat.tobytes()
     with pytest.raises(NumericError):
         agent.train_q_step(trainer, target, _q_batch("done_and_live", rng)[0], cfg,
-                           agent.QScratch(Q_ENV, qnet.layer_sizes))
+                           agent.QScratch(Q_ENV, qnet.layer_sizes, 32))
     assert trainer.params.flat.tobytes() == flat_before
     adam = trainer.adam
     assert adam.step == 0 and not adam.m.any() and not adam.v.any()
+
+
+@pytest.mark.parametrize("rows", [16, 33])
+def test_train_q_step_rejects_a_batch_of_another_size_before_updating(rows):
+    # every Q-step of a run has the run's batch size, which the scratch
+    # arrays are sized for; a batch of any other size must not train
+    rng = np.random.default_rng(37)
+    cfg = AgentConfig()
+    qnet = agent.init_qnet(Q_ENV, cfg, seed=10)
+    target = agent.init_qnet(Q_ENV, cfg, seed=11)
+    trainer = nets.Trainer(qnet, cfg.learning_rate)
+    scratch = agent.QScratch(Q_ENV, qnet.layer_sizes, 32)
+    agent.train_q_step(trainer, target, _q_batch("done_and_live", rng)[0], cfg, scratch)
+    before = (trainer.params.flat.tobytes(), trainer.adam.m.tobytes(),
+              trainer.adam.v.tobytes(), trainer.adam.step, scratch.targets.tobytes())
+    batch = _encode_all(_transitions(rows, rng), Q_LAYOUT)
+    with pytest.raises(DomainError, match=f"{rows} rows.* hold 32"):
+        agent.train_q_step(trainer, target, batch, cfg, scratch)
+    assert (trainer.params.flat.tobytes(), trainer.adam.m.tobytes(),
+            trainer.adam.v.tobytes(), trainer.adam.step, scratch.targets.tobytes()) == before
+    assert trainer.adam.step == 1
 
 
 # ---------------------------------------------------------------- ODE sampler

@@ -7,9 +7,8 @@ import pytest
 
 from dvfsflow.errors import ConfigurationError, DomainError, StateError
 from dvfsflow.simenv import (DvfsEnv, EnvConfig, ProcessorState, dynamics,
-                             frequency_levels, initial_state, normalize_state,
-                             reward_components, steady_state_temp,
-                             throttle_factor)
+                             frequency_levels, initial_state, reward_components,
+                             state_scales, steady_state_temp, throttle_factor)
 
 
 def test_reset_is_deterministic_per_seed():
@@ -220,8 +219,10 @@ def test_temperature_never_below_ambient():
 
 
 def test_normalize_state_is_order_unity():
+    # the Q-net's inputs: a state divided by the scales
     cfg = EnvConfig()
-    v = normalize_state(initial_state(cfg), cfg)
+    s = initial_state(cfg)
+    v = np.array([s.fps, s.freq, s.power, s.temp]) / state_scales(cfg)
     assert v.shape == (4,)
     assert np.all(np.abs(v) <= 2.0)
 
