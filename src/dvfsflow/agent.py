@@ -19,13 +19,14 @@ the next Q-step.  Copy a result to keep it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import nets
-from .errors import ConfigurationError, DomainError, InsufficientDataError, NumericError
+from .errors import (ConfigurationError, DomainError, InsufficientDataError, NumericError,
+                     check_domains, domain)
 from .flow import TRANSITION_DIM
 from .nets import MlpParams
 from .simenv import EnvConfig, ProcessorState, state_scales
@@ -89,29 +90,18 @@ class ReplayMemory:
 
 @dataclass
 class AgentConfig:
-    discount: float = 0.99
-    epsilon_init: float = 1.0
-    epsilon_decay: float = 0.99
-    epsilon_floor: float = 0.05
-    learning_rate: float = 0.05
-    target_sync_period: int = 20    # counted in agent-training steps
-    hidden_sizes: list[int] = field(default_factory=lambda: [6, 6])
+    discount: float = domain("(0, 1)", default=0.99)
+    epsilon_init: float = domain("[0, 1]", default=1.0)
+    epsilon_decay: float = domain("(0, 1]", default=0.99)
+    epsilon_floor: float = domain("[0, 1]", default=0.05)
+    learning_rate: float = domain("> 0", default=0.05)
+    target_sync_period: int = domain(">= 1", default=20)   # counted in agent-training steps
+    hidden_sizes: list[int] = domain(">= 1", default_factory=lambda: [6, 6])
 
     def validate(self) -> None:
-        if not (0.0 < self.discount < 1.0):
-            raise ConfigurationError("discount must lie in (0, 1)")
-        if not (0.0 < self.epsilon_decay <= 1.0):
-            raise ConfigurationError("epsilon_decay must lie in (0, 1]")
-        if not (0.0 <= self.epsilon_floor <= 1.0):
-            raise ConfigurationError("epsilon_floor must lie in [0, 1]")
-        if not (0.0 <= self.epsilon_init <= 1.0):
-            raise ConfigurationError("epsilon_init must lie in [0, 1]")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be > 0")
-        if self.target_sync_period < 1:
-            raise ConfigurationError("target_sync_period must be >= 1")
-        if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
-            raise ConfigurationError("hidden_sizes must be non-empty positive ints")
+        check_domains("agent", self)
+        if not self.hidden_sizes:
+            raise ConfigurationError("agent.hidden_sizes must be non-empty, got []")
 
 
 def init_qnet(env_config: EnvConfig, agent_config: AgentConfig, seed: int) -> MlpParams:

@@ -4,10 +4,14 @@ Empty sections fall back to the tuned defaults (the bold grid-search values
 where the hyperparameter has one).  Unknown keys are rejected so typos and
 retired keys fail loudly, every value is checked against its field's type,
 and every type or constraint violation names the offending field.  Each
-concept has exactly one knob: ``schedule.batch_size`` is the DQN batch size
-beta, ``schedule.fm_train_start`` the number of real transitions every
-generator (flow or planner) waits for, and ``flow.batch_size`` only the
-flow's own training minibatch.
+section field declares its domain on itself (:func:`errors.domain`), which
+its section's ``validate()`` checks, NaN and inf included, for configs built
+in Python and read from JSON alike.  Each concept has exactly one knob:
+``schedule.batch_size`` is the DQN batch size beta; a generator (flow or
+planner) retrains once M holds ``schedule.fm_train_start`` rows and phi_M >
+beta, so at beta 32, fm_train_start 10 and zeta_d 20 the first retrain falls
+at step 40; ``flow.epochs``, ``flow.batch_size`` and ``flow.learning_rate``
+train the flow and the model-based planner alike.
 
 :class:`ExperimentConfig`'s fields are the one list of what a config holds: a
 dataclass-typed field is a section, any other field a top-level key.
@@ -18,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import numbers
-import sys
 import typing
 from dataclasses import dataclass, field
 
@@ -69,8 +72,8 @@ _ACCEPTS = {int: numbers.Integral, float: numbers.Real}   # float fields take in
 
 def _typed(name: str, value, annotation):
     """``value`` checked against a field annotation (int, float, str or
-    list[...]) and converted to it; bools pass for no field, NaN and inf for
-    no float field."""
+    list[...]) and converted to it; bools pass for no field.  The sections'
+    ``validate()`` rejects NaN and inf."""
     if typing.get_origin(annotation) is list:
         if not isinstance(value, list):
             raise ConfigurationError(f"{name} must be a list, got {value!r}")
@@ -78,9 +81,10 @@ def _typed(name: str, value, annotation):
         return [_typed(f"{name}[{i}]", v, item) for i, v in enumerate(value)]
     if isinstance(value, bool) or not isinstance(value, _ACCEPTS.get(annotation, annotation)):
         raise ConfigurationError(f"{name} must be {annotation.__name__}, got {value!r}")
-    if annotation is float and not abs(value) <= sys.float_info.max:
-        raise ConfigurationError(f"{name} must be a finite float, got {value!r}")
-    return annotation(value)
+    try:
+        return annotation(value)
+    except OverflowError:                   # an int beyond the float range
+        raise ConfigurationError(f"{name} must be finite, got {value!r}") from None
 
 
 def _build_section(cls, payload: dict, section: str):

@@ -36,7 +36,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import nets
-from .errors import ConfigurationError, DomainError, NumericError, StateError
+from .errors import (ConfigurationError, DomainError, NumericError, StateError, check_domains,
+                     domain)
 from .nets import MlpParams
 from .simenv import ProcessorState
 
@@ -133,29 +134,16 @@ class Normalizer:
 
 @dataclass
 class FMConfig:
-    sigma_min: float = 0.01
-    bootstrap_count: int = 8      # B of the bootstrapped objective
-    ode_steps: int = 100          # K Euler steps for sampling
-    hidden_sizes: list[int] = field(default_factory=lambda: [64, 64])
-    epochs: int = 400
-    batch_size: int = 32
-    learning_rate: float = 1e-3
+    sigma_min: float = domain("[0, 1)", default=0.01)
+    bootstrap_count: int = domain(">= 1", default=8)   # B of the bootstrapped objective
+    ode_steps: int = domain(">= 1", default=100)       # K Euler steps for sampling
+    hidden_sizes: list[int] = domain(">= 1", default_factory=lambda: [64, 64])
+    epochs: int = domain(">= 1", default=400)
+    batch_size: int = domain(">= 1", default=32)
+    learning_rate: float = domain("> 0", default=1e-3)
 
     def validate(self) -> None:
-        if not (0.0 <= self.sigma_min < 1.0):
-            raise ConfigurationError("sigma_min must lie in [0, 1)")
-        if self.bootstrap_count < 1:
-            raise ConfigurationError("bootstrap_count must be >= 1")
-        if self.ode_steps < 1:
-            raise ConfigurationError("ode_steps must be >= 1")
-        if any(h < 1 for h in self.hidden_sizes):
-            raise ConfigurationError(f"hidden_sizes entries must be >= 1, got {self.hidden_sizes}")
-        if self.epochs < 1:
-            raise ConfigurationError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be > 0")
+        check_domains("flow", self)
 
 
 @dataclass

@@ -29,23 +29,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, InsufficientDataError, NumericError
+from .errors import (ConfigurationError, DomainError, InsufficientDataError, NumericError,
+                     check_domains, domain)
 
 
 @dataclass
 class ForestConfig:
-    n_trees: int = 50
-    max_depth: int = 6
-    min_leaf: int = 5
+    n_trees: int = domain(">= 1", default=50)
+    max_depth: int = domain(">= 1", default=6)
+    min_leaf: int = domain(">= 1", default=5)
     min_samples: int = 50               # floor for transition_feature_weights
 
     def validate(self) -> None:
-        for name in ("n_trees", "max_depth", "min_leaf"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
+        check_domains("forest", self)
         if self.min_samples < 2 * self.min_leaf:
             raise ConfigurationError(
-                f"min_samples must be >= 2 * min_leaf = {2 * self.min_leaf}, "
+                f"forest.min_samples must be >= 2 * forest.min_leaf = {2 * self.min_leaf}, "
                 f"got {self.min_samples}")
 
 

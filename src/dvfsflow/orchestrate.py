@@ -33,7 +33,8 @@ from . import agent as agent_mod
 from . import flow as flow_mod
 from . import nets
 from .agent import AgentConfig, ReplayMemory
-from .errors import ConfigurationError, DomainError, InsufficientDataError, NumericError
+from .errors import (ConfigurationError, DomainError, InsufficientDataError, NumericError,
+                     check_domains, domain)
 from .flow import FMConfig, Normalizer, TransitionLayout
 from .forest import ForestConfig, transition_feature_weights
 from .simenv import DvfsEnv, EnvConfig, ProcessorState, dynamics, reward_components
@@ -63,27 +64,23 @@ _LOSS_COLUMNS = ("agent_loss", "fm_loss")               # empty before the first
 
 @dataclass
 class ScheduleConfig:
-    horizon: int = 200              # H, Table-1 experiment length
-    exploit_threshold: int = 100    # zeta_e: agent trains once phi_M + phi_M' exceeds it
-    fm_retrain_period: int = 50     # zeta_d: model retrain cadence in env steps
-    planning_breadth: int = 1000    # zeta_b: synthetic transitions per (re)train
-    batch_size: int = 32            # beta
-    fm_train_start: int = 32        # model train start (matches beta by default)
-    real_capacity: int = 10_000     # |M|
-    synth_capacity: int = 10_000    # |M'|
-    lr_reset_period: int = 100      # agent-training steps between Adam resets
-    synth_fraction: float = 0.5     # share of each training batch drawn from M'
+    horizon: int = domain(">= 1", default=200)            # H, Table-1 experiment length
+    exploit_threshold: int = domain(">= 1", default=100)  # zeta_e: train once phi_M + phi_M' > it
+    fm_retrain_period: int = domain(">= 1", default=50)   # zeta_d, in env steps
+    planning_breadth: int = domain(">= 1", default=1000)  # zeta_b: synthetic rows per (re)train
+    batch_size: int = domain(">= 1", default=32)          # beta
+    fm_train_start: int = domain(">= 1", default=32)      # retrain once len(M) >= it, phi_M > beta
+    real_capacity: int = domain(">= 1", default=10_000)   # |M|
+    synth_capacity: int = domain(">= 1", default=10_000)  # |M'|
+    lr_reset_period: int = domain(">= 1", default=100)    # Q-steps between Adam resets
+    synth_fraction: float = domain("[0, 1]", default=0.5)  # share of each batch drawn from M'
 
     def validate(self) -> None:
-        for name in ("horizon", "exploit_threshold", "fm_retrain_period",
-                     "planning_breadth", "batch_size", "fm_train_start",
-                     "real_capacity", "synth_capacity", "lr_reset_period"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
+        check_domains("schedule", self)
         if self.planning_breadth > self.synth_capacity:
-            raise ConfigurationError("planning_breadth must be <= synth_capacity")
-        if not (0.0 <= self.synth_fraction <= 1.0):
-            raise ConfigurationError("synth_fraction must lie in [0, 1]")
+            raise ConfigurationError(
+                f"schedule.planning_breadth must be <= schedule.synth_capacity = "
+                f"{self.synth_capacity}, got {self.planning_breadth}")
 
 
 @dataclass
@@ -113,13 +110,12 @@ class RunLog:
 
 def regret_oracle(env_config: EnvConfig) -> Callable[[ProcessorState], float]:
     """Best noise-free one-step expected reward, brute-forced over all actions."""
-    cfg = env_config.noiseless()
 
     def mu_star(state: ProcessorState) -> float:
         best = -np.inf
-        for a in range(cfg.num_actions):
-            nxt = dynamics(state, a, cfg, rng=None)
-            best = max(best, reward_components(nxt, cfg).total)
+        for a in range(env_config.num_actions):
+            nxt = dynamics(state, a, env_config, rng=None)
+            best = max(best, reward_components(nxt, env_config).total)
         return best
 
     return mu_star
@@ -309,23 +305,27 @@ def runlog_to_csv(log: RunLog, path: str) -> None:
 def runlog_from_csv(path: str, method: str = "", seed: int = -1) -> RunLog:
     """Rebuild the per-step record from a CSV written by :func:`runlog_to_csv`.
 
-    A missing or non-numeric cell raises :class:`DomainError` and a NaN/inf
-    cell :class:`NumericError`, each naming the path and line; empty loss
-    cells read as None.  A file with no rows raises :class:`DomainError`
-    naming the path.
+    A row without 11 cells or a non-numeric cell raises :class:`DomainError`
+    and a NaN/inf cell :class:`NumericError`, each naming the path and line;
+    empty loss cells read as None.  A file with no rows raises
+    :class:`DomainError` naming the path.
     """
     log = RunLog(method=method, seed=seed, config={})
     with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != RUNLOG_COLUMNS:
+        reader = csv.reader(fh)
+        if next(reader, None) != RUNLOG_COLUMNS:
             raise DomainError(f"unexpected run-log header in {path}")
-        for row in reader:
+        for cells in reader:
             where = f"{path} line {reader.line_num}"
+            if len(cells) != len(RUNLOG_COLUMNS):
+                raise DomainError(
+                    f"{where}: expected {len(RUNLOG_COLUMNS)} cells, got {len(cells)}")
+            row = dict(zip(RUNLOG_COLUMNS, cells))
             try:
                 t, action = int(row["t"]), int(row["action"])
-                v = {k: float(row[k]) if row[k] or k not in _LOSS_COLUMNS else None
-                     for k in RUNLOG_COLUMNS}
-            except (TypeError, ValueError) as exc:   # TypeError: a short row
+                v = {k: float(c) if c or k not in _LOSS_COLUMNS else None
+                     for k, c in row.items()}
+            except ValueError as exc:
                 raise DomainError(f"{where}: {exc}") from None
             bad = [k for k, x in v.items() if x is not None and not np.isfinite(x)]
             if bad:

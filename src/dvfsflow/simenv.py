@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, StateError
+from .errors import ConfigurationError, DomainError, StateError, check_domains, domain
 
 
 @dataclass(frozen=True)
@@ -32,61 +32,44 @@ class ProcessorState:
 
 @dataclass
 class EnvConfig:
-    num_actions: int = 12
-    eta: float = 3.0                # technology exponent, must stay > 2
-    dyn_coeff: float = 16.0         # watts at f = 1 (dynamic part)
-    static_coeff: float = 0.1       # watts per degree (leakage)
-    thermal_capacitance: float = 1.2
-    thermal_resistance: float = 3.0
-    ambient_temp: float = 25.0
-    fps_slope: float = 120.0
-    fps_cap: float = 120.0
-    target_fps: float = 60.0
-    target_temp: float = 50.0
-    reward_scale: float = 2.0       # beta in the power term beta / rho
-    noise_std_fps: float = 1.2      # 1% of the fps scale
-    noise_std_temp: float = 0.5     # 1% of the temperature scale
-    min_freq: float = 0.2
-    episode_horizon: int = 200
+    num_actions: int = domain(">= 2", default=12)
+    eta: float = domain("> 2", default=3.0)                    # technology exponent
+    dyn_coeff: float = domain("> 0", default=16.0)             # watts at f = 1 (dynamic part)
+    static_coeff: float = domain("> 0", default=0.1)           # watts per degree (leakage)
+    thermal_capacitance: float = domain("> 0", default=1.2)
+    thermal_resistance: float = domain("> 0", default=3.0)
+    ambient_temp: float = 25.0                                 # bounded by the power floor
+    fps_slope: float = domain("> 0", default=120.0)
+    fps_cap: float = domain("> 0", default=120.0)
+    target_fps: float = domain("> 0", default=60.0)
+    target_temp: float = domain("> 0", default=50.0)
+    reward_scale: float = domain("> 0", default=2.0)           # beta in the power term beta / rho
+    noise_std_fps: float = domain(">= 0", default=1.2)         # 1% of the fps scale
+    noise_std_temp: float = domain(">= 0", default=0.5)        # 1% of the temperature scale
+    min_freq: float = domain("(0, 1)", default=0.2)
+    episode_horizon: int = domain(">= 1", default=200)
 
     def validate(self) -> None:
-        if self.num_actions < 2:
-            raise ConfigurationError("num_actions must be >= 2")
-        if self.eta <= 2.0:
-            raise ConfigurationError("eta must be > 2")
-        for name in ("dyn_coeff", "static_coeff", "thermal_capacitance",
-                     "thermal_resistance", "fps_slope", "fps_cap", "target_fps",
-                     "target_temp", "reward_scale"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be > 0")
+        check_domains("env", self)
         if self.fps_cap < self.target_fps:
-            raise ConfigurationError("fps_cap must be >= target_fps")
-        if self.noise_std_fps < 0 or self.noise_std_temp < 0:
-            raise ConfigurationError("noise_std_fps/noise_std_temp must be >= 0")
-        if not (0.0 < self.min_freq < 1.0):
-            raise ConfigurationError("min_freq must lie in (0, 1)")
+            raise ConfigurationError(f"env.fps_cap must be >= env.target_fps = "
+                                     f"{self.target_fps!r}, got {self.fps_cap!r}")
         # The lowest power a reachable state draws: the lowest level with the die
         # at ambient, which temperatures never fall below.  The reward divides by it.
         p_min = self.dyn_coeff * self.min_freq ** self.eta
         if p_min + self.static_coeff * self.ambient_temp <= 0:
             raise ConfigurationError(
-                f"ambient_temp must be > {-p_min / self.static_coeff:.6g}, so that the lowest "
-                f"power dyn_coeff * min_freq ** eta + static_coeff * ambient_temp stays > 0, "
-                f"got {self.ambient_temp!r}")
-        if self.episode_horizon < 1:
-            raise ConfigurationError("episode_horizon must be >= 1")
-        # RC update must be a contraction or temperature diverges.
-        if self.static_coeff * self.thermal_resistance >= self.thermal_capacitance:
-            raise ConfigurationError(
-                "static_coeff * thermal_resistance must be < thermal_capacitance")
-        a = self._temp_update_factor()
+                f"env.ambient_temp must be > {-p_min / self.static_coeff:.6g}, so that the "
+                f"lowest power dyn_coeff * min_freq ** eta + static_coeff * ambient_temp "
+                f"stays > 0, got {self.ambient_temp!r}")
+        # The RC update must contract or temperature diverges; its factor a < 1 also
+        # gives static_coeff * thermal_resistance < 1, steady_state_temp's denominator.
+        c, r, cs = self.thermal_capacitance, self.thermal_resistance, self.static_coeff
+        a = 1.0 - 1.0 / (c * r) + cs / c
         if not (-1.0 < a < 1.0):
             raise ConfigurationError(
-                "thermal_capacitance/thermal_resistance give a non-contractive update")
-
-    def _temp_update_factor(self) -> float:
-        c, r, cs = self.thermal_capacitance, self.thermal_resistance, self.static_coeff
-        return 1.0 - 1.0 / (c * r) + cs / c
+                f"env.thermal_capacitance, env.thermal_resistance and env.static_coeff "
+                f"give a non-contractive thermal update: factor {a!r} outside (-1, 1)")
 
     def noiseless(self) -> "EnvConfig":
         """Copy of this config with observation noise switched off."""

@@ -92,7 +92,7 @@ def test_forest_floor_below_two_leaves_rejected_before_running(tmp_path, capsys)
                      "horizon": 40},
         "output_dir": str(tmp_path / "out")})
     assert main(["run", "--config", path, "--methods", "dfm"]) == 1
-    assert "configuration error: min_samples" in capsys.readouterr().err
+    assert "configuration error: forest.min_samples" in capsys.readouterr().err
 
 
 def test_fm_train_start_is_the_only_training_floor(tmp_path, capsys):
@@ -332,8 +332,21 @@ def test_run_with_zero_width_flow_layer_fails_before_writing(tmp_path, capsys):
     path = _write_config(tmp_path, {"flow": {"hidden_sizes": [0]}, "methods": ["dfm"],
                                     "output_dir": str(out)})
     assert main(["run", "--config", path]) == 1
-    assert "configuration error: hidden_sizes" in capsys.readouterr().err
+    assert "configuration error: flow.hidden_sizes" in capsys.readouterr().err
     assert not (out / "effective_config.json").exists()
+
+
+def test_contractive_config_with_static_coeff_times_r_above_c_runs_and_reports(tmp_path):
+    # C 0.5, R 3, static_coeff 0.2: static_coeff * R >= C used to be rejected,
+    # though the thermal update factor is 0.733
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, {
+        "env": {"thermal_capacitance": 0.5, "thermal_resistance": 3.0, "static_coeff": 0.2},
+        "methods": ["model_based", "model_free"], "flow": {"epochs": 5},
+        "output_dir": str(out)})
+    assert main(["run", "--config", path]) == 0
+    assert main(["report", "--run-dir", str(out)]) == 0
+    assert (out / "report" / "report.json").exists()
 
 
 def test_gen_non_finite_cell_is_a_numeric_error(tmp_path, capsys):
@@ -357,7 +370,7 @@ def test_ambient_temp_that_allows_non_positive_power_fails_validation(tmp_path, 
     path = _write_config(tmp_path, {"env": {"ambient_temp": -2}, "methods": ["model_free"],
                                     "seeds": [3], "output_dir": str(out)})
     assert main(["run", "--config", path]) == 1
-    assert capsys.readouterr().err.startswith("configuration error: ambient_temp must be > ")
+    assert capsys.readouterr().err.startswith("configuration error: env.ambient_temp must be > ")
     assert not out.exists()
 
 
@@ -423,6 +436,10 @@ def _pure_fm_model_free_run(tmp_path):
 @pytest.mark.parametrize("cell,want", [
     ("nan", "numeric error: {path} line 6: NaN/inf in run-log column(s) reward\n"),
     ("abc", "input error: {path} line 6: could not convert string to float: 'abc'\n"),
+    # 13 cells used to pass, the two extra filed under the key None
+    ("1,2,3", "input error: {path} line 6: expected 11 cells, got 13\n"),
+    # a valid line 6, then a 4-cell line 7, which used to fail in int(None)
+    ("0,0,0,0,\n1,2,3,4\n", "input error: {path} line 7: expected 11 cells, got 4\n"),
 ])
 def test_report_bad_runlog_cell_names_path_and_line(tmp_path, capsys, cell, want):
     # a nan reward used to give exit 0 and "mean_reward": NaN, abc a traceback

@@ -39,7 +39,7 @@ def configs(draw):
     # the lowest power, dyn_coeff * min_freq ** eta + static_coeff * ambient_temp,
     # stays > 0: ambient_temp runs from just above that floor
     ambient_floor = -dyn_coeff * min_freq ** eta / static_coeff
-    # contraction: static * resistance < capacitance and |1 - 1/(C R) + cs/C| < 1
+    # contraction: the thermal update factor |1 - 1/(C R) + cs/C| < 1
     env = {
         "num_actions": draw(st.integers(2, 6)), "eta": eta,
         "dyn_coeff": dyn_coeff, "static_coeff": static_coeff,

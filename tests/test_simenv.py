@@ -97,6 +97,18 @@ def test_temperature_converges_to_fixed_point_oracle():
         assert steady_state_temp(f, cfg) == pytest.approx(oracle, abs=1e-9)
 
 
+def test_contractive_config_with_static_coeff_times_r_above_c_settles_at_fixed_point():
+    # static_coeff * R = 0.6 >= C = 0.5, yet the update factor is 1 - 1/1.5 + 0.4
+    cfg = EnvConfig(thermal_capacitance=0.5, thermal_resistance=3.0, static_coeff=0.2)
+    cfg.validate()
+    s = initial_state(cfg)
+    for _ in range(2_000):                  # the top level, no noise
+        s = dynamics(s, cfg.num_actions - 1, cfg)
+    # fixed point (ambient + R * dyn_coeff) / (1 - R * static_coeff) = 73 / 0.4
+    assert steady_state_temp(1.0, cfg) == pytest.approx(182.5, abs=1e-9)
+    assert s.temp == pytest.approx(182.5, abs=1e-9)
+
+
 def test_lowest_level_fps_formula():
     cfg = EnvConfig().noiseless()
     s = initial_state(cfg)
