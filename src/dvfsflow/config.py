@@ -8,10 +8,11 @@ section field declares its domain on itself (:func:`errors.domain`), which
 its section's ``validate()`` checks, NaN and inf included, for configs built
 in Python and read from JSON alike.  Each concept has exactly one knob:
 ``schedule.batch_size`` is the DQN batch size beta; a generator (flow or
-planner) retrains once M holds ``schedule.fm_train_start`` rows and phi_M >
-beta, so at beta 32, fm_train_start 10 and zeta_d 20 the first retrain falls
-at step 40; ``flow.epochs``, ``flow.batch_size`` and ``flow.learning_rate``
-train the flow and the model-based planner alike.
+planner) trains, in ``run`` and ``gen`` alike, once M holds
+``schedule.fm_train_start`` rows and phi_M > beta
+(``ScheduleConfig.can_train``), so at beta 32, fm_train_start 10 and zeta_d
+20 the first retrain falls at step 40; ``flow.epochs``, ``flow.batch_size``
+and ``flow.learning_rate`` train the flow and the model-based planner alike.
 
 :class:`ExperimentConfig`'s fields are the one list of what a config holds: a
 dataclass-typed field is a section, any other field a top-level key.

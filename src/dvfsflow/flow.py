@@ -241,7 +241,7 @@ def train_flow_model(data: np.ndarray, lam: np.ndarray, config: FMConfig,
     as a flattened memory.
 
     The schedule decides when there are enough rows to train on
-    (``ScheduleConfig.fm_train_start``); this only refuses an empty array.
+    (``ScheduleConfig.can_train``); this only refuses an empty array.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:

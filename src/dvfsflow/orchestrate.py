@@ -69,7 +69,7 @@ class ScheduleConfig:
     fm_retrain_period: int = domain(">= 1", default=50)   # zeta_d, in env steps
     planning_breadth: int = domain(">= 1", default=1000)  # zeta_b: synthetic rows per (re)train
     batch_size: int = domain(">= 1", default=32)          # beta
-    fm_train_start: int = domain(">= 1", default=32)      # retrain once len(M) >= it, phi_M > beta
+    fm_train_start: int = domain(">= 1", default=32)      # len(M) floor of can_train
     real_capacity: int = domain(">= 1", default=10_000)   # |M|
     synth_capacity: int = domain(">= 1", default=10_000)  # |M'|
     lr_reset_period: int = domain(">= 1", default=100)    # Q-steps between Adam resets
@@ -81,6 +81,12 @@ class ScheduleConfig:
             raise ConfigurationError(
                 f"schedule.planning_breadth must be <= schedule.synth_capacity = "
                 f"{self.synth_capacity}, got {self.planning_breadth}")
+
+    def can_train(self, phi: int, held: int) -> bool:
+        """Whether a memory that has taken ``phi`` pushes and holds ``held`` rows
+        is enough to fit a generator on: the planning loop's phi_M > beta and
+        the floor len(M) >= fm_train_start.  ``run`` and ``gen`` both ask it."""
+        return phi > self.batch_size and held >= self.fm_train_start
 
 
 @dataclass
@@ -228,11 +234,8 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
         memory.push(flow_mod.encode_transition(state, action, reward, nxt, done, layout))
 
         fm_loss_val: Optional[float] = None
-        # Gate from the planning loop: i mod zeta_d = 0 and phi_M > beta, plus
-        # the model-train-start floor on the stored sample count.
         if (preset.generator is not None and i % schedule.fm_retrain_period == 0
-                and memory.phi > schedule.batch_size
-                and len(memory) >= schedule.fm_train_start):
+                and schedule.can_train(memory.phi, len(memory))):
             retrain_count += 1
             real = memory.rows()
             if planner is not None:

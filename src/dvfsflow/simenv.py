@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -70,10 +70,6 @@ class EnvConfig:
             raise ConfigurationError(
                 f"env.thermal_capacitance, env.thermal_resistance and env.static_coeff "
                 f"give a non-contractive thermal update: factor {a!r} outside (-1, 1)")
-
-    def noiseless(self) -> "EnvConfig":
-        """Copy of this config with observation noise switched off."""
-        return replace(self, noise_std_fps=0.0, noise_std_temp=0.0)
 
 
 @functools.lru_cache(maxsize=64)

@@ -1,16 +1,19 @@
 """Config loading/validation and the CLI surface end to end (small configs)."""
 
 import json
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
 
+from dvfsflow import cli
 from dvfsflow.cli import main
 from dvfsflow.config import (ExperimentConfig, config_from_dict, config_to_dict,
                              dump_config, load_config)
-from dvfsflow.errors import ConfigurationError
-from dvfsflow.flow import TRANSITION_LABELS
+from dvfsflow.errors import ConfigurationError, NumericError
+from dvfsflow.flow import TRANSITION_LABELS, save_batch_csv
 from dvfsflow.orchestrate import METHODS
 
 FAST_SECTIONS = {
@@ -160,6 +163,118 @@ def test_rerun_reproduces_csvs_byte_identically(tmp_path):
         with open(os.path.join(out_a, name), "rb") as fa, \
              open(os.path.join(out_b, name), "rb") as fb:
             assert fa.read() == fb.read()
+
+
+def _cores(monkeypatch, n, blas_threads="1"):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    if blas_threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+
+
+@pytest.mark.parametrize("cores,env,runs,want", [
+    (2, {}, 6, 1),                                  # unset: a BLAS thread per core
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, 6, 2),
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, 1, 1),       # at most one process per run
+    (8, {"OMP_NUM_THREADS": "2"}, 6, 4),
+    (8, {"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "4"}, 6, 2),
+    (3, {"OMP_NUM_THREADS": "4"}, 6, 1),
+])
+def test_run_processes_leave_no_core_oversubscribed(monkeypatch, cores, env, runs, want):
+    _cores(monkeypatch, cores, blas_threads=None)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert cli._processes(runs) == want
+
+
+def _run_on(cores, argv, out, monkeypatch, capsys):
+    """Exit code, stdout, stderr and the bytes of every file of a ``run`` on
+    ``cores`` usable cores."""
+    _cores(monkeypatch, cores)
+    code = main(argv)
+    captured = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    return code, captured.out, captured.err, files
+
+
+def test_parallel_run_is_byte_identical_to_one_core(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, {"methods": ["dfm", "model_based", "model_free"],
+                                    "seeds": [0, 1], "output_dir": str(out)})
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    real_run = cli.run_experiment
+
+    def run_and_note_pid(*args, **kwargs):
+        (pids / str(os.getpid())).touch()
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_experiment", run_and_note_pid)
+    one = _run_on(1, ["run", "--config", path], out, monkeypatch, capsys)
+    assert [p.name for p in pids.iterdir()] == [str(os.getpid())]
+    parallel = _run_on(3, ["run", "--config", path], out, monkeypatch, capsys)
+    assert len(list(pids.iterdir())) > 1            # helpers did some of the runs
+    assert multiprocessing.active_children() == []
+    assert one[:3] == parallel[:3] and one[0] == 0
+    assert [line.split(":")[0] for line in one[1].splitlines()] == [
+        f"ran {m} seed {s}" for m in ("dfm", "model_based", "model_free") for s in (0, 1)
+    ] + [f"wrote 24 files under {out}"]
+    assert sorted(one[3]) == sorted(parallel[3]) and len(one[3]) == 24
+    for name, data in one[3].items():
+        assert parallel[3][name] == data, name
+
+
+@pytest.mark.parametrize("failing", [("model_free", 1), ("model_based", 0)])
+def test_failed_run_fails_the_command_as_on_one_core(tmp_path, capsys, monkeypatch,
+                                                     failing):
+    jobs = [(m, s) for m in ("dfm", "model_based", "model_free") for s in (0, 1)]
+    path = _write_config(tmp_path, {"methods": ["dfm", "model_based", "model_free"],
+                                    "seeds": [0, 1]})
+    real_run = cli.run_experiment
+
+    def run_or_fail(method, env, agent, schedule, seed, **kwargs):
+        (out / f"started_{method}_{seed}").touch()
+        if (method, seed) == failing:
+            raise NumericError(f"non-finite training loss nan in {method} seed {seed}")
+        time.sleep(0.1)                 # the failure stops the others mid-run
+        return real_run(method, env, agent, schedule, seed, **kwargs)
+
+    monkeypatch.setattr(cli, "run_experiment", run_or_fail)
+    results, last = [], jobs.index(failing)
+    for cores in (1, 3):
+        out = tmp_path / f"out{cores}"
+        results.append(_run_on(cores, ["run", "--config", path, "--output", str(out)],
+                               out, monkeypatch, capsys))
+        assert multiprocessing.active_children() == []
+        assert not (out / "manifest.json").exists()
+        # no run starts after the failure; the cores - 1 others may be under way
+        started = [(m, s) for m, s in jobs if (out / f"started_{m}_{s}").exists()]
+        assert started[:last + 1] == jobs[:last + 1] and len(started) <= last + cores
+    (code_one, out_one, err_one, _), (code_par, out_par, err_par, _) = results
+    assert code_one == code_par == 1
+    assert err_one == err_par == (f"numeric error: non-finite training loss nan in "
+                                  f"{failing[0]} seed {failing[1]}\n")
+    assert out_one == out_par
+
+
+def test_run_lost_with_its_helper_is_a_state_error(tmp_path, capsys, monkeypatch):
+    path = _write_config(tmp_path, {"methods": ["model_free"], "seeds": [0, 1, 2]})
+    caller, real_run = os.getpid(), cli.run_experiment
+
+    def die_in_helpers(*args, **kwargs):
+        if os.getpid() != caller:
+            os._exit(3)
+        time.sleep(0.2)                 # the helpers take their runs meanwhile
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_experiment", die_in_helpers)
+    _cores(monkeypatch, 3)
+    assert main(["run", "--config", path, "--output", str(tmp_path / "out")]) == 1
+    assert multiprocessing.active_children() == []
+    err = capsys.readouterr().err
+    assert err.startswith("state error: run model_free seed ") and "codes [3, 3]" in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_gen_and_eval_pipeline(tmp_path, capsys):
@@ -501,8 +616,25 @@ def test_gen_on_a_batch_without_rows_names_the_file_and_the_floor(tmp_path, caps
     memory = _header_only_batch(tmp_path / "memory.csv")
     assert main(["gen", "--memory", memory, "--out", str(tmp_path / "synth.csv")]) == 1
     assert capsys.readouterr().err == (
-        "input error: flow training needs >= 32 transitions (schedule.fm_train_start), "
-        f"{memory} holds 0\n")
+        "input error: flow training needs more than 32 transitions (schedule.batch_size) "
+        f"and at least 32 (schedule.fm_train_start), {memory} holds 0\n")
+
+
+@pytest.mark.parametrize("rows,code", [(16, 1), (17, 0)])
+def test_gen_trains_only_where_a_run_would(tmp_path, capsys, rows, code):
+    # a run retrains once phi_M > batch_size and len(M) >= fm_train_start;
+    # gen used to check only the second, so it trained on 16 rows here
+    cfg_path = _write_config(tmp_path, {"schedule": {"batch_size": 16, "fm_train_start": 8}})
+    memory = str(tmp_path / "memory.csv")
+    save_batch_csv(np.random.default_rng(0).uniform(size=(rows, len(TRANSITION_LABELS))),
+                   memory)
+    argv = ["gen", "--memory", memory, "--out", str(tmp_path / "synth.csv"), "--n", "5",
+            "--config", cfg_path]
+    assert main(argv) == code
+    if code:
+        assert capsys.readouterr().err == (
+            "input error: flow training needs more than 16 transitions (schedule.batch_size) "
+            f"and at least 8 (schedule.fm_train_start), {memory} holds 16\n")
 
 
 @pytest.mark.parametrize("flag", ["methods", "seeds"])

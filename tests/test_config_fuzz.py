@@ -116,12 +116,14 @@ def test_every_valid_config_runs_gen_eval_and_report(tmp_path_factory, capsys, p
     capsys.readouterr()
     code = main(["gen", "--memory", real, "--out", synth, "--n", str(n),
                  "--config", cfg_path, "--seed", str(seed)])
-    if len(load_batch_csv(real)) >= cfg.schedule.fm_train_start:
+    rows = len(load_batch_csv(real))
+    if rows > cfg.schedule.batch_size and rows >= cfg.schedule.fm_train_start:
         assert code == 0
         assert len(load_batch_csv(synth)) == n
     else:                                   # too few rows to train on: a named input error
         assert code == 1
-        assert "schedule.fm_train_start" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "schedule.batch_size" in err and "schedule.fm_train_start" in err
         synth = real
 
     assert main(["eval", "--real", real, "--synth", synth,

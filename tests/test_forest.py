@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import noiseless
 from dvfsflow.errors import ConfigurationError, DomainError, InsufficientDataError
 from dvfsflow.flow import TransitionLayout, encode_transition
 from dvfsflow.forest import (ForestConfig, fit_forest, normalized_importances,
@@ -111,7 +112,7 @@ def test_duplicated_top_feature_does_not_gain_importance():
 
 def _fill_memory(n, seed=0):
     """n noise-free simulator transitions, flattened."""
-    cfg = EnvConfig().noiseless()
+    cfg = noiseless(EnvConfig())
     env = DvfsEnv(cfg, seed=seed)
     rng = np.random.default_rng(seed)
     layout = TransitionLayout(num_actions=cfg.num_actions, ambient_temp=cfg.ambient_temp)

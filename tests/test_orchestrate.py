@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import noiseless
 from dvfsflow import flow as flow_mod
 from dvfsflow import nets
 from dvfsflow.agent import AgentConfig
@@ -167,7 +168,7 @@ def test_regret_oracle_properties():
     oracle = regret_oracle(env)
     s = initial_state(env)
     mu = oracle(s)
-    noise_free = env.noiseless()
+    noise_free = noiseless(env)
     for a in range(env.num_actions):
         nxt = dynamics(s, a, noise_free)
         assert mu >= reward_components(nxt, noise_free).total - 1e-12
@@ -175,7 +176,7 @@ def test_regret_oracle_properties():
     one = EnvConfig(num_actions=2)
     oracle1 = regret_oracle(one)
     s1 = initial_state(one)
-    rewards = [reward_components(dynamics(s1, a, one.noiseless()), one.noiseless()).total
+    rewards = [reward_components(dynamics(s1, a, noiseless(one)), noiseless(one)).total
                for a in range(2)]
     assert oracle1(s1) == max(rewards)
 

@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
+from conftest import noiseless
 from dvfsflow import agent, forest, nets
 from dvfsflow.agent import AgentConfig, ReplayMemory
 from dvfsflow.errors import DomainError, InsufficientDataError, NumericError
@@ -654,11 +655,11 @@ def _sim_transitions(env_config, n, seed):
     return out
 
 
-@pytest.mark.parametrize("num_actions,noiseless,seed", [(12, False, 0), (12, True, 1),
+@pytest.mark.parametrize("num_actions,quiet,seed", [(12, False, 0), (12, True, 1),
                                                          (3, False, 2), (7, True, 3)])
-def test_transition_feature_weights_hex_equal_reference(num_actions, noiseless, seed):
+def test_transition_feature_weights_hex_equal_reference(num_actions, quiet, seed):
     env = EnvConfig(num_actions=num_actions, episode_horizon=60)
-    env = env.noiseless() if noiseless else env
+    env = noiseless(env) if quiet else env
     layout = TransitionLayout(num_actions=num_actions, ambient_temp=env.ambient_temp)
     ts = _sim_transitions(env, 150, seed)
     # canonical synthetic rows too: clamped states, snapped actions

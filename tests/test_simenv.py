@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import noiseless
 from dvfsflow.errors import ConfigurationError, DomainError, StateError
 from dvfsflow.simenv import (DvfsEnv, EnvConfig, ProcessorState, dynamics,
                              frequency_levels, initial_state, reward_components,
@@ -58,7 +59,7 @@ def test_ambient_temp_that_allows_non_positive_power_rejected():
 def test_dynamic_power_scales_as_f_cubed():
     # doubling f with eta=3 multiplies the dynamic term by 8; use a 5-level
     # grid so that 2*f_min sits exactly on a level
-    cfg = EnvConfig(eta=3.0, num_actions=5).noiseless()
+    cfg = noiseless(EnvConfig(eta=3.0, num_actions=5))
     f = frequency_levels(cfg)
     assert f[1] == pytest.approx(2 * f[0])
     s = initial_state(cfg)
@@ -80,7 +81,7 @@ def test_action_out_of_range_raises():
 
 def test_temperature_converges_to_fixed_point_oracle():
     # oracle: iterate theta <- ambient + R_th * rho(f, theta) to its fixed point
-    cfg = EnvConfig().noiseless()
+    cfg = noiseless(EnvConfig())
     for action in (0, 5, 11):
         f = float(frequency_levels(cfg)[action])
 
@@ -110,7 +111,7 @@ def test_contractive_config_with_static_coeff_times_r_above_c_settles_at_fixed_p
 
 
 def test_lowest_level_fps_formula():
-    cfg = EnvConfig().noiseless()
+    cfg = noiseless(EnvConfig())
     s = initial_state(cfg)
     nxt = dynamics(s, 0, cfg)
     f0 = float(frequency_levels(cfg)[0])
@@ -119,7 +120,7 @@ def test_lowest_level_fps_formula():
 
 
 def test_fps_monotone_and_dyn_power_strictly_increasing_in_level():
-    cfg = EnvConfig().noiseless()
+    cfg = noiseless(EnvConfig())
     s = ProcessorState(fps=50.0, freq=0.5, power=5.0, temp=40.0)
     prev_fps, prev_dyn = -1.0, -1.0
     for a in range(cfg.num_actions):
@@ -152,7 +153,7 @@ def test_reward_rejects_nonpositive_power():
 
 
 def test_reward_bounds_on_noiseless_rollouts():
-    cfg = EnvConfig().noiseless()
+    cfg = noiseless(EnvConfig())
     rng = np.random.default_rng(3)
     env = DvfsEnv(cfg, seed=3)
     for _ in range(cfg.episode_horizon):
@@ -173,7 +174,7 @@ def test_step_horizon_and_done_flag():
 
 
 def test_step_reward_matches_reward_components_of_next():
-    cfg = EnvConfig().noiseless()
+    cfg = noiseless(EnvConfig())
     env = DvfsEnv(cfg, seed=1)
     for a in (0, 4, 11, 7):
         nxt, r, _ = env.step(a)
@@ -181,7 +182,7 @@ def test_step_reward_matches_reward_components_of_next():
 
 
 def test_noise_free_rollouts_bit_reproducible():
-    cfg = EnvConfig().noiseless()
+    cfg = noiseless(EnvConfig())
     actions = np.random.default_rng(9).integers(0, cfg.num_actions, size=50)
 
     def rollout():
@@ -204,7 +205,7 @@ def test_noisy_rollouts_reproducible_per_seed():
 
 
 def test_thermal_sequence_monotone_toward_fixed_point():
-    cfg = EnvConfig().noiseless()
+    cfg = noiseless(EnvConfig())
     for action in (0, 11):
         target = steady_state_temp(float(frequency_levels(cfg)[action]), cfg)
         s = initial_state(cfg)
@@ -253,6 +254,6 @@ def test_frequency_table_follows_config_changes():
     assert frequency_levels(cfg).tobytes() == want.tobytes()
     assert [dynamics(s, a, cfg).freq for a in range(5)] == want.tolist()
     assert initial_state(cfg).freq == want[2]
-    quiet = cfg.noiseless()
+    quiet = noiseless(cfg)
     quiet.min_freq = 0.5
     assert dynamics(s, 0, quiet).freq == 0.5 and dynamics(s, 0, cfg).freq == 0.3
