@@ -100,8 +100,6 @@ class AgentConfig:
 
     def validate(self) -> None:
         check_domains("agent", self)
-        if not self.hidden_sizes:
-            raise ConfigurationError("agent.hidden_sizes must be non-empty, got []")
 
 
 def init_qnet(env_config: EnvConfig, agent_config: AgentConfig, seed: int) -> MlpParams:
@@ -180,8 +178,6 @@ def train_q_step(trainer: nets.Trainer, target_net: MlpParams, batch: np.ndarray
     non-finite loss, which :meth:`nets.Trainer.step` rejects before updating.
     """
     n = len(batch)
-    if n == 0:
-        raise InsufficientDataError("empty training batch")
     if n != scratch.batch_size:
         raise DomainError(
             f"Q-step batch has {n} rows, its scratch arrays hold {scratch.batch_size}")

@@ -5,12 +5,13 @@ All outputs land under the configured directory with a manifest file, and a
 rerun from the same config and seeds reproduces every CSV byte for byte.
 
 ``run`` spreads its (method, seed) runs over the usable cores: the calling
-process and helper processes take them in manifest order, and every file,
-``manifest.json`` and stdout are byte-identical to a one-core run.  Each
-process uses the BLAS thread count of its environment, and ``run`` starts no
-more processes than the usable cores divided by that count; unset, it is a
-thread per core and ``run`` stays in one process, so set
-``OPENBLAS_NUM_THREADS=1`` to run one process per core.
+process and helper processes run one loop that takes the next run in manifest
+order, does it and hands its outcome to the caller, which records the runs in
+manifest order.  Every file, ``manifest.json`` and stdout are byte-identical
+to a one-core run.  Each process uses the BLAS thread count of its
+environment, and ``run`` starts no more processes than the usable cores
+divided by that count; unset, it is a thread per core and ``run`` stays in one
+process, so set ``OPENBLAS_NUM_THREADS=1`` to run one process per core.
 """
 
 from __future__ import annotations
@@ -82,42 +83,15 @@ def _run_one(cfg: ExperimentConfig, method: str, seed: int) -> tuple[dict, str]:
     tag = f"{method}_seed{seed}"
     files = {"runlog": f"runlog_{tag}.csv", "summary": f"summary_{tag}.json",
              "real": f"real_{tag}.csv", "synth": None}
+    summary = runlog_summary(log)
     runlog_to_csv(log, os.path.join(out, files["runlog"]))
-    _write_json(runlog_summary(log), os.path.join(out, files["summary"]))
+    _write_json(summary, os.path.join(out, files["summary"]))
     save_batch_csv(log.real_flat, os.path.join(out, files["real"]))
     if log.synth_raw is not None:
         files["synth"] = f"synth_{tag}.csv"
         save_batch_csv(log.synth_raw, os.path.join(out, files["synth"]))
-    return files, (f"ran {method} seed {seed}: mean fps "
-                   f"{np.mean([s.fps for s in log.states]):.2f}, "
-                   f"mean reward {np.mean(log.rewards):.3f}")
-
-
-def _take(counter, n: int) -> Optional[int]:
-    """The next run index in manifest order, or None once every run is taken
-    or one has failed."""
-    with counter.get_lock():
-        i = counter.value
-        counter.value = min(i + 1, n)
-    return i if i < n else None
-
-
-def _attempt(cfg: ExperimentConfig, jobs: list, i: int, counter):
-    """``(run result, None)``, or ``(None, error)`` for a run that raised; a
-    failed run leaves no run for any process to take."""
-    try:
-        return _run_one(cfg, *jobs[i]), None
-    except Exception as exc:        # the caller re-raises it in manifest order
-        counter.value = len(jobs)
-        return None, exc
-
-
-def _helper(cfg: ExperimentConfig, jobs: list, counter, conn, parent: int) -> None:
-    """A helper process of ``run``: take runs until none is left or the caller
-    is gone, and send ``(index, outcome)`` for each."""
-    with conn:
-        while os.getppid() == parent and (i := _take(counter, len(jobs))) is not None:
-            conn.send((i, _attempt(cfg, jobs, i, counter)))
+    return files, (f"ran {method} seed {seed}: mean fps {summary['mean_fps']:.2f}, "
+                   f"mean reward {summary['mean_reward']:.3f}")
 
 
 def _processes(runs: int) -> int:
@@ -143,10 +117,12 @@ def _run_all(cfg: ExperimentConfig, jobs: list, record) -> None:
     each in manifest order; raise the error of the earliest failed run.
 
     The runs share no state, so the calling process and ``_processes - 1``
-    helper processes take them from one counter in manifest order.  The
-    caller works its own share: no more processes compute than there are
-    cores.  Each process writes the files of its runs and sends back only
-    their names and the ``ran`` line.
+    helper processes run one loop, ``work(hand_back)``: take the next index
+    from one counter, do that run and hand ``(index, outcome)`` back.  A
+    helper sends it over its pipe; the caller files it and records the runs
+    that are in, in manifest order.  The caller does its own share, so no
+    more processes compute than there are cores.  Each process writes the
+    files of its runs and hands back only their names and the ``ran`` line.
     """
     helpers = _processes(len(jobs)) - 1
     if helpers < 1:
@@ -162,52 +138,61 @@ def _run_all(cfg: ExperimentConfig, jobs: list, record) -> None:
     # threads around a fork.
     ctx = get_context("fork")
     counter = ctx.Value("q", 0)
+    caller = os.getpid()
     done, conns, procs = {}, [], []
+    recorded = 0
 
-    def receive(timeout):
+    def work(hand_back) -> None:
+        # true in the caller, and in a helper until the caller is gone
+        while caller in (os.getpid(), os.getppid()):
+            with counter.get_lock():
+                i = counter.value
+                counter.value = min(i + 1, len(jobs))
+            if i >= len(jobs):
+                return
+            try:
+                outcome = _run_one(cfg, *jobs[i]), None
+            except Exception as exc:        # the caller raises it in manifest order
+                counter.value = len(jobs)   # a failed run leaves none to take
+                outcome = None, exc
+            hand_back((i, outcome))
+
+    def collect(timeout) -> None:
+        nonlocal recorded
         for conn in connection.wait(conns, timeout):
             try:
-                i, outcome = conn.recv()
-                done[i] = outcome
+                done.update([conn.recv()])
             except EOFError:        # that helper has finished
                 conns.remove(conn)
+        while recorded in done and done[recorded][1] is None:
+            record(jobs[recorded], *done.pop(recorded)[0])
+            recorded += 1
 
-    def record_ready(nxt):
-        while nxt in done:
-            result, error = done.pop(nxt)
-            if error is not None:
-                raise error
-            record(jobs[nxt], *result)
-            nxt += 1
-        return nxt
+    def hand_back(sent) -> None:
+        done.update([sent])
+        collect(0)
 
     sys.stdout.flush()      # a helper flushes its copy of these buffers when it exits
     sys.stderr.flush()
-    nxt = 0
     try:
         for _ in range(helpers):
             reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_helper, daemon=True,
-                               args=(cfg, jobs, counter, writer, os.getpid()))
+            proc = ctx.Process(target=work, args=(writer.send,), daemon=True)
             proc.start()
             writer.close()          # the helper holds the only write end: EOF when it ends
             procs.append(proc)
             conns.append(reader)
-        while (i := _take(counter, len(jobs))) is not None:
-            done[i] = _attempt(cfg, jobs, i, counter)
-            receive(0)
-            nxt = record_ready(nxt)
-        while conns:
-            receive(None)
-            nxt = record_ready(nxt)
+        work(hand_back)
     finally:
-        counter.value = len(jobs)
+        counter.value = len(jobs)   # after an error in the caller no helper takes a run
         while conns:            # drain before joining, so that no helper blocks on a send
-            receive(None)
+            collect(None)
         for proc in procs:
             proc.join()
-    if nxt < len(jobs):         # taken by a helper that died before sending it
-        method, seed = jobs[nxt]
+    if recorded < len(jobs):
+        if recorded in done:                # the earliest failed run
+            raise done[recorded][1]
+        method, seed = jobs[recorded]       # taken by a helper that died before sending it
         raise StateError(f"run {method} seed {seed} was lost: helper processes exited "
                          f"with codes {[proc.exitcode for proc in procs]}")
 

@@ -7,7 +7,7 @@ quick report viewing, not publication.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,14 +64,12 @@ _LINE_COLORS = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b"
 
 def svg_lines(series: dict[str, Sequence[float]], path: str, title: str = "",
               ylabel: str = "") -> None:
-    """Write a 640 x 360 multi-series line chart; None/NaN points break the line."""
+    """Write a 640 x 360 line chart of one or more series, each non-empty and
+    finite: a polyline per series, or a dot for a one-point series."""
     width, height, left, right, top, bottom = 640, 360, 60, 150, 40, 40
     plot_w, plot_h = width - left - right, height - top - bottom
-    finite = [v for vals in series.values() for v in vals
-              if v is not None and np.isfinite(v)]
-    if not finite:
-        finite = [0.0, 1.0]
-    lo, hi = min(finite), max(finite)
+    values = [v for vals in series.values() for v in vals]
+    lo, hi = min(values), max(values)
     if math.isclose(lo, hi):
         lo, hi = lo - 1.0, hi + 1.0
     n_max = max(len(v) for v in series.values())
@@ -99,24 +97,13 @@ def svg_lines(series: dict[str, Sequence[float]], path: str, title: str = "",
                      f'y2="{sy(v)}" stroke="#ddd"/>')
     for idx, (name, vals) in enumerate(series.items()):
         color = _LINE_COLORS[idx % len(_LINE_COLORS)]
-        segment: list[str] = []
-        chunks = []
-        for i, v in enumerate(vals):
-            if v is None or not np.isfinite(v):
-                if segment:
-                    chunks.append(segment)
-                segment = []
-            else:
-                segment.append(f"{sx(i):.1f},{sy(v):.1f}")
-        if segment:
-            chunks.append(segment)
-        for chunk in chunks:
-            if len(chunk) == 1:
-                x, y = chunk[0].split(",")
-                parts.append(f'<circle cx="{x}" cy="{y}" r="2" fill="{color}"/>')
-            else:
-                parts.append(f'<polyline points="{" ".join(chunk)}" fill="none" '
-                             f'stroke="{color}" stroke-width="1.5"/>')
+        points = [f"{sx(i):.1f},{sy(v):.1f}" for i, v in enumerate(vals)]
+        if len(points) == 1:
+            x, y = points[0].split(",")
+            parts.append(f'<circle cx="{x}" cy="{y}" r="2" fill="{color}"/>')
+        else:
+            parts.append(f'<polyline points="{" ".join(points)}" fill="none" '
+                         f'stroke="{color}" stroke-width="1.5"/>')
         ly = top + 16 * idx
         parts.append(f'<line x1="{width - right + 10}" y1="{ly}" '
                      f'x2="{width - right + 34}" y2="{ly}" stroke="{color}" '

@@ -63,7 +63,7 @@ class EnvConfig:
                 f"lowest power dyn_coeff * min_freq ** eta + static_coeff * ambient_temp "
                 f"stays > 0, got {self.ambient_temp!r}")
         # The RC update must contract or temperature diverges; its factor a < 1 also
-        # gives static_coeff * thermal_resistance < 1, steady_state_temp's denominator.
+        # gives static_coeff * thermal_resistance < 1, the steady temperature's denominator.
         c, r, cs = self.thermal_capacitance, self.thermal_resistance, self.static_coeff
         a = 1.0 - 1.0 / (c * r) + cs / c
         if not (-1.0 < a < 1.0):
@@ -76,11 +76,6 @@ class EnvConfig:
 def _level_table(min_freq: float, num_actions: int) -> tuple[float, ...]:
     # Keyed on the values, not the (mutable) config, so it cannot go stale.
     return tuple(np.linspace(min_freq, 1.0, num_actions).tolist())
-
-
-def frequency_levels(config: EnvConfig) -> np.ndarray:
-    """The k discrete normalized frequencies, uniformly spaced in [min_freq, 1]."""
-    return np.array(_level_table(config.min_freq, config.num_actions))
 
 
 def throttle_factor(temp: float, config: EnvConfig) -> float:
@@ -153,13 +148,6 @@ def initial_state(config: EnvConfig) -> ProcessorState:
     power = config.dyn_coeff * f ** config.eta + config.static_coeff * config.ambient_temp
     fps = min(config.fps_cap, config.fps_slope * f) * throttle_factor(config.ambient_temp, config)
     return ProcessorState(fps=fps, freq=f, power=power, temp=config.ambient_temp)
-
-
-def steady_state_temp(freq: float, config: EnvConfig) -> float:
-    """Fixed point of the noise-free thermal update for a held frequency."""
-    p_dyn = config.dyn_coeff * freq ** config.eta
-    denom = 1.0 - config.thermal_resistance * config.static_coeff
-    return (config.ambient_temp + config.thermal_resistance * p_dyn) / denom
 
 
 class DvfsEnv:

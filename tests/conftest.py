@@ -2,9 +2,23 @@
 
 from dataclasses import replace
 
-from dvfsflow.simenv import EnvConfig
+import numpy as np
+
+from dvfsflow.simenv import EnvConfig, _level_table
 
 
 def noiseless(config: EnvConfig) -> EnvConfig:
     """Copy of ``config`` with observation noise switched off."""
     return replace(config, noise_std_fps=0.0, noise_std_temp=0.0)
+
+
+def frequency_levels(config: EnvConfig) -> np.ndarray:
+    """The k discrete normalized frequencies, uniformly spaced in [min_freq, 1]."""
+    return np.array(_level_table(config.min_freq, config.num_actions))
+
+
+def steady_state_temp(freq: float, config: EnvConfig) -> float:
+    """Fixed point of the noise-free thermal update for a held frequency."""
+    p_dyn = config.dyn_coeff * freq ** config.eta
+    denom = 1.0 - config.thermal_resistance * config.static_coeff
+    return (config.ambient_temp + config.thermal_resistance * p_dyn) / denom

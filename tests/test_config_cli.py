@@ -394,6 +394,13 @@ def test_duplicate_methods_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_repeated_seeds_override_fails_validation(capsys):
+    assert main(["run", "--seeds", "1,1", "--print-config"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: seeds must be distinct\n"
+
+
 def test_unknown_method_error_names_the_known_methods(capsys):
     assert main(["run", "--methods", "dfm,zTT", "--print-config"]) == 1
     assert capsys.readouterr().err == (
@@ -410,6 +417,10 @@ def test_unknown_method_error_names_the_known_methods(capsys):
     ({"agent": {"learning_rate": float("nan")}}, "agent.learning_rate"),  # failed mid-run
     ({"agent": {"learning_rate": 10 ** 400}}, "agent.learning_rate"),
     ({"seeds": [-1]}, "seeds"),                             # was a raw ValueError mid-run
+    ({"env": {"static_coeff": 0.5}},                        # update factor 1.139
+     "env.thermal_capacitance, env.thermal_resistance and env.static_coeff"),
+    ([], "config root"),
+    ({"env": 5}, "section 'env'"),
 ])
 def test_config_value_types_checked(payload, field, tmp_path, capsys):
     with pytest.raises(ConfigurationError, match=field.replace("[", r"\[")):
@@ -449,6 +460,21 @@ def test_run_with_zero_width_flow_layer_fails_before_writing(tmp_path, capsys):
     assert main(["run", "--config", path]) == 1
     assert "configuration error: flow.hidden_sizes" in capsys.readouterr().err
     assert not (out / "effective_config.json").exists()
+
+
+def test_qnet_without_hidden_layers_runs_and_reports(tmp_path):
+    # agent.hidden_sizes [] used to be rejected, though a 4-12 Q-net trains
+    # as the 11-12 flow net of flow.hidden_sizes [] does
+    out = tmp_path / "out"
+    path = _write_config(tmp_path, {
+        "agent": {"hidden_sizes": []}, "methods": ["model_free"], "seeds": [0],
+        "schedule": {**FAST_SECTIONS["schedule"], "exploit_threshold": 20},
+        "output_dir": str(out)})
+    assert main(["run", "--config", path]) == 0
+    with open(out / "summary_model_free_seed0.json") as fh:
+        assert json.load(fh)["agent_train_steps_count"] > 0
+    assert main(["report", "--run-dir", str(out)]) == 0
+    assert (out / "report" / "report.json").exists()
 
 
 def test_contractive_config_with_static_coeff_times_r_above_c_runs_and_reports(tmp_path):
@@ -580,6 +606,21 @@ def test_report_on_a_run_log_without_steps_is_an_input_error(tmp_path, capsys):
     assert main(["report", "--run-dir", str(out)]) == 1
     assert capsys.readouterr().err == f"input error: {runlog}: the run log holds no steps\n"
     assert not (out / "report" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "report"])
+def test_wrong_csv_header_names_the_file(command, tmp_path, capsys):
+    out = _pure_fm_model_free_run(tmp_path)
+    name, kind = {"eval": ("real_model_free_seed0.csv", "column header"),
+                  "report": ("runlog_model_free_seed0.csv", "run-log header")}[command]
+    bad = out / name
+    lines = bad.read_text().splitlines(keepends=True)
+    bad.write_text(lines[0].replace("fps", "FPS", 1) + "".join(lines[1:]))
+    capsys.readouterr()
+    argv = (["eval", "--real", str(bad), "--synth", str(out / "synth_pure_fm_seed0.csv")]
+            if command == "eval" else ["report", "--run-dir", str(out)])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"input error: unexpected {kind} in {bad}\n"
 
 
 def _header_only_batch(path):

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import noiseless
+from conftest import frequency_levels, noiseless, steady_state_temp
 from dvfsflow.errors import ConfigurationError, DomainError, StateError
-from dvfsflow.simenv import (DvfsEnv, EnvConfig, ProcessorState, dynamics,
-                             frequency_levels, initial_state, reward_components,
-                             state_scales, steady_state_temp, throttle_factor)
+from dvfsflow.simenv import (DvfsEnv, EnvConfig, ProcessorState, dynamics, initial_state,
+                             reward_components, state_scales, throttle_factor)
 
 
 def test_reset_is_deterministic_per_seed():
