@@ -4,14 +4,16 @@ evaluate stored data, bundle reports, and self-test the numerics.
 All outputs land under the configured directory with a manifest file, and a
 rerun from the same config and seeds reproduces every CSV byte for byte.
 
-``run`` spreads its (method, seed) runs over the usable cores: the calling
-process and helper processes run one loop that takes the next run in manifest
-order, does it and hands its outcome to the caller, which records the runs in
-manifest order.  Every file, ``manifest.json`` and stdout are byte-identical
-to a one-core run.  Each process uses the BLAS thread count of its
-environment, and ``run`` starts no more processes than the usable cores
-divided by that count; unset, it is a thread per core and ``run`` stays in one
-process, so set ``OPENBLAS_NUM_THREADS=1`` to run one process per core.
+``run`` spreads its (method, seed) runs over the usable cores with
+:func:`spread.spread`: the calling process and forked helpers take the runs in
+manifest order, each process writes the files of its runs, and the caller
+records them in manifest order.  Every file, ``manifest.json`` and stdout are
+byte-identical to a one-core run.  Each process uses the BLAS thread count of
+its environment, and no more processes run than the usable cores divided by
+that count; unset, it is a thread per core and ``run`` stays in one process,
+so set ``OPENBLAS_NUM_THREADS=1`` to run one process per core.  A ``run`` of
+several runs keeps one process per core; a lone run, like ``gen``, spreads
+each retrain's forests and sample blocks instead.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .flow import (TRANSITION_LABELS, CfmBatches, TransitionLayout, canonical_ro
 from .forest import ForestConfig, fit_forest, normalized_importances
 from .orchestrate import (fit_flow_generator, regret_oracle, run_experiment,
                           runlog_from_csv, runlog_summary, runlog_to_csv)
+from .spread import spread
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -74,9 +77,10 @@ def _load_experiment_config(args) -> ExperimentConfig:
 
 # ---------------------------------------------------------------- run
 
-def _run_one(cfg: ExperimentConfig, method: str, seed: int) -> tuple[dict, str]:
+def _run_one(cfg: ExperimentConfig, job: tuple[str, int]) -> tuple[dict, str]:
     """One (method, seed) run: write its files under ``cfg.output_dir`` and
     return their names and the ``ran ...`` line."""
+    method, seed = job
     out = cfg.output_dir
     log = run_experiment(method, cfg.env, cfg.agent, cfg.schedule, seed,
                          fm_config=cfg.flow, forest_config=cfg.forest)
@@ -94,109 +98,6 @@ def _run_one(cfg: ExperimentConfig, method: str, seed: int) -> tuple[dict, str]:
                    f"mean reward {summary['mean_reward']:.3f}")
 
 
-def _processes(runs: int) -> int:
-    """How many processes share ``runs`` runs: the usable cores divided by the
-    BLAS threads of each process, at least 1 and at most ``runs``.
-
-    The BLAS thread count is the first positive one of OPENBLAS_NUM_THREADS,
-    MKL_NUM_THREADS and OMP_NUM_THREADS; unset, it is one per core, the BLAS
-    default.  On a 2-core Xeon host with OpenBLAS 0.3.31, two processes of two
-    BLAS threads each made the ``run`` of the benchmark's cli_pipeline take
-    7.0-8.4 s, against 4.8 s for one process and 2.6-3.1 s for two processes
-    of one thread.
-    """
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    counts = [os.environ.get(name, "") for name in
-              ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")]
-    threads = next((int(c) for c in counts if c.isdigit() and int(c) > 0), cores)
-    return max(1, min(cores // threads, runs))
-
-
-def _run_all(cfg: ExperimentConfig, jobs: list, record) -> None:
-    """Do every (method, seed) run and call ``record(job, files, line)`` for
-    each in manifest order; raise the error of the earliest failed run.
-
-    The runs share no state, so the calling process and ``_processes - 1``
-    helper processes run one loop, ``work(hand_back)``: take the next index
-    from one counter, do that run and hand ``(index, outcome)`` back.  A
-    helper sends it over its pipe; the caller files it and records the runs
-    that are in, in manifest order.  The caller does its own share, so no
-    more processes compute than there are cores.  Each process writes the
-    files of its runs and hands back only their names and the ``ran`` line.
-    """
-    helpers = _processes(len(jobs)) - 1
-    if helpers < 1:
-        for job in jobs:
-            record(job, *_run_one(cfg, *job))
-        return
-    # imported here, so that importing cli stays as cheap as before
-    from multiprocessing import connection, get_context
-
-    # fork: a helper starts in milliseconds with the caller's modules and
-    # config, where a spawned one took 0.5 s to import numpy on that host.  The
-    # command runs no Python thread of its own, and OpenBLAS stops its
-    # threads around a fork.
-    ctx = get_context("fork")
-    counter = ctx.Value("q", 0)
-    caller = os.getpid()
-    done, conns, procs = {}, [], []
-    recorded = 0
-
-    def work(hand_back) -> None:
-        # true in the caller, and in a helper until the caller is gone
-        while caller in (os.getpid(), os.getppid()):
-            with counter.get_lock():
-                i = counter.value
-                counter.value = min(i + 1, len(jobs))
-            if i >= len(jobs):
-                return
-            try:
-                outcome = _run_one(cfg, *jobs[i]), None
-            except Exception as exc:        # the caller raises it in manifest order
-                counter.value = len(jobs)   # a failed run leaves none to take
-                outcome = None, exc
-            hand_back((i, outcome))
-
-    def collect(timeout) -> None:
-        nonlocal recorded
-        for conn in connection.wait(conns, timeout):
-            try:
-                done.update([conn.recv()])
-            except EOFError:        # that helper has finished
-                conns.remove(conn)
-        while recorded in done and done[recorded][1] is None:
-            record(jobs[recorded], *done.pop(recorded)[0])
-            recorded += 1
-
-    def hand_back(sent) -> None:
-        done.update([sent])
-        collect(0)
-
-    sys.stdout.flush()      # a helper flushes its copy of these buffers when it exits
-    sys.stderr.flush()
-    try:
-        for _ in range(helpers):
-            reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=work, args=(writer.send,), daemon=True)
-            proc.start()
-            writer.close()          # the helper holds the only write end: EOF when it ends
-            procs.append(proc)
-            conns.append(reader)
-        work(hand_back)
-    finally:
-        counter.value = len(jobs)   # after an error in the caller no helper takes a run
-        while conns:            # drain before joining, so that no helper blocks on a send
-            collect(None)
-        for proc in procs:
-            proc.join()
-    if recorded < len(jobs):
-        if recorded in done:                # the earliest failed run
-            raise done[recorded][1]
-        method, seed = jobs[recorded]       # taken by a helper that died before sending it
-        raise StateError(f"run {method} seed {seed} was lost: helper processes exited "
-                         f"with codes {[proc.exitcode for proc in procs]}")
-
-
 def cmd_run(args) -> int:
     cfg = _load_experiment_config(args)
     if args.print_config:
@@ -209,14 +110,13 @@ def cmd_run(args) -> int:
 
     runs = []
     outputs = ["effective_config.json"]
-
-    def record(job, files, line):
-        method, seed = job
+    jobs = [(m, s) for m in cfg.methods for s in cfg.seeds]
+    outcomes = spread(functools.partial(_run_one, cfg), jobs,
+                      name=lambda job: f"run {job[0]} seed {job[1]}")
+    for (files, line), (method, seed) in zip(outcomes, jobs):     # runs spread to its end
         runs.append({"method": method, "seed": seed, "files": files})
         outputs.extend(v for v in files.values() if v)
         print(line)
-
-    _run_all(cfg, [(m, s) for m in cfg.methods for s in cfg.seeds], record)
     manifest = {"version": 1, "config": config_to_dict(cfg), "runs": runs,
                 "outputs": sorted(outputs + ["manifest.json"])}
     _write_json(manifest, os.path.join(out, "manifest.json"))

@@ -6,10 +6,12 @@ straight-path target field between Gaussian latents and data.  Training draws
 B bootstrap replicates of the latent pool (each re-paired with a shuffled
 copy of the data batch) and weights the per-dimension squared error by the
 normalized feature weights.  Sampling integrates dx/dt = v(x, t) with explicit
-Euler from t=0 (noise) to t=1 (data), one block of rows through all K steps
-before the next.  That is bit-identical to stepping all n rows at once: the
-update is elementwise, and a dgemm call of >= 512 rows computes each row the
-same way.
+Euler from t=0 (noise) to t=1 (data), one block of at most
+``SAMPLE_BLOCK_ROWS`` rows through all K steps at a time; the partition
+depends on n alone, and the blocks are spread over the usable cores by
+:func:`spread.spread`.  That is bit-identical to stepping all n rows at once:
+the update is elementwise, and a dgemm call of >= 110 rows computes each row
+the same way.
 
 Both loops write into arrays they keep rather than allocate per step.  One
 :class:`CfmBatches` makes the bootstrap draws of every training batch of a flow
@@ -40,6 +42,7 @@ from .errors import (ConfigurationError, DomainError, NumericError, StateError, 
                      domain)
 from .nets import MlpParams
 from .simenv import ProcessorState
+from .spread import spread
 
 TRANSITION_LABELS = [
     "fps", "freq", "power", "temp", "action",
@@ -265,16 +268,22 @@ def train_flow_model(data: np.ndarray, lam: np.ndarray, config: FMConfig,
     return model
 
 
-# Fewest rows that generate_raw takes through all K Euler steps together
-# (blocks hold 512-1023), so a layer's temporaries (about 256 KB) stay in cache.
-# OpenBLAS computes small dgemm calls (up to about 110 rows at 64 x 64) with
-# other kernels, and numpy sends 1-row calls to gemv: those rows would differ.
+# Most rows of one block of generate_raw: n rows go through all K Euler steps
+# in ceil(n / SAMPLE_BLOCK_ROWS) blocks of near-equal size, whatever the core
+# count, so a layer's temporaries (about 256 KB) stay in cache and the default
+# 1,000-row batch is two 500-row blocks for two cores.  A split batch has
+# blocks of >= 256 rows.  OpenBLAS 0.3.31 gives a row of the 64 -> 11 dgemm
+# other bits in calls of up to 109 rows and the same bits from 110 rows up
+# (numpy sends 1-row calls to gemv), so every block's rows match integrating
+# all n rows at once.
 SAMPLE_BLOCK_ROWS = 512
 
 
 def generate_raw(model: FlowModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """n denormalized samples: dx/dt = v(x, t) integrated with K =
-    ``model.config.ode_steps`` explicit Euler steps from noise to data space."""
+    ``model.config.ode_steps`` explicit Euler steps from noise to data space.
+    The blocks go through :func:`spread.spread`, so some are integrated in
+    forked helper processes."""
     if not model.loss_curve:
         raise StateError("flow model is untrained; call train_flow_model first")
     d, ode_steps = model.params.out_dim, model.config.ode_steps
@@ -282,11 +291,12 @@ def generate_raw(model: FlowModel, n: int, rng: np.random.Generator) -> np.ndarr
         return np.empty((0, d))
     x = rng.standard_normal((n, d))
     dt = 1.0 / ode_steps
-    blocks = np.array_split(x, max(n // SAMPLE_BLOCK_ROWS, 1))   # views of x, largest first
+    blocks = np.array_split(x, -(-n // SAMPLE_BLOCK_ROWS))     # views of x, largest first
     size = blocks[0].shape[0]
     inputs_buf = np.empty((size, d + 1))
     layers_buf = [np.empty((size, s)) for s in model.params.layer_sizes[1:]]
-    for block in blocks:
+
+    def integrate(block: np.ndarray) -> np.ndarray:
         rows = block.shape[0]
         inputs, layers = inputs_buf[:rows], [a[:rows] for a in layers_buf]
         for step in range(ode_steps):
@@ -295,6 +305,10 @@ def generate_raw(model: FlowModel, n: int, rng: np.random.Generator) -> np.ndarr
             v = nets.forward_batch(model.params, inputs, out=layers)
             v *= dt
             block += v
+        return block
+
+    for done, block in zip(spread(integrate, blocks), blocks):   # spread runs to its end
+        block[...] = done       # a helper's block comes back as a copy
     return model.normalizer.denormalize(x)
 
 
@@ -311,21 +325,6 @@ def flow_model_to_dict(model: FlowModel) -> dict:
         "config": asdict(model.config),
         "loss_curve": list(model.loss_curve),
     }
-
-
-def flow_model_from_dict(payload: dict) -> FlowModel:
-    if payload.get("version") != FLOW_CHECKPOINT_VERSION:
-        raise ConfigurationError(
-            f"unsupported flow checkpoint version {payload.get('version')!r}, "
-            f"expected {FLOW_CHECKPOINT_VERSION}")
-    return FlowModel(
-        params=nets.params_from_dict(payload["net"]),
-        normalizer=Normalizer(mean=np.array(payload["normalizer"]["mean"]),
-                              std=np.array(payload["normalizer"]["std"])),
-        weights=np.array(payload["weights"]),
-        config=FMConfig(**payload["config"]),
-        loss_curve=list(payload["loss_curve"]),
-    )
 
 
 def save_batch_csv(matrix: np.ndarray, path: str) -> None:

@@ -7,7 +7,10 @@ split, and keep no thresholds or leaf values.  Each split contributes
 sums its splits in a fixed order (preorder, right subtree first), raw
 importances are averaged over trees, then normalized to sum 1.  The
 transition weighting fits one forest per next-state column of the (n, 11)
-transition array and mirrors the input weights onto all 11 columns.
+transition array and mirrors the input weights onto all 11 columns.  Its four
+forests go through :func:`spread.spread`, so some may grow in forked helper
+processes; each draws only on its own generator, and their normalized
+importances are added in target order 0..3 wherever they grew.
 
 Every setting comes from :class:`ForestConfig` and every draw from the caller's
 generator: ``fit_forest(x, y, config, rng)`` and
@@ -31,6 +34,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, DomainError, InsufficientDataError, NumericError,
                      check_domains, domain)
+from .spread import spread
 
 
 @dataclass
@@ -261,9 +265,11 @@ def transition_feature_weights(data: np.ndarray, config: ForestConfig,
             f"got {data.shape[0]}")
     x, targets = data[:, :5], data[:, 5:9]
 
+    children = rng.spawn(4)
     acc = np.zeros(5)
-    for j, child in enumerate(rng.spawn(4)):
-        acc += normalized_importances(fit_forest(x, targets[:, j], config, child))
+    for lam in spread(lambda j: normalized_importances(
+            fit_forest(x, targets[:, j], config, children[j])), range(4)):
+        acc += lam                  # in target order 0..3, wherever each forest grew
     w_in = acc / acc.sum()          # each forest's weights sum to 1
 
     state_mean = float(w_in[:4].mean())

@@ -345,20 +345,3 @@ def params_to_dict(params: MlpParams) -> dict:
         "weights": [w.ravel().tolist() for w in params.weights],
         "biases": [b.tolist() for b in params.biases],
     }
-
-
-def params_from_dict(payload: dict) -> MlpParams:
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ConfigurationError(f"unsupported checkpoint version {payload.get('version')!r}")
-    sizes = [int(s) for s in payload["layer_sizes"]]
-    if payload["activation"] != "tanh":
-        raise ConfigurationError(f"unknown activation tag {payload['activation']!r}")
-    weights, biases = [], []
-    for l, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        w = np.array(payload["weights"][l], dtype=np.float64)
-        b = np.array(payload["biases"][l], dtype=np.float64)
-        if w.shape != (fan_out * fan_in,) or b.shape != (fan_out,):
-            raise ConfigurationError("checkpoint weight or bias shape mismatch")
-        weights.append(w)
-        biases.append(b)
-    return MlpParams(layer_sizes=sizes, flat=np.concatenate(weights + biases))

@@ -24,6 +24,7 @@ entries.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
@@ -37,7 +38,7 @@ from .errors import (ConfigurationError, DomainError, InsufficientDataError, Num
                      check_domains, domain)
 from .flow import FMConfig, Normalizer, TransitionLayout
 from .forest import ForestConfig, transition_feature_weights
-from .simenv import DvfsEnv, EnvConfig, ProcessorState, dynamics, reward_components
+from .simenv import DvfsEnv, EnvConfig, ProcessorState, _level_table
 
 
 class Method(NamedTuple):
@@ -115,14 +116,34 @@ class RunLog:
 
 
 def regret_oracle(env_config: EnvConfig) -> Callable[[ProcessorState], float]:
-    """Best noise-free one-step expected reward, brute-forced over all actions."""
+    """Best noise-free one-step expected reward from a state, over all actions.
+
+    The actions of one state are evaluated together, with the float64
+    operations of ``dynamics`` and ``reward_components`` in their order,
+    ``f ** eta`` in Python floats and ``math.tanh`` per value, so every
+    action's reward has the bits of the scalar path.
+    """
+    c = env_config
+    levels = _level_table(c.min_freq, c.num_actions)
+    p_dyn = np.array([c.dyn_coeff * f ** c.eta for f in levels])
+    fps_top = np.array([min(c.fps_cap, c.fps_slope * f) for f in levels])
 
     def mu_star(state: ProcessorState) -> float:
-        best = -np.inf
-        for a in range(env_config.num_actions):
-            nxt = dynamics(state, a, env_config, rng=None)
-            best = max(best, reward_components(nxt, env_config).total)
-        return best
+        power = p_dyn + c.static_coeff * state.temp
+        if power.min() <= 0:
+            raise DomainError("power must be > 0 to evaluate the reward")
+        temp = state.temp + (power - (state.temp - c.ambient_temp)
+                             / c.thermal_resistance) / c.thermal_capacitance
+        temp = np.where(c.ambient_temp > temp, c.ambient_temp, temp)   # max(temp, ambient)
+        cool = temp < c.target_temp
+        # throttle_factor; the floor at 0 only keeps the unused cool entries finite.
+        # The throttled fps is > 0, so dynamics' max(fps, 0.0) keeps it.
+        over = np.maximum(temp - c.target_temp, 0.0)
+        fps = fps_top * np.where(cool, 1.0, 1.0 / (1.0 + 0.1 * over))
+        u = np.where(fps >= c.target_fps, 1.0, fps / c.target_fps)
+        tanh = np.array([math.tanh(x) for x in (c.target_temp - temp).tolist()])
+        v = np.where(cool, 0.2 * tanh, -2.0)
+        return float((u + v + c.reward_scale / power).max())
 
     return mu_star
 

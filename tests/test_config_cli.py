@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from dvfsflow import cli
+from dvfsflow import cli, spread
 from dvfsflow.cli import main
 from dvfsflow.config import (ExperimentConfig, config_from_dict, config_to_dict,
                              dump_config, load_config)
@@ -185,7 +185,7 @@ def test_run_processes_leave_no_core_oversubscribed(monkeypatch, cores, env, run
     _cores(monkeypatch, cores, blas_threads=None)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    assert cli._processes(runs) == want
+    assert spread.processes(runs) == want
 
 
 def _run_on(cores, argv, out, monkeypatch, capsys):

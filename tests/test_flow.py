@@ -5,12 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import flow_model_from_dict
 from dvfsflow import nets
 from dvfsflow.errors import ConfigurationError, DomainError, NumericError, StateError
 from dvfsflow.flow import (TRANSITION_DIM, CfmBatches, FMConfig, Transition, TransitionLayout,
-                           canonical_rows, encode_transition, flow_model_from_dict,
-                           flow_model_to_dict, generate_raw, init_flow_model, load_batch_csv,
-                           save_batch_csv, train_flow_model, unflatten_transition)
+                           canonical_rows, encode_transition, flow_model_to_dict, generate_raw,
+                           init_flow_model, load_batch_csv, save_batch_csv, train_flow_model,
+                           unflatten_transition)
 from dvfsflow.simenv import DvfsEnv, EnvConfig, ProcessorState
 
 LAYOUT = TransitionLayout(num_actions=12, ambient_temp=25.0)

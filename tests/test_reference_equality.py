@@ -1,5 +1,5 @@
-"""The flow, forest, codec, replay memory, Q-step, ODE sampler and W1 hot
-paths against plain loop versions of the same arithmetic.
+"""The flow, forest, codec, replay memory, Q-step, ODE sampler, W1 and regret-oracle
+hot paths against plain loop versions of the same arithmetic.
 
 The references below are straightforward per-layer, per-column and recursive
 implementations.  The production code batches them into fewer numpy calls
@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from conftest import noiseless
+from conftest import noiseless, usable_cores
 from dvfsflow import agent, forest, nets
 from dvfsflow.agent import AgentConfig, ReplayMemory
 from dvfsflow.errors import DomainError, InsufficientDataError, NumericError
@@ -23,7 +23,9 @@ from dvfsflow.flow import (CfmBatches, FMConfig, Normalizer, TransitionLayout,
                            generate_raw, init_flow_model, unflatten_transition)
 from dvfsflow.forest import (ForestConfig, _best_splits, _grow_trees, fit_forest,
                              normalized_importances, transition_feature_weights)
-from dvfsflow.simenv import DvfsEnv, EnvConfig, ProcessorState, state_scales
+from dvfsflow.orchestrate import regret_oracle
+from dvfsflow.simenv import (DvfsEnv, EnvConfig, ProcessorState, dynamics, reward_components,
+                             state_scales)
 
 
 # ---------------------------------------------------------------- references
@@ -1084,13 +1086,27 @@ def _with_ode_steps(model, k):
 
 
 # Cut into 512-row slices, 1026 and 1133 would end in a 2- and a 109-row slice,
-# whose rows differ in the last bits (small dgemm calls use other kernels).
+# whose rows differ in the last bits (small dgemm calls use other kernels);
+# ceil(n / 512) near-equal blocks are 342 and 377-378 rows.
 @pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 1000, 1026, 1133, 5000])
 @pytest.mark.parametrize("ode_steps", [1, 7, 100])
 def test_sample_vector_field_bytes_equal_reference(random_flow, n, ode_steps):
     got = generate_raw(_with_ode_steps(random_flow, ode_steps), n, np.random.default_rng(n))
     want = _ref_sample_vector_field(random_flow, n, np.random.default_rng(n), ode_steps)
     assert got.shape == want.shape == (n, 11)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+@pytest.mark.parametrize("n", [513, 1000, 5000])
+def test_sample_blocks_on_any_core_count_bytes_equal_one_block(random_flow, monkeypatch,
+                                                               cores, n):
+    # the default 12-64-64-11 net; 2, 2 and 10 blocks, some integrated in helpers
+    usable_cores(monkeypatch, cores)
+    assert random_flow.params.layer_sizes == [12, 64, 64, 11]
+    model = _with_ode_steps(random_flow, 20)
+    got = generate_raw(model, n, np.random.default_rng([n, 2]))
+    want = _ref_sample_vector_field(random_flow, n, np.random.default_rng([n, 2]), 20)
     assert got.tobytes() == want.tobytes()
 
 
@@ -1160,3 +1176,49 @@ def test_wasserstein1_nan_in_either_sample_is_nan(na, nb):
     assert np.isnan(wasserstein1(a_nan, b))
     assert np.isnan(wasserstein1(b, a_nan))
     assert np.isnan(_sorted_quantile(np.sort(a_nan), np.array([0.0, 0.5]))).all()
+
+
+# ---------------------------------------------------------------- regret oracle
+
+def _ref_regret_oracle(env_config):
+    """One ``dynamics`` and one ``reward_components`` call per action."""
+
+    def mu_star(state):
+        best = -np.inf
+        for a in range(env_config.num_actions):
+            nxt = dynamics(state, a, env_config, rng=None)
+            best = max(best, reward_components(nxt, env_config).total)
+        return best
+
+    return mu_star
+
+
+@pytest.mark.parametrize("env,n", [
+    (EnvConfig(), 10_000),
+    (EnvConfig(num_actions=2), 2_000),
+    (EnvConfig(target_temp=32.0), 2_000),      # tanh unsaturated below ambient + 7
+    (EnvConfig(num_actions=7, eta=2.5, min_freq=0.35, ambient_temp=-5.0, target_temp=38.5,
+               target_fps=90.0, fps_cap=100.0), 2_000),
+])
+def test_regret_oracle_hex_equal_dynamics_loop(env, n):
+    # temps below ambient (the next temp clamps there), exactly at ambient and
+    # at the target, one ulp either side of it, and far above
+    rng = np.random.default_rng(23)
+    t0 = env.target_temp
+    special = [env.ambient_temp, t0, np.nextafter(t0, -np.inf), np.nextafter(t0, np.inf),
+               t0 - 10.0, 150.0, 1e3, 1e5]
+    temps = np.concatenate([special,
+                            rng.uniform(env.ambient_temp - 5.0, t0 + 15.0, n - 1_000),
+                            rng.uniform(t0, 400.0, 1_000 - len(special))])
+    got, want = regret_oracle(env), _ref_regret_oracle(env)
+    for temp in temps.tolist():
+        state = ProcessorState(fps=30.0, freq=0.5, power=4.0, temp=temp)
+        assert float.hex(got(state)) == float.hex(want(state)), temp
+
+
+def test_regret_oracle_rejects_non_positive_power_like_the_loop():
+    env = EnvConfig()
+    state = ProcessorState(fps=30.0, freq=0.5, power=4.0, temp=-100.0)
+    for oracle in (regret_oracle(env), _ref_regret_oracle(env)):
+        with pytest.raises(DomainError, match="power must be > 0"):
+            oracle(state)
