@@ -148,8 +148,6 @@ def q_values(qnet: MlpParams, state: ProcessorState, scratch: QScratch) -> np.nd
 def select_action(q: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
     """Epsilon-greedy over the Q-vector q = Q(s, .): random with prob epsilon,
     else argmax q (ties -> lowest index)."""
-    if not (0.0 <= epsilon <= 1.0):
-        raise ConfigurationError("epsilon must lie in [0, 1]")
     if epsilon > 0 and rng.random() < epsilon:
         return int(rng.integers(len(q)))
     return int(q.argmax())

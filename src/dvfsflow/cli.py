@@ -37,7 +37,7 @@ from .evalkit import (corr_gap, corr_gap_excluded_count, early_fps_gain,
                       empirical_regret, pearson_matrix, qvalue_stability,
                       wasserstein1)
 from .flow import (TRANSITION_LABELS, CfmBatches, TransitionLayout, canonical_rows,
-                   check_finite, flow_model_to_dict, load_batch_csv, save_batch_csv)
+                   check_finite, load_batch_csv, save_batch_csv)
 from .forest import ForestConfig, fit_forest, normalized_importances
 from .orchestrate import (fit_flow_generator, regret_oracle, run_experiment,
                           runlog_from_csv, runlog_summary, runlog_to_csv)
@@ -145,8 +145,6 @@ def cmd_gen(args) -> int:
     model, raw = fit_flow_generator(real, args.n, not args.uniform_lambda, cfg.flow,
                                     cfg.forest, args.seed)
     save_batch_csv(raw, args.out)
-    if args.checkpoint:
-        _write_json(flow_model_to_dict(model), args.checkpoint)
     print(f"trained on {len(real)} transitions "
           f"(final loss {model.loss_curve[-1]:.4f}), wrote {args.n} samples to {args.out}")
     return 0
@@ -413,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--uniform-lambda", action="store_true",
                     help="skip forest weighting; training keeps flow.bootstrap_count "
                          "replicates (run's pure_fm trains on one)")
-    pg.add_argument("--checkpoint", help="optional path for the model checkpoint JSON")
     pg.add_argument("--seed", type=int, default=0)
     pg.set_defaults(func=cmd_gen)
 

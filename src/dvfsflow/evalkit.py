@@ -118,7 +118,8 @@ def empirical_regret(runlog, oracle: Callable[[object], float]) -> np.ndarray:
     """Cumulative regret trace: Reg(T') = sum_{t<=T'} (mu*(s_t) - r_t).
 
     ``oracle`` maps a visited state to the best noise-free one-step expected
-    reward for the run's environment config (see orchestrate.regret_oracle).
+    reward for the run's environment config: orchestrate.regret_oracle, the max
+    of one simenv.law call over the state's actions.
     """
     per_step = np.array([oracle(s) - r for s, r in zip(runlog.states, runlog.rewards)])
     return np.cumsum(per_step)

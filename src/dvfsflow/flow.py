@@ -33,7 +33,7 @@ replay memories, the forest, the Q-step and the batch CSVs exchange the rows.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -310,21 +310,6 @@ def generate_raw(model: FlowModel, n: int, rng: np.random.Generator) -> np.ndarr
     for done, block in zip(spread(integrate, blocks), blocks):   # spread runs to its end
         block[...] = done       # a helper's block comes back as a copy
     return model.normalizer.denormalize(x)
-
-
-FLOW_CHECKPOINT_VERSION = 2
-
-
-def flow_model_to_dict(model: FlowModel) -> dict:
-    return {
-        "version": FLOW_CHECKPOINT_VERSION,
-        "net": nets.params_to_dict(model.params),
-        "normalizer": {"mean": model.normalizer.mean.tolist(),
-                       "std": model.normalizer.std.tolist()},
-        "weights": model.weights.tolist(),
-        "config": asdict(model.config),
-        "loss_curve": list(model.loss_curve),
-    }
 
 
 def save_batch_csv(matrix: np.ndarray, path: str) -> None:

@@ -330,18 +330,3 @@ def grad_check(params: MlpParams, x: np.ndarray, y: np.ndarray, weights: np.ndar
         denom = max(abs(flat_analytic[i]) + abs(numeric), 1e-8)
         max_rel = max(max_rel, abs(flat_analytic[i] - numeric) / denom)
     return max_rel
-
-
-CHECKPOINT_VERSION = 1
-
-
-def params_to_dict(params: MlpParams) -> dict:
-    """JSON-ready checkpoint: layer sizes, the activation tag (always tanh),
-    row-major weights, biases."""
-    return {
-        "version": CHECKPOINT_VERSION,
-        "layer_sizes": list(params.layer_sizes),
-        "activation": "tanh",
-        "weights": [w.ravel().tolist() for w in params.weights],
-        "biases": [b.tolist() for b in params.biases],
-    }

@@ -6,6 +6,13 @@ a first-order RC thermal model: raising the clock raises dynamic power
 the achievable frame rate.  The reward trades frame rate against temperature
 and power draw.  With zero observation noise and a fixed seed every rollout
 is bit-reproducible.
+
+The law of one step is stated in two forms with the same bits: the scalar
+:func:`dynamics` + :func:`reward_components`, and :func:`law`, which takes
+arrays of temperatures, actions and standard normals.  :class:`DvfsEnv` keeps
+the scalar form: a one-row :func:`law` call with its two normal draws costs
+about 40 us, the scalar pair about 4 us (2-core x86 host, Python 3.11, numpy
+2.4), so a run of 8,000 steps would spend some 0.3 s more in the env.
 """
 
 from __future__ import annotations
@@ -139,6 +146,59 @@ def reward_components(state: ProcessorState, config: EnvConfig) -> RewardCompone
         v = -2.0
     p = config.reward_scale / state.power
     return RewardComponents(u=u, v=v, p=p, total=u + v + p)
+
+
+class LawStep(NamedTuple):
+    """Arrays of one step of the law, broadcast over temperatures and actions."""
+    fps: np.ndarray
+    freq: np.ndarray
+    power: np.ndarray
+    temp: np.ndarray
+    reward: np.ndarray
+
+
+def law(temp, action, config: EnvConfig, temp_noise=None, fps_noise=None) -> LawStep:
+    """:func:`dynamics` + :func:`reward_components` over arrays.
+
+    ``temp`` (the state temperatures) broadcasts against ``action``, and so do
+    ``temp_noise`` and ``fps_noise``, standard normals that scale the temp and
+    fps noise when their std is > 0; pass the normals a :class:`DvfsEnv` draws
+    (temp first, then fps) to replay its stream.  The float64 operations run in
+    ``dynamics``' order, ``f ** eta`` and ``min(fps_cap, fps_slope * f)`` in
+    Python floats and ``math.tanh`` per value, so every entry has the bits of
+    the scalar path, and a bad action or a power <= 0 raises as it does there.
+    """
+    a = np.asarray(action)
+    ok = (a >= 0) & (a < config.num_actions) & (a == np.floor(a))
+    if not ok.all():
+        raise DomainError(f"action {a[~ok].flat[0].item()!r} outside "
+                          f"0..{config.num_actions - 1}")
+    a = a.astype(np.intp)
+    levels = _level_table(config.min_freq, config.num_actions)
+    p_dyn = np.array([config.dyn_coeff * f ** config.eta for f in levels])[a]
+    fps_top = np.array([min(config.fps_cap, config.fps_slope * f) for f in levels])[a]
+    temp = np.asarray(temp, dtype=np.float64)
+    power = p_dyn + config.static_coeff * temp
+    nxt = temp + (power - (temp - config.ambient_temp)
+                  / config.thermal_resistance) / config.thermal_capacitance
+    if temp_noise is not None and config.noise_std_temp > 0:
+        nxt = nxt + config.noise_std_temp * np.asarray(temp_noise)
+    nxt = np.where(config.ambient_temp > nxt, config.ambient_temp, nxt)     # max(nxt, ambient)
+    cool = nxt < config.target_temp
+    # throttle_factor; the floor at 0 only keeps the unused cool entries finite
+    over = np.maximum(nxt - config.target_temp, 0.0)
+    fps = fps_top * np.where(cool, 1.0, 1.0 / (1.0 + 0.1 * over))
+    if fps_noise is not None and config.noise_std_fps > 0:
+        fps = fps + config.noise_std_fps * np.asarray(fps_noise)
+    fps = np.where(0.0 > fps, 0.0, fps)                                      # max(fps, 0.0)
+    if (power <= 0).any():
+        raise DomainError("power must be > 0 to evaluate the reward")
+    u = np.where(fps >= config.target_fps, 1.0, fps / config.target_fps)
+    tanh = np.array([math.tanh(x) for x in (config.target_temp - nxt).ravel().tolist()])
+    v = np.where(cool, 0.2 * tanh.reshape(nxt.shape), -2.0)
+    reward = u + v + config.reward_scale / power
+    freq = np.broadcast_to(np.array(levels)[a], reward.shape)
+    return LawStep(fps=fps, freq=freq, power=power, temp=nxt, reward=reward)
 
 
 def initial_state(config: EnvConfig) -> ProcessorState:

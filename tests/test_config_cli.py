@@ -283,10 +283,8 @@ def test_gen_and_eval_pipeline(tmp_path, capsys):
     assert main(["run", "--config", cfg_path]) == 0
     real_csv = str(tmp_path / "out" / "real_model_free_seed0.csv")
     synth_csv = str(tmp_path / "synth.csv")
-    ckpt = str(tmp_path / "fm.json")
     assert main(["gen", "--memory", real_csv, "--out", synth_csv, "--n", "120",
-                 "--config", cfg_path, "--seed", "1", "--checkpoint", ckpt]) == 0
-    assert os.path.exists(ckpt)
+                 "--config", cfg_path, "--seed", "1"]) == 0
     out_json = str(tmp_path / "eval.json")
     assert main(["eval", "--real", real_csv, "--synth", synth_csv,
                  "--out", out_json]) == 0

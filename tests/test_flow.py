@@ -1,15 +1,14 @@
-"""Flow matching: encoding, bootstrapped loss, training, sampling, checkpoints."""
+"""Flow matching: encoding, bootstrapped loss, training, sampling."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import flow_model_from_dict
 from dvfsflow import nets
-from dvfsflow.errors import ConfigurationError, DomainError, NumericError, StateError
+from dvfsflow.errors import DomainError, NumericError, StateError
 from dvfsflow.flow import (TRANSITION_DIM, CfmBatches, FMConfig, Transition, TransitionLayout,
-                           canonical_rows, encode_transition, flow_model_to_dict, generate_raw,
+                           canonical_rows, encode_transition, generate_raw,
                            init_flow_model, load_batch_csv, save_batch_csv, train_flow_model,
                            unflatten_transition)
 from dvfsflow.simenv import DvfsEnv, EnvConfig, ProcessorState
@@ -318,30 +317,6 @@ def test_generate_requires_trained_model():
 
 
 # ---------------------------------------------------------------- io
-
-def test_flow_checkpoint_round_trip():
-    data = _sim_data(40, seed=2)
-    cfg = FMConfig(hidden_sizes=[8], epochs=3, bootstrap_count=2)
-    lam = np.full(TRANSITION_DIM, 1.0 / TRANSITION_DIM)
-    model = train_flow_model(data, lam, cfg, seed=4)
-    clone = flow_model_from_dict(flow_model_to_dict(model))
-    a = generate_raw(model, 20, np.random.default_rng(6))
-    b = generate_raw(clone, 20, np.random.default_rng(6))
-    assert np.allclose(a, b)
-
-
-def test_flow_checkpoint_rejects_other_version():
-    data = _sim_data(40, seed=2)
-    cfg = FMConfig(hidden_sizes=[8], epochs=1, bootstrap_count=2)
-    lam = np.full(TRANSITION_DIM, 1.0 / TRANSITION_DIM)
-    payload = flow_model_to_dict(train_flow_model(data, lam, cfg, seed=4))
-    # the version-1 layout: a transition layout, a trained flag, flow.train_start
-    payload.update(version=1, trained=True,
-                   layout={"num_actions": 12, "ambient_temp": 25.0})
-    payload["config"]["train_start"] = 32
-    with pytest.raises(ConfigurationError, match="version 1"):
-        flow_model_from_dict(payload)
-
 
 def test_batch_csv_round_trip(tmp_path):
     mat = _sim_data(25, seed=1)

@@ -2,7 +2,7 @@
 
 Each method runs once on a small fixed config at seed 0; the sha256 of its
 run-log CSV and of its last synthetic batch CSV are pinned, and so are the
-batch and checkpoint that ``dvfsflow gen`` writes and every file that
+batch that ``dvfsflow gen`` writes and every file that
 ``dvfsflow report`` and ``dvfsflow eval --out`` write.  A change that alters any
 digest must say why in CHANGES.md.
 """
@@ -149,15 +149,10 @@ def test_golden_gen_digests(variant, tmp_path):
     with open(config, "w", encoding="utf-8") as fh:
         json.dump(GEN_CONFIG, fh)
     argv = ["gen", "--memory", memory, "--out", str(tmp_path / "synth.csv"), "--n", "300",
-            "--config", config, "--seed", "3", "--checkpoint", str(tmp_path / "flow.json")]
+            "--config", config, "--seed", "3"]
     assert main(argv + (["--uniform-lambda"] if variant == "uniform" else [])) == 0
-    with open(tmp_path / "flow.json", encoding="utf-8") as fh:
-        checkpoint = json.load(fh)
-    assert checkpoint["config"]["bootstrap_count"] == cfg.flow.bootstrap_count
-    assert (checkpoint["weights"] == [1.0 / 11] * 11) == (variant == "uniform")
-    synth_digest, checkpoint_digest = GOLDEN_GEN[variant]
+    synth_digest, _ = GOLDEN_GEN[variant]
     assert _sha256(tmp_path / "synth.csv") == synth_digest
-    assert _sha256(tmp_path / "flow.json") == checkpoint_digest
 
 
 # `dvfsflow run` → `report` → `eval --out` on dfm and model_free, seeds 0 and 1,

@@ -1,9 +1,8 @@
-"""Net plumbing: init, forward, weighted loss, Adam, gradient checks, checkpoints."""
+"""Net plumbing: init, forward, weighted loss, Adam, gradient checks."""
 
 import numpy as np
 import pytest
 
-from conftest import params_from_dict
 from dvfsflow import nets
 from dvfsflow.errors import ConfigurationError, DomainError, NumericError
 
@@ -204,29 +203,3 @@ def test_one_hot_row_weights_mask_gradients():
     assert loss == pytest.approx(1.0)   # one unit error per sample on one dim
     assert nets.grad_check(p, x, y, w) < 1e-4
 
-
-def test_checkpoint_round_trip():
-    p = nets.init_mlp([4, 6, 6, 12], seed=9)
-    payload = nets.params_to_dict(p)
-    q = params_from_dict(payload)
-    assert q.layer_sizes == p.layer_sizes
-    assert payload["activation"] == "tanh"
-    for wa, wb in zip(p.weights, q.weights):
-        assert np.array_equal(wa, wb)
-    for ba, bb in zip(p.biases, q.biases):
-        assert np.array_equal(ba, bb)
-
-
-def test_checkpoint_rejects_bad_version():
-    p = nets.init_mlp([2, 2], seed=0)
-    payload = nets.params_to_dict(p)
-    payload["version"] = 99
-    with pytest.raises(ConfigurationError):
-        params_from_dict(payload)
-
-
-def test_checkpoint_rejects_other_activation_tag():
-    payload = nets.params_to_dict(nets.init_mlp([2, 3, 2], seed=0))
-    payload["activation"] = "relu"
-    with pytest.raises(ConfigurationError, match="'relu'"):
-        params_from_dict(payload)

@@ -1,5 +1,5 @@
-"""The flow, forest, codec, replay memory, Q-step, ODE sampler, W1 and regret-oracle
-hot paths against plain loop versions of the same arithmetic.
+"""The flow, forest, codec, replay memory, Q-step, ODE sampler, W1, simulator-law and
+regret-oracle hot paths against plain loop versions of the same arithmetic.
 
 The references below are straightforward per-layer, per-column and recursive
 implementations.  The production code batches them into fewer numpy calls
@@ -24,8 +24,8 @@ from dvfsflow.flow import (CfmBatches, FMConfig, Normalizer, TransitionLayout,
 from dvfsflow.forest import (ForestConfig, _best_splits, _grow_trees, fit_forest,
                              normalized_importances, transition_feature_weights)
 from dvfsflow.orchestrate import regret_oracle
-from dvfsflow.simenv import (DvfsEnv, EnvConfig, ProcessorState, dynamics, reward_components,
-                             state_scales)
+from dvfsflow.simenv import (DvfsEnv, EnvConfig, ProcessorState, dynamics, law,
+                             reward_components, state_scales)
 
 
 # ---------------------------------------------------------------- references
@@ -1178,7 +1178,7 @@ def test_wasserstein1_nan_in_either_sample_is_nan(na, nb):
     assert np.isnan(_sorted_quantile(np.sort(a_nan), np.array([0.0, 0.5]))).all()
 
 
-# ---------------------------------------------------------------- regret oracle
+# ---------------------------------------------------------------- simulator law, regret oracle
 
 def _ref_regret_oracle(env_config):
     """One ``dynamics`` and one ``reward_components`` call per action."""
@@ -1210,10 +1210,61 @@ def test_regret_oracle_hex_equal_dynamics_loop(env, n):
     temps = np.concatenate([special,
                             rng.uniform(env.ambient_temp - 5.0, t0 + 15.0, n - 1_000),
                             rng.uniform(t0, 400.0, 1_000 - len(special))])
-    got, want = regret_oracle(env), _ref_regret_oracle(env)
-    for temp in temps.tolist():
+    oracle = regret_oracle(env)
+    step = law(temps[:, None], np.arange(env.num_actions), env)   # every (temp, action)
+    for temp, row in zip(temps.tolist(), np.stack(step, axis=-1)):
         state = ProcessorState(fps=30.0, freq=0.5, power=4.0, temp=temp)
-        assert float.hex(got(state)) == float.hex(want(state)), temp
+        best = -np.inf
+        for a, got in enumerate(row.tolist()):
+            nxt = dynamics(state, a, env, rng=None)
+            reward = reward_components(nxt, env).total
+            want = [nxt.fps, nxt.freq, nxt.power, nxt.temp, reward]
+            assert list(map(float.hex, got)) == list(map(float.hex, want)), (temp, a)
+            best = max(best, reward)
+        assert float.hex(oracle(state)) == float.hex(best), temp
+
+
+@pytest.mark.parametrize("env,clamps", [
+    (EnvConfig(), False),
+    (EnvConfig(noise_std_temp=0.0), False),
+    (EnvConfig(noise_std_fps=0.0), False),
+    (EnvConfig(noise_std_temp=8.0, noise_std_fps=30.0), True),
+])
+def test_law_replays_env_stream_hex_equal(env, clamps):
+    # the env's normals, drawn temp first, then fps, each only when its std is > 0;
+    # a zero std gets a normal of 9.0, which law must ignore
+    seed, steps = 5, 2_000
+    sim = DvfsEnv(env, seed=[seed, 1])
+    normals = np.random.default_rng([seed, 1])
+    temp, episode, at_ambient, at_zero_fps = sim.state.temp, 0, 0, 0
+    for i, a in enumerate(np.random.default_rng(seed).integers(env.num_actions, size=steps)):
+        z_temp = normals.standard_normal() if env.noise_std_temp > 0 else 9.0
+        z_fps = normals.standard_normal() if env.noise_std_fps > 0 else 9.0
+        got = law(temp, a, env, z_temp, z_fps)
+        nxt, reward, done = sim.step(int(a))
+        want = [nxt.fps, nxt.freq, nxt.power, nxt.temp, reward]
+        assert [float(v).hex() for v in got] == list(map(float.hex, want)), i
+        at_ambient += nxt.temp == env.ambient_temp
+        at_zero_fps += nxt.fps == 0.0
+        temp = float(got.temp)
+        if done:                                 # run_experiment's episode reset
+            episode += 1
+            temp = sim.reset(seed=[seed, 1, episode]).temp
+            normals = np.random.default_rng([seed, 1, episode])
+    assert episode == steps // env.episode_horizon
+    if clamps:
+        assert at_ambient > 0 and at_zero_fps > 0
+
+
+@pytest.mark.parametrize("action,named", [(12, 12), (-1, -1), (1.5, 1.5), (-0.5, -0.5),
+                                          (np.array([3, 12, -1]), 12)])
+def test_law_rejects_bad_action_like_dynamics(action, named):
+    env = EnvConfig()
+    with pytest.raises(DomainError) as want:
+        dynamics(ProcessorState(fps=30.0, freq=0.5, power=4.0, temp=40.0), named, env)
+    with pytest.raises(DomainError) as got:
+        law(40.0, action, env)
+    assert str(got.value) == str(want.value)
 
 
 def test_regret_oracle_rejects_non_positive_power_like_the_loop():
@@ -1222,3 +1273,5 @@ def test_regret_oracle_rejects_non_positive_power_like_the_loop():
     for oracle in (regret_oracle(env), _ref_regret_oracle(env)):
         with pytest.raises(DomainError, match="power must be > 0"):
             oracle(state)
+    with pytest.raises(DomainError, match="power must be > 0"):
+        law(np.array([40.0, state.temp]), 0, env)

@@ -160,9 +160,9 @@ def _dfm_and_gen(tmp_path, monkeypatch, cores):
     config = out / "cfg.json"
     config.write_text('{"flow": {"epochs": 4}, "forest": {"n_trees": 8}}')
     assert main(["gen", "--memory", str(out / "real.csv"), "--out", str(out / "gen.csv"),
-                 "--config", str(config), "--checkpoint", str(out / "ckpt.json")]) == 0
+                 "--config", str(config)]) == 0
     assert log.fm_train_steps == [40, 80, 120] and len(log.synth_raw) == 1000
-    return ({name: _sha256(out / name) for name in ("runlog.csv", "gen.csv", "ckpt.json")},
+    return ({name: _sha256(out / name) for name in ("runlog.csv", "gen.csv")},
             log.synth_raw.tobytes(), [float.hex(v) for v in log.lambda_weights],
             {int(p.name) for p in pids.iterdir()})
 
