@@ -27,7 +27,7 @@ import numpy as np
 from . import nets
 from .errors import (ConfigurationError, DomainError, InsufficientDataError, NumericError,
                      check_domains, domain)
-from .flow import TRANSITION_DIM
+from .flow import ACTION_COL, DONE_COL, NEXT_STATE_COLS, REWARD_COL, STATE_COLS, TRANSITION_DIM
 from .nets import MlpParams
 from .simenv import EnvConfig, ProcessorState, state_scales
 
@@ -157,8 +157,7 @@ def decay_epsilon(epsilon: float, config: AgentConfig) -> float:
     return max(config.epsilon_floor, epsilon * config.epsilon_decay)
 
 
-# the s and s' columns of a codec row, in ProcessorState field order
-_STATE_COLUMNS = np.array([0, 1, 2, 3, 5, 6, 7, 8])
+_STATE_COLUMNS = np.r_[STATE_COLS, NEXT_STATE_COLS]
 
 
 def train_q_step(trainer: nets.Trainer, target_net: MlpParams, batch: np.ndarray,
@@ -184,14 +183,14 @@ def train_q_step(trainer: nets.Trainer, target_net: MlpParams, batch: np.ndarray
                           out=scratch.x)
     q_next = nets.forward_batch(target_net, x_next, out=scratch.target_acts)
     np.maximum.reduce(q_next, axis=1, out=scratch.q_max)
-    np.less_equal(batch[:, 10], 0.5, out=scratch.not_done)
+    np.less_equal(batch[:, DONE_COL], 0.5, out=scratch.not_done)
     y = np.multiply(scratch.not_done, agent_config.discount, out=scratch.y)
     y *= scratch.q_max
-    np.add(batch[:, 9], y, out=y)
+    np.add(batch[:, REWARD_COL], y, out=y)
     if not np.isfinite(y).all():
         raise NumericError("NaN/inf in Q targets")
 
-    np.multiply(batch[:, 4], scratch.num_actions - 1, out=scratch.level)
+    np.multiply(batch[:, ACTION_COL], scratch.num_actions - 1, out=scratch.level)
     np.rint(scratch.level, out=scratch.level)
     np.add(scratch.row_start, scratch.level, out=scratch.taken, casting="unsafe")
     scratch.targets.fill(0.0)           # untaken dims carry zero weight

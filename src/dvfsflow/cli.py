@@ -201,6 +201,17 @@ def cmd_eval(args) -> int:
 
 # ---------------------------------------------------------------- report
 
+# per-run metrics: the per_run rows, the per-method medians and the metrics.csv columns
+_RUN_METRICS = ("mean_fps", "mean_reward", "qvalue_stability", "final_regret")
+
+# line figures of the first seed of each method: file, title, y-label, series
+_LINE_FIGURES = (
+    ("fps.svg", "frame rate per step", "fps", lambda log, regret: [s.fps for s in log.states]),
+    ("max_q.svg", "max Q at visited state", "max Q", lambda log, regret: log.max_q),
+    ("regret.svg", "cumulative empirical regret", "regret", lambda log, regret: regret.tolist()),
+)
+
+
 def cmd_report(args) -> int:
     run_dir = args.run_dir
     with open(os.path.join(run_dir, "manifest.json"), "r", encoding="utf-8") as fh:
@@ -224,13 +235,9 @@ def cmd_report(args) -> int:
             stability = qvalue_stability(log)
         except InsufficientDataError:       # a run too short to estimate it
             stability = None
-        row = {
-            "method": method, "seed": seed,
-            "mean_fps": float(np.mean([s.fps for s in log.states])),
-            "mean_reward": float(np.mean(log.rewards)),
-            "qvalue_stability": stability,
-            "final_regret": float(regret[-1]),
-        }
+        metrics = (float(np.mean([s.fps for s in log.states])), float(np.mean(log.rewards)),
+                   stability, float(regret[-1]))            # in _RUN_METRICS order
+        row = {"method": method, "seed": seed, **dict(zip(_RUN_METRICS, metrics))}
         if files.get("synth"):
             row["eval"] = _eval_batches(batch(files["real"]), batch(files["synth"]))
         per_run.append(row)
@@ -240,7 +247,7 @@ def cmd_report(args) -> int:
     for method in methods:
         rows = [r for r in per_run if r["method"] == method]
         medians[method] = {}
-        for key in ("mean_fps", "mean_reward", "qvalue_stability", "final_regret"):
+        for key in _RUN_METRICS:
             present = [r[key] for r in rows if r[key] is not None]
             medians[method][key] = float(np.median(present)) if present else None
         evals = [r["eval"] for r in rows if "eval" in r]
@@ -249,32 +256,21 @@ def cmd_report(args) -> int:
             medians[method]["corr_gap"] = float(np.median(gaps)) if gaps else None
 
     gains = {}
-    if "dfm" in methods and "model_free" in methods:
-        seeds = sorted({r["seed"] for r in per_run if r["method"] == "dfm"})
+    # the seeds both methods ran
+    seeds = sorted({s for m, s in logs if m == "dfm"} & {s for m, s in logs if m == "model_free"})
+    if seeds:
         window = min(50, min(len(logs[(m, s)][0].t) for m in ("dfm", "model_free")
                              for s in seeds))
         vals = [early_fps_gain(logs[("dfm", s)][0], logs[("model_free", s)][0],
-                               window=window) for s in seeds
-                if ("model_free", s) in logs]
-        if vals:
-            gains = {"window": window, "per_seed": vals,
-                     "median": float(np.median(vals))}
+                               window=window) for s in seeds]
+        gains = {"window": window, "per_seed": vals, "median": float(np.median(vals))}
 
     # figures from the first seed of each method; a batch of one row has no
     # correlations, so its heatmap is skipped and listed in report.json
     first_seed = manifest["runs"][0]["seed"]
-    fps_series, maxq_series, regret_series = {}, {}, {}
-    heatmaps = []
-    for method in methods:
-        if (method, first_seed) not in logs:
-            continue
-        log, files, regret = logs[(method, first_seed)]
-        fps_series[method] = [s.fps for s in log.states]
-        maxq_series[method] = log.max_q
-        regret_series[method] = regret.tolist()
-        if files.get("synth"):
-            heatmaps.append((files["synth"], f"corr_{method}.svg",
-                             f"synthetic correlations: {method}"))
+    firsts = {m: logs[(m, first_seed)] for m in methods if (m, first_seed) in logs}
+    heatmaps = [(files["synth"], f"corr_{method}.svg", f"synthetic correlations: {method}")
+                for method, (_, files, _) in firsts.items() if files.get("synth")]
     heatmaps.append((manifest["runs"][0]["files"]["real"], "corr_real.svg",
                      "real-data correlations"))
     skipped = []
@@ -286,19 +282,16 @@ def cmd_report(args) -> int:
             continue
         m = pearson_matrix(rows)
         report.svg_heatmap(m.values, m.labels, os.path.join(report_dir, figure), title=title)
-    report.svg_lines(fps_series, os.path.join(report_dir, "fps.svg"),
-                     title="frame rate per step", ylabel="fps")
-    report.svg_lines(maxq_series, os.path.join(report_dir, "max_q.svg"),
-                     title="max Q at visited state", ylabel="max Q")
-    report.svg_lines(regret_series, os.path.join(report_dir, "regret.svg"),
-                     title="cumulative empirical regret", ylabel="regret")
+    for figure, title, ylabel, series in _LINE_FIGURES:
+        report.svg_lines({m: series(log, regret) for m, (log, _, regret) in firsts.items()},
+                         os.path.join(report_dir, figure), title=title, ylabel=ylabel)
 
     payload = {"per_run": per_run, "medians": medians, "early_fps_gain": gains}
     if skipped:
         payload["skipped_figures"] = skipped
     _write_json(payload, os.path.join(report_dir, "report.json"))
 
-    columns = ["method", "seed", "mean_fps", "mean_reward", "qvalue_stability", "final_regret"]
+    columns = ["method", "seed", *_RUN_METRICS]
     with open(os.path.join(report_dir, "metrics.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")      # None becomes an empty cell
         writer.writerow(columns + ["corr_gap"])

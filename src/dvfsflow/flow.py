@@ -27,7 +27,10 @@ sampling code serves any (n, d) data.  Only the codec knows the 11 columns:
 :func:`encode_transition` builds the row of one env step, :func:`canonical_rows`
 projects raw rows, such as generated ones, onto valid transitions, and
 :func:`unflatten_transition` reads one row back as a :class:`Transition`.  The
-replay memories, the forest, the Q-step and the batch CSVs exchange the rows.
+replay memories, the forest, the Q-step and the batch CSVs exchange the rows,
+and index them through the codec's column groups: ``STATE_COLS``, ``ACTION_COL``,
+``NEXT_STATE_COLS``, ``REWARD_COL``, ``DONE_COL``, and the split of a row into
+its (s, a) inputs ``INPUT_COLS`` and its (s', r, done) outcome ``OUTCOME_COLS``.
 """
 
 from __future__ import annotations
@@ -49,6 +52,14 @@ TRANSITION_LABELS = [
     "next_fps", "next_freq", "next_power", "next_temp", "reward", "done",
 ]
 TRANSITION_DIM = len(TRANSITION_LABELS)
+# The column groups of a row, in TRANSITION_LABELS order.  Slices read views.
+STATE_COLS = slice(0, 4)            # s, in ProcessorState field order
+ACTION_COL = 4                      # a, as a / (num_actions - 1)
+NEXT_STATE_COLS = slice(5, 9)       # s'
+REWARD_COL = 9                      # r
+DONE_COL = 10                       # done, 1.0 or 0.0
+INPUT_COLS = slice(0, 5)            # (s, a), what a transition starts from
+OUTCOME_COLS = slice(5, 11)         # (s', r, done), what it leads to
 
 
 @dataclass(frozen=True)
@@ -99,12 +110,13 @@ def canonical_rows(raw: np.ndarray, layout: TransitionLayout) -> np.ndarray:
     if v.ndim != 2 or v.shape[1] != TRANSITION_DIM:
         raise DomainError(f"expected an (n, {TRANSITION_DIM}) batch, got shape {v.shape}")
     check_finite(v)
-    lo = np.array([0.0, 0.0, 1e-6, layout.ambient_temp, -np.inf] * 2 + [-np.inf])
-    hi = np.array([np.inf, 1.0, np.inf, np.inf, np.inf] * 2 + [np.inf])
+    lo, hi = np.full(TRANSITION_DIM, -np.inf), np.full(TRANSITION_DIM, np.inf)
+    lo[STATE_COLS] = lo[NEXT_STATE_COLS] = 0.0, 0.0, 1e-6, layout.ambient_temp
+    hi[STATE_COLS] = hi[NEXT_STATE_COLS] = np.inf, 1.0, np.inf, np.inf
     out = np.minimum(np.where(v < lo, lo, v), hi)      # the reward passes unchanged
     k1 = layout.num_actions - 1
-    out[:, 4] = np.rint(np.clip(v[:, 4], 0.0, 1.0) * k1).astype(int) / k1
-    out[:, 10] = v[:, 10] > 0.5
+    out[:, ACTION_COL] = np.rint(np.clip(v[:, ACTION_COL], 0.0, 1.0) * k1).astype(int) / k1
+    out[:, DONE_COL] = v[:, DONE_COL] > 0.5
     return out
 
 
@@ -114,8 +126,9 @@ def unflatten_transition(vec: np.ndarray, layout: TransitionLayout) -> Transitio
         raise DomainError(
             f"expected a vector of dim {TRANSITION_DIM}, got shape {np.shape(vec)}")
     v = canonical_rows(np.reshape(vec, (1, -1)), layout)[0].tolist()
-    return Transition(ProcessorState(*v[0:4]), round(v[4] * (layout.num_actions - 1)),
-                      v[9], ProcessorState(*v[5:9]), v[10] == 1.0)
+    return Transition(ProcessorState(*v[STATE_COLS]),
+                      round(v[ACTION_COL] * (layout.num_actions - 1)), v[REWARD_COL],
+                      ProcessorState(*v[NEXT_STATE_COLS]), v[DONE_COL] == 1.0)
 
 
 @dataclass

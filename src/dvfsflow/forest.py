@@ -34,6 +34,8 @@ import numpy as np
 
 from .errors import (ConfigurationError, DomainError, InsufficientDataError, NumericError,
                      check_domains, domain)
+from .flow import (DONE_COL, INPUT_COLS, NEXT_STATE_COLS, REWARD_COL, STATE_COLS,
+                   TRANSITION_DIM)
 from .spread import spread
 
 
@@ -248,8 +250,8 @@ def transition_feature_weights(data: np.ndarray, config: ForestConfig,
                                rng: np.random.Generator) -> np.ndarray:
     """Per-dimension loss weights for the flattened (n, 11) transition array.
 
-    Fits one forest per next-state field (columns 5-8) on the state and the
-    encoded action (columns 0-4), averages the normalized input importances
+    Fits one forest per next-state field (``NEXT_STATE_COLS``) on the state and
+    the encoded action (``INPUT_COLS``), averages the normalized input importances
     across the four forests (so each prediction target counts equally
     regardless of its variance scale), then mirrors the state weights onto the
     next-state dims; reward and done receive the mean state weight.  The full
@@ -257,21 +259,23 @@ def transition_feature_weights(data: np.ndarray, config: ForestConfig,
     feature's values, which a / (num_actions - 1) keeps, so the encoded action
     gives the same weights as the raw action index.
     """
-    if data.ndim != 2 or data.shape[1] != 11:
+    if data.ndim != 2 or data.shape[1] != TRANSITION_DIM:
         raise DomainError(f"transitions must be an (n, 11) array, got shape {data.shape}")
     if data.shape[0] < config.min_samples:
         raise InsufficientDataError(
             f"feature weighting needs >= {config.min_samples} transitions, "
             f"got {data.shape[0]}")
-    x, targets = data[:, :5], data[:, 5:9]
+    x, targets = data[:, INPUT_COLS], data[:, NEXT_STATE_COLS]
 
-    children = rng.spawn(4)
-    acc = np.zeros(5)
+    children = rng.spawn(targets.shape[1])
+    acc = np.zeros(x.shape[1])
     for lam in spread(lambda j: normalized_importances(
-            fit_forest(x, targets[:, j], config, children[j])), range(4)):
-        acc += lam                  # in target order 0..3, wherever each forest grew
+            fit_forest(x, targets[:, j], config, children[j])), range(targets.shape[1])):
+        acc += lam                  # in target order, wherever each forest grew
     w_in = acc / acc.sum()          # each forest's weights sum to 1
 
-    state_mean = float(w_in[:4].mean())
-    full = np.concatenate([w_in[:4], w_in[4:5], w_in[:4], [state_mean, state_mean]])
+    full = np.empty(TRANSITION_DIM)
+    full[INPUT_COLS] = w_in
+    full[NEXT_STATE_COLS] = w_in[STATE_COLS]
+    full[REWARD_COL] = full[DONE_COL] = float(w_in[STATE_COLS].mean())
     return full / full.sum()

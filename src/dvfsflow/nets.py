@@ -237,11 +237,6 @@ def _adam_update(adam: AdamState, g: np.ndarray, out: np.ndarray) -> np.ndarray:
     return update
 
 
-def _check_loss(loss: float) -> None:
-    if not math.isfinite(loss):
-        raise NumericError(f"non-finite training loss {loss!r}")
-
-
 class Trainer:
     """In-place minibatch Adam on one net, the one training loop of the package.
 
@@ -271,7 +266,8 @@ class Trainer:
             self._work[rows] = _Workspace(params.layer_sizes, rows)
         loss = _forward_backward(params, x, y, w, self._work[rows],
                                  self._grads_w, self._grads_b)
-        _check_loss(loss)
+        if not math.isfinite(loss):
+            raise NumericError(f"non-finite training loss {loss!r}")
         adam.step += 1
         params.flat -= _adam_update(adam, self._grad, self._update)
         return loss

@@ -34,7 +34,8 @@ from . import flow as flow_mod
 from . import nets
 from .agent import AgentConfig, ReplayMemory
 from .errors import ConfigurationError, DomainError, NumericError, check_domains, domain
-from .flow import FMConfig, Normalizer, TransitionLayout
+from .flow import (INPUT_COLS, OUTCOME_COLS, TRANSITION_LABELS, FMConfig, Normalizer,
+                   TransitionLayout)
 from .forest import ForestConfig, transition_feature_weights
 from .simenv import DvfsEnv, EnvConfig, ProcessorState, law
 
@@ -125,18 +126,19 @@ class _ModelBasedPlanner:
 
     def __init__(self, fm_config: FMConfig, seed):
         self.fm_config = fm_config
-        self.params = nets.init_mlp([5, 32, 32, 6], seed=seed)
+        widths = [len(TRANSITION_LABELS[INPUT_COLS]), 32, 32, len(TRANSITION_LABELS[OUTCOME_COLS])]
+        self.params = nets.init_mlp(widths, seed=seed)
         self.in_norm: Optional[Normalizer] = None
         self.out_norm: Optional[Normalizer] = None
 
     def train(self, data: np.ndarray, seed) -> float:
         """Fit on the flattened (n, 11) real memory; returns the last epoch's loss."""
-        x, y = data[:, :5], data[:, 5:]
+        x, y = data[:, INPUT_COLS], data[:, OUTCOME_COLS]
         self.in_norm = Normalizer.fit(x)
         self.out_norm = Normalizer.fit(y)
         xn, yn = self.in_norm.normalize(x), self.out_norm.normalize(y)
         cfg = self.fm_config
-        weights = np.ones(6)
+        weights = np.ones(y.shape[1])
         self.params, loss_curve = nets.fit(
             self.params, cfg.learning_rate, xn.shape[0], cfg.epochs, cfg.batch_size,
             np.random.default_rng(seed), lambda rows: (xn[rows], yn[rows], weights))
@@ -148,7 +150,7 @@ class _ModelBasedPlanner:
         often as needed)."""
         m = data.shape[0]
         idx = np.concatenate([rng.permutation(m) for _ in range(-(-n // m))])[:n]
-        seeds = data[idx][:, :5]
+        seeds = data[idx, INPUT_COLS]
         pred = self.out_norm.denormalize(
             nets.forward_batch(self.params, self.in_norm.normalize(seeds)))
         return np.concatenate([seeds, pred], axis=1)

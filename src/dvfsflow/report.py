@@ -24,6 +24,16 @@ def _heat_color(value: float) -> str:
     return f"#{g:02x}{g:02x}ff"
 
 
+def _write_svg(path: str, width: int, height: int, title_x: int, title: str,
+               body: list[str]) -> None:
+    """Write an SVG: the header, the title at (title_x, 20), then ``body``'s elements."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+            f'font-family="monospace" font-size="11">',
+            f'<text x="{title_x}" y="20" font-size="14">{title}</text>', *body, "</svg>"]))
+
+
 def svg_heatmap(matrix: np.ndarray, labels: Sequence[str], path: str,
                 title: str = "") -> None:
     """Write a correlation heatmap (values expected in [-1, 1], NaN allowed)."""
@@ -32,11 +42,7 @@ def svg_heatmap(matrix: np.ndarray, labels: Sequence[str], path: str,
     cell, margin, top = 34, 110, 40
     width = margin + d * cell + 20
     height = top + d * cell + margin
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'font-family="monospace" font-size="11">',
-        f'<text x="{margin}" y="20" font-size="14">{title}</text>',
-    ]
+    parts = []
     for i in range(d):
         for j in range(d):
             x, y = margin + j * cell, top + i * cell
@@ -54,9 +60,7 @@ def svg_heatmap(matrix: np.ndarray, labels: Sequence[str], path: str,
         y = top + d * cell + 10
         parts.append(f'<text x="{x}" y="{y}" text-anchor="end" '
                      f'transform="rotate(-60 {x} {y})">{lab}</text>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
+    _write_svg(path, width, height, margin, title, parts)
 
 
 _LINE_COLORS = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b"]
@@ -81,9 +85,6 @@ def svg_lines(series: dict[str, Sequence[float]], path: str, title: str = "",
         return top + plot_h * (1 - (v - lo) / (hi - lo))
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'font-family="monospace" font-size="11">',
-        f'<text x="{left}" y="20" font-size="14">{title}</text>',
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#888"/>',
         f'<text x="12" y="{top + plot_h / 2}" transform="rotate(-90 12 '
@@ -109,6 +110,4 @@ def svg_lines(series: dict[str, Sequence[float]], path: str, title: str = "",
                      f'x2="{width - right + 34}" y2="{ly}" stroke="{color}" '
                      f'stroke-width="2"/>')
         parts.append(f'<text x="{width - right + 40}" y="{ly + 4}">{name}</text>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
+    _write_svg(path, width, height, left, title, parts)

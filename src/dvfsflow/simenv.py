@@ -9,10 +9,13 @@ is bit-reproducible.
 
 The law of one step is stated in two forms with the same bits: the scalar
 :func:`dynamics` + :func:`reward_components`, and :func:`law`, which takes
-arrays of temperatures, actions and standard normals.  :class:`DvfsEnv` keeps
-the scalar form: a one-row :func:`law` call with its two normal draws costs
-about 40 us, the scalar pair about 4 us (2-core x86 host, Python 3.11, numpy
-2.4), so a run of 8,000 steps would spend some 0.3 s more in the env.
+arrays of temperatures, actions and standard normals.  Both, and
+:func:`initial_state`, read the frequency, dynamic power and fps ceiling of
+each level from the one :class:`LevelTable` of the config's values,
+:func:`level_table`.  :class:`DvfsEnv` keeps the scalar form: a one-row
+:func:`law` call with its two normal draws costs about 40 us, the scalar pair
+about 4 us (2-core x86 host, Python 3.11, numpy 2.4), so a run of 8,000 steps
+would spend some 0.3 s more in the env.
 """
 
 from __future__ import annotations
@@ -79,10 +82,29 @@ class EnvConfig:
                 f"give a non-contractive thermal update: factor {a!r} outside (-1, 1)")
 
 
+class LevelTable(NamedTuple):
+    """The law's per-level quantities in Python floats, indexed by action."""
+    freq: tuple[float, ...]             # f, num_actions levels in [min_freq, 1]
+    p_dyn: tuple[float, ...]            # dyn_coeff * f ** eta
+    fps_top: tuple[float, ...]          # min(fps_cap, fps_slope * f)
+    array: np.ndarray                   # the three as rows of a read-only float64 array
+
+
 @functools.lru_cache(maxsize=64)
-def _level_table(min_freq: float, num_actions: int) -> tuple[float, ...]:
+def _levels(min_freq, num_actions, dyn_coeff, eta, fps_cap, fps_slope) -> LevelTable:
     # Keyed on the values, not the (mutable) config, so it cannot go stale.
-    return tuple(np.linspace(min_freq, 1.0, num_actions).tolist())
+    freq = tuple(np.linspace(min_freq, 1.0, num_actions).tolist())
+    p_dyn = tuple(dyn_coeff * f ** eta for f in freq)
+    fps_top = tuple(float(min(fps_cap, fps_slope * f)) for f in freq)
+    array = np.array([freq, p_dyn, fps_top])
+    array.flags.writeable = False
+    return LevelTable(freq, p_dyn, fps_top, array)
+
+
+def level_table(config: EnvConfig) -> LevelTable:
+    """The :class:`LevelTable` of ``config``'s current values, built once for each."""
+    return _levels(config.min_freq, config.num_actions, config.dyn_coeff, config.eta,
+                   config.fps_cap, config.fps_slope)
 
 
 def throttle_factor(temp: float, config: EnvConfig) -> float:
@@ -109,20 +131,18 @@ def dynamics(state: ProcessorState, action: int, config: EnvConfig,
     """
     if not (0 <= int(action) < config.num_actions) or int(action) != action:
         raise DomainError(f"action {action!r} outside 0..{config.num_actions - 1}")
-    f_next = _level_table(config.min_freq, config.num_actions)[int(action)]
-    p_dyn = config.dyn_coeff * f_next ** config.eta
-    p_static = config.static_coeff * state.temp
-    power = p_dyn + p_static
+    levels, a = level_table(config), int(action)
+    power = levels.p_dyn[a] + config.static_coeff * state.temp
     temp = state.temp + (power - (state.temp - config.ambient_temp)
                          / config.thermal_resistance) / config.thermal_capacitance
     if rng is not None and config.noise_std_temp > 0:
         temp += config.noise_std_temp * rng.standard_normal()
     temp = max(temp, config.ambient_temp)
-    fps = min(config.fps_cap, config.fps_slope * f_next) * throttle_factor(temp, config)
+    fps = levels.fps_top[a] * throttle_factor(temp, config)
     if rng is not None and config.noise_std_fps > 0:
         fps += config.noise_std_fps * rng.standard_normal()
     fps = max(fps, 0.0)
-    return ProcessorState(fps=fps, freq=f_next, power=power, temp=temp)
+    return ProcessorState(fps=fps, freq=levels.freq[a], power=power, temp=temp)
 
 
 class RewardComponents(NamedTuple):
@@ -173,10 +193,7 @@ def law(temp, action, config: EnvConfig, temp_noise=None, fps_noise=None) -> Law
     if not ok.all():
         raise DomainError(f"action {a[~ok].flat[0].item()!r} outside "
                           f"0..{config.num_actions - 1}")
-    a = a.astype(np.intp)
-    levels = _level_table(config.min_freq, config.num_actions)
-    p_dyn = np.array([config.dyn_coeff * f ** config.eta for f in levels])[a]
-    fps_top = np.array([min(config.fps_cap, config.fps_slope * f) for f in levels])[a]
+    freq, p_dyn, fps_top = level_table(config).array[:, a.astype(np.intp)]
     temp = np.asarray(temp, dtype=np.float64)
     power = p_dyn + config.static_coeff * temp
     nxt = temp + (power - (temp - config.ambient_temp)
@@ -197,17 +214,16 @@ def law(temp, action, config: EnvConfig, temp_noise=None, fps_noise=None) -> Law
     tanh = np.array([math.tanh(x) for x in (config.target_temp - nxt).ravel().tolist()])
     v = np.where(cool, 0.2 * tanh.reshape(nxt.shape), -2.0)
     reward = u + v + config.reward_scale / power
-    freq = np.broadcast_to(np.array(levels)[a], reward.shape)
-    return LawStep(fps=fps, freq=freq, power=power, temp=nxt, reward=reward)
+    return LawStep(fps=fps, freq=np.broadcast_to(freq, reward.shape), power=power, temp=nxt,
+                   reward=reward)
 
 
 def initial_state(config: EnvConfig) -> ProcessorState:
     """Deterministic start: mid frequency level at ambient temperature."""
-    mid = config.num_actions // 2
-    f = _level_table(config.min_freq, config.num_actions)[mid]
-    power = config.dyn_coeff * f ** config.eta + config.static_coeff * config.ambient_temp
-    fps = min(config.fps_cap, config.fps_slope * f) * throttle_factor(config.ambient_temp, config)
-    return ProcessorState(fps=fps, freq=f, power=power, temp=config.ambient_temp)
+    levels, mid = level_table(config), config.num_actions // 2
+    power = levels.p_dyn[mid] + config.static_coeff * config.ambient_temp
+    fps = levels.fps_top[mid] * throttle_factor(config.ambient_temp, config)
+    return ProcessorState(fps=fps, freq=levels.freq[mid], power=power, temp=config.ambient_temp)
 
 
 class DvfsEnv:

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from dvfsflow.simenv import EnvConfig, _level_table
+from dvfsflow.simenv import EnvConfig, level_table
 
 
 def noiseless(config: EnvConfig) -> EnvConfig:
@@ -15,7 +15,7 @@ def noiseless(config: EnvConfig) -> EnvConfig:
 
 def frequency_levels(config: EnvConfig) -> np.ndarray:
     """The k discrete normalized frequencies, uniformly spaced in [min_freq, 1]."""
-    return np.array(_level_table(config.min_freq, config.num_actions))
+    return np.array(level_table(config).freq)
 
 
 def steady_state_temp(freq: float, config: EnvConfig) -> float:

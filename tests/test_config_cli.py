@@ -313,6 +313,23 @@ def test_report_builds_bundle(tmp_path, capsys):
         assert (rep / fig).exists()
 
 
+def test_report_gain_covers_only_the_seeds_both_methods_ran(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path, {"methods": ["dfm", "model_free"], "seeds": [0, 1],
+                                        "output_dir": str(out)})
+    assert main(["run", "--config", cfg_path]) == 0
+    with open(out / "manifest.json") as fh:
+        manifest = json.load(fh)
+    manifest["runs"] = [r for r in manifest["runs"]
+                        if (r["method"], r["seed"]) != ("model_free", 1)]
+    with open(out / "manifest.json", "w") as fh:
+        json.dump(manifest, fh)
+    assert main(["report", "--run-dir", str(out)]) == 0
+    with open(out / "report" / "report.json") as fh:
+        gain = json.load(fh)["early_fps_gain"]
+    assert len(gain["per_seed"]) == 1 and gain["median"] == gain["per_seed"][0]
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

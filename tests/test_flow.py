@@ -7,7 +7,9 @@ import pytest
 
 from dvfsflow import nets
 from dvfsflow.errors import DomainError, NumericError, StateError
-from dvfsflow.flow import (TRANSITION_DIM, CfmBatches, FMConfig, Transition, TransitionLayout,
+from dvfsflow.flow import (ACTION_COL, DONE_COL, INPUT_COLS, NEXT_STATE_COLS, OUTCOME_COLS,
+                           REWARD_COL, STATE_COLS, TRANSITION_DIM, TRANSITION_LABELS,
+                           CfmBatches, FMConfig, Transition, TransitionLayout,
                            canonical_rows, encode_transition, generate_raw,
                            init_flow_model, load_batch_csv, save_batch_csv, train_flow_model,
                            unflatten_transition)
@@ -43,6 +45,23 @@ def _sim_data(n, seed=0):
 
 
 # ---------------------------------------------------------------- encoding
+
+def test_column_groups_cover_the_row_in_label_order():
+    columns = list(range(TRANSITION_DIM))
+
+    def cols(group):
+        return columns[group] if isinstance(group, slice) else [group]
+
+    assert (cols(STATE_COLS) + cols(ACTION_COL) + cols(NEXT_STATE_COLS) + cols(REWARD_COL)
+            + cols(DONE_COL)) == columns
+    assert cols(INPUT_COLS) == cols(STATE_COLS) + cols(ACTION_COL)
+    assert cols(OUTCOME_COLS) == cols(NEXT_STATE_COLS) + cols(REWARD_COL) + cols(DONE_COL)
+    states = [TRANSITION_LABELS[i] for i in cols(STATE_COLS)]
+    assert states == ["fps", "freq", "power", "temp"]       # ProcessorState field order
+    assert [TRANSITION_LABELS[i] for i in cols(NEXT_STATE_COLS)] == ["next_" + s for s in states]
+    assert [TRANSITION_LABELS[c] for c in (ACTION_COL, REWARD_COL, DONE_COL)] == [
+        "action", "reward", "done"]
+
 
 def test_flatten_round_trip():
     ts = [_transition(a=a, done=done) for a, done in [(0, False), (3, False), (11, True)]]

@@ -132,10 +132,8 @@ def test_golden_digest_with_eviction_syncs_and_resets(method, tmp_path):
 # the other the uniform lambda of --uniform-lambda.  Both keep the config's B.
 GEN_CONFIG = {"flow": {"epochs": 60}}
 GOLDEN_GEN = {
-    "forest": ("42bfa8344a804b3cf571592af129487604ef77e2606838e9c7dfa3ee2c27f14c",
-               "5451eb646875da2dc5e2c19dbfeac1c8add929fc8769855811e856dfb24cb53f"),
-    "uniform": ("b2ce9487db73244a2b1ef622c57fd79b8292c94ba7438f0286d455bed7b05abe",
-                "679fecae6a38b432de1f9647aed3e6768692a1bf562a6626917d64b005d66d95"),
+    "forest": "42bfa8344a804b3cf571592af129487604ef77e2606838e9c7dfa3ee2c27f14c",
+    "uniform": "b2ce9487db73244a2b1ef622c57fd79b8292c94ba7438f0286d455bed7b05abe",
 }
 
 
@@ -151,8 +149,7 @@ def test_golden_gen_digests(variant, tmp_path):
     argv = ["gen", "--memory", memory, "--out", str(tmp_path / "synth.csv"), "--n", "300",
             "--config", config, "--seed", "3"]
     assert main(argv + (["--uniform-lambda"] if variant == "uniform" else [])) == 0
-    synth_digest, _ = GOLDEN_GEN[variant]
-    assert _sha256(tmp_path / "synth.csv") == synth_digest
+    assert _sha256(tmp_path / "synth.csv") == GOLDEN_GEN[variant]
 
 
 # `dvfsflow run` → `report` → `eval --out` on dfm and model_free, seeds 0 and 1,

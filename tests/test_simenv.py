@@ -1,6 +1,7 @@
 """Simulator contracts: determinism, dynamics, reward shape, thermal behavior."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from conftest import frequency_levels, noiseless, steady_state_temp
 from dvfsflow.errors import ConfigurationError, DomainError, StateError
 from dvfsflow.simenv import (DvfsEnv, EnvConfig, ProcessorState, dynamics, initial_state,
-                             reward_components, state_scales, throttle_factor)
+                             level_table, reward_components, state_scales, throttle_factor)
 
 
 def test_reset_is_deterministic_per_seed():
@@ -256,3 +257,32 @@ def test_frequency_table_follows_config_changes():
     quiet = noiseless(cfg)
     quiet.min_freq = 0.5
     assert dynamics(s, 0, quiet).freq == 0.5 and dynamics(s, 0, cfg).freq == 0.3
+
+
+def test_level_table_is_shared_by_equal_configs_and_rebuilt_for_each_field():
+    base = EnvConfig()
+    table = level_table(base)
+    assert level_table(EnvConfig()) is table
+    assert level_table(replace(base, target_temp=40.0, noise_std_fps=0.0)) is table
+    for name, value in [("min_freq", 0.3), ("num_actions", 5), ("dyn_coeff", 9.0),
+                        ("eta", 2.5), ("fps_cap", 80.0), ("fps_slope", 90.0)]:
+        cfg = replace(base, **{name: value})
+        other = level_table(cfg)
+        assert other is not table, name
+        f = np.linspace(cfg.min_freq, 1.0, cfg.num_actions).tolist()
+        want = [f, [cfg.dyn_coeff * x ** cfg.eta for x in f],
+                [min(cfg.fps_cap, cfg.fps_slope * x) for x in f]]
+        got = [list(other.freq), list(other.p_dyn), list(other.fps_top)]
+        assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row] for row in want]
+        assert all(type(x) is float for row in got for x in row)
+        assert other.array.dtype == np.float64 and other.array.tolist() == got
+
+
+def test_level_table_array_is_read_only():
+    array = level_table(EnvConfig()).array
+    with pytest.raises(ValueError):
+        array[1, 0] = 0.0
+    freq, _, _ = array
+    with pytest.raises(ValueError):
+        freq[0] = 0.0
+    assert level_table(EnvConfig()).array[1, 0] != 0.0

@@ -17,3 +17,24 @@ def test_no_module_imports_a_private_name_of_a_sibling():
                 found += [f"{path.name}: {alias.name}" for alias in node.names
                           if alias.name.startswith("_")]
     assert found == []
+
+
+def _int_literal(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def test_row_readers_index_columns_only_through_the_codec_groups():
+    # x[:, 4] or x[:, :5] restates the row layout that flow's column groups name
+    found = []
+    for name in ("agent.py", "forest.py", "orchestrate.py"):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple):
+                for index in node.slice.elts[1:]:
+                    bounds = ([index.lower, index.upper, index.step]
+                              if isinstance(index, ast.Slice) else [index])
+                    if any(_int_literal(b) for b in bounds):
+                        found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
