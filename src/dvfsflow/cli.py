@@ -161,8 +161,7 @@ def _eval_batches(real: np.ndarray, synth: np.ndarray) -> dict:
     paired = m_real is not None and m_synth is not None
     per_feature_w1 = {lab: wasserstein1(real[:, i], synth[:, i])
                       for i, lab in enumerate(TRANSITION_LABELS)}
-    real_std = real.std(axis=0)
-    synth_std = synth.std(axis=0)
+    real_std, synth_std = real.std(axis=0), synth.std(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(real_std > 0, synth_std / real_std, np.nan)
     # one row has no spread in any column
@@ -212,10 +211,32 @@ _LINE_FIGURES = (
 )
 
 
+def _load_manifest(path: str) -> dict:
+    """A run's manifest; a parse error or a missing key raises DomainError naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"manifest parse error in {path} at line {exc.lineno}, "
+                              f"column {exc.colno}: {exc.msg}") from None
+
+    def need(obj, where: str, *keys) -> dict:
+        for key in keys:
+            if not (isinstance(obj, dict) and key in obj):
+                raise DomainError(f"manifest {path}: {where} has no key {key!r}")
+        return obj
+    runs = need(manifest, "the root", "config", "runs")["runs"]
+    if not (isinstance(runs, list) and runs):
+        raise DomainError(f"manifest {path}: 'runs' must be a non-empty list")
+    for i, run in enumerate(runs):
+        need(need(run, f"runs[{i}]", "method", "seed", "files")["files"],
+             f"runs[{i}].files", "runlog", "real")
+    return manifest
+
+
 def cmd_report(args) -> int:
     run_dir = args.run_dir
-    with open(os.path.join(run_dir, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = _load_manifest(os.path.join(run_dir, "manifest.json"))
     report_dir = os.path.join(run_dir, "report")
     os.makedirs(report_dir, exist_ok=True)
 

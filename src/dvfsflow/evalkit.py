@@ -1,6 +1,13 @@
 """Evaluation metrics: correlation fidelity, distribution diversity,
 early frame-rate gain, Q-value stability, and empirical regret.
 
+Each quantity has one formula, computed on arrays.  :func:`wasserstein1` is
+the exact W1 = integral of |F_a - F_b| of the two samples' empirical CDFs, a
+finite sum over their merged sorted support, for any two sample sizes.
+:func:`empirical_regret` takes an oracle that maps a sequence of states to the
+array of their best one-step expected rewards, such as
+:func:`orchestrate.regret_oracle` (one :func:`simenv.law` call for them all).
+
 All functions are pure; the same inputs always give the same outputs.
 Zero-variance columns produce NaN correlation rows/columns which are flagged
 rather than dropped, and excluded from the correlation gap.
@@ -76,53 +83,24 @@ def corr_gap_excluded_count(real: CorrelationMatrix, synth: CorrelationMatrix) -
     return int(d * (d - 1) - (mask.sum() - np.trace(mask)))
 
 
-def _sorted_quantile(s: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``np.quantile(s, q)`` (method 'linear') of a sorted 1-d array, float for
-    float: the same virtual indices, gamma and two-branch lerp, minus the
-    partition that ``np.quantile`` runs first."""
-    virtual = (s.size - 1) * q
-    prev = np.floor(virtual)
-    nxt = prev + 1
-    last = virtual >= s.size - 1
-    prev[last] = nxt[last] = -1
-    gamma = virtual - prev
-    a, b = s[prev.astype(np.intp)], s[nxt.astype(np.intp)]
-    diff = b - a
-    out = a + diff * gamma
-    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
-    return np.full_like(out, np.nan) if np.isnan(s[-1]) else out   # NaN sorts last
-
-
 def wasserstein1(a: np.ndarray, b: np.ndarray) -> float:
-    """1-d earth-mover distance via averaged quantile differences.
-
-    Equal-length samples reduce to the mean absolute difference of the sorted
-    arrays; otherwise both empirical quantile functions are evaluated on a
-    common mid-point grid with numpy's 'linear' quantile, read off the sorted
-    arrays without a partition.  NaN in either sample gives NaN.
-    """
+    """Exact 1-d earth-mover distance of two empirical distributions, of any
+    sizes: the sum of |F_a - F_b| dx over the steps of their merged sorted
+    support, in O((n + m) log(n + m)).  NaN in either sample gives NaN."""
     a = np.sort(np.asarray(a, dtype=np.float64).ravel())
     b = np.sort(np.asarray(b, dtype=np.float64).ravel())
     if a.size == 0 or b.size == 0:
         raise DomainError("wasserstein1 needs non-empty samples")
-    if a.size == b.size:
-        return float(np.mean(np.abs(a - b)))
-    m = max(a.size, b.size)
-    q = (np.arange(m) + 0.5) / m
-    qa = _sorted_quantile(a, q)
-    qb = _sorted_quantile(b, q)
-    return float(np.mean(np.abs(qa - qb)))
+    x = np.sort(np.concatenate([a, b]))
+    cdf_a = np.searchsorted(a, x[:-1], side="right") / a.size
+    cdf_b = np.searchsorted(b, x[:-1], side="right") / b.size
+    return float(np.sum(np.abs(cdf_a - cdf_b) * np.diff(x)))
 
 
-def empirical_regret(runlog, oracle: Callable[[object], float]) -> np.ndarray:
-    """Cumulative regret trace: Reg(T') = sum_{t<=T'} (mu*(s_t) - r_t).
-
-    ``oracle`` maps a visited state to the best noise-free one-step expected
-    reward for the run's environment config: orchestrate.regret_oracle, the max
-    of one simenv.law call over the state's actions.
-    """
-    per_step = np.array([oracle(s) - r for s, r in zip(runlog.states, runlog.rewards)])
-    return np.cumsum(per_step)
+def empirical_regret(runlog, oracle: Callable[[Sequence], np.ndarray]) -> np.ndarray:
+    """Cumulative regret trace: Reg(T') = sum_{t<=T'} (mu*(s_t) - r_t), with
+    ``oracle`` called once on all of the run's visited states."""
+    return np.cumsum(oracle(runlog.states) - np.asarray(runlog.rewards, dtype=np.float64))
 
 
 def early_fps_gain(runlog_a, runlog_b, window: int = 50) -> float:

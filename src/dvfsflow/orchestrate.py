@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -114,11 +114,12 @@ class RunLog:
     synth_raw: Optional[np.ndarray] = None      # last generated continuous batch
 
 
-def regret_oracle(env_config: EnvConfig) -> Callable[[ProcessorState], float]:
-    """Best noise-free one-step expected reward from a state, over all actions:
-    the max of one :func:`simenv.law` call on the state's actions."""
+def regret_oracle(env_config: EnvConfig) -> Callable[[Sequence[ProcessorState]], np.ndarray]:
+    """Best noise-free one-step expected reward from each of a sequence of states,
+    over all actions: the row max of one :func:`simenv.law` call on every pair."""
     actions = np.arange(env_config.num_actions)
-    return lambda state: float(law(state.temp, actions, env_config).reward.max())
+    return lambda states: law(np.reshape([s.temp for s in states], (-1, 1)), actions,
+                              env_config).reward.max(axis=1)
 
 
 class _ModelBasedPlanner:
@@ -327,8 +328,7 @@ def runlog_from_csv(path: str, method: str = "", seed: int = -1) -> RunLog:
             if bad:
                 raise NumericError(f"{where}: NaN/inf in run-log column(s) {', '.join(bad)}")
             log.t.append(t)
-            log.states.append(ProcessorState(fps=v["fps"], freq=v["freq"],
-                                             power=v["power"], temp=v["temp"]))
+            log.states.append(ProcessorState(v["fps"], v["freq"], v["power"], v["temp"]))
             log.actions.append(action)
             log.rewards.append(v["reward"])
             log.epsilons.append(v["epsilon"])

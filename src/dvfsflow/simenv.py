@@ -66,7 +66,7 @@ class EnvConfig:
                                      f"{self.target_fps!r}, got {self.fps_cap!r}")
         # The lowest power a reachable state draws: the lowest level with the die
         # at ambient, which temperatures never fall below.  The reward divides by it.
-        p_min = self.dyn_coeff * self.min_freq ** self.eta
+        p_min = level_table(self).p_dyn[0]
         if p_min + self.static_coeff * self.ambient_temp <= 0:
             raise ConfigurationError(
                 f"env.ambient_temp must be > {-p_min / self.static_coeff:.6g}, so that the "

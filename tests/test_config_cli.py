@@ -330,6 +330,44 @@ def test_report_gain_covers_only_the_seeds_both_methods_ran(tmp_path, capsys):
     assert len(gain["per_seed"]) == 1 and gain["median"] == gain["per_seed"][0]
 
 
+def test_report_calls_the_law_once_per_run(tmp_path, capsys, monkeypatch):
+    from dvfsflow import orchestrate
+
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path, {"methods": ["model_free", "model_based"],
+                                        "seeds": [0, 1], "output_dir": str(out)})
+    assert main(["run", "--config", cfg_path]) == 0
+    law, shapes = orchestrate.law, []
+    monkeypatch.setattr(orchestrate, "law",
+                        lambda temp, *args: shapes.append(temp.shape) or law(temp, *args))
+    assert main(["report", "--run-dir", str(out)]) == 0
+    assert shapes == [(60, 1)] * 4              # one call on each run's 60 states
+
+
+@pytest.mark.parametrize("text,want", [
+    # a truncated manifest and one without its sections used to end in a traceback
+    ('{"version": 1, "config": {', "manifest parse error in {path} at line 1, column 27: "
+                                   "Expecting property name enclosed in double quotes"),
+    ('{"version": 1}', "manifest {path}: the root has no key 'config'"),
+    ('{"config": {}}', "manifest {path}: the root has no key 'runs'"),
+    ('{"config": {}, "runs": []}', "manifest {path}: 'runs' must be a non-empty list"),
+    ('{"config": {}, "runs": [{"method": "dfm", "seed": 0, "files": {"runlog": "r.csv", '
+     '"real": "m.csv"}}, {"method": "dfm", "seed": 1}]}',
+     "manifest {path}: runs[1] has no key 'files'"),
+    ('{"config": {}, "runs": [{"method": "dfm", "seed": 0, "files": {"real": "m.csv"}}]}',
+     "manifest {path}: runs[0].files has no key 'runlog'"),
+    ('[]', "manifest {path}: the root has no key 'config'"),
+])
+def test_report_on_a_malformed_manifest_is_an_input_error(tmp_path, capsys, text, want):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(text)
+    assert main(["report", "--run-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: " + want.format(path=manifest) + "\n"
+    assert not (tmp_path / "report").exists()
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

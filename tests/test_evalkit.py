@@ -116,8 +116,27 @@ def test_wasserstein_unequal_sizes_and_empty():
     b = a[:250] + 0.9
     assert wasserstein1(a[:250], b) == pytest.approx(0.9, abs=1e-12)
     assert abs(wasserstein1(a, a[:333] + 0.0) - 0.0) < 0.15
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^wasserstein1 needs non-empty samples$"):
         wasserstein1(np.array([]), a)
+    with pytest.raises(DomainError, match="^wasserstein1 needs non-empty samples$"):
+        wasserstein1(a, [])
+
+
+def test_wasserstein_exact_oracles():
+    # the W1 of a sample against itself repeated and shifted is the shift,
+    # whatever the sizes, which a quantile estimate on a midpoint grid misses
+    a = np.random.default_rng(6).normal(size=200)
+    for c in (0.5, -2.25, 1e-3):
+        assert wasserstein1(a, np.repeat(a, 3) + c) == pytest.approx(abs(c), rel=1e-12)
+    assert wasserstein1([0.0], [0.0, 1.0]) == 0.5
+    assert wasserstein1([0.0, 1.0], [0.0]) == 0.5
+
+
+def test_empirical_regret_calls_the_oracle_once():
+    log = _log_with(rewards=[1.0, 0.5, 1.0, 0.25])
+    calls = []
+    empirical_regret(log, oracle=lambda states: calls.append(len(states)) or np.ones(4))
+    assert calls == [4]
 
 
 def _log_with(fps=None, max_q=None, rewards=None):
@@ -132,10 +151,10 @@ def _log_with(fps=None, max_q=None, rewards=None):
 
 def test_empirical_regret_trace():
     log = _log_with(rewards=[1.0, 0.5, 1.0, 0.25])
-    trace = empirical_regret(log, oracle=lambda s: 1.0)
+    trace = empirical_regret(log, oracle=lambda states: np.ones(len(states)))
     assert np.allclose(trace, [0.0, 0.5, 0.5, 1.25])
     assert np.all(np.diff(trace) >= 0)          # non-negative per-step regret
-    optimal = empirical_regret(log, oracle=lambda s: 0.0)
+    optimal = empirical_regret(log, oracle=lambda states: np.zeros(len(states)))
     assert optimal[-1] <= 0.0
 
 

@@ -159,7 +159,7 @@ REPORT_CONFIG = {"schedule": {"horizon": 100}, "flow": {"epochs": 10}, "forest":
                  "methods": ["dfm", "model_free"], "seeds": [0, 1]}
 GOLDEN_REPORT = {
     "report.json":
-        "8c6a24b56f1400910a5ab91e0556cbb26aadfb1b8e6c8864e09cd7a6b8a7f87f",
+        "40c7552b1e46c632e886cfc5148969754a6b7885d080041af950da2291278205",
     "metrics.csv":
         "02bd230206567160a6ad8ee270ebd8654a19193da938dd3fb2248fbbad53a7ee",
     "corr_dfm.svg":
@@ -173,7 +173,7 @@ GOLDEN_REPORT = {
     "regret.svg":
         "37132e5983f2fd908615d547558077404d4ef6c953fb599c026d7677a666618c",
     "eval.json":
-        "4ec22204329279522c70c62a9659f5c288700f4564ce2f770e9cae6487c38063",
+        "71616a445b5d3ead49df4ba482120b5437910932f9d0e32fd61ce1c9a15d6a02",
 }
 
 

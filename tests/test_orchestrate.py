@@ -167,18 +167,19 @@ def test_regret_oracle_properties():
     env = EnvConfig()
     oracle = regret_oracle(env)
     s = initial_state(env)
-    mu = oracle(s)
+    (mu,) = oracle([s])
     noise_free = noiseless(env)
     for a in range(env.num_actions):
         nxt = dynamics(s, a, noise_free)
         assert mu >= reward_components(nxt, noise_free).total - 1e-12
-    assert oracle(s) == mu                     # deterministic
+    assert oracle([s, s]).tolist() == [mu, mu]       # deterministic, state by state
+    assert oracle([]).shape == (0,)
     one = EnvConfig(num_actions=2)
     oracle1 = regret_oracle(one)
     s1 = initial_state(one)
     rewards = [reward_components(dynamics(s1, a, noiseless(one)), noiseless(one)).total
                for a in range(2)]
-    assert oracle1(s1) == max(rewards)
+    assert oracle1([s1])[0] == max(rewards)
 
 
 def test_runlog_csv_shape_and_determinism(tmp_path):

@@ -4,7 +4,9 @@ regret-oracle hot paths against plain loop versions of the same arithmetic.
 The references below are straightforward per-layer, per-column and recursive
 implementations.  The production code batches them into fewer numpy calls
 but must do the same float64 operations in the same order, so every
-comparison here is bitwise, never approximate.
+comparison here is bitwise, never approximate, except W1's: the exact W1 is
+one sum over the merged support, which numpy adds pairwise and the loop
+reference (and scipy) in other orders, so they agree to 1e-12 relative.
 """
 
 from dataclasses import dataclass, replace
@@ -17,15 +19,15 @@ from conftest import noiseless, usable_cores
 from dvfsflow import agent, forest, nets
 from dvfsflow.agent import AgentConfig, ReplayMemory
 from dvfsflow.errors import DomainError, InsufficientDataError, NumericError
-from dvfsflow.evalkit import _sorted_quantile, wasserstein1
+from dvfsflow.evalkit import empirical_regret, wasserstein1
 from dvfsflow.flow import (CfmBatches, FMConfig, Normalizer, TransitionLayout,
                            canonical_rows, check_finite, encode_transition,
                            generate_raw, init_flow_model, unflatten_transition)
 from dvfsflow.forest import (ForestConfig, _best_splits, _grow_trees, fit_forest,
                              normalized_importances, transition_feature_weights)
-from dvfsflow.orchestrate import regret_oracle
-from dvfsflow.simenv import (DvfsEnv, EnvConfig, ProcessorState, dynamics, law,
-                             reward_components, state_scales)
+from dvfsflow.orchestrate import RunLog, regret_oracle
+from dvfsflow.simenv import (DvfsEnv, EnvConfig, ProcessorState, dynamics, initial_state,
+                             law, reward_components, state_scales)
 
 
 # ---------------------------------------------------------------- references
@@ -222,14 +224,21 @@ def _ref_sample_vector_field(model, n, rng, ode_steps=100):
     return model.normalizer.denormalize(x)
 
 
-def _ref_wasserstein1(a, b):
-    a = np.sort(np.asarray(a, dtype=np.float64).ravel())
-    b = np.sort(np.asarray(b, dtype=np.float64).ravel())
-    if a.size == b.size:
-        return float(np.mean(np.abs(a - b)))
-    m = max(a.size, b.size)
-    q = (np.arange(m) + 0.5) / m
-    return float(np.mean(np.abs(np.quantile(a, q) - np.quantile(b, q))))
+def _ref_wasserstein1_loop(a, b):
+    """Integrate |F_a - F_b| step by step: walk the merged sorted support,
+    count each sample's points up to the current one, and add the gap of the
+    two empirical CDFs times the step to the next point."""
+    a, b = sorted(map(float, a)), sorted(map(float, b))
+    support = sorted(a + b)
+    i = j = 0
+    total = 0.0
+    for x, nxt in zip(support, support[1:]):
+        while i < len(a) and a[i] <= x:
+            i += 1
+        while j < len(b) and b[j] <= x:
+            j += 1
+        total += abs(i / len(a) - j / len(b)) * (nxt - x)
+    return total
 
 
 def _ref_normalize_state(state, env_config):
@@ -1119,13 +1128,9 @@ def test_sample_vector_field_repeat_calls_bytes_equal_reference(random_flow):
         assert got.tobytes() == want.tobytes(), n
 
 
-# ---------------------------------------------------------------- W1 quantiles
+# ---------------------------------------------------------------- W1
 
-QS = np.array([0.0, 1e-12, 0.25, 0.5, 0.5 + 1e-12, 0.75, np.nextafter(1.0, 0.0),
-               1.0 - 1e-9, 1.0])
-
-
-def _quantile_sample(kind, n, rng):
+def _w1_sample(kind, n, rng):
     if kind == "normal":
         return rng.normal(size=n)
     if kind == "ties":
@@ -1135,36 +1140,54 @@ def _quantile_sample(kind, n, rng):
     return rng.normal(size=n) * 1e-310          # subnormal
 
 
-@pytest.mark.parametrize("n", [1, 2, 200, 5000])
-@pytest.mark.parametrize("kind", ["normal", "ties", "negative_zero", "tiny"])
-def test_sorted_quantile_hex_equal_numpy(n, kind):
-    rng = np.random.default_rng(n)
-    s = np.sort(_quantile_sample(kind, n, rng))
-    for q in (QS, (np.arange(n) + 0.5) / n, (np.arange(3 * n + 1) + 0.5) / (3 * n + 1)):
-        assert _hex(_sorted_quantile(s, q)) == _hex(np.quantile(s, q))
+W1_SIZES = [(200, 5000), (5000, 200), (1, 3), (2, 1), (37, 37), (199, 200)]
 
 
-def test_sorted_quantile_mixed_signed_zeros():
-    # np.quantile partitions first and may swap tied -0.0 and +0.0, so only
-    # the values compare equal; W1 takes |qa - qb|, where the sign is lost.
-    rng = np.random.default_rng(5)
-    for n in (2, 200, 5000):
-        s = np.sort(rng.choice([-0.0, 0.0, 1.0, -1.0], size=n))
-        q = (np.arange(2 * n) + 0.5) / (2 * n)
-        assert np.array_equal(_sorted_quantile(s, q), np.quantile(s, q))
-        other = rng.normal(size=n + 7)
-        assert wasserstein1(s, other).hex() == _ref_wasserstein1(s, other).hex()
-
-
-@pytest.mark.parametrize("na,nb", [(200, 5000), (5000, 200), (1, 3), (2, 1), (37, 37),
-                                   (199, 200)])
-def test_wasserstein1_hex_equal_reference(na, nb):
+def _w1_pairs(na, nb):
+    """Each sample kind against a shifted, scaled normal sample, both ways round."""
     rng = np.random.default_rng(na * 7919 + nb)
     for kind in ("normal", "ties", "negative_zero", "tiny"):
-        a = _quantile_sample(kind, na, rng)
-        b = _quantile_sample("normal", nb, rng) * 3.0 + 1.0
-        assert wasserstein1(a, b).hex() == _ref_wasserstein1(a, b).hex()
-        assert wasserstein1(b, a).hex() == _ref_wasserstein1(b, a).hex()
+        a = _w1_sample(kind, na, rng)
+        b = _w1_sample("normal", nb, rng) * 3.0 + 1.0
+        yield a, b
+        yield b, a
+
+
+def _rel_close(got, want):
+    return abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("na,nb", W1_SIZES)
+def test_wasserstein1_matches_loop_reference(na, nb):
+    for a, b in _w1_pairs(na, nb):
+        assert _rel_close(wasserstein1(a, b), _ref_wasserstein1_loop(a, b))
+
+
+@pytest.mark.parametrize("na,nb", W1_SIZES)
+def test_wasserstein1_matches_scipy(na, nb):
+    stats = pytest.importorskip("scipy.stats")
+    for a, b in _w1_pairs(na, nb):
+        assert _rel_close(wasserstein1(a, b), stats.wasserstein_distance(a, b))
+
+
+def test_wasserstein1_equal_sizes_is_mean_sorted_gap():
+    rng = np.random.default_rng(8)
+    for n in (1, 37, 5000):
+        a, b = rng.normal(size=n), rng.exponential(size=n)
+        want = float(np.mean(np.abs(np.sort(a) - np.sort(b))))
+        assert _rel_close(wasserstein1(a, b), want)
+
+
+def test_wasserstein1_mixed_signed_zeros_give_plus_zero():
+    # a -0.0 that sorts after a +0.0 makes a -0.0 step, yet W1 is +0.0 whatever the order
+    for a, b in (([0.0], [-0.0]), ([-0.0], [0.0]), ([0.0, -0.0], [-0.0, 0.0, -0.0])):
+        assert wasserstein1(a, b).hex() == wasserstein1(b, a).hex() == "0x0.0p+0"
+    rng = np.random.default_rng(5)
+    for n in (2, 200, 5000):
+        s = rng.choice([-0.0, 0.0], size=n)
+        assert wasserstein1(s, rng.permutation(s)).hex() == "0x0.0p+0"
+        other = rng.choice([-0.0, 0.0, 1.0, -1.0], size=n + 7)
+        assert _rel_close(wasserstein1(s, other), _ref_wasserstein1_loop(s, other))
 
 
 @pytest.mark.parametrize("na,nb", [(200, 5000), (50, 50), (1, 4)])
@@ -1175,7 +1198,6 @@ def test_wasserstein1_nan_in_either_sample_is_nan(na, nb):
     a_nan[0] = np.nan
     assert np.isnan(wasserstein1(a_nan, b))
     assert np.isnan(wasserstein1(b, a_nan))
-    assert np.isnan(_sorted_quantile(np.sort(a_nan), np.array([0.0, 0.5]))).all()
 
 
 # ---------------------------------------------------------------- simulator law, regret oracle
@@ -1210,18 +1232,40 @@ def test_regret_oracle_hex_equal_dynamics_loop(env, n):
     temps = np.concatenate([special,
                             rng.uniform(env.ambient_temp - 5.0, t0 + 15.0, n - 1_000),
                             rng.uniform(t0, 400.0, 1_000 - len(special))])
-    oracle = regret_oracle(env)
+    states = [ProcessorState(fps=30.0, freq=0.5, power=4.0, temp=t) for t in temps.tolist()]
+    mu = regret_oracle(env)(states)                                 # every state at once
+    assert mu.shape == (n,)
     step = law(temps[:, None], np.arange(env.num_actions), env)   # every (temp, action)
-    for temp, row in zip(temps.tolist(), np.stack(step, axis=-1)):
-        state = ProcessorState(fps=30.0, freq=0.5, power=4.0, temp=temp)
-        best = -np.inf
+    for state, row, got_mu in zip(states, np.stack(step, axis=-1), mu.tolist()):
+        temp, best = state.temp, -np.inf
         for a, got in enumerate(row.tolist()):
             nxt = dynamics(state, a, env, rng=None)
             reward = reward_components(nxt, env).total
             want = [nxt.fps, nxt.freq, nxt.power, nxt.temp, reward]
             assert list(map(float.hex, got)) == list(map(float.hex, want)), (temp, a)
             best = max(best, reward)
-        assert float.hex(oracle(state)) == float.hex(best), temp
+        assert float.hex(got_mu) == float.hex(best), temp
+
+
+def test_empirical_regret_hex_equal_dynamics_loop_on_a_noisy_run():
+    # run_experiment's visited states and rewards under random actions, episode resets included
+    env, seed = EnvConfig(), 7
+    sim = DvfsEnv(env, seed=[seed, 1])
+    log, episode = RunLog(method="model_free", seed=seed, config={}), 0
+    for a in np.random.default_rng(seed).integers(env.num_actions, size=2_000):
+        log.states.append(sim.state)
+        _, reward, done = sim.step(int(a))
+        log.rewards.append(reward)
+        if done:
+            episode += 1
+            sim.reset(seed=[seed, 1, episode])
+    assert episode == 10
+    mu_star, total, want = _ref_regret_oracle(env), 0.0, []
+    for state, reward in zip(log.states, log.rewards):
+        total += mu_star(state) - reward
+        want.append(total)
+    got = empirical_regret(log, regret_oracle(env))
+    assert list(map(float.hex, got.tolist())) == list(map(float.hex, want))
 
 
 @pytest.mark.parametrize("env,clamps", [
@@ -1270,8 +1314,9 @@ def test_law_rejects_bad_action_like_dynamics(action, named):
 def test_regret_oracle_rejects_non_positive_power_like_the_loop():
     env = EnvConfig()
     state = ProcessorState(fps=30.0, freq=0.5, power=4.0, temp=-100.0)
-    for oracle in (regret_oracle(env), _ref_regret_oracle(env)):
-        with pytest.raises(DomainError, match="power must be > 0"):
-            oracle(state)
+    with pytest.raises(DomainError, match="power must be > 0"):
+        regret_oracle(env)([initial_state(env), state])
+    with pytest.raises(DomainError, match="power must be > 0"):
+        _ref_regret_oracle(env)(state)
     with pytest.raises(DomainError, match="power must be > 0"):
         law(np.array([40.0, state.temp]), 0, env)
