@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import nets, report
+from . import flow, nets, report
 from .config import (ExperimentConfig, config_from_dict, config_to_dict, dump_config,
                      load_config)
 from .errors import (ConfigurationError, DomainError, InsufficientDataError,
@@ -229,8 +229,13 @@ def _load_manifest(path: str) -> dict:
     if not (isinstance(runs, list) and runs):
         raise DomainError(f"manifest {path}: 'runs' must be a non-empty list")
     for i, run in enumerate(runs):
-        need(need(run, f"runs[{i}]", "method", "seed", "files")["files"],
-             f"runs[{i}].files", "runlog", "real")
+        files = need(need(run, f"runs[{i}]", "method", "seed", "files")["files"],
+                     f"runs[{i}].files", "runlog", "real")
+        for key in ("runlog", "real", "synth"):
+            name = files.get(key)
+            if not (isinstance(name, str) or (key == "synth" and name is None)):
+                raise DomainError(f"manifest {path}: runs[{i}].files.{key} must be a file "
+                                  f"name{' or null' if key == 'synth' else ''}, got {name!r}")
     return manifest
 
 
@@ -238,7 +243,6 @@ def cmd_report(args) -> int:
     run_dir = args.run_dir
     manifest = _load_manifest(os.path.join(run_dir, "manifest.json"))
     report_dir = os.path.join(run_dir, "report")
-    os.makedirs(report_dir, exist_ok=True)
 
     env = config_from_dict(manifest["config"]).env
     oracle = regret_oracle(env)
@@ -294,9 +298,11 @@ def cmd_report(args) -> int:
                 for method, (_, files, _) in firsts.items() if files.get("synth")]
     heatmaps.append((manifest["runs"][0]["files"]["real"], "corr_real.svg",
                      "real-data correlations"))
+    # every file is read and checked before report/ exists, so a failed report leaves none
+    heatmaps = [(name, batch(name), figure, title) for name, figure, title in heatmaps]
+    os.makedirs(report_dir, exist_ok=True)
     skipped = []
-    for name, figure, title in heatmaps:
-        rows = batch(name)
+    for name, rows, figure, title in heatmaps:
         if len(rows) < 2:
             skipped.append({"figure": figure, "reason": f"{name} holds {len(rows)} row(s); "
                                                         "correlations need at least 2"})
@@ -377,11 +383,29 @@ def _selftest_checks():
         lam = normalized_importances(fit_forest(x, 3.0 * x[:, 0], ForestConfig(n_trees=30), rng))
         return lam[0] > 0.8, f"feature 0 weight {lam[0]:.4f} for y = 3 x0"
 
+    def check_midpoint_order():
+        # v(x, t) = -x from a [2, 1] net and an identity normalizer, so x(1) = x0 / e;
+        # K Euler steps would give x0 (1 - 1/K)^K
+        params = nets.MlpParams([2, 1], np.array([-1.0, 0.0, 0.0]))    # weights (x, t), bias
+        identity = flow.Normalizer(np.zeros(1), np.ones(1))
+        x0 = np.random.default_rng(3).standard_normal((1000, 1))
+        err = {k: np.abs(flow.generate_raw(flow.FlowModel(params, identity, np.ones(1),
+                                                          flow.FMConfig(ode_steps=k), [0.0]),
+                                           1000, np.random.default_rng(3))
+                         - x0 * np.exp(-1.0)).max()
+               for k in (5, 10, 20)}
+        euler = np.abs(x0).max() * abs(0.99 ** 100 - np.exp(-1.0))
+        ratios = err[5] / err[10], err[10] / err[20]
+        return all(3.5 <= r <= 4.5 for r in ratios) and err[10] < euler, \
+            (f"error ratios {ratios[0]:.2f}, {ratios[1]:.2f} as dt halves; 10 steps "
+             f"{err[10]:.1e} against 100 Euler steps {euler:.1e}")
+
     return [("gradient_check", check_grads), ("pearson_oracle", check_pearson),
             ("bootstrap_fraction", check_bootstrap),
             ("wasserstein_oracle", lambda: check_wasserstein(10_000, 10_000)),
             ("wasserstein_unequal_oracle", lambda: check_wasserstein(2_000, 10_000)),
-            ("adam_first_step", check_adam), ("importance_oracle", check_importance)]
+            ("adam_first_step", check_adam), ("importance_oracle", check_importance),
+            ("ode_midpoint_order", check_midpoint_order)]
 
 
 def cmd_selftest(args) -> int:

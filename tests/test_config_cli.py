@@ -357,6 +357,14 @@ def test_report_calls_the_law_once_per_run(tmp_path, capsys, monkeypatch):
     ('{"config": {}, "runs": [{"method": "dfm", "seed": 0, "files": {"real": "m.csv"}}]}',
      "manifest {path}: runs[0].files has no key 'runlog'"),
     ('[]', "manifest {path}: the root has no key 'config'"),
+    # a file name that is not a string used to end in a TypeError from os.path.join
+    ('{"config": {}, "runs": [{"method": "dfm", "seed": 0, "files": {"runlog": 5, '
+     '"real": "m.csv"}}]}', "manifest {path}: runs[0].files.runlog must be a file name, got 5"),
+    ('{"config": {}, "runs": [{"method": "dfm", "seed": 0, "files": {"runlog": "r.csv", '
+     '"real": null}}]}', "manifest {path}: runs[0].files.real must be a file name, got None"),
+    ('{"config": {}, "runs": [{"method": "dfm", "seed": 0, "files": {"runlog": "r.csv", '
+     '"real": "m.csv", "synth": ["s.csv"]}}]}',
+     "manifest {path}: runs[0].files.synth must be a file name or null, got ['s.csv']"),
 ])
 def test_report_on_a_malformed_manifest_is_an_input_error(tmp_path, capsys, text, want):
     manifest = tmp_path / "manifest.json"
@@ -372,7 +380,8 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    assert out.count("PASS") == 7
+    assert out.count("PASS") == 8
+    assert "PASS ode_midpoint_order: " in out
 
 
 def test_unknown_subcommand_exits_2():
@@ -616,7 +625,7 @@ def test_report_non_finite_cell_is_a_numeric_error(tmp_path, capsys):
     assert main(["report", "--run-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"numeric error: {synth}: ") and "column(s) fps\n" in err
-    assert not (out / "report" / "report.json").exists()
+    assert not (out / "report").exists()
 
 
 def _pure_fm_model_free_run(tmp_path):
@@ -647,7 +656,7 @@ def test_report_bad_runlog_cell_names_path_and_line(tmp_path, capsys, cell, want
     capsys.readouterr()
     assert main(["report", "--run-dir", str(out)]) == 1
     assert capsys.readouterr().err == want.format(path=runlog)
-    assert not (out / "report" / "report.json").exists()
+    assert not (out / "report").exists()        # it used to be left behind, empty
 
 
 def test_report_on_a_run_log_without_steps_is_an_input_error(tmp_path, capsys):
@@ -658,7 +667,7 @@ def test_report_on_a_run_log_without_steps_is_an_input_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--run-dir", str(out)]) == 1
     assert capsys.readouterr().err == f"input error: {runlog}: the run log holds no steps\n"
-    assert not (out / "report" / "report.json").exists()
+    assert not (out / "report").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "report"])
@@ -703,7 +712,7 @@ def test_report_on_a_batch_without_rows_names_the_file(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--run-dir", str(out)]) == 1
     assert capsys.readouterr().err == f"input error: {synth}: the batch holds no transition rows\n"
-    assert not (out / "report" / "report.json").exists()
+    assert not (out / "report").exists()
 
 
 def test_gen_on_a_batch_without_rows_names_the_file_and_the_floor(tmp_path, capsys):

@@ -9,8 +9,8 @@ from dvfsflow import nets
 from dvfsflow.errors import DomainError, NumericError, StateError
 from dvfsflow.flow import (ACTION_COL, DONE_COL, INPUT_COLS, NEXT_STATE_COLS, OUTCOME_COLS,
                            REWARD_COL, STATE_COLS, TRANSITION_DIM, TRANSITION_LABELS,
-                           CfmBatches, FMConfig, Transition, TransitionLayout,
-                           canonical_rows, encode_transition, generate_raw,
+                           CfmBatches, FlowModel, FMConfig, Normalizer, Transition,
+                           TransitionLayout, canonical_rows, encode_transition, generate_raw,
                            init_flow_model, load_batch_csv, save_batch_csv, train_flow_model,
                            unflatten_transition)
 from dvfsflow.simenv import DvfsEnv, EnvConfig, ProcessorState
@@ -293,7 +293,7 @@ def toy_field():
 
 
 def test_toy_moments_match_target(toy_field):
-    assert toy_field.config.ode_steps == 100
+    assert toy_field.config.ode_steps == 10
     samples = generate_raw(toy_field, 1000, np.random.default_rng(55))
     mean = samples.mean(axis=0)
     std = samples.std(axis=0)
@@ -301,12 +301,56 @@ def test_toy_moments_match_target(toy_field):
     assert np.all(np.abs(std - 0.5) < 0.1)
 
 
+def _with_ode_steps(model, k):
+    return replace(model, config=replace(model.config, ode_steps=k))
+
+
 def test_ode_step_count_stability(toy_field):
     # K=50 vs K=200 barely moves the first moments (in normalized units)
-    a, b = (generate_raw(replace(toy_field, config=replace(toy_field.config, ode_steps=k)),
-                         1000, np.random.default_rng(1)) for k in (50, 200))
+    a, b = (generate_raw(_with_ode_steps(toy_field, k), 1000, np.random.default_rng(1))
+            for k in (50, 200))
     shift = np.abs(a.mean(axis=0) - b.mean(axis=0)) / toy_field.normalizer.std
     assert np.all(shift < 0.05)
+
+
+def _euler_reference(model, n, rng, ode_steps):
+    """All n rows through ``ode_steps`` explicit Euler steps, the first-order
+    yardstick for the midpoint sampler."""
+    x = rng.standard_normal((n, model.params.out_dim))
+    dt = 1.0 / ode_steps
+    for step in range(ode_steps):
+        x = x + nets.forward_batch(model.params, np.column_stack([x, np.full(n, step * dt)])) * dt
+    return model.normalizer.denormalize(x)
+
+
+def test_default_sampler_beats_100_euler_steps(toy_field):
+    # mean |error| per column, in units of the column's std, against a
+    # 400-step midpoint reference from the same noise
+    def error(samples):
+        return float(np.mean(np.abs(samples - ref) / toy_field.normalizer.std))
+
+    ref = generate_raw(_with_ode_steps(toy_field, 400), 1000, np.random.default_rng(7))
+    midpoint = error(generate_raw(toy_field, 1000, np.random.default_rng(7)))
+    euler = error(_euler_reference(toy_field, 1000, np.random.default_rng(7), 100))
+    assert midpoint < 0.5 * euler
+
+
+@pytest.fixture(scope="module")
+def linear_field():
+    """v(x, t) = -x: a [2, 1] net, identity normalizer, so x(1) = x0 / e."""
+    params = nets.MlpParams([2, 1], np.array([-1.0, 0.0, 0.0]))   # weights (x, t), bias
+    model = FlowModel(params, Normalizer(np.zeros(1), np.ones(1)), np.ones(1), FMConfig(), [0.0])
+    x0 = np.random.default_rng(3).standard_normal((1000, 1))
+    return model, x0 * np.exp(-1.0)
+
+
+def test_midpoint_error_falls_fourfold_as_dt_halves(linear_field):
+    model, exact = linear_field
+    err = [np.abs(generate_raw(_with_ode_steps(model, k), 1000, np.random.default_rng(3))
+                  - exact).max() for k in (5, 10, 20)]
+    assert 3.5 <= err[0] / err[1] <= 4.5 and 3.5 <= err[1] / err[2] <= 4.5
+    euler = np.abs(_euler_reference(model, 1000, np.random.default_rng(3), 100) - exact).max()
+    assert err[1] < euler                       # 10 midpoint steps beat 100 Euler steps
 
 
 def test_generate_outputs_valid_transitions():

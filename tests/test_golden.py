@@ -21,10 +21,10 @@ GOLDEN_CONFIG = {"schedule": {"horizon": 120, "fm_retrain_period": 40},
                  "flow": {"epochs": 60}}
 
 GOLDEN = {
-    "dfm": ("68a081f298c6b7524d860ad8ecb95f2407fd2ee17b703e01570b7ec45b8ce547",
-            "1d2ceeb53c57639a80c80599b42ac86bfb19355b5e820236c8f5c6ba96c2f9cc"),
-    "pure_fm": ("30bf1dcd09d536488e840bf42f0031f35f0d1f016b60387497ce5e53bd9956d2",
-                "f6a477838eb4a02cd9b1f3d679f8372da360794b2fe9a1ed5e765a3098a7c324"),
+    "dfm": ("3d272243a5de6ad6443cef4b86f36f0b6ad2b56a7efa3e4c9150129e38cfa147",
+            "699cddffb1963cfdad3a8cd3036785522b416849b1dbf1d005763167f8dd9a8c"),
+    "pure_fm": ("6dae619baf54caad90ef0d42594deaed79ee17e1316ace049fc58f86b2e5dfbc",
+                "db38190e43a44a47de7582ebff1ab37acfcf720ccfa5a4f14493f8e59d6fa195"),
     "model_based": ("90205e7a686920d1879da5e1359fa1ce3f52932d5352eafeb827d141a880f989",
                     "4713afa04e2ec1fea7b23044acd63835ec96c8dd25f1952376c87c9c7478664c"),
     "model_free": ("8eedad3cd7cfb6d8dfba5568b290bc1883f92572cee4c786eceade6bfbe6481f",
@@ -55,10 +55,10 @@ def test_golden_digests(method, tmp_path):
 # dfm's last forest feature weights (lambda) on the golden config, as
 # float.hex, so that a forest change fails here and not only via the digest.
 GOLDEN_DFM_LAMBDA = [
-    "0x1.72ee4921e9d36p-6", "0x1.a26d7579c5d53p-8", "0x1.6e0854587e215p-5",
-    "0x1.43adb72def3edp-3", "0x1.aeb6bea6df439p-2", "0x1.72ee4921e9d36p-6",
-    "0x1.a26d7579c5d53p-8", "0x1.6e0854587e215p-5", "0x1.43adb72def3edp-3",
-    "0x1.daa101141a303p-5", "0x1.daa101141a303p-5",
+    "0x1.47ee1bd77bb45p-6", "0x1.5651b83e769e8p-7", "0x1.91844afc985ddp-5",
+    "0x1.3b7ffee8f4142p-3", "0x1.aa2b132f52b10p-2", "0x1.47ee1bd77bb45p-6",
+    "0x1.5651b83e769e8p-7", "0x1.91844afc985ddp-5", "0x1.3b7ffee8f4142p-3",
+    "0x1.de43f0a6f10c1p-5", "0x1.de43f0a6f10c1p-5",
 ]
 
 
@@ -93,9 +93,9 @@ EVICTION_SYNC_CONFIG = {"schedule": {"horizon": 400, "fm_retrain_period": 40,
                                      "real_capacity": 150},
                         "flow": {"epochs": 20}}
 GOLDEN_EVICTION_SYNC = {
-    "pure_fm": ("e51ea8d40d20ec0a531797b6ec30b2486e99db3d66937ffde3c161874aa06569",
-                "77c0b0073e2d544f6823d39141116976d19dc9627fc0ba718dc47df994764541",
-                "d84c747c4f82528a883352e215417eccf867666b78dc1c49ce9f9d4a6b2f7a7d", 361),
+    "pure_fm": ("cb9f03013631bf77e007a6db38b5fc08a4717b14c5bc937713b4340521c872dc",
+                "bc7044b27aa1d86f2e94a760edc2a924848b429ed2e07ed61575eaa1678d380a",
+                "7a43cedc2830bba9e286062a174fd0a089949cb1fbbd3de4762688706999b371", 361),
     "model_based": ("3c65f16064534327585164b3212e234a6ae6374528a5b724ff81f121a7dcc9c2",
                     "1047e7d04e0b647ed2211bf6c467dfa33a404ec6bf5246ea5b8578187aa07ac1",
                     "916cf73b0b48998ae314854c318d2a205899053b03af4295ba6028b426afecf6", 361),
@@ -132,8 +132,8 @@ def test_golden_digest_with_eviction_syncs_and_resets(method, tmp_path):
 # the other the uniform lambda of --uniform-lambda.  Both keep the config's B.
 GEN_CONFIG = {"flow": {"epochs": 60}}
 GOLDEN_GEN = {
-    "forest": "42bfa8344a804b3cf571592af129487604ef77e2606838e9c7dfa3ee2c27f14c",
-    "uniform": "b2ce9487db73244a2b1ef622c57fd79b8292c94ba7438f0286d455bed7b05abe",
+    "forest": "a40254df7a3ea0e2d40d1bc714da23809d0fe4ff91f7ff6129afcedddb97501d",
+    "uniform": "a0c281a1353619ff73da0a03c153ee404b9c1aae9cda816ea210fb532a5a956d",
 }
 
 
@@ -159,21 +159,21 @@ REPORT_CONFIG = {"schedule": {"horizon": 100}, "flow": {"epochs": 10}, "forest":
                  "methods": ["dfm", "model_free"], "seeds": [0, 1]}
 GOLDEN_REPORT = {
     "report.json":
-        "40c7552b1e46c632e886cfc5148969754a6b7885d080041af950da2291278205",
+        "e095cf200782621f49d166dfaf154179ede3d4950b8ac3160a65757d03ba3fe0",
     "metrics.csv":
-        "02bd230206567160a6ad8ee270ebd8654a19193da938dd3fb2248fbbad53a7ee",
+        "e222d1ca4e6fd4fd6edaf3768279a0891664977398ed39492b0381e800abc6a6",
     "corr_dfm.svg":
-        "577d87e280d52c84d81b06d63fff054faf266f70cefe62c960ab28a6294bbfa9",
+        "e5391787e0bbf52073433702519bec1e21a9785ad44936552b0352dc965f8cfa",
     "corr_real.svg":
         "30e75e7a877c354c339f15f54cd460fd4ad64d5295045e4fb142e0acef8c47df",
     "fps.svg":
         "f149dc6f4866194117a6e5543d88ef778c7b3f1a1c280b0d5bb0bda0573d0648",
     "max_q.svg":
-        "ba7248143c0b78f54b453304cb55bf1b0ab5be46de6cb24347c400ac13335a2a",
+        "43094c487b0ec77b3487b916a160f5507aa9a45638ffb72a28a4caf1d70bb54e",
     "regret.svg":
         "37132e5983f2fd908615d547558077404d4ef6c953fb599c026d7677a666618c",
     "eval.json":
-        "71616a445b5d3ead49df4ba482120b5437910932f9d0e32fd61ce1c9a15d6a02",
+        "1bd80e191d1e9d03b9852a9ab37e85d45adf55b8b12bb2705521db09464a2ec7",
 }
 
 
