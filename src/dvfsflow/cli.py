@@ -39,7 +39,7 @@ from .evalkit import (corr_gap, corr_gap_excluded_count, early_fps_gain,
 from .flow import (TRANSITION_LABELS, CfmBatches, TransitionLayout, canonical_rows,
                    check_finite, load_batch_csv, save_batch_csv)
 from .forest import ForestConfig, fit_forest, normalized_importances
-from .orchestrate import (fit_flow_generator, regret_oracle, run_experiment,
+from .orchestrate import (METHODS, fit_flow_generator, regret_oracle, run_experiment,
                           runlog_from_csv, runlog_summary, runlog_to_csv)
 from .spread import spread
 
@@ -154,22 +154,24 @@ def cmd_gen(args) -> int:
 
 def _eval_batches(real: np.ndarray, synth: np.ndarray) -> dict:
     """Correlation gap, per-feature W1 and spread ratios of a synthetic batch
-    against real rows.  A batch of fewer than 2 rows has no correlations, so
-    ``corr_gap`` and ``corr_excluded_entries`` are None then."""
+    against real rows.  A real column has zero variance when all its values are
+    equal (the NaN diagonal of its Pearson matrix); it is listed in
+    ``zero_variance_real``, left out of the gap, and its ``std_ratio`` is None.
+    A batch of fewer than 2 rows has no correlations, so ``corr_gap`` and
+    ``corr_excluded_entries`` are None then, and one real row has no spread in
+    any column."""
     m_real = pearson_matrix(real) if len(real) >= 2 else None
     m_synth = pearson_matrix(synth) if len(synth) >= 2 else None
     paired = m_real is not None and m_synth is not None
     per_feature_w1 = {lab: wasserstein1(real[:, i], synth[:, i])
                       for i, lab in enumerate(TRANSITION_LABELS)}
-    real_std, synth_std = real.std(axis=0), synth.std(axis=0)
+    zero = np.isnan(np.diag(m_real)) if m_real is not None else np.ones(real.shape[1], bool)
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(real_std > 0, synth_std / real_std, np.nan)
-    # one row has no spread in any column
-    zero_variance = m_real.zero_variance if m_real is not None else [True] * real.shape[1]
+        ratio = np.where(zero, np.nan, synth.std(axis=0) / real.std(axis=0))
     return {
         "corr_gap": corr_gap(m_real, m_synth) if paired else None,
         "corr_excluded_entries": corr_gap_excluded_count(m_real, m_synth) if paired else None,
-        "zero_variance_real": [lab for lab, z in zip(TRANSITION_LABELS, zero_variance) if z],
+        "zero_variance_real": [lab for lab, z in zip(TRANSITION_LABELS, zero) if z],
         "per_feature_w1": per_feature_w1,
         "std_ratio": {lab: (None if not np.isfinite(r) else float(r))
                       for lab, r in zip(TRANSITION_LABELS, ratio)},
@@ -212,8 +214,9 @@ _LINE_FIGURES = (
 
 
 def _load_manifest(path: str) -> dict:
-    """A run's manifest; a parse error or a missing key raises DomainError naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """A run's manifest; a parse error, a missing key or a mistyped value raises
+    DomainError naming it."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         try:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -231,6 +234,13 @@ def _load_manifest(path: str) -> dict:
     for i, run in enumerate(runs):
         files = need(need(run, f"runs[{i}]", "method", "seed", "files")["files"],
                      f"runs[{i}].files", "runlog", "real")
+        method, seed = run["method"], run["seed"]
+        if not (isinstance(method, str) and method in METHODS):
+            raise DomainError(f"manifest {path}: runs[{i}].method must be one of "
+                              f"{', '.join(METHODS)}, got {method!r}")
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise DomainError(f"manifest {path}: runs[{i}].seed must be an integer, "
+                              f"got {seed!r}")
         for key in ("runlog", "real", "synth"):
             name = files.get(key)
             if not (isinstance(name, str) or (key == "synth" and name is None)):
@@ -307,8 +317,8 @@ def cmd_report(args) -> int:
             skipped.append({"figure": figure, "reason": f"{name} holds {len(rows)} row(s); "
                                                         "correlations need at least 2"})
             continue
-        m = pearson_matrix(rows)
-        report.svg_heatmap(m.values, m.labels, os.path.join(report_dir, figure), title=title)
+        report.svg_heatmap(pearson_matrix(rows), TRANSITION_LABELS,
+                           os.path.join(report_dir, figure), title=title)
     for figure, title, ylabel, series in _LINE_FIGURES:
         report.svg_lines({m: series(log, regret) for m, (log, _, regret) in firsts.items()},
                          os.path.join(report_dir, figure), title=title, ylabel=ylabel)
@@ -345,7 +355,7 @@ def _selftest_checks():
 
     def check_pearson():
         data = rng.normal(size=(50, 11))
-        m = pearson_matrix(data).values
+        m = pearson_matrix(data)
         worst = 0.0
         for i in range(11):
             for j in range(11):

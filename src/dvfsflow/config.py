@@ -124,7 +124,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse and fully validate a JSON experiment config; defaults fill gaps."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -9,78 +9,64 @@ array of their best one-step expected rewards, such as
 :func:`orchestrate.regret_oracle` (one :func:`simenv.law` call for them all).
 
 All functions are pure; the same inputs always give the same outputs.
-Zero-variance columns produce NaN correlation rows/columns which are flagged
-rather than dropped, and excluded from the correlation gap.
+A correlation matrix is a plain (d, d) array.  A column has zero variance when
+all its values are equal; its row, column and diagonal entry are NaN, so the
+NaN diagonal entries are the zero-variance flags, and those entries are left
+out of the correlation gap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError
-from .flow import TRANSITION_LABELS
 
 
-@dataclass
-class CorrelationMatrix:
-    values: np.ndarray                 # (d, d), symmetric, unit diagonal
-    labels: list[str]
-    zero_variance: list[bool] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.zero_variance:
-            self.zero_variance = [False] * len(self.labels)
-
-
-def pearson_matrix(data: np.ndarray, labels: Sequence[str] | None = None) -> CorrelationMatrix:
-    """Pairwise Pearson coefficients of the columns of ``data`` (n >= 2 rows).
-
-    Columns with zero variance yield NaN rows/columns and are flagged in the
-    result's metadata instead of being silently dropped.
-    """
+def pearson_matrix(data: np.ndarray) -> np.ndarray:
+    """The (d, d) Pearson coefficients of the columns of ``data`` (n >= 2 rows):
+    symmetric with a unit diagonal, except that a column whose values are all
+    equal has NaN in its row, its column and its diagonal entry."""
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise DomainError("data must be a 2-d matrix")
-    n, d = data.shape
-    if n < 2:
+    if data.shape[0] < 2:
         raise InsufficientDataError("pearson_matrix needs at least 2 rows")
-    labels = list(labels) if labels is not None else list(TRANSITION_LABELS[:d])
-    if len(labels) != d:
-        raise DomainError("label count must match column count")
-
+    # exact: a constant column's mean may be an ulp off its value
+    zero = np.all(data == data[0], axis=0)
     centered = data - data.mean(axis=0)
     ssq = np.sum(centered * centered, axis=0)
-    zero = ssq == 0.0
-    denom = np.sqrt(np.outer(ssq, ssq))
     with np.errstate(invalid="ignore", divide="ignore"):
-        corr = (centered.T @ centered) / denom
+        corr = (centered.T @ centered) / np.sqrt(np.outer(ssq, ssq))
     corr[zero, :] = np.nan
     corr[:, zero] = np.nan
     np.fill_diagonal(corr, np.where(zero, np.nan, 1.0))
-    return CorrelationMatrix(values=corr, labels=labels, zero_variance=zero.tolist())
+    return corr
 
 
-def corr_gap(real: CorrelationMatrix, synth: CorrelationMatrix) -> float:
-    """Mean absolute off-diagonal difference over entries finite in both matrices."""
-    if real.labels != synth.labels:
-        raise DomainError("correlation matrices have mismatched labels")
-    a, b = real.values, synth.values
-    mask = np.isfinite(a) & np.isfinite(b)
+def _finite_off_diagonal(real: np.ndarray, synth: np.ndarray) -> np.ndarray:
+    if real.shape != synth.shape:
+        raise DomainError(f"correlation matrices have mismatched shapes "
+                          f"{real.shape} and {synth.shape}")
+    mask = np.isfinite(real) & np.isfinite(synth)
     np.fill_diagonal(mask, False)
+    return mask
+
+
+def corr_gap(real: np.ndarray, synth: np.ndarray) -> float:
+    """Mean absolute off-diagonal difference of two :func:`pearson_matrix`
+    results, over the entries finite in both; 0.0 when there are none."""
+    mask = _finite_off_diagonal(real, synth)
     if not mask.any():
         return 0.0
-    return float(np.mean(np.abs(a[mask] - b[mask])))
+    return float(np.mean(np.abs(real[mask] - synth[mask])))
 
 
-def corr_gap_excluded_count(real: CorrelationMatrix, synth: CorrelationMatrix) -> int:
+def corr_gap_excluded_count(real: np.ndarray, synth: np.ndarray) -> int:
     """Off-diagonal entries dropped from the gap because either side is NaN."""
-    a, b = real.values, synth.values
-    mask = np.isfinite(a) & np.isfinite(b)
-    d = a.shape[0]
-    return int(d * (d - 1) - (mask.sum() - np.trace(mask)))
+    d = real.shape[0]
+    return int(d * (d - 1) - _finite_off_diagonal(real, synth).sum())
 
 
 def wasserstein1(a: np.ndarray, b: np.ndarray) -> float:

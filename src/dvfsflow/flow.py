@@ -350,7 +350,7 @@ def load_batch_csv(path: str) -> np.ndarray:
     without 11 cells or a cell that is not a number raises
     :class:`DomainError` naming the path and line."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != TRANSITION_LABELS:

@@ -308,7 +308,7 @@ def runlog_from_csv(path: str, method: str = "", seed: int = -1) -> RunLog:
     :class:`DomainError` naming the path.
     """
     log = RunLog(method=method, seed=seed, config={})
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != RUNLOG_COLUMNS:
             raise DomainError(f"unexpected run-log header in {path}")

@@ -14,7 +14,7 @@ from dvfsflow.config import (ExperimentConfig, config_from_dict, config_to_dict,
                              dump_config, load_config)
 from dvfsflow.errors import ConfigurationError, NumericError
 from dvfsflow.flow import TRANSITION_LABELS, save_batch_csv
-from dvfsflow.orchestrate import METHODS
+from dvfsflow.orchestrate import METHODS, RUNLOG_COLUMNS
 
 FAST_SECTIONS = {
     "schedule": {"horizon": 60, "fm_retrain_period": 50, "planning_breadth": 40,
@@ -365,6 +365,19 @@ def test_report_calls_the_law_once_per_run(tmp_path, capsys, monkeypatch):
     ('{"config": {}, "runs": [{"method": "dfm", "seed": 0, "files": {"runlog": "r.csv", '
      '"real": "m.csv", "synth": ["s.csv"]}}]}',
      "manifest {path}: runs[0].files.synth must be a file name or null, got ['s.csv']"),
+    # an unknown method or a seed that is not an int; a list used to end in "unhashable type"
+    ('{"config": {}, "runs": [{"method": ["dfm"], "seed": 0, "files": {"runlog": "r.csv", '
+     '"real": "m.csv"}}]}', "manifest {path}: runs[0].method must be one of dfm, pure_fm, "
+                            "model_based, model_free, got ['dfm']"),
+    ('{"config": {}, "runs": [{"method": "dfn", "seed": 0, "files": {"runlog": "r.csv", '
+     '"real": "m.csv"}}]}', "manifest {path}: runs[0].method must be one of dfm, pure_fm, "
+                            "model_based, model_free, got 'dfn'"),
+    ('{"config": {}, "runs": [{"method": "dfm", "seed": [0], "files": {"runlog": "r.csv", '
+     '"real": "m.csv"}}]}', "manifest {path}: runs[0].seed must be an integer, got [0]"),
+    ('{"config": {}, "runs": [{"method": "dfm", "seed": true, "files": {"runlog": "r.csv", '
+     '"real": "m.csv"}}]}', "manifest {path}: runs[0].seed must be an integer, got True"),
+    ('{"config": {}, "runs": [{"method": "dfm", "seed": 0.0, "files": {"runlog": "r.csv", '
+     '"real": "m.csv"}}]}', "manifest {path}: runs[0].seed must be an integer, got 0.0"),
 ])
 def test_report_on_a_malformed_manifest_is_an_input_error(tmp_path, capsys, text, want):
     manifest = tmp_path / "manifest.json"
@@ -373,6 +386,53 @@ def test_report_on_a_malformed_manifest_is_an_input_error(tmp_path, capsys, text
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "input error: " + want.format(path=manifest) + "\n"
+    assert not (tmp_path / "report").exists()
+
+
+def _csv_bytes(columns, row):
+    """A header and one row; a "\\udcff" cell becomes the byte 0xff."""
+    return (",".join(columns) + "\n" + ",".join(row) + "\n").encode("utf-8", "surrogateescape")
+
+
+_MANIFEST = json.dumps({"config": {}, "runs": [{"method": "dfm", "seed": 0, "files": {
+    "runlog": "r.csv", "real": "m.csv"}}]}).encode()
+_BATCH = _csv_bytes(TRANSITION_LABELS, ["0.5"] * 11)
+_BAD_BATCH = _csv_bytes(TRANSITION_LABELS, ["0.5"] * 10 + ["\udcff"])
+_BAD_RUNLOG = _csv_bytes(RUNLOG_COLUMNS, [{"t": "1", "action": "0", "fps": "\udcff"}.get(c, "0.5")
+                                          for c in RUNLOG_COLUMNS])
+_CELL_ERROR = "input error: {path} line 2: could not convert string to float: '\\udcff'"
+
+
+# a 0xff byte in each of these used to end in a UnicodeDecodeError traceback
+@pytest.mark.parametrize("argv,files,bad,want", [
+    pytest.param(["run", "--config", "{0}"], {"cfg.json": b'{"seeds": [0]\xff}'}, "cfg.json",
+                 "configuration error: config parse error in {path} at line 1, column 14: "
+                 "Expecting ',' delimiter", id="run_config"),
+    pytest.param(["gen", "--memory", "{0}", "--out", "{1}"], {"mem.csv": _BAD_BATCH, "s.csv": b""},
+                 "mem.csv", _CELL_ERROR, id="gen_memory"),
+    pytest.param(["eval", "--real", "{0}", "--synth", "{1}"],
+                 {"m.csv": _BATCH.replace(b"fps", b"\xffps"), "s.csv": _BATCH}, "m.csv",
+                 "input error: unexpected column header in {path}", id="eval_real"),
+    pytest.param(["report", "--run-dir", "{dir}"], {"manifest.json": b"\xff" + _MANIFEST},
+                 "manifest.json", "input error: manifest parse error in {path} at line 1, "
+                 "column 1: Expecting value", id="report_manifest"),
+    # inside a string the byte reads as "\\udcff", which no method name holds
+    pytest.param(["report", "--run-dir", "{dir}"],
+                 {"manifest.json": _MANIFEST.replace(b'"dfm"', b'"df\xff"')}, "manifest.json",
+                 "input error: manifest {path}: runs[0].method must be one of dfm, pure_fm, "
+                 "model_based, model_free, got 'df\\udcff'", id="report_manifest_method"),
+    pytest.param(["report", "--run-dir", "{dir}"],
+                 {"manifest.json": _MANIFEST, "r.csv": _BAD_RUNLOG, "m.csv": _BATCH}, "r.csv",
+                 _CELL_ERROR, id="report_runlog"),
+])
+def test_a_file_that_is_not_utf8_is_an_error_naming_it(tmp_path, capsys, argv, files, bad, want):
+    paths = [tmp_path / name for name in files]
+    for path, data in zip(paths, files.values()):
+        path.write_bytes(data)
+    assert main([a.format(*paths, dir=tmp_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == want.format(path=tmp_path / bad) + "\n"
     assert not (tmp_path / "report").exists()
 
 

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+from dvfsflow.cli import _eval_batches
+from dvfsflow.config import EnvConfig
 from dvfsflow.errors import DomainError, InsufficientDataError
-from dvfsflow.evalkit import (CorrelationMatrix, corr_gap,
-                              corr_gap_excluded_count, early_fps_gain,
+from dvfsflow.evalkit import (corr_gap, corr_gap_excluded_count, early_fps_gain,
                               empirical_regret, pearson_matrix, qvalue_stability,
                               wasserstein1)
+from dvfsflow.flow import TRANSITION_LABELS
 from dvfsflow.orchestrate import RunLog
-from dvfsflow.simenv import ProcessorState
+from dvfsflow.simenv import ProcessorState, level_table
 
 
 def _brute_force_pearson(data):
@@ -28,19 +30,20 @@ def test_pearson_duplicated_and_negated_columns():
     rng = np.random.default_rng(0)
     x = rng.normal(size=50)
     data = np.column_stack([x, x, -x])
-    m = pearson_matrix(data, labels=["a", "b", "c"])
-    assert m.values[0, 1] == pytest.approx(1.0)
-    assert m.values[0, 2] == pytest.approx(-1.0)
-    assert np.allclose(np.diag(m.values), 1.0)
-    assert np.allclose(m.values, m.values.T)
+    m = pearson_matrix(data)
+    assert isinstance(m, np.ndarray) and m.shape == (3, 3)
+    assert m[0, 1] == pytest.approx(1.0)
+    assert m[0, 2] == pytest.approx(-1.0)
+    assert np.allclose(np.diag(m), 1.0)
+    assert np.allclose(m, m.T)
 
 
 def test_pearson_small_case_frozen_value():
     data = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 4.0]])
-    m = pearson_matrix(data, labels=["x", "y"])
+    m = pearson_matrix(data)
     # direct evaluation: num = 3, den = sqrt(2) * sqrt(14/3)
     expected = 3.0 / (np.sqrt(2.0) * np.sqrt(14.0 / 3.0))
-    assert m.values[0, 1] == pytest.approx(expected, abs=1e-12)
+    assert m[0, 1] == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(0.9819805060619659, abs=1e-12)
 
 
@@ -49,17 +52,38 @@ def test_pearson_matches_brute_force_oracle():
     for _ in range(5):
         data = rng.normal(size=(50, 11))
         m = pearson_matrix(data)
-        assert np.nanmax(np.abs(m.values - _brute_force_pearson(data))) < 1e-12
+        assert np.nanmax(np.abs(m - _brute_force_pearson(data))) < 1e-12
 
 
 def test_pearson_zero_variance_flagged_not_dropped():
     rng = np.random.default_rng(1)
     data = np.column_stack([rng.normal(size=30), np.full(30, 2.0), rng.normal(size=30)])
-    m = pearson_matrix(data, labels=["a", "const", "b"])
-    assert m.zero_variance == [False, True, False]
-    assert np.all(np.isnan(m.values[1, :]))
-    assert np.all(np.isnan(m.values[:, 1]))
-    assert np.isfinite(m.values[0, 2])
+    m = pearson_matrix(data)
+    assert np.isnan(np.diag(m)).tolist() == [False, True, False]
+    assert np.all(np.isnan(m[1, :]))
+    assert np.all(np.isnan(m[:, 1]))
+    assert np.isfinite(m[0, 2])
+
+
+def test_constant_columns_at_every_frequency_level_are_zero_variance():
+    # the mean of a constant column can be an ulp off its value, which left
+    # 33 of these 36 columns with a unit diagonal and spurious coefficients
+    col = TRANSITION_LABELS.index("freq")
+    rng = np.random.default_rng(7)
+    for n in (30, 200, 1000):
+        synth = rng.uniform(0.1, 1.0, size=(n, len(TRANSITION_LABELS)))
+        for level in level_table(EnvConfig()).freq:
+            real = rng.uniform(0.1, 1.0, size=synth.shape)
+            real[:, col] = level
+            m = pearson_matrix(real)
+            assert np.isnan(np.diag(m)).tolist() == [lab == "freq" for lab in TRANSITION_LABELS]
+            assert np.all(np.isnan(m[col])) and np.all(np.isnan(m[:, col]))
+            assert corr_gap_excluded_count(m, pearson_matrix(synth)) == 20
+            got = _eval_batches(real, synth)
+            assert got["zero_variance_real"] == ["freq"]
+            assert got["corr_excluded_entries"] == 20
+            assert got["std_ratio"]["freq"] is None
+            assert None not in [r for lab, r in got["std_ratio"].items() if lab != "freq"]
 
 
 def test_pearson_needs_two_rows():
@@ -69,8 +93,8 @@ def test_pearson_needs_two_rows():
 
 def test_corr_gap_basics():
     rng = np.random.default_rng(2)
-    a = pearson_matrix(rng.normal(size=(40, 4)), labels=list("wxyz"))
-    b = pearson_matrix(rng.normal(size=(40, 4)), labels=list("wxyz"))
+    a = pearson_matrix(rng.normal(size=(40, 4)))
+    b = pearson_matrix(rng.normal(size=(40, 4)))
     assert corr_gap(a, a) == 0.0
     assert corr_gap(a, b) == pytest.approx(corr_gap(b, a))
     assert corr_gap(a, b) >= 0.0
@@ -78,21 +102,16 @@ def test_corr_gap_basics():
 
 def test_corr_gap_max_for_opposite_matrices():
     ones = np.ones((3, 3))
-    a = CorrelationMatrix(values=ones.copy(), labels=list("abc"))
-    b = CorrelationMatrix(values=2.0 * np.eye(3) - ones, labels=list("abc"))
-    assert corr_gap(a, b) == pytest.approx(2.0)
+    assert corr_gap(ones, 2.0 * np.eye(3) - ones) == pytest.approx(2.0)
 
 
-def test_corr_gap_label_mismatch_and_exclusions():
-    a = CorrelationMatrix(values=np.eye(2), labels=["a", "b"])
-    c = CorrelationMatrix(values=np.eye(2), labels=["a", "c"])
-    with pytest.raises(DomainError):
-        corr_gap(a, c)
+def test_corr_gap_shape_mismatch_and_exclusions():
+    for gap in (corr_gap, corr_gap_excluded_count):
+        with pytest.raises(DomainError, match=r"mismatched shapes \(2, 2\) and \(3, 3\)"):
+            gap(np.eye(2), np.eye(3))
     nanv = np.eye(3)
     nanv[0, 1] = nanv[1, 0] = np.nan
-    x = CorrelationMatrix(values=nanv, labels=list("abc"))
-    y = CorrelationMatrix(values=np.eye(3), labels=list("abc"))
-    assert corr_gap_excluded_count(x, y) == 2
+    assert corr_gap_excluded_count(nanv, np.eye(3)) == 2
 
 
 def test_wasserstein_identical_and_shift():

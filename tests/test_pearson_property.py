@@ -41,10 +41,10 @@ def test_column_shift_and_positive_scale_leave_correlations(data, shift, scale, 
     d = data.shape[1]
     shifts = shift * rng.uniform(-1.0, 1.0, size=d)
     scales = scale * rng.uniform(0.5, 1.0, size=d)
-    want = pearson_matrix(data).values
-    _assert_close(pearson_matrix(data + shifts).values, want)
-    _assert_close(pearson_matrix(data * scales).values, want)
-    _assert_close(pearson_matrix(data * scales + shifts).values, want)
+    want = pearson_matrix(data)
+    _assert_close(pearson_matrix(data + shifts), want)
+    _assert_close(pearson_matrix(data * scales), want)
+    _assert_close(pearson_matrix(data * scales + shifts), want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -53,10 +53,10 @@ def test_negated_column_negates_its_row_and_column(data, column):
     j = column % data.shape[1]
     flipped = data.copy()
     flipped[:, j] = -flipped[:, j]
-    want = pearson_matrix(data).values.copy()
+    want = pearson_matrix(data)
     want[j, :] = -want[j, :]
     want[:, j] = -want[:, j]                # the diagonal entry flips twice
-    _assert_close(pearson_matrix(flipped).values, want)
+    _assert_close(pearson_matrix(flipped), want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -64,5 +64,4 @@ def test_negated_column_negates_its_row_and_column(data, column):
 def test_row_permutation_leaves_correlations(data, seed):
     perm = np.random.default_rng(seed).permutation(data.shape[0])
     got, want = pearson_matrix(data[perm]), pearson_matrix(data)
-    _assert_close(got.values, want.values)
-    assert got.zero_variance == want.zero_variance
+    _assert_close(got, want)

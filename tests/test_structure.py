@@ -19,6 +19,14 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     assert found == []
 
 
+def test_evalkit_imports_only_the_errors_of_the_package():
+    # the metrics work on plain arrays, so they need no codec, flow or config
+    tree = ast.parse((PACKAGE / "evalkit.py").read_text(encoding="utf-8"))
+    found = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and (node.level or (node.module or "").split(".")[0] == "dvfsflow")]
+    assert found == ["errors"]
+
+
 def _int_literal(node) -> bool:
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         node = node.operand
