@@ -1,5 +1,5 @@
 """Command-line entry point: run experiments, generate synthetic batches,
-evaluate stored data, bundle reports, and self-test the numerics.
+evaluate stored data and bundle reports.
 
 All outputs land under the configured directory with a manifest file, and a
 rerun from the same config and seeds reproduces every CSV byte for byte.
@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import flow, nets, report
+from . import report
 from .config import (ExperimentConfig, config_from_dict, config_to_dict, dump_config,
                      load_config)
 from .errors import (ConfigurationError, DomainError, InsufficientDataError,
@@ -36,9 +36,8 @@ from .errors import (ConfigurationError, DomainError, InsufficientDataError,
 from .evalkit import (corr_gap, corr_gap_excluded_count, early_fps_gain,
                       empirical_regret, pearson_matrix, qvalue_stability,
                       wasserstein1)
-from .flow import (TRANSITION_LABELS, CfmBatches, TransitionLayout, canonical_rows,
-                   check_finite, load_batch_csv, save_batch_csv)
-from .forest import ForestConfig, fit_forest, normalized_importances
+from .flow import (TRANSITION_LABELS, TransitionLayout, canonical_rows, check_finite,
+                   load_batch_csv, save_batch_csv)
 from .orchestrate import (METHODS, fit_flow_generator, regret_oracle, run_experiment,
                           runlog_from_csv, runlog_summary, runlog_to_csv)
 from .spread import spread
@@ -338,95 +337,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------- selftest
-
-def _selftest_checks():
-    rng = np.random.default_rng(0)
-
-    def check_grads():
-        worst = 0.0
-        for sizes in ([4, 6, 6, 12], [12, 64, 64, 11], [5, 32, 32, 6]):
-            p = nets.init_mlp(sizes, seed=3)
-            x = rng.normal(size=(6, sizes[0]))
-            y = rng.normal(size=(6, sizes[-1]))
-            w = rng.uniform(0.1, 1.0, size=sizes[-1])
-            worst = max(worst, nets.grad_check(p, x, y, w, rng=rng))
-        return worst < 1e-4, f"max rel err {worst:.2e}"
-
-    def check_pearson():
-        data = rng.normal(size=(50, 11))
-        m = pearson_matrix(data)
-        worst = 0.0
-        for i in range(11):
-            for j in range(11):
-                xi, xj = data[:, i] - data[:, i].mean(), data[:, j] - data[:, j].mean()
-                ref = np.sum(xi * xj) / np.sqrt(np.sum(xi ** 2) * np.sum(xj ** 2))
-                worst = max(worst, abs(m[i, j] - ref))
-        return worst < 1e-12, f"max abs err {worst:.2e}"
-
-    def check_bootstrap():
-        # all-zero data, sigma_min 0: the targets are the negated latents, 8 x 2000 rows
-        batches = CfmBatches(np.zeros((2000, 1)), np.ones(1), 0.0, 8, rng)
-        reps = batches(np.arange(2000))[1].reshape(8, 2000)
-        frac = np.mean([len(np.unique(r)) / 2000 for r in reps])
-        return abs(frac - (1 - 1 / np.e)) < 0.02, f"distinct fraction {frac:.4f}"
-
-    def check_wasserstein(n_a, n_b):
-        a = rng.uniform(0, 1, size=n_a)
-        b = rng.uniform(0, 2, size=n_b)
-        w = wasserstein1(a, b)
-        return abs(w - 0.5) < 0.03, f"W1(U[0,1] x {n_a}, U[0,2] x {n_b}) = {w:.4f}"
-
-    def check_adam():
-        # w = b = 0, x = 1, y = -1.5: both gradients are 3.0, so Adam's first
-        # step moves each parameter by -lr
-        p = nets.init_mlp([1, 1], seed=0)
-        p.flat[:] = 0.0
-        trainer = nets.Trainer(p, lr=0.05)
-        trainer.step(np.array([[1.0]]), np.array([[-1.5]]), np.ones(1))
-        w, b = trainer.params.flat
-        return abs(w + 0.05) < 1e-6 and abs(b + 0.05) < 1e-6, \
-            f"first step w {w:+.6f}, b {b:+.6f}"
-
-    def check_importance():
-        x = rng.uniform(0, 1, size=(300, 2))
-        lam = normalized_importances(fit_forest(x, 3.0 * x[:, 0], ForestConfig(n_trees=30), rng))
-        return lam[0] > 0.8, f"feature 0 weight {lam[0]:.4f} for y = 3 x0"
-
-    def check_midpoint_order():
-        # v(x, t) = -x from a [2, 1] net and an identity normalizer, so x(1) = x0 / e;
-        # K Euler steps would give x0 (1 - 1/K)^K
-        params = nets.MlpParams([2, 1], np.array([-1.0, 0.0, 0.0]))    # weights (x, t), bias
-        identity = flow.Normalizer(np.zeros(1), np.ones(1))
-        x0 = np.random.default_rng(3).standard_normal((1000, 1))
-        err = {k: np.abs(flow.generate_raw(flow.FlowModel(params, identity, np.ones(1),
-                                                          flow.FMConfig(ode_steps=k), [0.0]),
-                                           1000, np.random.default_rng(3))
-                         - x0 * np.exp(-1.0)).max()
-               for k in (5, 10, 20)}
-        euler = np.abs(x0).max() * abs(0.99 ** 100 - np.exp(-1.0))
-        ratios = err[5] / err[10], err[10] / err[20]
-        return all(3.5 <= r <= 4.5 for r in ratios) and err[10] < euler, \
-            (f"error ratios {ratios[0]:.2f}, {ratios[1]:.2f} as dt halves; 10 steps "
-             f"{err[10]:.1e} against 100 Euler steps {euler:.1e}")
-
-    return [("gradient_check", check_grads), ("pearson_oracle", check_pearson),
-            ("bootstrap_fraction", check_bootstrap),
-            ("wasserstein_oracle", lambda: check_wasserstein(10_000, 10_000)),
-            ("wasserstein_unequal_oracle", lambda: check_wasserstein(2_000, 10_000)),
-            ("adam_first_step", check_adam), ("importance_oracle", check_importance),
-            ("ode_midpoint_order", check_midpoint_order)]
-
-
-def cmd_selftest(args) -> int:
-    ok = True
-    for name, fn in _selftest_checks():
-        passed, detail = fn()
-        ok &= passed
-        print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
-    return 0 if ok else 1
-
-
 # ---------------------------------------------------------------- entry
 
 def build_parser() -> argparse.ArgumentParser:
@@ -471,9 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("report", help="bundle metrics and SVG figures for a run dir")
     pp.add_argument("--run-dir", required=True)
     pp.set_defaults(func=cmd_report)
-
-    ps = sub.add_parser("selftest", help="gradient checks and metric oracles")
-    ps.set_defaults(func=cmd_selftest)
     return p
 
 

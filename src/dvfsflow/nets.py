@@ -28,8 +28,8 @@ the learning rate is the caller's.  :func:`fit` (flow and model-based planner)
 is an epoch loop around :meth:`Trainer.step`, and the run loop keeps one
 trainer for the Q-network from its first update to its last.
 :func:`loss_and_grads` runs the same forward/backward code into a fresh set
-of those arrays, for gradient checks and for evaluating a loss without
-training.
+of those arrays, to evaluate a loss and its gradients without training (the
+tests check those gradients against central differences).
 """
 
 from __future__ import annotations
@@ -300,29 +300,3 @@ def fit(params: MlpParams, lr: float, n: int, epochs: int, batch_size: int,
         loss_curve.append(float(np.mean(losses)))
     return trainer.params, loss_curve
 
-
-def grad_check(params: MlpParams, x: np.ndarray, y: np.ndarray, weights: np.ndarray,
-               rng: Optional[np.random.Generator] = None) -> float:
-    """Max relative error between analytic and central-difference gradients
-    (step 1e-5) over 50 random parameters, or all of them in smaller nets.
-    Informational: never raises on mismatch."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    h = 1e-5
-    _, gw, gb = loss_and_grads(params, x, y, weights)
-    flat_analytic = np.concatenate([g.ravel() for g in gw] + [g.ravel() for g in gb])
-    total = flat_analytic.size
-    n_check = min(total, 50)
-    idx = rng.choice(total, size=n_check, replace=False)
-
-    max_rel = 0.0
-    for i in idx:
-        i = int(i)
-        params.flat[i] += h             # same order as the analytic vector
-        lp, _, _ = loss_and_grads(params, x, y, weights)
-        params.flat[i] -= 2 * h
-        lm, _, _ = loss_and_grads(params, x, y, weights)
-        params.flat[i] += h
-        numeric = (lp - lm) / (2 * h)
-        denom = max(abs(flat_analytic[i]) + abs(numeric), 1e-8)
-        max_rel = max(max_rel, abs(flat_analytic[i] - numeric) / denom)
-    return max_rel

@@ -2,9 +2,11 @@
 
 import os
 from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 
+from dvfsflow.nets import MlpParams, loss_and_grads
 from dvfsflow.simenv import EnvConfig, level_table
 
 
@@ -34,3 +36,29 @@ def usable_cores(monkeypatch, n: int, blas_threads="1") -> None:
     if blas_threads is not None:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
 
+
+def grad_check(params: MlpParams, x: np.ndarray, y: np.ndarray, weights: np.ndarray,
+               rng: Optional[np.random.Generator] = None) -> float:
+    """Max relative error between analytic and central-difference gradients
+    (step 1e-5) over 50 random parameters, or all of them in smaller nets.
+    Informational: never raises on mismatch."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    h = 1e-5
+    _, gw, gb = loss_and_grads(params, x, y, weights)
+    flat_analytic = np.concatenate([g.ravel() for g in gw] + [g.ravel() for g in gb])
+    total = flat_analytic.size
+    n_check = min(total, 50)
+    idx = rng.choice(total, size=n_check, replace=False)
+
+    max_rel = 0.0
+    for i in idx:
+        i = int(i)
+        params.flat[i] += h             # same order as the analytic vector
+        lp, _, _ = loss_and_grads(params, x, y, weights)
+        params.flat[i] -= 2 * h
+        lm, _, _ = loss_and_grads(params, x, y, weights)
+        params.flat[i] += h
+        numeric = (lp - lm) / (2 * h)
+        denom = max(abs(flat_analytic[i]) + abs(numeric), 1e-8)
+        max_rel = max(max_rel, abs(flat_analytic[i] - numeric) / denom)
+    return max_rel

@@ -436,14 +436,6 @@ def test_a_file_that_is_not_utf8_is_an_error_naming_it(tmp_path, capsys, argv, f
     assert not (tmp_path / "report").exists()
 
 
-def test_selftest_passes(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert out.count("PASS") == 8
-    assert "PASS ode_midpoint_order: " in out
-
-
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

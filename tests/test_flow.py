@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import grad_check
 from dvfsflow import nets
 from dvfsflow.errors import DomainError, NumericError, StateError
 from dvfsflow.flow import (ACTION_COL, DONE_COL, INPUT_COLS, NEXT_STATE_COLS, OUTCOME_COLS,
@@ -242,7 +243,7 @@ def test_cfm_loss_gradient_finite_difference():
     # freeze the stochastic draws so the loss is a deterministic function
     inputs, target, w = CfmBatches(batch, model.weights, cfg.sigma_min, cfg.bootstrap_count,
                                    np.random.default_rng(12))(np.arange(5))
-    err = nets.grad_check(model.params, inputs, target, w,
+    err = grad_check(model.params, inputs, target, w,
                           rng=np.random.default_rng(13))
     assert err < 1e-4
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import grad_check
 from dvfsflow import nets
 from dvfsflow.errors import ConfigurationError, DomainError, NumericError
 
@@ -169,7 +170,7 @@ def test_grad_check_small_nets():
         x = rng.normal(size=(6, sizes[0]))
         y = rng.normal(size=(6, sizes[-1]))
         w = rng.uniform(0.1, 1.0, size=sizes[-1])
-        assert nets.grad_check(p, x, y, w, rng=rng) < 1e-4
+        assert grad_check(p, x, y, w, rng=rng) < 1e-4
 
 
 def test_grad_check_matches_closed_form_linear():
@@ -181,7 +182,7 @@ def test_grad_check_matches_closed_form_linear():
     _, gw, _ = nets.loss_and_grads(p, x, y, np.ones(1))
     closed = 2.0 * 2.0 * (0.7 * 2.0 - 1.0)
     assert gw[0][0, 0] == pytest.approx(closed, rel=1e-12)
-    assert nets.grad_check(p, x, y, np.ones(1)) < 1e-6
+    assert grad_check(p, x, y, np.ones(1)) < 1e-6
 
 
 def test_grad_check_zero_loss_batch():
@@ -201,5 +202,5 @@ def test_one_hot_row_weights_mask_gradients():
     w[1, 2] = 1.0
     loss, _, _ = nets.loss_and_grads(p, x, y, w)
     assert loss == pytest.approx(1.0)   # one unit error per sample on one dim
-    assert nets.grad_check(p, x, y, w) < 1e-4
+    assert grad_check(p, x, y, w) < 1e-4
 

@@ -46,3 +46,25 @@ def test_row_readers_index_columns_only_through_the_codec_groups():
                     if any(_int_literal(b) for b in bounds):
                         found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # a name a module imports is read there or re-exported through __all__
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)):
+                read |= {elt.value for elt in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{path.name}: {name}" for name in
+                          ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+                          if name not in read]
+    assert found == []
