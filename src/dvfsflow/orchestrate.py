@@ -3,7 +3,10 @@
 One run = one thread of control: act epsilon-greedily in the simulator, store
 real transitions in M, periodically (re)train the generative model and fill
 the synthetic memory M', and train the DQN on mixed batches once the combined
-insertion counters exceed the exploit threshold.
+insertion counters exceed the exploit threshold.  A run retrains only at the
+multiples of the retrain period below its horizon: a retrain fills M' after its
+step's action and reward, so one at the last step would feed only the final
+Q-update, whose Q-net never acts.
 
 A method is a preset, one row of :data:`METHODS`: which generator fills M'
 (a flow, the model-based planner or none), whether the flow's loss is
@@ -107,6 +110,7 @@ class RunLog:
     phi_real: list[int] = field(default_factory=list)
     phi_synth: list[int] = field(default_factory=list)
     fm_train_steps: list[int] = field(default_factory=list)
+    fm_fit_rows: list[int] = field(default_factory=list)   # len(M) at each retrain
     agent_train_steps: list[int] = field(default_factory=list)
     lambda_weights: Optional[list[float]] = None
     fm_loss_curves: list[list[float]] = field(default_factory=list)
@@ -229,7 +233,7 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
 
         fm_loss_val: Optional[float] = None
         if (preset.generator is not None and i % schedule.fm_retrain_period == 0
-                and schedule.can_train(memory.phi, len(memory))):
+                and i < schedule.horizon and schedule.can_train(memory.phi, len(memory))):
             retrain_count += 1
             real = memory.rows()
             if planner is not None:
@@ -245,6 +249,7 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
             synth_memory.push(flow_mod.canonical_rows(raw, layout))
             log.synth_raw = raw
             log.fm_train_steps.append(i)
+            log.fm_fit_rows.append(len(real))
 
         agent_loss_val: Optional[float] = None
         if memory.phi + synth_memory.phi > schedule.exploit_threshold:
@@ -341,7 +346,8 @@ def runlog_from_csv(path: str, method: str = "", seed: int = -1) -> RunLog:
 
 
 def runlog_summary(log: RunLog) -> dict:
-    """JSON-ready digest: final epsilon, mean reward, loss curves, weights, config."""
+    """JSON-ready digest: final epsilon, mean reward, the retrain steps and the
+    len(M) each retrain was fit on, loss curves, weights, config."""
     agent_losses = [v for v in log.agent_loss if v is not None]
     return {
         "method": log.method,
@@ -351,6 +357,7 @@ def runlog_summary(log: RunLog) -> dict:
         "mean_reward": float(np.mean(log.rewards)) if log.rewards else None,
         "mean_fps": float(np.mean([s.fps for s in log.states])) if log.states else None,
         "fm_train_steps": log.fm_train_steps,
+        "fm_fit_rows": log.fm_fit_rows,
         "agent_train_steps_count": len(log.agent_train_steps),
         "agent_loss_curve": agent_losses,
         "fm_loss_curves": log.fm_loss_curves,

@@ -102,7 +102,7 @@ def test_fm_train_start_is_the_only_training_floor(tmp_path, capsys):
     # fm_train_start 10 < 32: every method trains from 20 transitions on
     path = _write_config(tmp_path, {
         "schedule": {"batch_size": 8, "fm_train_start": 10, "fm_retrain_period": 20,
-                     "horizon": 60},
+                     "horizon": 61},
         "flow": {"epochs": 2},
         "output_dir": str(tmp_path / "out")})
     assert main(["run", "--config", path, "--methods", ",".join(METHODS)]) == 0
@@ -913,6 +913,25 @@ def test_report_medians_skip_runs_too_short_for_stability(tmp_path, capsys):
     assert stab[1] is None and None not in (stab[0], stab[2])
     want = float(np.median([stab[0], stab[2]]))
     assert payload["medians"]["model_free"]["qvalue_stability"] == want
+
+
+def test_run_no_longer_than_one_retrain_period_writes_no_synthetic_batch(tmp_path, capsys):
+    # horizon == fm_retrain_period: the only multiple is the final step, where
+    # no retrain runs, so no generator method fills M'
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path, {"methods": ["dfm", "model_based", "model_free"],
+                                        "seeds": [0], "output_dir": str(out),
+                                        "schedule": {"horizon": 50, "fm_retrain_period": 50}})
+    assert main(["run", "--config", cfg_path]) == 0
+    assert main(["report", "--run-dir", str(out)]) == 0
+    with open(out / "manifest.json") as fh:
+        runs = json.load(fh)["runs"]
+    assert [r["files"]["synth"] for r in runs] == [None, None, None]
+    for r in runs:
+        with open(out / r["files"]["summary"]) as fh:
+            assert json.load(fh)["fm_train_steps"] == []
+    with open(out / "report" / "report.json") as fh:
+        assert not [r for r in json.load(fh)["per_run"] if "eval" in r]
 
 
 # Each of these validated, ran, and then made report and eval exit 1 with

@@ -21,12 +21,12 @@ GOLDEN_CONFIG = {"schedule": {"horizon": 120, "fm_retrain_period": 40},
                  "flow": {"epochs": 60}}
 
 GOLDEN = {
-    "dfm": ("3d272243a5de6ad6443cef4b86f36f0b6ad2b56a7efa3e4c9150129e38cfa147",
-            "699cddffb1963cfdad3a8cd3036785522b416849b1dbf1d005763167f8dd9a8c"),
-    "pure_fm": ("6dae619baf54caad90ef0d42594deaed79ee17e1316ace049fc58f86b2e5dfbc",
-                "db38190e43a44a47de7582ebff1ab37acfcf720ccfa5a4f14493f8e59d6fa195"),
-    "model_based": ("90205e7a686920d1879da5e1359fa1ce3f52932d5352eafeb827d141a880f989",
-                    "4713afa04e2ec1fea7b23044acd63835ec96c8dd25f1952376c87c9c7478664c"),
+    "dfm": ("8b1bec1a93912fd2907ee8b72055c19fd26f8e0896141724afca34e7505f77a3",
+            "56d3d10d9d63434c358ebeea936903c0d82e5f8d2d383f3d029ceca10a364c0d"),
+    "pure_fm": ("5096d37a9535dfd903801d220ff40b4d2778e5d65a9e3c849546e6777636c578",
+                "dbbdc35778a1a727c4706a464a0923730e4d617d197a6148d850047044da52a8"),
+    "model_based": ("4e3841befd7eb5865a3aa486ff654d1098726162bab15d3f4d3a45a56d697454",
+                    "4364ee794ad36d2b7201e6f9e0d5a8491130200a15577367d30186f0fb8f1082"),
     "model_free": ("8eedad3cd7cfb6d8dfba5568b290bc1883f92572cee4c786eceade6bfbe6481f",
                    None),
 }
@@ -55,10 +55,10 @@ def test_golden_digests(method, tmp_path):
 # dfm's last forest feature weights (lambda) on the golden config, as
 # float.hex, so that a forest change fails here and not only via the digest.
 GOLDEN_DFM_LAMBDA = [
-    "0x1.47ee1bd77bb45p-6", "0x1.5651b83e769e8p-7", "0x1.91844afc985ddp-5",
-    "0x1.3b7ffee8f4142p-3", "0x1.aa2b132f52b10p-2", "0x1.47ee1bd77bb45p-6",
-    "0x1.5651b83e769e8p-7", "0x1.91844afc985ddp-5", "0x1.3b7ffee8f4142p-3",
-    "0x1.de43f0a6f10c1p-5", "0x1.de43f0a6f10c1p-5",
+    "0x1.0a5a8ecb28745p-6", "0x1.855011192ae85p-7", "0x1.57463056372e9p-5",
+    "0x1.62216cef35928p-3", "0x1.9207e114561e1p-2", "0x1.0a5a8ecb28745p-6",
+    "0x1.855011192ae85p-7", "0x1.57463056372e9p-5", "0x1.62216cef35928p-3",
+    "0x1.f1934befbb1b3p-5", "0x1.f1934befbb1b3p-5",
 ]
 
 
@@ -84,7 +84,7 @@ def test_golden_digest_with_fifo_eviction(tmp_path):
     assert _sha256(tmp_path / "runlog.csv") == GOLDEN_EVICTION_RUNLOG
 
 
-# Both memories evict (|M| = 150 of 400 steps, |M'| = 500 of up to 3,000
+# Both memories evict (|M| = 150 of 400 steps, |M'| = 500 of up to 2,700
 # synthetic rows), and the Q-net takes 300-361 updates: 15-18 target syncs and
 # three Adam resets.  This pins the replay memories' eviction order and the
 # Q-net's update schedule on their own.
@@ -93,11 +93,11 @@ EVICTION_SYNC_CONFIG = {"schedule": {"horizon": 400, "fm_retrain_period": 40,
                                      "real_capacity": 150},
                         "flow": {"epochs": 20}}
 GOLDEN_EVICTION_SYNC = {
-    "pure_fm": ("cb9f03013631bf77e007a6db38b5fc08a4717b14c5bc937713b4340521c872dc",
-                "bc7044b27aa1d86f2e94a760edc2a924848b429ed2e07ed61575eaa1678d380a",
+    "pure_fm": ("0ee35daa8276f4f7fe295bc3b0ddd97cd64a4282e49a3da68106fc33abed724a",
+                "3d46f3ea2b912ec64c8269d91100d137c00a5885c30cfd93723b16a4609ff5bc",
                 "7a43cedc2830bba9e286062a174fd0a089949cb1fbbd3de4762688706999b371", 361),
-    "model_based": ("3c65f16064534327585164b3212e234a6ae6374528a5b724ff81f121a7dcc9c2",
-                    "1047e7d04e0b647ed2211bf6c467dfa33a404ec6bf5246ea5b8578187aa07ac1",
+    "model_based": ("b5d7de0bbb388e2efecbd13d2511a33ce777d37fee2fd9308ed0b0acee5c933e",
+                    "a0f6147a00543139bec1c4744109e3c9825a43cd1c9af3d019c75fd859f5a6b0",
                     "916cf73b0b48998ae314854c318d2a205899053b03af4295ba6028b426afecf6", 361),
     "model_free": ("1930aa37508c81b78c57f4f64ecca68848115b96396ee029700f2b51703d8b42",
                    None, "266e0b04ba84abd5cb5e31e919e4bc03e3087882d21c4df87504053e81ebae67", 300),
@@ -159,11 +159,11 @@ REPORT_CONFIG = {"schedule": {"horizon": 100}, "flow": {"epochs": 10}, "forest":
                  "methods": ["dfm", "model_free"], "seeds": [0, 1]}
 GOLDEN_REPORT = {
     "report.json":
-        "e095cf200782621f49d166dfaf154179ede3d4950b8ac3160a65757d03ba3fe0",
+        "1c99865375bcdbf220deee30b177be099386244fa5afeff5665a3cb89417265e",
     "metrics.csv":
-        "e222d1ca4e6fd4fd6edaf3768279a0891664977398ed39492b0381e800abc6a6",
+        "b10fecb496e15d8ead172f510a714aa47f92bb0d6bfe9a669455282d78f0621c",
     "corr_dfm.svg":
-        "e5391787e0bbf52073433702519bec1e21a9785ad44936552b0352dc965f8cfa",
+        "5d535e57952380934c2d2be65523d33629e75f486764a1b267c56519bff49b29",
     "corr_real.svg":
         "30e75e7a877c354c339f15f54cd460fd4ad64d5295045e4fb142e0acef8c47df",
     "fps.svg":
@@ -173,7 +173,7 @@ GOLDEN_REPORT = {
     "regret.svg":
         "37132e5983f2fd908615d547558077404d4ef6c953fb599c026d7677a666618c",
     "eval.json":
-        "1bd80e191d1e9d03b9852a9ab37e85d45adf55b8b12bb2705521db09464a2ec7",
+        "dca4e0e7c9e2aea8a0827be48f4316adab1fa2894cbc565fec2012389e42324c",
 }
 
 

@@ -10,8 +10,9 @@ from dvfsflow.agent import AgentConfig
 from dvfsflow.errors import ConfigurationError
 from dvfsflow.flow import FMConfig
 from dvfsflow.forest import ForestConfig
-from dvfsflow.orchestrate import (RUNLOG_COLUMNS, RunLog, ScheduleConfig, regret_oracle,
-                                  run_experiment, runlog_summary, runlog_to_csv)
+from dvfsflow.orchestrate import (METHODS, RUNLOG_COLUMNS, RunLog, ScheduleConfig,
+                                  regret_oracle, run_experiment, runlog_summary,
+                                  runlog_to_csv)
 from dvfsflow.simenv import EnvConfig, dynamics, initial_state, reward_components
 
 FAST_FM = FMConfig(hidden_sizes=[8, 8], epochs=3, bootstrap_count=2, batch_size=16)
@@ -40,19 +41,47 @@ def test_model_free_keeps_synthetic_memory_empty():
 
 
 def test_fm_training_schedule_matches_algorithm_gate():
-    log = _run("dfm")
+    log = _run("dfm", sched=_schedule(horizon=201))
     assert log.fm_train_steps == [50, 100, 150, 200]
     # fm_loss recorded exactly at training steps
     trained_at = [t for t, v in zip(log.t, log.fm_loss) if v is not None]
     assert trained_at == [50, 100, 150, 200]
-    # call count = floor(H / zeta_d) minus skips where phi_M <= beta (none here)
-    assert len(log.fm_train_steps) == 200 // 50
+    # call count = floor((H - 1) / zeta_d) minus skips where phi_M <= beta (none here)
+    assert len(log.fm_train_steps) == (201 - 1) // 50
+    # no retrain at the final step, even where the horizon is a multiple of zeta_d
+    assert _run("dfm").fm_train_steps == [50, 100, 150]
 
 
 def test_fm_training_skips_multiples_below_beta():
     # zeta_d=10: multiples 10..30 fail the phi_M > beta guard with beta=32
-    log = _run("dfm", sched=_schedule(fm_retrain_period=10, horizon=60))
+    log = _run("dfm", sched=_schedule(fm_retrain_period=10, horizon=61))
     assert log.fm_train_steps == [40, 50, 60]
+
+
+@pytest.mark.parametrize("method", [m for m, p in METHODS.items() if p.generator])
+def test_run_is_a_prefix_of_a_longer_run(method):
+    # a retrain at step i acts only from step i + 1 on, so the last step's
+    # retrain of the longer run is the only work the shorter run leaves out
+    h, period = 100, 50
+    short = _run(method, sched=_schedule(horizon=h, fm_retrain_period=period))
+    long = _run(method, sched=_schedule(horizon=h + period, fm_retrain_period=period))
+    assert short.fm_train_steps == [50] and long.fm_train_steps == [50, 100]
+    for name in ("states", "actions", "rewards", "epsilons", "max_q"):
+        assert getattr(short, name) == getattr(long, name)[:h], name
+    for name in ("fm_loss", "agent_loss", "phi_synth"):
+        assert getattr(short, name)[:h - 1] == getattr(long, name)[:h - 1], name
+    assert short.fm_loss[h - 1] is None and long.fm_loss[h - 1] is not None
+    assert short.agent_loss[h - 2] is not None      # the Q-net trained within the prefix
+
+
+def test_fm_fit_rows_records_len_m_at_each_retrain():
+    log = run_experiment("dfm", EnvConfig(), AgentConfig(), ScheduleConfig(), 0,
+                         fm_config=FAST_FM, forest_config=FAST_FOREST)
+    assert log.fm_train_steps == [50, 100, 150]
+    assert log.fm_fit_rows == runlog_summary(log)["fm_fit_rows"] == [50, 100, 150]
+    # FIFO eviction caps each fit at |M|
+    log = _run("dfm", sched=_schedule(real_capacity=80))
+    assert log.fm_fit_rows == [50, 80, 80]
 
 
 def test_no_agent_training_before_exploit_threshold():

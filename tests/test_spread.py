@@ -126,7 +126,7 @@ def test_spread_closed_early_joins_its_helpers(monkeypatch):
 
 # ---------------------------------------------------------------- byte identity
 
-TINY_DFM = {"schedule": {"horizon": 120, "fm_retrain_period": 40},
+TINY_DFM = {"schedule": {"horizon": 121, "fm_retrain_period": 40},
             "flow": {"epochs": 4}, "forest": {"n_trees": 8}}
 
 
