@@ -4,9 +4,9 @@ A numpy library with four layers: a seeded processor simulator (simenv), tiny
 dense nets with manual backprop (nets), the DQN agent and replay memories
 (agent), the forest feature weighting (forest) and the flow-matching generator
 (flow), tied together by the experiment orchestrator (orchestrate) and the
-evaluation metrics (evalkit).  Independent runs, forests and sample blocks go
-through one fork primitive (spread).  The `dvfsflow` CLI wraps runs,
-generation, evaluation and reporting.
+evaluation metrics (evalkit).  The `dvfsflow` CLI wraps runs, generation,
+evaluation and reporting.  Only its ``run`` forks: it spreads independent runs
+over processes (spread), and each run does all its work in one process.
 """
 
 from .agent import AgentConfig, ReplayMemory

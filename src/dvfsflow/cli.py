@@ -11,9 +11,8 @@ records them in manifest order.  Every file, ``manifest.json`` and stdout are
 byte-identical to a one-core run.  Each process uses the BLAS thread count of
 its environment, and no more processes run than the usable cores divided by
 that count; unset, it is a thread per core and ``run`` stays in one process,
-so set ``OPENBLAS_NUM_THREADS=1`` to run one process per core.  A ``run`` of
-several runs keeps one process per core; a lone run, like ``gen``, spreads
-each retrain's forests and sample blocks instead.
+so set ``OPENBLAS_NUM_THREADS=1`` to run one process per core.  A lone run,
+like ``gen``, stays in the calling process.
 """
 
 from __future__ import annotations

@@ -10,8 +10,7 @@ explicit midpoint steps from t=0 (noise) to t=1 (data), two evaluations of v
 per step: x += dt v(x + v(x, t) dt / 2, t + dt / 2).  The straight CFM paths
 (rectified flow, Liu et al., arXiv 2209.03003) make this second-order step
 accurate at few steps.  One block of at most ``SAMPLE_BLOCK_ROWS`` rows goes
-through all K steps at a time; the partition depends on n alone, and the
-blocks are spread over the usable cores by :func:`spread.spread`.  That is
+through all K steps at a time, and the partition depends on n alone.  That is
 bit-identical to stepping all n rows at once: the update is elementwise, and a
 dgemm call of >= 110 rows computes each row the same way.
 
@@ -48,7 +47,6 @@ from .errors import (ConfigurationError, DomainError, NumericError, StateError, 
                      domain)
 from .nets import MlpParams
 from .simenv import ProcessorState
-from .spread import spread
 
 TRANSITION_LABELS = [
     "fps", "freq", "power", "temp", "action",
@@ -285,12 +283,11 @@ def train_flow_model(data: np.ndarray, lam: np.ndarray, config: FMConfig,
 
 
 # Most rows of one block of generate_raw: n rows go through all K midpoint steps
-# (2K evaluations) in ceil(n / SAMPLE_BLOCK_ROWS) blocks of near-equal size,
-# whatever the core count, so a layer's temporaries (about 256 KB, reused by
-# every evaluation of the block) stay in cache and the default
-# 1,000-row batch is two 500-row blocks for two cores.  A split batch has
-# blocks of >= 256 rows.  OpenBLAS 0.3.31 gives a row of the 64 -> 11 dgemm
-# other bits in calls of up to 109 rows and the same bits from 110 rows up
+# (2K evaluations) in ceil(n / SAMPLE_BLOCK_ROWS) blocks of near-equal size, so
+# a layer's temporaries (about 256 KB, reused by every evaluation of the block)
+# stay in cache; the default 1,000-row batch is two 500-row blocks.  A split
+# batch has blocks of >= 256 rows.  OpenBLAS 0.3.31 gives a row of the 64 -> 11
+# dgemm other bits in calls of up to 109 rows and the same bits from 110 rows up
 # (numpy sends 1-row calls to gemv), so every block's rows match integrating
 # all n rows at once.
 SAMPLE_BLOCK_ROWS = 512
@@ -299,8 +296,7 @@ SAMPLE_BLOCK_ROWS = 512
 def generate_raw(model: FlowModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """n denormalized samples: dx/dt = v(x, t) integrated with K =
     ``model.config.ode_steps`` explicit midpoint steps from noise to data
-    space, 2K evaluations of the vector field.  The blocks go through
-    :func:`spread.spread`, so some are integrated in forked helper processes."""
+    space, 2K evaluations of the vector field, one block after another."""
     if not model.loss_curve:
         raise StateError("flow model is untrained; call train_flow_model first")
     d, ode_steps = model.params.out_dim, model.config.ode_steps
@@ -312,8 +308,7 @@ def generate_raw(model: FlowModel, n: int, rng: np.random.Generator) -> np.ndarr
     size = blocks[0].shape[0]
     inputs_buf = np.empty((size, d + 1))
     layers_buf = [np.empty((size, s)) for s in model.params.layer_sizes[1:]]
-
-    def integrate(block: np.ndarray) -> np.ndarray:
+    for block in blocks:
         rows = block.shape[0]
         inputs, layers = inputs_buf[:rows], [a[:rows] for a in layers_buf]
         for step in range(ode_steps):
@@ -326,10 +321,6 @@ def generate_raw(model: FlowModel, n: int, rng: np.random.Generator) -> np.ndarr
             v = nets.forward_batch(model.params, inputs, out=layers)
             v *= dt
             block += v
-        return block
-
-    for done, block in zip(spread(integrate, blocks), blocks):   # spread runs to its end
-        block[...] = done       # a helper's block comes back as a copy
     return model.normalizer.denormalize(x)
 
 

@@ -8,9 +8,8 @@ sums its splits in a fixed order (preorder, right subtree first), raw
 importances are averaged over trees, then normalized to sum 1.  The
 transition weighting fits one forest per next-state column of the (n, 11)
 transition array and mirrors the input weights onto all 11 columns.  Its four
-forests go through :func:`spread.spread`, so some may grow in forked helper
-processes; each draws only on its own generator, and their normalized
-importances are added in target order 0..3 wherever they grew.
+forests grow one after another, each on its own generator, and their
+normalized importances are added in target order 0..3.
 
 Every setting comes from :class:`ForestConfig` and every draw from the caller's
 generator: ``fit_forest(x, y, config, rng)`` and
@@ -36,7 +35,6 @@ from .errors import (ConfigurationError, DomainError, InsufficientDataError, Num
                      check_domains, domain)
 from .flow import (DONE_COL, INPUT_COLS, NEXT_STATE_COLS, REWARD_COL, STATE_COLS,
                    TRANSITION_DIM)
-from .spread import spread
 
 
 @dataclass
@@ -269,9 +267,8 @@ def transition_feature_weights(data: np.ndarray, config: ForestConfig,
 
     children = rng.spawn(targets.shape[1])
     acc = np.zeros(x.shape[1])
-    for lam in spread(lambda j: normalized_importances(
-            fit_forest(x, targets[:, j], config, children[j])), range(targets.shape[1])):
-        acc += lam                  # in target order, wherever each forest grew
+    for j, child in enumerate(children):
+        acc += normalized_importances(fit_forest(x, targets[:, j], config, child))
     w_in = acc / acc.sum()          # each forest's weights sum to 1
 
     full = np.empty(TRANSITION_DIM)

@@ -13,10 +13,7 @@ is joined.  A task taken by a helper that died before sending it raises
 
 A helper works on its own copy of the caller's memory, so only what ``fn``
 returns comes back: results are the same bits on any core count as long as
-``fn`` reads its inputs and writes only what it returns.  A spread that forks
-marks its caller and its helpers as busy while it lasts, and a spread started
-in a busy process runs inline: a ``dvfsflow run`` of several runs keeps one
-process per core, and only a lone run spreads its forests and sample blocks.
+``fn`` reads its inputs and writes only what it returns.
 """
 
 from __future__ import annotations
@@ -29,8 +26,6 @@ from .errors import StateError
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-_busy = False       # true in a process whose spread has forked, and in its helpers
 
 
 def processes(tasks: int) -> int:
@@ -56,9 +51,8 @@ def spread(fn: Callable[[T], R], items: Sequence[T],
     """Yield ``fn(item)`` for each of ``items`` in order, computed by this
     process and forked helpers; ``name(item)`` names a lost task (default
     ``task <index>``)."""
-    global _busy
     items = list(items)
-    helpers = 0 if _busy else processes(len(items)) - 1
+    helpers = processes(len(items)) - 1
     if helpers < 1:
         yield from map(fn, items)
         return
@@ -111,7 +105,6 @@ def spread(fn: Callable[[T], R], items: Sequence[T],
 
     sys.stdout.flush()      # a helper flushes its copy of these buffers when it exits
     sys.stderr.flush()
-    _busy = True
     try:
         for _ in range(helpers):
             reader, writer = ctx.Pipe(duplex=False)
@@ -130,7 +123,6 @@ def spread(fn: Callable[[T], R], items: Sequence[T],
             collect(None)
         for proc in procs:
             proc.join()
-        _busy = False
     yield from ready()
     if yielded < n:
         if yielded in done:                 # the earliest failed task

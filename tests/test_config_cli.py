@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import usable_cores
 from dvfsflow import cli, spread
 from dvfsflow.cli import main
 from dvfsflow.config import (ExperimentConfig, config_from_dict, config_to_dict,
@@ -165,14 +166,6 @@ def test_rerun_reproduces_csvs_byte_identically(tmp_path):
             assert fa.read() == fb.read()
 
 
-def _cores(monkeypatch, n, blas_threads="1"):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(name, raising=False)
-    if blas_threads is not None:
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
-
-
 @pytest.mark.parametrize("cores,env,runs,want", [
     (2, {}, 6, 1),                                  # unset: a BLAS thread per core
     (2, {"OPENBLAS_NUM_THREADS": "1"}, 6, 2),
@@ -182,7 +175,7 @@ def _cores(monkeypatch, n, blas_threads="1"):
     (3, {"OMP_NUM_THREADS": "4"}, 6, 1),
 ])
 def test_run_processes_leave_no_core_oversubscribed(monkeypatch, cores, env, runs, want):
-    _cores(monkeypatch, cores, blas_threads=None)
+    usable_cores(monkeypatch, cores, blas_threads=None)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     assert spread.processes(runs) == want
@@ -191,7 +184,7 @@ def test_run_processes_leave_no_core_oversubscribed(monkeypatch, cores, env, run
 def _run_on(cores, argv, out, monkeypatch, capsys):
     """Exit code, stdout, stderr and the bytes of every file of a ``run`` on
     ``cores`` usable cores."""
-    _cores(monkeypatch, cores)
+    usable_cores(monkeypatch, cores)
     code = main(argv)
     captured = capsys.readouterr()
     files = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
@@ -269,7 +262,7 @@ def test_run_lost_with_its_helper_is_a_state_error(tmp_path, capsys, monkeypatch
         return real_run(*args, **kwargs)
 
     monkeypatch.setattr(cli, "run_experiment", die_in_helpers)
-    _cores(monkeypatch, 3)
+    usable_cores(monkeypatch, 3)
     assert main(["run", "--config", path, "--output", str(tmp_path / "out")]) == 1
     assert multiprocessing.active_children() == []
     err = capsys.readouterr().err

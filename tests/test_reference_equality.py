@@ -1114,7 +1114,7 @@ def test_sample_vector_field_bytes_equal_reference(random_flow, n, ode_steps):
 @pytest.mark.parametrize("n", [513, 1000, 5000])
 def test_sample_blocks_on_any_core_count_bytes_equal_one_block(random_flow, monkeypatch,
                                                                cores, n):
-    # the default 12-64-64-11 net; 2, 2 and 10 blocks, some integrated in helpers
+    # the default 12-64-64-11 net; 2, 2 and 10 blocks, whatever the core count
     usable_cores(monkeypatch, cores)
     assert random_flow.params.layer_sizes == [12, 64, 64, 11]
     model = _with_ode_steps(random_flow, 20)

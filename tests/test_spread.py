@@ -1,5 +1,6 @@
-"""spread(fn, items): item order, failures, lost helpers, nesting, and runs
-and ``gen`` that are byte-identical on one and on several cores."""
+"""spread(fn, items): item order, failures and lost helpers; and a lone run
+and ``gen``, which stay in the calling process and are byte-identical on one
+and on several cores."""
 
 import hashlib
 import multiprocessing
@@ -22,7 +23,6 @@ from dvfsflow.spread import spread
 def no_helper_left():
     yield
     assert multiprocessing.active_children() == []
-    assert not spread_mod._busy
 
 
 def _pid_of(_item):
@@ -99,19 +99,6 @@ def test_task_lost_with_its_helper_is_a_state_error(monkeypatch, name, prefix):
     assert message.endswith("was lost: helper processes exited with codes [3, 3]")
 
 
-def test_nested_spread_runs_in_its_tasks_own_process(monkeypatch):
-    usable_cores(monkeypatch, 3)
-
-    def outer(i):
-        time.sleep(0.05)
-        return os.getpid(), list(spread(_pid_of, range(4)))
-
-    got = list(spread(outer, range(6)))
-    for pid, inner in got:
-        assert inner == [pid] * 4
-    assert len({pid for pid, _ in got}) > 1
-
-
 def _slow_identity(i):
     time.sleep(0.02)
     return i
@@ -171,5 +158,4 @@ def test_dfm_run_and_gen_byte_identical_on_one_and_three_cores(tmp_path, monkeyp
     one = _dfm_and_gen(tmp_path, monkeypatch, 1)
     three = _dfm_and_gen(tmp_path, monkeypatch, 3)
     assert one[:3] == three[:3]
-    assert one[3] == {os.getpid()}
-    assert os.getpid() in three[3] and len(three[3]) > 1    # helpers grew forests or blocks
+    assert one[3] == three[3] == {os.getpid()}      # no forest or block leaves the caller

@@ -27,6 +27,19 @@ def test_evalkit_imports_only_the_errors_of_the_package():
     assert found == ["errors"]
 
 
+def test_only_the_cli_imports_spread():
+    # a run does its own work in one process; only ``dvfsflow run`` forks
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "dvfsflow"):
+                module = (node.module or "").split(".")[-1]
+                if module == "spread" or any(a.name == "spread" for a in node.names):
+                    found.append(path.name)
+    assert found == ["cli.py"]
+
+
 def _int_literal(node) -> bool:
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         node = node.operand
