@@ -5,8 +5,9 @@ dense nets with manual backprop (nets), the DQN agent and replay memories
 (agent), the forest feature weighting (forest) and the flow-matching generator
 (flow), tied together by the experiment orchestrator (orchestrate) and the
 evaluation metrics (evalkit).  The `dvfsflow` CLI wraps runs, generation,
-evaluation and reporting.  Only its ``run`` forks: it spreads independent runs
-over processes (spread), and each run does all its work in one process.
+evaluation and reporting.  Only its ``run`` forks: each independent run gets a
+process of its own, at most one per usable core at a time (spread), and does
+all its work there while the calling process collects the results.
 """
 
 from .agent import AgentConfig, ReplayMemory

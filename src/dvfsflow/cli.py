@@ -5,14 +5,15 @@ All outputs land under the configured directory with a manifest file, and a
 rerun from the same config and seeds reproduces every CSV byte for byte.
 
 ``run`` spreads its (method, seed) runs over the usable cores with
-:func:`spread.spread`: the calling process and forked helpers take the runs in
-manifest order, each process writes the files of its runs, and the caller
-records them in manifest order.  Every file, ``manifest.json`` and stdout are
-byte-identical to a one-core run.  Each process uses the BLAS thread count of
-its environment, and no more processes run than the usable cores divided by
-that count; unset, it is a thread per core and ``run`` stays in one process,
-so set ``OPENBLAS_NUM_THREADS=1`` to run one process per core.  A lone run,
-like ``gen``, stays in the calling process.
+:func:`spread.spread`: each run gets a process of its own, forked in manifest
+order, with at most N running at a time, and writes its files there.  The
+calling process starts the runs, collects their results and records them in
+manifest order; a run whose process dies is named with its exit code.  Every
+file, ``manifest.json`` and stdout are byte-identical to a one-core run.  Each
+process uses the BLAS thread count of its environment, and N is the usable
+cores divided by that count; unset, it is a thread per core and ``run`` stays
+in one process, so set ``OPENBLAS_NUM_THREADS=1`` to run one process per core.
+A lone run, like ``gen``, stays in the calling process.
 """
 
 from __future__ import annotations
@@ -229,6 +230,7 @@ def _load_manifest(path: str) -> dict:
     runs = need(manifest, "the root", "config", "runs")["runs"]
     if not (isinstance(runs, list) and runs):
         raise DomainError(f"manifest {path}: 'runs' must be a non-empty list")
+    seen: dict[tuple[str, int], int] = {}       # (method, seed): its first index
     for i, run in enumerate(runs):
         files = need(need(run, f"runs[{i}]", "method", "seed", "files")["files"],
                      f"runs[{i}].files", "runlog", "real")
@@ -244,6 +246,10 @@ def _load_manifest(path: str) -> dict:
             if not (isinstance(name, str) or (key == "synth" and name is None)):
                 raise DomainError(f"manifest {path}: runs[{i}].files.{key} must be a file "
                                   f"name{' or null' if key == 'synth' else ''}, got {name!r}")
+        first = seen.setdefault((method, seed), i)
+        if first != i:
+            raise DomainError(f"manifest {path}: runs[{i}] repeats runs[{first}]: "
+                              f"method {method!r}, seed {seed}")
     return manifest
 
 
@@ -347,11 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser(
         "run", help="execute methods x seeds and write run logs",
         description="Execute every (method, seed) run and write its run log, summary and "
-                    "memory CSVs plus manifest.json.  The runs go to up to one process per "
-                    "usable core, and the files and stdout are byte-identical to a one-core "
-                    "run.  Each process uses the BLAS thread count of its environment, so "
-                    "set OPENBLAS_NUM_THREADS=1 to run one process per core; with the count "
-                    "unset, BLAS takes every core and the runs stay in one process.")
+                    "memory CSVs plus manifest.json.  Each run gets a forked process of "
+                    "its own, with at most one per usable core at a time; this process "
+                    "starts the runs and collects their results, and a lost run is named "
+                    "with its exit code.  The files and stdout are byte-identical to a "
+                    "one-core run.  Each process uses the BLAS thread count of its "
+                    "environment, so set OPENBLAS_NUM_THREADS=1 to run one process per "
+                    "core; with the count unset, BLAS takes every core and the runs stay "
+                    "in one process.")
     pr.add_argument("--config", help="JSON experiment config (defaults if omitted)")
     pr.add_argument("--methods", help="comma-separated override, e.g. dfm,model_free")
     pr.add_argument("--seeds", help="override, e.g. 0..4 or 0,3,7")

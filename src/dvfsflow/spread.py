@@ -1,17 +1,16 @@
 """Spread independent tasks over the usable cores: ``spread(fn, items)``.
 
-``spread`` yields ``fn(item)`` for every item, in item order.  The calling
-process and ``processes(len(items)) - 1`` helper processes forked from it run
-one loop, ``work()``: take the next index from one shared counter, call
-``fn`` on that item and hand ``(index, outcome)`` back.  A helper sends it
-over its pipe; the caller files it and yields the results that are in, in
-item order.  The caller does its own share, so no more processes compute
-than there are cores.  A failed task leaves no task to take; the earliest
-failure by index is raised after the results before it, once every helper
-is joined.  A task taken by a helper that died before sending it raises
-:class:`StateError` naming the task and the helpers' exit codes.
+``spread`` yields ``fn(item)`` for every item, in item order.  Each task runs
+in a process of its own, forked from the caller, which sends ``(result,
+error)`` over its pipe and exits.  At most ``processes(len(items))`` such
+processes run at a time, started in item order; the caller only starts them,
+files their outcomes and yields the results in item order.  Once it has read
+a failure it starts no further task, and it raises the earliest failure by
+index after the results before it, once every started process is joined.  A
+process that exits without sending its outcome loses its task: that raises
+:class:`StateError` naming the task and the process's exit code.
 
-A helper works on its own copy of the caller's memory, so only what ``fn``
+A process works on its own copy of the caller's memory, so only what ``fn``
 returns comes back: results are the same bits on any core count as long as
 ``fn`` reads its inputs and writes only what it returns.
 """
@@ -19,7 +18,6 @@ returns comes back: results are the same bits on any core count as long as
 from __future__ import annotations
 
 import os
-import sys
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .errors import StateError
@@ -48,85 +46,66 @@ def processes(tasks: int) -> int:
 
 def spread(fn: Callable[[T], R], items: Sequence[T],
            name: Optional[Callable[[T], str]] = None) -> Iterator[R]:
-    """Yield ``fn(item)`` for each of ``items`` in order, computed by this
-    process and forked helpers; ``name(item)`` names a lost task (default
+    """Yield ``fn(item)`` for each of ``items`` in order, each computed in a
+    process of its own; ``name(item)`` names a lost task (default
     ``task <index>``)."""
     items = list(items)
-    helpers = processes(len(items)) - 1
-    if helpers < 1:
+    slots = processes(len(items))
+    if slots < 2:
         yield from map(fn, items)
         return
     # imported here, so that importing dvfsflow stays as cheap as before
     from multiprocessing import connection, get_context
 
-    # fork: a helper starts in milliseconds with the caller's modules and
+    # fork: a process starts in milliseconds with the caller's modules and
     # inputs, where a spawned one took 0.5 s to import numpy on that host.  The
     # package runs no Python thread of its own, and OpenBLAS stops its threads
-    # around a fork.
+    # around a fork.  Each fork flushes sys.stdout and sys.stderr first, so no
+    # process inherits lines the caller has printed but not yet written.
     ctx = get_context("fork")
+
+    def task(i, send) -> None:
+        try:
+            outcome = fn(items[i]), None
+        except Exception as exc:        # the caller raises it in item order
+            outcome = None, exc
+        send(outcome)
+
     n = len(items)
-    counter = ctx.Value("q", 0)
-    caller = os.getpid()
-    done, conns, procs = {}, [], []
-    yielded = 0
-
-    def work():
-        # true in the caller, and in a helper until the caller is gone
-        while caller in (os.getpid(), os.getppid()):
-            with counter.get_lock():
-                i = counter.value
-                counter.value = min(i + 1, n)
-            if i >= n:
-                return
-            try:
-                outcome = fn(items[i]), None
-            except Exception as exc:        # the caller raises it in item order
-                counter.value = n           # a failed task leaves none to take
-                outcome = None, exc
-            yield i, outcome
-
-    def helper(send) -> None:
-        for sent in work():
-            send(sent)
-
-    def collect(timeout) -> None:
-        for conn in connection.wait(conns, timeout):
-            try:
-                done.update([conn.recv()])
-            except EOFError:        # that helper has finished
-                conns.remove(conn)
-
-    def ready():
-        nonlocal yielded
-        while yielded in done and done[yielded][1] is None:
-            result = done.pop(yielded)[0]
-            yielded += 1
-            yield result
-
-    sys.stdout.flush()      # a helper flushes its copy of these buffers when it exits
-    sys.stderr.flush()
+    running, done = {}, {}      # reader: (index, process); index: (result, error)
+    started = yielded = 0
     try:
-        for _ in range(helpers):
-            reader, writer = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=helper, args=(writer.send,), daemon=True)
-            proc.start()
-            writer.close()          # the helper holds the only write end: EOF when it ends
-            procs.append(proc)
-            conns.append(reader)
-        for i, outcome in work():
-            done[i] = outcome
-            collect(0)
-            yield from ready()
-    finally:
-        counter.value = n       # after an error in the caller no helper takes a task
-        while conns:            # drain before joining, so that no helper blocks on a send
-            collect(None)
-        for proc in procs:
+        while yielded < n:
+            if yielded in done:
+                result, error = done.pop(yielded)
+                if error is not None:
+                    raise error
+                yielded += 1
+                yield result
+                continue
+            failed = any(error is not None for _, error in done.values())
+            while not failed and started < n and len(running) < slots:
+                reader, writer = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=task, args=(started, writer.send), daemon=True)
+                proc.start()
+                writer.close()      # the process holds the only write end: EOF if it dies
+                running[reader] = started, proc
+                started += 1
+            for reader in connection.wait(list(running)):
+                i, proc = running.pop(reader)
+                try:
+                    done[i] = reader.recv()
+                except EOFError:        # it exited without sending one
+                    proc.join()
+                    lost = name(items[i]) if name else f"task {i}"
+                    done[i] = None, StateError(f"{lost} was lost: its process exited "
+                                               f"with code {proc.exitcode}")
+                proc.join()
+                reader.close()
+    finally:        # every started process is joined before a failure is raised
+        for reader, (_, proc) in running.items():
+            try:
+                reader.recv()       # so that no process blocks on its send
+            except EOFError:
+                pass
             proc.join()
-    yield from ready()
-    if yielded < n:
-        if yielded in done:                 # the earliest failed task
-            raise done[yielded][1]
-        lost = name(items[yielded]) if name else f"task {yielded}"
-        raise StateError(f"{lost} was lost: helper processes exited "
-                         f"with codes {[proc.exitcode for proc in procs]}")

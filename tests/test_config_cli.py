@@ -1,5 +1,6 @@
 """Config loading/validation and the CLI surface end to end (small configs)."""
 
+import contextlib
 import json
 import multiprocessing
 import os
@@ -255,19 +256,35 @@ def test_run_lost_with_its_helper_is_a_state_error(tmp_path, capsys, monkeypatch
     path = _write_config(tmp_path, {"methods": ["model_free"], "seeds": [0, 1, 2]})
     caller, real_run = os.getpid(), cli.run_experiment
 
-    def die_in_helpers(*args, **kwargs):
+    def die_out_of_the_caller(*args, **kwargs):
         if os.getpid() != caller:
             os._exit(3)
-        time.sleep(0.2)                 # the helpers take their runs meanwhile
         return real_run(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "run_experiment", die_in_helpers)
+    monkeypatch.setattr(cli, "run_experiment", die_out_of_the_caller)
     usable_cores(monkeypatch, 3)
     assert main(["run", "--config", path, "--output", str(tmp_path / "out")]) == 1
     assert multiprocessing.active_children() == []
-    err = capsys.readouterr().err
-    assert err.startswith("state error: run model_free seed ") and "codes [3, 3]" in err
+    assert capsys.readouterr().err == ("state error: run model_free seed 0 was lost: "
+                                       "its process exited with code 3\n")
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_forked_run_prints_each_line_once_to_a_real_stdout(tmp_path, monkeypatch):
+    # capsys cannot see a forked process write out a stdout buffer it inherited
+    path = _write_config(tmp_path, {"methods": ["pure_fm", "model_free"], "seeds": [0, 1]})
+    printed = []
+    for cores in (1, 3):
+        usable_cores(monkeypatch, cores)
+        stdout = tmp_path / f"stdout{cores}.txt"
+        with open(stdout, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+            code = main(["run", "--config", path, "--output", str(tmp_path / "out")])
+        assert code == 0 and multiprocessing.active_children() == []
+        printed.append(stdout.read_bytes())
+    assert printed[0] == printed[1]
+    assert [line.split(":")[0] for line in printed[1].decode().splitlines()] == [
+        f"ran {m} seed {s}" for m in ("pure_fm", "model_free") for s in (0, 1)
+    ] + [f"wrote 16 files under {tmp_path / 'out'}"]
 
 
 def test_gen_and_eval_pipeline(tmp_path, capsys):
@@ -371,6 +388,11 @@ def test_report_calls_the_law_once_per_run(tmp_path, capsys, monkeypatch):
      '"real": "m.csv"}}]}', "manifest {path}: runs[0].seed must be an integer, got True"),
     ('{"config": {}, "runs": [{"method": "dfm", "seed": 0.0, "files": {"runlog": "r.csv", '
      '"real": "m.csv"}}]}', "manifest {path}: runs[0].seed must be an integer, got 0.0"),
+    # a run listed twice used to be counted twice in per_run and the medians
+    ('{"config": {}, "runs": [{"method": "dfm", "seed": 0, "files": {"runlog": "r.csv", '
+     '"real": "m.csv"}}, {"method": "dfm", "seed": 1, "files": {"runlog": "r1.csv", '
+     '"real": "m1.csv"}}, {"method": "dfm", "seed": 0, "files": {"runlog": "r.csv", '
+     '"real": "m.csv"}}]}', "manifest {path}: runs[2] repeats runs[0]: method 'dfm', seed 0"),
 ])
 def test_report_on_a_malformed_manifest_is_an_input_error(tmp_path, capsys, text, want):
     manifest = tmp_path / "manifest.json"

@@ -1,4 +1,4 @@
-"""spread(fn, items): item order, failures and lost helpers; and a lone run
+"""spread(fn, items): item order, failures and lost tasks; and a lone run
 and ``gen``, which stay in the calling process and are byte-identical on one
 and on several cores."""
 
@@ -82,21 +82,32 @@ def test_earliest_failure_is_raised_after_every_helper_is_joined(tmp_path, monke
 
 @pytest.mark.parametrize("name,prefix", [(None, "task "),
                                          (lambda item: f"item {item}", "item ")])
-def test_task_lost_with_its_helper_is_a_state_error(monkeypatch, name, prefix):
+def test_task_lost_with_its_helper_is_a_state_error(tmp_path, monkeypatch, name, prefix):
     usable_cores(monkeypatch, 3)
     caller = os.getpid()
 
-    def die_in_helpers(i):
+    def die_out_of_the_caller(i):
         if os.getpid() != caller:
             os._exit(3)
-        time.sleep(0.2)                 # the helpers take their tasks meanwhile
+        return i
+
+    with pytest.raises(StateError) as info:     # every task lost: the earliest is raised
+        list(spread(die_out_of_the_caller, range(3), name=name))
+    assert str(info.value) == f"{prefix}0 was lost: its process exited with code 3"
+
+    def die_at_1(i):
+        (tmp_path / f"start_{i}").touch()
+        if i == 1:
+            os._exit(3)
+        time.sleep(0.3)     # the loss of task 1 is read meanwhile
         return i
 
     with pytest.raises(StateError) as info:
-        list(spread(die_in_helpers, range(3), name=name))
-    message = str(info.value)
-    assert message.startswith(prefix) and message[len(prefix)] in "012"
-    assert message.endswith("was lost: helper processes exited with codes [3, 3]")
+        list(spread(die_at_1, range(6), name=name))
+    assert str(info.value) == f"{prefix}1 was lost: its process exited with code 3"
+    # no task started after the loss
+    assert sorted(p.name for p in tmp_path.glob("start_*")) == ["start_0", "start_1",
+                                                               "start_2"]
 
 
 def _slow_identity(i):
