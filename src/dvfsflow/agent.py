@@ -7,29 +7,20 @@ state are a one-row :func:`nets.forward_batch`.  The Q-step is one step of the
 run's :class:`nets.Trainer`, which owns the online net and its Adam state; it
 reads sampled rows directly, and its targets come from a target network, a
 periodic :meth:`nets.MlpParams.copy` of the online net.
-
-The greedy forward and the Q-step write into the arrays of a :class:`QScratch`,
-which a run builds once for its Q-batch size and keeps to its end.  The arrays
-live as long as the scratch object, and what they hold lives until the next
-call that writes them: the vector :func:`q_values` returns lives until its
-next call on the same scratch object, and a Q-step's gathered states,
-normalized states, target-net layer outputs, targets and loss weights until
-the next Q-step.  Copy a result to keep it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import nets
-from .errors import (ConfigurationError, DomainError, InsufficientDataError, NumericError,
-                     check_domains, domain)
+from .errors import (ConfigurationError, InsufficientDataError, NumericError, check_domains,
+                     domain)
 from .flow import ACTION_COL, DONE_COL, NEXT_STATE_COLS, REWARD_COL, STATE_COLS, TRANSITION_DIM
 from .nets import MlpParams
-from .simenv import EnvConfig, ProcessorState, state_scales
+from .simenv import EnvConfig, ProcessorState
 
 
 class ReplayMemory:
@@ -107,42 +98,10 @@ def init_qnet(env_config: EnvConfig, agent_config: AgentConfig, seed: int) -> Ml
     return nets.init_mlp(sizes, seed=seed)
 
 
-class QScratch:
-    """The arrays one run's greedy forwards and Q-steps write, for a Q-net of
-    ``layer_sizes`` on ``env_config``'s states and actions and Q-steps of
-    ``batch_size`` rows: the state scales, the greedy forward's normalized
-    (1, 4) state and layer outputs, and the Q-step's gathered s and s'
-    columns, both states normalized, the target net's layer outputs,
-    max_a' Q(s', a'), not-done, y, the flat ``row * k + action`` indices of
-    the taken actions, and the (batch_size, k) targets and loss weights."""
-
-    def __init__(self, env_config: EnvConfig, layer_sizes: Sequence[int], batch_size: int):
-        n, k = batch_size, env_config.num_actions
-        self.scales = state_scales(env_config)
-        self.num_actions = k
-        self.batch_size = n
-        self.state = np.empty((1, 4))
-        self.greedy = [np.empty((1, s)) for s in layer_sizes[1:]]
-        self.states = np.empty((n, 8))
-        self.x = np.empty((2, n, 4))
-        self.target_acts = [np.empty((n, s)) for s in layer_sizes[1:]]
-        self.q_max = np.empty(n)
-        self.not_done = np.empty(n, dtype=bool)
-        self.y = np.empty(n)
-        self.level = np.empty(n)
-        self.taken = np.empty(n, dtype=np.intp)
-        self.row_start = np.arange(n) * k
-        self.targets = np.empty((n, k))
-        self.weights = np.empty((n, k))
-
-
-def q_values(qnet: MlpParams, state: ProcessorState, scratch: QScratch) -> np.ndarray:
-    """Q(state, .) of ``qnet``, the state normalized by the run's scales.  The
-    vector is ``scratch``'s and lives until the next call on it."""
-    x = scratch.state
-    x[0] = state.fps, state.freq, state.power, state.temp
-    np.divide(x, scratch.scales, out=x)
-    return nets.forward_batch(qnet, x, out=scratch.greedy)[0]
+def q_values(qnet: MlpParams, state: ProcessorState, scales: np.ndarray) -> np.ndarray:
+    """Q(state, .) of ``qnet``, the state divided by the run's
+    :func:`simenv.state_scales`."""
+    return nets.forward_batch(qnet, np.divide(state, scales)[None])[0]
 
 
 def select_action(q: np.ndarray, epsilon: float, rng: np.random.Generator) -> int:
@@ -157,44 +116,29 @@ def decay_epsilon(epsilon: float, config: AgentConfig) -> float:
     return max(config.epsilon_floor, epsilon * config.epsilon_decay)
 
 
-_STATE_COLUMNS = np.r_[STATE_COLS, NEXT_STATE_COLS]
-
-
 def train_q_step(trainer: nets.Trainer, target_net: MlpParams, batch: np.ndarray,
-                 agent_config: AgentConfig, scratch: QScratch) -> float:
+                 agent_config: AgentConfig, scales: np.ndarray) -> float:
     """One Adam step of ``trainer`` (the online Q-net) on the squared Bellman
     error of the taken actions in a batch of transition rows; returns the loss.
 
     Target y = r for terminal (done > 0.5) rows, else r + gamma * max_a' Q(s', a'; W-).
     Gradients flow only through the taken action's output (one-hot loss weights),
     so the other target entries are left at 0.  Both states are divided by
-    ``scratch.scales``; the action column holds codec levels a / (k - 1), as
-    both memories store them.  Every intermediate array is ``scratch``'s, and
-    a batch of another size than its ``batch_size`` raises before any write,
-    NaN/inf targets before any update, and a non-finite online net gives a
-    non-finite loss, which :meth:`nets.Trainer.step` rejects before updating.
+    ``scales``; the action column holds codec levels a / (k - 1), as both
+    memories store them.  NaN/inf targets raise before any update, and a
+    non-finite online net gives a non-finite loss, which
+    :meth:`nets.Trainer.step` rejects before updating.
     """
-    n = len(batch)
-    if n != scratch.batch_size:
-        raise DomainError(
-            f"Q-step batch has {n} rows, its scratch arrays hold {scratch.batch_size}")
-    np.take(batch, _STATE_COLUMNS, axis=1, out=scratch.states)
-    x, x_next = np.divide(scratch.states.reshape(n, 2, 4).transpose(1, 0, 2), scratch.scales,
-                          out=scratch.x)
-    q_next = nets.forward_batch(target_net, x_next, out=scratch.target_acts)
-    np.maximum.reduce(q_next, axis=1, out=scratch.q_max)
-    np.less_equal(batch[:, DONE_COL], 0.5, out=scratch.not_done)
-    y = np.multiply(scratch.not_done, agent_config.discount, out=scratch.y)
-    y *= scratch.q_max
-    np.add(batch[:, REWARD_COL], y, out=y)
+    n, k = len(batch), trainer.params.out_dim
+    q_next = nets.forward_batch(target_net, batch[:, NEXT_STATE_COLS] / scales)
+    not_done = batch[:, DONE_COL] <= 0.5
+    y = batch[:, REWARD_COL] + not_done * agent_config.discount * q_next.max(axis=1)
     if not np.isfinite(y).all():
         raise NumericError("NaN/inf in Q targets")
 
-    np.multiply(batch[:, ACTION_COL], scratch.num_actions - 1, out=scratch.level)
-    np.rint(scratch.level, out=scratch.level)
-    np.add(scratch.row_start, scratch.level, out=scratch.taken, casting="unsafe")
-    scratch.targets.fill(0.0)           # untaken dims carry zero weight
-    scratch.targets.put(scratch.taken, y)
-    scratch.weights.fill(0.0)
-    scratch.weights.put(scratch.taken, 1.0)
-    return trainer.step(x, scratch.targets, scratch.weights)
+    taken = (np.arange(n), np.rint(batch[:, ACTION_COL] * (k - 1)).astype(np.intp))
+    targets = np.zeros((n, k))          # untaken dims carry zero weight
+    targets[taken] = y
+    weights = np.zeros((n, k))
+    weights[taken] = 1.0
+    return trainer.step(batch[:, STATE_COLS] / scales, targets, weights)

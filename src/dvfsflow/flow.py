@@ -84,9 +84,8 @@ def encode_transition(s: ProcessorState, a: int, r: float, s_next: ProcessorStat
                       done: bool, layout: TransitionLayout) -> np.ndarray:
     """One transition as an 11-row in ``TRANSITION_LABELS`` order: the action
     as a / (num_actions - 1), done as 1.0 or 0.0."""
-    return np.array([s.fps, s.freq, s.power, s.temp, a / (layout.num_actions - 1),
-                     s_next.fps, s_next.freq, s_next.power, s_next.temp,
-                     r, 1.0 if done else 0.0], dtype=np.float64)
+    return np.array([*s, a / (layout.num_actions - 1), *s_next, r, 1.0 if done else 0.0],
+                    dtype=np.float64)
 
 
 def check_finite(batch: np.ndarray, where: str = "") -> None:
@@ -283,10 +282,15 @@ def train_flow_model(data: np.ndarray, lam: np.ndarray, config: FMConfig,
 
 
 # Most rows of one block of generate_raw: n rows go through all K midpoint steps
-# (2K evaluations) in ceil(n / SAMPLE_BLOCK_ROWS) blocks of near-equal size, so
-# a layer's temporaries (about 256 KB, reused by every evaluation of the block)
-# stay in cache; the default 1,000-row batch is two 500-row blocks.  A split
-# batch has blocks of >= 256 rows.  OpenBLAS 0.3.31 gives a row of the 64 -> 11
+# (2K evaluations) in ceil(n / SAMPLE_BLOCK_ROWS) blocks of near-equal size; the
+# default 1,000-row batch is two 500-row blocks.  At the default widths a block's
+# input and layer arrays take 1,208 bytes per row (12 + 64 + 64 + 11 float64s),
+# so they stay near 0.6 MB whatever n is.  On a 2-vCPU x86 host (numpy 2.4, one
+# BLAS thread), a process doing one default dfm run (seed 0) peaked at
+# 40.85-41.05 MB with blocks and 41.25-41.33 MB with one block of all rows, and
+# one block was no faster: 15.7-16.5 ms against 15.1-16.1 ms blocked at 1,000
+# rows, and 80.7-82.3 ms against 75.2-81.0 ms at 5,000 rows.  A split batch has
+# blocks of >= 256 rows.  OpenBLAS 0.3.31 gives a row of the 64 -> 11
 # dgemm other bits in calls of up to 109 rows and the same bits from 110 rows up
 # (numpy sends 1-row calls to gemv), so every block's rows match integrating
 # all n rows at once.

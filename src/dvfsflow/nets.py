@@ -272,9 +272,9 @@ class Trainer:
         params.flat -= _adam_update(adam, self._grad, self._update)
         return loss
 
-    def reset_adam(self, lr: float) -> None:
-        """Zero the moments and the step counter and set the learning rate."""
-        self.adam.lr, self.adam.step = float(lr), 0
+    def reset_adam(self) -> None:
+        """Zero the moments and the step counter; the learning rate stays."""
+        self.adam.step = 0
         self.adam.m[:] = 0.0
         self.adam.v[:] = 0.0
 

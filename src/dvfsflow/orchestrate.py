@@ -13,15 +13,6 @@ A method is a preset, one row of :data:`METHODS`: which generator fills M'
 weighted by the forest's feature weights, and how many bootstrap replicates
 of the latent pool it trains on.  :func:`fit_flow_generator` is the one
 flow refit, shared by the run loop and ``dvfsflow gen``.
-
-A run allocates the arrays of its per-step work once and keeps them to its
-end: the Q-net's :class:`nets.Trainer` (params, Adam moments, gradient and
-layer arrays), the :class:`agent.QScratch` beside it, sized for the
-``batch_size`` rows of every Q-step, which every step's greedy forward and
-every Q-step write into, and the two rings of M and M', which grow to their
-capacity and are then overwritten one row per env step.  A step still
-allocates its env state, its encoded row, the sampled batch and its run-log
-entries.
 """
 
 from __future__ import annotations
@@ -40,7 +31,7 @@ from .errors import ConfigurationError, DomainError, NumericError, check_domains
 from .flow import (INPUT_COLS, OUTCOME_COLS, TRANSITION_LABELS, FMConfig, Normalizer,
                    TransitionLayout)
 from .forest import ForestConfig, transition_feature_weights
-from .simenv import DvfsEnv, EnvConfig, ProcessorState, law
+from .simenv import DvfsEnv, EnvConfig, ProcessorState, law, state_scales
 
 
 class Method(NamedTuple):
@@ -211,7 +202,7 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
     qnet = agent_mod.init_qnet(env_config, agent_config, seed=[seed, 4])
     target = qnet.copy()
     trainer = nets.Trainer(qnet, agent_config.learning_rate)
-    scratch = agent_mod.QScratch(env_config, qnet.layer_sizes, schedule.batch_size)
+    scales = state_scales(env_config)
 
     memory = ReplayMemory(schedule.real_capacity, "M")
     synth_memory = ReplayMemory(schedule.synth_capacity, "M'")
@@ -225,7 +216,7 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
 
     for i in range(1, schedule.horizon + 1):
         state = env.state
-        q = agent_mod.q_values(trainer.params, state, scratch)
+        q = agent_mod.q_values(trainer.params, state, scales)
         action = agent_mod.select_action(q, epsilon, action_rng)
         max_q_val = float(q.max())
         nxt, reward, done = env.step(action)
@@ -261,11 +252,11 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
                 if n_synth:
                     batch = np.concatenate([batch, synth_memory.sample(n_synth, sample_rng)])
                 agent_loss_val = agent_mod.train_q_step(
-                    trainer, target, batch, agent_config, scratch)
+                    trainer, target, batch, agent_config, scales)
                 train_count += 1
                 log.agent_train_steps.append(i)
                 if train_count % schedule.lr_reset_period == 0:
-                    trainer.reset_adam(agent_config.learning_rate)
+                    trainer.reset_adam()
                 if train_count % agent_config.target_sync_period == 0:
                     target = trainer.params.copy()
 
@@ -298,7 +289,7 @@ def runlog_to_csv(log: RunLog, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(RUNLOG_COLUMNS)
         writer.writerows(
-            (t, s.fps, s.freq, s.power, s.temp, a, r, eps, q, agent_loss, fm_loss)
+            (t, *s, a, r, eps, q, agent_loss, fm_loss)
             for t, s, a, r, eps, q, agent_loss, fm_loss in zip(
                 log.t, log.states, log.actions, log.rewards, log.epsilons, log.max_q,
                 log.agent_loss, log.fm_loss))

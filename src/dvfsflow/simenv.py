@@ -30,8 +30,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, StateError, check_domains, domain
 
 
-@dataclass(frozen=True)
-class ProcessorState:
+class ProcessorState(NamedTuple):
     """One DVFS observation: frame rate, normalized frequency, power, die temperature."""
 
     fps: float

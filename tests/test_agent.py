@@ -8,12 +8,13 @@ from dvfsflow import nets
 from dvfsflow.agent import AgentConfig, ReplayMemory
 from dvfsflow.errors import ConfigurationError, InsufficientDataError
 from dvfsflow.flow import TransitionLayout, encode_transition
-from dvfsflow.simenv import EnvConfig, ProcessorState
+from dvfsflow.simenv import EnvConfig, ProcessorState, state_scales
 
 # chi-squared upper 0.1% quantile at 11 degrees of freedom
 CHI2_CRIT_DF11 = 31.264
 
 ENV = EnvConfig()
+SCALES = state_scales(ENV)
 LAYOUT = TransitionLayout(num_actions=ENV.num_actions, ambient_temp=ENV.ambient_temp)
 
 
@@ -104,12 +105,11 @@ def test_memory_capacity_must_be_positive():
 
 def test_select_action_uniform_when_epsilon_one():
     qnet = ag.init_qnet(ENV, AgentConfig(), seed=0)
-    scratch = ag.QScratch(ENV, qnet.layer_sizes, 1)
     rng = np.random.default_rng(5)
     n = 10_000
     counts = np.zeros(ENV.num_actions)
     for _ in range(n):
-        counts[ag.select_action(ag.q_values(qnet, _state(), scratch), 1.0, rng)] += 1
+        counts[ag.select_action(ag.q_values(qnet, _state(), SCALES), 1.0, rng)] += 1
     expected = n / ENV.num_actions
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     assert chi2 < CHI2_CRIT_DF11
@@ -121,11 +121,10 @@ def test_select_action_greedy_argmax_and_tiebreak():
     qnet.biases[0][:] = 0.0
     qnet.biases[0][1] = 3.0
     qnet.biases[0][2] = 1.0
-    scratch = ag.QScratch(ENV, qnet.layer_sizes, 1)
     rng = np.random.default_rng(0)
-    assert ag.select_action(ag.q_values(qnet, _state(), scratch), 0.0, rng) == 1
+    assert ag.select_action(ag.q_values(qnet, _state(), SCALES), 0.0, rng) == 1
     qnet.biases[0][:] = 0.0    # all equal -> lowest index
-    assert ag.select_action(ag.q_values(qnet, _state(), scratch), 0.0, rng) == 0
+    assert ag.select_action(ag.q_values(qnet, _state(), SCALES), 0.0, rng) == 0
 
 
 def test_decay_epsilon():
@@ -145,11 +144,9 @@ def test_sync_target_copy_semantics():
     target = qnet.copy()
     assert not np.shares_memory(target.flat, qnet.flat)
     s = _state()
-    scratch = ag.QScratch(ENV, qnet.layer_sizes, 1)     # q_values' vector lives until its next call
-    assert np.array_equal(ag.q_values(qnet, s, scratch).copy(), ag.q_values(target, s, scratch))
+    assert np.array_equal(ag.q_values(qnet, s, SCALES), ag.q_values(target, s, SCALES))
     qnet.weights[0][0, 0] += 1.0
-    assert not np.array_equal(ag.q_values(qnet, s, scratch).copy(),
-                              ag.q_values(target, s, scratch))
+    assert not np.array_equal(ag.q_values(qnet, s, SCALES), ag.q_values(target, s, SCALES))
 
 
 def test_q_targets_terminal_and_zero_discount():
@@ -157,16 +154,15 @@ def test_q_targets_terminal_and_zero_discount():
     qnet = ag.init_qnet(ENV, cfg, seed=2)
     target = qnet.copy()
     trainer = nets.Trainer(qnet, 0.0)   # lr 0: inspect the loss only
-    scratch = ag.QScratch(ENV, qnet.layer_sizes, 1)
     done_batch = _row(3, done=True, r=1.5)[None, :]
-    loss = ag.train_q_step(trainer, target, done_batch, cfg, scratch)
-    q_sa = ag.q_values(qnet, _state(3.0), scratch)[3]
+    loss = ag.train_q_step(trainer, target, done_batch, cfg, SCALES)
+    q_sa = ag.q_values(qnet, _state(3.0), SCALES)[3]
     assert loss == pytest.approx((q_sa - 1.5) ** 2)
 
     # gamma = 0 makes y = r even for non-terminal transitions
     zero = AgentConfig(discount=0.0)
     live_batch = _row(3, done=False, r=1.5)[None, :]
-    loss0 = ag.train_q_step(trainer, target, live_batch, zero, scratch)
+    loss0 = ag.train_q_step(trainer, target, live_batch, zero, SCALES)
     assert loss0 == pytest.approx((q_sa - 1.5) ** 2)
 
 
@@ -176,12 +172,11 @@ def test_single_transition_regression_to_fixed_target():
     qnet = ag.init_qnet(ENV, cfg, seed=3)
     target = qnet.copy()
     trainer = nets.Trainer(qnet, cfg.learning_rate)
-    scratch = ag.QScratch(ENV, qnet.layer_sizes, 1)
     batch = _row(5, r=2.0)[None, :]
-    y = 2.0 + cfg.discount * float(np.max(ag.q_values(target, _state(6.0), scratch)))
+    y = 2.0 + cfg.discount * float(np.max(ag.q_values(target, _state(6.0), SCALES)))
     for _ in range(800):
-        ag.train_q_step(trainer, target, batch, cfg, scratch)
-    assert ag.q_values(trainer.params, _state(5.0), scratch)[5] == pytest.approx(y, abs=1e-3)
+        ag.train_q_step(trainer, target, batch, cfg, SCALES)
+    assert ag.q_values(trainer.params, _state(5.0), SCALES)[5] == pytest.approx(y, abs=1e-3)
 
 
 def test_dqn_converges_to_value_iteration_on_two_state_mdp():
@@ -216,10 +211,10 @@ def test_dqn_converges_to_value_iteration_on_two_state_mdp():
     qnet = ag.init_qnet(k2, cfg, seed=4)
     target = qnet.copy()
     trainer = nets.Trainer(qnet, cfg.learning_rate)
-    scratch = ag.QScratch(k2, qnet.layer_sizes, len(transitions))
+    scales = state_scales(k2)
     for step in range(1, 5_001):
-        ag.train_q_step(trainer, target, transitions, cfg, scratch)
+        ag.train_q_step(trainer, target, transitions, cfg, scales)
         if step % cfg.target_sync_period == 0:
             target = trainer.params.copy()
-    learned = np.array([ag.q_values(trainer.params, s, scratch).copy() for s in states])
+    learned = np.array([ag.q_values(trainer.params, s, scales) for s in states])
     assert np.max(np.abs(learned - q_star)) < 0.05

@@ -13,7 +13,7 @@ from dvfsflow.forest import ForestConfig
 from dvfsflow.orchestrate import (METHODS, RUNLOG_COLUMNS, RunLog, ScheduleConfig,
                                   regret_oracle, run_experiment, runlog_summary,
                                   runlog_to_csv)
-from dvfsflow.simenv import EnvConfig, dynamics, initial_state, reward_components
+from dvfsflow.simenv import EnvConfig, ProcessorState, dynamics, initial_state, reward_components
 
 FAST_FM = FMConfig(hidden_sizes=[8, 8], epochs=3, bootstrap_count=2, batch_size=16)
 FAST_FOREST = ForestConfig(n_trees=5, max_depth=3)
@@ -179,9 +179,10 @@ def test_learning_rate_reset_schedule(monkeypatch):
     seen = []
     reset_adam = nets.Trainer.reset_adam
 
-    def spy(trainer, lr):
+    def spy(trainer):
+        lr = trainer.adam.lr
         seen.append((trainer.adam.step, trainer.adam.m.any(), lr))
-        reset_adam(trainer, lr)
+        reset_adam(trainer)
         assert trainer.adam.step == 0 and trainer.adam.lr == lr
         assert not trainer.adam.m.any() and not trainer.adam.v.any()
 
@@ -222,6 +223,22 @@ def test_runlog_csv_shape_and_determinism(tmp_path):
         header = fh.readline().strip().split(",")
         assert header == RUNLOG_COLUMNS
         assert sum(1 for _ in fh) == 60
+
+
+def test_state_field_order_is_the_run_log_and_transition_column_order():
+    # runlog_to_csv and flow.encode_transition unpack a state with *s, so its
+    # field order must be the order of their state columns
+    fields = list(ProcessorState._fields)
+    assert RUNLOG_COLUMNS[1:5] == fields
+    labels = flow_mod.TRANSITION_LABELS
+    assert labels[flow_mod.STATE_COLS] == fields
+    assert labels[flow_mod.NEXT_STATE_COLS] == ["next_" + f for f in fields]
+    s = ProcessorState(fps=1.0, freq=2.0, power=3.0, temp=4.0)
+    s_next = ProcessorState(fps=5.0, freq=6.0, power=7.0, temp=8.0)
+    row = flow_mod.encode_transition(s, 0, 0.0, s_next, False,
+                                     flow_mod.TransitionLayout(num_actions=2, ambient_temp=0.0))
+    assert row[flow_mod.STATE_COLS].tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert row[flow_mod.NEXT_STATE_COLS].tolist() == [5.0, 6.0, 7.0, 8.0]
 
 
 def test_runlog_summary_fields():

@@ -885,6 +885,7 @@ def test_ring_memory_rows_is_a_copy():
 
 Q_ENV = EnvConfig()
 Q_LAYOUT = TransitionLayout(num_actions=Q_ENV.num_actions, ambient_temp=Q_ENV.ambient_temp)
+Q_SCALES = state_scales(Q_ENV)
 
 
 def _random_state(rng):
@@ -925,11 +926,10 @@ def test_train_q_step_bitwise_equal_reference(kind):
     qnet = agent.init_qnet(Q_ENV, cfg, seed=1)
     target = agent.init_qnet(Q_ENV, cfg, seed=2)
     trainer = nets.Trainer(qnet, cfg.learning_rate)
-    scratch = agent.QScratch(Q_ENV, qnet.layer_sizes, 1 if kind == "single" else 32)
     ref_qnet, ref_adam = qnet, _zero_adam(qnet, cfg.learning_rate)
     for _ in range(5):
         rows, batch = _q_batch(kind, rng)
-        loss = agent.train_q_step(trainer, target, rows, cfg, scratch)
+        loss = agent.train_q_step(trainer, target, rows, cfg, Q_SCALES)
         ref_qnet, ref_adam, ref_loss = _ref_train_q_step(ref_qnet, target, batch, cfg,
                                                          Q_ENV, ref_adam)
         assert loss == ref_loss
@@ -953,7 +953,7 @@ def test_train_q_step_reads_every_action_level_back():
     target = agent.init_qnet(env, cfg, seed=9)
     trainer = nets.Trainer(qnet, cfg.learning_rate)
     loss = agent.train_q_step(trainer, target, _encode_all(batch, layout), cfg,
-                              agent.QScratch(env, qnet.layer_sizes, len(batch)))
+                              state_scales(env))
     ref_qnet, ref_adam, ref_loss = _ref_train_q_step(
         qnet, target, batch, cfg, env, _zero_adam(qnet, cfg.learning_rate))
     assert loss == ref_loss
@@ -962,23 +962,21 @@ def test_train_q_step_reads_every_action_level_back():
 
 
 def _fresh_q_values(qnet, state):
-    """Q(state, .) through fresh arrays: the reference for the kept greedy forward."""
+    """Q(state, .) of the state normalized on its own: the reference for the greedy forward."""
     return nets.forward_batch(qnet, _ref_normalize_state(state, Q_ENV)[None])[0]
 
 
 def test_trainer_q_chain_bytes_equal_pure_train_step_chain():
     # The run loop's schedule, shortened: Adam resets after every 10th update,
     # target syncs after every 4th, and 32 real rows alternate with 16 real
-    # plus 16 synthetic ones and with lone 16-row batches, each through the
-    # scratch object of its size.  A 16-row batch with a NaN reward fails in
-    # the middle of the chain; the next 16-row step must not see what it
-    # left behind.
+    # plus 16 synthetic ones and with lone 16-row batches.  A 16-row batch
+    # with a NaN reward fails in the middle of the chain; the next 16-row
+    # step must not see what it left behind.
     rng = np.random.default_rng(19)
     cfg = AgentConfig(target_sync_period=4)
     reset_period, nan_step = 10, 17
     qnet = agent.init_qnet(Q_ENV, cfg, seed=5)
     trainer = nets.Trainer(qnet, cfg.learning_rate)
-    scratches = {n: agent.QScratch(Q_ENV, qnet.layer_sizes, n) for n in (16, 32)}
     target = ref_target = qnet.copy()
     ref_qnet, ref_adam = qnet, _zero_adam(qnet, cfg.learning_rate)
     resets = syncs = 0
@@ -990,7 +988,7 @@ def test_trainer_q_chain_bytes_equal_pure_train_step_chain():
             before = (trainer.params.flat.tobytes(), trainer.adam.m.tobytes(),
                       trainer.adam.v.tobytes(), trainer.adam.step)
             with pytest.raises(NumericError, match="Q targets"):
-                agent.train_q_step(trainer, target, rows, cfg, scratches[16])
+                agent.train_q_step(trainer, target, rows, cfg, Q_SCALES)
             assert (trainer.params.flat.tobytes(), trainer.adam.m.tobytes(),
                     trainer.adam.v.tobytes(), trainer.adam.step) == before
         if step % 3 == 0:
@@ -1001,8 +999,7 @@ def test_trainer_q_chain_bytes_equal_pure_train_step_chain():
             batch = _transitions(16, rng)
             rows = _encode_all(batch, Q_LAYOUT)
         sizes.add(len(batch))
-        scratch = scratches[len(batch)]
-        loss = agent.train_q_step(trainer, target, rows, cfg, scratch)
+        loss = agent.train_q_step(trainer, target, rows, cfg, Q_SCALES)
         ref_qnet, ref_adam, ref_loss = _ref_train_q_step(ref_qnet, ref_target, batch, cfg,
                                                          Q_ENV, ref_adam)
         assert _hex(loss) == _hex(ref_loss), step
@@ -1011,12 +1008,12 @@ def test_trainer_q_chain_bytes_equal_pure_train_step_chain():
         assert trainer.adam.v.tobytes() == ref_adam.v.tobytes(), step
         assert trainer.adam.step == ref_adam.step, step
         s, s_next = batch[0].s, batch[0].s_next
-        first = agent.q_values(trainer.params, s, scratch)
+        first = agent.q_values(trainer.params, s, Q_SCALES)
         assert first.tobytes() == _fresh_q_values(ref_qnet, s).tobytes(), step
-        second = agent.q_values(trainer.params, s_next, scratch)
+        second = agent.q_values(trainer.params, s_next, Q_SCALES)
         assert second.tobytes() == _fresh_q_values(ref_qnet, s_next).tobytes(), step
         if step % reset_period == 0:
-            trainer.reset_adam(cfg.learning_rate)
+            trainer.reset_adam()
             ref_adam = _zero_adam(ref_qnet, cfg.learning_rate)
             resets += 1
         if step % cfg.target_sync_period == 0:
@@ -1034,15 +1031,13 @@ def test_trainer_leaves_the_params_it_was_built_from_untouched():
     target = agent.init_qnet(Q_ENV, cfg, seed=7)
     before = qnet.flat.tobytes()
     trainer = nets.Trainer(qnet, cfg.learning_rate)
-    scratch = agent.QScratch(Q_ENV, qnet.layer_sizes, 32)
     for _ in range(3):
-        agent.train_q_step(trainer, target, _q_batch("done_and_live", rng)[0], cfg, scratch)
-    trainer.reset_adam(0.5)
-    agent.train_q_step(trainer, target, _q_batch("mixed", rng)[0][:16], cfg,
-                       agent.QScratch(Q_ENV, qnet.layer_sizes, 16))
+        agent.train_q_step(trainer, target, _q_batch("done_and_live", rng)[0], cfg, Q_SCALES)
+    trainer.reset_adam()
+    agent.train_q_step(trainer, target, _q_batch("mixed", rng)[0][:16], cfg, Q_SCALES)
     assert qnet.flat.tobytes() == before
     assert not np.shares_memory(trainer.params.flat, qnet.flat)
-    assert (trainer.adam.step, trainer.adam.lr) == (1, 0.5)
+    assert (trainer.adam.step, trainer.adam.lr) == (1, cfg.learning_rate)
 
 
 def test_train_q_step_rejects_nan_online_net_before_updating():
@@ -1054,32 +1049,39 @@ def test_train_q_step_rejects_nan_online_net_before_updating():
     trainer = nets.Trainer(qnet, cfg.learning_rate)
     flat_before = trainer.params.flat.tobytes()
     with pytest.raises(NumericError):
-        agent.train_q_step(trainer, target, _q_batch("done_and_live", rng)[0], cfg,
-                           agent.QScratch(Q_ENV, qnet.layer_sizes, 32))
+        agent.train_q_step(trainer, target, _q_batch("done_and_live", rng)[0], cfg, Q_SCALES)
     assert trainer.params.flat.tobytes() == flat_before
     adam = trainer.adam
     assert adam.step == 0 and not adam.m.any() and not adam.v.any()
 
 
-@pytest.mark.parametrize("rows", [16, 33])
-def test_train_q_step_rejects_a_batch_of_another_size_before_updating(rows):
-    # every Q-step of a run has the run's batch size, which the scratch
-    # arrays are sized for; a batch of any other size must not train
+def test_one_trainer_takes_q_steps_of_any_size():
+    # a run's Q-steps all have its batch size, but nothing in the Q-step is
+    # sized for one: a single trainer steps on batches of 1, 7, 32 and 16 rows
+    # in turn, each bit-equal to the reference
     rng = np.random.default_rng(37)
     cfg = AgentConfig()
     qnet = agent.init_qnet(Q_ENV, cfg, seed=10)
     target = agent.init_qnet(Q_ENV, cfg, seed=11)
     trainer = nets.Trainer(qnet, cfg.learning_rate)
-    scratch = agent.QScratch(Q_ENV, qnet.layer_sizes, 32)
-    agent.train_q_step(trainer, target, _q_batch("done_and_live", rng)[0], cfg, scratch)
-    before = (trainer.params.flat.tobytes(), trainer.adam.m.tobytes(),
-              trainer.adam.v.tobytes(), trainer.adam.step, scratch.targets.tobytes())
-    batch = _encode_all(_transitions(rows, rng), Q_LAYOUT)
-    with pytest.raises(DomainError, match=f"{rows} rows.* hold 32"):
-        agent.train_q_step(trainer, target, batch, cfg, scratch)
-    assert (trainer.params.flat.tobytes(), trainer.adam.m.tobytes(),
-            trainer.adam.v.tobytes(), trainer.adam.step, scratch.targets.tobytes()) == before
-    assert trainer.adam.step == 1
+    ref_qnet, ref_adam = qnet, _zero_adam(qnet, cfg.learning_rate)
+    for rows in (1, 7, 32, 16):
+        batch = _transitions(rows, rng)
+        loss = agent.train_q_step(trainer, target, _encode_all(batch, Q_LAYOUT), cfg, Q_SCALES)
+        ref_qnet, ref_adam, ref_loss = _ref_train_q_step(ref_qnet, target, batch, cfg,
+                                                         Q_ENV, ref_adam)
+        assert _hex(loss) == _hex(ref_loss), rows
+        assert trainer.params.flat.tobytes() == ref_qnet.flat.tobytes(), rows
+        assert trainer.adam.m.tobytes() == ref_adam.m.tobytes(), rows
+        assert trainer.adam.v.tobytes() == ref_adam.v.tobytes(), rows
+        assert trainer.adam.step == ref_adam.step, rows
+    # each greedy forward returns an array of its own
+    s, s_next = batch[0].s, batch[0].s_next
+    first = agent.q_values(trainer.params, s, Q_SCALES)
+    kept = first.tobytes()
+    second = agent.q_values(trainer.params, s_next, Q_SCALES)
+    assert first.tobytes() == kept == _fresh_q_values(ref_qnet, s).tobytes()
+    assert second.tobytes() == _fresh_q_values(ref_qnet, s_next).tobytes() != kept
 
 
 # ---------------------------------------------------------------- ODE sampler
