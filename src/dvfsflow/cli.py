@@ -14,6 +14,11 @@ process uses the BLAS thread count of its environment, and N is the usable
 cores divided by that count; unset, it is a thread per core and ``run`` stays
 in one process, so set ``OPENBLAS_NUM_THREADS=1`` to run one process per core.
 A lone run, like ``gen``, stays in the calling process.
+
+``gen --method M`` trains the generator of method M, a row of
+``orchestrate.METHODS``, on a memory dump and draws from it through the factory
+a run uses, with ``--seed`` as the run seed and no retrain count in the
+streams; ``gen`` itself knows no generator.
 """
 
 from __future__ import annotations
@@ -38,8 +43,8 @@ from .evalkit import (corr_gap, corr_gap_excluded_count, early_fps_gain,
                       wasserstein1)
 from .flow import (TRANSITION_LABELS, TransitionLayout, canonical_rows, check_finite,
                    load_batch_csv, save_batch_csv)
-from .orchestrate import (METHODS, fit_flow_generator, regret_oracle, run_experiment,
-                          runlog_from_csv, runlog_summary, runlog_to_csv)
+from .orchestrate import (METHODS, regret_oracle, run_experiment, runlog_from_csv,
+                          runlog_summary, runlog_to_csv)
 from .spread import spread
 
 
@@ -130,6 +135,11 @@ def cmd_gen(args) -> int:
         raise DomainError(f"--n must be >= 1, got {args.n}")
     if args.seed < 0:
         raise DomainError(f"--seed must be >= 0, got {args.seed}")
+    factory = METHODS.get(args.method)
+    if factory is None:
+        raise DomainError(f"--method must be a method with a generator, one of "
+                          f"{', '.join(m for m, f in METHODS.items() if f)}, "
+                          f"got {args.method!r}")
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     layout = TransitionLayout(num_actions=cfg.env.num_actions,
                               ambient_temp=cfg.env.ambient_temp)
@@ -137,15 +147,15 @@ def cmd_gen(args) -> int:
     sched = cfg.schedule
     if not sched.can_train(len(data), len(data)):     # a dump holds every row it took
         raise InsufficientDataError(
-            f"flow training needs more than {sched.batch_size} transitions "
+            f"generator training needs more than {sched.batch_size} transitions "
             f"(schedule.batch_size) and at least {sched.fm_train_start} "
             f"(schedule.fm_train_start), {args.memory} holds {len(data)}")
     real = canonical_rows(data, layout)     # clamped states, snapped actions
-    model, raw = fit_flow_generator(real, args.n, not args.uniform_lambda, cfg.flow,
-                                    cfg.forest, args.seed)
+    refit = factory(cfg.flow, cfg.forest, args.seed, np.random.default_rng([args.seed, 3]))
+    raw, loss_curve, _ = refit(real, args.n)
     save_batch_csv(raw, args.out)
     print(f"trained on {len(real)} transitions "
-          f"(final loss {model.loss_curve[-1]:.4f}), wrote {args.n} samples to {args.out}")
+          f"(final loss {loss_curve[-1]:.4f}), wrote {args.n} samples to {args.out}")
     return 0
 
 
@@ -369,14 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="echo the effective config and exit")
     pr.set_defaults(func=cmd_run)
 
-    pg = sub.add_parser("gen", help="train the generator on a memory dump and sample")
+    pg = sub.add_parser("gen", help="train a method's generator on a memory dump and sample")
     pg.add_argument("--memory", required=True, help="11-column transition CSV")
     pg.add_argument("--out", required=True, help="output CSV for synthetic samples")
     pg.add_argument("--n", type=int, default=1000)
     pg.add_argument("--config", help="JSON experiment config for flow/forest settings")
-    pg.add_argument("--uniform-lambda", action="store_true",
-                    help="skip forest weighting; training keeps flow.bootstrap_count "
-                         "replicates (run's pure_fm trains on one)")
+    pg.add_argument("--method", default="dfm",
+                    help="the method whose generator fills the batch, as in run: "
+                         + ", ".join(m for m, f in METHODS.items() if f) + " (default dfm)")
     pg.add_argument("--seed", type=int, default=0)
     pg.set_defaults(func=cmd_gen)
 

@@ -14,13 +14,12 @@ through all K steps at a time, and the partition depends on n alone.  That is
 bit-identical to stepping all n rows at once: the update is elementwise, and a
 dgemm call of >= 110 rows computes each row the same way.
 
-Both loops write into arrays they keep rather than allocate per step.  One
-:class:`CfmBatches` makes the bootstrap draws of every training batch of a flow
-and builds the batch into one set of arrays per batch size; what it returns
-lives until its next call.  The one sampler, :func:`generate_raw`, takes K from
-``FMConfig.ode_steps``, allocates one block's inputs and layer outputs per call
-and steps each block in place: the midpoint goes into the block's input rows
-and both evaluations into the same layer outputs.
+One :class:`CfmBatches` makes the bootstrap draws of every training batch of a
+flow and builds each batch in fresh arrays.  The one sampler,
+:func:`generate_raw`, takes K from ``FMConfig.ode_steps``, allocates one
+block's inputs and layer outputs per call and steps each block in place: the
+midpoint goes into the block's input rows and both evaluations into the same
+layer outputs.
 
 A trained flow is one type, :class:`FlowModel`: the vector-field net, its
 per-dimension normalizer, the feature weights, the config and the loss
@@ -190,65 +189,31 @@ def init_flow_model(config: FMConfig, lam: np.ndarray, seed=0) -> FlowModel:
                      weights=lam, config=config)
 
 
-class _CfmBuffers:
-    """Arrays of one CFM step over m data rows and ``count`` replicates."""
-
-    def __init__(self, m: int, d: int, count: int):
-        rows = count * m
-        self.pool = np.empty((m, d))            # latent pool, bootstrapped into x0
-        self.x0 = np.empty((rows, d))
-        self.tiled = np.tile(np.arange(m), (count, 1))
-        self.perm = np.empty_like(self.tiled)   # one data permutation per replicate
-        self.data_rows = np.empty(rows, dtype=self.tiled.dtype)
-        self.x1 = np.empty((rows, d))
-        self.t = np.empty((rows, 1))
-        self.scale = np.empty((rows, 1))
-        self.inputs = np.empty((rows, d + 1))
-        self.target = np.empty((rows, d))
-
-
 class CfmBatches:
     """Builds the (inputs, targets, weights) of bootstrapped CFM steps on rows
-    of ``data``, drawing from ``rng``, into arrays it keeps per batch size.
+    of ``data``, drawing from ``rng``.
 
     ``batches(rows)`` takes the data rows of one step (indices in range) and
     makes its draws in an order that is part of the contract (tests
     reproduce it): latent pool, bootstrap indices, one data permutation per
-    replicate, then the times.  The arrays it returns are overwritten by its
-    next call, so use them before that; :func:`nets.fit` does.
+    replicate, then the times.
     """
 
     def __init__(self, data: np.ndarray, lam: np.ndarray, sigma_min: float, count: int,
                  rng: np.random.Generator):
         self.data, self.lam, self.sigma_min, self.count, self.rng = (
             data, lam, sigma_min, count, rng)
-        self._buffers: dict[int, _CfmBuffers] = {}
 
     def __call__(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         m, d = rows.shape[0], self.data.shape[1]
-        buf = self._buffers.get(m)
-        if buf is None:
-            buf = self._buffers[m] = _CfmBuffers(m, d, self.count)
         rng, c = self.rng, 1.0 - self.sigma_min
-        # take() copies its whole output first in its default "raise" mode;
-        # every index here is in range, so "clip" gathers the same rows in place.
-        rng.standard_normal(out=buf.pool)
-        buf.pool.take(rng.integers(0, m, size=(self.count, m)).ravel(), axis=0,
-                      out=buf.x0, mode="clip")
-        np.copyto(buf.perm, buf.tiled)
-        rng.permuted(buf.perm, axis=1, out=buf.perm)
-        rows.take(buf.perm.ravel(), out=buf.data_rows, mode="clip")
-        self.data.take(buf.data_rows, axis=0, out=buf.x1, mode="clip")
-        t = rng.random(out=buf.t)               # the bits of uniform(0, 1)
-        xt = buf.inputs[:, :d]                  # (1 - (1 - sigma_min) t) x0 + t x1
-        np.multiply(t, c, out=buf.scale)
-        np.subtract(1.0, buf.scale, out=buf.scale)
-        np.multiply(buf.scale, buf.x0, out=xt)
-        xt += np.multiply(t, buf.x1, out=buf.target)
-        buf.inputs[:, d:] = t
-        np.multiply(buf.x0, c, out=buf.target)  # x1 - (1 - sigma_min) x0
-        np.subtract(buf.x1, buf.target, out=buf.target)
-        return buf.inputs, buf.target, self.lam
+        pool = rng.standard_normal((m, d))      # latent pool, bootstrapped into x0
+        x0 = pool[rng.integers(0, m, size=(self.count, m)).ravel()]
+        perm = rng.permuted(np.tile(np.arange(m), (self.count, 1)), axis=1)
+        x1 = self.data[rows[perm.ravel()]]      # one data permutation per replicate
+        t = rng.random((self.count * m, 1))     # the bits of uniform(0, 1)
+        xt = (1.0 - t * c) * x0 + t * x1        # (1 - (1 - sigma_min) t) x0 + t x1
+        return np.concatenate([xt, t], axis=1), x1 - x0 * c, self.lam
 
 
 def train_flow_model(data: np.ndarray, lam: np.ndarray, config: FMConfig,

@@ -1,4 +1,4 @@
-"""End-to-end experiment loop and the three baselines.
+"""End-to-end experiment loop, the paper's method and its baselines.
 
 One run = one thread of control: act epsilon-greedily in the simulator, store
 real transitions in M, periodically (re)train the generative model and fill
@@ -8,18 +8,23 @@ multiples of the retrain period below its horizon: a retrain fills M' after its
 step's action and reward, so one at the last step would feed only the final
 Q-update, whose Q-net never acts.
 
-A method is a preset, one row of :data:`METHODS`: which generator fills M'
-(a flow, the model-based planner or none), whether the flow's loss is
-weighted by the forest's feature weights, and how many bootstrap replicates
-of the latent pool it trains on.  :func:`fit_flow_generator` is the one
-flow refit, shared by the run loop and ``dvfsflow gen``.
+A method is one row of :data:`METHODS`: the generator factory that fills M',
+or None for a method whose M' stays empty.  A factory
+``(fm_config, forest_config, seed, rng)`` returns ``refit(real, n, *tail)``,
+which fits on the (rows, 11) transitions ``real`` and returns ``n`` raw rows,
+the fit's loss curve and its feature weights (None where it has none).  The
+run loop calls ``refit`` once per retrain with the retrain count as ``tail``;
+``dvfsflow gen`` calls the same factory once, with no tail.  A flow starts
+cold at every refit, while the model-based planner warm-starts from its last
+fit.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, NamedTuple, Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -33,23 +38,6 @@ from .flow import (INPUT_COLS, OUTCOME_COLS, TRANSITION_LABELS, FMConfig, Normal
 from .forest import ForestConfig, transition_feature_weights
 from .simenv import DvfsEnv, EnvConfig, ProcessorState, law, state_scales
 
-
-class Method(NamedTuple):
-    generator: Optional[str]                # "flow", "planner" or None (M' stays empty)
-    forest_lambda: bool = False             # forest feature weights, else uniform
-    bootstrap_count: Optional[int] = None   # replicates B; None keeps flow.bootstrap_count
-
-
-METHODS = {
-    # bootstrapped flow matching with forest feature weights (the paper's method)
-    "dfm": Method("flow", forest_lambda=True),
-    # plain conditional flow matching: uniform weights, one replicate
-    "pure_fm": Method("flow", bootstrap_count=1),
-    # dense transition predictor planned from resampled real (s, a) seeds
-    "model_based": Method("planner"),
-    # no synthetic data at all
-    "model_free": Method(None),
-}
 
 RUNLOG_COLUMNS = ["t", "fps", "freq", "power", "temp", "action", "reward",
                   "epsilon", "max_q", "agent_loss", "fm_loss"]
@@ -127,8 +115,9 @@ class _ModelBasedPlanner:
         self.in_norm: Optional[Normalizer] = None
         self.out_norm: Optional[Normalizer] = None
 
-    def train(self, data: np.ndarray, seed) -> float:
-        """Fit on the flattened (n, 11) real memory; returns the last epoch's loss."""
+    def train(self, data: np.ndarray, seed) -> list[float]:
+        """Fit on the flattened (n, 11) real memory, starting from the params
+        of the last fit; returns the per-epoch loss curve."""
         x, y = data[:, INPUT_COLS], data[:, OUTCOME_COLS]
         self.in_norm = Normalizer.fit(x)
         self.out_norm = Normalizer.fit(y)
@@ -138,7 +127,7 @@ class _ModelBasedPlanner:
         self.params, loss_curve = nets.fit(
             self.params, cfg.learning_rate, xn.shape[0], cfg.epochs, cfg.batch_size,
             np.random.default_rng(seed), lambda rows: (xn[rows], yn[rows], weights))
-        return loss_curve[-1]
+        return loss_curve
 
     def plan(self, data: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
         """Predict n rows from real (s, a) seeds of the flattened memory, drawn
@@ -152,24 +141,63 @@ class _ModelBasedPlanner:
         return np.concatenate([seeds, pred], axis=1)
 
 
-def fit_flow_generator(real: np.ndarray, n: int, forest_lambda: bool, fm_config: FMConfig,
-                       forest_config: ForestConfig, seed: int, *tail: int,
-                       ) -> tuple[flow_mod.FlowModel, np.ndarray]:
-    """Train a flow on the (rows, 11) transitions ``real`` and draw ``n`` raw
-    rows from it; returns (flow, rows).
+def flow_generator(fm_config: FMConfig, forest_config: ForestConfig, seed: int,
+                   rng: np.random.Generator, *, forest_lambda: bool,
+                   bootstrap_count: Optional[int] = None) -> Callable:
+    """A flow that starts cold: each refit trains a fresh flow, keeping nothing
+    across retrains, and draws its rows from it.
 
     The loss weights are the forest's feature weights when ``forest_lambda``
     and ``real`` holds at least ``forest_config.min_samples`` rows, uniform
-    otherwise.  The forest, the flow's init and training, and the sampler draw
-    on the streams ``[seed, 30 | 40 | 50, *tail]``.
+    otherwise.  Training takes ``bootstrap_count`` replicates, or
+    ``flow.bootstrap_count`` when it is None.  The forest, the flow's init and
+    training, and the sampler draw on the streams ``[seed, 30 | 40 | 50,
+    *tail]``; ``rng`` goes unused.
     """
-    if forest_lambda and len(real) >= forest_config.min_samples:
-        lam = transition_feature_weights(real, forest_config,
-                                         np.random.default_rng([seed, 30, *tail]))
-    else:
-        lam = np.full(real.shape[1], 1.0 / real.shape[1])
-    model = flow_mod.train_flow_model(real, lam, fm_config, seed=[seed, 40, *tail])
-    return model, flow_mod.generate_raw(model, n, np.random.default_rng([seed, 50, *tail]))
+    if bootstrap_count is not None:
+        fm_config = replace(fm_config, bootstrap_count=bootstrap_count)
+
+    def refit(real: np.ndarray, n: int, *tail: int):
+        if forest_lambda and len(real) >= forest_config.min_samples:
+            lam = transition_feature_weights(real, forest_config,
+                                             np.random.default_rng([seed, 30, *tail]))
+        else:
+            lam = np.full(real.shape[1], 1.0 / real.shape[1])
+        model = flow_mod.train_flow_model(real, lam, fm_config, seed=[seed, 40, *tail])
+        raw = flow_mod.generate_raw(model, n, np.random.default_rng([seed, 50, *tail]))
+        return raw, model.loss_curve, model.weights
+    return refit
+
+
+def planner_generator(fm_config: FMConfig, forest_config: ForestConfig, seed: int,
+                      rng: np.random.Generator) -> Callable:
+    """The model-based planner, which warm-starts: one :class:`_ModelBasedPlanner`,
+    initialised on the stream ``[seed, 5]``, keeps its net across retrains.
+
+    Each refit trains it on ``[seed, 20, *tail]`` and plans from real (s, a)
+    seeds drawn from ``rng`` (a run's ``[seed, 3]`` sample stream).  It has
+    no feature weights.
+    """
+    planner = _ModelBasedPlanner(fm_config, seed=[seed, 5])
+
+    def refit(real: np.ndarray, n: int, *tail: int):
+        loss_curve = planner.train(real, seed=[seed, 20, *tail])
+        return planner.plan(real, n, rng), loss_curve, None
+    return refit
+
+
+METHODS: dict[str, Optional[Callable]] = {
+    # bootstrapped flow matching with forest feature weights (the paper's method)
+    "dfm": partial(flow_generator, forest_lambda=True),
+    # plain conditional flow matching: uniform weights, one replicate
+    "pure_fm": partial(flow_generator, forest_lambda=False, bootstrap_count=1),
+    # uniform weights, flow.bootstrap_count replicates
+    "fm_bootstrap": partial(flow_generator, forest_lambda=False),
+    # dense transition predictor planned from resampled real (s, a) seeds
+    "model_based": planner_generator,
+    # no synthetic data at all
+    "model_free": None,
+}
 
 
 def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig,
@@ -183,7 +211,6 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
     if method not in METHODS:
         raise ConfigurationError(
             f"method must be one of {', '.join(METHODS)}, got {method!r}")
-    preset = METHODS[method]
     sections = {"env": env_config, "agent": agent_config, "schedule": schedule,
                 "flow": fm_config, "forest": forest_config}
     for section in sections.values():
@@ -191,8 +218,6 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
 
     log = RunLog(method=method, seed=seed, config={
         "method": method, "seed": seed, **{k: asdict(v) for k, v in sections.items()}})
-    if preset.bootstrap_count is not None:
-        fm_config = replace(fm_config, bootstrap_count=preset.bootstrap_count)
     layout = TransitionLayout(num_actions=env_config.num_actions,
                               ambient_temp=env_config.ambient_temp)
     env = DvfsEnv(env_config, seed=[seed, 1])
@@ -206,8 +231,8 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
 
     memory = ReplayMemory(schedule.real_capacity, "M")
     synth_memory = ReplayMemory(schedule.synth_capacity, "M'")
-    planner = (_ModelBasedPlanner(fm_config, seed=[seed, 5])
-               if preset.generator == "planner" else None)
+    factory = METHODS[method]
+    refit = factory(fm_config, forest_config, seed, sample_rng) if factory else None
 
     epsilon = agent_config.epsilon_init
     train_count = 0
@@ -223,20 +248,15 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
         memory.push(flow_mod.encode_transition(state, action, reward, nxt, done, layout))
 
         fm_loss_val: Optional[float] = None
-        if (preset.generator is not None and i % schedule.fm_retrain_period == 0
+        if (refit is not None and i % schedule.fm_retrain_period == 0
                 and i < schedule.horizon and schedule.can_train(memory.phi, len(memory))):
             retrain_count += 1
             real = memory.rows()
-            if planner is not None:
-                fm_loss_val = planner.train(real, seed=[seed, 20, retrain_count])
-                raw = planner.plan(real, schedule.planning_breadth, sample_rng)
-            else:
-                model, raw = fit_flow_generator(real, schedule.planning_breadth,
-                                                preset.forest_lambda, fm_config,
-                                                forest_config, seed, retrain_count)
-                fm_loss_val = model.loss_curve[-1]
-                log.fm_loss_curves.append(list(model.loss_curve))
-                log.lambda_weights = model.weights.tolist()
+            raw, loss_curve, lam = refit(real, schedule.planning_breadth, retrain_count)
+            fm_loss_val = loss_curve[-1]
+            log.fm_loss_curves.append(loss_curve)
+            if lam is not None:
+                log.lambda_weights = lam.tolist()
             synth_memory.push(flow_mod.canonical_rows(raw, layout))
             log.synth_raw = raw
             log.fm_train_steps.append(i)

@@ -378,10 +378,10 @@ def test_report_calls_the_law_once_per_run(tmp_path, capsys, monkeypatch):
     # an unknown method or a seed that is not an int; a list used to end in "unhashable type"
     ('{"config": {}, "runs": [{"method": ["dfm"], "seed": 0, "files": {"runlog": "r.csv", '
      '"real": "m.csv"}}]}', "manifest {path}: runs[0].method must be one of dfm, pure_fm, "
-                            "model_based, model_free, got ['dfm']"),
+                            "fm_bootstrap, model_based, model_free, got ['dfm']"),
     ('{"config": {}, "runs": [{"method": "dfn", "seed": 0, "files": {"runlog": "r.csv", '
      '"real": "m.csv"}}]}', "manifest {path}: runs[0].method must be one of dfm, pure_fm, "
-                            "model_based, model_free, got 'dfn'"),
+                            "fm_bootstrap, model_based, model_free, got 'dfn'"),
     ('{"config": {}, "runs": [{"method": "dfm", "seed": [0], "files": {"runlog": "r.csv", '
      '"real": "m.csv"}}]}', "manifest {path}: runs[0].seed must be an integer, got [0]"),
     ('{"config": {}, "runs": [{"method": "dfm", "seed": true, "files": {"runlog": "r.csv", '
@@ -435,7 +435,8 @@ _CELL_ERROR = "input error: {path} line 2: could not convert string to float: '\
     pytest.param(["report", "--run-dir", "{dir}"],
                  {"manifest.json": _MANIFEST.replace(b'"dfm"', b'"df\xff"')}, "manifest.json",
                  "input error: manifest {path}: runs[0].method must be one of dfm, pure_fm, "
-                 "model_based, model_free, got 'df\\udcff'", id="report_manifest_method"),
+                 "fm_bootstrap, model_based, model_free, got 'df\\udcff'",
+                 id="report_manifest_method"),
     pytest.param(["report", "--run-dir", "{dir}"],
                  {"manifest.json": _MANIFEST, "r.csv": _BAD_RUNLOG, "m.csv": _BATCH}, "r.csv",
                  _CELL_ERROR, id="report_runlog"),
@@ -476,16 +477,16 @@ def test_bad_seeds_is_a_configuration_error(seeds, capsys):
 
 
 def test_gen_rejects_non_positive_n_before_training(tmp_path, capsys, monkeypatch):
-    from dvfsflow import cli
+    from dvfsflow import flow
     from dvfsflow.flow import save_batch_csv
 
     memory = str(tmp_path / "memory.csv")
     save_batch_csv(np.random.default_rng(0).uniform(0.1, 1.0, size=(60, 11)), memory)
     trained = []
-    monkeypatch.setattr(cli, "fit_flow_generator", lambda *a, **k: trained.append(a))
+    monkeypatch.setattr(flow, "train_flow_model", lambda *a, **k: trained.append(a))
     for n in ("-5", "0"):
         code = main(["gen", "--memory", memory, "--out", str(tmp_path / "synth.csv"),
-                     "--n", n, "--uniform-lambda"])
+                     "--n", n, "--method", "fm_bootstrap"])
         assert code != 0
         err = capsys.readouterr().err
         assert "input error" in err and "--n" in err
@@ -504,7 +505,7 @@ def test_gen_rejects_negative_seed_before_reading(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(cli, "load_batch_csv", lambda path: read.append(path))
     out = tmp_path / "synth.csv"
     assert main(["gen", "--memory", memory, "--out", str(out), "--seed", "-1",
-                 "--uniform-lambda"]) == 1
+                 "--method", "fm_bootstrap"]) == 1
     err = capsys.readouterr().err
     assert "input error: --seed must be >= 0, got -1" in err
     assert read == [] and not out.exists()
@@ -627,7 +628,8 @@ def test_gen_non_finite_cell_is_a_numeric_error(tmp_path, capsys):
     memory = str(tmp_path / "memory.csv")
     save_batch_csv(rows, memory)
     out = tmp_path / "synth.csv"
-    assert main(["gen", "--memory", memory, "--out", str(out), "--uniform-lambda"]) == 1
+    assert main(["gen", "--memory", memory, "--out", str(out), "--method",
+                 "fm_bootstrap"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"numeric error: {memory}: ") and "column(s) action" in err
     assert not out.exists()
@@ -786,7 +788,7 @@ def test_gen_on_a_batch_without_rows_names_the_file_and_the_floor(tmp_path, caps
     memory = _header_only_batch(tmp_path / "memory.csv")
     assert main(["gen", "--memory", memory, "--out", str(tmp_path / "synth.csv")]) == 1
     assert capsys.readouterr().err == (
-        "input error: flow training needs more than 32 transitions (schedule.batch_size) "
+        "input error: generator training needs more than 32 transitions (schedule.batch_size) "
         f"and at least 32 (schedule.fm_train_start), {memory} holds 0\n")
 
 
@@ -803,8 +805,60 @@ def test_gen_trains_only_where_a_run_would(tmp_path, capsys, rows, code):
     assert main(argv) == code
     if code:
         assert capsys.readouterr().err == (
-            "input error: flow training needs more than 16 transitions (schedule.batch_size) "
+            "input error: generator training needs more than 16 transitions (schedule.batch_size) "
             f"and at least 8 (schedule.fm_train_start), {memory} holds 16\n")
+
+
+def test_gen_rejects_a_method_without_a_generator_before_reading(tmp_path, capsys,
+                                                                  monkeypatch):
+    read = []
+    monkeypatch.setattr(cli, "load_batch_csv", lambda path: read.append(path))
+    out = tmp_path / "synth.csv"
+    for method in ("model_free", "zTT"):
+        assert main(["gen", "--memory", str(tmp_path / "memory.csv"), "--out", str(out),
+                     "--method", method]) == 1
+        assert capsys.readouterr().err == (
+            "input error: --method must be a method with a generator, one of dfm, pure_fm, "
+            f"fm_bootstrap, model_based, got {method!r}\n")
+    assert read == [] and not out.exists()
+
+
+def test_gen_model_based_plans_from_rows_of_the_memory(tmp_path, capsys):
+    from dvfsflow.flow import INPUT_COLS, TransitionLayout, canonical_rows, load_batch_csv
+
+    cfg_path = _write_config(tmp_path)
+    memory, out = str(tmp_path / "memory.csv"), str(tmp_path / "synth.csv")
+    save_batch_csv(np.random.default_rng(0).uniform(0.1, 1.0, size=(40, 11)), memory)
+    assert main(["gen", "--memory", memory, "--out", out, "--n", "90", "--config", cfg_path,
+                 "--method", "model_based"]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote 90 samples to {out}\n")
+    cfg = load_config(cfg_path)
+    real = canonical_rows(load_batch_csv(memory),
+                          TransitionLayout(cfg.env.num_actions, cfg.env.ambient_temp))
+    synth = load_batch_csv(out)
+    assert synth.shape == (90, 11)
+    seeds = {tuple(row) for row in real[:, INPUT_COLS].tolist()}
+    assert all(tuple(row) in seeds for row in synth[:, INPUT_COLS].tolist())
+
+
+def test_gen_trains_each_flow_method_on_its_replicate_count(tmp_path, monkeypatch):
+    from dvfsflow import flow
+
+    train = flow.train_flow_model
+    counts = []
+
+    def spy(data, lam, config, seed=0):
+        counts.append(config.bootstrap_count)
+        return train(data, lam, config, seed=seed)
+
+    monkeypatch.setattr(flow, "train_flow_model", spy)
+    cfg_path = _write_config(tmp_path)          # flow.bootstrap_count 2
+    memory = str(tmp_path / "memory.csv")
+    save_batch_csv(np.random.default_rng(0).uniform(0.1, 1.0, size=(40, 11)), memory)
+    for method in ("pure_fm", "fm_bootstrap"):
+        assert main(["gen", "--memory", memory, "--out", str(tmp_path / "synth.csv"),
+                     "--n", "5", "--config", cfg_path, "--method", method]) == 0
+    assert counts == [1, 2]
 
 
 @pytest.mark.parametrize("flag", ["methods", "seeds"])

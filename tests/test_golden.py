@@ -128,8 +128,8 @@ def test_golden_digest_with_eviction_syncs_and_resets(method, tmp_path):
 
 
 # `dvfsflow gen` on model_free's real memory from the golden config: 120 rows,
-# enough for the forest's floor of 50, so one variant takes forest lambda and
-# the other the uniform lambda of --uniform-lambda.  Both keep the config's B.
+# enough for the forest's floor of 50, so one variant takes forest lambda (dfm)
+# and the other the uniform lambda of fm_bootstrap.  Both keep the config's B.
 GEN_CONFIG = {"flow": {"epochs": 60}}
 GOLDEN_GEN = {
     "forest": "a40254df7a3ea0e2d40d1bc714da23809d0fe4ff91f7ff6129afcedddb97501d",
@@ -148,7 +148,7 @@ def test_golden_gen_digests(variant, tmp_path):
         json.dump(GEN_CONFIG, fh)
     argv = ["gen", "--memory", memory, "--out", str(tmp_path / "synth.csv"), "--n", "300",
             "--config", config, "--seed", "3"]
-    assert main(argv + (["--uniform-lambda"] if variant == "uniform" else [])) == 0
+    assert main(argv + (["--method", "fm_bootstrap"] if variant == "uniform" else [])) == 0
     assert _sha256(tmp_path / "synth.csv") == GOLDEN_GEN[variant]
 
 

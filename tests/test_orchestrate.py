@@ -58,7 +58,7 @@ def test_fm_training_skips_multiples_below_beta():
     assert log.fm_train_steps == [40, 50, 60]
 
 
-@pytest.mark.parametrize("method", [m for m, p in METHODS.items() if p.generator])
+@pytest.mark.parametrize("method", [m for m, g in METHODS.items() if g])
 def test_run_is_a_prefix_of_a_longer_run(method):
     # a retrain at step i acts only from step i + 1 on, so the last step's
     # retrain of the longer run is the only work the shorter run leaves out
@@ -82,6 +82,16 @@ def test_fm_fit_rows_records_len_m_at_each_retrain():
     # FIFO eviction caps each fit at |M|
     log = _run("dfm", sched=_schedule(real_capacity=80))
     assert log.fm_fit_rows == [50, 80, 80]
+
+
+@pytest.mark.parametrize("method", [m for m, g in METHODS.items() if g])
+def test_fm_loss_curves_hold_one_curve_per_retrain(method):
+    log = _run(method, sched=_schedule(horizon=160))
+    assert log.fm_train_steps == [50, 100, 150]
+    assert len(log.fm_loss_curves) == 3
+    for step, curve in zip(log.fm_train_steps, log.fm_loss_curves):
+        assert len(curve) == FAST_FM.epochs
+        assert curve[-1] == log.fm_loss[step - 1]
 
 
 def test_no_agent_training_before_exploit_threshold():
@@ -157,8 +167,8 @@ def test_model_based_fills_synthetic_memory_from_real_seeds():
 
 
 def test_unknown_method_rejected():
-    with pytest.raises(ConfigurationError,
-                       match="one of dfm, pure_fm, model_based, model_free, got 'zTT'"):
+    with pytest.raises(ConfigurationError, match="one of dfm, pure_fm, fm_bootstrap, "
+                                                 "model_based, model_free, got 'zTT'"):
         _run("zTT")
 
 

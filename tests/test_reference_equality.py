@@ -548,16 +548,15 @@ def test_cfm_batch_one_permuted_call_equals_per_replicate_permutations():
 
 
 @pytest.mark.parametrize("count", [8, 1])
-def test_cfm_batches_reused_buffers_bytes_equal_reference(count):
+def test_cfm_batches_one_builder_bytes_equal_reference(count):
     # One builder over a data matrix, as train_flow_model drives it: batch
-    # sizes come back after others, so the buffers of size 32 are written
-    # three times, and each call must still equal a fresh reference batch.
+    # sizes come back after others, and each call must equal a fresh
+    # reference batch and leave the generator in the reference's state.
     rng_data = np.random.default_rng(9)
     data = rng_data.normal(size=(60, 11))
     lam = rng_data.dirichlet(np.ones(11))
     rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
     batches = CfmBatches(data, lam, 0.01, count, rng)
-    seen = {}
     for m in (32, 18, 32, 4, 1, 32):
         rows = rng_data.permutation(60)[:m]
         got = batches(rows)
@@ -565,9 +564,6 @@ def test_cfm_batches_reused_buffers_bytes_equal_reference(count):
         assert [a.shape for a in got] == [b.shape for b in want]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), m
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        if m in seen:                           # the same arrays, rewritten
-            assert all(a is b for a, b in zip(got[:2], seen[m]))
-        seen[m] = got[:2]
 
 
 # ---------------------------------------------------------------- codec
