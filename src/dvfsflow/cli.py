@@ -19,6 +19,12 @@ A lone run, like ``gen``, stays in the calling process.
 ``orchestrate.METHODS``, on a memory dump and draws from it through the factory
 a run uses, with ``--seed`` as the run seed and no retrain count in the
 streams; ``gen`` itself knows no generator.
+
+Every command reads and writes its batch CSVs and run logs through
+:mod:`dvfsflow.files`, which builds a file as one string and reads it an array
+at a time.  The row-at-a-time functions of the same names in ``flow`` and
+``orchestrate`` write and read the same bytes; they remain only for the
+benchmark in ``perfbench/``, and importing ``dvfsflow`` does not load ``files``.
 """
 
 from __future__ import annotations
@@ -41,10 +47,9 @@ from .errors import (ConfigurationError, DomainError, InsufficientDataError,
 from .evalkit import (corr_gap, corr_gap_excluded_count, early_fps_gain,
                       empirical_regret, pearson_matrix, qvalue_stability,
                       wasserstein1)
-from .flow import (TRANSITION_LABELS, TransitionLayout, canonical_rows, check_finite,
-                   load_batch_csv, save_batch_csv)
-from .orchestrate import (METHODS, regret_oracle, run_experiment, runlog_from_csv,
-                          runlog_summary, runlog_to_csv)
+from .files import load_batch_csv, runlog_from_csv, runlog_to_csv, save_batch_csv
+from .flow import TRANSITION_LABELS, TransitionLayout, canonical_rows, check_finite
+from .orchestrate import METHODS, regret_oracle, run_experiment, runlog_summary
 from .spread import spread
 
 

@@ -1,5 +1,6 @@
 """The flow, forest, codec, replay memory, Q-step, ODE sampler, W1, simulator-law and
-regret-oracle hot paths against plain loop versions of the same arithmetic.
+regret-oracle hot paths against plain loop versions of the same arithmetic, and the
+CLI's CSV files against the csv-module functions they replace.
 
 The references below are straightforward per-layer, per-column and recursive
 implementations.  The production code batches them into fewer numpy calls
@@ -9,23 +10,29 @@ one sum over the merged support, which numpy adds pairwise and the loop
 reference (and scipy) in other orders, so they agree to 1e-12 relative.
 """
 
+import csv
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import noiseless, usable_cores
-from dvfsflow import agent, forest, nets
+from dvfsflow import agent, files, flow, forest, nets, orchestrate
 from dvfsflow.agent import AgentConfig, ReplayMemory
 from dvfsflow.errors import DomainError, InsufficientDataError, NumericError
 from dvfsflow.evalkit import empirical_regret, wasserstein1
-from dvfsflow.flow import (CfmBatches, FMConfig, Normalizer, TransitionLayout,
-                           canonical_rows, check_finite, encode_transition,
-                           generate_raw, init_flow_model, unflatten_transition)
+from dvfsflow.flow import (TRANSITION_DIM, TRANSITION_LABELS, CfmBatches, FMConfig,
+                           Normalizer, TransitionLayout, canonical_rows, check_finite,
+                           encode_transition, generate_raw, init_flow_model,
+                           unflatten_transition)
 from dvfsflow.forest import (ForestConfig, _best_splits, _grow_trees, fit_forest,
                              normalized_importances, transition_feature_weights)
-from dvfsflow.orchestrate import RunLog, regret_oracle
+from dvfsflow.orchestrate import (RUNLOG_COLUMNS, RunLog, ScheduleConfig, regret_oracle,
+                                  run_experiment)
 from dvfsflow.simenv import (DvfsEnv, EnvConfig, ProcessorState, dynamics, initial_state,
                              law, reward_components, state_scales)
 
@@ -1322,3 +1329,228 @@ def test_regret_oracle_rejects_non_positive_power_like_the_loop():
         _ref_regret_oracle(env)(state)
     with pytest.raises(DomainError, match="power must be > 0"):
         law(np.array([40.0, state.temp]), 0, env)
+
+
+# ---------------------------------------------------------------- CSV files
+
+# ``dvfsflow.files`` builds each file as one string and reads it an array at a
+# time; the row-at-a-time csv functions in ``flow`` and ``orchestrate`` are its
+# references.  A read matches when both give the same bits, or both raise the
+# same exception type with the same message.
+
+FILE_CODECS = {                 # loader: (columns, new, reference)
+    "batch": (TRANSITION_LABELS, files.load_batch_csv, flow.load_batch_csv),
+    "runlog": (RUNLOG_COLUMNS, files.runlog_from_csv, orchestrate.runlog_from_csv),
+}
+
+
+def _read_outcome(load, path):
+    try:
+        got = load(path)
+    except Exception as exc:        # the type and message are what is compared
+        return type(exc), str(exc)
+    if isinstance(got, np.ndarray):
+        return got.dtype, got.shape, got.tobytes()
+    return repr(got)                # a float's repr tells -0.0 and every last bit apart
+
+
+def _assert_reads_alike(tmp_path, content: bytes):
+    for kind, (columns, new, reference) in FILE_CODECS.items():
+        path = tmp_path / f"{kind}.csv"
+        path.write_bytes(content.replace(b"QUOTED", ",".join(f'"{c}"' for c in columns).encode())
+                         .replace(b"HEADER", ",".join(columns).encode()))
+        assert _read_outcome(new, str(path)) == _read_outcome(reference, str(path)), kind
+
+
+_GOOD = ["1", "0.5", "2.5", "-0.0", "300.25", "3", "-1.5", "0.9", "0.001", "0.125", "0.25"]
+
+
+def _row(**cells) -> str:
+    """A row both loaders accept, with the cells named by column index changed."""
+    row = list(_GOOD)
+    for key, cell in cells.items():
+        row[int(key[1:])] = cell
+    return ",".join(row)
+
+
+def _file(*rows, end="\r\n", final=True, header="HEADER") -> bytes:
+    text = end.join([header, *rows]) + (end if final else "")
+    return text.encode("utf-8", "surrogateescape")      # "\udcff" is the byte 0xff
+
+
+HAND_WRITTEN = {
+    "crlf": _file(_row(), _row(c0="2")),
+    "lf only": _file(_row(), _row(c0="2"), end="\n"),
+    "cr only": _file(_row(), _row(c0="2"), end="\r"),
+    "no final newline": _file(_row(), _row(c0="2"), final=False),
+    "blank line": _file(_row(), "", _row(c0="2")),
+    "blank last line": _file(_row(), ""),
+    "blank line after the header only": _file(""),
+    "whitespace-only line": _file(_row(), "  ", _row(c0="2")),
+    "tab-only line": _file(_row(), "\t"),
+    "quoted cell": _file(_row(c2='"2.5"')),
+    "quoted cell over two lines": _file(_row(c2='"2.5\n"')),
+    "quoted comma": _file(_row(c2='"2,5"')),
+    "hash cell": _file(_row(c2="#2.5")),
+    "underscore": _file(_row(c0="1_0", c2="1_000")),
+    "trailing comma": _file(_row() + ","),
+    "10 cells": _file(",".join(_GOOD[:10])),
+    "12 cells": _file(_row() + ",0.5"),
+    "10 then 12 cells": _file(",".join(_GOOD[:10]), _row() + ",0.5"),
+    "form feed around a number": _file(_row(c0="\x0c1", c2="2.5\x0c")),
+    "form feed inside a number": _file(_row(c2="2\x0c5")),
+    "file separator after a number": _file(_row(c0="1\x1c", c2="2.5\x1c")),
+    "unit separator before a number": _file(_row(c2="\x1f2.5")),
+    "separator in a file float rejects nowhere": _file(_row(), _row(c2="2.5\x1d")),
+    "non-UTF-8 byte": _file(_row(c2="\udcff")),
+    "non-UTF-8 byte in the header": _file(_row(), header="HEADER".replace("E", "\udcff")),
+    "NUL in a cell": _file(_row(c2="2.5\x00")),
+    "padded cells": _file(_row(c0=" 1 ", c2=" 2.5 ", c5="\t3\t")),
+    "no-break space": _file(_row(c2="2.5\xa0", c3=" 2")),
+    "arabic digits": _file(_row(c0="١", c2="٣")),
+    "non-finite cells": _file(_row(c2="nan", c3="-inf", c4="-nan", c6="Infinity")),
+    "overflow": _file(_row(c2="1e999", c3="-1e999")),
+    "subnormals": _file(_row(c2="5e-324", c3="2e-324", c4="-1e-400")),
+    "huge int": _file(_row(c0="1" * 400)),
+    "int written as float": _file(_row(c0="1.0")),
+    "hex float": _file(_row(c2="0x1p3")),
+    "empty loss cells": _file(_row(c9="", c10="")),
+    "empty state cell": _file(_row(c1="")),
+    "space in a loss cell": _file(_row(c9=" ")),
+    "nan loss then a text cell": _file(_row(c9="nan"), _row(c2="x")),
+    "text cell then a nan": _file(_row(c2="x"), _row(c9="nan")),
+    "quoted header": _file(_row(), header="QUOTED"),
+    "wrong header": _file(_row(), header="t,a,b"),
+    "header only": _file(),
+    "header only, no newline": _file(final=False),
+    "empty file": b"",
+    "newline only": b"\n",
+}
+
+
+@pytest.mark.parametrize("content", HAND_WRITTEN.values(), ids=HAND_WRITTEN.keys())
+def test_csv_loaders_read_hand_written_files_like_the_csv_module(tmp_path, content):
+    _assert_reads_alike(tmp_path, content)
+
+
+def test_csv_loaders_fail_on_a_field_over_the_csv_limit_like_the_csv_module(tmp_path):
+    limit = csv.field_size_limit(40)
+    try:
+        _assert_reads_alike(tmp_path, _file(_row(), _row(c2="2." + "5" * 60)))
+        _assert_reads_alike(tmp_path, _file(_row(), _row(c2="2." + "5" * 30)))
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_csv_loaders_read_the_files_the_writers_write_without_the_line_pass(tmp_path,
+                                                                          monkeypatch):
+    def line_pass(*args):
+        raise AssertionError("the line-by-line pass read a well-formed file")
+    monkeypatch.setattr(flow, "load_batch_csv", line_pass)
+    monkeypatch.setattr(orchestrate, "runlog_from_csv", line_pass)
+    batch = np.random.default_rng(0).normal(size=(50, TRANSITION_DIM))
+    files.save_batch_csv(batch, str(tmp_path / "batch.csv"))
+    assert files.load_batch_csv(str(tmp_path / "batch.csv")).tobytes() == batch.tobytes()
+    log = RunLog(method="dfm", seed=0, config={}, t=[1, 2],
+                 states=[ProcessorState(30.0, 0.5, 4.0, 40.0)] * 2, actions=[3, 0],
+                 rewards=[0.5, -1.0], epsilons=[1.0, 0.99], max_q=[0.0, 0.25],
+                 agent_loss=[None, 0.125], fm_loss=[None, None])
+    files.runlog_to_csv(log, str(tmp_path / "runlog.csv"))
+    assert files.runlog_from_csv(str(tmp_path / "runlog.csv"), "dfm", 0) == log
+
+
+_float_cells = st.floats(width=64) | st.sampled_from(
+    [np.nan, np.inf, -np.inf, -0.0, 5e-324, -5e-324, 1.7976931348623157e308])
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix=arrays(np.float64, st.tuples(st.integers(0, 40), st.just(TRANSITION_DIM)),
+                     elements=_float_cells))
+def test_batch_files_bytes_equal_csv_writer_and_round_trip_bit_equal(tmp_path_factory,
+                                                                     matrix):
+    tmp = tmp_path_factory.mktemp("batch")
+    new, ref = str(tmp / "new.csv"), str(tmp / "ref.csv")
+    files.save_batch_csv(matrix, new)
+    flow.save_batch_csv(matrix, ref)
+    with open(new, "rb") as a, open(ref, "rb") as b:
+        assert a.read() == b.read()
+    got, want = files.load_batch_csv(new), flow.load_batch_csv(ref)
+    assert got.dtype == want.dtype and got.shape == want.shape == matrix.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got, matrix, equal_nan=True)
+
+
+def test_batch_files_of_a_list_or_a_wrong_shape_match_the_csv_writer(tmp_path):
+    rows = [[float(i)] * TRANSITION_DIM for i in range(3)]
+    files.save_batch_csv(rows, str(tmp_path / "new.csv"))
+    flow.save_batch_csv(rows, str(tmp_path / "ref.csv"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    for bad in (np.zeros(TRANSITION_DIM), np.zeros((2, TRANSITION_DIM - 1))):
+        with pytest.raises(DomainError) as want:
+            flow.save_batch_csv(bad, str(tmp_path / "x.csv"))
+        with pytest.raises(DomainError) as got:
+            files.save_batch_csv(bad, str(tmp_path / "y.csv"))
+        assert str(got.value) == str(want.value)
+
+
+_losses = st.none() | st.floats(width=64)
+
+
+@st.composite
+def _run_logs(draw):
+    n = draw(st.integers(0, 12))
+    floats = st.lists(st.floats(width=64), min_size=n, max_size=n)
+    log = RunLog(method="dfm", seed=3, config={})
+    log.t = draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n))
+    log.states = [ProcessorState(*draw(st.tuples(*[st.floats(width=64)] * 4)))
+                  for _ in range(n)]
+    log.actions = draw(st.lists(st.integers(0, 11), min_size=n, max_size=n))
+    log.rewards, log.epsilons, log.max_q = draw(floats), draw(floats), draw(floats)
+    log.agent_loss = draw(st.lists(_losses, min_size=n, max_size=n))
+    log.fm_loss = draw(st.lists(_losses, min_size=n, max_size=n))
+    return log
+
+
+@settings(max_examples=150, deadline=None)
+@given(log=_run_logs())
+def test_run_log_files_bytes_equal_csv_writer_and_read_alike(tmp_path_factory, log):
+    tmp = tmp_path_factory.mktemp("runlog")
+    new, ref = str(tmp / "new.csv"), str(tmp / "ref.csv")
+    files.runlog_to_csv(log, new)
+    orchestrate.runlog_to_csv(log, ref)
+    with open(new, "rb") as a, open(ref, "rb") as b:
+        assert a.read() == b.read()
+    got = _read_outcome(lambda p: files.runlog_from_csv(p, "dfm", 3), new)
+    assert got == _read_outcome(lambda p: orchestrate.runlog_from_csv(p, "dfm", 3), new)
+
+
+def test_run_log_file_of_a_run_bytes_equal_csv_writer_and_reads_back(tmp_path):
+    cfg = ScheduleConfig(horizon=120, exploit_threshold=40, fm_retrain_period=50,
+                         planning_breadth=30)
+    log = run_experiment("pure_fm", EnvConfig(), AgentConfig(), cfg, 0,
+                         FMConfig(hidden_sizes=[8], epochs=2), ForestConfig(n_trees=2))
+    assert None in log.agent_loss and None in log.fm_loss
+    files.runlog_to_csv(log, str(tmp_path / "new.csv"))
+    orchestrate.runlog_to_csv(log, str(tmp_path / "ref.csv"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    back = files.runlog_from_csv(str(tmp_path / "new.csv"), "pure_fm", 0)
+    assert repr(back) == repr(orchestrate.runlog_from_csv(str(tmp_path / "ref.csv"),
+                                                          "pure_fm", 0))
+    assert back.states == log.states and back.agent_loss == log.agent_loss
+
+
+# cells a number with a little text around it, so that many files reach the fast pass
+_NUMBERS = ["0", "1", "-3", "2.5", "-0.0", "1e-3", "5e-324", "1e999", "nan", "inf", "12"]
+_DECOR = st.text(alphabet=" \t\r\n\x0b\x0c\x1c\x1d\x1f\x00\xa0\x85\u2009_#\"',.e+-nx\udcff",
+                 max_size=2)
+_cells = (st.tuples(_DECOR, st.sampled_from(_NUMBERS), _DECOR).map("".join)
+          | st.sampled_from(_NUMBERS) | st.just(""))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.lists(_cells, min_size=10, max_size=12), max_size=4),
+       end=st.sampled_from(["\r\n", "\n", "\r"]), final=st.booleans())
+def test_csv_loaders_read_fuzzed_cells_like_the_csv_module(tmp_path_factory, rows, end,
+                                                            final):
+    content = _file(*map(",".join, rows), end=end, final=final)
+    _assert_reads_alike(tmp_path_factory.mktemp("fuzz"), content)

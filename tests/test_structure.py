@@ -1,6 +1,9 @@
 """Module boundaries inside the package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import dvfsflow
@@ -27,17 +30,44 @@ def test_evalkit_imports_only_the_errors_of_the_package():
     assert found == ["errors"]
 
 
-def test_only_the_cli_imports_spread():
-    # a run does its own work in one process; only ``dvfsflow run`` forks
+def _importers(name: str) -> list[str]:
+    """The package files that import the sibling module ``name`` or a name of it."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and (
                     node.level or (node.module or "").split(".")[0] == "dvfsflow"):
                 module = (node.module or "").split(".")[-1]
-                if module == "spread" or any(a.name == "spread" for a in node.names):
+                if module == name or any(a.name == name for a in node.names):
                     found.append(path.name)
-    assert found == ["cli.py"]
+    return found
+
+
+def test_only_the_cli_imports_spread():
+    # a run does its own work in one process; only ``dvfsflow run`` forks
+    assert _importers("spread") == ["cli.py"]
+
+
+def test_only_the_cli_imports_files():
+    # the CSV files are the CLI's; no module that ``import dvfsflow`` loads needs them
+    assert _importers("files") == ["cli.py"]
+
+
+def test_importing_the_package_and_its_config_loads_neither_files_nor_the_cli():
+    code = ("import sys, dvfsflow, dvfsflow.config; "
+            "print(sorted(m for m in sys.modules if m.startswith('dvfsflow')))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    loaded = ast.literal_eval(out)
+    assert "dvfsflow.config" in loaded
+    assert "dvfsflow.files" not in loaded and "dvfsflow.cli" not in loaded
+
+
+def test_the_cli_reads_and_writes_its_files_through_files():
+    from dvfsflow import cli, files
+    for name in ("save_batch_csv", "load_batch_csv", "runlog_to_csv", "runlog_from_csv"):
+        assert getattr(cli, name) is getattr(files, name), name
 
 
 def _int_literal(node) -> bool:
