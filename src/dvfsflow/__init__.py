@@ -13,7 +13,7 @@ all its work there while the calling process collects the results.
 from .agent import AgentConfig, ReplayMemory
 from .errors import (ConfigurationError, DomainError, InsufficientDataError,
                      NumericError, StateError)
-from .flow import FMConfig, FlowModel, Transition, TransitionLayout
+from .flow import FMConfig, FlowModel, TransitionLayout
 from .forest import ForestConfig
 from .nets import AdamState, MlpParams
 from .orchestrate import RunLog, ScheduleConfig, run_experiment
@@ -23,7 +23,7 @@ __all__ = [
     "AgentConfig", "ReplayMemory",
     "ConfigurationError", "DomainError", "InsufficientDataError",
     "NumericError", "StateError",
-    "FMConfig", "FlowModel", "Transition", "TransitionLayout",
+    "FMConfig", "FlowModel", "TransitionLayout",
     "ForestConfig",
     "AdamState", "MlpParams",
     "RunLog", "ScheduleConfig", "run_experiment",

@@ -21,10 +21,9 @@ a run uses, with ``--seed`` as the run seed and no retrain count in the
 streams; ``gen`` itself knows no generator.
 
 Every command reads and writes its batch CSVs and run logs through
-:mod:`dvfsflow.files`, which builds a file as one string and reads it an array
-at a time.  The row-at-a-time functions of the same names in ``flow`` and
-``orchestrate`` write and read the same bytes; they remain only for the
-benchmark in ``perfbench/``, and importing ``dvfsflow`` does not load ``files``.
+:mod:`dvfsflow.files`, the one module that holds their format.  The functions
+of the same names in ``flow`` and ``orchestrate`` only call it and remain for
+the benchmark in ``perfbench/``; importing ``dvfsflow`` does not load ``files``.
 """
 
 from __future__ import annotations

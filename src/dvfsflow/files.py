@@ -2,48 +2,47 @@
 
 ``run`` writes the real memory M, the last synthetic batch of M' and the run
 log of each run; ``gen`` writes a batch, and ``eval`` and ``report`` read
-them back.  A file is a header row of the column names, then one line per row
-with each float as its ``repr`` and each int as its ``str``, cells joined by
-commas and lines ended by CRLF.  A run log's empty cell is a loss before the
-first update (None).  These are the bytes ``csv.writer`` writes for such rows;
-here each file is built as one string and written at once.
+them back.  This module alone holds their format.  A file is a header row of
+the column names, then one line per row with each float as its ``repr`` and
+each int as its ``str``, cells joined by commas and lines ended by CRLF.  A run
+log's empty cell is a loss before the first update (None).  These are the bytes
+``csv.writer`` writes for such rows; here each file is built as one string and
+written at once.
 
-A reader takes the file's lines and tries an array-at-a-time pass first: one
-``np.loadtxt`` over a batch's lines, or, for a run log, one ``int``/``float``
-conversion per column and one finiteness check.  It reads lines, never the
-whole text beside them, which keeps ``report``'s peak memory below the csv
-reader's.  When that pass cannot vouch
-for the file, the row-at-a-time reader of the same name in ``flow`` or
-``orchestrate`` reads it again with the ``csv`` module and returns its rows or
-raises its error, so a file reads the same either way.  The fast pass stands
-aside on:
+A run log is parsed once by ``csv.reader`` and converted a column at a time:
+one ``int``/``float`` conversion per column and one finiteness check.  Only a
+file that conversion rejects walks its parsed rows again, to name the first bad
+row's line.
+
+A batch reader tries one ``np.loadtxt`` over the file's lines first.  It reads
+lines, never the whole text beside them, which keeps ``report``'s peak memory
+below the csv reader's.  When that pass cannot vouch for the file, the csv
+parse reads it again row by row and returns its rows or raises its error, so a
+file reads the same either way.  The ``np.loadtxt`` pass stands aside on:
 
 - a line that is not exactly the header, a file without rows, and a blank
   line (``np.loadtxt`` skips one; ``csv`` reports it as a row of 0 cells);
 - a line longer than ``csv.field_size_limit()``, on which ``csv`` fails;
-- a character from ``\\x1c`` to ``\\x1f`` in a batch: ``np.loadtxt`` strips it
-  as white space around a number and ``float`` does not;
-- any cell its conversion rejects: a quoted cell, ``1_000`` (which ``float``
-  takes and ``np.loadtxt`` does not), a row of 10 or 12 cells, a NaN/inf in a
-  run log.
+- a character from ``\\x1c`` to ``\\x1f``: ``np.loadtxt`` strips it as white
+  space around a number and ``float`` does not;
+- any cell it rejects: a quoted cell, ``1_000`` (which ``float`` takes and
+  ``np.loadtxt`` does not), a row of 10 or 12 cells.
 
-Only the CLI imports this module, so ``import dvfsflow`` does not load it.
-The row-at-a-time ``flow.save_batch_csv``, ``flow.load_batch_csv``,
-``orchestrate.runlog_to_csv`` and ``orchestrate.runlog_from_csv`` write and
-read the same bytes.  They stay because the benchmark in ``perfbench/`` reads
-and writes its files with them; once it uses this module, their readers' line
-pass moves here (ROADMAP item 6).
+Only the CLI imports this module, so ``import dvfsflow`` loads neither it nor
+``csv``.  ``flow.save_batch_csv``, ``flow.load_batch_csv``,
+``orchestrate.runlog_to_csv`` and ``orchestrate.runlog_from_csv`` call the
+functions of the same names here; they stay only because the benchmark in
+``perfbench/`` imports them from there (ROADMAP item 6).
 """
 
 from __future__ import annotations
 
 import csv
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from . import flow, orchestrate
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .flow import TRANSITION_DIM, TRANSITION_LABELS
 from .orchestrate import RUNLOG_COLUMNS, RunLog
 from .simenv import ProcessorState
@@ -58,28 +57,16 @@ def _write(path: str, header: list[str], rows: Iterable[Iterable[str]]) -> None:
         fh.write(text)
 
 
-def _lines(path: str) -> list[str]:
-    # universal newlines, as the csv readers have always read these files
+def _records(path: str, header: list[str], what: str) -> Iterator[tuple[int, list[str]]]:
+    """Each row after ``header`` as (the line it ends on, its cells), parsed by
+    ``csv.reader``; another first row raises :class:`DomainError`."""
+    # universal newlines, as these files have always been read
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        return fh.readlines()
-
-
-def _holds(path: str, chars: bytes) -> bool:
-    """Whether the file holds one of ``chars``, all below 0x80: in UTF-8 such a
-    byte is that character and no part of another."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return any(c in data for c in chars)
-
-
-def _body(lines: list[str], header: list[str]) -> Optional[list[str]]:
-    """The row lines, each ending in its newline but the last maybe, when the
-    fast pass may read them, else None."""
-    body = lines[1:]
-    if (lines[:1] != [",".join(header) + "\n"] or not body or "\n" in body
-            or max(map(len, body)) > csv.field_size_limit()):
-        return None
-    return body
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise DomainError(f"unexpected {what} header in {path}")
+        for cells in reader:
+            yield reader.line_num, cells
 
 
 # ---------------------------------------------------------------- batches
@@ -92,12 +79,27 @@ def save_batch_csv(matrix: np.ndarray, path: str) -> None:
     _write(path, TRANSITION_LABELS, (map(repr, row) for row in matrix.tolist()))
 
 
+def _body(path: str) -> Optional[list[str]]:
+    """The row lines of a batch file, each ending in its newline but the last
+    maybe, when ``np.loadtxt`` may read them, else None."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if any(c in data for c in _STRIPPED_BY_LOADTXT):    # below 0x80, a byte is its character
+        return None
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        lines = fh.readlines()
+    body = lines[1:]
+    if (lines[:1] != [",".join(TRANSITION_LABELS) + "\n"] or not body or "\n" in body
+            or max(map(len, body)) > csv.field_size_limit()):
+        return None
+    return body
+
+
 def load_batch_csv(path: str) -> np.ndarray:
     """Read a batch written by :func:`save_batch_csv`.  A wrong header, a row
     without 11 cells or a cell that is not a number raises
     :class:`DomainError` naming the path and line."""
-    stray = _holds(path, _STRIPPED_BY_LOADTXT)
-    body = None if stray else _body(_lines(path), TRANSITION_LABELS)
+    body = _body(path)
     if body is not None:
         try:
             batch = np.loadtxt(body, dtype=np.float64, delimiter=",", comments=None,
@@ -107,7 +109,23 @@ def load_batch_csv(path: str) -> np.ndarray:
         else:
             if batch.shape == (len(body), TRANSITION_DIM):
                 return batch
-    return flow.load_batch_csv(path)
+    return _parse_batch(path)
+
+
+def _parse_batch(path: str) -> np.ndarray:
+    # the csv parse, for the files the np.loadtxt pass stands aside on
+    rows = []
+    for line, cells in _records(path, TRANSITION_LABELS, "column"):
+        if len(cells) != TRANSITION_DIM:
+            raise DomainError(f"{path} line {line}: expected "
+                              f"{TRANSITION_DIM} cells, got {len(cells)}")
+        try:
+            rows.append([float(v) for v in cells])
+        except ValueError as exc:
+            raise DomainError(f"{path} line {line}: {exc}") from None
+    if not rows:
+        return np.empty((0, TRANSITION_DIM))
+    return np.array(rows, dtype=np.float64)
 
 
 # ---------------------------------------------------------------- run logs
@@ -137,23 +155,51 @@ def runlog_from_csv(path: str, method: str = "", seed: int = -1) -> RunLog:
     empty loss cells read as None.  A file with no rows raises
     :class:`DomainError` naming the path.
     """
-    body = _body(_lines(path), RUNLOG_COLUMNS)
-    rows = [line.rstrip("\n").split(",") for line in body] if body is not None else []
-    if rows and all(len(row) == len(RUNLOG_COLUMNS) for row in rows):
-        cells = dict(zip(RUNLOG_COLUMNS, zip(*rows)))
+    rows = []
+    try:
+        for row in _records(path, RUNLOG_COLUMNS, "run-log"):
+            rows.append(row)
+    except csv.Error:
+        _check_runlog_rows(path, rows)      # a bad row above the parse error comes first
+        raise
+    if not rows:
+        raise DomainError(f"{path}: the run log holds no steps")
+    cells = [row for _, row in rows]
+    if all(len(row) == len(RUNLOG_COLUMNS) for row in cells):
+        columns = dict(zip(RUNLOG_COLUMNS, zip(*cells)))
         try:
-            t, actions = list(map(int, cells["t"])), list(map(int, cells["action"]))
+            t, actions = list(map(int, columns["t"])), list(map(int, columns["action"]))
             v = {k: [float(c) if c else None for c in col] if k in _LOSSES
-                 else list(map(float, col)) for k, col in cells.items()}
+                 else list(map(float, col)) for k, col in columns.items()}
         except ValueError:
             pass
         else:
             # a None loss reads as NaN here, so its empty cell excuses it
             finite = np.isfinite(np.array(list(v.values()), dtype=np.float64))
-            if (finite | (np.array(list(cells.values())) == "")).all():
+            if (finite | (np.array(list(columns.values())) == "")).all():
                 states = list(map(ProcessorState, v["fps"], v["freq"], v["power"], v["temp"]))
                 return RunLog(method=method, seed=seed, config={}, t=t, states=states,
                               actions=actions, rewards=v["reward"], epsilons=v["epsilon"],
                               max_q=v["max_q"], agent_loss=v["agent_loss"],
                               fm_loss=v["fm_loss"])
-    return orchestrate.runlog_from_csv(path, method, seed)
+    _check_runlog_rows(path, rows)
+    raise AssertionError(f"{path}: the run-log columns and rows disagree")
+
+
+def _check_runlog_rows(path: str, rows: list[tuple[int, list[str]]]) -> None:
+    """Raise the error of the first bad row, naming its line, as a row-at-a-time
+    read would."""
+    for line, cells in rows:
+        where = f"{path} line {line}"
+        if len(cells) != len(RUNLOG_COLUMNS):
+            raise DomainError(
+                f"{where}: expected {len(RUNLOG_COLUMNS)} cells, got {len(cells)}")
+        row = dict(zip(RUNLOG_COLUMNS, cells))
+        try:
+            int(row["t"]), int(row["action"])
+            v = {k: float(c) if c or k not in _LOSSES else None for k, c in row.items()}
+        except ValueError as exc:
+            raise DomainError(f"{where}: {exc}") from None
+        bad = [k for k, x in v.items() if x is not None and not np.isfinite(x)]
+        if bad:
+            raise NumericError(f"{where}: NaN/inf in run-log column(s) {', '.join(bad)}")

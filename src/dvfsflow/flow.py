@@ -36,7 +36,6 @@ its (s, a) inputs ``INPUT_COLS`` and its (s', r, done) outcome ``OUTCOME_COLS``.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -294,35 +293,13 @@ def generate_raw(model: FlowModel, n: int, rng: np.random.Generator) -> np.ndarr
 
 
 def save_batch_csv(matrix: np.ndarray, path: str) -> None:
-    """Write an (n, 11) batch with the canonical column header."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[1] != TRANSITION_DIM:
-        raise DomainError(f"batch must have {TRANSITION_DIM} columns")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRANSITION_LABELS)
-        # csv writes each float as its repr; one row at a time keeps no copy of the batch
-        writer.writerows(row.tolist() for row in matrix)
+    """:func:`dvfsflow.files.save_batch_csv`, which alone holds the CSV format;
+    kept here for the benchmark in ``perfbench/``."""
+    from .files import save_batch_csv
+    save_batch_csv(matrix, path)
 
 
 def load_batch_csv(path: str) -> np.ndarray:
-    """Read a batch written by :func:`save_batch_csv`.  A wrong header, a row
-    without 11 cells or a cell that is not a number raises
-    :class:`DomainError` naming the path and line."""
-    rows = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRANSITION_LABELS:
-            raise DomainError(f"unexpected column header in {path}")
-        for row in reader:
-            if len(row) != TRANSITION_DIM:
-                raise DomainError(f"{path} line {reader.line_num}: expected "
-                                  f"{TRANSITION_DIM} cells, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise DomainError(f"{path} line {reader.line_num}: {exc}") from None
-    if not rows:
-        return np.empty((0, TRANSITION_DIM))
-    return np.array(rows, dtype=np.float64)
+    """:func:`dvfsflow.files.load_batch_csv`, kept here for the benchmark."""
+    from .files import load_batch_csv
+    return load_batch_csv(path)

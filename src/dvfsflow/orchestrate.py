@@ -21,7 +21,6 @@ fit.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -32,7 +31,7 @@ from . import agent as agent_mod
 from . import flow as flow_mod
 from . import nets
 from .agent import AgentConfig, ReplayMemory
-from .errors import ConfigurationError, DomainError, NumericError, check_domains, domain
+from .errors import ConfigurationError, check_domains, domain
 from .flow import (INPUT_COLS, OUTCOME_COLS, TRANSITION_LABELS, FMConfig, Normalizer,
                    TransitionLayout)
 from .forest import ForestConfig, transition_feature_weights
@@ -41,7 +40,6 @@ from .simenv import DvfsEnv, EnvConfig, ProcessorState, law, state_scales
 
 RUNLOG_COLUMNS = ["t", "fps", "freq", "power", "temp", "action", "reward",
                   "epsilon", "max_q", "agent_loss", "fm_loss"]
-_LOSS_COLUMNS = ("agent_loss", "fm_loss")               # empty before the first update
 
 
 @dataclass
@@ -303,57 +301,16 @@ def run_experiment(method: str, env_config: EnvConfig, agent_config: AgentConfig
 
 
 def runlog_to_csv(log: RunLog, path: str) -> None:
-    """One row per step with the pinned column set; ``csv`` writes each float
-    as its repr and each None (a loss before the first update) as an empty cell."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RUNLOG_COLUMNS)
-        writer.writerows(
-            (t, *s, a, r, eps, q, agent_loss, fm_loss)
-            for t, s, a, r, eps, q, agent_loss, fm_loss in zip(
-                log.t, log.states, log.actions, log.rewards, log.epsilons, log.max_q,
-                log.agent_loss, log.fm_loss))
+    """:func:`dvfsflow.files.runlog_to_csv`, which alone holds the CSV format;
+    kept here for the benchmark in ``perfbench/``."""
+    from .files import runlog_to_csv
+    runlog_to_csv(log, path)
 
 
 def runlog_from_csv(path: str, method: str = "", seed: int = -1) -> RunLog:
-    """Rebuild the per-step record from a CSV written by :func:`runlog_to_csv`.
-
-    A row without 11 cells or a non-numeric cell raises :class:`DomainError`
-    and a NaN/inf cell :class:`NumericError`, each naming the path and line;
-    empty loss cells read as None.  A file with no rows raises
-    :class:`DomainError` naming the path.
-    """
-    log = RunLog(method=method, seed=seed, config={})
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != RUNLOG_COLUMNS:
-            raise DomainError(f"unexpected run-log header in {path}")
-        for cells in reader:
-            where = f"{path} line {reader.line_num}"
-            if len(cells) != len(RUNLOG_COLUMNS):
-                raise DomainError(
-                    f"{where}: expected {len(RUNLOG_COLUMNS)} cells, got {len(cells)}")
-            row = dict(zip(RUNLOG_COLUMNS, cells))
-            try:
-                t, action = int(row["t"]), int(row["action"])
-                v = {k: float(c) if c or k not in _LOSS_COLUMNS else None
-                     for k, c in row.items()}
-            except ValueError as exc:
-                raise DomainError(f"{where}: {exc}") from None
-            bad = [k for k, x in v.items() if x is not None and not np.isfinite(x)]
-            if bad:
-                raise NumericError(f"{where}: NaN/inf in run-log column(s) {', '.join(bad)}")
-            log.t.append(t)
-            log.states.append(ProcessorState(v["fps"], v["freq"], v["power"], v["temp"]))
-            log.actions.append(action)
-            log.rewards.append(v["reward"])
-            log.epsilons.append(v["epsilon"])
-            log.max_q.append(v["max_q"])
-            log.agent_loss.append(v["agent_loss"])
-            log.fm_loss.append(v["fm_loss"])
-    if not log.t:
-        raise DomainError(f"{path}: the run log holds no steps")
-    return log
+    """:func:`dvfsflow.files.runlog_from_csv`, kept here for the benchmark."""
+    from .files import runlog_from_csv
+    return runlog_from_csv(path, method, seed)
 
 
 def runlog_summary(log: RunLog) -> dict:

@@ -15,7 +15,8 @@ from dvfsflow.cli import main
 from dvfsflow.config import (ExperimentConfig, config_from_dict, config_to_dict,
                              dump_config, load_config)
 from dvfsflow.errors import ConfigurationError, NumericError
-from dvfsflow.flow import TRANSITION_LABELS, save_batch_csv
+from dvfsflow.files import save_batch_csv
+from dvfsflow.flow import TRANSITION_LABELS
 from dvfsflow.orchestrate import METHODS, RUNLOG_COLUMNS
 
 FAST_SECTIONS = {
@@ -478,7 +479,7 @@ def test_bad_seeds_is_a_configuration_error(seeds, capsys):
 
 def test_gen_rejects_non_positive_n_before_training(tmp_path, capsys, monkeypatch):
     from dvfsflow import flow
-    from dvfsflow.flow import save_batch_csv
+    from dvfsflow.files import save_batch_csv
 
     memory = str(tmp_path / "memory.csv")
     save_batch_csv(np.random.default_rng(0).uniform(0.1, 1.0, size=(60, 11)), memory)
@@ -497,7 +498,7 @@ def test_gen_rejects_non_positive_n_before_training(tmp_path, capsys, monkeypatc
 def test_gen_rejects_negative_seed_before_reading(tmp_path, capsys, monkeypatch):
     # used to end in numpy's "expected non-negative integer" traceback
     from dvfsflow import cli
-    from dvfsflow.flow import save_batch_csv
+    from dvfsflow.files import save_batch_csv
 
     memory = str(tmp_path / "memory.csv")
     save_batch_csv(np.random.default_rng(0).uniform(0.1, 1.0, size=(60, 11)), memory)
@@ -621,7 +622,7 @@ def test_contractive_config_with_static_coeff_times_r_above_c_runs_and_reports(t
 
 
 def test_gen_non_finite_cell_is_a_numeric_error(tmp_path, capsys):
-    from dvfsflow.flow import save_batch_csv
+    from dvfsflow.files import save_batch_csv
 
     rows = np.random.default_rng(0).uniform(0.1, 1.0, size=(60, 11))
     rows[7, 4] = np.nan                     # used to end in a raw ValueError traceback
@@ -663,7 +664,7 @@ def test_malformed_batch_csv_is_an_input_error(line, want, tmp_path, capsys):
 
 
 def test_eval_non_finite_cell_is_a_numeric_error(tmp_path, capsys):
-    from dvfsflow.flow import save_batch_csv
+    from dvfsflow.files import save_batch_csv
 
     rng = np.random.default_rng(0)
     real, synth = str(tmp_path / "real.csv"), str(tmp_path / "synth.csv")
@@ -680,7 +681,7 @@ def test_eval_non_finite_cell_is_a_numeric_error(tmp_path, capsys):
 
 
 def test_report_non_finite_cell_is_a_numeric_error(tmp_path, capsys):
-    from dvfsflow.flow import load_batch_csv, save_batch_csv
+    from dvfsflow.files import load_batch_csv, save_batch_csv
 
     out = tmp_path / "out"
     cfg_path = _write_config(tmp_path, {"methods": ["pure_fm", "model_free"],
@@ -763,7 +764,7 @@ def _header_only_batch(path):
 @pytest.mark.parametrize("empty", ["real", "synth"])
 def test_eval_on_a_batch_without_rows_names_the_file(empty, tmp_path, capsys):
     # used to print "input error: wasserstein1 needs non-empty samples"
-    from dvfsflow.flow import save_batch_csv
+    from dvfsflow.files import save_batch_csv
 
     paths = {"real": str(tmp_path / "real.csv"), "synth": str(tmp_path / "synth.csv")}
     save_batch_csv(np.random.default_rng(0).uniform(0.1, 1.0, size=(30, 11)),
@@ -824,7 +825,8 @@ def test_gen_rejects_a_method_without_a_generator_before_reading(tmp_path, capsy
 
 
 def test_gen_model_based_plans_from_rows_of_the_memory(tmp_path, capsys):
-    from dvfsflow.flow import INPUT_COLS, TransitionLayout, canonical_rows, load_batch_csv
+    from dvfsflow.files import load_batch_csv
+    from dvfsflow.flow import INPUT_COLS, TransitionLayout, canonical_rows
 
     cfg_path = _write_config(tmp_path)
     memory, out = str(tmp_path / "memory.csv"), str(tmp_path / "synth.csv")
@@ -890,7 +892,7 @@ def test_empty_output_dir_in_a_config_file_fails_before_running(tmp_path, capsys
 
 
 def test_runlog_empty_loss_cells_read_as_none(tmp_path):
-    from dvfsflow.orchestrate import runlog_from_csv
+    from dvfsflow.files import runlog_from_csv
 
     out = _pure_fm_model_free_run(tmp_path)
     log = runlog_from_csv(str(out / "runlog_pure_fm_seed0.csv"))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from dvfsflow.cli import main  # noqa: E402
 from dvfsflow.config import config_from_dict  # noqa: E402
-from dvfsflow.flow import load_batch_csv  # noqa: E402
+from dvfsflow.files import load_batch_csv  # noqa: E402
 from dvfsflow.orchestrate import METHODS  # noqa: E402
 
 

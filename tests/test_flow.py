@@ -8,12 +8,12 @@ import pytest
 from conftest import grad_check
 from dvfsflow import nets
 from dvfsflow.errors import DomainError, NumericError, StateError
+from dvfsflow.files import load_batch_csv, save_batch_csv
 from dvfsflow.flow import (ACTION_COL, DONE_COL, INPUT_COLS, NEXT_STATE_COLS, OUTCOME_COLS,
                            REWARD_COL, STATE_COLS, TRANSITION_DIM, TRANSITION_LABELS,
                            CfmBatches, FlowModel, FMConfig, Normalizer, Transition,
                            TransitionLayout, canonical_rows, encode_transition, generate_raw,
-                           init_flow_model, load_batch_csv, save_batch_csv, train_flow_model,
-                           unflatten_transition)
+                           init_flow_model, train_flow_model, unflatten_transition)
 from dvfsflow.simenv import DvfsEnv, EnvConfig, ProcessorState
 
 LAYOUT = TransitionLayout(num_actions=12, ambient_temp=25.0)

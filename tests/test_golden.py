@@ -14,8 +14,8 @@ import pytest
 
 from dvfsflow.cli import main
 from dvfsflow.config import config_from_dict
-from dvfsflow.flow import save_batch_csv
-from dvfsflow.orchestrate import run_experiment, runlog_to_csv
+from dvfsflow.files import runlog_to_csv, save_batch_csv
+from dvfsflow.orchestrate import run_experiment
 
 GOLDEN_CONFIG = {"schedule": {"horizon": 120, "fm_retrain_period": 40},
                  "flow": {"epochs": 60}}

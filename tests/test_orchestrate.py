@@ -10,9 +10,9 @@ from dvfsflow.agent import AgentConfig
 from dvfsflow.errors import ConfigurationError
 from dvfsflow.flow import FMConfig
 from dvfsflow.forest import ForestConfig
+from dvfsflow.files import runlog_to_csv
 from dvfsflow.orchestrate import (METHODS, RUNLOG_COLUMNS, RunLog, ScheduleConfig,
-                                  regret_oracle, run_experiment, runlog_summary,
-                                  runlog_to_csv)
+                                  regret_oracle, run_experiment, runlog_summary)
 from dvfsflow.simenv import EnvConfig, ProcessorState, dynamics, initial_state, reward_components
 
 FAST_FM = FMConfig(hidden_sizes=[8, 8], epochs=3, bootstrap_count=2, batch_size=16)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import noiseless, usable_cores
-from dvfsflow import agent, files, flow, forest, nets, orchestrate
+from dvfsflow import agent, files, forest, nets
 from dvfsflow.agent import AgentConfig, ReplayMemory
 from dvfsflow.errors import DomainError, InsufficientDataError, NumericError
 from dvfsflow.evalkit import empirical_regret, wasserstein1
@@ -1333,14 +1333,107 @@ def test_regret_oracle_rejects_non_positive_power_like_the_loop():
 
 # ---------------------------------------------------------------- CSV files
 
-# ``dvfsflow.files`` builds each file as one string and reads it an array at a
-# time; the row-at-a-time csv functions in ``flow`` and ``orchestrate`` are its
-# references.  A read matches when both give the same bits, or both raise the
-# same exception type with the same message.
+# ``dvfsflow.files`` builds each file as one string and reads it a column or an
+# array at a time; the row-at-a-time csv functions below, which ``flow`` and
+# ``orchestrate`` held before ``files`` took the format over, are its references.
+# A read matches when both give the same bits, or both raise the same exception
+# type with the same message.
+
+_LOSS_COLUMNS = ("agent_loss", "fm_loss")               # empty before the first update
+
+
+def _ref_save_batch_csv(matrix: np.ndarray, path: str) -> None:
+    """Write an (n, 11) batch with the canonical column header."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[1] != TRANSITION_DIM:
+        raise DomainError(f"batch must have {TRANSITION_DIM} columns")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRANSITION_LABELS)
+        # csv writes each float as its repr; one row at a time keeps no copy of the batch
+        writer.writerows(row.tolist() for row in matrix)
+
+
+def _ref_load_batch_csv(path: str) -> np.ndarray:
+    """Read a batch written by :func:`_ref_save_batch_csv`.  A wrong header, a row
+    without 11 cells or a cell that is not a number raises
+    :class:`DomainError` naming the path and line."""
+    rows = []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != TRANSITION_LABELS:
+            raise DomainError(f"unexpected column header in {path}")
+        for row in reader:
+            if len(row) != TRANSITION_DIM:
+                raise DomainError(f"{path} line {reader.line_num}: expected "
+                                  f"{TRANSITION_DIM} cells, got {len(row)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise DomainError(f"{path} line {reader.line_num}: {exc}") from None
+    if not rows:
+        return np.empty((0, TRANSITION_DIM))
+    return np.array(rows, dtype=np.float64)
+
+
+def _ref_runlog_to_csv(log: RunLog, path: str) -> None:
+    """One row per step with the pinned column set; ``csv`` writes each float
+    as its repr and each None (a loss before the first update) as an empty cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RUNLOG_COLUMNS)
+        writer.writerows(
+            (t, *s, a, r, eps, q, agent_loss, fm_loss)
+            for t, s, a, r, eps, q, agent_loss, fm_loss in zip(
+                log.t, log.states, log.actions, log.rewards, log.epsilons, log.max_q,
+                log.agent_loss, log.fm_loss))
+
+
+def _ref_runlog_from_csv(path: str, method: str = "", seed: int = -1) -> RunLog:
+    """Rebuild the per-step record from a CSV written by :func:`_ref_runlog_to_csv`.
+
+    A row without 11 cells or a non-numeric cell raises :class:`DomainError`
+    and a NaN/inf cell :class:`NumericError`, each naming the path and line;
+    empty loss cells read as None.  A file with no rows raises
+    :class:`DomainError` naming the path.
+    """
+    log = RunLog(method=method, seed=seed, config={})
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != RUNLOG_COLUMNS:
+            raise DomainError(f"unexpected run-log header in {path}")
+        for cells in reader:
+            where = f"{path} line {reader.line_num}"
+            if len(cells) != len(RUNLOG_COLUMNS):
+                raise DomainError(
+                    f"{where}: expected {len(RUNLOG_COLUMNS)} cells, got {len(cells)}")
+            row = dict(zip(RUNLOG_COLUMNS, cells))
+            try:
+                t, action = int(row["t"]), int(row["action"])
+                v = {k: float(c) if c or k not in _LOSS_COLUMNS else None
+                     for k, c in row.items()}
+            except ValueError as exc:
+                raise DomainError(f"{where}: {exc}") from None
+            bad = [k for k, x in v.items() if x is not None and not np.isfinite(x)]
+            if bad:
+                raise NumericError(f"{where}: NaN/inf in run-log column(s) {', '.join(bad)}")
+            log.t.append(t)
+            log.states.append(ProcessorState(v["fps"], v["freq"], v["power"], v["temp"]))
+            log.actions.append(action)
+            log.rewards.append(v["reward"])
+            log.epsilons.append(v["epsilon"])
+            log.max_q.append(v["max_q"])
+            log.agent_loss.append(v["agent_loss"])
+            log.fm_loss.append(v["fm_loss"])
+    if not log.t:
+        raise DomainError(f"{path}: the run log holds no steps")
+    return log
+
 
 FILE_CODECS = {                 # loader: (columns, new, reference)
-    "batch": (TRANSITION_LABELS, files.load_batch_csv, flow.load_batch_csv),
-    "runlog": (RUNLOG_COLUMNS, files.runlog_from_csv, orchestrate.runlog_from_csv),
+    "batch": (TRANSITION_LABELS, files.load_batch_csv, _ref_load_batch_csv),
+    "runlog": (RUNLOG_COLUMNS, files.runlog_from_csv, _ref_runlog_from_csv),
 }
 
 
@@ -1438,6 +1531,9 @@ def test_csv_loaders_fail_on_a_field_over_the_csv_limit_like_the_csv_module(tmp_
     try:
         _assert_reads_alike(tmp_path, _file(_row(), _row(c2="2." + "5" * 60)))
         _assert_reads_alike(tmp_path, _file(_row(), _row(c2="2." + "5" * 30)))
+        # a bad row above the long field is named first, as a row-at-a-time read names it
+        _assert_reads_alike(tmp_path, _file(_row(c2="x"), _row(c2="2." + "5" * 60)))
+        _assert_reads_alike(tmp_path, _file(_row(c2="nan"), _row(c2="2." + "5" * 60)))
     finally:
         csv.field_size_limit(limit)
 
@@ -1446,8 +1542,8 @@ def test_csv_loaders_read_the_files_the_writers_write_without_the_line_pass(tmp_
                                                                           monkeypatch):
     def line_pass(*args):
         raise AssertionError("the line-by-line pass read a well-formed file")
-    monkeypatch.setattr(flow, "load_batch_csv", line_pass)
-    monkeypatch.setattr(orchestrate, "runlog_from_csv", line_pass)
+    monkeypatch.setattr(files, "_parse_batch", line_pass)
+    monkeypatch.setattr(files, "_check_runlog_rows", line_pass)
     batch = np.random.default_rng(0).normal(size=(50, TRANSITION_DIM))
     files.save_batch_csv(batch, str(tmp_path / "batch.csv"))
     assert files.load_batch_csv(str(tmp_path / "batch.csv")).tobytes() == batch.tobytes()
@@ -1471,10 +1567,10 @@ def test_batch_files_bytes_equal_csv_writer_and_round_trip_bit_equal(tmp_path_fa
     tmp = tmp_path_factory.mktemp("batch")
     new, ref = str(tmp / "new.csv"), str(tmp / "ref.csv")
     files.save_batch_csv(matrix, new)
-    flow.save_batch_csv(matrix, ref)
+    _ref_save_batch_csv(matrix, ref)
     with open(new, "rb") as a, open(ref, "rb") as b:
         assert a.read() == b.read()
-    got, want = files.load_batch_csv(new), flow.load_batch_csv(ref)
+    got, want = files.load_batch_csv(new), _ref_load_batch_csv(ref)
     assert got.dtype == want.dtype and got.shape == want.shape == matrix.shape
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(got, matrix, equal_nan=True)
@@ -1483,11 +1579,11 @@ def test_batch_files_bytes_equal_csv_writer_and_round_trip_bit_equal(tmp_path_fa
 def test_batch_files_of_a_list_or_a_wrong_shape_match_the_csv_writer(tmp_path):
     rows = [[float(i)] * TRANSITION_DIM for i in range(3)]
     files.save_batch_csv(rows, str(tmp_path / "new.csv"))
-    flow.save_batch_csv(rows, str(tmp_path / "ref.csv"))
+    _ref_save_batch_csv(rows, str(tmp_path / "ref.csv"))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     for bad in (np.zeros(TRANSITION_DIM), np.zeros((2, TRANSITION_DIM - 1))):
         with pytest.raises(DomainError) as want:
-            flow.save_batch_csv(bad, str(tmp_path / "x.csv"))
+            _ref_save_batch_csv(bad, str(tmp_path / "x.csv"))
         with pytest.raises(DomainError) as got:
             files.save_batch_csv(bad, str(tmp_path / "y.csv"))
         assert str(got.value) == str(want.value)
@@ -1517,11 +1613,11 @@ def test_run_log_files_bytes_equal_csv_writer_and_read_alike(tmp_path_factory, l
     tmp = tmp_path_factory.mktemp("runlog")
     new, ref = str(tmp / "new.csv"), str(tmp / "ref.csv")
     files.runlog_to_csv(log, new)
-    orchestrate.runlog_to_csv(log, ref)
+    _ref_runlog_to_csv(log, ref)
     with open(new, "rb") as a, open(ref, "rb") as b:
         assert a.read() == b.read()
     got = _read_outcome(lambda p: files.runlog_from_csv(p, "dfm", 3), new)
-    assert got == _read_outcome(lambda p: orchestrate.runlog_from_csv(p, "dfm", 3), new)
+    assert got == _read_outcome(lambda p: _ref_runlog_from_csv(p, "dfm", 3), new)
 
 
 def test_run_log_file_of_a_run_bytes_equal_csv_writer_and_reads_back(tmp_path):
@@ -1531,11 +1627,10 @@ def test_run_log_file_of_a_run_bytes_equal_csv_writer_and_reads_back(tmp_path):
                          FMConfig(hidden_sizes=[8], epochs=2), ForestConfig(n_trees=2))
     assert None in log.agent_loss and None in log.fm_loss
     files.runlog_to_csv(log, str(tmp_path / "new.csv"))
-    orchestrate.runlog_to_csv(log, str(tmp_path / "ref.csv"))
+    _ref_runlog_to_csv(log, str(tmp_path / "ref.csv"))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     back = files.runlog_from_csv(str(tmp_path / "new.csv"), "pure_fm", 0)
-    assert repr(back) == repr(orchestrate.runlog_from_csv(str(tmp_path / "ref.csv"),
-                                                          "pure_fm", 0))
+    assert repr(back) == repr(_ref_runlog_from_csv(str(tmp_path / "ref.csv"), "pure_fm", 0))
     assert back.states == log.states and back.agent_loss == log.agent_loss
 
 

@@ -14,8 +14,8 @@ from dvfsflow import forest, nets, spread as spread_mod
 from dvfsflow.cli import main
 from dvfsflow.config import config_from_dict
 from dvfsflow.errors import StateError
-from dvfsflow.flow import save_batch_csv
-from dvfsflow.orchestrate import run_experiment, runlog_to_csv
+from dvfsflow.files import runlog_to_csv, save_batch_csv
+from dvfsflow.orchestrate import run_experiment
 from dvfsflow.spread import spread
 
 

@@ -30,17 +30,19 @@ def test_evalkit_imports_only_the_errors_of_the_package():
     assert found == ["errors"]
 
 
+def _imports(node, name: str) -> bool:
+    """Whether ``node`` imports the sibling module ``name`` or a name of it."""
+    if not (isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "dvfsflow")):
+        return False
+    return (node.module or "").split(".")[-1] == name or any(a.name == name for a in node.names)
+
+
 def _importers(name: str) -> list[str]:
     """The package files that import the sibling module ``name`` or a name of it."""
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and (
-                    node.level or (node.module or "").split(".")[0] == "dvfsflow"):
-                module = (node.module or "").split(".")[-1]
-                if module == name or any(a.name == name for a in node.names):
-                    found.append(path.name)
-    return found
+    return [path.name for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if _imports(node, name)]
 
 
 def test_only_the_cli_imports_spread():
@@ -49,19 +51,32 @@ def test_only_the_cli_imports_spread():
 
 
 def test_only_the_cli_imports_files():
-    # the CSV files are the CLI's; no module that ``import dvfsflow`` loads needs them
-    assert _importers("files") == ["cli.py"]
+    # the CSV files are the CLI's; no module that ``import dvfsflow`` loads needs them.
+    # Four one-call functions import it when called, for the benchmark in perfbench/.
+    at_top, in_functions = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        at_top += [path.name for node in tree.body if _imports(node, "files")]
+        in_functions += [f"{path.name}: {fn.name}" for fn in tree.body
+                         if isinstance(fn, ast.FunctionDef)
+                         for node in ast.walk(fn) if _imports(node, "files")]
+    assert at_top == ["cli.py"]
+    assert in_functions == ["flow.py: save_batch_csv", "flow.py: load_batch_csv",
+                            "orchestrate.py: runlog_to_csv", "orchestrate.py: runlog_from_csv"]
+    assert len(_importers("files")) == len(at_top) + len(in_functions)     # and nowhere else
 
 
 def test_importing_the_package_and_its_config_loads_neither_files_nor_the_cli():
+    # nor ``csv``, which only ``files`` and the CLI use
     code = ("import sys, dvfsflow, dvfsflow.config; "
-            "print(sorted(m for m in sys.modules if m.startswith('dvfsflow')))")
+            "print(sorted(m for m in sys.modules if m.startswith('dvfsflow') or m == 'csv'))")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     loaded = ast.literal_eval(out)
     assert "dvfsflow.config" in loaded
     assert "dvfsflow.files" not in loaded and "dvfsflow.cli" not in loaded
+    assert "csv" not in loaded
 
 
 def test_the_cli_reads_and_writes_its_files_through_files():
