@@ -24,6 +24,14 @@ Every command reads and writes its batch CSVs and run logs through
 :mod:`dvfsflow.files`, the one module that holds their format.  The functions
 of the same names in ``flow`` and ``orchestrate`` only call it and remain for
 the benchmark in ``perfbench/``; importing ``dvfsflow`` does not load ``files``.
+
+``report`` makes one pass over the manifest's runs and holds one run's files
+at a time: each run's run log, real batch, then synthetic batch, whose batches
+are dropped before the next run is read.  It keeps the per-run rows, the first
+fps values of each dfm and model_free run for ``early_fps_gain``, and the log,
+regret trace and correlation matrices of each method's first seed, which the
+figures reuse; ``runs[0]``'s real batch is read after the loop only if the loop
+did not read it.  Every file is read and checked before ``report/`` is made.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from .config import (ExperimentConfig, config_from_dict, config_to_dict, dump_co
 from .errors import (ConfigurationError, DomainError, InsufficientDataError,
                      NumericError, StateError)
 from .evalkit import (corr_gap, corr_gap_excluded_count, early_fps_gain,
-                      empirical_regret, pearson_matrix, qvalue_stability,
+                      empirical_regret, median, pearson_matrix, qvalue_stability,
                       wasserstein1)
 from .files import load_batch_csv, runlog_from_csv, runlog_to_csv, save_batch_csv
 from .flow import TRANSITION_LABELS, TransitionLayout, canonical_rows, check_finite
@@ -106,11 +114,41 @@ def _run_one(cfg: ExperimentConfig, job: tuple[str, int]) -> tuple[dict, str]:
                    f"mean reward {summary['mean_reward']:.3f}")
 
 
+def _why_never_retrains(sched) -> Optional[str]:
+    """Why a generator method never retrains under schedule ``sched``, naming the
+    fields at fault, or None if it does.  A run retrains at a multiple i of
+    ``fm_retrain_period`` below ``horizon`` where ``can_train(i, min(i,
+    real_capacity))`` holds, which only gets easier as i grows, so the last such
+    multiple decides."""
+    period, horizon = sched.fm_retrain_period, sched.horizon
+    last = (horizon - 1) // period * period
+    held = min(last, sched.real_capacity)
+    if not last:
+        return (f"schedule.fm_retrain_period = {period} has no multiple below "
+                f"schedule.horizon = {horizon}")
+    if sched.can_train(last, held):
+        return None
+    faults = []
+    if last <= sched.batch_size:
+        faults.append(f"has taken {last} transitions, not more than schedule.batch_size = "
+                      f"{sched.batch_size}")
+    if held < sched.fm_train_start:
+        faults.append(f"holds {held} (schedule.real_capacity = {sched.real_capacity}), "
+                      f"fewer than schedule.fm_train_start = {sched.fm_train_start}")
+    return (f"at step {last}, the last multiple of schedule.fm_retrain_period = {period} "
+            f"below schedule.horizon = {horizon}, the real memory " + " and ".join(faults))
+
+
 def cmd_run(args) -> int:
     cfg = _load_experiment_config(args)
     if args.print_config:
         print(dump_config(cfg))
         return 0
+    generators = [m for m in cfg.methods if METHODS[m]]
+    why = _why_never_retrains(cfg.schedule) if generators else None
+    if why:
+        print(f"warning: {', '.join(generators)} will not retrain (they run as "
+              f"model_free): {why}", file=sys.stderr)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "effective_config.json"), "w", encoding="utf-8") as fh:
@@ -165,16 +203,24 @@ def cmd_gen(args) -> int:
 
 # ---------------------------------------------------------------- eval
 
-def _eval_batches(real: np.ndarray, synth: np.ndarray) -> dict:
+def _correlations(batch: np.ndarray) -> Optional[np.ndarray]:
+    """The Pearson matrix of a batch, or None for a batch of fewer than 2 rows."""
+    return pearson_matrix(batch) if len(batch) >= 2 else None
+
+
+def _eval_batches(real: np.ndarray, synth: np.ndarray,
+                  m_real: Optional[np.ndarray] = None,
+                  m_synth: Optional[np.ndarray] = None) -> dict:
     """Correlation gap, per-feature W1 and spread ratios of a synthetic batch
     against real rows.  A real column has zero variance when all its values are
     equal (the NaN diagonal of its Pearson matrix); it is listed in
     ``zero_variance_real``, left out of the gap, and its ``std_ratio`` is None.
     A batch of fewer than 2 rows has no correlations, so ``corr_gap`` and
     ``corr_excluded_entries`` are None then, and one real row has no spread in
-    any column."""
-    m_real = pearson_matrix(real) if len(real) >= 2 else None
-    m_synth = pearson_matrix(synth) if len(synth) >= 2 else None
+    any column.  ``m_real`` and ``m_synth`` are the batches' :func:`_correlations`
+    where the caller has them; they are computed here otherwise."""
+    m_real = _correlations(real) if m_real is None else m_real
+    m_synth = _correlations(synth) if m_synth is None else m_synth
     paired = m_real is not None and m_synth is not None
     per_feature_w1 = {lab: wasserstein1(real[:, i], synth[:, i])
                       for i, lab in enumerate(TRANSITION_LABELS)}
@@ -217,6 +263,9 @@ def cmd_eval(args) -> int:
 
 # per-run metrics: the per_run rows, the per-method medians and the metrics.csv columns
 _RUN_METRICS = ("mean_fps", "mean_reward", "qvalue_stability", "final_regret")
+
+# early_fps_gain compares at most this many first steps of a dfm and a model_free run
+_GAIN_WINDOW = 50
 
 # line figures of the first seed of each method: file, title, y-label, series
 _LINE_FIGURES = (
@@ -267,33 +316,56 @@ def _load_manifest(path: str) -> dict:
     return manifest
 
 
+def _report_run(run_dir: str, entry: dict, oracle) -> tuple:
+    """Read one run: its run log, then its real and synthetic batches if it has
+    the latter.  Returns its per_run row, log and regret trace, and the (rows,
+    correlations) of its real and synthetic batches (None without a synthetic
+    batch); the batches themselves are dropped on return."""
+    method, seed, files = entry["method"], entry["seed"], entry["files"]
+    log = runlog_from_csv(os.path.join(run_dir, files["runlog"]), method, seed)
+    regret = empirical_regret(log, oracle)
+    try:
+        stability = qvalue_stability(log)
+    except InsufficientDataError:       # a run too short to estimate it
+        stability = None
+    metrics = (float(np.mean([s.fps for s in log.states])), float(np.mean(log.rewards)),
+               stability, float(regret[-1]))            # in _RUN_METRICS order
+    row = {"method": method, "seed": seed, **dict(zip(_RUN_METRICS, metrics))}
+    if not files.get("synth"):
+        return row, log, regret, None, None
+    real = _load_finite_batch(os.path.join(run_dir, files["real"]))
+    synth = _load_finite_batch(os.path.join(run_dir, files["synth"]))
+    m_real, m_synth = _correlations(real), _correlations(synth)
+    row["eval"] = _eval_batches(real, synth, m_real, m_synth)
+    return row, log, regret, (len(real), m_real), (len(synth), m_synth)
+
+
 def cmd_report(args) -> int:
     run_dir = args.run_dir
     manifest = _load_manifest(os.path.join(run_dir, "manifest.json"))
     report_dir = os.path.join(run_dir, "report")
+    runs = manifest["runs"]
 
     env = config_from_dict(manifest["config"]).env
     oracle = regret_oracle(env)
-    # each CSV is read and checked once; the figures reuse the batches
-    batch = functools.cache(lambda name: _load_finite_batch(os.path.join(run_dir, name)))
+    # one pass over the runs, each read and checked once and its batches dropped
+    # before the next; the figures reuse the correlation matrices of the first seed
+    first_seed = runs[0]["seed"]
     per_run = []
-    logs = {}
-    for entry in manifest["runs"]:
-        method, seed = entry["method"], entry["seed"]
-        files = entry["files"]
-        log = runlog_from_csv(os.path.join(run_dir, files["runlog"]), method, seed)
-        regret = empirical_regret(log, oracle)
-        logs[(method, seed)] = (log, files, regret)
-        try:
-            stability = qvalue_stability(log)
-        except InsufficientDataError:       # a run too short to estimate it
-            stability = None
-        metrics = (float(np.mean([s.fps for s in log.states])), float(np.mean(log.rewards)),
-                   stability, float(regret[-1]))            # in _RUN_METRICS order
-        row = {"method": method, "seed": seed, **dict(zip(_RUN_METRICS, metrics))}
-        if files.get("synth"):
-            row["eval"] = _eval_batches(batch(files["real"]), batch(files["synth"]))
+    firsts = {}         # method: (log, regret, synthetic batch name, its (rows, correlations))
+    heads = {}          # (method, seed): the first fps values of a dfm or model_free run
+    real_first = None   # the (rows, correlations) of runs[0]'s real batch
+    for i, entry in enumerate(runs):
+        row, log, regret, real_batch, synth_batch = _report_run(run_dir, entry, oracle)
         per_run.append(row)
+        method, seed = row["method"], row["seed"]
+        if i == 0:
+            real_first = real_batch
+        if seed == first_seed:
+            firsts[method] = (log, regret, entry["files"].get("synth"), synth_batch)
+        if method in ("dfm", "model_free"):
+            heads[(method, seed)] = [s.fps for s in log.states[:_GAIN_WINDOW]]
+        del log, regret         # not held while the next run is read
 
     methods = sorted({r["method"] for r in per_run})
     medians: dict[str, dict] = {}
@@ -302,43 +374,44 @@ def cmd_report(args) -> int:
         medians[method] = {}
         for key in _RUN_METRICS:
             present = [r[key] for r in rows if r[key] is not None]
-            medians[method][key] = float(np.median(present)) if present else None
+            medians[method][key] = median(present) if present else None
         evals = [r["eval"] for r in rows if "eval" in r]
         if evals:
             gaps = [e["corr_gap"] for e in evals if e["corr_gap"] is not None]
-            medians[method]["corr_gap"] = float(np.median(gaps)) if gaps else None
+            medians[method]["corr_gap"] = median(gaps) if gaps else None
 
     gains = {}
     # the seeds both methods ran
-    seeds = sorted({s for m, s in logs if m == "dfm"} & {s for m, s in logs if m == "model_free"})
+    seeds = sorted({s for m, s in heads if m == "dfm"}
+                   & {s for m, s in heads if m == "model_free"})
     if seeds:
-        window = min(50, min(len(logs[(m, s)][0].t) for m in ("dfm", "model_free")
-                             for s in seeds))
-        vals = [early_fps_gain(logs[("dfm", s)][0], logs[("model_free", s)][0],
-                               window=window) for s in seeds]
-        gains = {"window": window, "per_seed": vals, "median": float(np.median(vals))}
+        window = min(len(heads[(m, s)]) for m in ("dfm", "model_free") for s in seeds)
+        vals = [early_fps_gain(heads[("dfm", s)], heads[("model_free", s)], window=window)
+                for s in seeds]
+        gains = {"window": window, "per_seed": vals, "median": median(vals)}
 
     # figures from the first seed of each method; a batch of one row has no
     # correlations, so its heatmap is skipped and listed in report.json
-    first_seed = manifest["runs"][0]["seed"]
-    firsts = {m: logs[(m, first_seed)] for m in methods if (m, first_seed) in logs}
-    heatmaps = [(files["synth"], f"corr_{method}.svg", f"synthetic correlations: {method}")
-                for method, (_, files, _) in firsts.items() if files.get("synth")]
-    heatmaps.append((manifest["runs"][0]["files"]["real"], "corr_real.svg",
-                     "real-data correlations"))
+    firsts = {m: firsts[m] for m in methods if m in firsts}
+    heatmaps = [(name, synth, f"corr_{method}.svg", f"synthetic correlations: {method}")
+                for method, (_, _, name, synth) in firsts.items() if name]
+    real_name = runs[0]["files"]["real"]
+    if real_first is None:      # runs[0] has no synthetic batch, so the loop left its real one
+        batch = _load_finite_batch(os.path.join(run_dir, real_name))
+        real_first = (len(batch), _correlations(batch))
+    heatmaps.append((real_name, real_first, "corr_real.svg", "real-data correlations"))
     # every file is read and checked before report/ exists, so a failed report leaves none
-    heatmaps = [(name, batch(name), figure, title) for name, figure, title in heatmaps]
     os.makedirs(report_dir, exist_ok=True)
     skipped = []
-    for name, rows, figure, title in heatmaps:
-        if len(rows) < 2:
-            skipped.append({"figure": figure, "reason": f"{name} holds {len(rows)} row(s); "
+    for name, (n_rows, matrix), figure, title in heatmaps:
+        if matrix is None:
+            skipped.append({"figure": figure, "reason": f"{name} holds {n_rows} row(s); "
                                                         "correlations need at least 2"})
             continue
-        report.svg_heatmap(pearson_matrix(rows), TRANSITION_LABELS,
-                           os.path.join(report_dir, figure), title=title)
+        report.svg_heatmap(matrix, TRANSITION_LABELS, os.path.join(report_dir, figure),
+                           title=title)
     for figure, title, ylabel, series in _LINE_FIGURES:
-        report.svg_lines({m: series(log, regret) for m, (log, _, regret) in firsts.items()},
+        report.svg_lines({m: series(log, regret) for m, (log, regret, _, _) in firsts.items()},
                          os.path.join(report_dir, figure), title=title, ylabel=ylabel)
 
     payload = {"per_run": per_run, "medians": medians, "early_fps_gain": gains}

@@ -7,6 +7,8 @@ finite sum over their merged sorted support, for any two sample sizes.
 :func:`empirical_regret` takes an oracle that maps a sequence of states to the
 array of their best one-step expected rewards, such as
 :func:`orchestrate.regret_oracle` (one :func:`simenv.law` call for them all).
+:func:`median` is ``np.median`` of a list of floats without its ``numpy.ma``
+import.
 
 All functions are pure; the same inputs always give the same outputs.
 A correlation matrix is a plain (d, d) array.  A column has zero variance when
@@ -89,13 +91,30 @@ def empirical_regret(runlog, oracle: Callable[[Sequence], np.ndarray]) -> np.nda
     return np.cumsum(oracle(runlog.states) - np.asarray(runlog.rewards, dtype=np.float64))
 
 
-def early_fps_gain(runlog_a, runlog_b, window: int = 50) -> float:
-    """Ratio of mean fps over the first ``window`` steps of the two runs."""
-    if len(runlog_a.states) < window or len(runlog_b.states) < window:
+def early_fps_gain(fps_a: Sequence[float], fps_b: Sequence[float], window: int = 50) -> float:
+    """Ratio of mean fps over the first ``window`` steps of two runs, given the
+    per-step frame rates of each (at least ``window`` of them)."""
+    if len(fps_a) < window or len(fps_b) < window:
         raise InsufficientDataError(f"both logs must cover {window} steps")
-    fps_a = np.array([s.fps for s in runlog_a.states[:window]])
-    fps_b = np.array([s.fps for s in runlog_b.states[:window]])
-    return float(fps_a.mean() / fps_b.mean())
+    return float(np.array(fps_a[:window]).mean() / np.array(fps_b[:window]).mean())
+
+
+def median(values: Sequence[float]) -> float:
+    """``float(np.median(values))`` of a non-empty sequence of floats, bit for bit
+    and NaN if any value is NaN: the same partition and mean, but without the
+    ``numpy.ma`` import that ``np.median``'s NaN check makes on its first call."""
+    a = np.asarray(values, dtype=np.float64)
+    if a.ndim != 1 or a.size == 0:
+        raise DomainError("median needs a non-empty 1-d sequence")
+    half = a.size // 2
+    if a.size % 2:
+        part = np.partition(a, [half, -1])          # np.median's kth, NaNs sort last
+        middle = part[half:half + 1]
+    else:
+        part = np.partition(a, [half - 1, half, -1])
+        middle = part[half - 1:half + 1]
+    mid = middle.mean()
+    return float(part[-1] if np.isnan(part[-1]) else mid)
 
 
 def qvalue_stability(runlog) -> float:

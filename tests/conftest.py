@@ -1,13 +1,18 @@
 """Helpers shared by the test modules."""
 
+import json
 import os
 from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
+from dvfsflow.config import ExperimentConfig, config_to_dict
+from dvfsflow.files import runlog_to_csv, save_batch_csv
+from dvfsflow.flow import TRANSITION_DIM
 from dvfsflow.nets import MlpParams, loss_and_grads
-from dvfsflow.simenv import EnvConfig, level_table
+from dvfsflow.orchestrate import RunLog
+from dvfsflow.simenv import EnvConfig, ProcessorState, level_table
 
 
 def noiseless(config: EnvConfig) -> EnvConfig:
@@ -62,3 +67,38 @@ def grad_check(params: MlpParams, x: np.ndarray, y: np.ndarray, weights: np.ndar
         denom = max(abs(flat_analytic[i]) + abs(numeric), 1e-8)
         max_rel = max(max_rel, abs(flat_analytic[i] - numeric) / denom)
     return max_rel
+
+
+def write_run_dir(path, runs) -> None:
+    """Fabricate a ``dvfsflow run`` directory under ``path`` for ``report``: for
+    each (method, seed, steps, real_rows, synth_rows) of ``runs``, a run log of
+    ``steps`` random steps and random batches of those sizes (no synthetic batch
+    where ``synth_rows`` is None), named as ``run`` names them, and a manifest
+    that lists the runs in order under the default config."""
+    os.makedirs(path, exist_ok=True)
+    manifest = {"version": 1, "config": config_to_dict(ExperimentConfig()), "runs": []}
+    for k, (method, seed, steps, real_rows, synth_rows) in enumerate(runs):
+        rng = np.random.default_rng([seed, k])
+        tag = f"{method}_seed{seed}"
+        files = {"runlog": f"runlog_{tag}.csv", "real": f"real_{tag}.csv", "synth": None}
+        log = RunLog(method, seed, {}, t=list(range(1, steps + 1)),
+                     states=[ProcessorState(*row) for row in
+                             rng.uniform([5.0, 0.3, 1.0, 30.0], [60.0, 1.0, 9.0, 90.0],
+                                         size=(steps, 4)).tolist()],
+                     actions=rng.integers(0, 12, size=steps).tolist(),
+                     rewards=rng.normal(size=steps).tolist(),
+                     epsilons=rng.uniform(size=steps).tolist(),
+                     max_q=rng.normal(size=steps).tolist(),
+                     agent_loss=[None] * (steps // 2)
+                                + rng.uniform(size=steps - steps // 2).tolist(),
+                     fm_loss=[None] * steps)
+        runlog_to_csv(log, os.path.join(path, files["runlog"]))
+        save_batch_csv(rng.uniform(size=(real_rows, TRANSITION_DIM)),
+                       os.path.join(path, files["real"]))
+        if synth_rows is not None:
+            files["synth"] = f"synth_{tag}.csv"
+            save_batch_csv(rng.uniform(size=(synth_rows, TRANSITION_DIM)),
+                           os.path.join(path, files["synth"]))
+        manifest["runs"].append({"method": method, "seed": seed, "files": files})
+    with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)

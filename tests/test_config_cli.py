@@ -5,11 +5,12 @@ import json
 import multiprocessing
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import usable_cores
+from conftest import usable_cores, write_run_dir
 from dvfsflow import cli, spread
 from dvfsflow.cli import main
 from dvfsflow.config import (ExperimentConfig, config_from_dict, config_to_dict,
@@ -1048,3 +1049,84 @@ def test_one_row_batch_reports_null_correlations(tmp_path, capsys, schedule, ski
     assert min(got["n_real"], got["n_synth"]) == 1
     if got["n_real"] == 1:
         assert got["zero_variance_real"] == TRANSITION_LABELS
+
+
+# each schedule over FAST_SECTIONS, and whether a generator method retrains under it
+RETRAIN_SCHEDULES = [
+    pytest.param({"horizon": 50, "fm_retrain_period": 50}, False, id="period_is_horizon"),
+    pytest.param({"horizon": 1}, False, id="horizon_1"),
+    pytest.param({"horizon": 51, "fm_retrain_period": 50}, True, id="one_multiple_below"),
+    pytest.param({"fm_retrain_period": 20, "batch_size": 40}, False, id="batch_size"),
+    pytest.param({"horizon": 61, "fm_retrain_period": 20, "batch_size": 40}, True,
+                 id="past_batch_size"),
+    pytest.param({"fm_retrain_period": 10, "real_capacity": 20}, False, id="real_capacity"),
+    pytest.param({"fm_retrain_period": 10, "fm_train_start": 51}, False, id="train_start"),
+    pytest.param({"horizon": 61, "fm_retrain_period": 10, "fm_train_start": 51}, True,
+                 id="past_train_start"),
+    pytest.param({"horizon": 40, "fm_retrain_period": 10, "batch_size": 30,
+                  "fm_train_start": 40}, False, id="batch_size_and_train_start"),
+]
+
+
+@pytest.mark.parametrize("schedule,retrains", RETRAIN_SCHEDULES)
+def test_run_warns_exactly_when_a_generator_method_never_retrains(tmp_path, capsys, schedule,
+                                                                   retrains):
+    # such a run used to pass validation and run as model_free without a word
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path, {"methods": ["pure_fm", "model_free"], "seeds": [0],
+                                        "output_dir": str(out),
+                                        "schedule": {**FAST_SECTIONS["schedule"], **schedule}})
+    assert main(["run", "--config", cfg_path]) == 0
+    with open(out / "summary_pure_fm_seed0.json") as fh:
+        assert (json.load(fh)["fm_train_steps"] != []) == retrains
+    err = capsys.readouterr().err
+    if retrains:
+        assert err == ""
+    else:
+        assert err.startswith("warning: pure_fm will not retrain (they run as model_free): ")
+        assert err.count("\n") == 1 and "schedule." in err
+        fields = {k for k in schedule if k != "horizon"} | {"horizon", "fm_retrain_period"}
+        assert all(f"schedule.{k} = " in err for k in fields), err
+
+
+def test_run_warning_names_the_generator_methods_and_the_fields(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, {
+        "methods": ["model_free", "dfm", "model_based"], "seeds": [0],
+        "output_dir": str(tmp_path / "out"),
+        "schedule": {**FAST_SECTIONS["schedule"], "horizon": 40, "fm_retrain_period": 10,
+                     "batch_size": 30, "fm_train_start": 40}})
+    assert main(["run", "--config", cfg_path]) == 0
+    assert capsys.readouterr().err == (
+        "warning: dfm, model_based will not retrain (they run as model_free): at step 30, the "
+        "last multiple of schedule.fm_retrain_period = 10 below schedule.horizon = 40, the "
+        "real memory has taken 30 transitions, not more than schedule.batch_size = 30 and "
+        "holds 30 (schedule.real_capacity = 500), fewer than schedule.fm_train_start = 40\n")
+
+
+def test_run_of_model_free_alone_never_warns(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, {"methods": ["model_free"], "seeds": [0],
+                                        "output_dir": str(tmp_path / "out"),
+                                        "schedule": {"horizon": 5}})
+    assert main(["run", "--config", cfg_path]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _report_peak(run_dir) -> int:
+    """The tracemalloc peak, in bytes, of a report of ``run_dir``."""
+    tracemalloc.start()
+    try:
+        assert main(["report", "--run-dir", str(run_dir)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_report_memory_does_not_grow_with_the_run_count(tmp_path, capsys):
+    # the report holds one run's batches at a time; it used to keep every batch it
+    # read until it returned, 0.44 MB for each of these 5,000-row batches
+    runs = [("dfm", seed, 200, 5000, 5000) for seed in range(8)]
+    write_run_dir(tmp_path / "two", runs[:2])
+    write_run_dir(tmp_path / "eight", runs)
+    _report_peak(tmp_path / "two")          # the first report's imports and caches
+    two, eight = _report_peak(tmp_path / "two"), _report_peak(tmp_path / "eight")
+    assert eight <= two + 100_000, (two, eight)

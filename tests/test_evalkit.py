@@ -1,12 +1,16 @@
 """Metric kit: Pearson matrices, correlation gap, W1, fps gain, Q stability."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvfsflow.cli import _eval_batches
 from dvfsflow.config import EnvConfig
 from dvfsflow.errors import DomainError, InsufficientDataError
-from dvfsflow.evalkit import (corr_gap, corr_gap_excluded_count, early_fps_gain,
+from dvfsflow.evalkit import (corr_gap, corr_gap_excluded_count, early_fps_gain, median,
                               empirical_regret, pearson_matrix, qvalue_stability,
                               wasserstein1)
 from dvfsflow.flow import TRANSITION_LABELS
@@ -159,10 +163,9 @@ def test_empirical_regret_calls_the_oracle_once():
     assert calls == [4]
 
 
-def _log_with(fps=None, max_q=None, rewards=None):
-    n = len(fps or max_q or rewards)
-    states = [ProcessorState(fps=(fps[i] if fps else 50.0), freq=0.5, power=5.0,
-                             temp=40.0) for i in range(n)]
+def _log_with(max_q=None, rewards=None):
+    n = len(max_q or rewards)
+    states = [ProcessorState(fps=50.0, freq=0.5, power=5.0, temp=40.0) for _ in range(n)]
     return RunLog(method="model_free", seed=0, config={}, t=list(range(1, n + 1)),
                   states=states,
                   rewards=list(rewards) if rewards else [0.0] * n,
@@ -179,12 +182,12 @@ def test_empirical_regret_trace():
 
 
 def test_early_fps_gain():
-    a = _log_with(fps=[60.0] * 60)
-    b = _log_with(fps=[30.0] * 60)
+    a, b = [60.0] * 60, [30.0] * 60
     assert early_fps_gain(a, a, window=50) == 1.0
     assert early_fps_gain(a, b, window=50) == pytest.approx(2.0)
+    assert early_fps_gain([1.0] * 50 + [9.0] * 10, b, window=50) == 1 / 30
     with pytest.raises(InsufficientDataError):
-        early_fps_gain(_log_with(fps=[1.0] * 10), a, window=50)
+        early_fps_gain([1.0] * 10, a, window=50)
 
 
 def test_qvalue_stability():
@@ -196,3 +199,33 @@ def test_qvalue_stability():
     assert qvalue_stability(shifted) == pytest.approx(1.0)
     with pytest.raises(InsufficientDataError):
         qvalue_stability(_log_with(max_q=[1.0] * 4))
+
+
+# a few distinct values, so that duplicates and ties of +0.0 and -0.0 are common
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_MEDIAN_LISTS = st.lists(st.one_of(_FLOATS, st.sampled_from([0.0, -0.0, 1.5, -2.0])),
+                         min_size=1, max_size=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=_MEDIAN_LISTS)
+def test_median_bit_equals_numpy_median(values):
+    with np.errstate(over="ignore"):        # two values near the float maximum sum to inf
+        want = float(np.median(values))
+        got = median(values)
+    assert got.hex() == want.hex(), (values, got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_MEDIAN_LISTS, at=st.integers(min_value=0), sign=st.sampled_from([1.0, -1.0]))
+def test_median_is_nan_when_any_value_is_nan(values, at, sign):
+    values.insert(at % (len(values) + 1), math.copysign(math.nan, sign))
+    with np.errstate(over="ignore"):
+        assert math.isnan(float(np.median(values)))
+        assert math.isnan(median(values))
+
+
+@pytest.mark.parametrize("values", [[], [[1.0, 2.0]]])
+def test_median_needs_a_non_empty_sequence(values):
+    with pytest.raises(DomainError, match="non-empty 1-d"):
+        median(values)

@@ -1,6 +1,7 @@
 """The flow, forest, codec, replay memory, Q-step, ODE sampler, W1, simulator-law and
-regret-oracle hot paths against plain loop versions of the same arithmetic, and the
-CLI's CSV files against the csv-module functions they replace.
+regret-oracle hot paths against plain loop versions of the same arithmetic, the
+CLI's CSV files against the csv-module functions they replace, and the one-pass
+report against the report that held every run.
 
 The references below are straightforward per-layer, per-column and recursive
 implementations.  The production code batches them into fewer numpy calls
@@ -10,8 +11,13 @@ one sum over the merged support, which numpy adds pairwise and the loop
 reference (and scipy) in other orders, so they agree to 1e-12 relative.
 """
 
+import argparse
 import csv
+import functools
+import os
+import shutil
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -20,11 +26,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import noiseless, usable_cores
-from dvfsflow import agent, files, forest, nets
+from conftest import noiseless, usable_cores, write_run_dir
+from dvfsflow import agent, cli, files, forest, nets, report
 from dvfsflow.agent import AgentConfig, ReplayMemory
-from dvfsflow.errors import DomainError, InsufficientDataError, NumericError
-from dvfsflow.evalkit import empirical_regret, wasserstein1
+from dvfsflow.cli import (_LINE_FIGURES, _RUN_METRICS, _eval_batches, _load_finite_batch,
+                          _load_manifest, _write_json)
+from dvfsflow.config import config_from_dict
+from dvfsflow.errors import ConfigurationError, DomainError, InsufficientDataError, NumericError
+from dvfsflow.evalkit import empirical_regret, pearson_matrix, qvalue_stability, wasserstein1
 from dvfsflow.flow import (TRANSITION_DIM, TRANSITION_LABELS, CfmBatches, FMConfig,
                            Normalizer, TransitionLayout, canonical_rows, check_finite,
                            encode_transition, generate_raw, init_flow_model,
@@ -1649,3 +1658,188 @@ def test_csv_loaders_read_fuzzed_cells_like_the_csv_module(tmp_path_factory, row
                                                             final):
     content = _file(*map(",".join, rows), end=end, final=final)
     _assert_reads_alike(tmp_path_factory.mktemp("fuzz"), content)
+
+
+# ---------------------------------------------------------------- report
+
+# ``cli.cmd_report`` makes one pass over the runs and drops each run's batches
+# before it reads the next; the reference below is the report that kept every
+# batch it read (a ``functools.cache``) and every run log until it returned,
+# with the ``early_fps_gain`` of run logs and ``np.median`` it used.
+# Both must write the same bytes, or raise the same exception with the same
+# message, from the same first bad file, and leave no report/ then.
+
+def _ref_early_fps_gain(runlog_a, runlog_b, window: int = 50) -> float:
+    """Ratio of mean fps over the first ``window`` steps of the two runs."""
+    if len(runlog_a.states) < window or len(runlog_b.states) < window:
+        raise InsufficientDataError(f"both logs must cover {window} steps")
+    fps_a = np.array([s.fps for s in runlog_a.states[:window]])
+    fps_b = np.array([s.fps for s in runlog_b.states[:window]])
+    return float(fps_a.mean() / fps_b.mean())
+
+
+def _ref_cmd_report(args) -> int:
+    run_dir = args.run_dir
+    manifest = _load_manifest(os.path.join(run_dir, "manifest.json"))
+    report_dir = os.path.join(run_dir, "report")
+
+    env = config_from_dict(manifest["config"]).env
+    oracle = regret_oracle(env)
+    # each CSV is read and checked once; the figures reuse the batches
+    batch = functools.cache(lambda name: _load_finite_batch(os.path.join(run_dir, name)))
+    per_run = []
+    logs = {}
+    for entry in manifest["runs"]:
+        method, seed = entry["method"], entry["seed"]
+        files = entry["files"]
+        log = cli.runlog_from_csv(os.path.join(run_dir, files["runlog"]), method, seed)
+        regret = empirical_regret(log, oracle)
+        logs[(method, seed)] = (log, files, regret)
+        try:
+            stability = qvalue_stability(log)
+        except InsufficientDataError:       # a run too short to estimate it
+            stability = None
+        metrics = (float(np.mean([s.fps for s in log.states])), float(np.mean(log.rewards)),
+                   stability, float(regret[-1]))            # in _RUN_METRICS order
+        row = {"method": method, "seed": seed, **dict(zip(_RUN_METRICS, metrics))}
+        if files.get("synth"):
+            row["eval"] = _eval_batches(batch(files["real"]), batch(files["synth"]))
+        per_run.append(row)
+
+    methods = sorted({r["method"] for r in per_run})
+    medians: dict[str, dict] = {}
+    for method in methods:
+        rows = [r for r in per_run if r["method"] == method]
+        medians[method] = {}
+        for key in _RUN_METRICS:
+            present = [r[key] for r in rows if r[key] is not None]
+            medians[method][key] = float(np.median(present)) if present else None
+        evals = [r["eval"] for r in rows if "eval" in r]
+        if evals:
+            gaps = [e["corr_gap"] for e in evals if e["corr_gap"] is not None]
+            medians[method]["corr_gap"] = float(np.median(gaps)) if gaps else None
+
+    gains = {}
+    # the seeds both methods ran
+    seeds = sorted({s for m, s in logs if m == "dfm"} & {s for m, s in logs if m == "model_free"})
+    if seeds:
+        window = min(50, min(len(logs[(m, s)][0].t) for m in ("dfm", "model_free")
+                             for s in seeds))
+        vals = [_ref_early_fps_gain(logs[("dfm", s)][0], logs[("model_free", s)][0],
+                                    window=window) for s in seeds]
+        gains = {"window": window, "per_seed": vals, "median": float(np.median(vals))}
+
+    # figures from the first seed of each method; a batch of one row has no
+    # correlations, so its heatmap is skipped and listed in report.json
+    first_seed = manifest["runs"][0]["seed"]
+    firsts = {m: logs[(m, first_seed)] for m in methods if (m, first_seed) in logs}
+    heatmaps = [(files["synth"], f"corr_{method}.svg", f"synthetic correlations: {method}")
+                for method, (_, files, _) in firsts.items() if files.get("synth")]
+    heatmaps.append((manifest["runs"][0]["files"]["real"], "corr_real.svg",
+                     "real-data correlations"))
+    # every file is read and checked before report/ exists, so a failed report leaves none
+    heatmaps = [(name, batch(name), figure, title) for name, figure, title in heatmaps]
+    os.makedirs(report_dir, exist_ok=True)
+    skipped = []
+    for name, rows, figure, title in heatmaps:
+        if len(rows) < 2:
+            skipped.append({"figure": figure, "reason": f"{name} holds {len(rows)} row(s); "
+                                                        "correlations need at least 2"})
+            continue
+        report.svg_heatmap(pearson_matrix(rows), TRANSITION_LABELS,
+                           os.path.join(report_dir, figure), title=title)
+    for figure, title, ylabel, series in _LINE_FIGURES:
+        report.svg_lines({m: series(log, regret) for m, (log, _, regret) in firsts.items()},
+                         os.path.join(report_dir, figure), title=title, ylabel=ylabel)
+
+    payload = {"per_run": per_run, "medians": medians, "early_fps_gain": gains}
+    if skipped:
+        payload["skipped_figures"] = skipped
+    _write_json(payload, os.path.join(report_dir, "report.json"))
+
+    columns = ["method", "seed", *_RUN_METRICS]
+    with open(os.path.join(report_dir, "metrics.csv"), "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")      # None becomes an empty cell
+        writer.writerow(columns + ["corr_gap"])
+        writer.writerows([r[k] for k in columns] + [r.get("eval", {}).get("corr_gap")]
+                         for r in per_run)
+    print(f"report written under {report_dir}")
+    return 0
+
+
+
+def _report_outcome(command, run_dir):
+    """The files ``command`` writes under report/, or the exception it raises."""
+    shutil.rmtree(run_dir / "report", ignore_errors=True)
+    try:
+        assert command(argparse.Namespace(run_dir=str(run_dir))) == 0
+    except (DomainError, InsufficientDataError, NumericError, ConfigurationError,
+            OSError) as exc:
+        assert not (run_dir / "report").exists()
+        return type(exc), str(exc)
+    return {p.name: p.read_bytes() for p in sorted((run_dir / "report").iterdir())}
+
+
+def _assert_reports_alike(run_dir):
+    want = _report_outcome(_ref_cmd_report, run_dir)
+    assert _report_outcome(cli.cmd_report, run_dir) == want
+    return want
+
+
+# (method, seed, steps, real rows, synthetic rows or None) of each run, in manifest order
+REPORT_DIRS = {
+    "one_method": [("dfm", 0, 60, 40, 30), ("dfm", 1, 60, 40, 30), ("dfm", 2, 20, 12, 9)],
+    "several_methods": [("pure_fm", 3, 30, 20, 25), ("model_based", 3, 30, 20, 8),
+                        ("model_free", 3, 30, 20, None), ("pure_fm", 1, 30, 20, 25),
+                        ("fm_bootstrap", 1, 30, 20, 5)],
+    # common seeds 0 and 2, all longer than the 50-step window; seed 1 has no pair
+    "dfm_and_model_free": [("dfm", 0, 70, 30, 30), ("model_free", 0, 55, 30, None),
+                           ("dfm", 1, 70, 30, 30), ("model_free", 2, 60, 30, None),
+                           ("dfm", 2, 60, 30, 30)],
+    # a 37-step run on a common seed sets the window
+    "short_gain_window": [("model_free", 0, 60, 30, None), ("dfm", 0, 37, 30, 30),
+                          ("dfm", 1, 60, 30, 30), ("model_free", 1, 60, 30, None)],
+    # one-row batches: the first seed's synthetic heatmap and the real one are skipped
+    "one_row_batches": [("pure_fm", 0, 20, 1, 1), ("model_based", 0, 20, 30, 1),
+                        ("pure_fm", 1, 5, 30, 30), ("model_based", 1, 20, 1, 30)],
+    # runs[0] has no synthetic batch, so its real one is read after the loop
+    "model_free_first": [("model_free", 4, 30, 30, None), ("dfm", 4, 30, 30, 20),
+                         ("dfm", 5, 30, 30, 20), ("model_free", 5, 30, 1, None)],
+}
+
+
+@pytest.mark.parametrize("runs", REPORT_DIRS.values(), ids=REPORT_DIRS.keys())
+def test_report_files_bytes_equal_the_report_that_kept_every_batch(tmp_path, runs):
+    write_run_dir(tmp_path, runs)
+    assert "report.json" in _assert_reports_alike(tmp_path)
+
+
+def _corrupt(path, how):
+    """Break one file of a run directory: remove it, or spoil one cell of it."""
+    if how == "missing":
+        path.unlink()
+    elif path.name == "manifest.json":
+        path.write_text(path.read_text()[:-1])
+    else:
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[1].split(",")
+        cells[1] = "nan" if path.name.startswith(("real", "synth")) else "abc"
+        lines[1] = ",".join(cells)
+        path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("how", ["spoiled", "missing"])
+@pytest.mark.parametrize("name", ["several_methods", "model_free_first"])
+def test_report_fails_on_the_same_first_bad_file_as_the_reference(tmp_path, name, how):
+    write_run_dir(tmp_path / "clean", REPORT_DIRS[name])
+    names = sorted(p.name for p in (tmp_path / "clean").iterdir())
+    # the real batch of a run without a synthetic one is read only for runs[0]
+    unread = {f"real_{m}_seed{s}.csv" for m, s, _, _, synth in REPORT_DIRS[name][1:]
+              if synth is None}
+    for k, broken in enumerate([(n,) for n in names] + list(combinations(names, 2))):
+        run_dir = tmp_path / str(k)
+        shutil.copytree(tmp_path / "clean", run_dir)
+        for n in broken:
+            _corrupt(run_dir / n, how)
+        failed = isinstance(_assert_reports_alike(run_dir), tuple)
+        assert failed == any(n not in unread for n in broken), broken

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import dvfsflow
+from conftest import write_run_dir
 
 PACKAGE = Path(dvfsflow.__file__).parent
 
@@ -126,3 +127,17 @@ def test_no_module_imports_a_name_it_never_reads():
                           ((alias.asname or alias.name).split(".")[0] for alias in node.names)
                           if name not in read]
     assert found == []
+
+
+def test_report_leaves_numpy_ma_unloaded(tmp_path):
+    # np.median loads numpy.ma on its first call; the report's medians go through
+    # evalkit.median, which does not
+    write_run_dir(tmp_path, [("dfm", 0, 60, 30, 20), ("model_free", 0, 60, 30, None),
+                             ("dfm", 1, 60, 30, 20), ("model_free", 1, 60, 30, None)])
+    code = ("import sys; from dvfsflow.cli import main; "
+            f"assert main(['report', '--run-dir', {str(tmp_path)!r}]) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.splitlines() == [f"report written under {tmp_path / 'report'}", "False"]
