@@ -5,39 +5,24 @@ All outputs land under the configured directory with a manifest file, and a
 rerun from the same config and seeds reproduces every CSV byte for byte.
 
 ``run`` spreads its (method, seed) runs over the usable cores with
-:func:`spread.spread`: each run gets a process of its own, forked in manifest
-order, with at most N running at a time, and writes its files there.  The
-calling process starts the runs, collects their results and records them in
-manifest order; a run whose process dies is named with its exit code.  Every
-file, ``manifest.json`` and stdout are byte-identical to a one-core run.  Each
-process uses the BLAS thread count of its environment, and N is the usable
-cores divided by that count; unset, it is a thread per core and ``run`` stays
-in one process, so set ``OPENBLAS_NUM_THREADS=1`` to run one process per core.
-A lone run, like ``gen``, stays in the calling process.
+:func:`spread.spread`, forking a process per run in manifest order, at most N at
+a time, where N is the usable cores divided by the BLAS threads of each process
+(see ``run --help``).  The calling process collects their results in manifest
+order, so every file and stdout are byte-identical to a one-core run.  A lone
+run, like ``gen``, stays in the calling process.
 
 ``gen --method M`` trains the generator of method M, a row of
 ``orchestrate.METHODS``, on a memory dump and draws from it through the factory
 a run uses, with ``--seed`` as the run seed and no retrain count in the
 streams; ``gen`` itself knows no generator.
 
-Every command reads and writes its batch CSVs and run logs through
-:mod:`dvfsflow.files`, the one module that holds their format.  The functions
-of the same names in ``flow`` and ``orchestrate`` only call it and remain for
-the benchmark in ``perfbench/``; importing ``dvfsflow`` does not load ``files``.
-
-``report`` makes one pass over the manifest's runs and holds one run's files
-at a time: each run's run log, real batch, then synthetic batch, whose batches
-are dropped before the next run is read.  It keeps the per-run rows, the first
-fps values of each dfm and model_free run for ``early_fps_gain``, and the log,
-regret trace and correlation matrices of each method's first seed, which the
-figures reuse; ``runs[0]``'s real batch is read after the loop only if the loop
-did not read it.  Every file is read and checked before ``report/`` is made.
+Every command reads and writes its files through :mod:`dvfsflow.files`, the
+one module that holds their format; ``report`` is :func:`report.write_report`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -47,16 +32,12 @@ from typing import Optional
 import numpy as np
 
 from . import report
-from .config import (ExperimentConfig, config_from_dict, config_to_dict, dump_config,
-                     load_config)
+from .config import ExperimentConfig, config_to_dict, dump_config, load_config
 from .errors import (ConfigurationError, DomainError, InsufficientDataError,
                      NumericError, StateError)
-from .evalkit import (corr_gap, corr_gap_excluded_count, early_fps_gain,
-                      empirical_regret, median, pearson_matrix, qvalue_stability,
-                      wasserstein1)
-from .files import load_batch_csv, runlog_from_csv, runlog_to_csv, save_batch_csv
-from .flow import TRANSITION_LABELS, TransitionLayout, canonical_rows, check_finite
-from .orchestrate import METHODS, regret_oracle, run_experiment, runlog_summary
+from .files import load_finite_batch, runlog_to_csv, save_batch_csv, write_json
+from .flow import TransitionLayout, canonical_rows
+from .orchestrate import METHODS, run_experiment, runlog_summary
 from .spread import spread
 
 
@@ -71,12 +52,6 @@ def _parse_seeds(text: str) -> list[int]:
         raise ConfigurationError(
             f"--seeds must be lo..hi or a comma-separated list of integers, "
             f"got {text!r}") from None
-
-
-def _write_json(payload: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _load_experiment_config(args) -> ExperimentConfig:
@@ -105,7 +80,7 @@ def _run_one(cfg: ExperimentConfig, job: tuple[str, int]) -> tuple[dict, str]:
              "real": f"real_{tag}.csv", "synth": None}
     summary = runlog_summary(log)
     runlog_to_csv(log, os.path.join(out, files["runlog"]))
-    _write_json(summary, os.path.join(out, files["summary"]))
+    write_json(summary, os.path.join(out, files["summary"]))
     save_batch_csv(log.real_flat, os.path.join(out, files["real"]))
     if log.synth_raw is not None:
         files["synth"] = f"synth_{tag}.csv"
@@ -165,7 +140,7 @@ def cmd_run(args) -> int:
         print(line)
     manifest = {"version": 1, "config": config_to_dict(cfg), "runs": runs,
                 "outputs": sorted(outputs + ["manifest.json"])}
-    _write_json(manifest, os.path.join(out, "manifest.json"))
+    write_json(manifest, os.path.join(out, "manifest.json"))
     print(f"wrote {len(outputs) + 1} files under {out}")
     return 0
 
@@ -185,7 +160,7 @@ def cmd_gen(args) -> int:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     layout = TransitionLayout(num_actions=cfg.env.num_actions,
                               ambient_temp=cfg.env.ambient_temp)
-    data = _load_finite_batch(args.memory, allow_empty=True)   # the floor below names the file
+    data = load_finite_batch(args.memory, allow_empty=True)   # the floor below names the file
     sched = cfg.schedule
     if not sched.can_train(len(data), len(data)):     # a dump holds every row it took
         raise InsufficientDataError(
@@ -201,231 +176,20 @@ def cmd_gen(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------- eval
-
-def _correlations(batch: np.ndarray) -> Optional[np.ndarray]:
-    """The Pearson matrix of a batch, or None for a batch of fewer than 2 rows."""
-    return pearson_matrix(batch) if len(batch) >= 2 else None
-
-
-def _eval_batches(real: np.ndarray, synth: np.ndarray,
-                  m_real: Optional[np.ndarray] = None,
-                  m_synth: Optional[np.ndarray] = None) -> dict:
-    """Correlation gap, per-feature W1 and spread ratios of a synthetic batch
-    against real rows.  A real column has zero variance when all its values are
-    equal (the NaN diagonal of its Pearson matrix); it is listed in
-    ``zero_variance_real``, left out of the gap, and its ``std_ratio`` is None.
-    A batch of fewer than 2 rows has no correlations, so ``corr_gap`` and
-    ``corr_excluded_entries`` are None then, and one real row has no spread in
-    any column.  ``m_real`` and ``m_synth`` are the batches' :func:`_correlations`
-    where the caller has them; they are computed here otherwise."""
-    m_real = _correlations(real) if m_real is None else m_real
-    m_synth = _correlations(synth) if m_synth is None else m_synth
-    paired = m_real is not None and m_synth is not None
-    per_feature_w1 = {lab: wasserstein1(real[:, i], synth[:, i])
-                      for i, lab in enumerate(TRANSITION_LABELS)}
-    zero = np.isnan(np.diag(m_real)) if m_real is not None else np.ones(real.shape[1], bool)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(zero, np.nan, synth.std(axis=0) / real.std(axis=0))
-    return {
-        "corr_gap": corr_gap(m_real, m_synth) if paired else None,
-        "corr_excluded_entries": corr_gap_excluded_count(m_real, m_synth) if paired else None,
-        "zero_variance_real": [lab for lab, z in zip(TRANSITION_LABELS, zero) if z],
-        "per_feature_w1": per_feature_w1,
-        "std_ratio": {lab: (None if not np.isfinite(r) else float(r))
-                      for lab, r in zip(TRANSITION_LABELS, ratio)},
-        "n_real": int(real.shape[0]),
-        "n_synth": int(synth.shape[0]),
-    }
-
-
-def _load_finite_batch(path: str, allow_empty: bool = False) -> np.ndarray:
-    """A batch CSV; a NaN/inf cell raises NumericError naming file and column(s),
-    and a file without rows DomainError naming the file, unless ``allow_empty``."""
-    batch = load_batch_csv(path)
-    if not (len(batch) or allow_empty):
-        raise DomainError(f"{path}: the batch holds no transition rows")
-    check_finite(batch, path)
-    return batch
-
+# ---------------------------------------------------------------- eval and report
 
 def cmd_eval(args) -> int:
-    real = _load_finite_batch(args.real)
-    synth = _load_finite_batch(args.synth)
-    result = _eval_batches(real, synth)
+    real = load_finite_batch(args.real)
+    synth = load_finite_batch(args.synth)
+    result = report.eval_batches(real, synth)
     if args.out:
-        _write_json(result, args.out)
+        write_json(result, args.out)
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0
 
 
-# ---------------------------------------------------------------- report
-
-# per-run metrics: the per_run rows, the per-method medians and the metrics.csv columns
-_RUN_METRICS = ("mean_fps", "mean_reward", "qvalue_stability", "final_regret")
-
-# early_fps_gain compares at most this many first steps of a dfm and a model_free run
-_GAIN_WINDOW = 50
-
-# line figures of the first seed of each method: file, title, y-label, series
-_LINE_FIGURES = (
-    ("fps.svg", "frame rate per step", "fps", lambda log, regret: [s.fps for s in log.states]),
-    ("max_q.svg", "max Q at visited state", "max Q", lambda log, regret: log.max_q),
-    ("regret.svg", "cumulative empirical regret", "regret", lambda log, regret: regret.tolist()),
-)
-
-
-def _load_manifest(path: str) -> dict:
-    """A run's manifest; a parse error, a missing key or a mistyped value raises
-    DomainError naming it."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"manifest parse error in {path} at line {exc.lineno}, "
-                              f"column {exc.colno}: {exc.msg}") from None
-
-    def need(obj, where: str, *keys) -> dict:
-        for key in keys:
-            if not (isinstance(obj, dict) and key in obj):
-                raise DomainError(f"manifest {path}: {where} has no key {key!r}")
-        return obj
-    runs = need(manifest, "the root", "config", "runs")["runs"]
-    if not (isinstance(runs, list) and runs):
-        raise DomainError(f"manifest {path}: 'runs' must be a non-empty list")
-    seen: dict[tuple[str, int], int] = {}       # (method, seed): its first index
-    for i, run in enumerate(runs):
-        files = need(need(run, f"runs[{i}]", "method", "seed", "files")["files"],
-                     f"runs[{i}].files", "runlog", "real")
-        method, seed = run["method"], run["seed"]
-        if not (isinstance(method, str) and method in METHODS):
-            raise DomainError(f"manifest {path}: runs[{i}].method must be one of "
-                              f"{', '.join(METHODS)}, got {method!r}")
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise DomainError(f"manifest {path}: runs[{i}].seed must be an integer, "
-                              f"got {seed!r}")
-        for key in ("runlog", "real", "synth"):
-            name = files.get(key)
-            if not (isinstance(name, str) or (key == "synth" and name is None)):
-                raise DomainError(f"manifest {path}: runs[{i}].files.{key} must be a file "
-                                  f"name{' or null' if key == 'synth' else ''}, got {name!r}")
-        first = seen.setdefault((method, seed), i)
-        if first != i:
-            raise DomainError(f"manifest {path}: runs[{i}] repeats runs[{first}]: "
-                              f"method {method!r}, seed {seed}")
-    return manifest
-
-
-def _report_run(run_dir: str, entry: dict, oracle) -> tuple:
-    """Read one run: its run log, then its real and synthetic batches if it has
-    the latter.  Returns its per_run row, log and regret trace, and the (rows,
-    correlations) of its real and synthetic batches (None without a synthetic
-    batch); the batches themselves are dropped on return."""
-    method, seed, files = entry["method"], entry["seed"], entry["files"]
-    log = runlog_from_csv(os.path.join(run_dir, files["runlog"]), method, seed)
-    regret = empirical_regret(log, oracle)
-    try:
-        stability = qvalue_stability(log)
-    except InsufficientDataError:       # a run too short to estimate it
-        stability = None
-    metrics = (float(np.mean([s.fps for s in log.states])), float(np.mean(log.rewards)),
-               stability, float(regret[-1]))            # in _RUN_METRICS order
-    row = {"method": method, "seed": seed, **dict(zip(_RUN_METRICS, metrics))}
-    if not files.get("synth"):
-        return row, log, regret, None, None
-    real = _load_finite_batch(os.path.join(run_dir, files["real"]))
-    synth = _load_finite_batch(os.path.join(run_dir, files["synth"]))
-    m_real, m_synth = _correlations(real), _correlations(synth)
-    row["eval"] = _eval_batches(real, synth, m_real, m_synth)
-    return row, log, regret, (len(real), m_real), (len(synth), m_synth)
-
-
 def cmd_report(args) -> int:
-    run_dir = args.run_dir
-    manifest = _load_manifest(os.path.join(run_dir, "manifest.json"))
-    report_dir = os.path.join(run_dir, "report")
-    runs = manifest["runs"]
-
-    env = config_from_dict(manifest["config"]).env
-    oracle = regret_oracle(env)
-    # one pass over the runs, each read and checked once and its batches dropped
-    # before the next; the figures reuse the correlation matrices of the first seed
-    first_seed = runs[0]["seed"]
-    per_run = []
-    firsts = {}         # method: (log, regret, synthetic batch name, its (rows, correlations))
-    heads = {}          # (method, seed): the first fps values of a dfm or model_free run
-    real_first = None   # the (rows, correlations) of runs[0]'s real batch
-    for i, entry in enumerate(runs):
-        row, log, regret, real_batch, synth_batch = _report_run(run_dir, entry, oracle)
-        per_run.append(row)
-        method, seed = row["method"], row["seed"]
-        if i == 0:
-            real_first = real_batch
-        if seed == first_seed:
-            firsts[method] = (log, regret, entry["files"].get("synth"), synth_batch)
-        if method in ("dfm", "model_free"):
-            heads[(method, seed)] = [s.fps for s in log.states[:_GAIN_WINDOW]]
-        del log, regret         # not held while the next run is read
-
-    methods = sorted({r["method"] for r in per_run})
-    medians: dict[str, dict] = {}
-    for method in methods:
-        rows = [r for r in per_run if r["method"] == method]
-        medians[method] = {}
-        for key in _RUN_METRICS:
-            present = [r[key] for r in rows if r[key] is not None]
-            medians[method][key] = median(present) if present else None
-        evals = [r["eval"] for r in rows if "eval" in r]
-        if evals:
-            gaps = [e["corr_gap"] for e in evals if e["corr_gap"] is not None]
-            medians[method]["corr_gap"] = median(gaps) if gaps else None
-
-    gains = {}
-    # the seeds both methods ran
-    seeds = sorted({s for m, s in heads if m == "dfm"}
-                   & {s for m, s in heads if m == "model_free"})
-    if seeds:
-        window = min(len(heads[(m, s)]) for m in ("dfm", "model_free") for s in seeds)
-        vals = [early_fps_gain(heads[("dfm", s)], heads[("model_free", s)], window=window)
-                for s in seeds]
-        gains = {"window": window, "per_seed": vals, "median": median(vals)}
-
-    # figures from the first seed of each method; a batch of one row has no
-    # correlations, so its heatmap is skipped and listed in report.json
-    firsts = {m: firsts[m] for m in methods if m in firsts}
-    heatmaps = [(name, synth, f"corr_{method}.svg", f"synthetic correlations: {method}")
-                for method, (_, _, name, synth) in firsts.items() if name]
-    real_name = runs[0]["files"]["real"]
-    if real_first is None:      # runs[0] has no synthetic batch, so the loop left its real one
-        batch = _load_finite_batch(os.path.join(run_dir, real_name))
-        real_first = (len(batch), _correlations(batch))
-    heatmaps.append((real_name, real_first, "corr_real.svg", "real-data correlations"))
-    # every file is read and checked before report/ exists, so a failed report leaves none
-    os.makedirs(report_dir, exist_ok=True)
-    skipped = []
-    for name, (n_rows, matrix), figure, title in heatmaps:
-        if matrix is None:
-            skipped.append({"figure": figure, "reason": f"{name} holds {n_rows} row(s); "
-                                                        "correlations need at least 2"})
-            continue
-        report.svg_heatmap(matrix, TRANSITION_LABELS, os.path.join(report_dir, figure),
-                           title=title)
-    for figure, title, ylabel, series in _LINE_FIGURES:
-        report.svg_lines({m: series(log, regret) for m, (log, regret, _, _) in firsts.items()},
-                         os.path.join(report_dir, figure), title=title, ylabel=ylabel)
-
-    payload = {"per_run": per_run, "medians": medians, "early_fps_gain": gains}
-    if skipped:
-        payload["skipped_figures"] = skipped
-    _write_json(payload, os.path.join(report_dir, "report.json"))
-
-    columns = ["method", "seed", *_RUN_METRICS]
-    with open(os.path.join(report_dir, "metrics.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")      # None becomes an empty cell
-        writer.writerow(columns + ["corr_gap"])
-        writer.writerows([r[k] for k in columns] + [r.get("eval", {}).get("corr_gap")]
-                         for r in per_run)
-    print(f"report written under {report_dir}")
+    print(f"report written under {report.write_report(args.run_dir)}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""The CSV files of the CLI: batches of transition rows and run logs.
+"""The files of the CLI: CSV batches of transition rows, CSV run logs and JSON.
 
 ``run`` writes the real memory M, the last synthetic batch of M' and the run
 log of each run; ``gen`` writes a batch, and ``eval`` and ``report`` read
@@ -28,8 +28,8 @@ file reads the same either way.  The ``np.loadtxt`` pass stands aside on:
 - any cell it rejects: a quoted cell, ``1_000`` (which ``float`` takes and
   ``np.loadtxt`` does not), a row of 10 or 12 cells.
 
-Only the CLI imports this module, so ``import dvfsflow`` loads neither it nor
-``csv``.  ``flow.save_batch_csv``, ``flow.load_batch_csv``,
+Only the CLI and its report import this module, so ``import dvfsflow`` loads
+neither it nor ``csv``.  ``flow.save_batch_csv``, ``flow.load_batch_csv``,
 ``orchestrate.runlog_to_csv`` and ``orchestrate.runlog_from_csv`` call the
 functions of the same names here; they stay only because the benchmark in
 ``perfbench/`` imports them from there (ROADMAP item 6).
@@ -38,12 +38,13 @@ functions of the same names here; they stay only because the benchmark in
 from __future__ import annotations
 
 import csv
+import json
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .flow import TRANSITION_DIM, TRANSITION_LABELS
+from .flow import TRANSITION_DIM, TRANSITION_LABELS, check_finite
 from .orchestrate import RUNLOG_COLUMNS, RunLog
 from .simenv import ProcessorState
 
@@ -55,6 +56,13 @@ def _write(path: str, header: list[str], rows: Iterable[Iterable[str]]) -> None:
     text = "\r\n".join([",".join(header), *map(",".join, rows)]) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def write_json(payload: dict, path: str) -> None:
+    """``payload`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _records(path: str, header: list[str], what: str) -> Iterator[tuple[int, list[str]]]:
@@ -110,6 +118,16 @@ def load_batch_csv(path: str) -> np.ndarray:
             if batch.shape == (len(body), TRANSITION_DIM):
                 return batch
     return _parse_batch(path)
+
+
+def load_finite_batch(path: str, allow_empty: bool = False) -> np.ndarray:
+    """A batch CSV; a NaN/inf cell raises NumericError naming file and column(s),
+    and a file without rows DomainError naming the file, unless ``allow_empty``."""
+    batch = load_batch_csv(path)
+    if not (len(batch) or allow_empty):
+        raise DomainError(f"{path}: the batch holds no transition rows")
+    check_finite(batch, path)
+    return batch
 
 
 def _parse_batch(path: str) -> np.ndarray:

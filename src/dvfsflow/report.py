@@ -1,15 +1,30 @@
-"""Static SVG figures for run reports: correlation heatmaps and line charts.
+"""The report of a ``dvfsflow run`` directory, and its static SVG figures.
 
+:func:`write_report` makes one pass over the runs and holds one run's batches at
+a time.  Each per-run statistic is declared once, as a name and a function of a
+run's log and regret trace in :data:`COLUMNS`, which fills the ``per_run`` rows,
+the per-method medians and the ``metrics.csv`` columns.  Each number that
+compares two methods comes from :func:`_early_fps_gain`, over their common seeds.
 Hand-rolled SVG keeps the library dependency-free; the charts are meant for
 quick report viewing, not publication.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from typing import Sequence
+import os
+from typing import Optional, Sequence
 
 import numpy as np
+
+from .config import config_from_dict
+from .errors import DomainError, InsufficientDataError
+from .evalkit import (corr_gap, corr_gap_excluded_count, early_fps_gain, empirical_regret,
+                      median, pearson_matrix, qvalue_stability, wasserstein1)
+from .files import load_finite_batch, runlog_from_csv, write_json
+from .flow import TRANSITION_LABELS
+from .orchestrate import METHODS, regret_oracle
 
 
 def _heat_color(value: float) -> str:
@@ -111,3 +126,212 @@ def svg_lines(series: dict[str, Sequence[float]], path: str, title: str = "",
                      f'stroke-width="2"/>')
         parts.append(f'<text x="{width - right + 40}" y="{ly + 4}">{name}</text>')
     _write_svg(path, width, height, left, title, parts)
+
+
+# ---------------------------------------------------------------- report
+
+def _correlations(batch: np.ndarray) -> Optional[np.ndarray]:
+    """The Pearson matrix of a batch, or None for a batch of fewer than 2 rows."""
+    return pearson_matrix(batch) if len(batch) >= 2 else None
+
+
+def eval_batches(real: np.ndarray, synth: np.ndarray) -> dict:
+    """Correlation gap, per-feature W1 and spread ratios of a synthetic batch
+    against real rows.  A real column has zero variance when all its values are
+    equal (the NaN diagonal of its Pearson matrix); it is listed in
+    ``zero_variance_real``, left out of the gap, and its ``std_ratio`` is None.
+    A batch of fewer than 2 rows has no correlations, so ``corr_gap`` and
+    ``corr_excluded_entries`` are None then, and one real row has no spread in
+    any column."""
+    m_real, m_synth = _correlations(real), _correlations(synth)
+    paired = m_real is not None and m_synth is not None
+    zero = np.isnan(np.diag(m_real)) if m_real is not None else np.ones(real.shape[1], bool)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(zero, np.nan, synth.std(axis=0) / real.std(axis=0))
+    return {
+        "corr_gap": corr_gap(m_real, m_synth) if paired else None,
+        "corr_excluded_entries": corr_gap_excluded_count(m_real, m_synth) if paired else None,
+        "zero_variance_real": [lab for lab, z in zip(TRANSITION_LABELS, zero) if z],
+        "per_feature_w1": {lab: wasserstein1(real[:, i], synth[:, i])
+                           for i, lab in enumerate(TRANSITION_LABELS)},
+        "std_ratio": {lab: (None if not np.isfinite(r) else float(r))
+                      for lab, r in zip(TRANSITION_LABELS, ratio)},
+        "n_real": int(real.shape[0]),
+        "n_synth": int(synth.shape[0]),
+    }
+
+
+def _stability(log, regret) -> Optional[float]:
+    try:
+        return qvalue_stability(log)
+    except InsufficientDataError:       # a run too short to estimate it
+        return None
+
+
+# per-run statistics, each a name and a function of (run log, regret trace): in
+# this order they fill the per_run rows, the per-method medians and metrics.csv
+COLUMNS = (
+    ("mean_fps", lambda log, regret: float(np.mean([s.fps for s in log.states]))),
+    ("mean_reward", lambda log, regret: float(np.mean(log.rewards))),
+    ("qvalue_stability", _stability),
+    ("final_regret", lambda log, regret: float(regret[-1])),
+)
+
+# early_fps_gain compares at most this many first steps of two runs
+_GAIN_WINDOW = 50
+
+# line figures of the first seed of each method: file, title, y-label, series
+_LINE_FIGURES = (
+    ("fps.svg", "frame rate per step", "fps", lambda log, regret: [s.fps for s in log.states]),
+    ("max_q.svg", "max Q at visited state", "max Q", lambda log, regret: log.max_q),
+    ("regret.svg", "cumulative empirical regret", "regret", lambda log, regret: regret.tolist()),
+)
+
+
+def _load_manifest(path: str) -> dict:
+    """A run's manifest; a parse error, a missing key or a mistyped value raises
+    DomainError naming it."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"manifest parse error in {path} at line {exc.lineno}, "
+                              f"column {exc.colno}: {exc.msg}") from None
+
+    def need(obj, where: str, *keys) -> dict:
+        for key in keys:
+            if not (isinstance(obj, dict) and key in obj):
+                raise DomainError(f"manifest {path}: {where} has no key {key!r}")
+        return obj
+    runs = need(manifest, "the root", "config", "runs")["runs"]
+    if not (isinstance(runs, list) and runs):
+        raise DomainError(f"manifest {path}: 'runs' must be a non-empty list")
+    seen: dict[tuple[str, int], int] = {}       # (method, seed): its first index
+    for i, run in enumerate(runs):
+        files = need(need(run, f"runs[{i}]", "method", "seed", "files")["files"],
+                     f"runs[{i}].files", "runlog", "real")
+        method, seed = run["method"], run["seed"]
+        if not (isinstance(method, str) and method in METHODS):
+            raise DomainError(f"manifest {path}: runs[{i}].method must be one of "
+                              f"{', '.join(METHODS)}, got {method!r}")
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise DomainError(f"manifest {path}: runs[{i}].seed must be an integer, "
+                              f"got {seed!r}")
+        for key in ("runlog", "real", "synth"):
+            name = files.get(key)
+            if not (isinstance(name, str) or (key == "synth" and name is None)):
+                raise DomainError(f"manifest {path}: runs[{i}].files.{key} must be a file "
+                                  f"name{' or null' if key == 'synth' else ''}, got {name!r}")
+        first = seen.setdefault((method, seed), i)
+        if first != i:
+            raise DomainError(f"manifest {path}: runs[{i}] repeats runs[{first}]: "
+                              f"method {method!r}, seed {seed}")
+    return manifest
+
+
+def _heatmap(name: str, batch: np.ndarray) -> tuple:
+    return name, len(batch), _correlations(batch)
+
+
+def _read_run(run_dir: str, entry: dict, oracle, figures: bool,
+              real_figure: bool) -> tuple[dict, list, Optional[tuple]]:
+    """Read one run's run log, then its real and synthetic batches if it has the
+    latter, dropping the batches on return: its per_run row, the fps of its first
+    _GAIN_WINDOW steps and, if ``figures``, its line series and the (name, rows,
+    correlations) of its synthetic batch (or None) and, if ``real_figure`` and
+    the batch was read, of its real batch."""
+    method, seed, files = entry["method"], entry["seed"], entry["files"]
+    log = runlog_from_csv(os.path.join(run_dir, files["runlog"]), method, seed)
+    regret = empirical_regret(log, oracle)
+    row = {"method": method, "seed": seed, **{name: stat(log, regret) for name, stat in COLUMNS}}
+    real = synth = None
+    if files.get("synth"):
+        real = load_finite_batch(os.path.join(run_dir, files["real"]))
+        synth = load_finite_batch(os.path.join(run_dir, files["synth"]))
+        row["eval"] = eval_batches(real, synth)
+    head = [s.fps for s in log.states[:_GAIN_WINDOW]]
+    if not figures:
+        return row, head, None
+    return row, head, ([series(log, regret) for *_, series in _LINE_FIGURES],
+                       _heatmap(files["synth"], synth) if synth is not None else None,
+                       _heatmap(files["real"], real) if real_figure and real is not None
+                       else None)
+
+
+def _medians(table: list[tuple[dict, list]]) -> dict:
+    """Each method's median of each column, and of corr_gap if it has a synthetic
+    batch, over its runs where the value is not None."""
+    def of(values: list) -> Optional[float]:
+        present = [v for v in values if v is not None]
+        return median(present) if present else None
+    medians: dict[str, dict] = {}
+    for method in sorted({row["method"] for row, _ in table}):
+        rows = [row for row, _ in table if row["method"] == method]
+        medians[method] = {name: of([row[name] for row in rows]) for name, _ in COLUMNS}
+        evals = [row["eval"] for row in rows if "eval" in row]
+        if evals:
+            medians[method]["corr_gap"] = of([e["corr_gap"] for e in evals])
+    return medians
+
+
+def _early_fps_gain(table: list[tuple[dict, list]], a: str, b: str) -> dict:
+    """early_fps_gain of method ``a`` over ``b`` on each seed both ran, over the
+    first steps all those runs have (at most _GAIN_WINDOW); empty without one."""
+    heads = {(row["method"], row["seed"]): head for row, head in table}
+    seeds = sorted(s for m, s in heads if m == a and (b, s) in heads)
+    if not seeds:
+        return {}
+    window = min(len(heads[(m, s)]) for m in (a, b) for s in seeds)
+    vals = [early_fps_gain(heads[(a, s)], heads[(b, s)], window=window) for s in seeds]
+    return {"window": window, "per_seed": vals, "median": median(vals)}
+
+
+def write_report(run_dir: str) -> str:
+    """Write the report of the ``dvfsflow run`` directory ``run_dir``; return its path."""
+    manifest = _load_manifest(os.path.join(run_dir, "manifest.json"))
+    runs = manifest["runs"]
+    oracle = regret_oracle(config_from_dict(manifest["config"]).env)
+    table = []          # (per_run row, its first fps) of each run, in manifest order
+    firsts = {}         # method: what the figures draw from its first seed
+    for i, entry in enumerate(runs):
+        row, head, figures = _read_run(run_dir, entry, oracle,
+                                       entry["seed"] == runs[0]["seed"], i == 0)
+        table.append((row, head))
+        if figures:
+            firsts[entry["method"]] = figures
+    firsts = dict(sorted(firsts.items()))
+    # a batch of one row has no correlations, so its heatmap is skipped and listed
+    heatmaps = [(synth, f"corr_{m}.svg", f"synthetic correlations: {m}")
+                for m, (_, synth, _) in firsts.items() if synth]
+    real = firsts[runs[0]["method"]][2]
+    if real is None:    # runs[0] has no synthetic batch, so the loop left its real one
+        name = runs[0]["files"]["real"]
+        real = _heatmap(name, load_finite_batch(os.path.join(run_dir, name)))
+    heatmaps.append((real, "corr_real.svg", "real-data correlations"))
+    # every file is read and checked before report/ exists, so a failed report leaves none
+    report_dir = os.path.join(run_dir, "report")
+    os.makedirs(report_dir, exist_ok=True)
+    skipped = []
+    for (name, n_rows, matrix), figure, title in heatmaps:
+        if matrix is None:
+            skipped.append({"figure": figure, "reason": f"{name} holds {n_rows} row(s); "
+                                                        "correlations need at least 2"})
+            continue
+        svg_heatmap(matrix, TRANSITION_LABELS, os.path.join(report_dir, figure), title=title)
+    for k, (figure, title, ylabel, _) in enumerate(_LINE_FIGURES):
+        svg_lines({m: lines[k] for m, (lines, _, _) in firsts.items()},
+                  os.path.join(report_dir, figure), title=title, ylabel=ylabel)
+
+    payload = {"per_run": [row for row, _ in table], "medians": _medians(table),
+               "early_fps_gain": _early_fps_gain(table, "dfm", "model_free")}
+    if skipped:
+        payload["skipped_figures"] = skipped
+    write_json(payload, os.path.join(report_dir, "report.json"))
+    # the cells csv.writer wrote: None empty and a float its repr (its str)
+    names = ["method", "seed", *(name for name, _ in COLUMNS)]
+    cells = [names + ["corr_gap"]] + [[row[k] for k in names] + [
+        row.get("eval", {}).get("corr_gap")] for row, _ in table]
+    with open(os.path.join(report_dir, "metrics.csv"), "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(",".join("" if v is None else str(v) for v in line) + "\n"
+                      for line in cells)
+    return report_dir

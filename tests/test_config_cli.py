@@ -504,7 +504,7 @@ def test_gen_rejects_negative_seed_before_reading(tmp_path, capsys, monkeypatch)
     memory = str(tmp_path / "memory.csv")
     save_batch_csv(np.random.default_rng(0).uniform(0.1, 1.0, size=(60, 11)), memory)
     read = []
-    monkeypatch.setattr(cli, "load_batch_csv", lambda path: read.append(path))
+    monkeypatch.setattr(cli, "load_finite_batch", lambda path, **kw: read.append(path))
     out = tmp_path / "synth.csv"
     assert main(["gen", "--memory", memory, "--out", str(out), "--seed", "-1",
                  "--method", "fm_bootstrap"]) == 1
@@ -814,7 +814,7 @@ def test_gen_trains_only_where_a_run_would(tmp_path, capsys, rows, code):
 def test_gen_rejects_a_method_without_a_generator_before_reading(tmp_path, capsys,
                                                                   monkeypatch):
     read = []
-    monkeypatch.setattr(cli, "load_batch_csv", lambda path: read.append(path))
+    monkeypatch.setattr(cli, "load_finite_batch", lambda path, **kw: read.append(path))
     out = tmp_path / "synth.csv"
     for method in ("model_free", "zTT"):
         assert main(["gen", "--memory", str(tmp_path / "memory.csv"), "--out", str(out),
@@ -1130,3 +1130,35 @@ def test_report_memory_does_not_grow_with_the_run_count(tmp_path, capsys):
     _report_peak(tmp_path / "two")          # the first report's imports and caches
     two, eight = _report_peak(tmp_path / "two"), _report_peak(tmp_path / "eight")
     assert eight <= two + 100_000, (two, eight)
+
+
+def test_a_report_column_fills_the_rows_the_medians_and_metrics_csv(tmp_path, capsys,
+                                                                      monkeypatch):
+    # a per-run statistic is one entry of report.COLUMNS, and nothing else names it
+    from dvfsflow import report
+
+    write_run_dir(tmp_path, [("dfm", 0, 30, 20, 10), ("model_free", 0, 40, 20, None),
+                             ("dfm", 1, 50, 20, 10)])
+    columns = report.COLUMNS
+
+    def report_with(cols):
+        monkeypatch.setattr(report, "COLUMNS", cols)
+        assert main(["report", "--run-dir", str(tmp_path)]) == 0
+        with open(tmp_path / "report" / "report.json") as fh:
+            payload = json.load(fh)
+        lines = (tmp_path / "report" / "metrics.csv").read_text().splitlines()
+        return payload, [line.split(",") for line in lines]
+
+    payload, table = report_with((*columns, ("steps", lambda log, regret: len(log.t))))
+    assert [row["steps"] for row in payload["per_run"]] == [30, 40, 50]
+    assert {m: v["steps"] for m, v in payload["medians"].items()} == {"dfm": 40.0,
+                                                                     "model_free": 40.0}
+    assert table[0] == ["method", "seed", *(name for name, _ in columns), "steps", "corr_gap"]
+    assert [row[-2] for row in table[1:]] == ["30", "40", "50"]
+
+    payload, table = report_with(tuple(c for c in columns if c[0] != "mean_reward"))
+    assert not any("mean_reward" in row for row in payload["per_run"])
+    assert not any("mean_reward" in m for m in payload["medians"].values())
+    assert table[0] == ["method", "seed", "mean_fps", "qvalue_stability", "final_regret",
+                        "corr_gap"]
+    assert all(len(row) == 6 for row in table)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvfsflow.cli import _eval_batches
+from dvfsflow.report import eval_batches
 from dvfsflow.config import EnvConfig
 from dvfsflow.errors import DomainError, InsufficientDataError
 from dvfsflow.evalkit import (corr_gap, corr_gap_excluded_count, early_fps_gain, median,
@@ -83,7 +83,7 @@ def test_constant_columns_at_every_frequency_level_are_zero_variance():
             assert np.isnan(np.diag(m)).tolist() == [lab == "freq" for lab in TRANSITION_LABELS]
             assert np.all(np.isnan(m[col])) and np.all(np.isnan(m[:, col]))
             assert corr_gap_excluded_count(m, pearson_matrix(synth)) == 20
-            got = _eval_batches(real, synth)
+            got = eval_batches(real, synth)
             assert got["zero_variance_real"] == ["freq"]
             assert got["corr_excluded_entries"] == 20
             assert got["std_ratio"]["freq"] is None

@@ -20,10 +20,19 @@ TRACER = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
 # Names the tracer hooks that the package no longer has.
 STALE_HOOKS = [
     "ReplayMemory.sample_batch",
+    "dvfsflow.cli.corr_gap",
+    "dvfsflow.cli.corr_gap_excluded_count",
+    "dvfsflow.cli.early_fps_gain",
+    "dvfsflow.cli.empirical_regret",
     "dvfsflow.cli.generate_raw",
+    "dvfsflow.cli.load_batch_csv",
+    "dvfsflow.cli.pearson_matrix",
+    "dvfsflow.cli.qvalue_stability",
+    "dvfsflow.cli.runlog_from_csv",
     "dvfsflow.cli.train_flow_model",
     "dvfsflow.cli.transition_feature_weights",
     "dvfsflow.cli.unflatten_transition",
+    "dvfsflow.cli.wasserstein1",
     "dvfsflow.flow.flatten_memory",
     "dvfsflow.nets.train_step",
 ]

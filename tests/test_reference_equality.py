@@ -29,8 +29,8 @@ from hypothesis.extra.numpy import arrays
 from conftest import noiseless, usable_cores, write_run_dir
 from dvfsflow import agent, cli, files, forest, nets, report
 from dvfsflow.agent import AgentConfig, ReplayMemory
-from dvfsflow.cli import (_LINE_FIGURES, _RUN_METRICS, _eval_batches, _load_finite_batch,
-                          _load_manifest, _write_json)
+from dvfsflow.files import load_finite_batch, runlog_from_csv, write_json
+from dvfsflow.report import _LINE_FIGURES, _load_manifest, eval_batches
 from dvfsflow.config import config_from_dict
 from dvfsflow.errors import ConfigurationError, DomainError, InsufficientDataError, NumericError
 from dvfsflow.evalkit import empirical_regret, pearson_matrix, qvalue_stability, wasserstein1
@@ -1662,12 +1662,16 @@ def test_csv_loaders_read_fuzzed_cells_like_the_csv_module(tmp_path_factory, row
 
 # ---------------------------------------------------------------- report
 
-# ``cli.cmd_report`` makes one pass over the runs and drops each run's batches
-# before it reads the next; the reference below is the report that kept every
+# ``report.write_report`` makes one pass over the runs and drops each run's
+# batches before it reads the next; the reference below is the report that kept every
 # batch it read (a ``functools.cache``) and every run log until it returned,
 # with the ``early_fps_gain`` of run logs and ``np.median`` it used.
 # Both must write the same bytes, or raise the same exception with the same
 # message, from the same first bad file, and leave no report/ then.
+
+# the per-run metrics, in the order of the reference's rows and metrics.csv columns
+_RUN_METRICS = ("mean_fps", "mean_reward", "qvalue_stability", "final_regret")
+
 
 def _ref_early_fps_gain(runlog_a, runlog_b, window: int = 50) -> float:
     """Ratio of mean fps over the first ``window`` steps of the two runs."""
@@ -1686,13 +1690,13 @@ def _ref_cmd_report(args) -> int:
     env = config_from_dict(manifest["config"]).env
     oracle = regret_oracle(env)
     # each CSV is read and checked once; the figures reuse the batches
-    batch = functools.cache(lambda name: _load_finite_batch(os.path.join(run_dir, name)))
+    batch = functools.cache(lambda name: load_finite_batch(os.path.join(run_dir, name)))
     per_run = []
     logs = {}
     for entry in manifest["runs"]:
         method, seed = entry["method"], entry["seed"]
         files = entry["files"]
-        log = cli.runlog_from_csv(os.path.join(run_dir, files["runlog"]), method, seed)
+        log = runlog_from_csv(os.path.join(run_dir, files["runlog"]), method, seed)
         regret = empirical_regret(log, oracle)
         logs[(method, seed)] = (log, files, regret)
         try:
@@ -1703,7 +1707,7 @@ def _ref_cmd_report(args) -> int:
                    stability, float(regret[-1]))            # in _RUN_METRICS order
         row = {"method": method, "seed": seed, **dict(zip(_RUN_METRICS, metrics))}
         if files.get("synth"):
-            row["eval"] = _eval_batches(batch(files["real"]), batch(files["synth"]))
+            row["eval"] = eval_batches(batch(files["real"]), batch(files["synth"]))
         per_run.append(row)
 
     methods = sorted({r["method"] for r in per_run})
@@ -1755,7 +1759,7 @@ def _ref_cmd_report(args) -> int:
     payload = {"per_run": per_run, "medians": medians, "early_fps_gain": gains}
     if skipped:
         payload["skipped_figures"] = skipped
-    _write_json(payload, os.path.join(report_dir, "report.json"))
+    write_json(payload, os.path.join(report_dir, "report.json"))
 
     columns = ["method", "seed", *_RUN_METRICS]
     with open(os.path.join(report_dir, "metrics.csv"), "w", newline="", encoding="utf-8") as fh:

@@ -52,8 +52,9 @@ def test_only_the_cli_imports_spread():
 
 
 def test_only_the_cli_imports_files():
-    # the CSV files are the CLI's; no module that ``import dvfsflow`` loads needs them.
-    # Four one-call functions import it when called, for the benchmark in perfbench/.
+    # the CSV files are the CLI's and its report's; no module that ``import dvfsflow``
+    # loads needs them.  Four one-call functions import it when called, for the
+    # benchmark in perfbench/.
     at_top, in_functions = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -61,7 +62,7 @@ def test_only_the_cli_imports_files():
         in_functions += [f"{path.name}: {fn.name}" for fn in tree.body
                          if isinstance(fn, ast.FunctionDef)
                          for node in ast.walk(fn) if _imports(node, "files")]
-    assert at_top == ["cli.py"]
+    assert at_top == ["cli.py", "report.py"]
     assert in_functions == ["flow.py: save_batch_csv", "flow.py: load_batch_csv",
                             "orchestrate.py: runlog_to_csv", "orchestrate.py: runlog_from_csv"]
     assert len(_importers("files")) == len(at_top) + len(in_functions)     # and nowhere else
@@ -80,10 +81,21 @@ def test_importing_the_package_and_its_config_loads_neither_files_nor_the_cli():
     assert "csv" not in loaded
 
 
+def test_only_files_imports_csv():
+    found = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "csv"]
+    assert found == ["files.py"]
+
+
 def test_the_cli_reads_and_writes_its_files_through_files():
-    from dvfsflow import cli, files
-    for name in ("save_batch_csv", "load_batch_csv", "runlog_to_csv", "runlog_from_csv"):
-        assert getattr(cli, name) is getattr(files, name), name
+    from dvfsflow import cli, files, report
+    for module, names in ((cli, ("save_batch_csv", "runlog_to_csv", "load_finite_batch",
+                                 "write_json")),
+                          (report, ("runlog_from_csv", "load_finite_batch", "write_json"))):
+        for name in names:
+            assert getattr(module, name) is getattr(files, name), (module.__name__, name)
 
 
 def _int_literal(node) -> bool:
