@@ -235,18 +235,16 @@ def _heatmap(name: str, batch: np.ndarray) -> tuple:
 
 def _read_run(run_dir: str, entry: dict, oracle, figures: bool,
               real_figure: bool) -> tuple[dict, list, Optional[tuple]]:
-    """Read one run's run log, then its real and synthetic batches if it has the
-    latter, dropping the batches on return: its per_run row, the fps of its first
-    _GAIN_WINDOW steps and, if ``figures``, its line series and the (name, rows,
-    correlations) of its synthetic batch (or None) and, if ``real_figure`` and
-    the batch was read, of its real batch."""
+    """Read one run's run log, real and synthetic (if any) batches, dropping the
+    batches on return: its per_run row, the fps of its first _GAIN_WINDOW steps
+    and, if ``figures``, its line series and the (name, rows, correlations) of its
+    synthetic batch (or None) and, if ``real_figure``, of its real batch."""
     method, seed, files = entry["method"], entry["seed"], entry["files"]
     log = runlog_from_csv(os.path.join(run_dir, files["runlog"]), method, seed)
     regret = empirical_regret(log, oracle)
     row = {"method": method, "seed": seed, **{name: stat(log, regret) for name, stat in COLUMNS}}
-    real = synth = None
+    real, synth = load_finite_batch(os.path.join(run_dir, files["real"])), None
     if files.get("synth"):
-        real = load_finite_batch(os.path.join(run_dir, files["real"]))
         synth = load_finite_batch(os.path.join(run_dir, files["synth"]))
         row["eval"] = eval_batches(real, synth)
     head = [s.fps for s in log.states[:_GAIN_WINDOW]]
@@ -254,8 +252,7 @@ def _read_run(run_dir: str, entry: dict, oracle, figures: bool,
         return row, head, None
     return row, head, ([series(log, regret) for *_, series in _LINE_FIGURES],
                        _heatmap(files["synth"], synth) if synth is not None else None,
-                       _heatmap(files["real"], real) if real_figure and real is not None
-                       else None)
+                       _heatmap(files["real"], real) if real_figure else None)
 
 
 def _medians(table: list[tuple[dict, list]]) -> dict:
@@ -303,11 +300,7 @@ def write_report(run_dir: str) -> str:
     # a batch of one row has no correlations, so its heatmap is skipped and listed
     heatmaps = [(synth, f"corr_{m}.svg", f"synthetic correlations: {m}")
                 for m, (_, synth, _) in firsts.items() if synth]
-    real = firsts[runs[0]["method"]][2]
-    if real is None:    # runs[0] has no synthetic batch, so the loop left its real one
-        name = runs[0]["files"]["real"]
-        real = _heatmap(name, load_finite_batch(os.path.join(run_dir, name)))
-    heatmaps.append((real, "corr_real.svg", "real-data correlations"))
+    heatmaps.append((firsts[runs[0]["method"]][2], "corr_real.svg", "real-data correlations"))
     # every file is read and checked before report/ exists, so a failed report leaves none
     report_dir = os.path.join(run_dir, "report")
     os.makedirs(report_dir, exist_ok=True)
