@@ -289,18 +289,18 @@ def write_report(run_dir: str) -> str:
     runs = manifest["runs"]
     oracle = regret_oracle(config_from_dict(manifest["config"]).env)
     table = []          # (per_run row, its first fps) of each run, in manifest order
-    firsts = {}         # method: what the figures draw from its first seed
+    figures = {}        # method: what the figures draw from its first seed
     for i, entry in enumerate(runs):
-        row, head, figures = _read_run(run_dir, entry, oracle,
-                                       entry["seed"] == runs[0]["seed"], i == 0)
+        row, head, drawn = _read_run(run_dir, entry, oracle,
+                                     entry["seed"] == runs[0]["seed"], i == 0)
         table.append((row, head))
-        if figures:
-            firsts[entry["method"]] = figures
-    firsts = dict(sorted(firsts.items()))
+        if drawn:
+            figures[entry["method"]] = drawn
+    figures = dict(sorted(figures.items()))
     # a batch of one row has no correlations, so its heatmap is skipped and listed
     heatmaps = [(synth, f"corr_{m}.svg", f"synthetic correlations: {m}")
-                for m, (_, synth, _) in firsts.items() if synth]
-    heatmaps.append((firsts[runs[0]["method"]][2], "corr_real.svg", "real-data correlations"))
+                for m, (_, synth, _) in figures.items() if synth]
+    heatmaps.append((figures[runs[0]["method"]][2], "corr_real.svg", "real-data correlations"))
     # every file is read and checked before report/ exists, so a failed report leaves none
     report_dir = os.path.join(run_dir, "report")
     os.makedirs(report_dir, exist_ok=True)
@@ -312,7 +312,7 @@ def write_report(run_dir: str) -> str:
             continue
         svg_heatmap(matrix, TRANSITION_LABELS, os.path.join(report_dir, figure), title=title)
     for k, (figure, title, ylabel, _) in enumerate(_LINE_FIGURES):
-        svg_lines({m: lines[k] for m, (lines, _, _) in firsts.items()},
+        svg_lines({m: lines[k] for m, (lines, _, _) in figures.items()},
                   os.path.join(report_dir, figure), title=title, ylabel=ylabel)
 
     payload = {"per_run": [row for row, _ in table], "medians": _medians(table),
@@ -320,7 +320,7 @@ def write_report(run_dir: str) -> str:
     if skipped:
         payload["skipped_figures"] = skipped
     write_json(payload, os.path.join(report_dir, "report.json"))
-    # the cells csv.writer wrote: None empty and a float its repr (its str)
+    # None is an empty cell, and a float its str, which is its repr
     names = ["method", "seed", *(name for name, _ in COLUMNS)]
     cells = [names + ["corr_gap"]] + [[row[k] for k in names] + [
         row.get("eval", {}).get("corr_gap")] for row, _ in table]
