@@ -126,8 +126,7 @@ def cmd_run(args) -> int:
               f"model_free): {why}", file=sys.stderr)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "effective_config.json"), "w", encoding="utf-8") as fh:
-        fh.write(dump_config(cfg) + "\n")
+    write_json(config_to_dict(cfg), os.path.join(out, "effective_config.json"))
 
     runs = []
     outputs = ["effective_config.json"]

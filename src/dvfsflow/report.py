@@ -1,10 +1,12 @@
 """The report of a ``dvfsflow run`` directory, and its static SVG figures.
 
-:func:`write_report` makes one pass over the runs and holds one run's batches at
-a time.  Each per-run statistic is declared once, as a name and a function of a
-run's log and regret trace in :data:`COLUMNS`, which fills the ``per_run`` rows,
-the per-method medians and the ``metrics.csv`` columns.  Each number that
-compares two methods comes from :func:`_early_fps_gain`, over their common seeds.
+:func:`write_report` is one loop over the runs.  It reads a run's files, keeps
+its row, its first frame rates and what the figures draw of it, and drops its
+log and batches before the next run's reads.  Each per-run statistic is declared
+once, as a name and a function of a run's log and regret trace in
+:data:`COLUMNS`, which fills the ``per_run`` rows, the per-method medians and
+the ``metrics.csv`` columns.  Each number that compares two methods comes from
+:func:`_early_fps_gain`, over their common seeds.
 Hand-rolled SVG keeps the library dependency-free; the charts are meant for
 quick report viewing, not publication.
 """
@@ -19,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import config_from_dict
-from .errors import DomainError, InsufficientDataError
+from .errors import ConfigurationError, DomainError, InsufficientDataError
 from .evalkit import (corr_gap, corr_gap_excluded_count, early_fps_gain, empirical_regret,
                       median, pearson_matrix, qvalue_stability, wasserstein1)
 from .files import load_finite_batch, runlog_from_csv, write_json
@@ -180,7 +182,7 @@ COLUMNS = (
 # early_fps_gain compares at most this many first steps of two runs
 _GAIN_WINDOW = 50
 
-# line figures of the first seed of each method: file, title, y-label, series
+# line figures of each method's run on runs[0]'s seed: file, title, y-label, series
 _LINE_FIGURES = (
     ("fps.svg", "frame rate per step", "fps", lambda log, regret: [s.fps for s in log.states]),
     ("max_q.svg", "max Q at visited state", "max Q", lambda log, regret: log.max_q),
@@ -189,8 +191,8 @@ _LINE_FIGURES = (
 
 
 def _load_manifest(path: str) -> dict:
-    """A run's manifest; a parse error, a missing key or a mistyped value raises
-    DomainError naming it."""
+    """A run's manifest; a parse error, a missing key, a mistyped value or a config
+    that fails validation raises DomainError naming it."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         try:
             manifest = json.load(fh)
@@ -226,55 +228,33 @@ def _load_manifest(path: str) -> dict:
         if first != i:
             raise DomainError(f"manifest {path}: runs[{i}] repeats runs[{first}]: "
                               f"method {method!r}, seed {seed}")
+    try:
+        config_from_dict(manifest["config"])
+    except ConfigurationError as exc:
+        raise DomainError(f"manifest {path}: config: {exc}") from None
     return manifest
 
 
-def _heatmap(name: str, batch: np.ndarray) -> tuple:
-    return name, len(batch), _correlations(batch)
-
-
-def _read_run(run_dir: str, entry: dict, oracle, figures: bool,
-              real_figure: bool) -> tuple[dict, list, Optional[tuple]]:
-    """Read one run's run log, real and synthetic (if any) batches, dropping the
-    batches on return: its per_run row, the fps of its first _GAIN_WINDOW steps
-    and, if ``figures``, its line series and the (name, rows, correlations) of its
-    synthetic batch (or None) and, if ``real_figure``, of its real batch."""
-    method, seed, files = entry["method"], entry["seed"], entry["files"]
-    log = runlog_from_csv(os.path.join(run_dir, files["runlog"]), method, seed)
-    regret = empirical_regret(log, oracle)
-    row = {"method": method, "seed": seed, **{name: stat(log, regret) for name, stat in COLUMNS}}
-    real, synth = load_finite_batch(os.path.join(run_dir, files["real"])), None
-    if files.get("synth"):
-        synth = load_finite_batch(os.path.join(run_dir, files["synth"]))
-        row["eval"] = eval_batches(real, synth)
-    head = [s.fps for s in log.states[:_GAIN_WINDOW]]
-    if not figures:
-        return row, head, None
-    return row, head, ([series(log, regret) for *_, series in _LINE_FIGURES],
-                       _heatmap(files["synth"], synth) if synth is not None else None,
-                       _heatmap(files["real"], real) if real_figure else None)
-
-
-def _medians(table: list[tuple[dict, list]]) -> dict:
+def _medians(rows: list[dict]) -> dict:
     """Each method's median of each column, and of corr_gap if it has a synthetic
     batch, over its runs where the value is not None."""
     def of(values: list) -> Optional[float]:
         present = [v for v in values if v is not None]
         return median(present) if present else None
     medians: dict[str, dict] = {}
-    for method in sorted({row["method"] for row, _ in table}):
-        rows = [row for row, _ in table if row["method"] == method]
-        medians[method] = {name: of([row[name] for row in rows]) for name, _ in COLUMNS}
-        evals = [row["eval"] for row in rows if "eval" in row]
+    for method in sorted({row["method"] for row in rows}):
+        own = [row for row in rows if row["method"] == method]
+        medians[method] = {name: of([row[name] for row in own]) for name, _ in COLUMNS}
+        evals = [row["eval"] for row in own if "eval" in row]
         if evals:
             medians[method]["corr_gap"] = of([e["corr_gap"] for e in evals])
     return medians
 
 
-def _early_fps_gain(table: list[tuple[dict, list]], a: str, b: str) -> dict:
-    """early_fps_gain of method ``a`` over ``b`` on each seed both ran, over the
-    first steps all those runs have (at most _GAIN_WINDOW); empty without one."""
-    heads = {(row["method"], row["seed"]): head for row, head in table}
+def _early_fps_gain(heads: dict[tuple[str, int], list], a: str, b: str) -> dict:
+    """early_fps_gain of method ``a`` over ``b`` on each seed both ran, from the
+    first frame rates ``heads`` holds for each (method, seed), over the first
+    steps all those runs have (at most _GAIN_WINDOW); empty without one."""
     seeds = sorted(s for m, s in heads if m == a and (b, s) in heads)
     if not seeds:
         return {}
@@ -287,43 +267,61 @@ def write_report(run_dir: str) -> str:
     """Write the report of the ``dvfsflow run`` directory ``run_dir``; return its path."""
     manifest = _load_manifest(os.path.join(run_dir, "manifest.json"))
     runs = manifest["runs"]
-    oracle = regret_oracle(config_from_dict(manifest["config"]).env)
-    table = []          # (per_run row, its first fps) of each run, in manifest order
-    figures = {}        # method: what the figures draw from its first seed
-    for i, entry in enumerate(runs):
-        row, head, drawn = _read_run(run_dir, entry, oracle,
-                                     entry["seed"] == runs[0]["seed"], i == 0)
-        table.append((row, head))
-        if drawn:
-            figures[entry["method"]] = drawn
-    figures = dict(sorted(figures.items()))
+    oracle = regret_oracle(config_from_dict(manifest["config"]).env)  # _load_manifest checked it
+    per_run, heads = [], {}     # each run's row; (method, seed): its first frame rates
+    # what the figures draw of each method's run on runs[0]'s seed: its series of
+    # each line figure, and the (file name, rows, correlations) of its synthetic batch
+    lines, synth_maps = {}, {}
+    for entry in runs:
+        method, seed, files = entry["method"], entry["seed"], entry["files"]
+        path = os.path.join(run_dir, files["runlog"])
+        log = runlog_from_csv(path, method, seed)
+        try:
+            regret = empirical_regret(log, oracle)
+        except DomainError as exc:      # a state the reward is not defined on
+            raise DomainError(f"{path}: {exc}") from None
+        row = {"method": method, "seed": seed,
+               **{name: stat(log, regret) for name, stat in COLUMNS}}
+        real, synth = load_finite_batch(os.path.join(run_dir, files["real"])), None
+        if files.get("synth"):
+            synth = load_finite_batch(os.path.join(run_dir, files["synth"]))
+            row["eval"] = eval_batches(real, synth)
+        per_run.append(row)
+        heads[(method, seed)] = [s.fps for s in log.states[:_GAIN_WINDOW]]
+        if seed == runs[0]["seed"]:
+            lines[method] = {figure: series(log, regret) for figure, *_, series in _LINE_FIGURES}
+            if synth is not None:
+                synth_maps[method] = (files["synth"], len(synth), _correlations(synth))
+        if entry is runs[0]:
+            real_map = (files["real"], len(real), _correlations(real))
+        del log, regret, real, synth    # before the next run's reads: one run at a time
     # a batch of one row has no correlations, so its heatmap is skipped and listed
-    heatmaps = [(synth, f"corr_{m}.svg", f"synthetic correlations: {m}")
-                for m, (_, synth, _) in figures.items() if synth]
-    heatmaps.append((figures[runs[0]["method"]][2], "corr_real.svg", "real-data correlations"))
+    heatmaps = [(f"corr_{m}.svg", f"synthetic correlations: {m}", synth_maps[m])
+                for m in sorted(synth_maps)]
+    heatmaps.append(("corr_real.svg", "real-data correlations", real_map))
     # every file is read and checked before report/ exists, so a failed report leaves none
     report_dir = os.path.join(run_dir, "report")
     os.makedirs(report_dir, exist_ok=True)
     skipped = []
-    for (name, n_rows, matrix), figure, title in heatmaps:
+    for figure, title, (name, n_rows, matrix) in heatmaps:
         if matrix is None:
             skipped.append({"figure": figure, "reason": f"{name} holds {n_rows} row(s); "
                                                         "correlations need at least 2"})
             continue
         svg_heatmap(matrix, TRANSITION_LABELS, os.path.join(report_dir, figure), title=title)
-    for k, (figure, title, ylabel, _) in enumerate(_LINE_FIGURES):
-        svg_lines({m: lines[k] for m, (lines, _, _) in figures.items()},
+    for figure, title, ylabel, _ in _LINE_FIGURES:
+        svg_lines({m: lines[m][figure] for m in sorted(lines)},
                   os.path.join(report_dir, figure), title=title, ylabel=ylabel)
 
-    payload = {"per_run": [row for row, _ in table], "medians": _medians(table),
-               "early_fps_gain": _early_fps_gain(table, "dfm", "model_free")}
+    payload = {"per_run": per_run, "medians": _medians(per_run),
+               "early_fps_gain": _early_fps_gain(heads, "dfm", "model_free")}
     if skipped:
         payload["skipped_figures"] = skipped
     write_json(payload, os.path.join(report_dir, "report.json"))
     # None is an empty cell, and a float its str, which is its repr
     names = ["method", "seed", *(name for name, _ in COLUMNS)]
     cells = [names + ["corr_gap"]] + [[row[k] for k in names] + [
-        row.get("eval", {}).get("corr_gap")] for row, _ in table]
+        row.get("eval", {}).get("corr_gap")] for row in per_run]
     with open(os.path.join(report_dir, "metrics.csv"), "w", newline="", encoding="utf-8") as fh:
         fh.writelines(",".join("" if v is None else str(v) for v in line) + "\n"
                       for line in cells)

@@ -395,6 +395,12 @@ def test_report_calls_the_law_once_per_run(tmp_path, capsys, monkeypatch):
      '"real": "m.csv"}}, {"method": "dfm", "seed": 1, "files": {"runlog": "r1.csv", '
      '"real": "m1.csv"}}, {"method": "dfm", "seed": 0, "files": {"runlog": "r.csv", '
      '"real": "m.csv"}}]}', "manifest {path}: runs[2] repeats runs[0]: method 'dfm', seed 0"),
+    # a config that fails validation used to be a configuration error naming no file
+    ('{"config": [], "runs": [{"method": "dfm", "seed": 0, "files": {"runlog": "r.csv", '
+     '"real": "m.csv"}}]}', "manifest {path}: config: config root must be a JSON object"),
+    ('{"config": {"schedule": {"horizon": 0}}, "runs": [{"method": "dfm", "seed": 0, '
+     '"files": {"runlog": "r.csv", "real": "m.csv"}}]}',
+     "manifest {path}: config: schedule.horizon must be >= 1, got 0"),
 ])
 def test_report_on_a_malformed_manifest_is_an_input_error(tmp_path, capsys, text, want):
     manifest = tmp_path / "manifest.json"
@@ -730,6 +736,21 @@ def test_report_bad_runlog_cell_names_path_and_line(tmp_path, capsys, cell, want
     assert not (out / "report").exists()        # it used to be left behind, empty
 
 
+def test_report_on_a_state_without_a_reward_names_the_run_log(tmp_path, capsys):
+    # at -1000 degrees the regret oracle's power is <= 0; the error used to name no file
+    write_run_dir(tmp_path, [("dfm", 0, 20, 10, 10)])
+    runlog = tmp_path / "runlog_dfm_seed0.csv"
+    lines = runlog.read_text().splitlines(keepends=True)
+    cells = lines[1].split(",")
+    cells[RUNLOG_COLUMNS.index("temp")] = "-1000.0"
+    lines[1] = ",".join(cells)
+    runlog.write_text("".join(lines))
+    assert main(["report", "--run-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (f"input error: {runlog}: power must be > 0 to "
+                                       "evaluate the reward\n")
+    assert not (tmp_path / "report").exists()
+
+
 def test_report_on_a_run_log_without_steps_is_an_input_error(tmp_path, capsys):
     # a header-only run log used to end in an IndexError traceback at final_regret
     out = _pure_fm_model_free_run(tmp_path)
@@ -904,9 +925,10 @@ def test_runlog_empty_loss_cells_read_as_none(tmp_path):
     assert all(type(log.fm_loss[t - 1]) is float for t in retrains)
 
 
-def test_report_stale_env_key_is_a_configuration_error(tmp_path, capsys):
+def test_report_stale_env_key_is_an_input_error_naming_the_manifest(tmp_path, capsys):
     # the manifest's env section goes through config validation: a retired
-    # key used to be a TypeError traceback from EnvConfig(**env)
+    # key used to be a TypeError traceback from EnvConfig(**env), and then a
+    # configuration error naming no file
     out = _pure_fm_model_free_run(tmp_path)
     with open(out / "manifest.json") as fh:
         manifest = json.load(fh)
@@ -916,8 +938,9 @@ def test_report_stale_env_key_is_a_configuration_error(tmp_path, capsys):
         json.dump(manifest, fh)
     capsys.readouterr()
     assert main(["report", "--run-dir", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: ") and "['seed'] in section 'env'" in err
+    assert capsys.readouterr().err == (f"input error: manifest {out / 'manifest.json'}: "
+                                       "config: unknown key(s) ['seed'] in section 'env'\n")
+    assert not (out / "report").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -1123,13 +1146,33 @@ def _report_peak(run_dir) -> int:
 
 def test_report_memory_does_not_grow_with_the_run_count(tmp_path, capsys):
     # the report holds one run's batches at a time; it used to keep every batch it
-    # read until it returned, 0.44 MB for each of these 5,000-row batches
+    # read until it returned, 0.44 MB for each of these 5,000-row batches.  Against
+    # one run, a report that still held the last run's batches during the next
+    # run's reads would peak about 0.9 MB higher from two runs on.
     runs = [("dfm", seed, 200, 5000, 5000) for seed in range(8)]
-    write_run_dir(tmp_path / "two", runs[:2])
-    write_run_dir(tmp_path / "eight", runs)
-    _report_peak(tmp_path / "two")          # the first report's imports and caches
-    two, eight = _report_peak(tmp_path / "two"), _report_peak(tmp_path / "eight")
-    assert eight <= two + 100_000, (two, eight)
+    for name, count in (("one", 1), ("two", 2), ("eight", 8)):
+        write_run_dir(tmp_path / name, runs[:count])
+    _report_peak(tmp_path / "one")          # the first report's imports and caches
+    one, two, eight = (_report_peak(tmp_path / name) for name in ("one", "two", "eight"))
+    assert max(two, eight) <= one + 100_000, (one, two, eight)
+
+
+def test_report_reads_each_file_once(tmp_path, capsys, monkeypatch):
+    from dvfsflow import report
+
+    write_run_dir(tmp_path, [("dfm", 0, 60, 30, 20), ("model_free", 0, 60, 30, None),
+                             ("dfm", 1, 60, 30, 20), ("model_free", 1, 60, 30, None)])
+    reads = []
+    for name in ("runlog_from_csv", "load_finite_batch"):
+        read = getattr(report, name)
+        monkeypatch.setattr(report, name,
+                            lambda path, *args, read=read: reads.append(path) or read(path, *args))
+    assert main(["report", "--run-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "manifest.json") as fh:
+        listed = [os.path.join(str(tmp_path), name) for run in json.load(fh)["runs"]
+                  for name in run["files"].values() if name]
+    assert len(listed) == 10
+    assert sorted(reads) == sorted(listed)
 
 
 def test_a_report_column_fills_the_rows_the_medians_and_metrics_csv(tmp_path, capsys,

@@ -100,6 +100,10 @@ def test_the_cli_reads_and_writes_its_files_through_files():
                           (report, ("runlog_from_csv", "load_finite_batch", "write_json"))):
         for name in names:
             assert getattr(module, name) is getattr(files, name), (module.__name__, name)
+    # and it opens none itself
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "open"] == []
 
 
 def _int_literal(node) -> bool:
