@@ -9,17 +9,17 @@ normalized feature weights.  Sampling integrates dx/dt = v(x, t) with K
 explicit midpoint steps from t=0 (noise) to t=1 (data), two evaluations of v
 per step: x += dt v(x + v(x, t) dt / 2, t + dt / 2).  The straight CFM paths
 (rectified flow, Liu et al., arXiv 2209.03003) make this second-order step
-accurate at few steps.  One block of at most ``SAMPLE_BLOCK_ROWS`` rows goes
-through all K steps at a time, and the partition depends on n alone.  That is
-bit-identical to stepping all n rows at once: the update is elementwise, and a
-dgemm call of >= 110 rows computes each row the same way.
+accurate at few steps.  The n rows go through all K steps in k = ceil(n /
+``SAMPLE_BLOCK_ROWS``) blocks with the bits of one call over all n: every block
+but the last has the even 2 * (n // 2k) rows, since under OpenBLAS's Haswell
+kernel a dgemm call with an odd row count gives its last row other bits.
 
 One :class:`CfmBatches` makes the bootstrap draws of every training batch of a
 flow and builds each batch in fresh arrays.  The one sampler,
-:func:`generate_raw`, takes K from ``FMConfig.ode_steps``, allocates one
-block's inputs and layer outputs per call and steps each block in place: the
-midpoint goes into the block's input rows and both evaluations into the same
-layer outputs.
+:func:`generate_raw`, takes K from ``FMConfig.ode_steps``, allocates the
+largest block's inputs and layer outputs once per call and steps each block in
+place: the midpoint goes into the block's input rows and both evaluations into
+the same layer outputs.
 
 A trained flow is one type, :class:`FlowModel`: the vector-field net, its
 per-dimension normalizer, the feature weights, the config and the loss
@@ -245,19 +245,19 @@ def train_flow_model(data: np.ndarray, lam: np.ndarray, config: FMConfig,
     return model
 
 
-# Most rows of one block of generate_raw: n rows go through all K midpoint steps
-# (2K evaluations) in ceil(n / SAMPLE_BLOCK_ROWS) blocks of near-equal size; the
-# default 1,000-row batch is two 500-row blocks.  At the default widths a block's
-# input and layer arrays take 1,208 bytes per row (12 + 64 + 64 + 11 float64s),
-# so they stay near 0.6 MB whatever n is.  On a 2-vCPU x86 host (numpy 2.4, one
-# BLAS thread), a process doing one default dfm run (seed 0) peaked at
-# 40.85-41.05 MB with blocks and 41.25-41.33 MB with one block of all rows, and
-# one block was no faster: 15.7-16.5 ms against 15.1-16.1 ms blocked at 1,000
-# rows, and 80.7-82.3 ms against 75.2-81.0 ms at 5,000 rows.  A split batch has
-# blocks of >= 256 rows.  OpenBLAS 0.3.31 gives a row of the 64 -> 11
-# dgemm other bits in calls of up to 109 rows and the same bits from 110 rows up
-# (numpy sends 1-row calls to gemv), so every block's rows match integrating
-# all n rows at once.
+# Most rows of a block of generate_raw but the last: of k = ceil(n / 512) blocks,
+# each but the last has the even 2 * (n // 2k) rows and the last, the largest,
+# the rest, fewer than n / k + 2k (1,000 rows: 500 + 500; 513: 256 + 257).  The
+# arrays, sized for the last block, take 1,208 bytes a row (12 + 64 + 64 + 11
+# float64s): 0.60 MB at 1,000 and 5,000 rows, at most 0.86 MB up to 51,200.
+# Blocks cut a default dfm run's peak RSS from 41.25-41.33 MB to 40.85-41.05 MB
+# at no cost in time; fresh arrays per evaluation made a new process's first
+# 5,000-row sample take 67-79 ms against 60-66 ms (2-vCPU x86, numpy 2.4, one
+# BLAS thread).  OpenBLAS 0.3.31 gives a row other bits in dgemm calls of up to
+# 109 rows, and blocks have >= 256 once n > 512.  Under its Haswell kernel
+# (AVX2) a call with an odd row count gives its last row other bits, so only the
+# last block may be odd; that holds at one BLAS thread, as the thread split of a
+# call's rows moves bits too.
 SAMPLE_BLOCK_ROWS = 512
 
 
@@ -272,13 +272,13 @@ def generate_raw(model: FlowModel, n: int, rng: np.random.Generator) -> np.ndarr
         return np.empty((0, d))
     x = rng.standard_normal((n, d))
     dt = 1.0 / ode_steps
-    blocks = np.array_split(x, -(-n // SAMPLE_BLOCK_ROWS))     # views of x, largest first
-    size = blocks[0].shape[0]
+    k = -(-n // SAMPLE_BLOCK_ROWS)
+    rows = 2 * (n // (2 * k))                   # even, in every block but the last
+    size = n - (k - 1) * rows                   # the last block's, the largest
     inputs_buf = np.empty((size, d + 1))
     layers_buf = [np.empty((size, s)) for s in model.params.layer_sizes[1:]]
-    for block in blocks:
-        rows = block.shape[0]
-        inputs, layers = inputs_buf[:rows], [a[:rows] for a in layers_buf]
+    for block in np.split(x, [i * rows for i in range(1, k)]):     # views of x
+        inputs, layers = inputs_buf[:len(block)], [a[:len(block)] for a in layers_buf]
         for step in range(ode_steps):
             inputs[:, :d] = block
             inputs[:, d] = step * dt

@@ -18,6 +18,8 @@ import functools
 import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional
@@ -1100,8 +1102,8 @@ def test_one_trainer_takes_q_steps_of_any_size():
 
 # ---------------------------------------------------------------- ODE sampler
 
-@pytest.fixture(scope="module")
-def random_flow():
+def _random_flow():
+    """The default 12-64-64-11 flow with random params and normalizer."""
     rng = np.random.default_rng(11)
     model = init_flow_model(FMConfig(), np.full(11, 1.0 / 11), seed=4)
     model.params.flat[:] = rng.normal(scale=0.5, size=model.params.flat.size)
@@ -1110,14 +1112,24 @@ def random_flow():
     return model
 
 
+@pytest.fixture(scope="module")
+def random_flow():
+    return _random_flow()
+
+
 def _with_ode_steps(model, k):
     return replace(model, config=replace(model.config, ode_steps=k))
 
 
-# Cut into 512-row slices, 1026 and 1133 would end in a 2- and a 109-row slice,
-# whose rows differ in the last bits (small dgemm calls use other kernels);
-# ceil(n / 512) near-equal blocks are 342 and 377-378 rows.
-@pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 1000, 1026, 1133, 5000])
+# n rows go in k = ceil(n / 512) blocks: every block but the last has the even
+# 2 * (n // 2k) rows, and the last takes the rest.  Cut into 512-row slices, 1026
+# and 1133 would end in a 2- and a 109-row slice, whose rows differ in the last
+# bits (small dgemm calls use other kernels); here they are 342 x 3 and
+# 376 x 2 + 381.  Near-equal blocks would put an odd block before the last of
+# 513 (257 + 256), 1100 (367 x 2 + 366) and 1539 (385 x 3 + 384), whose rows
+# differ under the Haswell kernel; here they are 256 + 257, 366 x 2 + 368 and
+# 384 x 3 + 387.
+@pytest.mark.parametrize("n", [0, 1, 511, 512, 513, 1000, 1026, 1100, 1133, 1539, 5000])
 @pytest.mark.parametrize("ode_steps", [1, 7, 10, 100])
 def test_sample_vector_field_bytes_equal_reference(random_flow, n, ode_steps):
     got = generate_raw(_with_ode_steps(random_flow, ode_steps), n, np.random.default_rng(n))
@@ -1146,6 +1158,37 @@ def test_sample_vector_field_repeat_calls_bytes_equal_reference(random_flow):
         got = generate_raw(_with_ode_steps(random_flow, 5), n, np.random.default_rng([n, 1]))
         want = _ref_sample_vector_field(random_flow, n, np.random.default_rng([n, 1]), 5)
         assert got.tobytes() == want.tobytes(), n
+
+
+_KERNEL_CHECK = """
+import numpy as np
+from blas_kernel import corename
+from dvfsflow.flow import generate_raw
+from test_reference_equality import _random_flow, _ref_sample_vector_field
+print(corename())
+model = _random_flow()
+for n in (513, 1100):
+    got = generate_raw(model, n, np.random.default_rng(n))
+    want = _ref_sample_vector_field(model, n, np.random.default_rng(n))
+    print(n, got.tobytes() == want.tobytes())
+"""
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Zen"])
+def test_sample_blocks_bytes_equal_one_call_under_avx2_kernels(kernel):
+    # Under these kernels a dgemm call with an odd row count gives its last row
+    # other bits than a larger call does, so only even blocks before the last keep
+    # the one-call bits.  One BLAS thread, as OpenBLAS's thread split of a call's
+    # rows moves bits too.  OPENBLAS_CORETYPE takes effect only in a new process.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(tests), "src"), tests])
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", _KERNEL_CHECK], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout.splitlines()
+    if out[0] != kernel:
+        pytest.skip(f"OPENBLAS_CORETYPE={kernel} runs OpenBLAS's {out[0]} kernel here")
+    assert out[1:] == ["513 True", "1100 True"]
 
 
 # ---------------------------------------------------------------- W1
